@@ -1,7 +1,7 @@
 """Agent types shared by the demand generator, the simulator and the matcher."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -45,9 +45,6 @@ class VehicleAgent:
     request_time: float
     window: TimeWindow
     seats: int = 0
-    occupancy: int = 1
-    # planned (link id, entry time in hours); maintained for drivers only
-    committed_route: list[tuple[int, float]] = field(default_factory=list)
     matched: bool = False
 
     def __post_init__(self) -> None:
@@ -55,7 +52,3 @@ class VehicleAgent:
             raise ValueError(f"agent {self.id}: origin equals destination")
         if self.seats < 0:
             raise ValueError(f"agent {self.id}: negative seat count")
-        if self.occupancy < 1:
-            raise ValueError(f"agent {self.id}: occupancy below 1")
-        if self.role is Role.RIDESHARE_DRIVER and self.occupancy > 1 + self.seats:
-            raise ValueError(f"agent {self.id}: occupancy exceeds 1 + seats")

@@ -17,7 +17,8 @@ from typing import Optional
 
 import yaml
 
-from .demand import DemandSpec, Shares, calibrate_od_rates, default_od_pairs
+from .demand import (DEFAULT_OD_02_DAILY, DEFAULT_SEATS, DemandSpec, Shares,
+                     calibrate_od_rates, default_od_pairs)
 from .network import Network, load_network
 from .routing import CostWeights
 
@@ -72,13 +73,14 @@ class DemandConfig:
             explicit = {_parse_od_key(k): float(v) for k, v in od_rates.items()}
         else:
             raise ConfigError("demand.od_rates must be 'calibrated' or a map")
-        fixed_raw = section.get("calibration_fixed_daily", {"0-2": 26660.0})
+        fixed_raw = section.get("calibration_fixed_daily",
+                                {"0-2": DEFAULT_OD_02_DAILY})
         fixed = {_parse_od_key(k): float(v) for k, v in fixed_raw.items()}
         return DemandConfig(
             shares=shares,
             window_flexibility=float(section.get("window_flexibility", 0.25)),
             scale=float(section.get("scale", 0.1)),
-            seats=int(section.get("seats", 4)),
+            seats=int(section.get("seats", DEFAULT_SEATS)),
             od_mode=mode,
             explicit_rates=explicit,
             calibration_fixed_daily=fixed,

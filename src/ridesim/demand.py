@@ -39,9 +39,6 @@ class Shares:
         if abs(self.rider + self.rideshare_driver + self.regular_driver - 1.0) > 1e-9:
             raise DemandError("participation shares must sum to 1")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.rider, self.rideshare_driver, self.regular_driver)
-
 
 @dataclass(frozen=True)
 class DemandSpec:
@@ -72,24 +69,6 @@ class AgentSchedule:
 
     def __len__(self) -> int:
         return len(self.agents)
-
-    def arrival_times(self) -> list[float]:
-        return [a.request_time for a in self.agents]
-
-    def write_csv(self, path) -> None:
-        """Audit export: one row per generated agent."""
-        from .reports import write_csv_atomic
-
-        write_csv_atomic(
-            path,
-            ("id", "role", "origin", "destination", "request_time",
-             "earliest_departure", "latest_departure", "earliest_arrival",
-             "latest_arrival", "seats"),
-            [(a.id, a.role.value, a.origin, a.destination, a.request_time,
-              a.window.earliest_departure, a.window.latest_departure,
-              a.window.earliest_arrival, a.window.latest_arrival, a.seats)
-             for a in self.agents],
-        )
 
 
 def free_flow_paths(
@@ -175,11 +154,6 @@ def default_od_pairs(network: Network) -> list[tuple[int, int]]:
             if dijkstra_route(network, lambda l: l.free_flow_time, origin, dest):
                 pairs.append((origin, dest))
     return pairs
-
-
-def testbed_od_pairs() -> list[tuple[int, int]]:
-    """The five forward-reachable pairs of the bundled four-link testbed."""
-    return [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
 
 def generate_agents(

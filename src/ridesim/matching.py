@@ -6,8 +6,9 @@ Pipeline for one rider request:
    intersects the rider's spatio-temporal feasibility windows with each
    driver's remaining schedule flexibility, producing driver-labelled travel
    arcs and (implicit) wait arcs.
-2. ``preprocess`` prunes vertices not on any origin-to-destination path,
-   orders the survivors topologically and reports feasibility.
+2. ``preprocess`` prunes vertices not on any origin-to-destination path and
+   orders the survivors topologically; the request is feasible exactly when
+   the start vertex survives the pruning.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
    may transfer between vehicles but may never re-board a driver previously
    left, so each DP label carries the set of drivers already used; labels at
@@ -19,7 +20,10 @@ Pipeline for one rider request:
 oracle for the dynamic program.
 
 All travel times are read from a cost snapshot frozen at the match instant;
-durations round up to whole steps.
+durations round up to whole steps. ``match_rider`` makes one attempt: offers,
+network and commit all read that one instant, and the commit checks each
+driver's schedule through the same ``DriverOffer.stops`` chain that built
+the network.
 """
 from __future__ import annotations
 
@@ -86,7 +90,6 @@ class DriverOffer:
     destination: int
     window: TimeWindow
     seats: int
-    committed_route: tuple[tuple[int, float], ...] = ()
     pins: tuple[Pin, ...] = ()
     aboard: int = 0
     departed: bool = False
@@ -100,6 +103,23 @@ class DriverOffer:
         if any(o < 0 for o in occs):
             raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
         return occs
+
+    def stops(
+        self, dt: float, pins: Optional[Sequence[Pin]] = None
+    ) -> list[tuple[int, int, bool]]:
+        """The driver's schedule as (node, deadline step, holds) stops.
+
+        The anchor comes first at its available step, then each pin at its
+        pinned step, then the destination by the latest-arrival step. A
+        boarding stop holds the vehicle until its step; other stops do not.
+        ``pins`` replaces the offer's own pins (a commit checks a candidate
+        chain).
+        """
+        pins = self.pins if pins is None else pins
+        stops = [(self.origin, ceil_steps(self.window.earliest_departure, dt), False)]
+        stops += [(p.node, p.step, p.action == "board") for p in pins]
+        stops.append((self.destination, ceil_steps(self.window.latest_arrival, dt), False))
+        return stops
 
 
 @dataclass(frozen=True)
@@ -119,7 +139,6 @@ class TimeExpandedNetwork:
     destination: int
     node_intervals: dict[int, tuple[int, int]]
     travel_arcs: list[TravelArc]
-    time_weight: float = 1.0
 
     @property
     def start_vertex(self) -> Optional[Vertex]:
@@ -145,12 +164,6 @@ class TimeExpandedNetwork:
             for k in range(lo, hi):
                 yield (node, k), (node, k + 1)
 
-    def active_links(self) -> set[tuple[int, int]]:
-        return {(arc.tail[0], arc.head[0]) for arc in self.travel_arcs}
-
-    def is_empty(self) -> bool:
-        return not self.node_intervals
-
 
 @dataclass(frozen=True)
 class ItineraryLeg:
@@ -166,15 +179,6 @@ class Itinerary:
     legs: tuple[ItineraryLeg, ...]
     total_cost: float
     wait_steps: int
-    dt: float
-
-    @property
-    def arrival_step(self) -> int:
-        return self.legs[-1].alight_step
-
-    @property
-    def departure_step(self) -> int:
-        return self.legs[0].board_step
 
     def driver_sequence(self) -> tuple[int, ...]:
         return tuple(leg.driver for leg in self.legs)
@@ -214,23 +218,17 @@ def _min_step_matrix(
 
 def _driver_presence(
     offer: DriverOffer,
+    stops: list[tuple[int, int, bool]],
     node: int,
-    dt: float,
+    ld_step: int,
     matrix: dict[int, dict[int, float]],
 ) -> list[tuple[int, int, int]]:
     """(lo step, hi step, slot index) windows during which the driver can be
-    at ``node`` without breaking his schedule or committed stops."""
-    anchor_step = ceil_steps(offer.window.earliest_departure, dt)
-    la_step = ceil_steps(offer.window.latest_arrival, dt)
-    ld_step = ceil_steps(offer.window.latest_departure, dt)
-    chain: list[tuple[int, int]] = [(offer.origin, anchor_step)]
-    chain += [(pin.node, pin.step) for pin in offer.pins]
+    at ``node`` between consecutive ``stops`` of its schedule; a driver not
+    yet underway leaves its origin by ``ld_step``."""
     windows: list[tuple[int, int, int]] = []
-    for slot, (from_node, from_step) in enumerate(chain):
-        if slot + 1 < len(chain):
-            to_node, to_step = chain[slot + 1]
-        else:
-            to_node, to_step = offer.destination, la_step
+    for slot, ((from_node, from_step, _), (to_node, to_step, _)) in enumerate(
+            zip(stops, stops[1:])):
         ahead = matrix[from_node][node]
         behind = matrix[node][to_node]
         if ahead == INF or behind == INF:
@@ -291,15 +289,17 @@ def build_time_expanded(
         if lo <= hi:
             intervals[node] = (lo, hi)
     if rider.origin not in intervals or rider.destination not in intervals:
-        return TimeExpandedNetwork(dt, rider.origin, rider.destination, {}, [],
-                                   time_weight)
+        return TimeExpandedNetwork(dt, rider.origin, rider.destination, {}, [])
 
     seen_arcs: set[tuple[Vertex, Vertex, int]] = set()
     arcs: list[TravelArc] = []
     for offer in sorted(drivers, key=lambda o: o.id):
         occupancies = offer.slot_occupancies()
+        stops = offer.stops(dt)
+        ld_step = ceil_steps(offer.window.latest_departure, dt)
         presence: dict[int, list[tuple[int, int, int]]] = {
-            node: _driver_presence(offer, node, dt, matrix) for node in intervals
+            node: _driver_presence(offer, stops, node, ld_step, matrix)
+            for node in intervals
         }
         for link in sorted(network.links, key=lambda l: l.id):
             i, j = link.from_node, link.to_node
@@ -330,7 +330,7 @@ def build_time_expanded(
                     arcs.append(TravelArc((i, k), (j, k2), offer.id, cost))
     arcs.sort(key=lambda a: (a.tail, a.head, a.driver))
     return TimeExpandedNetwork(dt, rider.origin, rider.destination, intervals,
-                               arcs, time_weight)
+                               arcs)
 
 
 @dataclass
@@ -340,10 +340,13 @@ class PrunedGraph:
     ten: TimeExpandedNetwork
     vertices: list[Vertex]
     adjacency: dict[Vertex, list[tuple[Vertex, Optional[int], float]]]
-    feasible: bool
     start: Optional[Vertex]
     dests: set[Vertex]
     removed: set[Vertex]
+
+    @property
+    def feasible(self) -> bool:
+        return self.start is not None
 
 
 def _all_arcs(ten: TimeExpandedNetwork) -> Iterator[tuple[Vertex, Vertex, Optional[int], float]]:
@@ -353,23 +356,17 @@ def _all_arcs(ten: TimeExpandedNetwork) -> Iterator[tuple[Vertex, Vertex, Option
         yield arc.tail, arc.head, arc.driver, arc.cost
 
 
-def preprocess(
-    ten: TimeExpandedNetwork,
-    origins: Optional[set[Vertex]] = None,
-    dests: Optional[set[Vertex]] = None,
-) -> PrunedGraph:
-    """Drop vertices not on any origin-to-destination path; topo-sort the rest.
+def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
+    """Drop vertices not on any start-to-destination path; topo-sort the rest.
 
-    ``feasible`` is True iff a depth-first search still finds at least one
-    path from an origin vertex to a destination vertex.
+    A vertex survives when it is reachable from the start vertex and reaches
+    a destination vertex. The request is feasible iff the start survives:
+    a start that reaches a destination already lies on such a path.
     """
     all_vertices = set(ten.vertices())
-    if origins is None:
-        origins = {ten.start_vertex} if ten.start_vertex else set()
-    if dests is None:
-        dests = set(ten.dest_vertices())
-    origins = {v for v in origins if v in all_vertices}
-    dests = {v for v in dests if v in all_vertices}
+    start = ten.start_vertex
+    origins = {start} if start is not None else set()
+    dests = set(ten.dest_vertices())
 
     forward: dict[Vertex, list[tuple[Vertex, Optional[int], float]]] = {
         v: [] for v in all_vertices
@@ -400,30 +397,11 @@ def preprocess(
         for v in surviving
     }
     ordered = sorted(surviving, key=lambda v: (v[1], v[0]))
-
-    # Depth-first confirmation that a route plan exists at all.
-    feasible = False
-    stack = [v for v in sorted(origins) if v in surviving]
-    seen: set[Vertex] = set(stack)
-    while stack:
-        v = stack.pop()
-        if v in dests:
-            feasible = True
-            break
-        for head, _, _ in adjacency[v]:
-            if head not in seen:
-                seen.add(head)
-                stack.append(head)
-
-    start = min(origins) if origins else None
-    if start is not None and start not in surviving:
-        start = None
     return PrunedGraph(
         ten=ten,
         vertices=ordered,
         adjacency=adjacency,
-        feasible=feasible,
-        start=start,
+        start=start if start in surviving else None,
         dests={v for v in dests if v in surviving},
         removed=removed,
     )
@@ -458,7 +436,7 @@ def _insert_label(bucket: list[_Label], label: _Label) -> bool:
     return True
 
 
-def _trace(label: _Label, dt: float) -> Itinerary:
+def _trace(label: _Label) -> Itinerary:
     arcs: list[tuple[Vertex, Vertex, Optional[int]]] = []
     node: Optional[_Label] = label
     while node is not None and node.parent is not None:
@@ -482,7 +460,7 @@ def _trace(label: _Label, dt: float) -> Itinerary:
     if current is not None:
         legs.append(ItineraryLeg(current, board[0], board[1],
                                  alight[0], alight[1]))
-    return Itinerary(tuple(legs), label.cost, label.waits, dt)
+    return Itinerary(tuple(legs), label.cost, label.waits)
 
 
 def solve_itinerary(
@@ -494,7 +472,7 @@ def solve_itinerary(
     broken toward fewer waits, then fewer legs, then earlier arrival, then
     the lexicographically smallest driver sequence.
     """
-    if not graph.feasible or graph.start is None:
+    if not graph.feasible:
         return None
     table: dict[Vertex, dict[Optional[int], list[_Label]]] = {
         v: {} for v in graph.vertices
@@ -532,7 +510,7 @@ def solve_itinerary(
     finalists = [
         c for c in candidates if (c.cost, c.waits, c.legs, c.vertex[1]) == best_key
     ]
-    itineraries = [_trace(c, graph.ten.dt) for c in finalists]
+    itineraries = [_trace(c) for c in finalists]
     return min(itineraries, key=lambda it: it.driver_sequence())
 
 
@@ -581,7 +559,7 @@ def brute_force_itinerary(
         if current is not None:
             legs.append(ItineraryLeg(current, board[0], board[1],
                                      alight[0], alight[1]))
-        return Itinerary(tuple(legs), cost, waits, ten.dt)
+        return Itinerary(tuple(legs), cost, waits)
 
     stack: list[tuple[Vertex, Optional[int], frozenset, float, int, int, tuple]] = [
         (start, None, frozenset(), 0.0, 0, 0, ())
@@ -612,38 +590,35 @@ def brute_force_itinerary(
 
 
 def match_rider(sim, rider: RiderRequest) -> MatchResult:
-    """Run the full pipeline against a live simulation and commit the result.
+    """Run the full pipeline once against a live simulation and commit the
+    result, appending one diagnostic row to ``sim.match_trace``.
 
-    The commit may fail when a seat filled between snapshot and commit; the
-    pipeline is retried once against refreshed offers before giving up.
-    Each attempt appends one diagnostic row to ``sim.match_trace``.
+    There is no retry: offers, network and commit all read the same
+    simulation instant and a rejected commit changes no state, so a second
+    attempt would replay the same inputs to the same rejection. A rejected
+    commit is reported as ``reason="capacity"``.
     """
-    result = None
-    for _ in range(2):
-        offers = sim.collect_offers(rider)
-        ten = build_time_expanded(
-            rider, offers, sim.network, sim.matching_travel_time(), sim.dt,
-            time_weight=sim.time_weight,
-        )
-        graph = preprocess(ten)
-        itinerary = (solve_itinerary(graph, rider, sim.penalty)
-                     if graph.feasible else None)
-        committed = (itinerary is not None
-                     and sim.commit_itinerary(rider, itinerary))
-        sim.match_trace.append({
-            "rider_id": rider.id,
-            "request_time": rider.request_time,
-            "offers": len(offers),
-            "vertices": len(ten.vertices()),
-            "travel_arcs": len(ten.travel_arcs),
-            "pruned_vertices": len(graph.removed),
-            "feasible": graph.feasible,
-            "dp_cost": itinerary.total_cost if itinerary else None,
-            "matched": committed,
-        })
-        if itinerary is None:
-            return MatchResult(rider.id, False, reason="infeasible")
-        if committed:
-            return MatchResult(rider.id, True, itinerary)
-        result = MatchResult(rider.id, False, reason="capacity")
-    return result
+    offers = sim.collect_offers(rider)
+    ten = build_time_expanded(
+        rider, offers, sim.network, sim.matching_travel_time(), sim.dt,
+        time_weight=sim.weights.time,
+    )
+    graph = preprocess(ten)
+    itinerary = solve_itinerary(graph, rider, sim.penalty)
+    committed = itinerary is not None and sim.commit_itinerary(rider, itinerary)
+    sim.match_trace.append({
+        "rider_id": rider.id,
+        "request_time": rider.request_time,
+        "offers": len(offers),
+        "vertices": len(ten.vertices()),
+        "travel_arcs": len(ten.travel_arcs),
+        "pruned_vertices": len(graph.removed),
+        "feasible": graph.feasible,
+        "dp_cost": itinerary.total_cost if itinerary else None,
+        "matched": committed,
+    })
+    if itinerary is None:
+        return MatchResult(rider.id, False, reason="infeasible")
+    if not committed:
+        return MatchResult(rider.id, False, reason="capacity")
+    return MatchResult(rider.id, True, itinerary)

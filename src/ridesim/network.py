@@ -203,16 +203,3 @@ def volume_delay(
         raise ValueError("negative flow")
     capacity = link.lanes(lane_class) * link.lane_capacity
     return link.free_flow_time * (1.0 + alpha * (flow / capacity) ** beta)
-
-
-def free_flow_speed(link: Link) -> float:
-    return link.length / link.free_flow_time
-
-
-def network_totals(net: Network) -> tuple[float, float, float]:
-    """(total miles, total free-flow hours, total observed daily vehicles)."""
-    return (
-        sum(l.length for l in net.links),
-        sum(l.free_flow_time for l in net.links),
-        sum(l.observed_daily_flow for l in net.links),
-    )

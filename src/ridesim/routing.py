@@ -1,8 +1,9 @@
-"""Generalized link costs and Dijkstra routing for regular drivers.
+"""Dijkstra routing for regular drivers, and the weights of the link cost.
 
 A driver replanning at a node sees a frozen snapshot of link costs
-(toll + congested travel time, each weighted); the route is the cheapest
-path under that snapshot with a deterministic tie-break.
+(toll + congested travel time, each weighted; see ``SimState.route_cost_fn``);
+the route is the cheapest path under that snapshot with a deterministic
+tie-break.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .network import LaneClass, Link, Network, volume_delay
+from .network import Link, Network
 
 
 @dataclass(frozen=True)
@@ -34,44 +35,22 @@ class RoutePath:
     total_time: float
 
 
-def link_cost(
-    link: Link,
-    time: float,
-    flow: float,
-    weights: CostWeights,
-    alpha: float = 0.15,
-    beta: float = 4.0,
-) -> float:
-    """Generalized cost of entering ``link`` at ``time`` under ``flow`` veh/h.
-
-    Tolls and congested time are combined linearly; travel time uses the
-    general lane class (regular drivers are single occupants).
-    """
-    if flow < 0:
-        raise ValueError("negative flow")
-    travel = volume_delay(link, LaneClass.GENERAL, flow, alpha=alpha, beta=beta)
-    return weights.toll * link.toll_at(time) + weights.time * travel
-
-
 def dijkstra_route(
     network: Network,
     cost_fn: Callable[[Link], float],
     origin: int,
     dest: int,
-    time_fn: Callable[[Link], float] | None = None,
 ) -> Optional[RoutePath]:
     """Cheapest origin->dest path under a frozen cost snapshot.
 
-    ``cost_fn`` maps a link to its snapshot cost; ``time_fn`` (defaulting to
-    free-flow times) only annotates the returned path's duration. Ties are
-    broken toward the lexicographically smallest link-id sequence. Returns
-    None when the destination is unreachable.
+    ``cost_fn`` maps a link to its snapshot cost; the returned path's
+    ``total_time`` is its free-flow duration. Ties are broken toward the
+    lexicographically smallest link-id sequence. Returns None when the
+    destination is unreachable.
     """
     known = {n.id for n in network.nodes}
     if origin not in known or dest not in known:
         raise ValueError(f"origin {origin} or destination {dest} not in network")
-    if time_fn is None:
-        time_fn = lambda link: link.free_flow_time
     if origin == dest:
         return RoutePath(links=(), total_cost=0.0, total_time=0.0)
 
@@ -84,7 +63,7 @@ def dijkstra_route(
         if entry is not None and (cost, seq) > entry:
             continue
         if node == dest:
-            total_time = sum(time_fn(network.link(lid)) for lid in seq)
+            total_time = sum(network.link(lid).free_flow_time for lid in seq)
             return RoutePath(links=seq, total_cost=cost, total_time=total_time)
         for link_id in adjacency.get(node, ()):
             link = network.link(link_id)

@@ -60,7 +60,6 @@ class LinkState:
     background_totals: dict[LaneClass, int] = field(
         default_factory=lambda: {LaneClass.GENERAL: 0, LaneClass.CARPOOL: 0}
     )
-    entry_log: list[tuple[int, str, float]] = field(default_factory=list)
 
     def hourly_flow(self, lane_class: LaneClass, now: float, window_hours: float) -> float:
         entries = self.window[lane_class]
@@ -69,15 +68,12 @@ class LinkState:
             entries.popleft()
         return len(entries) / window_hours
 
-    def record_entry(
-        self, vehicle_id: int, lane_class: LaneClass, now: float, background: bool
-    ) -> None:
+    def record_entry(self, lane_class: LaneClass, now: float, background: bool) -> None:
         self.window[lane_class].append(now)
         self.counts[lane_class] += 1
         self.totals[lane_class] += 1
         if background:
             self.background_totals[lane_class] += 1
-        self.entry_log.append((vehicle_id, lane_class.value, now))
 
     def record_exit(self, lane_class: LaneClass) -> None:
         self.counts[lane_class] -= 1
@@ -92,7 +88,6 @@ class Vehicle:
         "agent", "node", "on_link", "link_arrival_node", "link_arrival_time",
         "route", "route_pos", "planned_entry_steps", "pins", "aboard",
         "departure_time", "arrival_time", "stranded", "plan_version",
-        "hold_release",
     )
 
     def __init__(self, agent: VehicleAgent):
@@ -110,14 +105,10 @@ class Vehicle:
         self.arrival_time: Optional[float] = None
         self.stranded = False
         self.plan_version = 0
-        self.hold_release: Optional[float] = None
 
     @property
     def active(self) -> bool:
         return self.arrival_time is None and not self.stranded
-
-    def occupancy(self) -> int:
-        return 1 + len(self.aboard)
 
 
 @dataclass
@@ -190,7 +181,6 @@ class SimState:
         self.network = network
         self.demand = demand
         self.weights = weights
-        self.time_weight = weights.time
         self.bpr_alpha = bpr_alpha
         self.bpr_beta = bpr_beta
         self.dt = dt
@@ -269,7 +259,7 @@ class SimState:
 
     def _lane_class_for(self, vehicle: Vehicle, link_id: int, now: float) -> LaneClass:
         link = self.network.link(link_id)
-        if link.has_carpool_lane and vehicle.occupancy() >= 2:
+        if link.has_carpool_lane and vehicle.aboard:  # driver plus a rider
             carpool = self.link_delay(link_id, LaneClass.CARPOOL, now)
             general = self.link_delay(link_id, LaneClass.GENERAL, now)
             if carpool < general:
@@ -281,7 +271,7 @@ class SimState:
         lane_class = self._lane_class_for(vehicle, link_id, now)
         delay = self.link_delay(link_id, lane_class, now)
         state = self.link_states[link_id]
-        state.record_entry(vehicle.agent.id, lane_class, now, background=False)
+        state.record_entry(lane_class, now, background=False)
         if vehicle.departure_time is None:
             vehicle.departure_time = now
         vehicle.on_link = True
@@ -343,12 +333,10 @@ class SimState:
         if vehicle.route_pos < len(planned):
             hold_until = planned[vehicle.route_pos] * self.dt
         if hold_until is not None and hold_until > now + 1e-12:
-            vehicle.hold_release = hold_until
             self.push_event(
                 hold_until, EV_DEPART_NODE, (vehicle.agent.id, vehicle.plan_version)
             )
             return
-        vehicle.hold_release = None
         vehicle.route_pos += 1
         self.enter_link(vehicle, next_link, now)
 
@@ -377,9 +365,7 @@ class SimState:
         path = dijkstra_route(self.network, self.route_cost_fn(now),
                               agent.origin, agent.destination)
         if path is None:
-            vehicle.route = []
-            vehicle.planned_entry_steps = []
-            return
+            return  # the empty route strands the vehicle at its origin
         step = max(ceil_steps(now, self.dt),
                    ceil_steps(agent.window.latest_departure, self.dt))
         steps = []
@@ -390,9 +376,6 @@ class SimState:
         vehicle.route = list(path.links)
         vehicle.planned_entry_steps = steps
         vehicle.route_pos = 0
-        agent.committed_route = [
-            (lid, s * self.dt) for lid, s in zip(vehicle.route, steps)
-        ]
 
     def _handle_rider_request(self, agent: VehicleAgent, now: float) -> None:
         rider = RiderRequest(
@@ -447,128 +430,118 @@ class SimState:
         self.background_count += 1
         vid = -self.background_count
         delay = self.link_delay(link_id, LaneClass.CARPOOL, now)
-        self.link_states[link_id].record_entry(vid, LaneClass.CARPOOL, now,
-                                               background=True)
+        self.link_states[link_id].record_entry(LaneClass.CARPOOL, now, background=True)
         self.push_event(now + delay, EV_ARRIVE_NODE, (vid, link_id, LaneClass.CARPOOL))
 
     # --------------------------------------------------------------- matching
 
     def collect_offers(self, rider: RiderRequest) -> list[DriverOffer]:
         offers = []
-        now = self.clock
         for agent_id in sorted(self.vehicles):
             vehicle = self.vehicles[agent_id]
-            agent = vehicle.agent
-            if agent.role is not Role.RIDESHARE_DRIVER or not vehicle.active:
+            if vehicle.agent.role is not Role.RIDESHARE_DRIVER or not vehicle.active:
                 continue
-            if vehicle.on_link:
-                anchor_node = vehicle.link_arrival_node
-                anchor_time = vehicle.link_arrival_time
-                departed = True
-            else:
-                anchor_node = vehicle.node
-                anchor_time = now
-                departed = vehicle.departure_time is not None
-            if anchor_time > agent.window.latest_arrival + 1e-12:
-                continue  # already outside its own schedule
-            window = TimeWindow(
-                earliest_departure=anchor_time,
-                latest_departure=max(agent.window.latest_departure, anchor_time),
-                earliest_arrival=min(agent.window.earliest_arrival,
-                                     agent.window.latest_arrival),
-                latest_arrival=agent.window.latest_arrival,
-            )
-            if anchor_node == agent.destination and not vehicle.pins:
-                continue
-            offers.append(DriverOffer(
-                id=agent.id,
-                origin=anchor_node,
-                destination=agent.destination,
-                window=window,
-                seats=agent.seats,
-                committed_route=tuple(
-                    (lid, s * self.dt)
-                    for lid, s in zip(vehicle.route[vehicle.route_pos:],
-                                      vehicle.planned_entry_steps[vehicle.route_pos:])
-                ),
-                pins=tuple(vehicle.pins),
-                aboard=len(vehicle.aboard),
-                departed=departed,
-            ))
+            offer = self._offer(vehicle)
+            if offer is not None:
+                offers.append(offer)
         return offers
 
-    def _step_matrix(self) -> tuple[dict[int, int], dict]:
+    def _offer(self, vehicle: Vehicle) -> Optional[DriverOffer]:
+        """The active ridesharing vehicle's remaining schedule at the clock,
+        or None when it has nothing left to offer.
+
+        The anchor is where the vehicle is, or the end of the link it is on,
+        with the time it is available there; the window runs from that time
+        to the driver's own latest arrival, and its latest departure is no
+        earlier than the anchor time. The matcher and ``commit_itinerary``
+        both read this one offer.
+        """
+        agent = vehicle.agent
+        if vehicle.on_link:
+            anchor_node = vehicle.link_arrival_node
+            anchor_time = vehicle.link_arrival_time
+            departed = True
+        else:
+            anchor_node = vehicle.node
+            anchor_time = self.clock
+            departed = vehicle.departure_time is not None
+        if anchor_time > agent.window.latest_arrival + 1e-12:
+            return None  # already outside its own schedule
+        if anchor_node == agent.destination and not vehicle.pins:
+            return None
+        window = TimeWindow(
+            earliest_departure=anchor_time,
+            latest_departure=max(agent.window.latest_departure, anchor_time),
+            earliest_arrival=min(agent.window.earliest_arrival,
+                                 agent.window.latest_arrival),
+            latest_arrival=agent.window.latest_arrival,
+        )
+        return DriverOffer(
+            id=agent.id,
+            origin=anchor_node,
+            destination=agent.destination,
+            window=window,
+            seats=agent.seats,
+            pins=tuple(vehicle.pins),
+            aboard=len(vehicle.aboard),
+            departed=departed,
+        )
+
+    def _step_durations(self) -> dict[int, int]:
+        """Whole-step link durations of the frozen matching snapshot."""
         snapshot = self._matching_snapshot
         if snapshot is None:
             self.matching_travel_time()
             snapshot = self._matching_snapshot
-        tau = {
+        return {
             link.id: max(1, ceil_steps(snapshot[link.id], self.dt))
             for link in self.network.links
         }
-        from .matching import _min_step_matrix
-
-        return tau, _min_step_matrix(self.network, tau)
-
-    def _shortest_step_path(
-        self, tau: dict[int, int], origin: int, dest: int
-    ) -> Optional[list[int]]:
-        path = dijkstra_route(self.network, lambda l: float(tau[l.id]), origin, dest)
-        return list(path.links) if path is not None else None
 
     def commit_itinerary(self, rider: RiderRequest, itinerary: Itinerary) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
 
-        Phase one re-verifies every driver's pin chain (ordering, travel
-        feasibility, seat capacity, own window) against the current snapshot;
-        phase two rewrites routes and holds. Returns False when any driver
-        can no longer honor the plan, leaving all drivers untouched.
+        Phase one walks every driver's ``DriverOffer.stops`` chain with the
+        rider's pins added (ordering, travel feasibility, seat capacity, own
+        window) against the current snapshot; phase two rewrites routes and
+        holds. Returns False when any driver cannot honor the plan, leaving
+        all drivers untouched.
         """
-        tau, matrix = self._step_matrix()
-        plans: list[tuple[Vehicle, list[Pin], list[int], list[int], Optional[float]]] = []
+        tau = self._step_durations()
+        plans: list[tuple[Vehicle, list[Pin], list[int], list[int]]] = []
         for leg in itinerary.legs:
             vehicle = self.vehicles.get(leg.driver)
-            if vehicle is None or not vehicle.active:
+            offer = self._offer(vehicle) if vehicle is not None and vehicle.active else None
+            if offer is None:
                 return False
-            agent = vehicle.agent
             new_pins = sorted(
                 vehicle.pins
                 + [Pin(leg.board_node, leg.board_step, "board", rider.id),
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)],
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
-            occ = len(vehicle.aboard)
+            occ = offer.aboard
             for pin in new_pins:
                 occ += 1 if pin.action == "board" else -1
-                if occ < 0 or occ > agent.seats:
+                if occ < 0 or occ > offer.seats:
                     return False
-            if vehicle.on_link:
-                anchor_node = vehicle.link_arrival_node
-                anchor_step = ceil_steps(vehicle.link_arrival_time, self.dt)
-            else:
-                anchor_node = vehicle.node
-                anchor_step = ceil_steps(self.clock, self.dt)
-            la_step = ceil_steps(agent.window.latest_arrival, self.dt)
-            ld_step = ceil_steps(agent.window.latest_departure, self.dt)
-
-            # (node, deadline step, hold until the step before moving on?)
-            chain = [(anchor_node, anchor_step, False)]
-            chain += [(p.node, p.step, p.action == "board") for p in new_pins]
-            chain.append((agent.destination, la_step, False))
+            ld_step = ceil_steps(offer.window.latest_departure, self.dt)
+            stops = offer.stops(self.dt, new_pins)
             route: list[int] = []
             entry_steps: list[int] = []
-            cursor = anchor_step  # earliest step the vehicle can leave chain[idx]
-            for idx in range(len(chain) - 1):
-                from_node = chain[idx][0]
-                to_node, to_step, holds = chain[idx + 1]
-                links = self._shortest_step_path(tau, from_node, to_node)
-                if links is None:
+            cursor = stops[0][1]  # earliest step the vehicle can leave the stop
+            for idx, ((from_node, _, _), (to_node, to_step, holds)) in enumerate(
+                    zip(stops, stops[1:])):
+                path = dijkstra_route(self.network, lambda l: float(tau[l.id]),
+                                      from_node, to_node)
+                if path is None:
                     return False
+                links = path.links
                 travel = sum(tau[lid] for lid in links)
                 if cursor + travel > to_step:
                     return False
                 depart = cursor
-                if idx == 0 and not vehicle.on_link and vehicle.departure_time is None:
+                if idx == 0 and not offer.departed:
                     # not yet underway: leave just in time, within the window
                     depart = max(cursor, min(to_step - travel, ld_step))
                     if links and depart > ld_step:
@@ -580,24 +553,19 @@ class SimState:
                     step += tau[lid]
                 # a boarding stop pins the onward departure; dropoffs do not
                 cursor = max(step, to_step) if holds else step
-            plans.append((vehicle, new_pins, route, entry_steps,
-                          entry_steps[0] * self.dt if entry_steps else None))
+            plans.append((vehicle, new_pins, route, entry_steps))
 
-        for vehicle, new_pins, route, entry_steps, depart_hold in plans:
+        for vehicle, new_pins, route, entry_steps in plans:
             vehicle.pins = new_pins
             vehicle.route = route
             vehicle.planned_entry_steps = entry_steps
             vehicle.route_pos = 0
             vehicle.plan_version += 1
-            vehicle.agent.committed_route = [
-                (lid, s * self.dt) for lid, s in zip(route, entry_steps)
-            ]
-            if not vehicle.on_link and vehicle.active:
-                release = depart_hold if depart_hold is not None else self.clock
-                release = max(release, self.clock)
-                vehicle.hold_release = release
+            if not vehicle.on_link:
+                release = entry_steps[0] * self.dt if entry_steps else self.clock
                 self.push_event(
-                    release, EV_DEPART_NODE, (vehicle.agent.id, vehicle.plan_version)
+                    max(release, self.clock), EV_DEPART_NODE,
+                    (vehicle.agent.id, vehicle.plan_version),
                 )
         return True
 

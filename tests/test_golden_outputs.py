@@ -1,0 +1,60 @@
+"""Golden outputs: the CSV bytes of three shrunk CLI runs, pinned by SHA-256.
+
+Criterion 7 compares two runs of one build; this test compares a run of
+the current code against digests recorded from an earlier commit, so any
+byte change across commits fails here. The runs are shrunk the way
+criterion 7 shrinks them (1.5 h, two replications, seed 5). A change that
+alters outputs on purpose must say so and re-record the digests.
+"""
+import hashlib
+
+import yaml
+
+from ridesim.cli import EXIT_OK, main
+from ridesim.config import bundled_data_path
+
+GOLDEN = {
+    "validate/validation.csv":
+        "56f80d4fc825ee7a80d4c46968e301b75ae40430348ec1978baab7c649d372e2",
+    "sweep/sweep.csv":
+        "772e1d86e77a16f48c7a8ba0df3adf9631e1a7592345bb70d1eaa75ed4bbeb9c",
+    "run/link_flows.csv":
+        "82704446defb689f4daa707a909e3a0234a11cb110204b087ba5620771da8bc4",
+    "run/agents.csv":
+        "e01ffb83159e4b9c0a29f39241a4a3037549fbfb8a148ef8fa4586627efa9cc8",
+    "run/summary.csv":
+        "78c6a4ab759a0fb46d5370b41e33c49fc8e100fa7f3903d60e75609060eb1999",
+    "run/match_trace.csv":
+        "651c4db857a53fc582c068fc7d3f72b684e5b908f4f58b78c70efd5fddf641f8",
+}
+
+
+def shrink(tmp_path, name, extra):
+    raw = yaml.safe_load(bundled_data_path(name).read_text())
+    raw.update({"horizon": 1.5, "replications": 2, **extra})
+    raw["network"] = str(bundled_data_path(raw["network"]))
+    path = tmp_path / f"quick_{name}"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def output_digests(tmp_path) -> dict[str, str]:
+    val_cfg = shrink(tmp_path, "validation.yaml", {})
+    sweep_cfg = shrink(tmp_path, "sweep.yaml", {})
+    run_cfg = shrink(tmp_path, "sweep.yaml", {"unused_capacity": 0.25})
+    cases = {
+        "validate": ["validate", "--config", str(val_cfg)],
+        "sweep": ["sweep", "--config", str(sweep_cfg), "--levels", "1.0,0.25"],
+        "run": ["run", "--config", str(run_cfg)],
+    }
+    for name, argv in cases.items():
+        out = tmp_path / name
+        assert main(argv + ["--seed", "5", "--out", str(out)]) == EXIT_OK
+    return {
+        key: hashlib.sha256((tmp_path / key).read_bytes()).hexdigest()
+        for key in GOLDEN
+    }
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    assert output_digests(tmp_path) == GOLDEN

@@ -87,7 +87,7 @@ class TestBuildTimeExpanded:
     def test_infeasible_window_empty(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
         ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
-        assert ten.is_empty()
+        assert not ten.node_intervals
 
     def test_no_drivers_no_travel_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.1, 0.72, 0.9), 0.0)
@@ -101,7 +101,7 @@ class TestBuildTimeExpanded:
         driver = DriverOffer(id=9, origin=0, destination=1,
                              window=TimeWindow(0.0, 0.1, 0.22, 0.35), seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
-        assert ten.active_links() == {(0, 1)}
+        assert {(a.tail[0], a.head[0]) for a in ten.travel_arcs} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)

@@ -8,9 +8,7 @@ from ridesim.network import (
     NetworkFormatError,
     NetworkValidationError,
     flow_distribution,
-    free_flow_speed,
     load_network,
-    network_totals,
     volume_delay,
 )
 
@@ -29,14 +27,13 @@ class TestLoadNetwork:
         assert not testbed.link(0).has_carpool_lane
 
     def test_testbed_totals_match_observed(self, testbed):
-        miles, hours, vehicles = network_totals(testbed)
-        assert miles == pytest.approx(125.1)
-        assert hours == pytest.approx(1.91)
-        assert vehicles == 230668
+        assert sum(l.length for l in testbed.links) == pytest.approx(125.1)
+        assert sum(l.free_flow_time for l in testbed.links) == pytest.approx(1.91)
+        assert sum(l.observed_daily_flow for l in testbed.links) == 230668
 
     def test_testbed_speeds_plausible(self, testbed):
         for link in testbed.links:
-            assert 64.0 <= free_flow_speed(link) <= 67.0
+            assert 64.0 <= link.length / link.free_flow_time <= 67.0
 
     def test_adjacency_consistent(self, testbed):
         rebuilt = {n.id: [] for n in testbed.nodes}

@@ -3,10 +3,30 @@ import random
 
 import pytest
 
-from ridesim.network import Link, Network, Node
-from ridesim.routing import CostWeights, dijkstra_route, link_cost
+from ridesim.demand import DemandSpec, Shares
+from ridesim.network import LaneClass, Link, Network, Node, volume_delay
+from ridesim.routing import CostWeights, dijkstra_route
+from ridesim.simulation import SimState
 
 from conftest import make_network
+
+
+def route_costs(network: Network, flows=None, weights=CostWeights()):
+    """``SimState.route_cost_fn`` at t=0, with ``flows[link_id]`` vehicles/hour
+    in each listed link's general-lane flow window."""
+    spec = DemandSpec(od_rates={}, shares=Shares(0.0, 0.0, 1.0), horizon=1.0)
+    sim = SimState(network=network, demand=spec, seed=0, weights=weights,
+                   horizon=1.0)
+    for link_id, flow in (flows or {}).items():
+        sim.link_states[link_id].window[LaneClass.GENERAL].extend(
+            [0.0] * round(flow * sim.flow_window))
+    return sim.route_cost_fn(0.0)
+
+
+def one_toll_link(toll: float) -> Network:
+    link = Link(id=0, from_node=0, to_node=1, length=10.0,
+                free_flow_time=0.5, has_carpool_lane=False, toll=toll)
+    return Network(nodes=(Node(0), Node(1)), links=(link,))
 
 
 def enumerate_paths(net: Network, origin: int, dest: int):
@@ -29,24 +49,23 @@ def enumerate_paths(net: Network, origin: int, dest: int):
 
 class TestLinkCost:
     def test_reduces_to_free_flow(self, testbed):
-        cost = link_cost(testbed.link(1), 0.0, 0.0, CostWeights(1.0, 1.0))
+        cost = route_costs(testbed)(testbed.link(1))
         assert cost == pytest.approx(0.22)
 
     def test_toll_plus_time(self):
-        link = Link(id=0, from_node=0, to_node=1, length=10.0,
-                    free_flow_time=0.5, has_carpool_lane=False, toll=2.0)
-        assert link_cost(link, 0.0, 0.0, CostWeights(1.0, 1.0)) == pytest.approx(2.5)
+        net = one_toll_link(2.0)
+        assert route_costs(net)(net.link(0)) == pytest.approx(2.5)
 
     def test_zero_time_weight_ignores_flow(self):
-        link = Link(id=0, from_node=0, to_node=1, length=10.0,
-                    free_flow_time=0.5, has_carpool_lane=False, toll=3.0)
+        net = one_toll_link(3.0)
         weights = CostWeights(toll=2.0, time=0.0)
         for flow in (0.0, 500.0, 8000.0):
-            assert link_cost(link, 0.0, flow, weights) == pytest.approx(6.0)
+            cost = route_costs(net, {0: flow}, weights)(net.link(0))
+            assert cost == pytest.approx(6.0)
 
     def test_negative_flow_rejected(self, testbed):
         with pytest.raises(ValueError):
-            link_cost(testbed.link(0), 0.0, -5.0, CostWeights())
+            volume_delay(testbed.link(0), LaneClass.GENERAL, -5.0)
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -116,11 +135,7 @@ class TestDijkstra:
         flows = {0: 4000.0, 1: 1000.0, 2: 2000.0, 3: 500.0}
         for scale in (0.5, 1.0, 3.0):
             weights = CostWeights(1.0 * scale, 1.0 * scale)
-            path = dijkstra_route(
-                testbed,
-                lambda l: link_cost(l, 0.0, flows[l.id], weights),
-                0, 3,
-            )
+            path = dijkstra_route(testbed, route_costs(testbed, flows, weights), 0, 3)
             assert path.links == (0,)
 
     def test_cost_monotone_in_single_link_flow(self, testbed):
@@ -128,11 +143,7 @@ class TestDijkstra:
         base_flows = {l.id: 1000.0 for l in testbed.links}
 
         def route_cost(flows):
-            path = dijkstra_route(
-                testbed,
-                lambda l: link_cost(l, 0.0, flows[l.id], weights),
-                0, 2,
-            )
+            path = dijkstra_route(testbed, route_costs(testbed, flows, weights), 0, 2)
             return path.total_cost
 
         for link_id in base_flows:
