@@ -20,7 +20,9 @@ Pipeline for one rider request:
 oracle for the dynamic program.
 
 All travel times are read from a cost snapshot frozen at the match instant;
-durations round up to whole steps. ``match_rider`` makes one attempt: offers,
+durations round up to whole steps. The all-pairs minimum-step matrix is
+reused from the previous request while every link's step count repeats
+(``_shared_min_step_matrix``). ``match_rider`` makes one attempt: offers,
 network and commit all read that one instant, and the commit checks each
 driver's schedule through the same ``DriverOffer.stops`` chain that built
 the network.
@@ -216,6 +218,27 @@ def _min_step_matrix(
     return matrix
 
 
+# (network, step count per link in ``network.links`` order, matrix) of the
+# last request; see ``_shared_min_step_matrix``
+_min_step_memo: Optional[
+    tuple[Network, tuple[int, ...], dict[int, dict[int, float]]]
+] = None
+
+
+def _shared_min_step_matrix(
+    network: Network, tau: dict[int, int]
+) -> dict[int, dict[int, float]]:
+    """``_min_step_matrix`` through a one-entry memo keyed on the network
+    object and every link's step count, so consecutive requests that see the
+    same whole-step durations share one matrix. Callers must not mutate it."""
+    global _min_step_memo
+    key = tuple(tau[link.id] for link in network.links)
+    memo = _min_step_memo
+    if memo is None or memo[0] is not network or memo[1] != key:
+        memo = _min_step_memo = (network, key, _min_step_matrix(network, tau))
+    return memo[2]
+
+
 def _driver_presence(
     offer: DriverOffer,
     stops: list[tuple[int, int, bool]],
@@ -266,7 +289,7 @@ def build_time_expanded(
         link.id: max(1, ceil_steps(travel_time(link.id, t0), dt))
         for link in network.links
     }
-    matrix = _min_step_matrix(network, tau)
+    matrix = _shared_min_step_matrix(network, tau)
 
     w = rider.window
     ed = ceil_steps(w.earliest_departure, dt)
@@ -291,6 +314,15 @@ def build_time_expanded(
     if rider.origin not in intervals or rider.destination not in intervals:
         return TimeExpandedNetwork(dt, rider.origin, rider.destination, {}, [])
 
+    # links with both ends inside the rider's windows, in link id order
+    candidates = []
+    for link in sorted(network.links, key=lambda l: l.id):
+        i, j = link.from_node, link.to_node
+        if i in intervals and j in intervals:
+            steps = tau[link.id]
+            candidates.append((i, j, intervals[i], intervals[j], steps,
+                               time_weight * steps * dt))
+
     seen_arcs: set[tuple[Vertex, Vertex, int]] = set()
     arcs: list[TravelArc] = []
     for offer in sorted(drivers, key=lambda o: o.id):
@@ -301,14 +333,7 @@ def build_time_expanded(
             node: _driver_presence(offer, stops, node, ld_step, matrix)
             for node in intervals
         }
-        for link in sorted(network.links, key=lambda l: l.id):
-            i, j = link.from_node, link.to_node
-            if i not in intervals or j not in intervals:
-                continue
-            r_lo_i, r_hi_i = intervals[i]
-            r_lo_j, r_hi_j = intervals[j]
-            steps = tau[link.id]
-            cost = time_weight * steps * dt
+        for i, j, (r_lo_i, r_hi_i), (r_lo_j, r_hi_j), steps, cost in candidates:
             for d_lo, d_hi, slot in presence[i]:
                 if occupancies[slot] >= offer.seats:
                     continue

@@ -103,6 +103,7 @@ class Network:
             adjacency[link.from_node].append(link.id)
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
+        object.__setattr__(self, "_node_ids", tuple(sorted(node_ids)))
 
     @property
     def adjacency(self) -> dict[int, list[int]]:
@@ -112,8 +113,9 @@ class Network:
     def link(self, link_id: int) -> Link:
         return self._by_id[link_id]  # type: ignore[attr-defined]
 
-    def node_ids(self) -> list[int]:
-        return sorted(n.id for n in self.nodes)
+    def node_ids(self) -> tuple[int, ...]:
+        """Every node id, ascending."""
+        return self._node_ids  # type: ignore[attr-defined]
 
     def carpool_links(self) -> list[Link]:
         return [l for l in self.links if l.has_carpool_lane]

@@ -48,15 +48,14 @@ def dijkstra_route(
     lexicographically smallest link-id sequence. Returns None when the
     destination is unreachable.
     """
-    known = {n.id for n in network.nodes}
-    if origin not in known or dest not in known:
+    adjacency = network.adjacency  # keyed by every node id
+    if origin not in adjacency or dest not in adjacency:
         raise ValueError(f"origin {origin} or destination {dest} not in network")
     if origin == dest:
         return RoutePath(links=(), total_cost=0.0, total_time=0.0)
 
     best: dict[int, tuple[float, tuple[int, ...]]] = {origin: (0.0, ())}
     heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), origin)]
-    adjacency = network.adjacency
     while heap:
         cost, seq, node = heapq.heappop(heap)
         entry = best.get(node)

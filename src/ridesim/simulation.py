@@ -194,6 +194,7 @@ class SimState:
         self.events: list[tuple[float, int, int, object]] = []
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
         self.vehicles: dict[int, Vehicle] = {}
+        self._offer_index: dict[int, Vehicle] = {}  # see collect_offers
         self.agents: dict[int, VehicleAgent] = {}
         self.rider_itineraries: dict[int, Itinerary] = {}
         self.rider_board_time: dict[int, float] = {}
@@ -350,6 +351,7 @@ class SimState:
         vehicle = Vehicle(agent)
         self.vehicles[agent_id] = vehicle
         if agent.role is Role.RIDESHARE_DRIVER:
+            self._offer_index[agent_id] = vehicle
             self._plan_initial_route(vehicle, now)
             self._continue_rideshare(vehicle, agent.origin, now)
         else:
@@ -436,13 +438,26 @@ class SimState:
     # --------------------------------------------------------------- matching
 
     def collect_offers(self, rider: RiderRequest) -> list[DriverOffer]:
+        """The offers of every active ridesharing vehicle, in vehicle id order.
+
+        Only vehicles in the offer index are asked. A ridesharing vehicle
+        enters the index when it is created and leaves it, for good, the first
+        time it is found inactive or ``_offer`` returns None. Eviction is exact:
+        an inactive vehicle never becomes active again; ``_offer``'s anchor
+        time never decreases (the clock, or the end of the link the vehicle
+        is on), so one past the driver's latest arrival stays past it; and a
+        vehicle with no offer can never be given a pin (the commit reads the
+        same ``_offer``), so one bound for its destination with no pins left
+        never gets a route past it.
+        """
         offers = []
-        for agent_id in sorted(self.vehicles):
-            vehicle = self.vehicles[agent_id]
-            if vehicle.agent.role is not Role.RIDESHARE_DRIVER or not vehicle.active:
-                continue
-            offer = self._offer(vehicle)
-            if offer is not None:
+        index = self._offer_index
+        for agent_id in sorted(index):
+            vehicle = index[agent_id]
+            offer = self._offer(vehicle) if vehicle.active else None
+            if offer is None:
+                del index[agent_id]
+            else:
                 offers.append(offer)
         return offers
 

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import ridesim.matching as matching
 from ridesim.agents import TimeWindow
+from ridesim.config import bundled_data_path, load_config
+from ridesim.experiments import replication_seeds
 from ridesim.matching import (
     DriverOffer,
     EnumerationBudgetError,
@@ -14,6 +17,7 @@ from ridesim.matching import (
     preprocess,
     solve_itinerary,
 )
+from ridesim.simulation import init_simulation
 
 from conftest import DT_EXACT, random_instance
 
@@ -120,6 +124,44 @@ class TestBuildTimeExpanded:
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
         assert all(arc.tail[1] >= 8 for arc in ten.travel_arcs)
+
+
+class TestMinStepMemo:
+    def test_memo_follows_step_durations(self, testbed):
+        tau = {link.id: 3 for link in testbed.links}
+        first = matching._shared_min_step_matrix(testbed, tau)
+        assert matching._shared_min_step_matrix(testbed, dict(tau)) is first
+        slower = {**tau, testbed.links[0].id: 40}
+        memo = matching._shared_min_step_matrix(testbed, slower)
+        assert memo == matching._min_step_matrix(testbed, slower)
+        assert memo != first
+
+    def test_rebuilds_only_when_step_durations_change(self, monkeypatch):
+        config = load_config(bundled_data_path("sweep.yaml"),
+                             {"unused_capacity": 0.25})
+        sim = init_simulation(config, config.make_network(),
+                              replication_seeds(config.seed, 1)[0])
+        keys, builds = [], []
+        build_ten = matching.build_time_expanded
+        fresh_matrix = matching._min_step_matrix
+
+        def recording_build(rider, drivers, network, travel_time, dt, **kwargs):
+            keys.append(tuple(
+                max(1, ceil_steps(travel_time(link.id, rider.request_time), dt))
+                for link in network.links
+            ))
+            return build_ten(rider, drivers, network, travel_time, dt, **kwargs)
+
+        def counting_matrix(network, tau):
+            builds.append(tau)
+            return fresh_matrix(network, tau)
+
+        monkeypatch.setattr(matching, "build_time_expanded", recording_build)
+        monkeypatch.setattr(matching, "_min_step_matrix", counting_matrix)
+        sim.run()
+        changes = sum(key != prev for prev, key in zip([None] + keys, keys))
+        assert len(builds) == changes
+        assert 1 < changes < len(keys)
 
 
 class TestPreprocess:

@@ -61,6 +61,21 @@ def transfer_sim(testbed) -> SimState:
     return sim
 
 
+def sweep_and_transfer_sims(testbed) -> list[SimState]:
+    """Three bundled sweep replications at 25% unused carpool capacity, then
+    the two-driver transfer scenario; none has run yet."""
+    from ridesim.config import bundled_data_path, load_config
+    from ridesim.experiments import replication_seeds
+    from ridesim.simulation import init_simulation
+
+    config = load_config(bundled_data_path("sweep.yaml"), {"unused_capacity": 0.25})
+    network = config.make_network()
+    sims = [init_simulation(config, network, seed)
+            for seed in replication_seeds(config.seed, 3)]
+    sims.append(transfer_sim(testbed))
+    return sims
+
+
 class TestBasicRuns:
     def test_zero_demand_all_zero(self, testbed):
         report = empty_sim(testbed).run()
@@ -340,24 +355,46 @@ class TestMatchRetry:
         sim.commit_itinerary = original
 
     def test_commit_accepts_every_solved_itinerary(self, testbed):
-        from ridesim.config import bundled_data_path, load_config
-        from ridesim.experiments import replication_seeds
-        from ridesim.simulation import init_simulation
-
-        config = load_config(bundled_data_path("sweep.yaml"),
-                             {"unused_capacity": 0.25})
-        network = config.make_network()
-        sims = [init_simulation(config, network, seed)
-                for seed in replication_seeds(config.seed, 3)]
-        sims.append(transfer_sim(testbed))
         solved = 0
-        for sim in sims:
+        for sim in sweep_and_transfer_sims(testbed):
             sim.run()
             for row in sim.match_trace:
                 if row["dp_cost"] is not None:
                     solved += 1
                     assert row["matched"] is True, row
         assert solved > 50
+
+
+class TestOfferIndex:
+    def test_index_equals_full_scan(self, testbed):
+        requests = offers = evicted = 0
+        for sim in sweep_and_transfer_sims(testbed):
+            indexed = sim.collect_offers
+
+            def checked(rider, sim=sim, indexed=indexed):
+                nonlocal requests, offers
+                expected = []
+                for agent_id in sorted(sim.vehicles):
+                    vehicle = sim.vehicles[agent_id]
+                    if (vehicle.agent.role is Role.RIDESHARE_DRIVER
+                            and vehicle.active):
+                        offer = sim._offer(vehicle)
+                        if offer is not None:
+                            expected.append(offer)
+                result = indexed(rider)
+                assert result == expected, rider
+                requests += 1
+                offers += len(result)
+                return result
+
+            sim.collect_offers = checked
+            sim.run()
+            rideshare = sum(v.agent.role is Role.RIDESHARE_DRIVER
+                            for v in sim.vehicles.values())
+            evicted += rideshare - len(sim._offer_index)
+        assert requests > 50
+        assert offers > requests
+        assert evicted > 0
 
 
 class TestBackgroundLoad:
