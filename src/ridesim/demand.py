@@ -144,14 +144,14 @@ def calibrate_od_rates(
 
 
 def default_od_pairs(network: Network) -> list[tuple[int, int]]:
-    """All ordered node pairs connected under free flow, origin-major order."""
+    """All ordered node pairs joined by a path, origin-major order."""
     nodes = network.node_ids()
     pairs = []
     for origin in nodes:
         for dest in nodes:
             if origin == dest:
                 continue
-            if dijkstra_route(network, lambda l: l.free_flow_time, origin, dest):
+            if network.next_hops(origin, dest):
                 pairs.append((origin, dest))
     return pairs
 

@@ -104,11 +104,47 @@ class Network:
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
         object.__setattr__(self, "_node_ids", tuple(sorted(node_ids)))
+        object.__setattr__(self, "_next_hops", {})
 
     @property
     def adjacency(self) -> dict[int, list[int]]:
         """Outgoing link ids per node, ordered by link id."""
         return self._adjacency  # type: ignore[attr-defined]
+
+    def next_hops(self, node: int, dest: int) -> tuple[int, ...]:
+        """Outgoing link ids of ``node``, in adjacency order, whose head
+        reaches ``dest`` (the head may be ``dest`` itself).
+
+        Empty exactly when no path leads from ``node`` to ``dest``. The
+        table for a destination is built lazily, by one reverse search from
+        ``dest`` on its first lookup, and memoised on the network, so every
+        caller sharing the network reuses it; a later lookup for the same
+        pair returns the same tuple object.
+        """
+        table = self._next_hops.get(dest)  # type: ignore[attr-defined]
+        if table is None:
+            table = self._build_next_hops(dest)
+        return table[node]
+
+    def _build_next_hops(self, dest: int) -> dict[int, tuple[int, ...]]:
+        if dest not in self._adjacency:  # type: ignore[attr-defined]
+            raise ValueError(f"destination {dest} not in network")
+        tails: dict[int, list[int]] = {}
+        for link in self.links:
+            tails.setdefault(link.to_node, []).append(link.from_node)
+        reaches = {dest}
+        stack = [dest]
+        while stack:
+            for tail in tails.get(stack.pop(), ()):
+                if tail not in reaches:
+                    reaches.add(tail)
+                    stack.append(tail)
+        table = {
+            node: tuple(lid for lid in out if self.link(lid).to_node in reaches)
+            for node, out in self.adjacency.items()
+        }
+        self._next_hops[dest] = table  # type: ignore[attr-defined]
+        return table
 
     def link(self, link_id: int) -> Link:
         return self._by_id[link_id]  # type: ignore[attr-defined]

@@ -3,7 +3,9 @@
 Vehicles advance link by link; a vehicle entering a link exits after the
 volume-delay time implied by the link's instantaneous hourly flow, estimated
 from a sliding entry window. Regular drivers replan at every node from the
-current cost snapshot; ridesharing drivers follow committed routes that the
+current cost snapshot; a node with only one outgoing link that still reaches
+the destination needs no search, and taking that link is the choice the
+search would make. Ridesharing drivers follow committed routes that the
 matcher may rewrite; each arriving rider triggers the matcher exactly once.
 
 Determinism: one event queue ordered by (time, insertion sequence), all
@@ -287,7 +289,11 @@ class SimState:
         """Decide the vehicle's next link at ``node``; None means the trip ends.
 
         Regular drivers replan against the current cost snapshot; ridesharing
-        drivers follow their committed route. A vehicle with no feasible
+        drivers follow their committed route. A regular driver's choice is
+        among the outgoing links that still reach its destination
+        (``Network.next_hops``): at a fork Dijkstra picks the cheapest, and
+        where only one such link exists it is taken without a search, since
+        Dijkstra's first link would be that link. A vehicle with no feasible
         continuation is recorded as stranded (``vehicle.stranded``), not a
         crash.
         """
@@ -301,13 +307,15 @@ class SimState:
             return None
         if node == agent.destination:
             return None
-        path = dijkstra_route(self.network, self.route_cost_fn(now), node,
-                              agent.destination)
-        if path is None or not path.links:
+        hops = self.network.next_hops(node, agent.destination)
+        if len(hops) == 1:
+            return hops[0]
+        if not hops:
             vehicle.stranded = True
             self.stranded_agents.append(agent.id)
             return None
-        return path.links[0]
+        return dijkstra_route(self.network, self.route_cost_fn(now), node,
+                              agent.destination).links[0]
 
     def _serve_pins(self, vehicle: Vehicle, node: int, now: float) -> None:
         while vehicle.pins and vehicle.pins[0].node == node:

@@ -41,6 +41,10 @@ class TestLoadNetwork:
             rebuilt[link.from_node].append(link.id)
         assert testbed.adjacency == rebuilt
 
+    def test_next_hops_unknown_destination_rejected(self, testbed):
+        with pytest.raises(ValueError, match="destination 9"):
+            testbed.next_hops(0, 9)
+
     def test_negative_length_rejected(self, tmp_path):
         path = write_net(tmp_path, """
             nodes: [0, 1]

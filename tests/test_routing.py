@@ -113,6 +113,11 @@ class TestDijkstra:
             costs = {l.id: rng.uniform(0.01, 5.0) for l in net.links}
             origin, dest = rng.sample(net.node_ids(), 2)
             best = dijkstra_route(net, lambda l: costs[l.id], origin, dest)
+            hops = net.next_hops(origin, dest)
+            assert net.next_hops(origin, dest) is hops
+            assert (not hops) == (best is None)
+            if best is not None:  # a lone next hop is then Dijkstra's first link
+                assert best.links[0] in hops
             paths = enumerate_paths(net, origin, dest)
             if not paths:
                 assert best is None

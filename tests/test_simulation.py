@@ -149,6 +149,34 @@ class TestVehicleAtNode:
         assert vehicle.stranded
         assert 0 in sim.stranded_agents
 
+    def test_replans_only_at_forks(self, monkeypatch):
+        from ridesim.config import bundled_data_path, load_config
+        from ridesim.simulation import init_simulation
+
+        config = load_config(bundled_data_path("validation.yaml"), {"horizon": 2.0})
+        sim = init_simulation(config, config.make_network(), seed=101)
+        forks, replans = [], []
+        visit = SimState.vehicle_at_node
+        search = simulation.dijkstra_route
+
+        def counted_visit(self, vehicle, node, now):
+            dest = vehicle.agent.destination
+            if (vehicle.agent.role is Role.REGULAR_DRIVER and node != dest
+                    and len(self.network.next_hops(node, dest)) > 1):
+                forks.append((node, dest))
+            return visit(self, vehicle, node, now)
+
+        def counted_search(network, cost_fn, origin, dest):
+            replans.append((origin, dest))
+            return search(network, cost_fn, origin, dest)
+
+        monkeypatch.setattr(SimState, "vehicle_at_node", counted_visit)
+        monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
+        sim.run()
+        # on the testbed only 0 -> 3 has two links that reach the destination
+        assert set(replans) == {(0, 3)}
+        assert replans == forks
+
 
 class TestConservation:
     def test_counts_return_to_zero(self, testbed):
