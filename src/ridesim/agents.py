@@ -45,7 +45,6 @@ class VehicleAgent:
     request_time: float
     window: TimeWindow
     seats: int = 0
-    matched: bool = False
 
     def __post_init__(self) -> None:
         if self.origin == self.destination:

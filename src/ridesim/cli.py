@@ -58,10 +58,10 @@ def cmd_sweep(args) -> int:
         config = _load(args, "sweep.yaml")
         levels = None
         if args.levels:
-            levels = tuple(float(x) for x in args.levels.split(","))
-            for level in levels:
-                if not 0.0 <= level <= 1.0:
-                    raise ConfigError(f"level {level} outside [0, 1]")
+            try:
+                levels = tuple(float(x) for x in args.levels.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--levels: {exc}") from exc
         report = run_capacity_sweep(config, levels=levels)
     except (ConfigError, ExperimentError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,6 +28,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(section: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{context} must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
@@ -75,6 +77,8 @@ class DemandConfig:
             raise ConfigError("demand.od_rates must be 'calibrated' or a map")
         fixed_raw = section.get("calibration_fixed_daily",
                                 {"0-2": DEFAULT_OD_02_DAILY})
+        if not isinstance(fixed_raw, dict):
+            raise ConfigError("demand.calibration_fixed_daily must be a mapping")
         fixed = {_parse_od_key(k): float(v) for k, v in fixed_raw.items()}
         return DemandConfig(
             shares=shares,
@@ -232,8 +236,6 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
         raw = yaml.safe_load(path.read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
     _require_keys(raw, _TOP_KEYS, str(path))
     merged = dict(raw)
     for key, value in (overrides or {}).items():

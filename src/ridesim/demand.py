@@ -216,8 +216,6 @@ def fallback_to_driver(rider: VehicleAgent, next_id: int | None = None) -> Vehic
     """Convert an unmatched rider into a regular driver with the same trip."""
     if rider.role is not Role.RIDER:
         raise ValueError(f"agent {rider.id} is not a rider")
-    if rider.matched:
-        raise ValueError(f"rider {rider.id} is already matched")
     return VehicleAgent(
         id=rider.id if next_id is None else next_id,
         role=Role.REGULAR_DRIVER,

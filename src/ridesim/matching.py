@@ -20,7 +20,8 @@ Pipeline for one rider request:
 oracle for the dynamic program.
 
 All travel times are read from a cost snapshot frozen at the match instant;
-durations round up to whole steps. The all-pairs minimum-step matrix is
+durations round up to whole steps (``step_durations``, which the commit
+shares). The all-pairs minimum-step matrix is
 reused from the previous request while every link's step count repeats
 (``_shared_min_step_matrix``). ``match_rider`` makes one attempt: offers,
 network and commit all read that one instant, and the commit checks each
@@ -96,12 +97,14 @@ class DriverOffer:
     aboard: int = 0
     departed: bool = False
 
-    def slot_occupancies(self) -> list[int]:
-        """Riders on board within each inter-pin segment (pins split slots)."""
+    def slot_occupancies(self, pins: Optional[Sequence[Pin]] = None) -> list[int]:
+        """Riders on board within each inter-pin segment (pins split slots).
+
+        ``pins`` replaces the offer's own pins, as in ``stops``.
+        """
         occs = [self.aboard]
-        for pin in self.pins:
-            delta = 1 if pin.action == "board" else -1
-            occs.append(occs[-1] + delta)
+        for pin in self.pins if pins is None else pins:
+            occs.append(occs[-1] + (1 if pin.action == "board" else -1))
         if any(o < 0 for o in occs):
             raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
         return occs
@@ -192,6 +195,13 @@ class MatchResult:
     matched: bool
     itinerary: Optional[Itinerary] = None
     reason: str = ""
+
+
+def step_durations(
+    network: Network, delay: Callable[[int], float], dt: float
+) -> dict[int, int]:
+    """Whole steps to traverse each link at the given delays, at least one."""
+    return {link.id: max(1, ceil_steps(delay(link.id), dt)) for link in network.links}
 
 
 def _min_step_matrix(
@@ -285,10 +295,7 @@ def build_time_expanded(
     if dt <= 0:
         raise ValueError("dt must be positive")
     t0 = rider.request_time
-    tau = {
-        link.id: max(1, ceil_steps(travel_time(link.id, t0), dt))
-        for link in network.links
-    }
+    tau = step_durations(network, lambda link_id: travel_time(link_id, t0), dt)
     matrix = _shared_min_step_matrix(network, tau)
 
     w = rider.window

@@ -2,11 +2,15 @@
 
 Vehicles advance link by link; a vehicle entering a link exits after the
 volume-delay time implied by the link's instantaneous hourly flow, estimated
-from a sliding entry window. Regular drivers replan at every node from the
-current cost snapshot; a node with only one outgoing link that still reaches
-the destination needs no search, and taking that link is the choice the
-search would make. Ridesharing drivers follow committed routes that the
-matcher may rewrite; each arriving rider triggers the matcher exactly once.
+from a sliding entry window. Every vehicle passes each node through one
+handler, ``SimState._advance``: it serves the pickups and dropoffs due there,
+asks ``vehicle_at_node`` for the next link, then holds, enters that link or
+ends the trip. Only ``vehicle_at_node`` tells the roles apart. Regular
+drivers replan there from the current cost snapshot; a node with only one
+outgoing link that still reaches the destination needs no search, and taking
+that link is the choice the search would make. Ridesharing drivers follow
+committed routes that the matcher may rewrite; each arriving rider triggers
+the matcher exactly once.
 
 Determinism: one event queue ordered by (time, insertion sequence), all
 randomness drawn from generators seeded per replication.
@@ -30,6 +34,7 @@ from .matching import (
     RiderRequest,
     ceil_steps,
     match_rider,
+    step_durations,
 )
 from .network import LaneClass, Network, volume_delay
 from .routing import CostWeights, dijkstra_route
@@ -84,10 +89,15 @@ class LinkState:
 
 
 class Vehicle:
-    """Runtime state of one agent's vehicle (riders have no vehicle)."""
+    """Runtime state of one agent's vehicle (riders have no vehicle).
+
+    Position: ``node`` is the node the vehicle is at or, while it is on a
+    link, the end of that link; ``link_arrival_time`` is when it gets there,
+    and None while it is at the node.
+    """
 
     __slots__ = (
-        "agent", "node", "on_link", "link_arrival_node", "link_arrival_time",
+        "agent", "node", "link_arrival_time",
         "route", "route_pos", "planned_entry_steps", "pins", "aboard",
         "departure_time", "arrival_time", "stranded", "plan_version",
     )
@@ -95,8 +105,6 @@ class Vehicle:
     def __init__(self, agent: VehicleAgent):
         self.agent = agent
         self.node = agent.origin
-        self.on_link = False
-        self.link_arrival_node: Optional[int] = None
         self.link_arrival_time: Optional[float] = None
         self.route: list[int] = []
         self.route_pos = 0
@@ -198,14 +206,10 @@ class SimState:
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, Vehicle] = {}  # see collect_offers
         self.agents: dict[int, VehicleAgent] = {}
-        self.rider_itineraries: dict[int, Itinerary] = {}
         self.rider_board_time: dict[int, float] = {}
         self.rider_alight_time: dict[int, float] = {}
         self.match_results: dict[int, MatchResult] = {}
         self.match_trace: list[dict] = []
-        self.fallback_agents: dict[int, int] = {}  # rider id -> fallback agent id
-        self.stranded_agents: list[int] = []
-        self.background_count = 0
         self._next_agent_id = 0
         self._matching_snapshot: Optional[dict] = None
 
@@ -270,16 +274,12 @@ class SimState:
         return LaneClass.GENERAL
 
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
-        link = self.network.link(link_id)
         lane_class = self._lane_class_for(vehicle, link_id, now)
         delay = self.link_delay(link_id, lane_class, now)
-        state = self.link_states[link_id]
-        state.record_entry(lane_class, now, background=False)
+        self.link_states[link_id].record_entry(lane_class, now, background=False)
         if vehicle.departure_time is None:
             vehicle.departure_time = now
-        vehicle.on_link = True
-        vehicle.node = -1
-        vehicle.link_arrival_node = link.to_node
+        vehicle.node = self.network.link(link_id).to_node
         vehicle.link_arrival_time = now + delay
         self.push_event(
             now + delay, EV_ARRIVE_NODE, (vehicle.agent.id, link_id, lane_class)
@@ -301,9 +301,7 @@ class SimState:
         if agent.role is Role.RIDESHARE_DRIVER:
             if vehicle.route_pos < len(vehicle.route):
                 return vehicle.route[vehicle.route_pos]
-            if node != agent.destination:
-                vehicle.stranded = True
-                self.stranded_agents.append(agent.id)
+            vehicle.stranded = node != agent.destination
             return None
         if node == agent.destination:
             return None
@@ -312,12 +310,15 @@ class SimState:
             return hops[0]
         if not hops:
             vehicle.stranded = True
-            self.stranded_agents.append(agent.id)
             return None
         return dijkstra_route(self.network, self.route_cost_fn(now), node,
                               agent.destination).links[0]
 
-    def _serve_pins(self, vehicle: Vehicle, node: int, now: float) -> None:
+    def _advance(self, vehicle: Vehicle, now: float) -> None:
+        """Move a vehicle standing at its node: serve the pins due there, then
+        hold until the planned entry step, enter the next link, or end the
+        trip (a stranded vehicle ends without an arrival time)."""
+        node = vehicle.node
         while vehicle.pins and vehicle.pins[0].node == node:
             pin = vehicle.pins[0]
             if pin.action == "board" and now + 1e-9 < pin.step * self.dt:
@@ -329,23 +330,18 @@ class SimState:
             else:
                 vehicle.aboard.discard(pin.rider_id)
                 self.rider_alight_time[pin.rider_id] = now
-
-    def _continue_rideshare(self, vehicle: Vehicle, node: int, now: float) -> None:
-        self._serve_pins(vehicle, node, now)
         next_link = self.vehicle_at_node(vehicle, node, now)
         if next_link is None:
             if not vehicle.stranded:
                 vehicle.arrival_time = now
             return
         planned = vehicle.planned_entry_steps
-        hold_until = None
         if vehicle.route_pos < len(planned):
             hold_until = planned[vehicle.route_pos] * self.dt
-        if hold_until is not None and hold_until > now + 1e-12:
-            self.push_event(
-                hold_until, EV_DEPART_NODE, (vehicle.agent.id, vehicle.plan_version)
-            )
-            return
+            if hold_until > now + 1e-12:
+                self.push_event(hold_until, EV_DEPART_NODE,
+                                (vehicle.agent.id, vehicle.plan_version))
+                return
         vehicle.route_pos += 1
         self.enter_link(vehicle, next_link, now)
 
@@ -361,11 +357,7 @@ class SimState:
         if agent.role is Role.RIDESHARE_DRIVER:
             self._offer_index[agent_id] = vehicle
             self._plan_initial_route(vehicle, now)
-            self._continue_rideshare(vehicle, agent.origin, now)
-        else:
-            next_link = self.vehicle_at_node(vehicle, agent.origin, now)
-            if next_link is not None:
-                self.enter_link(vehicle, next_link, now)
+        self._advance(vehicle, now)
 
     def _plan_initial_route(self, vehicle: Vehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
@@ -397,51 +389,34 @@ class SimState:
         )
         result = match_rider(self, rider)
         self.match_results[agent.id] = result
-        if result.matched:
-            agent.matched = True
-            self.rider_itineraries[agent.id] = result.itinerary
-        else:
+        if not result.matched:
             fallback = fallback_to_driver(agent, next_id=self._next_agent_id)
             self._next_agent_id += 1
             self.agents[fallback.id] = fallback
-            self.fallback_agents[agent.id] = fallback.id
             self.push_event(now, EV_AGENT_ENTER, fallback.id)
 
     def _handle_arrive(self, payload: tuple, now: float) -> None:
         agent_id, link_id, lane_class = payload
         self.link_states[link_id].record_exit(lane_class)
         vehicle = self.vehicles[agent_id]
-        node = self.network.link(link_id).to_node
-        vehicle.on_link = False
-        vehicle.node = node
-        vehicle.link_arrival_node = None
         vehicle.link_arrival_time = None
-        if vehicle.agent.role is Role.RIDESHARE_DRIVER:
-            self._continue_rideshare(vehicle, node, now)
-        else:
-            next_link = self.vehicle_at_node(vehicle, node, now)
-            if next_link is None:
-                if not vehicle.stranded:
-                    vehicle.arrival_time = now
-                return
-            self.enter_link(vehicle, next_link, now)
+        self._advance(vehicle, now)
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
         agent_id, version = payload
         vehicle = self.vehicles.get(agent_id)
-        if vehicle is None or not vehicle.active or vehicle.on_link:
+        if vehicle is None or not vehicle.active or vehicle.link_arrival_time is not None:
             return
         if version != vehicle.plan_version:
             return  # superseded by a later matching commit
-        self._continue_rideshare(vehicle, vehicle.node, now)
+        self._advance(vehicle, now)
 
     def _handle_background(self, payload: tuple, now: float) -> None:
         link_id = payload[0]
-        self.background_count += 1
-        vid = -self.background_count
         delay = self.link_delay(link_id, LaneClass.CARPOOL, now)
         self.link_states[link_id].record_entry(LaneClass.CARPOOL, now, background=True)
-        self.push_event(now + delay, EV_ARRIVE_NODE, (vid, link_id, LaneClass.CARPOOL))
+        # background traffic has no vehicle; its exit carries the id -1
+        self.push_event(now + delay, EV_ARRIVE_NODE, (-1, link_id, LaneClass.CARPOOL))
 
     # --------------------------------------------------------------- matching
 
@@ -480,46 +455,29 @@ class SimState:
         both read this one offer.
         """
         agent = vehicle.agent
-        if vehicle.on_link:
-            anchor_node = vehicle.link_arrival_node
-            anchor_time = vehicle.link_arrival_time
-            departed = True
-        else:
-            anchor_node = vehicle.node
+        anchor_time = vehicle.link_arrival_time
+        if anchor_time is None:
             anchor_time = self.clock
-            departed = vehicle.departure_time is not None
-        if anchor_time > agent.window.latest_arrival + 1e-12:
+        if anchor_time > agent.window.latest_arrival:
             return None  # already outside its own schedule
-        if anchor_node == agent.destination and not vehicle.pins:
+        if vehicle.node == agent.destination and not vehicle.pins:
             return None
         window = TimeWindow(
             earliest_departure=anchor_time,
             latest_departure=max(agent.window.latest_departure, anchor_time),
-            earliest_arrival=min(agent.window.earliest_arrival,
-                                 agent.window.latest_arrival),
+            earliest_arrival=agent.window.earliest_arrival,
             latest_arrival=agent.window.latest_arrival,
         )
         return DriverOffer(
             id=agent.id,
-            origin=anchor_node,
+            origin=vehicle.node,
             destination=agent.destination,
             window=window,
             seats=agent.seats,
             pins=tuple(vehicle.pins),
             aboard=len(vehicle.aboard),
-            departed=departed,
+            departed=vehicle.departure_time is not None,
         )
-
-    def _step_durations(self) -> dict[int, int]:
-        """Whole-step link durations of the frozen matching snapshot."""
-        snapshot = self._matching_snapshot
-        if snapshot is None:
-            self.matching_travel_time()
-            snapshot = self._matching_snapshot
-        return {
-            link.id: max(1, ceil_steps(snapshot[link.id], self.dt))
-            for link in self.network.links
-        }
 
     def commit_itinerary(self, rider: RiderRequest, itinerary: Itinerary) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
@@ -530,7 +488,7 @@ class SimState:
         holds. Returns False when any driver cannot honor the plan, leaving
         all drivers untouched.
         """
-        tau = self._step_durations()
+        tau = step_durations(self.network, self._matching_snapshot.__getitem__, self.dt)
         plans: list[tuple[Vehicle, list[Pin], list[int], list[int]]] = []
         for leg in itinerary.legs:
             vehicle = self.vehicles.get(leg.driver)
@@ -543,11 +501,8 @@ class SimState:
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)],
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
-            occ = offer.aboard
-            for pin in new_pins:
-                occ += 1 if pin.action == "board" else -1
-                if occ < 0 or occ > offer.seats:
-                    return False
+            if max(offer.slot_occupancies(new_pins)) > offer.seats:
+                return False
             ld_step = ceil_steps(offer.window.latest_departure, self.dt)
             stops = offer.stops(self.dt, new_pins)
             route: list[int] = []
@@ -584,7 +539,7 @@ class SimState:
             vehicle.planned_entry_steps = entry_steps
             vehicle.route_pos = 0
             vehicle.plan_version += 1
-            if not vehicle.on_link:
+            if vehicle.link_arrival_time is None:
                 release = entry_steps[0] * self.dt if entry_steps else self.clock
                 self.push_event(
                     max(release, self.clock), EV_DEPART_NODE,
@@ -613,23 +568,18 @@ class SimState:
                 self._handle_background(payload, time)
         return self.build_report()
 
-    def observe_link_flows(self) -> dict[int, int]:
-        """Distinct non-background vehicle entries per link since t=0."""
-        out = {}
-        for link_id, state in sorted(self.link_states.items()):
-            total = sum(state.totals.values()) - sum(state.background_totals.values())
-            out[link_id] = total
-        return out
-
     def build_report(self) -> SimReport:
         class_counts = {}
         background_counts = {}
+        validation_counts = {}  # distinct non-background entries per link
         for link_id, state in sorted(self.link_states.items()):
             for lane_class in (LaneClass.GENERAL, LaneClass.CARPOOL):
                 class_counts[(link_id, lane_class)] = state.totals[lane_class]
                 background_counts[(link_id, lane_class)] = (
                     state.background_totals[lane_class]
                 )
+            validation_counts[link_id] = (sum(state.totals.values())
+                                          - sum(state.background_totals.values()))
         outcomes = []
         riders_total = 0
         riders_matched = 0
@@ -637,7 +587,8 @@ class SimState:
             agent = self.agents[agent_id]
             if agent.role is Role.RIDER:
                 riders_total += 1
-                matched = agent.matched
+                result = self.match_results.get(agent_id)
+                matched = result is not None and result.matched
                 if matched:
                     riders_matched += 1
                 departure = self.rider_board_time.get(agent_id)
@@ -654,12 +605,12 @@ class SimState:
         return SimReport(
             link_class_counts=class_counts,
             link_background_counts=background_counts,
-            validation_counts=self.observe_link_flows(),
+            validation_counts=validation_counts,
             outcomes=outcomes,
             riders_total=riders_total,
             riders_matched=riders_matched,
             horizon=self.horizon,
-            stranded_count=len(self.stranded_agents),
+            stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )
 

@@ -62,10 +62,17 @@ class TestSweepCommand:
         assert lines[1].startswith("1.000000,")
         assert lines[2].startswith("0.250000,")
 
-    def test_bad_level_usage_error(self, quick_sweep_config):
+    def test_bad_level_usage_error(self, quick_sweep_config, capsys):
         code = main(["sweep", "--config", str(quick_sweep_config),
                      "--levels", "1.5"])
         assert code == EXIT_USAGE
+        assert "1.5 outside [0, 1]" in capsys.readouterr().err
+
+    def test_unparsable_level_usage_error(self, quick_sweep_config, capsys):
+        code = main(["sweep", "--config", str(quick_sweep_config),
+                     "--levels", "a,b"])
+        assert code == EXIT_USAGE
+        assert "error: --levels:" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, quick_sweep_config, tmp_path):
         argv = ["sweep", "--config", str(quick_sweep_config), "--levels", "1.0"]

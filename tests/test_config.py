@@ -62,6 +62,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="level"):
             load_config(path)
 
+    @pytest.mark.parametrize("section, value", [
+        ("weights", 5), ("bpr", [1, 2]), ("demand.shares", "even"),
+        ("demand.calibration_fixed_daily", 5),
+    ])
+    def test_section_not_a_mapping_rejected(self, tmp_path, section, value):
+        raw = {section: value}
+        if section.startswith("demand."):
+            raw = {"demand": {section.split(".")[1]: value}}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match=f"^{section} must be a mapping$"):
+            load_config(path)
+
 
 class TestFingerprint:
     def test_stable_across_loads(self, minimal):

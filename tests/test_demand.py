@@ -139,12 +139,10 @@ class TestGenerateAgents:
 
 
 class TestFallback:
-    def make_rider(self, matched=False):
+    def make_rider(self):
         window = TimeWindow(1.0, 1.25, 1.5, 1.75)
-        rider = VehicleAgent(id=7, role=Role.RIDER, origin=0, destination=2,
-                             request_time=1.0, window=window)
-        rider.matched = matched
-        return rider
+        return VehicleAgent(id=7, role=Role.RIDER, origin=0, destination=2,
+                            request_time=1.0, window=window)
 
     def test_copies_trip(self):
         driver = fallback_to_driver(self.make_rider())
@@ -155,10 +153,6 @@ class TestFallback:
     def test_fresh_id(self):
         driver = fallback_to_driver(self.make_rider(), next_id=99)
         assert driver.id == 99
-
-    def test_matched_rider_rejected(self):
-        with pytest.raises(ValueError, match="matched"):
-            fallback_to_driver(self.make_rider(matched=True))
 
     def test_non_rider_rejected(self):
         agent = VehicleAgent(id=1, role=Role.REGULAR_DRIVER, origin=0,

@@ -26,6 +26,8 @@ GOLDEN = {
         "78c6a4ab759a0fb46d5370b41e33c49fc8e100fa7f3903d60e75609060eb1999",
     "run/match_trace.csv":
         "651c4db857a53fc582c068fc7d3f72b684e5b908f4f58b78c70efd5fddf641f8",
+    "run/run_meta.json":
+        "b43254c90876233eb97c3de05ff198ff9c0678b32a75732a82d7a7589d9761bd",
 }
 
 

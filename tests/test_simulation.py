@@ -142,12 +142,12 @@ class TestVehicleAtNode:
 
     def test_unreachable_destination_strands(self, testbed):
         sim = empty_sim(testbed)
-        agent = regular(0, 2, 3, t=0.0)  # node 2 has no outgoing links
-        vehicle = simulation.Vehicle(agent)
-        sim.vehicles[0] = vehicle
-        assert sim.vehicle_at_node(vehicle, 2, 0.0) is None
-        assert vehicle.stranded
-        assert 0 in sim.stranded_agents
+        seed_agent(sim, regular(0, 2, 3, t=0.0))  # node 2 has no outgoing links
+        report = sim.run()
+        assert report.stranded_count == 1
+        [outcome] = report.outcomes
+        assert outcome.stranded
+        assert outcome.departure is None and outcome.arrival is None
 
     def test_replans_only_at_forks(self, monkeypatch):
         from ridesim.config import bundled_data_path, load_config
@@ -271,8 +271,7 @@ class TestRidesharing:
         assert report.riders_matched == 0
         # the fallback drives the same trip like any regular driver
         assert report.validation_counts == {0: 0, 1: 1, 2: 1, 3: 0}
-        fallback_id = sim.fallback_agents[1]
-        outcome = next(o for o in report.outcomes if o.agent_id == fallback_id)
+        [outcome] = [o for o in report.outcomes if o.agent_id != 1]
         assert outcome.role is Role.REGULAR_DRIVER
         assert outcome.arrival is not None
 
@@ -305,7 +304,7 @@ class TestRidesharing:
         sim = transfer_sim(testbed)
         report = sim.run()
         assert sim.match_results[2].matched
-        legs = sim.rider_itineraries[2].legs
+        legs = sim.match_results[2].itinerary.legs
         assert [leg.driver for leg in legs] == [0, 1]
         outcome = next(o for o in report.outcomes if o.agent_id == 2)
         assert outcome.arrival is not None
@@ -322,7 +321,7 @@ class TestRidesharing:
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
         sim.run()
-        itinerary = sim.rider_itineraries[1]
+        itinerary = sim.match_results[1].itinerary
         window = sim.agents[1].window
         assert itinerary.legs[0].board_step >= ceil_steps(
             window.earliest_departure, sim.dt)
@@ -423,6 +422,16 @@ class TestOfferIndex:
         assert requests > 50
         assert offers > requests
         assert evicted > 0
+
+    def test_offer_dropped_once_past_latest_arrival(self, testbed):
+        sim = empty_sim(testbed)
+        agent = rideshare(0, 0, 2, t=0.0, fft=0.72)
+        vehicle = simulation.Vehicle(agent)
+        sim.clock = agent.window.latest_arrival
+        assert sim._offer(vehicle) is not None
+        # any later anchor is one the offer's own TimeWindow would reject
+        sim.clock = agent.window.latest_arrival + 5e-13
+        assert sim._offer(vehicle) is None
 
 
 class TestBackgroundLoad:
