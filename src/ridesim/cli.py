@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, bundled_data_path, load_config
+from .demand import DemandError
 from .experiments import (
     ExperimentError,
     run_capacity_sweep,
@@ -17,10 +18,15 @@ from .experiments import (
     run_validation,
     write_sim_report,
 )
+from .network import NetworkFormatError, NetworkValidationError
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
+
+# bad input from a scenario, network file or flag; reported with exit 2
+INPUT_ERRORS = (ConfigError, DemandError, ExperimentError, NetworkFormatError,
+                NetworkValidationError)
 
 
 def _load(args, default_name: str) -> ScenarioConfig:
@@ -34,12 +40,8 @@ def _load(args, default_name: str) -> ScenarioConfig:
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = _load(args, "validation.yaml")
-        report = run_validation(config)
-    except (ConfigError, ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load(args, "validation.yaml")
+    report = run_validation(config)
     outdir = Path(config.output_dir)
     report.write_csv(outdir / "validation.csv")
     report.write_meta(outdir / "validation_meta.json")
@@ -54,18 +56,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        config = _load(args, "sweep.yaml")
-        levels = None
-        if args.levels:
-            try:
-                levels = tuple(float(x) for x in args.levels.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"--levels: {exc}") from exc
-        report = run_capacity_sweep(config, levels=levels)
-    except (ConfigError, ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load(args, "sweep.yaml")
+    levels = None
+    if args.levels:
+        try:
+            levels = tuple(float(x) for x in args.levels.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--levels: {exc}") from exc
+    report = run_capacity_sweep(config, levels=levels)
     outdir = Path(config.output_dir)
     report.write_csv(outdir / "sweep.csv")
     report.write_meta(outdir / "sweep_meta.json")
@@ -77,12 +75,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load(args, "validation.yaml")
-        sim, report = run_single(config)
-    except (ConfigError, ExperimentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load(args, "validation.yaml")
+    sim, report = run_single(config)
     outdir = Path(config.output_dir)
     write_sim_report(report, outdir, config.fingerprint(), config.seed)
     print(f"agents: {len(report.outcomes)}  riders: {report.riders_total}  "
@@ -127,7 +121,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

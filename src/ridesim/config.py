@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -134,16 +135,18 @@ class ScenarioConfig:
     levels: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError("dt must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if not 0.0 <= self.unused_capacity <= 1.0:
             raise ConfigError("unused_capacity must lie in [0, 1]")
-        if self.flow_window <= 0:
-            raise ConfigError("flow_window must be positive")
+        if not 0 < self.flow_window < math.inf:
+            raise ConfigError("flow_window must be positive and finite")
         if self.validation_error_threshold < 0:
             raise ConfigError("validation_error_threshold must be >= 0")
         for level in self.levels:

@@ -8,6 +8,7 @@ admits at least the free-flow solo trip by construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,17 @@ class DemandSpec:
     seats: int = DEFAULT_SEATS
 
     def __post_init__(self) -> None:
-        if self.window_flexibility < 0:
-            raise DemandError("window_flexibility must be >= 0")
+        if not 0 <= self.window_flexibility < math.inf:
+            raise DemandError("window_flexibility must be finite and >= 0")
         if self.horizon <= 0:
             raise DemandError("horizon must be positive")
-        if self.scale < 0:
-            raise DemandError("scale must be >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise DemandError("scale must be finite and >= 0")
+        if self.seats < 0:
+            raise DemandError("seats must be >= 0")
         for od, rate in self.od_rates.items():
-            if rate < 0:
-                raise DemandError(f"negative rate for O-D pair {od}")
+            if not 0 <= rate < math.inf:
+                raise DemandError(f"negative or non-finite rate for O-D pair {od}")
             if od[0] == od[1]:
                 raise DemandError(f"degenerate O-D pair {od}")
 
@@ -77,6 +80,8 @@ def free_flow_paths(
     """Free-flow route and travel time per O-D pair; error when disconnected."""
     out = {}
     for origin, dest in od_pairs:
+        if origin not in network.adjacency or dest not in network.adjacency:
+            raise DemandError(f"O-D pair {origin}->{dest}: node not in the network")
         path = dijkstra_route(network, lambda l: l.free_flow_time, origin, dest)
         if path is None:
             raise DemandError(f"O-D pair {origin}->{dest} is not connected")

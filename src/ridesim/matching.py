@@ -19,14 +19,15 @@ Pipeline for one rider request:
 ``brute_force_itinerary`` enumerates every labelled path and is the testing
 oracle for the dynamic program.
 
-All travel times are read from a cost snapshot frozen at the match instant;
-durations round up to whole steps (``step_durations``, which the commit
-shares). The all-pairs minimum-step matrix is
-reused from the previous request while every link's step count repeats
-(``_shared_min_step_matrix``). ``match_rider`` makes one attempt: offers,
-network and commit all read that one instant, and the commit checks each
-driver's schedule through the same ``DriverOffer.stops`` chain that built
-the network.
+Every link is priced in whole steps, ``tau``, which ``match_rider`` takes
+once per request from the traffic state frozen at the match instant
+(``SimState.matching_steps``, through ``step_durations``) and passes to both
+the network build and the commit, so the two read one set of durations.
+The all-pairs minimum-step matrix is reused from the previous request while
+every link's step count repeats (``_shared_min_step_matrix``).
+``match_rider`` makes one attempt: offers, network and commit all read that
+one instant, and the commit checks each driver's schedule through the same
+``DriverOffer.stops`` chain that built the network.
 """
 from __future__ import annotations
 
@@ -139,7 +140,6 @@ class TravelArc:
 class TimeExpandedNetwork:
     """Rider-specific time-expanded graph (the matcher's search space)."""
 
-    dt: float
     origin: int
     destination: int
     node_intervals: dict[int, tuple[int, int]]
@@ -191,7 +191,6 @@ class Itinerary:
 
 @dataclass(frozen=True)
 class MatchResult:
-    rider_id: int
     matched: bool
     itinerary: Optional[Itinerary] = None
     reason: str = ""
@@ -255,11 +254,11 @@ def _driver_presence(
     node: int,
     ld_step: int,
     matrix: dict[int, dict[int, float]],
-) -> list[tuple[int, int, int]]:
-    """(lo step, hi step, slot index) windows during which the driver can be
-    at ``node`` between consecutive ``stops`` of its schedule; a driver not
-    yet underway leaves its origin by ``ld_step``."""
-    windows: list[tuple[int, int, int]] = []
+) -> dict[int, tuple[int, int]]:
+    """``{slot: (lo step, hi step)}``: when the driver can be at ``node``
+    within each slot, the stretch of its schedule between two consecutive
+    ``stops``; a driver not yet underway leaves its origin by ``ld_step``."""
+    windows: dict[int, tuple[int, int]] = {}
     for slot, ((from_node, from_step, _), (to_node, to_step, _)) in enumerate(
             zip(stops, stops[1:])):
         ahead = matrix[from_node][node]
@@ -271,7 +270,7 @@ def _driver_presence(
         if slot == 0 and not offer.departed and node == offer.origin:
             hi = min(hi, ld_step)
         if lo <= hi:
-            windows.append((lo, hi, slot))
+            windows[slot] = (lo, hi)
     return windows
 
 
@@ -279,14 +278,16 @@ def build_time_expanded(
     rider: RiderRequest,
     drivers: Sequence[DriverOffer],
     network: Network,
-    travel_time: Callable[[int, float], float],
+    tau: dict[int, int],
     dt: float,
     time_weight: float = 1.0,
 ) -> TimeExpandedNetwork:
     """Construct the rider's time-expanded network.
 
-    Node windows come from forward/backward minimum-time sweeps between the
-    rider's earliest departure and latest arrival; a driver contributes a
+    ``tau`` holds every link's duration in whole steps; ``match_rider`` takes
+    it once per request and the commit reads the same ``tau``. Node windows
+    come from forward/backward minimum-time sweeps between the rider's
+    earliest departure and latest arrival; a driver contributes a
     travel arc on a link only while the link traversal fits inside both the
     rider's window at the endpoints and the driver's own remaining schedule
     (including committed stops and seat capacity). An empty network is the
@@ -294,8 +295,6 @@ def build_time_expanded(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    t0 = rider.request_time
-    tau = step_durations(network, lambda link_id: travel_time(link_id, t0), dt)
     matrix = _shared_min_step_matrix(network, tau)
 
     w = rider.window
@@ -319,16 +318,18 @@ def build_time_expanded(
         if lo <= hi:
             intervals[node] = (lo, hi)
     if rider.origin not in intervals or rider.destination not in intervals:
-        return TimeExpandedNetwork(dt, rider.origin, rider.destination, {}, [])
+        return TimeExpandedNetwork(rider.origin, rider.destination, {}, [])
 
-    # links with both ends inside the rider's windows, in link id order
+    # links with both ends inside the rider's windows, in link id order, with
+    # the tail steps whose arrival also falls in the head's window
     candidates = []
     for link in sorted(network.links, key=lambda l: l.id):
         i, j = link.from_node, link.to_node
         if i in intervals and j in intervals:
             steps = tau[link.id]
-            candidates.append((i, j, intervals[i], intervals[j], steps,
-                               time_weight * steps * dt))
+            lo = max(intervals[i][0], intervals[j][0] - steps)
+            hi = min(intervals[i][1], intervals[j][1] - steps)
+            candidates.append((i, j, lo, hi, steps, time_weight * steps * dt))
 
     seen_arcs: set[tuple[Vertex, Vertex, int]] = set()
     arcs: list[TravelArc] = []
@@ -336,40 +337,33 @@ def build_time_expanded(
         occupancies = offer.slot_occupancies()
         stops = offer.stops(dt)
         ld_step = ceil_steps(offer.window.latest_departure, dt)
-        presence: dict[int, list[tuple[int, int, int]]] = {
+        presence = {
             node: _driver_presence(offer, stops, node, ld_step, matrix)
             for node in intervals
         }
-        for i, j, (r_lo_i, r_hi_i), (r_lo_j, r_hi_j), steps, cost in candidates:
-            for d_lo, d_hi, slot in presence[i]:
-                if occupancies[slot] >= offer.seats:
+        for i, j, r_lo, r_hi, steps, cost in candidates:
+            heads = presence[j]
+            for slot, (d_lo, d_hi) in presence[i].items():
+                if occupancies[slot] >= offer.seats or slot not in heads:
                     continue
-                lo = max(r_lo_i, d_lo)
-                hi = min(r_hi_i, d_hi)
+                h_lo, h_hi = heads[slot]
+                lo = max(r_lo, d_lo, h_lo - steps)
+                hi = min(r_hi, d_hi, h_hi - steps)
                 for k in range(lo, hi + 1):
                     k2 = k + steps
-                    if not (r_lo_j <= k2 <= r_hi_j):
-                        continue
-                    if not any(
-                        p_lo <= k2 <= p_hi and s == slot
-                        for p_lo, p_hi, s in presence[j]
-                    ):
-                        continue
                     signature = ((i, k), (j, k2), offer.id)
                     if signature in seen_arcs:
                         continue
                     seen_arcs.add(signature)
                     arcs.append(TravelArc((i, k), (j, k2), offer.id, cost))
     arcs.sort(key=lambda a: (a.tail, a.head, a.driver))
-    return TimeExpandedNetwork(dt, rider.origin, rider.destination, intervals,
-                               arcs)
+    return TimeExpandedNetwork(rider.origin, rider.destination, intervals, arcs)
 
 
 @dataclass
 class PrunedGraph:
     """Topologically ordered remainder of a TEN after reachability pruning."""
 
-    ten: TimeExpandedNetwork
     vertices: list[Vertex]
     adjacency: dict[Vertex, list[tuple[Vertex, Optional[int], float]]]
     start: Optional[Vertex]
@@ -430,7 +424,6 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     }
     ordered = sorted(surviving, key=lambda v: (v[1], v[0]))
     return PrunedGraph(
-        ten=ten,
         vertices=ordered,
         adjacency=adjacency,
         start=start if start in surviving else None,
@@ -495,9 +488,7 @@ def _trace(label: _Label) -> Itinerary:
     return Itinerary(tuple(legs), label.cost, label.waits)
 
 
-def solve_itinerary(
-    graph: PrunedGraph, rider: RiderRequest, penalty: float
-) -> Optional[Itinerary]:
+def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     """Minimum-cost itinerary over the pruned graph, or None when infeasible.
 
     Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
@@ -547,10 +538,7 @@ def solve_itinerary(
 
 
 def brute_force_itinerary(
-    ten: TimeExpandedNetwork,
-    rider: RiderRequest,
-    penalty: float,
-    budget: int = 200_000,
+    ten: TimeExpandedNetwork, penalty: float, budget: int = 200_000
 ) -> Optional[Itinerary]:
     """Exhaustive oracle: enumerate every labelled path obeying the
     no-re-boarding rule and return the exact optimum (same tie-breaks as
@@ -631,13 +619,12 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     commit is reported as ``reason="capacity"``.
     """
     offers = sim.collect_offers(rider)
-    ten = build_time_expanded(
-        rider, offers, sim.network, sim.matching_travel_time(), sim.dt,
-        time_weight=sim.weights.time,
-    )
+    tau = sim.matching_steps()
+    ten = build_time_expanded(rider, offers, sim.network, tau, sim.dt,
+                              time_weight=sim.weights.time)
     graph = preprocess(ten)
-    itinerary = solve_itinerary(graph, rider, sim.penalty)
-    committed = itinerary is not None and sim.commit_itinerary(rider, itinerary)
+    itinerary = solve_itinerary(graph, sim.penalty)
+    committed = itinerary is not None and sim.commit_itinerary(rider, itinerary, tau)
     sim.match_trace.append({
         "rider_id": rider.id,
         "request_time": rider.request_time,
@@ -650,7 +637,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
         "matched": committed,
     })
     if itinerary is None:
-        return MatchResult(rider.id, False, reason="infeasible")
+        return MatchResult(False, reason="infeasible")
     if not committed:
-        return MatchResult(rider.id, False, reason="capacity")
-    return MatchResult(rider.id, True, itinerary)
+        return MatchResult(False, reason="capacity")
+    return MatchResult(True, itinerary)

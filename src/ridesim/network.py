@@ -70,10 +70,6 @@ class Link:
         if self.observed_daily_flow < 0:
             raise NetworkValidationError(f"link {self.id}: negative observed_daily_flow")
 
-    def toll_at(self, time: float) -> float:
-        """Toll charged to a vehicle entering at ``time`` (flat schedule)."""
-        return self.toll
-
     def lanes(self, lane_class: LaneClass) -> int:
         return 1 if lane_class is LaneClass.CARPOOL else self.general_lanes
 

@@ -139,7 +139,6 @@ class SimReport:
     outcomes: list[AgentOutcome]
     riders_total: int
     riders_matched: int
-    horizon: float
     stranded_count: int = 0
     match_trace: list[dict] = field(default_factory=list)
 
@@ -156,13 +155,6 @@ class SimReport:
             if o.departure is not None and o.arrival is not None
         ]
         return sum(times) / len(times) if times else 0.0
-
-    def carpool_hourly_flow(self, link_id: int) -> float:
-        return self.link_class_counts.get((link_id, LaneClass.CARPOOL), 0) / self.horizon
-
-    def general_hourly_flow_per_lane(self, link_id: int, general_lanes: int) -> float:
-        count = self.link_class_counts.get((link_id, LaneClass.GENERAL), 0)
-        return count / general_lanes / self.horizon
 
 
 class SimState:
@@ -211,7 +203,6 @@ class SimState:
         self.match_results: dict[int, MatchResult] = {}
         self.match_trace: list[dict] = []
         self._next_agent_id = 0
-        self._matching_snapshot: Optional[dict] = None
 
         seq = np.random.SeedSequence(seed)
         demand_seed, background_seed = seq.spawn(2)
@@ -247,20 +238,21 @@ class SimState:
         """Generalized toll + travel-time cost snapshot for replanning."""
         def cost(link) -> float:
             delay = self.link_delay(link.id, LaneClass.GENERAL, now)
-            return self.weights.toll * link.toll_at(now) + self.weights.time * delay
+            return self.weights.toll * link.toll + self.weights.time * delay
         return cost
 
-    def matching_travel_time(self) -> Callable[[int, float], float]:
-        """Frozen best-HOV travel-time snapshot for the matcher."""
+    def matching_steps(self) -> dict[int, int]:
+        """Whole steps per link at the clock on the faster lane class: the
+        one frozen traffic state the matcher prices and commits against."""
         now = self.clock
-        snapshot: dict[int, float] = {}
-        for link in self.network.links:
-            delay = self.link_delay(link.id, LaneClass.GENERAL, now)
-            if link.has_carpool_lane:
-                delay = min(delay, self.link_delay(link.id, LaneClass.CARPOOL, now))
-            snapshot[link.id] = delay
-        self._matching_snapshot = snapshot
-        return lambda link_id, t: snapshot[link_id]
+
+        def delay(link_id: int) -> float:
+            general = self.link_delay(link_id, LaneClass.GENERAL, now)
+            if not self.network.link(link_id).has_carpool_lane:
+                return general
+            return min(general, self.link_delay(link_id, LaneClass.CARPOOL, now))
+
+        return step_durations(self.network, delay, self.dt)
 
     # ------------------------------------------------------------ vehicle flow
 
@@ -479,16 +471,17 @@ class SimState:
             departed=vehicle.departure_time is not None,
         )
 
-    def commit_itinerary(self, rider: RiderRequest, itinerary: Itinerary) -> bool:
+    def commit_itinerary(
+        self, rider: RiderRequest, itinerary: Itinerary, tau: dict[int, int]
+    ) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
 
         Phase one walks every driver's ``DriverOffer.stops`` chain with the
         rider's pins added (ordering, travel feasibility, seat capacity, own
-        window) against the current snapshot; phase two rewrites routes and
-        holds. Returns False when any driver cannot honor the plan, leaving
-        all drivers untouched.
+        window) at ``tau``, the link steps the itinerary was solved on;
+        phase two rewrites routes and holds. Returns False when any driver
+        cannot honor the plan, leaving all drivers untouched.
         """
-        tau = step_durations(self.network, self._matching_snapshot.__getitem__, self.dt)
         plans: list[tuple[Vehicle, list[Pin], list[int], list[int]]] = []
         for leg in itinerary.legs:
             vehicle = self.vehicles.get(leg.driver)
@@ -609,7 +602,6 @@ class SimState:
             outcomes=outcomes,
             riders_total=riders_total,
             riders_matched=riders_matched,
-            horizon=self.horizon,
             stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )

@@ -4,7 +4,7 @@ import pytest
 
 from ridesim.agents import TimeWindow
 from ridesim.config import bundled_data_path
-from ridesim.matching import DriverOffer, RiderRequest
+from ridesim.matching import DriverOffer, RiderRequest, step_durations
 from ridesim.network import Link, Network, Node, load_network
 from ridesim.routing import dijkstra_route
 
@@ -20,9 +20,8 @@ def testbed() -> Network:
 
 @pytest.fixture(scope="session")
 def free_flow(testbed):
-    def tt(link_id: int, t: float) -> float:
-        return testbed.link(link_id).free_flow_time
-    return tt
+    """Free-flow link steps at dt = 0.05, the step the testbed tests use."""
+    return step_durations(testbed, lambda lid: testbed.link(lid).free_flow_time, 0.05)
 
 
 def make_network(links: list[tuple[int, int, float]]) -> Network:
@@ -57,9 +56,7 @@ def random_instance(rng: random.Random):
         a, b = rng.sample(nodes, 2)
         links.append((a, b, 2 * DT_EXACT))
     net = make_network(links)
-
-    def tt(link_id: int, t: float) -> float:
-        return net.link(link_id).free_flow_time
+    tau = step_durations(net, lambda lid: net.link(lid).free_flow_time, DT_EXACT)
 
     def min_path(o, d):
         return dijkstra_route(net, lambda l: l.free_flow_time, o, d)
@@ -117,4 +114,4 @@ def random_instance(rng: random.Random):
             o, d = rng.choice(connected)
             offers.append(offer_for(i, o, d, rng.randint(0, 3) * DT_EXACT,
                                     rng.randint(0, 3) * DT_EXACT))
-    return rider, offers, net, tt
+    return rider, offers, net, tau

@@ -24,6 +24,7 @@ from ridesim.matching import (
     preprocess,
     solve_itinerary,
 )
+from ridesim.network import LaneClass
 from ridesim.routing import dijkstra_route
 from ridesim.simulation import init_simulation
 
@@ -50,7 +51,7 @@ def matcher_instances():
         rider, offers, net, tt = candidate
         ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
         try:
-            oracle = brute_force_itinerary(ten, rider, DT_EXACT)
+            oracle = brute_force_itinerary(ten, DT_EXACT)
             on_paths = vertices_on_feasible_paths(ten)
         except EnumerationBudgetError:
             continue
@@ -81,7 +82,7 @@ def test_criterion_2_matcher_oracle_equivalence(matcher_instances):
     agreements = 0
     for rider, ten, oracle, _ in matcher_instances:
         graph = preprocess(ten)
-        solved = solve_itinerary(graph, rider, DT_EXACT) if graph.feasible else None
+        solved = solve_itinerary(graph, DT_EXACT) if graph.feasible else None
         if oracle is None and solved is None:
             agreements += 1
         elif (oracle is not None and solved is not None
@@ -175,8 +176,9 @@ def test_criterion_6_carpool_calibration_anchor():
     for seed in replication_seeds(baseline.seed, 20):
         sim = init_simulation(baseline, network, seed)
         report = sim.run()
-        carpool.append(report.carpool_hourly_flow(2))
-        general.append(report.general_hourly_flow_per_lane(2, lanes))
+        counts = report.link_class_counts
+        carpool.append(counts[(2, LaneClass.CARPOOL)] / baseline.horizon)
+        general.append(counts[(2, LaneClass.GENERAL)] / lanes / baseline.horizon)
     ratio = float(np.mean(carpool) / np.mean(general))
     ok = abs(ratio - 1.0) <= 0.05
     announce(6, ok,

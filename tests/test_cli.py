@@ -124,3 +124,65 @@ class TestRunCommand:
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(raw))
         assert main(["run", "--config", str(bad)]) == EXIT_USAGE
+
+
+RIDESHARE_SHARES = {"rider": 0.2, "rideshare_driver": 0.3, "regular_driver": 0.5}
+
+# (config edits, network-file edit, extra argv, text stderr must contain)
+BAD_INPUTS = {
+    "negative-length": ({}, lambda net: net["links"][0].update(length=-1.0),
+                        [], "length"),
+    "unknown-link-field": ({}, lambda net: net["links"][0].update(colour="blue"),
+                           [], "colour"),
+    "undeclared-endpoint": ({}, lambda net: net["links"][0].update(to=9),
+                            [], "node 9"),
+    "missing-link-field": ({}, lambda net: net["links"][0].pop("free_flow_time"),
+                           [], "free_flow_time"),
+    "duplicate-link-id": ({}, lambda net: net["links"][1].update(id=0),
+                          [], "duplicate link ids"),
+    "negative-scale": ({"demand": {"scale": -1}}, None, [], "scale"),
+    "negative-window-flexibility": ({"demand": {"window_flexibility": -1}}, None,
+                                    [], "window_flexibility"),
+    "nan-window-flexibility": ({"demand": {"window_flexibility": float("nan")}},
+                               None, [], "window_flexibility"),
+    "nan-scale": ({"demand": {"scale": float("nan")}}, None, [], "scale"),
+    "infinite-scale": ({"demand": {"scale": float("inf")}}, None, [], "scale"),
+    "negative-seats": ({"demand": {"seats": -2, "shares": RIDESHARE_SHARES}},
+                       None, [], "seats"),
+    "negative-od-rate": ({"demand": {"od_rates": {"0-2": -1.0}}}, None,
+                         [], "(0, 2)"),
+    "nan-od-rate": ({"demand": {"od_rates": {"0-2": float("nan")}}}, None,
+                    [], "(0, 2)"),
+    "degenerate-od-pair": ({"demand": {"od_rates": {"0-0": 1.0}}}, None,
+                           [], "(0, 0)"),
+    "disconnected-od-pair": ({"demand": {"od_rates": {"2-0": 1.0}}}, None,
+                             [], "2->0"),
+    "unknown-od-node": ({"demand": {"od_rates": {"0-9": 1.0}}}, None,
+                        [], "0->9"),
+    "negative-seed": ({"seed": -1}, None, [], "seed"),
+    "negative-seed-flag": ({}, None, ["--seed", "-1"], "seed"),
+    "infinite-horizon": ({"horizon": float("inf")}, None, [], "horizon"),
+    "nan-horizon": ({"horizon": float("nan")}, None, [], "horizon"),
+    "nan-dt": ({"dt": float("nan")}, None, [], "dt"),
+    "nan-flow-window": ({"flow_window": float("nan")}, None, [], "flow_window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys):
+    edits, network_edit, argv, named = BAD_INPUTS[case]
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    for key, value in edits.items():
+        if isinstance(value, dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    if network_edit is not None:
+        net = yaml.safe_load(bundled_data_path("la_testbed.yaml").read_text())
+        network_edit(net)
+        raw["network"] = str(tmp_path / "net.yaml")
+        Path(raw["network"]).write_text(yaml.safe_dump(net))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
+    assert named in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,10 +23,10 @@ from ridesim.simulation import init_simulation
 from conftest import DT_EXACT, random_instance
 
 
-def pipeline(rider, offers, net, tt, dt=DT_EXACT, penalty=DT_EXACT):
-    ten = build_time_expanded(rider, offers, net, tt, dt)
+def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
+    ten = build_time_expanded(rider, offers, net, tau, dt)
     graph = preprocess(ten)
-    itinerary = solve_itinerary(graph, rider, penalty) if graph.feasible else None
+    itinerary = solve_itinerary(graph, penalty) if graph.feasible else None
     return ten, graph, itinerary
 
 
@@ -126,6 +127,114 @@ class TestBuildTimeExpanded:
         assert all(arc.tail[1] >= 8 for arc in ten.travel_arcs)
 
 
+def with_pins(rng, offer, net, dt):
+    """``offer`` with up to ``seats`` riders aboard, 1-3 board/alight pins in
+    step order at random nodes, a later latest arrival so pins can fit, and
+    sometimes already underway."""
+    slack = rng.randint(0, 6) * dt
+    window = dataclasses.replace(offer.window,
+                                 latest_arrival=offer.window.latest_arrival + slack)
+    first = ceil_steps(window.earliest_departure, dt)
+    last = ceil_steps(window.latest_arrival, dt)
+    aboard = rng.randint(0, offer.seats)
+    occupancy = aboard
+    pins = []
+    for step in sorted(rng.randint(first, last) for _ in range(rng.randint(1, 3))):
+        action = "alight" if occupancy and rng.random() < 0.5 else "board"
+        occupancy += 1 if action == "board" else -1
+        pins.append(Pin(rng.choice(net.node_ids()), step, action, 100 + len(pins)))
+    return dataclasses.replace(offer, window=window, pins=tuple(pins),
+                               aboard=aboard, departed=rng.random() < 0.3)
+
+
+def with_slack(rng, rider, dt):
+    """``rider`` with up to three more steps before its latest arrival, an
+    earliest arrival that may take some of them up and a latest departure
+    that may come earlier, so both can bind before the minimum-time bounds."""
+    w = rider.window
+    slack = rng.randint(0, 3)
+    window = TimeWindow(
+        w.earliest_departure,
+        rng.randint(0, ceil_steps(w.latest_departure, dt)) * dt,
+        w.earliest_arrival + rng.randint(0, slack) * dt,
+        w.latest_arrival + slack * dt,
+    )
+    return dataclasses.replace(rider, window=window)
+
+
+def reference_ten(rider, offers, net, tau, dt):
+    """(vertices, {(tail, head, driver, cost): slot}) of the rider's network,
+    by testing every step against the rider's window and each driver's
+    ``stops`` chain one at a time; ``full`` counts seat-full slots that would
+    otherwise carry an arc."""
+    m = matching._min_step_matrix(net, tau)
+    w = rider.window
+    ed, ld, ea, la = (ceil_steps(t, dt) for t in (
+        w.earliest_departure, w.latest_departure, w.earliest_arrival,
+        w.latest_arrival))
+
+    def rider_at(node, k):
+        return (ed + m[rider.origin][node] <= k <= la - m[node][rider.destination]
+                and (node != rider.origin or k <= ld)
+                and (node != rider.destination or k >= ea))
+
+    vertices = {(n, k) for n in net.node_ids() for k in range(la + 1)
+                if rider_at(n, k)}
+    if not {rider.origin, rider.destination} <= {n for n, _ in vertices}:
+        return set(), {}, 0
+
+    def driver_at(offer, stops, slot, node, k):
+        (a, a_step, _), (b, b_step, _) = stops[slot], stops[slot + 1]
+        if (slot == 0 and not offer.departed and node == offer.origin
+                and k > ceil_steps(offer.window.latest_departure, dt)):
+            return False
+        return a_step + m[a][node] <= k <= b_step - m[node][b]
+
+    arcs, full = {}, 0
+    for offer in offers:
+        stops = offer.stops(dt)
+        occupancies = offer.slot_occupancies()
+        for slot in range(len(stops) - 1):
+            found = [
+                ((link.from_node, k), (link.to_node, k + tau[link.id]), offer.id,
+                 tau[link.id] * dt)
+                for link in net.links for k in range(la + 1)
+                if (link.from_node, k) in vertices
+                and (link.to_node, k + tau[link.id]) in vertices
+                and driver_at(offer, stops, slot, link.from_node, k)
+                and driver_at(offer, stops, slot, link.to_node, k + tau[link.id])
+            ]
+            if occupancies[slot] >= offer.seats:
+                full += bool(found)
+                continue
+            for arc in found:
+                arcs.setdefault(arc, slot)
+    return vertices, arcs, full
+
+
+class TestMultiSlotArcs:
+    def test_arcs_match_per_step_reference(self):
+        rng = random.Random(4242)
+        later_slot_arcs = full_slots = checked = 0
+        while checked < 300:
+            instance = random_instance(rng)
+            if instance is None:
+                continue
+            rider, offers, net, tau = instance
+            rider = with_slack(rng, rider, DT_EXACT)
+            offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
+            ten = build_time_expanded(rider, offers, net, tau, DT_EXACT)
+            vertices, arcs, full = reference_ten(rider, offers, net, tau, DT_EXACT)
+            assert set(ten.vertices()) == vertices
+            assert sorted((a.tail, a.head, a.driver, a.cost)
+                          for a in ten.travel_arcs) == sorted(arcs)
+            later_slot_arcs += sum(slot > 0 for slot in arcs.values())
+            full_slots += full
+            checked += 1
+        # the instances reach arcs past the first pin and seat-full slots
+        assert later_slot_arcs > 0 and full_slots > 0
+
+
 class TestMinStepMemo:
     def test_memo_follows_step_durations(self, testbed):
         tau = {link.id: 3 for link in testbed.links}
@@ -145,12 +254,9 @@ class TestMinStepMemo:
         build_ten = matching.build_time_expanded
         fresh_matrix = matching._min_step_matrix
 
-        def recording_build(rider, drivers, network, travel_time, dt, **kwargs):
-            keys.append(tuple(
-                max(1, ceil_steps(travel_time(link.id, rider.request_time), dt))
-                for link in network.links
-            ))
-            return build_ten(rider, drivers, network, travel_time, dt, **kwargs)
+        def recording_build(rider, drivers, network, tau, dt, **kwargs):
+            keys.append(tuple(tau[link.id] for link in network.links))
+            return build_ten(rider, drivers, network, tau, dt, **kwargs)
 
         def counting_matrix(network, tau):
             builds.append(tau)
@@ -234,7 +340,7 @@ class TestSolveExamples:
                              window=TimeWindow(0.0, 0.4, 0.55, 1.2), seats=2)
         ten = build_time_expanded(rider, [direct, detour], testbed, free_flow, 0.05)
         graph = preprocess(ten)
-        itinerary = solve_itinerary(graph, rider, 0.05)
+        itinerary = solve_itinerary(graph, 0.05)
         assert itinerary.legs[0].driver == 1
         assert itinerary.legs[0].alight_step - itinerary.legs[0].board_step == 11
 
@@ -249,7 +355,7 @@ class TestBruteForce:
     def test_empty_infeasible(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
         ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
-        assert brute_force_itinerary(ten, rider, 0.05) is None
+        assert brute_force_itinerary(ten, 0.05) is None
 
     def test_single_arc(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 1, TimeWindow(0.0, 0.0, 0.22, 0.22), 0.0)
@@ -257,7 +363,7 @@ class TestBruteForce:
                              window=TimeWindow(0.0, 0.0, 0.22, 0.22), seats=1)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert len(ten.travel_arcs) == 1
-        itinerary = brute_force_itinerary(ten, rider, 0.05)
+        itinerary = brute_force_itinerary(ten, 0.05)
         assert itinerary.legs[0].driver == 3
 
     def test_budget_error(self, testbed, free_flow):
@@ -269,7 +375,7 @@ class TestBruteForce:
         ]
         ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)
         with pytest.raises(EnumerationBudgetError):
-            brute_force_itinerary(ten, rider, 0.05, budget=50)
+            brute_force_itinerary(ten, 0.05, budget=50)
 
 
 class TestOracleEquivalence:
@@ -286,11 +392,11 @@ class TestOracleEquivalence:
             penalty = rng.choice([0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT])
             ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
             try:
-                oracle = brute_force_itinerary(ten, rider, penalty)
+                oracle = brute_force_itinerary(ten, penalty)
             except EnumerationBudgetError:
                 continue
             graph = preprocess(ten)
-            solved = solve_itinerary(graph, rider, penalty) if graph.feasible else None
+            solved = solve_itinerary(graph, penalty) if graph.feasible else None
             if oracle is None:
                 assert solved is None
             else:
@@ -370,7 +476,7 @@ class TestPenaltyMonotonicity:
             if not graph.feasible:
                 continue
             penalties = [0.0, DT_EXACT, 4 * DT_EXACT]
-            results = [solve_itinerary(graph, rider, p) for p in penalties]
+            results = [solve_itinerary(graph, p) for p in penalties]
             if any(r is None for r in results):
                 continue
             for low, high in zip(results, results[1:]):

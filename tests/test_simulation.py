@@ -369,7 +369,7 @@ class TestMatchRetry:
 
         commits = []
         original = sim.commit_itinerary
-        sim.commit_itinerary = lambda req, it: commits.append(1) or False
+        sim.commit_itinerary = lambda req, it, tau: commits.append(1) or False
 
         agent = rider(1, 0, 2, t=0.0, fft=0.72)
         request = RiderRequest(1, 0, 2, agent.window, 0.0)
