@@ -147,8 +147,13 @@ class ScenarioConfig:
             raise ConfigError("unused_capacity must lie in [0, 1]")
         if not 0 < self.flow_window < math.inf:
             raise ConfigError("flow_window must be positive and finite")
-        if self.validation_error_threshold < 0:
+        if not self.validation_error_threshold >= 0:
             raise ConfigError("validation_error_threshold must be >= 0")
+        if self.penalty is not None and not 0 <= self.penalty < math.inf:
+            raise ConfigError("penalty must be non-negative and finite")
+        for name, value in (("bpr.alpha", self.bpr_alpha), ("bpr.beta", self.bpr_beta)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite")
         for level in self.levels:
             if not 0.0 <= level <= 1.0:
                 raise ConfigError(f"sweep level {level} outside [0, 1]")

@@ -5,7 +5,11 @@ Pipeline for one rider request:
 1. ``build_time_expanded`` discretizes time into steps of ``dt`` hours and
    intersects the rider's spatio-temporal feasibility windows with each
    driver's remaining schedule flexibility, producing driver-labelled travel
-   arcs and (implicit) wait arcs.
+   arcs and (implicit) wait arcs. A slot of a driver's schedule, between two
+   consecutive stops, is skipped before any presence window is computed
+   unless it has a free seat and, by the triangle inequality on the
+   minimum-step matrix, could reach the rider's destination from its first
+   stop by the latest arrival and its last stop from the rider's origin.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path and
    orders the survivors topologically; the request is feasible exactly when
    the start vertex survives the pruning.
@@ -14,7 +18,12 @@ Pipeline for one rider request:
    left, so each DP label carries the set of drivers already used; labels at
    a (vertex, current driver) pair are kept Pareto-minimal under
    (cost, wait steps, leg count) and used-set inclusion, which keeps the
-   search exact under the no-re-boarding rule.
+   search exact under the no-re-boarding rule. A lower bound on every
+   vertex's cost to go, which ignores drivers, and the cost of one
+   itinerary found along it prune labels that cannot reach the optimum;
+   the DP returns exactly what it would return without the bound.
+   Itineraries tied on every key the DP orders by are resolved by the DP's
+   visiting order (see ``solve_itinerary``), not by a total order.
 
 ``brute_force_itinerary`` enumerates every labelled path and is the testing
 oracle for the dynamic program.
@@ -34,6 +43,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 from .agents import TimeWindow
@@ -80,52 +90,68 @@ class Pin:
     rider_id: int
 
 
+Stop = tuple[int, int, bool]  # (node, deadline step, holds)
+
+
 @dataclass(frozen=True)
 class DriverOffer:
-    """Snapshot of one ridesharing driver's remaining flexibility.
+    """Snapshot of one ridesharing driver's remaining flexibility, in steps.
 
     ``origin`` is the driver's anchor: the node where the vehicle currently
-    is (or will next be), with ``window.earliest_departure`` the time it is
-    available there. ``pins`` are committed stops still ahead, in time order.
+    is (or will next be), available there from ``anchor_step``. A driver not
+    yet underway leaves its origin by ``latest_departure_step``; every driver
+    reaches its destination by ``latest_arrival_step``. ``pins`` are
+    committed stops still ahead, in step order.
     """
 
     id: int
     origin: int
     destination: int
-    window: TimeWindow
+    anchor_step: int
+    latest_departure_step: int
+    latest_arrival_step: int
     seats: int
     pins: tuple[Pin, ...] = ()
     aboard: int = 0
     departed: bool = False
 
-    def slot_occupancies(self, pins: Optional[Sequence[Pin]] = None) -> list[int]:
+    @cached_property
+    def _own_chain(self) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
+        return self._chain(self.pins)
+
+    def _chain(self, pins: Sequence[Pin]) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
+        """(stops, slot occupancies) of the chain through ``pins``; raises
+        ValueError when the pins' steps decrease or an occupancy goes
+        negative, since neither can come from a valid commit."""
+        if any(a.step > b.step for a, b in zip(pins, pins[1:])):
+            raise ValueError(f"driver {self.id}: pin steps decrease in pin chain")
+        stops = [(self.origin, self.anchor_step, False)]
+        occs = [self.aboard]
+        for pin in pins:
+            stops.append((pin.node, pin.step, pin.action == "board"))
+            occs.append(occs[-1] + (1 if pin.action == "board" else -1))
+            if occs[-1] < 0:
+                raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
+        stops.append((self.destination, self.latest_arrival_step, False))
+        return tuple(stops), tuple(occs)
+
+    def slot_occupancies(self, pins: Optional[Sequence[Pin]] = None) -> tuple[int, ...]:
         """Riders on board within each inter-pin segment (pins split slots).
 
         ``pins`` replaces the offer's own pins, as in ``stops``.
         """
-        occs = [self.aboard]
-        for pin in self.pins if pins is None else pins:
-            occs.append(occs[-1] + (1 if pin.action == "board" else -1))
-        if any(o < 0 for o in occs):
-            raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
-        return occs
+        return (self._own_chain if pins is None else self._chain(pins))[1]
 
-    def stops(
-        self, dt: float, pins: Optional[Sequence[Pin]] = None
-    ) -> list[tuple[int, int, bool]]:
+    def stops(self, pins: Optional[Sequence[Pin]] = None) -> tuple[Stop, ...]:
         """The driver's schedule as (node, deadline step, holds) stops.
 
         The anchor comes first at its available step, then each pin at its
         pinned step, then the destination by the latest-arrival step. A
         boarding stop holds the vehicle until its step; other stops do not.
         ``pins`` replaces the offer's own pins (a commit checks a candidate
-        chain).
+        chain). The offer's own chain is derived once and shared.
         """
-        pins = self.pins if pins is None else pins
-        stops = [(self.origin, ceil_steps(self.window.earliest_departure, dt), False)]
-        stops += [(p.node, p.step, p.action == "board") for p in pins]
-        stops.append((self.destination, ceil_steps(self.window.latest_arrival, dt), False))
-        return stops
+        return (self._own_chain if pins is None else self._chain(pins))[0]
 
 
 @dataclass(frozen=True)
@@ -250,17 +276,16 @@ def _shared_min_step_matrix(
 
 def _driver_presence(
     offer: DriverOffer,
-    stops: list[tuple[int, int, bool]],
+    slots: list[tuple[int, Stop, Stop]],
     node: int,
-    ld_step: int,
     matrix: dict[int, dict[int, float]],
 ) -> dict[int, tuple[int, int]]:
     """``{slot: (lo step, hi step)}``: when the driver can be at ``node``
-    within each slot, the stretch of its schedule between two consecutive
-    ``stops``; a driver not yet underway leaves its origin by ``ld_step``."""
+    within each of ``slots``, a stretch of its schedule between two
+    consecutive stops; a driver not yet underway leaves its origin by its
+    latest departure step."""
     windows: dict[int, tuple[int, int]] = {}
-    for slot, ((from_node, from_step, _), (to_node, to_step, _)) in enumerate(
-            zip(stops, stops[1:])):
+    for slot, (from_node, from_step, _), (to_node, to_step, _) in slots:
         ahead = matrix[from_node][node]
         behind = matrix[node][to_node]
         if ahead == INF or behind == INF:
@@ -268,7 +293,7 @@ def _driver_presence(
         lo = from_step + int(ahead)
         hi = to_step - int(behind)
         if slot == 0 and not offer.departed and node == offer.origin:
-            hi = min(hi, ld_step)
+            hi = min(hi, offer.latest_departure_step)
         if lo <= hi:
             windows[slot] = (lo, hi)
     return windows
@@ -331,31 +356,39 @@ def build_time_expanded(
             hi = min(intervals[i][1], intervals[j][1] - steps)
             candidates.append((i, j, lo, hi, steps, time_weight * steps * dt))
 
-    seen_arcs: set[tuple[Vertex, Vertex, int]] = set()
+    # a slot from stop (a, fs) to stop (b, ts) with a free seat can carry
+    # an arc (i, k) -> (j, k') only if fs + m[a][i] <= k <= la - m[i][D] and
+    # ed + m[O][j] <= k' <= ts - m[j][b]; by the triangle inequality that
+    # needs fs + m[a][D] <= la and ed + m[O][b] <= ts
+    from_origin = matrix[rider.origin]
     arcs: list[TravelArc] = []
     for offer in sorted(drivers, key=lambda o: o.id):
+        stops = offer.stops()
         occupancies = offer.slot_occupancies()
-        stops = offer.stops(dt)
-        ld_step = ceil_steps(offer.window.latest_departure, dt)
+        slots = [
+            (slot, tail, head)
+            for slot, (tail, head) in enumerate(zip(stops, stops[1:]))
+            if occupancies[slot] < offer.seats
+            and tail[1] + matrix[tail[0]][rider.destination] <= la
+            and ed + from_origin[head[0]] <= head[1]
+        ]
+        if not slots:
+            continue
         presence = {
-            node: _driver_presence(offer, stops, node, ld_step, matrix)
-            for node in intervals
+            node: _driver_presence(offer, slots, node, matrix) for node in intervals
         }
         for i, j, r_lo, r_hi, steps, cost in candidates:
             heads = presence[j]
             for slot, (d_lo, d_hi) in presence[i].items():
-                if occupancies[slot] >= offer.seats or slot not in heads:
+                if slot not in heads:
                     continue
-                h_lo, h_hi = heads[slot]
-                lo = max(r_lo, d_lo, h_lo - steps)
-                hi = min(r_hi, d_hi, h_hi - steps)
-                for k in range(lo, hi + 1):
-                    k2 = k + steps
-                    signature = ((i, k), (j, k2), offer.id)
-                    if signature in seen_arcs:
-                        continue
-                    seen_arcs.add(signature)
-                    arcs.append(TravelArc((i, k), (j, k2), offer.id, cost))
+                # the head's lower bound never binds: m[a][j] <= m[a][i] + steps
+                lo = max(r_lo, d_lo)
+                hi = min(r_hi, d_hi, heads[slot][1] - steps)
+                # pins in step order keep slots' arcs apart: an arc of a slot
+                # ends by the slot's closing step, where the next slot starts
+                arcs.extend(TravelArc((i, k), (j, k + steps), offer.id, cost)
+                            for k in range(lo, hi + 1))
     arcs.sort(key=lambda a: (a.tail, a.head, a.driver))
     return TimeExpandedNetwork(rider.origin, rider.destination, intervals, arcs)
 
@@ -488,39 +521,129 @@ def _trace(label: _Label) -> Itinerary:
     return Itinerary(tuple(legs), label.cost, label.waits)
 
 
+def _cost_to_go(graph: PrunedGraph, penalty: float) -> dict[Vertex, float]:
+    """Least cost from each vertex to a destination vertex, ignoring drivers
+    (any arc may follow any other) and charging ``penalty`` per wait arc.
+    Every itinerary from a vertex is such a path, so the value is a lower
+    bound on its cost; it is consistent, being a shortest path."""
+    togo: dict[Vertex, float] = {}
+    for vertex in reversed(graph.vertices):
+        best = 0.0 if vertex in graph.dests else INF
+        for head, driver, cost in graph.adjacency[vertex]:
+            best = min(best, (penalty if driver is None else cost) + togo[head])
+        togo[vertex] = best
+    return togo
+
+
+def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) -> float:
+    """The cost of one itinerary as cheap as ``togo`` at the start, or INF.
+
+    The walk takes, at each vertex, an arc that attains ``togo`` there,
+    preferring a wait, then the driver on board, then the first in adjacency
+    order, and stops at the first destination vertex. If the walk would
+    re-board a driver it left, the path is no itinerary and the result is
+    INF, which turns pruning off.
+    """
+    vertex, cost, last, used = graph.start, 0.0, None, set()
+    while vertex not in graph.dests:
+        ties = [(head, driver, arc) for head, driver, arc in graph.adjacency[vertex]
+                if (penalty if driver is None else arc) + togo[head] == togo[vertex]]
+        head, driver, arc = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
+        if driver is None:
+            cost += penalty
+        else:
+            if driver != last and driver in used:
+                return INF
+            cost += arc
+            last = driver
+            used.add(driver)
+        vertex = head
+    return cost
+
+
+def _bucket_order(graph: PrunedGraph) -> dict[Vertex, dict[Optional[int], None]]:
+    """Per vertex, the last drivers whose buckets can exist there, in the
+    order the DP would first reach them if every label could take every arc:
+    a travel arc brings its driver, a wait arc the buckets of its tail. It
+    depends on the graph alone, so pruning cannot change it; without pruning
+    it is, but for arcs that a label's used drivers rule out, the order in
+    which buckets are created."""
+    order: dict[Vertex, dict[Optional[int], None]] = {v: {} for v in graph.vertices}
+    order[graph.start][None] = None
+    for vertex in graph.vertices:
+        lasts = order[vertex]
+        for head, driver, _ in graph.adjacency[vertex]:
+            if driver is None:
+                order[head].update(dict.fromkeys(lasts))
+            else:
+                order[head].setdefault(driver)
+    return order
+
+
 def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     """Minimum-cost itinerary over the pruned graph, or None when infeasible.
 
     Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
     broken toward fewer waits, then fewer legs, then earlier arrival, then
-    the lexicographically smallest driver sequence.
+    the lexicographically smallest driver sequence. Itineraries equal on all
+    five (a different transfer vertex or boarding step) are not ordered: the
+    DP returns the one whose labels came first. It visits vertices in
+    topological (step, node) order, each vertex's (last driver) buckets in
+    ``_bucket_order``, each bucket's labels in insertion order, and each
+    vertex's arcs wait first, then by (head, driver); a new label exactly
+    equal to one already in its bucket is dropped.
+
+    Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
+    the cost from every vertex to a destination, and ``_incumbent`` the cost
+    of one itinerary. An expansion whose cost plus the bound at its head
+    exceeds the incumbent by more than a relative 1e-9 is skipped: it cannot
+    reach any finalist, and a label it would have made could dominate only
+    labels that are pruned too, so the survivors and their order, and hence
+    the result, are those of the unpruned DP. The bucket order is what
+    keeps the order: pruning changes which buckets exist when, so visiting
+    them in creation order could make an exact tie resolve differently.
+    ``_bucket_order`` depends on the graph alone and, in nearly every case,
+    equals the creation order of the DP without pruning.
     """
+    if not 0 <= penalty < INF:
+        raise ValueError("penalty must be non-negative and finite")
     if not graph.feasible:
         return None
+    togo = _cost_to_go(graph, penalty)
+    incumbent = _incumbent(graph, togo, penalty)
+    limit = incumbent * (1 + 1e-9)  # costs are non-negative
     table: dict[Vertex, dict[Optional[int], list[_Label]]] = {
         v: {} for v in graph.vertices
     }
     root = _Label(0.0, 0, 0, None, frozenset(), graph.start)
     table[graph.start][None] = [root]
 
+    order = _bucket_order(graph)
     for vertex in graph.vertices:
-        for bucket in table[vertex].values():
-            for label in list(bucket):
+        buckets = table[vertex]
+        for last in order[vertex]:
+            for label in buckets.get(last, ()):  # heads lie later: none grows
                 for head, driver, cost in graph.adjacency[vertex]:
                     if driver is None:
-                        nxt = _Label(label.cost + penalty, label.waits + 1,
-                                     label.legs, label.last, label.used,
+                        new_cost = label.cost + penalty
+                        if new_cost + togo[head] > limit:
+                            continue
+                        nxt = _Label(new_cost, label.waits + 1,
+                                     label.legs, last, label.used,
                                      head, label, None)
                     else:
-                        if (label.last is not None and driver != label.last
-                                and driver in label.used):
+                        if last is not None and driver != last and driver in label.used:
                             continue
-                        legs = label.legs + (0 if driver == label.last else 1)
-                        nxt = _Label(label.cost + cost, label.waits, legs,
+                        new_cost = label.cost + cost
+                        if new_cost + togo[head] > limit:
+                            continue
+                        legs = label.legs + (0 if driver == last else 1)
+                        nxt = _Label(new_cost, label.waits, legs,
                                      driver, label.used | {driver},
                                      head, label, driver)
                     _insert_label(table[head].setdefault(nxt.last, []), nxt)
 
+    # finalists share one vertex and, with one driver sequence, one bucket
     candidates: list[_Label] = []
     for dest in graph.dests:
         for bucket in table[dest].values():

@@ -8,6 +8,7 @@ tie-break.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,8 +23,9 @@ class CostWeights:
     time: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.toll < 0 or self.time < 0:
-            raise ValueError("cost weights must be non-negative")
+        for name in ("toll", "time"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"weights.{name} must be non-negative and finite")
         if self.toll == 0 and self.time == 0:
             raise ValueError("at least one cost weight must be positive")
 

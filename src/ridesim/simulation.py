@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .agents import Role, TimeWindow, VehicleAgent
+from .agents import Role, VehicleAgent
 from .demand import DemandSpec, fallback_to_driver, free_flow_paths, generate_agents
 from .matching import (
     DriverOffer,
@@ -121,6 +121,15 @@ class Vehicle:
         return self.arrival_time is None and not self.stranded
 
 
+@dataclass(slots=True)
+class _IndexEntry:
+    """A vehicle in the offer index, with its cached offer (see ``_offer``)."""
+
+    vehicle: Vehicle
+    key: Optional[tuple] = None
+    offer: Optional[DriverOffer] = None
+
+
 @dataclass
 class AgentOutcome:
     agent_id: int
@@ -196,7 +205,7 @@ class SimState:
         self.events: list[tuple[float, int, int, object]] = []
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
         self.vehicles: dict[int, Vehicle] = {}
-        self._offer_index: dict[int, Vehicle] = {}  # see collect_offers
+        self._offer_index: dict[int, _IndexEntry] = {}  # see collect_offers
         self.agents: dict[int, VehicleAgent] = {}
         self.rider_board_time: dict[int, float] = {}
         self.rider_alight_time: dict[int, float] = {}
@@ -347,7 +356,7 @@ class SimState:
         vehicle = Vehicle(agent)
         self.vehicles[agent_id] = vehicle
         if agent.role is Role.RIDESHARE_DRIVER:
-            self._offer_index[agent_id] = vehicle
+            self._offer_index[agent_id] = _IndexEntry(vehicle)
             self._plan_initial_route(vehicle, now)
         self._advance(vehicle, now)
 
@@ -423,12 +432,13 @@ class SimState:
         is on), so one past the driver's latest arrival stays past it; and a
         vehicle with no offer can never be given a pin (the commit reads the
         same ``_offer``), so one bound for its destination with no pins left
-        never gets a route past it.
+        never gets a route past it. An index entry also holds the vehicle's
+        cached offer (see ``_offer``), so eviction drops both.
         """
         offers = []
         index = self._offer_index
         for agent_id in sorted(index):
-            vehicle = index[agent_id]
+            vehicle = index[agent_id].vehicle
             offer = self._offer(vehicle) if vehicle.active else None
             if offer is None:
                 del index[agent_id]
@@ -441,10 +451,19 @@ class SimState:
         or None when it has nothing left to offer.
 
         The anchor is where the vehicle is, or the end of the link it is on,
-        with the time it is available there; the window runs from that time
-        to the driver's own latest arrival, and its latest departure is no
-        earlier than the anchor time. The matcher and ``commit_itinerary``
-        both read this one offer.
+        with the step from which it is available there; the schedule runs to
+        the driver's own latest arrival step, and its latest departure step
+        is no earlier than the anchor step. The matcher and
+        ``commit_itinerary`` both read this one offer.
+
+        An indexed vehicle's offer is cached in its index entry under the
+        key (``plan_version``, ``node``, pin count, departed, anchor step),
+        and returned while the key repeats. That is exact: every other
+        field is the driver's own, or the steps above, which round the
+        anchor time up; the pins change only by a pop, which shortens them,
+        or by a commit, which bumps ``plan_version``; and ``aboard`` changes
+        only as a pin is popped. The float anchor time is checked against
+        the latest arrival on every call, before the lookup.
         """
         agent = vehicle.agent
         anchor_time = vehicle.link_arrival_time
@@ -452,24 +471,30 @@ class SimState:
             anchor_time = self.clock
         if anchor_time > agent.window.latest_arrival:
             return None  # already outside its own schedule
+        anchor_step = ceil_steps(anchor_time, self.dt)
+        key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
+               vehicle.departure_time is not None, anchor_step)
+        entry = self._offer_index.get(agent.id)
+        if entry is not None and entry.key == key:
+            return entry.offer
         if vehicle.node == agent.destination and not vehicle.pins:
             return None
-        window = TimeWindow(
-            earliest_departure=anchor_time,
-            latest_departure=max(agent.window.latest_departure, anchor_time),
-            earliest_arrival=agent.window.earliest_arrival,
-            latest_arrival=agent.window.latest_arrival,
-        )
-        return DriverOffer(
+        offer = DriverOffer(
             id=agent.id,
             origin=vehicle.node,
             destination=agent.destination,
-            window=window,
+            anchor_step=anchor_step,
+            latest_departure_step=max(
+                ceil_steps(agent.window.latest_departure, self.dt), anchor_step),
+            latest_arrival_step=ceil_steps(agent.window.latest_arrival, self.dt),
             seats=agent.seats,
             pins=tuple(vehicle.pins),
             aboard=len(vehicle.aboard),
             departed=vehicle.departure_time is not None,
         )
+        if entry is not None:
+            entry.key, entry.offer = key, offer
+        return offer
 
     def commit_itinerary(
         self, rider: RiderRequest, itinerary: Itinerary, tau: dict[int, int]
@@ -496,8 +521,8 @@ class SimState:
             )
             if max(offer.slot_occupancies(new_pins)) > offer.seats:
                 return False
-            ld_step = ceil_steps(offer.window.latest_departure, self.dt)
-            stops = offer.stops(self.dt, new_pins)
+            ld_step = offer.latest_departure_step
+            stops = offer.stops(new_pins)
             route: list[int] = []
             entry_steps: list[int] = []
             cursor = stops[0][1]  # earliest step the vehicle can leave the stop

@@ -4,7 +4,7 @@ import pytest
 
 from ridesim.agents import TimeWindow
 from ridesim.config import bundled_data_path
-from ridesim.matching import DriverOffer, RiderRequest, step_durations
+from ridesim.matching import DriverOffer, RiderRequest, ceil_steps, step_durations
 from ridesim.network import Link, Network, Node, load_network
 from ridesim.routing import dijkstra_route
 
@@ -86,9 +86,9 @@ def random_instance(rng: random.Random):
         path = min_path(o, d)
         return DriverOffer(
             id=10 + i, origin=o, destination=d,
-            window=TimeWindow(start, start + dflex,
-                              start + path.total_time,
-                              start + path.total_time + dflex),
+            anchor_step=ceil_steps(start, DT_EXACT),
+            latest_departure_step=ceil_steps(start + dflex, DT_EXACT),
+            latest_arrival_step=ceil_steps(start + path.total_time + dflex, DT_EXACT),
             seats=rng.randint(1, 2),
         )
 

@@ -165,6 +165,19 @@ BAD_INPUTS = {
     "nan-horizon": ({"horizon": float("nan")}, None, [], "horizon"),
     "nan-dt": ({"dt": float("nan")}, None, [], "dt"),
     "nan-flow-window": ({"flow_window": float("nan")}, None, [], "flow_window"),
+    "nan-penalty": ({"penalty": float("nan")}, None, [], "penalty"),
+    "infinite-penalty": ({"penalty": float("inf")}, None, [], "penalty"),
+    "negative-penalty": ({"penalty": -1.0}, None, [], "penalty"),
+    "nan-bpr-alpha": ({"bpr": {"alpha": float("nan")}}, None, [], "bpr.alpha"),
+    "negative-bpr-alpha": ({"bpr": {"alpha": -0.15}}, None, [], "bpr.alpha"),
+    "nan-bpr-beta": ({"bpr": {"beta": float("nan")}}, None, [], "bpr.beta"),
+    "negative-bpr-beta": ({"bpr": {"beta": -4.0}}, None, [], "bpr.beta"),
+    "nan-toll-weight": ({"weights": {"toll": float("nan")}}, None, [], "weights.toll"),
+    "nan-time-weight": ({"weights": {"time": float("nan")}}, None, [], "weights.time"),
+    "infinite-time-weight": ({"weights": {"time": float("inf")}}, None, [],
+                             "weights.time"),
+    "nan-validation-threshold": ({"validation_error_threshold": float("nan")}, None,
+                                 [], "validation_error_threshold"),
 }
 
 

@@ -51,8 +51,8 @@ def assert_itinerary_invariants(itinerary, rider, offers_by_id, dt):
     # driver window compliance
     for leg in legs:
         offer = offers_by_id[leg.driver]
-        assert leg.board_step >= ceil_steps(offer.window.earliest_departure, dt)
-        assert leg.alight_step <= ceil_steps(offer.window.latest_arrival, dt)
+        assert leg.board_step >= offer.anchor_step
+        assert leg.alight_step <= offer.latest_arrival_step
 
 
 class TestCeilSteps:
@@ -72,7 +72,8 @@ class TestBuildTimeExpanded:
     def test_exact_window_intervals(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.0, 0.72, 0.72), seats=2)
+                             anchor_step=0, latest_departure_step=0,
+                             latest_arrival_step=15, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert ten.node_intervals[0] == (0, 0)
         assert ten.node_intervals[1] == (5, 5)
@@ -82,7 +83,8 @@ class TestBuildTimeExpanded:
     def test_arc_durations_are_rounded_up_travel_times(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.2, 0.72, 1.0), seats=2)
+                             anchor_step=0, latest_departure_step=4,
+                             latest_arrival_step=20, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         for arc in ten.travel_arcs:
             link = next(l for l in testbed.links
@@ -104,15 +106,16 @@ class TestBuildTimeExpanded:
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
         # driver only covers 0->1 within its window
         driver = DriverOffer(id=9, origin=0, destination=1,
-                             window=TimeWindow(0.0, 0.1, 0.22, 0.35), seats=2)
+                             anchor_step=0, latest_departure_step=2,
+                             latest_arrival_step=7, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert {(a.tail[0], a.head[0]) for a in ten.travel_arcs} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.2, 0.72, 1.0), seats=1,
-                             aboard=1)
+                             anchor_step=0, latest_departure_step=4,
+                             latest_arrival_step=20, seats=1, aboard=1)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
 
@@ -120,7 +123,8 @@ class TestBuildTimeExpanded:
         rider = RiderRequest(0, 1, 2, TimeWindow(0.3, 0.6, 0.8, 1.2), 0.3)
         # vehicle full until it drops its rider at node 1 at step 8 (0.4 h)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.2, 0.72, 1.2), seats=1,
+                             anchor_step=0, latest_departure_step=4,
+                             latest_arrival_step=24, seats=1,
                              aboard=1, pins=(Pin(1, 8, "alight", 55),))
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
@@ -131,11 +135,8 @@ def with_pins(rng, offer, net, dt):
     """``offer`` with up to ``seats`` riders aboard, 1-3 board/alight pins in
     step order at random nodes, a later latest arrival so pins can fit, and
     sometimes already underway."""
-    slack = rng.randint(0, 6) * dt
-    window = dataclasses.replace(offer.window,
-                                 latest_arrival=offer.window.latest_arrival + slack)
-    first = ceil_steps(window.earliest_departure, dt)
-    last = ceil_steps(window.latest_arrival, dt)
+    first = offer.anchor_step
+    last = offer.latest_arrival_step + rng.randint(0, 6)
     aboard = rng.randint(0, offer.seats)
     occupancy = aboard
     pins = []
@@ -143,7 +144,7 @@ def with_pins(rng, offer, net, dt):
         action = "alight" if occupancy and rng.random() < 0.5 else "board"
         occupancy += 1 if action == "board" else -1
         pins.append(Pin(rng.choice(net.node_ids()), step, action, 100 + len(pins)))
-    return dataclasses.replace(offer, window=window, pins=tuple(pins),
+    return dataclasses.replace(offer, latest_arrival_step=last, pins=tuple(pins),
                                aboard=aboard, departed=rng.random() < 0.3)
 
 
@@ -186,13 +187,13 @@ def reference_ten(rider, offers, net, tau, dt):
     def driver_at(offer, stops, slot, node, k):
         (a, a_step, _), (b, b_step, _) = stops[slot], stops[slot + 1]
         if (slot == 0 and not offer.departed and node == offer.origin
-                and k > ceil_steps(offer.window.latest_departure, dt)):
+                and k > offer.latest_departure_step):
             return False
         return a_step + m[a][node] <= k <= b_step - m[node][b]
 
     arcs, full = {}, 0
     for offer in offers:
-        stops = offer.stops(dt)
+        stops = offer.stops()
         occupancies = offer.slot_occupancies()
         for slot in range(len(stops) - 1):
             found = [
@@ -235,6 +236,69 @@ class TestMultiSlotArcs:
         assert later_slot_arcs > 0 and full_slots > 0
 
 
+def exactness_instance(seed):
+    """The first ``random_instance`` drawn from ``Random(seed)``; an odd
+    seed also gives the rider slack and the drivers pins."""
+    rng = random.Random(seed)
+    instance = None
+    while instance is None:
+        instance = random_instance(rng)
+    rider, offers, net, tau = instance
+    if seed % 2:
+        rider = with_slack(rng, rider, DT_EXACT)
+        offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
+    return rider, offers, net, tau
+
+
+class TestBoundPruning:
+    PENALTIES = (0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT, 10 * DT_EXACT)
+    # found by search over seeds: if buckets are visited in creation order,
+    # pruning changes which of two exactly tied itineraries it returns
+    # (at penalties 2 dt and 10 dt)
+    CREATION_ORDER_SENSITIVE = 29760
+
+    def test_pruned_equals_unpruned(self, monkeypatch):
+        incumbent = matching._incumbent
+        insert = matching._insert_label
+        pruning = True
+        inserted = {True: 0, False: 0}
+
+        def counting_insert(bucket, label):
+            inserted[pruning] += 1
+            return insert(bucket, label)
+
+        monkeypatch.setattr(matching, "_insert_label", counting_insert)
+        monkeypatch.setattr(matching, "_incumbent",
+                            lambda *args: incumbent(*args) if pruning else matching.INF)
+        solved = 0
+        for seed in [*range(400), self.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            graph = preprocess(build_time_expanded(rider, offers, net, tau, DT_EXACT))
+            for penalty in self.PENALTIES:
+                pruning = True
+                pruned = solve_itinerary(graph, penalty)
+                pruning = False
+                assert pruned == solve_itinerary(graph, penalty), (seed, penalty)
+                solved += pruned is not None
+        assert solved > 500
+        assert inserted[True] < inserted[False]
+
+
+class TestPinChain:
+    def test_decreasing_pin_steps_raise(self):
+        offer = DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
+                            latest_departure_step=0, latest_arrival_step=20, seats=2,
+                            pins=(Pin(1, 9, "board", 5), Pin(2, 8, "alight", 5)))
+        with pytest.raises(ValueError, match="pin steps decrease"):
+            offer.stops()
+        with pytest.raises(ValueError, match="pin steps decrease"):
+            offer.slot_occupancies()
+        unpinned = dataclasses.replace(offer, pins=())
+        assert unpinned.stops() == ((0, 0, False), (2, 20, False))
+        with pytest.raises(ValueError, match="pin steps decrease"):
+            unpinned.stops(offer.pins)
+
+
 class TestMinStepMemo:
     def test_memo_follows_step_durations(self, testbed):
         tau = {link.id: 3 for link in testbed.links}
@@ -274,7 +338,8 @@ class TestPreprocess:
     def test_exact_window_survivors(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.0, 0.72, 0.72), seats=2)
+                             anchor_step=0, latest_departure_step=0,
+                             latest_arrival_step=15, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert graph.feasible
@@ -298,7 +363,8 @@ class TestPreprocess:
     def test_topological_order(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.1), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.2, 0.72, 1.1), seats=2)
+                             anchor_step=0, latest_departure_step=4,
+                             latest_arrival_step=22, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         graph = preprocess(ten)
         position = {v: i for i, v in enumerate(graph.vertices)}
@@ -311,7 +377,8 @@ class TestSolveExamples:
     def test_single_driver_exact_cover(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
         driver = DriverOffer(id=9, origin=0, destination=2,
-                             window=TimeWindow(0.0, 0.0, 0.72, 0.72), seats=2)
+                             anchor_step=0, latest_departure_step=0,
+                             latest_arrival_step=15, seats=2)
         _, graph, itinerary = pipeline(rider, [driver], testbed, free_flow,
                                        dt=0.05, penalty=0.05)
         assert itinerary is not None
@@ -322,9 +389,11 @@ class TestSolveExamples:
     def test_transfer_with_wait_costs_penalty(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.3, 0.72, 1.2), 0.0)
         a = DriverOffer(id=1, origin=0, destination=1,
-                        window=TimeWindow(0.0, 0.0, 0.22, 0.25), seats=2)
+                        anchor_step=0, latest_departure_step=0,
+                        latest_arrival_step=5, seats=2)
         b = DriverOffer(id=2, origin=1, destination=2,
-                        window=TimeWindow(0.30, 0.30, 0.8, 0.82), seats=2)
+                        anchor_step=6, latest_departure_step=6,
+                        latest_arrival_step=17, seats=2)
         _, _, itinerary = pipeline(rider, [a, b], testbed, free_flow,
                                    dt=0.05, penalty=0.05)
         assert itinerary is not None
@@ -335,14 +404,23 @@ class TestSolveExamples:
     def test_faster_of_two_full_covers_wins(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 3, TimeWindow(0.0, 0.4, 0.55, 1.1), 0.0)
         direct = DriverOffer(id=1, origin=0, destination=3,
-                             window=TimeWindow(0.0, 0.1, 0.55, 0.8), seats=2)
+                             anchor_step=0, latest_departure_step=2,
+                             latest_arrival_step=16, seats=2)
         detour = DriverOffer(id=2, origin=0, destination=3,
-                             window=TimeWindow(0.0, 0.4, 0.55, 1.2), seats=2)
+                             anchor_step=0, latest_departure_step=8,
+                             latest_arrival_step=24, seats=2)
         ten = build_time_expanded(rider, [direct, detour], testbed, free_flow, 0.05)
         graph = preprocess(ten)
         itinerary = solve_itinerary(graph, 0.05)
         assert itinerary.legs[0].driver == 1
         assert itinerary.legs[0].alight_step - itinerary.legs[0].board_step == 11
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), -0.05])
+    def test_bad_penalty_rejected(self, testbed, free_flow, penalty):
+        rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
+        _, graph, _ = pipeline(rider, [], testbed, free_flow, dt=0.05, penalty=0.05)
+        with pytest.raises(ValueError, match="penalty"):
+            solve_itinerary(graph, penalty)
 
     def test_empty_graph_returns_none(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
@@ -360,7 +438,8 @@ class TestBruteForce:
     def test_single_arc(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 1, TimeWindow(0.0, 0.0, 0.22, 0.22), 0.0)
         driver = DriverOffer(id=3, origin=0, destination=1,
-                             window=TimeWindow(0.0, 0.0, 0.22, 0.22), seats=1)
+                             anchor_step=0, latest_departure_step=0,
+                             latest_arrival_step=5, seats=1)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert len(ten.travel_arcs) == 1
         itinerary = brute_force_itinerary(ten, 0.05)
@@ -370,7 +449,8 @@ class TestBruteForce:
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.5, 0.72, 1.5), 0.0)
         offers = [
             DriverOffer(id=i, origin=0, destination=2,
-                        window=TimeWindow(0.0, 0.5, 0.72, 1.5), seats=2)
+                        anchor_step=0, latest_departure_step=10,
+                        latest_arrival_step=30, seats=2)
             for i in range(4)
         ]
         ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)

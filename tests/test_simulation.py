@@ -3,6 +3,7 @@ import pytest
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.demand import DemandSpec, Shares
+from ridesim.matching import Pin
 from ridesim.network import LaneClass
 from ridesim.simulation import (
     EV_AGENT_ENTER,
@@ -422,6 +423,69 @@ class TestOfferIndex:
         assert requests > 50
         assert offers > requests
         assert evicted > 0
+
+    def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
+        hits = rebuilt = 0
+        match = simulation.match_rider
+
+        def checked(sim, request):
+            nonlocal hits, rebuilt
+            for entry in sim._offer_index.values():
+                if not entry.vehicle.active:
+                    continue
+                before = entry.offer
+                cached = sim._offer(entry.vehicle)
+                entry.key = None  # the next call builds the offer afresh
+                assert cached == sim._offer(entry.vehicle), request
+                hits += before is not None and cached is before
+                rebuilt += before is not None and cached is not before
+            return match(sim, request)
+
+        monkeypatch.setattr(simulation, "match_rider", checked)
+        for sim in sweep_and_transfer_sims(testbed):
+            sim.run()
+        # offers were reused across requests, and rebuilt as vehicles moved
+        assert hits > 100 and rebuilt > 100
+
+    def test_cache_key_covers_each_change(self):
+        """Links far shorter than a step let every part of the key change
+        alone while the anchor step stays at 1."""
+        from conftest import make_network
+        net = make_network([(0, 1, 0.01), (1, 0, 0.01), (2, 3, 0.5), (1, 2, 0.01)])
+        spec = DemandSpec(od_rates={(0, 3): 0.0}, shares=ALL_REGULAR, horizon=2.0)
+        sim = SimState(network=net, demand=spec, seed=1, horizon=2.0)
+        seed_agent(sim, rideshare(0, 0, 3, t=0.0, fft=0.53))
+        sim.run(horizon=0.0)  # the driver enters and waits at its origin
+        vehicle = sim.vehicles[0]
+        entry = sim._offer_index[0]
+        offers = []
+
+        def offer_at(now):
+            sim.clock = now
+            cached = sim._offer(vehicle)
+            entry.key = None  # the next call builds the offer afresh
+            assert cached == sim._offer(vehicle)
+            offers.append(cached)
+
+        def travel(link_id, now):
+            vehicle.link_arrival_time = None
+            sim.enter_link(vehicle, link_id, now)
+
+        offer_at(0.01)
+        travel(0, 0.01)
+        travel(1, 0.02)
+        offer_at(0.03)  # back at its origin, now departed
+        travel(0, 0.03)
+        offer_at(0.035)  # another node
+        vehicle.pins = [Pin(2, 10, "board", 9), Pin(3, 15, "alight", 9)]
+        vehicle.plan_version += 1
+        offer_at(0.04)  # a commit adds pins
+        vehicle.pins = [Pin(2, 11, "board", 9), Pin(3, 15, "alight", 9)]
+        vehicle.plan_version += 1
+        offer_at(0.04)  # a commit replaces them, keeping their count
+        vehicle.aboard.add(vehicle.pins.pop(0).rider_id)
+        offer_at(0.04)  # a pin is served
+        assert len(set(offers)) == len(offers)
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
         sim = empty_sim(testbed)
