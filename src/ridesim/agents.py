@@ -11,7 +11,7 @@ class Role(str, Enum):
     RIDER = "rider"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeWindow:
     """Schedule flexibility of one trip, all bounds in hours.
 
@@ -34,7 +34,7 @@ class TimeWindow:
             raise ValueError("earliest_departure exceeds latest_arrival")
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleAgent:
     """One traveller: a regular driver, a ridesharing driver, or a rider."""
 

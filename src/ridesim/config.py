@@ -20,7 +20,7 @@ import yaml
 
 from .demand import (DEFAULT_OD_02_DAILY, DEFAULT_SEATS, DemandSpec, Shares,
                      calibrate_od_rates, default_od_pairs)
-from .network import Network, load_network
+from .network import Network, load_network, read_yaml
 from .routing import CostWeights
 
 
@@ -34,6 +34,16 @@ def _require_keys(section: dict, allowed: set[str], context: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
+
+
+def _whole_number(value: object, name: str) -> int:
+    """``value`` as an int; a bool or a number with a fraction is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a whole number, got {value!r}") from exc
 
 
 def _parse_od_key(key: str) -> tuple[int, int]:
@@ -85,7 +95,7 @@ class DemandConfig:
             shares=shares,
             window_flexibility=float(section.get("window_flexibility", 0.25)),
             scale=float(section.get("scale", 0.1)),
-            seats=int(section.get("seats", DEFAULT_SEATS)),
+            seats=_whole_number(section.get("seats", DEFAULT_SEATS), "demand.seats"),
             od_mode=mode,
             explicit_rates=explicit,
             calibration_fixed_daily=fixed,
@@ -154,6 +164,8 @@ class ScenarioConfig:
         for name, value in (("bpr.alpha", self.bpr_alpha), ("bpr.beta", self.bpr_beta)):
             if not 0 <= value < math.inf:
                 raise ConfigError(f"{name} must be non-negative and finite")
+        if not self.levels:
+            raise ConfigError("levels must name at least one level")
         for level in self.levels:
             if not 0.0 <= level <= 1.0:
                 raise ConfigError(f"sweep level {level} outside [0, 1]")
@@ -241,7 +253,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = read_yaml(path)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     _require_keys(raw, _TOP_KEYS, str(path))
@@ -266,8 +278,8 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
                 str(merged.get("network", "la_testbed.yaml")), path.parent
             ),
             horizon=float(merged.get("horizon", 24.0)),
-            seed=int(merged.get("seed", 0)),
-            replications=int(merged.get("replications", 20)),
+            seed=_whole_number(merged.get("seed", 0), "seed"),
+            replications=_whole_number(merged.get("replications", 20), "replications"),
             weights=CostWeights(
                 toll=float(weights_raw.get("toll", 1.0)),
                 time=float(weights_raw.get("time", 1.0)),

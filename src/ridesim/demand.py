@@ -175,46 +175,45 @@ def generate_agents(
     routes = free_flow_paths(network, od_pairs)
     rng = np.random.default_rng(seed)
 
-    arrivals: list[tuple[float, tuple[int, int]]] = []
-    for od in od_pairs:
+    # one block of sorted times per active pair, tagged with its pair index;
+    # the leading empty blocks make zero arrivals an empty schedule
+    time_blocks = [np.empty(0)]
+    pair_blocks = [np.empty(0, dtype=np.intp)]
+    for index, od in enumerate(od_pairs):
         rate = spec.od_rates[od] * spec.scale
         if rate <= 0:
             continue
         count = rng.poisson(rate * spec.horizon)
-        times = np.sort(rng.uniform(0.0, spec.horizon, size=count))
-        arrivals.extend((float(t), od) for t in times)
-    arrivals.sort(key=lambda item: (item[0], item[1]))
+        time_blocks.append(np.sort(rng.uniform(0.0, spec.horizon, size=count)))
+        pair_blocks.append(np.full(count, index, dtype=np.intp))
+    times = np.concatenate(time_blocks)
+    pairs = np.concatenate(pair_blocks)
+    # stable, so ties in time keep the pairs' sorted order: a (time, od) sort
+    order = np.lexsort((pairs, times))
+    times, pairs = times[order], pairs[order]
 
-    role_order = (Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER)
-    draws = rng.random(len(arrivals))
+    draws = rng.random(len(times))
     cut_rider = spec.shares.rider
     cut_driver = cut_rider + spec.shares.rideshare_driver
+    roles = np.where(draws < cut_rider, 0, np.where(draws < cut_driver, 1, 2))
 
-    agents = []
-    for idx, ((time, od), draw) in enumerate(zip(arrivals, draws)):
-        if draw < cut_rider:
-            role = role_order[0]
-        elif draw < cut_driver:
-            role = role_order[1]
-        else:
-            role = role_order[2]
-        fft = routes[od][1]
-        window = TimeWindow(
-            earliest_departure=time,
-            latest_departure=time + spec.window_flexibility,
-            earliest_arrival=time + fft,
-            latest_arrival=time + fft + spec.window_flexibility,
+    fft = np.array([routes[od][1] for od in od_pairs])[pairs]
+    flex = spec.window_flexibility
+    earliest_arrival = times + fft
+    role_order = (Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER)
+    agents = tuple(
+        VehicleAgent(
+            idx, role_order[role], od_pairs[pair][0], od_pairs[pair][1], time,
+            TimeWindow(time, late_dep, early_arr, late_arr),
+            spec.seats if role == 1 else 0,
         )
-        agents.append(VehicleAgent(
-            id=idx,
-            role=role,
-            origin=od[0],
-            destination=od[1],
-            request_time=time,
-            window=window,
-            seats=spec.seats if role is Role.RIDESHARE_DRIVER else 0,
+        for idx, (time, pair, role, late_dep, early_arr, late_arr) in enumerate(zip(
+            times.tolist(), pairs.tolist(), roles.tolist(),
+            (times + flex).tolist(), earliest_arrival.tolist(),
+            (earliest_arrival + flex).tolist(),
         ))
-    return AgentSchedule(tuple(agents))
+    )
+    return AgentSchedule(agents)
 
 
 def fallback_to_driver(rider: VehicleAgent, next_id: int | None = None) -> VehicleAgent:

@@ -420,48 +420,39 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
 
     A vertex survives when it is reachable from the start vertex and reaches
     a destination vertex. The request is feasible iff the start survives:
-    a start that reaches a destination already lies on such a path.
+    a start that reaches a destination already lies on such a path. Every
+    arc raises the step, so (step, node) order is topological: one pass in
+    that order finds what the start reaches, one pass back what of that
+    reaches a destination.
     """
-    all_vertices = set(ten.vertices())
-    start = ten.start_vertex
-    origins = {start} if start is not None else set()
-    dests = set(ten.dest_vertices())
-
+    ordered = sorted(ten.vertices(), key=lambda v: (v[1], v[0]))
     forward: dict[Vertex, list[tuple[Vertex, Optional[int], float]]] = {
-        v: [] for v in all_vertices
+        v: [] for v in ordered
     }
-    backward: dict[Vertex, list[Vertex]] = {v: [] for v in all_vertices}
     for tail, head, driver, cost in _all_arcs(ten):
         forward[tail].append((head, driver, cost))
-        backward[head].append(tail)
 
-    def closure(seeds: set[Vertex], neighbors: dict[Vertex, list[Vertex]]) -> set[Vertex]:
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            v = stack.pop()
-            for nxt in neighbors[v]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+    start = ten.start_vertex
+    reached = {start} if start is not None else set()
+    for v in ordered:
+        if v in reached:
+            reached.update(head for head, _, _ in forward[v])
+    # the heads of a reached vertex are reached, so each reaches a destination
+    # exactly when it survives
+    dests = set(ten.dest_vertices())
+    surviving: set[Vertex] = set()
+    for v in reversed(ordered):
+        if v in reached and (v in dests or any(h in surviving for h, _, _ in forward[v])):
+            surviving.add(v)
 
-    reach_fwd = closure(origins, {v: [h for h, _, _ in forward[v]] for v in all_vertices})
-    reach_bwd = closure(dests, backward)
-    surviving = reach_fwd & reach_bwd
-    removed = all_vertices - surviving
-
-    adjacency = {
-        v: [(h, d, c) for h, d, c in forward[v] if h in surviving]
-        for v in surviving
-    }
-    ordered = sorted(surviving, key=lambda v: (v[1], v[0]))
+    vertices = [v for v in ordered if v in surviving]
     return PrunedGraph(
-        vertices=ordered,
-        adjacency=adjacency,
+        vertices=vertices,
+        adjacency={v: [arc for arc in forward[v] if arc[0] in surviving]
+                   for v in vertices},
         start=start if start in surviving else None,
-        dests={v for v in dests if v in surviving},
-        removed=removed,
+        dests=dests & surviving,
+        removed=set(ordered) - surviving,
     )
 
 

@@ -184,6 +184,16 @@ def _parse_link(entry: dict, index: int) -> Link:
         raise NetworkFormatError(f"links[{index}]: {exc}") from exc
 
 
+# libyaml's parser where PyYAML was built with it; the resolver and the
+# constructor are PyYAML's either way, so the values equal ``yaml.safe_load``'s
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path: Path) -> object:
+    """Parse one YAML file as ``yaml.safe_load`` would; raises ``yaml.YAMLError``."""
+    return yaml.load(path.read_text(), Loader=_YAML_LOADER)
+
+
 def load_network(path: str | Path) -> Network:
     """Load and validate a network file.
 
@@ -193,7 +203,7 @@ def load_network(path: str | Path) -> Network:
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = read_yaml(path)
     except yaml.YAMLError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):

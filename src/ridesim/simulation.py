@@ -201,27 +201,27 @@ class SimState:
         self.unused_capacity = unused_capacity
 
         self.clock = 0.0
-        self._seq = 0
-        self.events: list[tuple[float, int, int, object]] = []
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, _IndexEntry] = {}  # see collect_offers
-        self.agents: dict[int, VehicleAgent] = {}
         self.rider_board_time: dict[int, float] = {}
         self.rider_alight_time: dict[int, float] = {}
         self.match_results: dict[int, MatchResult] = {}
         self.match_trace: list[dict] = []
-        self._next_agent_id = 0
 
-        seq = np.random.SeedSequence(seed)
-        demand_seed, background_seed = seq.spawn(2)
+        demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
         self.schedule = generate_agents(demand, network, demand_seed)
         self._background_rng = np.random.default_rng(background_seed)
 
-        for agent in self.schedule.agents:
-            self.agents[agent.id] = agent
-            self.push_event(agent.request_time, EV_AGENT_ENTER, agent.id)
-        self._next_agent_id = len(self.schedule.agents)
+        # agents come sorted by time with ids 0..n-1, so with seq = id the
+        # entries are sorted by (time, seq): already a heap, as n pushes give
+        agents = self.schedule.agents
+        self.agents: dict[int, VehicleAgent] = {agent.id: agent for agent in agents}
+        self.events: list[tuple[float, int, int, object]] = [
+            (agent.request_time, seq, EV_AGENT_ENTER, agent.id)
+            for seq, agent in enumerate(agents)
+        ]
+        self._seq = self._next_agent_id = len(agents)
 
         if unused_capacity < 1.0:
             inject_background_carpool_load(self, unused_capacity)

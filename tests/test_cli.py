@@ -74,6 +74,15 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "error: --levels:" in capsys.readouterr().err
 
+    def test_empty_levels_usage_error(self, quick_sweep_config, tmp_path, capsys):
+        raw = yaml.safe_load(Path(quick_sweep_config).read_text())
+        raw["levels"] = []
+        empty = tmp_path / "empty_levels.yaml"
+        empty.write_text(yaml.safe_dump(raw))
+        assert main(["sweep", "--config", str(empty)]) == EXIT_USAGE
+        assert "levels" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
     def test_byte_identical_reruns(self, quick_sweep_config, tmp_path):
         argv = ["sweep", "--config", str(quick_sweep_config), "--levels", "1.0"]
         assert main(argv) == EXIT_OK
@@ -159,6 +168,14 @@ BAD_INPUTS = {
                              [], "2->0"),
     "unknown-od-node": ({"demand": {"od_rates": {"0-9": 1.0}}}, None,
                         [], "0->9"),
+    "fractional-seats": ({"demand": {"seats": 2.5, "shares": RIDESHARE_SHARES}},
+                         None, [], "demand.seats"),
+    "bool-seats": ({"demand": {"seats": True, "shares": RIDESHARE_SHARES}},
+                   None, [], "demand.seats"),
+    "fractional-replications": ({"replications": 2.7}, None, [], "replications"),
+    "bool-replications": ({"replications": True}, None, [], "replications"),
+    "fractional-seed": ({"seed": 1.5}, None, [], "seed"),
+    "bool-seed": ({"seed": True}, None, [], "seed"),
     "negative-seed": ({"seed": -1}, None, [], "seed"),
     "negative-seed-flag": ({}, None, ["--seed", "-1"], "seed"),
     "infinite-horizon": ({"horizon": float("inf")}, None, [], "horizon"),
@@ -199,3 +216,16 @@ def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys)
     bad.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["config", "network"])
+def test_unparsable_yaml_usage_error(broken, quick_config, tmp_path, capsys):
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    net = tmp_path / "net.yaml"
+    net.write_text("nodes: [0, 1\nlinks: []\n" if broken == "network"
+                   else bundled_data_path("la_testbed.yaml").read_text())
+    raw["network"] = str(net)
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(raw) + ("horizon: [1.5\n" if broken == "config" else ""))
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    assert str(net if broken == "network" else config) in capsys.readouterr().err

@@ -56,6 +56,14 @@ class TestLoadConfig:
         cfg = load_config(minimal, overrides={"seed": 99})
         assert cfg.seed == 99
 
+    def test_whole_floats_are_integers(self, tmp_path):
+        path = tmp_path / "whole.yaml"
+        path.write_text("seed: 3.0\nreplications: 2.0\ndemand:\n  seats: 2.0\n")
+        cfg = load_config(path)
+        values = (cfg.seed, cfg.replications, cfg.demand_config.seats)
+        assert values == (3, 2, 2)
+        assert all(type(v) is int for v in values)
+
     def test_bad_level_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("levels: [2.0]\n")

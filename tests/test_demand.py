@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import make_network
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.demand import (
     DemandError,
@@ -11,11 +12,63 @@ from ridesim.demand import (
     calibrate_od_rates,
     default_od_pairs,
     fallback_to_driver,
+    free_flow_paths,
     generate_agents,
 )
 
 SWEEP_SHARES = Shares(0.10, 0.40, 0.50)
 ALL_REGULAR = Shares(0.0, 0.0, 1.0)
+
+
+def reference_agents(spec, network, seed):
+    """``generate_agents`` as one loop per arrival, the same random draws."""
+    od_pairs = sorted(spec.od_rates)
+    routes = free_flow_paths(network, od_pairs)
+    rng = np.random.default_rng(seed)
+    arrivals = []
+    for od in od_pairs:
+        rate = spec.od_rates[od] * spec.scale
+        if rate <= 0:
+            continue
+        count = rng.poisson(rate * spec.horizon)
+        times = np.sort(rng.uniform(0.0, spec.horizon, size=count))
+        arrivals.extend((float(t), od) for t in times)
+    arrivals.sort(key=lambda item: (item[0], item[1]))
+    draws = rng.random(len(arrivals))
+    cut_rider = spec.shares.rider
+    cut_driver = cut_rider + spec.shares.rideshare_driver
+    agents = []
+    for idx, ((time, od), draw) in enumerate(zip(arrivals, draws)):
+        if draw < cut_rider:
+            role = Role.RIDER
+        elif draw < cut_driver:
+            role = Role.RIDESHARE_DRIVER
+        else:
+            role = Role.REGULAR_DRIVER
+        fft = routes[od][1]
+        window = TimeWindow(
+            earliest_departure=time,
+            latest_departure=time + spec.window_flexibility,
+            earliest_arrival=time + fft,
+            latest_arrival=time + fft + spec.window_flexibility,
+        )
+        agents.append(VehicleAgent(
+            id=idx, role=role, origin=od[0], destination=od[1],
+            request_time=time, window=window,
+            seats=spec.seats if role is Role.RIDESHARE_DRIVER else 0,
+        ))
+    return tuple(agents)
+
+
+def grid_network(size=4):
+    """Directed size x size grid, links east and south, 0.125 h each."""
+    links = []
+    for node in range(size * size):
+        if node % size + 1 < size:
+            links.append((node, node + 1, 0.125))
+        if node + size < size * size:
+            links.append((node, node + size, 0.125))
+    return make_network(links)
 
 
 class TestShares:
@@ -131,6 +184,57 @@ class TestGenerateAgents:
         counts = [len(generate_agents(spec, testbed, s)) for s in range(200)]
         mean = np.mean(counts)
         assert 60 - 3 * math.sqrt(60 / 200) * 3 <= mean <= 60 + math.sqrt(60 / 200) * 9
+
+    @pytest.mark.parametrize("case", [
+        "grid", "calibrated", "zero-rate-pair", "all-zero", "scale-0", "all-riders",
+    ])
+    def test_equals_per_arrival_reference(self, testbed, case):
+        network = testbed
+        if case == "grid":
+            network = grid_network()
+            spec = DemandSpec({od: 3.5 for od in default_od_pairs(network)},
+                              Shares(0.25, 0.5, 0.25), window_flexibility=0.3,
+                              horizon=4.0, seats=3)
+        elif case == "calibrated":
+            from ridesim.config import bundled_data_path, load_config
+            rates = load_config(bundled_data_path("validation.yaml")).demand_spec(
+                testbed).od_rates
+            spec = DemandSpec(rates, SWEEP_SHARES, horizon=6.0, scale=0.1)
+        elif case == "zero-rate-pair":
+            spec = DemandSpec({(0, 1): 0.0, (0, 2): 200.0, (1, 3): 150.0},
+                              SWEEP_SHARES, horizon=4.0)
+        elif case == "all-zero":
+            spec = DemandSpec({(0, 2): 0.0, (1, 3): 0.0}, SWEEP_SHARES)
+        elif case == "scale-0":
+            spec = self.spec(scale=0.0)
+        else:
+            spec = self.spec(shares=Shares(1.0, 0.0, 0.0))
+        for seed in (1, 2, 3):
+            agents = generate_agents(spec, network, seed).agents
+            reference = reference_agents(spec, network, seed)
+            assert agents == reference
+            assert repr(agents) == repr(reference)  # same field types too
+        assert (len(agents) > 100) == (case not in ("all-zero", "scale-0"))
+
+    def test_equal_times_keep_pair_order(self, testbed, monkeypatch):
+        # with times rounded to quarter hours many arrivals tie: a tie must
+        # keep the (time, O-D pair) order of the per-arrival sort
+        make_rng = np.random.default_rng
+
+        class CoarseTimes:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+                self.poisson, self.random = self.rng.poisson, self.rng.random
+
+            def uniform(self, low, high, size):
+                return np.floor(self.rng.uniform(low, high, size) * 4) / 4
+
+        monkeypatch.setattr(np.random, "default_rng", CoarseTimes)
+        spec = self.spec(horizon=2.0)
+        agents = generate_agents(spec, testbed, 4).agents
+        assert agents == reference_agents(spec, testbed, 4)
+        times = [a.request_time for a in agents]
+        assert len(set(times)) < len(times) / 10
 
     def test_disconnected_od_rejected(self, testbed):
         spec = DemandSpec(od_rates={(2, 0): 10.0}, shares=ALL_REGULAR)

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 import ridesim.simulation as simulation
@@ -7,6 +9,7 @@ from ridesim.matching import Pin
 from ridesim.network import LaneClass
 from ridesim.simulation import (
     EV_AGENT_ENTER,
+    EV_BACKGROUND,
     SimState,
     SimulationError,
     carpool_background_rates,
@@ -347,6 +350,24 @@ class TestInitSimulation:
         sim = init_simulation(config, testbed, seed=7)
         assert sim.clock == 0.0
         assert sim.events
+
+    @pytest.mark.parametrize("unused", [1.0, 0.25])
+    def test_initial_events_pop_as_pushed(self, testbed, unused):
+        # agent entries are laid down as a ready heap, not pushed one by one
+        demand = DemandSpec(od_rates={(0, 2): 100.0, (1, 2): 200.0},
+                            shares=Shares(0.1, 0.4, 0.5), horizon=4.0)
+        sim = SimState(network=testbed, demand=demand, seed=2, horizon=4.0,
+                       unused_capacity=unused)
+        kinds = [kind for _, _, kind, _ in sim.events]
+        assert kinds.count(EV_AGENT_ENTER) == len(sim.agents) > 100
+        assert (EV_BACKGROUND in kinds) == (unused < 1.0)
+        pushed = empty_sim(testbed)
+        for time, _, kind, payload in sorted(sim.events, key=lambda e: e[1]):
+            pushed.push_event(time, kind, payload)
+        ready = list(sim.events)
+        assert ([heapq.heappop(ready) for _ in range(len(kinds))]
+                == [heapq.heappop(pushed.events) for _ in range(len(kinds))])
+        assert sim._seq == pushed._seq
 
     def test_match_trace_collected(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
