@@ -12,6 +12,7 @@ from pathlib import Path
 from .config import ConfigError, ScenarioConfig, bundled_data_path, load_config
 from .demand import DemandError
 from .experiments import (
+    ALPHA,
     ExperimentError,
     run_capacity_sweep,
     run_single,
@@ -33,9 +34,13 @@ def _load(args, default_name: str) -> ScenarioConfig:
     config_path = args.config
     if config_path is None:
         config_path = bundled_data_path(default_name)
-    overrides = {"seed": args.seed, "output_dir": args.out}
-    if getattr(args, "replications", None) is not None:
-        overrides["replications"] = args.replications
+    overrides = {"seed": args.seed, "output_dir": args.out,
+                 "replications": getattr(args, "replications", None)}
+    if getattr(args, "levels", None):
+        try:
+            overrides["levels"] = [float(x) for x in args.levels.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--levels: {exc}") from exc
     return load_config(config_path, overrides)
 
 
@@ -48,7 +53,7 @@ def cmd_validate(args) -> int:
     print(f"mean absolute error: {report.mean_absolute_error:.6f} "
           f"(threshold {config.validation_error_threshold})")
     print(f"chi-squared: {report.chi_squared:.4f} vs critical "
-          f"{report.critical_value:.4f} at alpha={report.alpha} -> "
+          f"{report.critical_value:.4f} at alpha={ALPHA} -> "
           f"{'reject' if report.reject else 'cannot reject'}")
     ok = (not report.reject
           and report.mean_absolute_error <= config.validation_error_threshold)
@@ -57,13 +62,7 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load(args, "sweep.yaml")
-    levels = None
-    if args.levels:
-        try:
-            levels = tuple(float(x) for x in args.levels.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"--levels: {exc}") from exc
-    report = run_capacity_sweep(config, levels=levels)
+    report = run_capacity_sweep(config)
     outdir = Path(config.output_dir)
     report.write_csv(outdir / "sweep.csv")
     report.write_meta(outdir / "sweep_meta.json")

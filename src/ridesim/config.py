@@ -46,6 +46,16 @@ def _whole_number(value: object, name: str) -> int:
         raise ConfigError(f"{name} must be a whole number, got {value!r}") from exc
 
 
+def _number(value: object, name: str) -> float:
+    """``value`` as a float; a bool is an error, not 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _parse_od_key(key: str) -> tuple[int, int]:
     try:
         origin, dest = key.split("-")
@@ -60,8 +70,7 @@ class DemandConfig:
     window_flexibility: float
     scale: float
     seats: int
-    od_mode: str                                  # "calibrated" | "explicit"
-    explicit_rates: dict[tuple[int, int], float]  # hourly, explicit mode
+    explicit_rates: Optional[dict[tuple[int, int], float]]  # hourly; None: calibrated
     calibration_fixed_daily: dict[tuple[int, int], float]
 
     @staticmethod
@@ -74,29 +83,32 @@ class DemandConfig:
         _require_keys(shares_raw, {"rider", "rideshare_driver", "regular_driver"},
                       "demand.shares")
         shares = Shares(
-            rider=float(shares_raw.get("rider", 0.0)),
-            rideshare_driver=float(shares_raw.get("rideshare_driver", 0.0)),
-            regular_driver=float(shares_raw.get("regular_driver", 1.0)),
+            rider=_number(shares_raw.get("rider", 0.0), "demand.shares.rider"),
+            rideshare_driver=_number(shares_raw.get("rideshare_driver", 0.0),
+                                     "demand.shares.rideshare_driver"),
+            regular_driver=_number(shares_raw.get("regular_driver", 1.0),
+                                   "demand.shares.regular_driver"),
         )
         od_rates = section.get("od_rates", "calibrated")
         if od_rates == "calibrated":
-            mode, explicit = "calibrated", {}
+            explicit = None
         elif isinstance(od_rates, dict):
-            mode = "explicit"
-            explicit = {_parse_od_key(k): float(v) for k, v in od_rates.items()}
+            explicit = {_parse_od_key(k): _number(v, f"demand.od_rates.{k}")
+                        for k, v in od_rates.items()}
         else:
             raise ConfigError("demand.od_rates must be 'calibrated' or a map")
         fixed_raw = section.get("calibration_fixed_daily",
                                 {"0-2": DEFAULT_OD_02_DAILY})
         if not isinstance(fixed_raw, dict):
             raise ConfigError("demand.calibration_fixed_daily must be a mapping")
-        fixed = {_parse_od_key(k): float(v) for k, v in fixed_raw.items()}
+        fixed = {_parse_od_key(k): _number(v, f"demand.calibration_fixed_daily.{k}")
+                 for k, v in fixed_raw.items()}
         return DemandConfig(
             shares=shares,
-            window_flexibility=float(section.get("window_flexibility", 0.25)),
-            scale=float(section.get("scale", 0.1)),
+            window_flexibility=_number(section.get("window_flexibility", 0.25),
+                                       "demand.window_flexibility"),
+            scale=_number(section.get("scale", 0.1), "demand.scale"),
             seats=_whole_number(section.get("seats", DEFAULT_SEATS), "demand.seats"),
-            od_mode=mode,
             explicit_rates=explicit,
             calibration_fixed_daily=fixed,
         )
@@ -111,7 +123,7 @@ class DemandConfig:
             "window_flexibility": self.window_flexibility,
             "scale": self.scale,
             "seats": self.seats,
-            "od_rates": ("calibrated" if self.od_mode == "calibrated" else
+            "od_rates": ("calibrated" if self.explicit_rates is None else
                          {f"{o}-{d}": r for (o, d), r in sorted(self.explicit_rates.items())}),
             "calibration_fixed_daily": {
                 f"{o}-{d}": v for (o, d), v in sorted(self.calibration_fixed_daily.items())
@@ -173,10 +185,16 @@ class ScenarioConfig:
     # ------------------------------------------------------------ resolution
 
     def make_network(self) -> Network:
-        return load_network(self.network_path)
+        """The scenario's network; background load below full unused
+        capacity needs a carpool lane to run on."""
+        network = load_network(self.network_path)
+        if self.unused_capacity < 1.0 and not network.carpool_links():
+            raise ConfigError(f"unused_capacity {self.unused_capacity} < 1 needs a "
+                              f"carpool-lane link, and {self.network_path} has none")
+        return network
 
     def demand_spec(self, network: Network) -> DemandSpec:
-        if self.demand_config.od_mode == "explicit":
+        if self.demand_config.explicit_rates is not None:
             rates = dict(self.demand_config.explicit_rates)
         else:
             targets = {l.id: l.observed_daily_flow for l in network.links}
@@ -202,9 +220,6 @@ class ScenarioConfig:
                           regular_driver=regular),
         )
         return dataclasses.replace(self, demand_config=new_demand)
-
-    def with_updates(self, **kwargs) -> "ScenarioConfig":
-        return dataclasses.replace(self, **kwargs)
 
     # ----------------------------------------------------------- fingerprint
 
@@ -277,25 +292,27 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
             network_path=_resolve_network_path(
                 str(merged.get("network", "la_testbed.yaml")), path.parent
             ),
-            horizon=float(merged.get("horizon", 24.0)),
+            horizon=_number(merged.get("horizon", 24.0), "horizon"),
             seed=_whole_number(merged.get("seed", 0), "seed"),
             replications=_whole_number(merged.get("replications", 20), "replications"),
             weights=CostWeights(
-                toll=float(weights_raw.get("toll", 1.0)),
-                time=float(weights_raw.get("time", 1.0)),
+                toll=_number(weights_raw.get("toll", 1.0), "weights.toll"),
+                time=_number(weights_raw.get("time", 1.0), "weights.time"),
             ),
-            bpr_alpha=float(bpr_raw.get("alpha", 0.15)),
-            bpr_beta=float(bpr_raw.get("beta", 4.0)),
-            dt=float(merged.get("dt", 0.05)),
-            penalty=None if penalty is None else float(penalty),
-            flow_window=float(merged.get("flow_window", 0.25)),
-            unused_capacity=float(merged.get("unused_capacity", 1.0)),
-            validation_error_threshold=float(
-                merged.get("validation_error_threshold", 0.01)
+            bpr_alpha=_number(bpr_raw.get("alpha", 0.15), "bpr.alpha"),
+            bpr_beta=_number(bpr_raw.get("beta", 4.0), "bpr.beta"),
+            dt=_number(merged.get("dt", 0.05), "dt"),
+            penalty=None if penalty is None else _number(penalty, "penalty"),
+            flow_window=_number(merged.get("flow_window", 0.25), "flow_window"),
+            unused_capacity=_number(merged.get("unused_capacity", 1.0),
+                                    "unused_capacity"),
+            validation_error_threshold=_number(
+                merged.get("validation_error_threshold", 0.01),
+                "validation_error_threshold",
             ),
             output_dir=Path(merged.get("output_dir", "out")),
             demand_config=DemandConfig.from_mapping(merged.get("demand", {})),
-            levels=tuple(float(x) for x in levels),
+            levels=tuple(_number(x, "levels") for x in levels),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

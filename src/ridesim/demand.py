@@ -19,6 +19,7 @@ from .routing import dijkstra_route
 
 DEFAULT_OD_02_DAILY = 26660.0  # free split of the shared-corridor demand
 DEFAULT_SEATS = 4
+CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
 
 
 class DemandError(ValueError):
@@ -66,14 +67,6 @@ class DemandSpec:
                 raise DemandError(f"degenerate O-D pair {od}")
 
 
-@dataclass(frozen=True)
-class AgentSchedule:
-    agents: tuple[VehicleAgent, ...]  # ordered by arrival time
-
-    def __len__(self) -> int:
-        return len(self.agents)
-
-
 def free_flow_paths(
     network: Network, od_pairs: list[tuple[int, int]]
 ) -> dict[tuple[int, int], tuple[tuple[int, ...], float]]:
@@ -94,7 +87,6 @@ def calibrate_od_rates(
     target_daily_flows: dict[int, float],
     od_pairs: list[tuple[int, int]] | None = None,
     fixed_daily: dict[tuple[int, int], float] | None = None,
-    tolerance: float = 1e-6,
 ) -> dict[tuple[int, int], float]:
     """Invert observed daily link flows into hourly O-D rates.
 
@@ -133,13 +125,13 @@ def calibrate_od_rates(
 
     solution, *_ = np.linalg.lstsq(incidence, rhs, rcond=None)
     residual = incidence @ solution - rhs
-    if np.max(np.abs(residual)) > tolerance:
+    if np.max(np.abs(residual)) > CALIBRATION_TOLERANCE:
         detail = {link_ids[i]: float(residual[i]) for i in range(len(link_ids))
-                  if abs(residual[i]) > tolerance}
+                  if abs(residual[i]) > CALIBRATION_TOLERANCE}
         raise DemandError(f"calibration residuals exceed tolerance: {detail}")
-    if np.min(solution) < -tolerance:
+    if np.min(solution) < -CALIBRATION_TOLERANCE:
         negatives = {free[i]: float(solution[i]) for i in range(len(free))
-                     if solution[i] < -tolerance}
+                     if solution[i] < -CALIBRATION_TOLERANCE}
         raise DemandError(f"calibration produced negative rates: {negatives}")
 
     daily = dict(fixed_daily)
@@ -163,8 +155,9 @@ def default_od_pairs(network: Network) -> list[tuple[int, int]]:
 
 def generate_agents(
     spec: DemandSpec, network: Network, seed: "int | np.random.SeedSequence"
-) -> AgentSchedule:
-    """Materialize the arrival schedule for one replication.
+) -> tuple[VehicleAgent, ...]:
+    """Materialize the arrival schedule for one replication, ordered by
+    arrival time with ids 0..n-1.
 
     Arrivals are Poisson per O-D pair at ``scale * rate``; roles follow the
     participation shares; windows give every agent ``window_flexibility``
@@ -201,7 +194,7 @@ def generate_agents(
     flex = spec.window_flexibility
     earliest_arrival = times + fft
     role_order = (Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER)
-    agents = tuple(
+    return tuple(
         VehicleAgent(
             idx, role_order[role], od_pairs[pair][0], od_pairs[pair][1], time,
             TimeWindow(time, late_dep, early_arr, late_arr),
@@ -213,15 +206,15 @@ def generate_agents(
             (earliest_arrival + flex).tolist(),
         ))
     )
-    return AgentSchedule(agents)
 
 
-def fallback_to_driver(rider: VehicleAgent, next_id: int | None = None) -> VehicleAgent:
-    """Convert an unmatched rider into a regular driver with the same trip."""
+def fallback_to_driver(rider: VehicleAgent, next_id: int) -> VehicleAgent:
+    """Convert an unmatched rider into a regular driver with the same trip,
+    under the fresh agent id ``next_id``."""
     if rider.role is not Role.RIDER:
         raise ValueError(f"agent {rider.id} is not a rider")
     return VehicleAgent(
-        id=rider.id if next_id is None else next_id,
+        id=next_id,
         role=Role.REGULAR_DRIVER,
         origin=rider.origin,
         destination=rider.destination,

@@ -9,6 +9,7 @@ match rate.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,10 @@ from .config import ScenarioConfig
 from .network import Network, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
 from .simulation import SimReport, SimState, init_simulation
+
+
+ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
+SWEEP_SHARES = (0.10, 0.40, 0.50)  # (rider, rideshare, regular) in the sweep
 
 
 class ExperimentError(ValueError):
@@ -34,7 +39,7 @@ def replication_seeds(base_seed: int, count: int) -> list[int]:
 def chi_squared_gof(
     observed: dict[int, float],
     expected_proportions: dict[int, float],
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
 ) -> tuple[float, float, bool]:
     """Pearson goodness-of-fit: (statistic, critical value, reject).
 
@@ -69,9 +74,7 @@ class ValidationReport:
     chi_squared: float
     degrees_of_freedom: int
     critical_value: float
-    alpha: float
     reject: bool
-    replications: int
     seeds: tuple[int, ...]
     fingerprint: str
 
@@ -96,20 +99,15 @@ class ValidationReport:
             "chi_squared": self.chi_squared,
             "degrees_of_freedom": self.degrees_of_freedom,
             "critical_value": self.critical_value,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "reject": self.reject,
-            "replications": self.replications,
+            "replications": len(self.seeds),
             "seeds": list(self.seeds),
             "config_fingerprint": self.fingerprint,
         })
 
 
-def run_validation(
-    config: ScenarioConfig,
-    replications: int | None = None,
-    seed: int | None = None,
-    alpha: float = 0.05,
-) -> ValidationReport:
+def run_validation(config: ScenarioConfig) -> ValidationReport:
     """Reproduce the baseline traffic validation against observed flows.
 
     Ridesharing is disabled (all agents regular drivers) so the test
@@ -120,9 +118,7 @@ def run_validation(
     if any(l.observed_daily_flow <= 0 for l in network.links):
         raise ExperimentError("every link needs a positive observed_daily_flow")
     base = config.with_shares(0.0, 0.0, 1.0)
-    replications = replications if replications is not None else config.replications
-    seeds = replication_seeds(seed if seed is not None else config.seed,
-                              replications)
+    seeds = replication_seeds(config.seed, config.replications)
 
     real = flow_distribution(
         {l.id: l.observed_daily_flow for l in network.links}
@@ -139,8 +135,8 @@ def run_validation(
     simulated = flow_distribution(totals)
     errors = [abs(real[l] - simulated[l]) for l in sorted(real)]
     # test the replication-averaged counts: one representative run's volume
-    mean_counts = {l: c / replications for l, c in totals.items()}
-    statistic, critical, reject = chi_squared_gof(mean_counts, real, alpha)
+    mean_counts = {l: c / config.replications for l, c in totals.items()}
+    statistic, critical, reject = chi_squared_gof(mean_counts, real)
     return ValidationReport(
         link_ids=tuple(sorted(real)),
         real_proportions=real,
@@ -149,9 +145,7 @@ def run_validation(
         chi_squared=statistic,
         degrees_of_freedom=len(real) - 1,
         critical_value=critical,
-        alpha=alpha,
         reject=reject,
-        replications=replications,
         seeds=tuple(seeds),
         fingerprint=base.fingerprint(),
     )
@@ -172,7 +166,6 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     seeds: tuple[int, ...]
     fingerprint: str
-    shares: tuple[float, float, float]
 
     def write_csv(self, path: Path) -> None:
         write_csv_atomic(
@@ -187,7 +180,7 @@ class SweepReport:
         write_json_atomic(path, {
             "seeds": list(self.seeds),
             "config_fingerprint": self.fingerprint,
-            "shares": list(self.shares),
+            "shares": list(SWEEP_SHARES),
             "rows": [
                 {
                     "unused_capacity": r.unused_fraction,
@@ -199,36 +192,22 @@ class SweepReport:
         })
 
 
-SWEEP_SHARES = (0.10, 0.40, 0.50)
-
-
-def run_capacity_sweep(
-    config: ScenarioConfig,
-    levels: tuple[float, ...] | None = None,
-    replications: int | None = None,
-    seed: int | None = None,
-) -> SweepReport:
+def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     """Match-rate response to carpool-lane background load.
 
     Participation shares are fixed at (rider, rideshare, regular) =
     (0.10, 0.40, 0.50); each replication index reuses the same seed across
-    levels so level differences are paired. Rows keep the given level order.
+    levels so level differences are paired. Rows keep ``config.levels`` order.
     """
-    levels = tuple(levels if levels is not None else config.levels)
-    for level in levels:
-        if not 0.0 <= level <= 1.0:
-            raise ExperimentError(f"unused-capacity level {level} outside [0, 1]")
     network = config.make_network()
     if not network.carpool_links():
         raise ExperimentError("capacity sweep needs a carpool-lane link")
     base = config.with_shares(*SWEEP_SHARES)
-    replications = replications if replications is not None else config.replications
-    seeds = replication_seeds(seed if seed is not None else config.seed,
-                              replications)
+    seeds = replication_seeds(config.seed, config.replications)
 
     rows = []
-    for level in levels:
-        scenario = base.with_updates(unused_capacity=level)
+    for level in config.levels:
+        scenario = dataclasses.replace(base, unused_capacity=level)
         rates = []
         riders = 0
         for rep_seed in seeds:
@@ -239,12 +218,11 @@ def run_capacity_sweep(
         mean = float(np.mean(rates)) if rates else 0.0
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"
-        rows.append(SweepRow(level, replications, mean, std, riders, warning))
+        rows.append(SweepRow(level, config.replications, mean, std, riders, warning))
     return SweepReport(
         rows=tuple(rows),
         seeds=tuple(seeds),
         fingerprint=base.fingerprint(),
-        shares=SWEEP_SHARES,
     )
 
 

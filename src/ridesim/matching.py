@@ -116,13 +116,11 @@ class DriverOffer:
     departed: bool = False
 
     @cached_property
-    def _own_chain(self) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
-        return self._chain(self.pins)
-
-    def _chain(self, pins: Sequence[Pin]) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
-        """(stops, slot occupancies) of the chain through ``pins``; raises
-        ValueError when the pins' steps decrease or an occupancy goes
-        negative, since neither can come from a valid commit."""
+    def _chain(self) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
+        """(stops, slot occupancies) of the chain through the pins, derived
+        once; raises ValueError when the pins' steps decrease or an
+        occupancy goes negative, since neither can come from a valid commit."""
+        pins = self.pins
         if any(a.step > b.step for a, b in zip(pins, pins[1:])):
             raise ValueError(f"driver {self.id}: pin steps decrease in pin chain")
         stops = [(self.origin, self.anchor_step, False)]
@@ -135,23 +133,18 @@ class DriverOffer:
         stops.append((self.destination, self.latest_arrival_step, False))
         return tuple(stops), tuple(occs)
 
-    def slot_occupancies(self, pins: Optional[Sequence[Pin]] = None) -> tuple[int, ...]:
-        """Riders on board within each inter-pin segment (pins split slots).
+    def slot_occupancies(self) -> tuple[int, ...]:
+        """Riders on board within each inter-pin segment (pins split slots)."""
+        return self._chain[1]
 
-        ``pins`` replaces the offer's own pins, as in ``stops``.
-        """
-        return (self._own_chain if pins is None else self._chain(pins))[1]
-
-    def stops(self, pins: Optional[Sequence[Pin]] = None) -> tuple[Stop, ...]:
+    def stops(self) -> tuple[Stop, ...]:
         """The driver's schedule as (node, deadline step, holds) stops.
 
         The anchor comes first at its available step, then each pin at its
         pinned step, then the destination by the latest-arrival step. A
         boarding stop holds the vehicle until its step; other stops do not.
-        ``pins`` replaces the offer's own pins (a commit checks a candidate
-        chain). The offer's own chain is derived once and shared.
         """
-        return (self._own_chain if pins is None else self._chain(pins))[0]
+        return self._chain[0]
 
 
 @dataclass(frozen=True)

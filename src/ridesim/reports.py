@@ -4,8 +4,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 
 def fmt(value) -> str:
@@ -19,31 +20,32 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_csv_atomic(path: Path, header: Sequence[str],
-                     rows: Iterable[Sequence]) -> None:
+@contextmanager
+def _atomic_text(path: Path) -> Iterator[IO[str]]:
+    """A text handle on a temporary file beside ``path``, with ``\\n`` line
+    ends. The file replaces ``path`` when the block exits cleanly and is
+    removed when it raises, so readers see the old file or the whole new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(fmt(v) for v in row) + "\n")
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv_atomic(path: Path, header: Sequence[str],
+                     rows: Iterable[Sequence]) -> None:
+    with _atomic_text(path) as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def write_json_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_text(path) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -17,6 +17,7 @@ randomness drawn from generators seeded per replication.
 """
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
@@ -198,7 +199,6 @@ class SimState:
         self.penalty = penalty if penalty is not None else weights.time * dt
         self.flow_window = flow_window
         self.horizon = horizon
-        self.unused_capacity = unused_capacity
 
         self.clock = 0.0
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
@@ -210,12 +210,11 @@ class SimState:
         self.match_trace: list[dict] = []
 
         demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
-        self.schedule = generate_agents(demand, network, demand_seed)
+        agents = generate_agents(demand, network, demand_seed)
         self._background_rng = np.random.default_rng(background_seed)
 
         # agents come sorted by time with ids 0..n-1, so with seq = id the
         # entries are sorted by (time, seq): already a heap, as n pushes give
-        agents = self.schedule.agents
         self.agents: dict[int, VehicleAgent] = {agent.id: agent for agent in agents}
         self.events: list[tuple[float, int, int, object]] = [
             (agent.request_time, seq, EV_AGENT_ENTER, agent.id)
@@ -519,10 +518,11 @@ class SimState:
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)],
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
-            if max(offer.slot_occupancies(new_pins)) > offer.seats:
+            candidate = dataclasses.replace(offer, pins=tuple(new_pins))
+            if max(candidate.slot_occupancies()) > offer.seats:
                 return False
             ld_step = offer.latest_departure_step
-            stops = offer.stops(new_pins)
+            stops = candidate.stops()
             route: list[int] = []
             entry_steps: list[int] = []
             cursor = stops[0][1]  # earliest step the vehicle can leave the stop

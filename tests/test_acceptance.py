@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion
 summary lines. Every tolerance is pinned here, not configurable.
 """
+import dataclasses
 import itertools
 import random
 import time
@@ -151,7 +152,8 @@ def test_criterion_5_capacity_sweep_trend():
     started = time.monotonic()
     config = load_config(bundled_data_path("sweep.yaml"))
     assert config.replications == 20
-    report = run_capacity_sweep(config, levels=(1.0, 0.75, 0.5, 0.25))
+    assert config.levels == (1.0, 0.75, 0.5, 0.25)
+    report = run_capacity_sweep(config)
     elapsed = time.monotonic() - started
     rates = [row.mean_match_rate for row in report.rows]
     monotone = all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
@@ -169,7 +171,8 @@ def test_criterion_6_carpool_calibration_anchor():
     # anchor property of the background injection itself, so ridesharing is
     # disabled: matched HOV trips would ride on top of the calibrated stream
     config = load_config(bundled_data_path("sweep.yaml"))
-    baseline = config.with_shares(0.0, 0.0, 1.0).with_updates(unused_capacity=0.25)
+    baseline = dataclasses.replace(config.with_shares(0.0, 0.0, 1.0),
+                                   unused_capacity=0.25)
     network = baseline.make_network()
     lanes = network.link(2).general_lanes
     carpool, general = [], []

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(empty)]) == EXIT_USAGE
         assert "levels" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_fingerprint_follows_levels_flag(self, quick_sweep_config, tmp_path):
+        fingerprints = []
+        for levels in ("1.0", "0.5"):
+            out = tmp_path / levels
+            assert main(["sweep", "--config", str(quick_sweep_config),
+                         "--levels", levels, "--out", str(out)]) == EXIT_OK
+            meta = json.loads((out / "sweep_meta.json").read_text())
+            fingerprints.append(meta["config_fingerprint"])
+        assert fingerprints[0] != fingerprints[1]
 
     def test_byte_identical_reruns(self, quick_sweep_config, tmp_path):
         argv = ["sweep", "--config", str(quick_sweep_config), "--levels", "1.0"]
@@ -195,6 +206,15 @@ BAD_INPUTS = {
                              "weights.time"),
     "nan-validation-threshold": ({"validation_error_threshold": float("nan")}, None,
                                  [], "validation_error_threshold"),
+    "bool-horizon": ({"horizon": True}, None, [], "horizon"),
+    "bool-dt": ({"dt": True}, None, [], "dt"),
+    "bool-time-weight": ({"weights": {"time": True}}, None, [], "weights.time"),
+    "bool-level": ({"levels": [True, 0.5]}, None, [], "levels"),
+    "bool-scale": ({"demand": {"scale": True}}, None, [], "demand.scale"),
+    "bool-share": ({"demand": {"shares": {"rider": True, "regular_driver": 0.0}}},
+                   None, [], "demand.shares.rider"),
+    "bool-od-rate": ({"demand": {"od_rates": {"0-2": True}}}, None, [],
+                     "demand.od_rates.0-2"),
 }
 
 
@@ -216,6 +236,21 @@ def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys)
     bad.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_background_needs_carpool_lane(command, quick_config, tmp_path, capsys):
+    net = yaml.safe_load(bundled_data_path("la_testbed.yaml").read_text())
+    for link in net["links"]:
+        link["has_carpool_lane"] = False
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    raw["network"] = str(tmp_path / "no_carpool.yaml")
+    raw["unused_capacity"] = 0.5
+    Path(raw["network"]).write_text(yaml.safe_dump(net))
+    config = tmp_path / "background.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert main([command, "--config", str(config)]) == EXIT_USAGE
+    assert "unused_capacity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("broken", ["config", "network"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 import yaml
 
@@ -90,7 +92,7 @@ class TestFingerprint:
 
     def test_sensitive_to_values(self, minimal):
         base = load_config(minimal)
-        assert base.fingerprint() != base.with_updates(dt=0.1).fingerprint()
+        assert base.fingerprint() != dataclasses.replace(base, dt=0.1).fingerprint()
         assert base.fingerprint() != base.with_shares(0.1, 0.4, 0.5).fingerprint()
 
 

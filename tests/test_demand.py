@@ -138,14 +138,14 @@ class TestGenerateAgents:
         spec = self.spec()
         a = generate_agents(spec, testbed, 77)
         b = generate_agents(spec, testbed, 77)
-        assert [x.request_time for x in a.agents] == [x.request_time for x in b.agents]
-        assert [x.role for x in a.agents] == [x.role for x in b.agents]
+        assert [x.request_time for x in a] == [x.request_time for x in b]
+        assert [x.role for x in a] == [x.role for x in b]
 
     def test_seed_sensitivity(self, testbed):
         spec = self.spec()
         a = generate_agents(spec, testbed, 1)
         b = generate_agents(spec, testbed, 2)
-        assert [x.request_time for x in a.agents] != [x.request_time for x in b.agents]
+        assert [x.request_time for x in a] != [x.request_time for x in b]
 
     def test_role_counts_within_3_sigma(self, testbed):
         spec = self.spec(horizon=8.0, scale=3.0)  # ~10k agents
@@ -153,7 +153,7 @@ class TestGenerateAgents:
         n = len(schedule)
         assert n > 5000
         counts = {role: 0 for role in Role}
-        for agent in schedule.agents:
+        for agent in schedule:
             counts[agent.role] += 1
         for role, share in ((Role.RIDER, 0.10),
                             (Role.RIDESHARE_DRIVER, 0.40),
@@ -163,7 +163,7 @@ class TestGenerateAgents:
 
     def test_windows_admit_free_flow_trip(self, testbed):
         spec = self.spec(horizon=2.0)
-        for agent in generate_agents(spec, testbed, 5).agents:
+        for agent in generate_agents(spec, testbed, 5):
             w = agent.window
             assert w.earliest_departure == agent.request_time
             assert w.latest_departure >= w.earliest_departure
@@ -174,7 +174,7 @@ class TestGenerateAgents:
     def test_arrivals_sorted_and_capped(self, testbed):
         spec = self.spec(horizon=3.0)
         schedule = generate_agents(spec, testbed, 11)
-        times = [a.request_time for a in schedule.agents]
+        times = [a.request_time for a in schedule]
         assert times == sorted(times)
         assert all(0.0 <= t <= 3.0 for t in times)
 
@@ -210,7 +210,7 @@ class TestGenerateAgents:
         else:
             spec = self.spec(shares=Shares(1.0, 0.0, 0.0))
         for seed in (1, 2, 3):
-            agents = generate_agents(spec, network, seed).agents
+            agents = generate_agents(spec, network, seed)
             reference = reference_agents(spec, network, seed)
             assert agents == reference
             assert repr(agents) == repr(reference)  # same field types too
@@ -231,7 +231,7 @@ class TestGenerateAgents:
 
         monkeypatch.setattr(np.random, "default_rng", CoarseTimes)
         spec = self.spec(horizon=2.0)
-        agents = generate_agents(spec, testbed, 4).agents
+        agents = generate_agents(spec, testbed, 4)
         assert agents == reference_agents(spec, testbed, 4)
         times = [a.request_time for a in agents]
         assert len(set(times)) < len(times) / 10
@@ -249,7 +249,7 @@ class TestFallback:
                             request_time=1.0, window=window)
 
     def test_copies_trip(self):
-        driver = fallback_to_driver(self.make_rider())
+        driver = fallback_to_driver(self.make_rider(), next_id=8)
         assert driver.role is Role.REGULAR_DRIVER
         assert (driver.origin, driver.destination) == (0, 2)
         assert driver.request_time == 1.0
@@ -263,4 +263,4 @@ class TestFallback:
                              destination=3, request_time=0.0,
                              window=TimeWindow(0.0, 0.0, 0.55, 0.55))
         with pytest.raises(ValueError):
-            fallback_to_driver(agent)
+            fallback_to_driver(agent, next_id=2)

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from ridesim.config import bundled_data_path, load_config
+from ridesim.config import ConfigError, bundled_data_path, load_config
 from ridesim.experiments import (
     ExperimentError,
     chi_squared_gof,
@@ -14,13 +16,13 @@ from ridesim.experiments import (
 def quick_validation_config(tmp_path_factory):
     # shrunk validation scenario: enough vehicles to be meaningful, fast to run
     cfg = load_config(bundled_data_path("validation.yaml"))
-    return cfg.with_updates(horizon=2.0, replications=3)
+    return dataclasses.replace(cfg, horizon=2.0, replications=3)
 
 
 @pytest.fixture(scope="module")
 def quick_sweep_config():
     cfg = load_config(bundled_data_path("sweep.yaml"))
-    return cfg.with_updates(horizon=2.0, replications=2)
+    return dataclasses.replace(cfg, horizon=2.0, replications=2)
 
 
 class TestChiSquared:
@@ -99,16 +101,16 @@ class TestValidation:
             "  - {id: 0, from: 0, to: 1, length: 10.0, free_flow_time: 0.2,\n"
             "     has_carpool_lane: true}\n"
         )
-        bad = quick_validation_config.with_updates(network_path=net_file)
+        bad = dataclasses.replace(quick_validation_config, network_path=net_file)
         with pytest.raises(ExperimentError, match="observed_daily_flow"):
             run_validation(bad)
 
 
 class TestSweep:
     def test_rows_ordered_and_reproducible(self, quick_sweep_config):
-        levels = (1.0, 0.25)
-        a = run_capacity_sweep(quick_sweep_config, levels=levels)
-        b = run_capacity_sweep(quick_sweep_config, levels=levels)
+        config = dataclasses.replace(quick_sweep_config, levels=(1.0, 0.25))
+        a = run_capacity_sweep(config)
+        b = run_capacity_sweep(config)
         assert [r.unused_fraction for r in a.rows] == [1.0, 0.25]
         assert [r.mean_match_rate for r in a.rows] == \
                [r.mean_match_rate for r in b.rows]
@@ -116,21 +118,23 @@ class TestSweep:
         assert a.fingerprint == b.fingerprint
 
     def test_match_rates_within_bounds(self, quick_sweep_config):
-        report = run_capacity_sweep(quick_sweep_config, levels=(1.0,))
+        report = run_capacity_sweep(dataclasses.replace(quick_sweep_config,
+                                                        levels=(1.0,)))
         for row in report.rows:
             assert 0.0 <= row.mean_match_rate <= 1.0
 
     def test_zero_riders_flagged(self, quick_sweep_config):
-        tiny = quick_sweep_config.with_updates(horizon=0.01)
-        report = run_capacity_sweep(tiny, levels=(1.0,), replications=1)
+        tiny = dataclasses.replace(quick_sweep_config, horizon=0.01,
+                                   levels=(1.0,), replications=1)
+        report = run_capacity_sweep(tiny)
         row = report.rows[0]
         if row.riders == 0:
             assert row.warning == "no riders generated"
             assert row.mean_match_rate == 0.0
 
     def test_level_outside_range_rejected(self, quick_sweep_config):
-        with pytest.raises(ExperimentError):
-            run_capacity_sweep(quick_sweep_config, levels=(1.5,))
+        with pytest.raises(ConfigError, match="1.5 outside"):
+            dataclasses.replace(quick_sweep_config, levels=(1.5,))
 
     def test_network_without_carpool_rejected(self, quick_sweep_config, tmp_path):
         net_file = tmp_path / "nocarpool.yaml"
@@ -140,6 +144,6 @@ class TestSweep:
             "  - {id: 0, from: 0, to: 1, length: 10.0, free_flow_time: 0.2,\n"
             "     has_carpool_lane: false, observed_daily_flow: 100}\n"
         )
-        bad = quick_sweep_config.with_updates(network_path=net_file)
+        bad = dataclasses.replace(quick_sweep_config, network_path=net_file)
         with pytest.raises(ExperimentError, match="carpool"):
             run_capacity_sweep(bad)

@@ -296,7 +296,7 @@ class TestPinChain:
         unpinned = dataclasses.replace(offer, pins=())
         assert unpinned.stops() == ((0, 0, False), (2, 20, False))
         with pytest.raises(ValueError, match="pin steps decrease"):
-            unpinned.stops(offer.pins)
+            dataclasses.replace(unpinned, pins=offer.pins).stops()
 
 
 class TestMinStepMemo:

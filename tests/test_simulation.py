@@ -414,6 +414,82 @@ class TestMatchRetry:
         assert solved > 50
 
 
+class TestCommitRejections:
+    """Each way ``commit_itinerary`` refuses a hand-built itinerary, on a live
+    simulation at free flow (link steps 0->1: 5, 1->2: 10), leaving every
+    driver's plan and the event queue as they were."""
+
+    @staticmethod
+    def plans(sim):
+        drivers = {
+            agent_id: (list(v.pins), list(v.route), list(v.planned_entry_steps),
+                       v.route_pos, v.plan_version)
+            for agent_id, v in sim.vehicles.items()
+        }
+        return drivers, list(sim.events)
+
+    @staticmethod
+    def commit(sim, rider_id, *legs):
+        from ridesim.matching import Itinerary, ItineraryLeg, RiderRequest
+
+        agent = rider(rider_id, legs[0][1], legs[-1][3], t=sim.clock, fft=0.72)
+        request = RiderRequest(rider_id, agent.origin, agent.destination,
+                               agent.window, agent.request_time)
+        itinerary = Itinerary(tuple(ItineraryLeg(*leg) for leg in legs), 0.0, 0)
+        tau = sim.matching_steps()
+        assert (tau[1], tau[2]) == (5, 10)
+        return sim.commit_itinerary(request, itinerary, tau)
+
+    def assert_refused(self, sim, rider_id, *legs):
+        before = self.plans(sim)
+        assert self.commit(sim, rider_id, *legs) is False
+        assert self.plans(sim) == before
+
+    def test_second_leg_driver_without_offer(self, testbed):
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 1, t=0.0, fft=0.22, flex=2.0))
+        seed_agent(sim, rideshare(1, 1, 2, t=0.0, fft=0.5, flex=0.0))
+        sim.run(horizon=0.6)  # driver 1 arrives at 0.5 h; driver 0 still waits
+        assert not sim.vehicles[1].active and sim.vehicles[0].active
+        first = (0, 0, 12, 1, 17)
+        self.assert_refused(sim, 9, first, (1, 1, 17, 2, 27))
+        assert self.commit(sim, 9, first) is True  # the first leg alone fits
+
+    def test_seat_overflow(self, testbed):
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72, seats=1))
+        sim.run(horizon=0.0)
+        assert self.commit(sim, 8, (0, 0, 0, 2, 15)) is True
+        self.assert_refused(sim, 9, (0, 0, 0, 2, 15))
+
+    def test_stop_no_path_reaches(self, testbed):
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
+        sim.run(horizon=0.0)
+        self.assert_refused(sim, 9, (0, 2, 15, 3, 18))  # node 2 has no way out
+
+    def test_stop_reached_after_its_step(self, testbed):
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
+        sim.run(horizon=0.0)
+        self.assert_refused(sim, 9, (0, 1, 4, 2, 14))  # node 1 is 5 steps away
+
+    def test_departure_after_latest_departure(self, testbed, monkeypatch):
+        """``_offer`` keeps the latest departure step at or after the anchor
+        step, so only an offer that does not clamp it reaches this branch."""
+        import dataclasses
+
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
+        sim.run(horizon=0.0)
+        sim.clock = 0.1  # step 2: the driver waits at its origin until step 6
+        offer = sim._offer(sim.vehicles[0])
+        assert not offer.departed and offer.anchor_step == 2
+        late = dataclasses.replace(offer, latest_departure_step=1)
+        monkeypatch.setattr(sim, "_offer", lambda vehicle: late)
+        self.assert_refused(sim, 9, (0, 1, 10, 2, 20))
+
+
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed):
         requests = offers = evicted = 0
