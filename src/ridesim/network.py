@@ -14,9 +14,6 @@ import yaml
 
 MAX_FREE_FLOW_SPEED_MPH = 100.0
 
-BPR_ALPHA_DEFAULT = 0.15
-BPR_BETA_DEFAULT = 4.0
-
 
 class LaneClass(str, Enum):
     GENERAL = "general"
@@ -230,13 +227,8 @@ def flow_distribution(counts: dict[int, float]) -> dict[int, float]:
     return {link_id: count / total for link_id, count in counts.items()}
 
 
-def volume_delay(
-    link: Link,
-    lane_class: LaneClass,
-    flow: float,
-    alpha: float = BPR_ALPHA_DEFAULT,
-    beta: float = BPR_BETA_DEFAULT,
-) -> float:
+def volume_delay(link: Link, lane_class: LaneClass, flow: float,
+                 alpha: float, beta: float) -> float:
     """Congested travel time (hours) for ``flow`` vehicles/hour on one lane class.
 
     BPR form: free_flow_time * (1 + alpha * (flow / capacity) ** beta) with

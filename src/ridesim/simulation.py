@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .agents import Role, VehicleAgent
-from .demand import DemandSpec, fallback_to_driver, free_flow_paths, generate_agents
+from .config import ScenarioConfig
+from .demand import fallback_to_driver, free_flow_paths, generate_agents
 from .matching import (
     DriverOffer,
     Itinerary,
@@ -38,7 +39,7 @@ from .matching import (
     step_durations,
 )
 from .network import LaneClass, Network, volume_delay
-from .routing import CostWeights, dijkstra_route
+from .routing import dijkstra_route
 
 # event kinds, ordered only for readability; queue order is (time, seq)
 EV_AGENT_ENTER = 0
@@ -77,11 +78,13 @@ class LinkState:
         return len(entries) / window_hours
 
     def record_entry(self, lane_class: LaneClass, now: float, background: bool) -> None:
+        """Count an entry; only a vehicle's is in flight until its exit."""
         self.window[lane_class].append(now)
-        self.counts[lane_class] += 1
         self.totals[lane_class] += 1
         if background:
             self.background_totals[lane_class] += 1
+        else:
+            self.counts[lane_class] += 1
 
     def record_exit(self, lane_class: LaneClass) -> None:
         self.counts[lane_class] -= 1
@@ -168,37 +171,23 @@ class SimReport:
 
 
 class SimState:
-    """One replication's full mutable state; see ``init_simulation``."""
+    """One replication's full mutable state. Every setting comes from a
+    ``ScenarioConfig`` that ``load_config`` has validated; none is checked
+    again here. Construction draws the agents of ``config.demand_spec`` and,
+    below full unused carpool capacity, schedules the background carpool
+    load, each from its own stream of ``seed``."""
 
-    def __init__(
-        self,
-        network: Network,
-        demand: DemandSpec,
-        seed: int,
-        weights: CostWeights = CostWeights(),
-        bpr_alpha: float = 0.15,
-        bpr_beta: float = 4.0,
-        dt: float = 0.05,
-        penalty: Optional[float] = None,
-        flow_window: float = 0.25,
-        horizon: float = 24.0,
-        unused_capacity: float = 1.0,
-    ):
-        if horizon <= 0:
-            raise SimulationError("horizon must be positive")
-        if dt <= 0:
-            raise SimulationError("dt must be positive")
-        if not 0.0 <= unused_capacity <= 1.0:
-            raise SimulationError("unused_capacity must lie in [0, 1]")
+    def __init__(self, config: ScenarioConfig, network: Network, seed: int):
         self.network = network
-        self.demand = demand
-        self.weights = weights
-        self.bpr_alpha = bpr_alpha
-        self.bpr_beta = bpr_beta
-        self.dt = dt
-        self.penalty = penalty if penalty is not None else weights.time * dt
-        self.flow_window = flow_window
-        self.horizon = horizon
+        self.demand = config.demand_spec(network)
+        self.weights = config.weights
+        self.bpr_alpha = config.bpr_alpha
+        self.bpr_beta = config.bpr_beta
+        self.dt = config.dt
+        self.penalty = (config.weights.time * config.dt if config.penalty is None
+                        else config.penalty)
+        self.flow_window = config.flow_window
+        self.horizon = config.horizon
 
         self.clock = 0.0
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
@@ -210,8 +199,7 @@ class SimState:
         self.match_trace: list[dict] = []
 
         demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
-        agents = generate_agents(demand, network, demand_seed)
-        self._background_rng = np.random.default_rng(background_seed)
+        agents = generate_agents(self.demand, network, demand_seed)
 
         # agents come sorted by time with ids 0..n-1, so with seq = id the
         # entries are sorted by (time, seq): already a heap, as n pushes give
@@ -222,8 +210,23 @@ class SimState:
         ]
         self._seq = self._next_agent_id = len(agents)
 
-        if unused_capacity < 1.0:
-            inject_background_carpool_load(self, unused_capacity)
+        if config.unused_capacity < 1.0:
+            self._schedule_background(config.unused_capacity,
+                                      np.random.default_rng(background_seed))
+
+    def _schedule_background(self, unused_capacity: float,
+                             rng: np.random.Generator) -> None:
+        """Schedule pass-through carpool-lane entries that use
+        ``1 - unused_capacity`` of each carpool lane's calibrated capacity."""
+        rates = carpool_background_rates(
+            self.network, self.demand.od_rates, self.demand.scale, unused_capacity)
+        for link_id in sorted(rates):
+            rate = rates[link_id]
+            if rate <= 0:
+                continue
+            count = rng.poisson(rate * self.horizon)
+            for t in np.sort(rng.uniform(0.0, self.horizon, size=count)):
+                self.push_event(float(t), EV_BACKGROUND, link_id)
 
     # ------------------------------------------------------------------ events
 
@@ -237,10 +240,8 @@ class SimState:
 
     def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:
         flow = self.link_states[link_id].hourly_flow(lane_class, now, self.flow_window)
-        return volume_delay(
-            self.network.link(link_id), lane_class, flow,
-            alpha=self.bpr_alpha, beta=self.bpr_beta,
-        )
+        return volume_delay(self.network.link(link_id), lane_class, flow,
+                            self.bpr_alpha, self.bpr_beta)
 
     def route_cost_fn(self, now: float) -> Callable:
         """Generalized toll + travel-time cost snapshot for replanning."""
@@ -411,12 +412,10 @@ class SimState:
             return  # superseded by a later matching commit
         self._advance(vehicle, now)
 
-    def _handle_background(self, payload: tuple, now: float) -> None:
-        link_id = payload[0]
-        delay = self.link_delay(link_id, LaneClass.CARPOOL, now)
+    def _handle_background(self, link_id: int, now: float) -> None:
+        # background traffic only loads the entry window that BPR reads; it
+        # has no vehicle, so it needs no exit
         self.link_states[link_id].record_entry(LaneClass.CARPOOL, now, background=True)
-        # background traffic has no vehicle; its exit carries the id -1
-        self.push_event(now + delay, EV_ARRIVE_NODE, (-1, link_id, LaneClass.CARPOOL))
 
     # --------------------------------------------------------------- matching
 
@@ -538,10 +537,10 @@ class SimState:
                     return False
                 depart = cursor
                 if idx == 0 and not offer.departed:
-                    # not yet underway: leave just in time, within the window
+                    # not yet underway: leave just in time, within the window;
+                    # cursor is the anchor step and _offer keeps ld_step at or
+                    # after it, so depart never exceeds ld_step
                     depart = max(cursor, min(to_step - travel, ld_step))
-                    if links and depart > ld_step:
-                        return False
                 step = depart
                 for lid in links:
                     route.append(lid)
@@ -576,10 +575,7 @@ class SimState:
             if kind == EV_AGENT_ENTER:
                 self._handle_agent_enter(payload, time)
             elif kind == EV_ARRIVE_NODE:
-                if payload[0] < 0:
-                    self.link_states[payload[1]].record_exit(payload[2])
-                else:
-                    self._handle_arrive(payload, time)
+                self._handle_arrive(payload, time)
             elif kind == EV_DEPART_NODE:
                 self._handle_depart(payload, time)
             elif kind == EV_BACKGROUND:
@@ -632,24 +628,13 @@ class SimState:
         )
 
 
-def init_simulation(
-    config, network: Network, seed: int
-) -> SimState:
-    """Construct a ready-to-run SimState from a scenario configuration."""
-    demand = config.demand_spec(network)
-    return SimState(
-        network=network,
-        demand=demand,
-        seed=seed,
-        weights=config.weights,
-        bpr_alpha=config.bpr_alpha,
-        bpr_beta=config.bpr_beta,
-        dt=config.dt,
-        penalty=config.penalty,
-        flow_window=config.flow_window,
-        horizon=config.horizon,
-        unused_capacity=config.unused_capacity,
-    )
+def init_simulation(config: ScenarioConfig, network: Network, seed: int) -> SimState:
+    """One replication of a validated scenario, ready to run.
+
+    The experiments build every replication here, and the benchmark times
+    set-up by wrapping this function, so it stays the one entry point.
+    """
+    return SimState(config, network, seed)
 
 
 def assigned_link_rates(
@@ -684,27 +669,3 @@ def carpool_background_rates(
         calibrated_capacity = per_lane / 0.75
         out[link.id] = (1.0 - unused_fraction) * calibrated_capacity
     return out
-
-
-def inject_background_carpool_load(sim: SimState, unused_fraction: float) -> None:
-    """Schedule pass-through carpool-lane traffic consuming the given share
-    of each carpool lane's calibrated capacity (see
-    ``carpool_background_rates``)."""
-    if not 0.0 <= unused_fraction <= 1.0:
-        raise ValueError("unused_fraction must lie in [0, 1]")
-    if not sim.network.carpool_links():
-        raise SimulationError("network has no carpool-lane link")
-    if unused_fraction >= 1.0:
-        return
-    rates = carpool_background_rates(
-        sim.network, sim.demand.od_rates, sim.demand.scale, unused_fraction
-    )
-    rng = sim._background_rng
-    for link_id in sorted(rates):
-        rate = rates[link_id]
-        if rate <= 0:
-            continue
-        count = rng.poisson(rate * sim.horizon)
-        times = np.sort(rng.uniform(0.0, sim.horizon, size=count))
-        for t in times:
-            sim.push_event(float(t), EV_BACKGROUND, (link_id,))

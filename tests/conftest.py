@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ridesim.agents import TimeWindow
-from ridesim.config import bundled_data_path
+from ridesim.config import ScenarioConfig, bundled_data_path, load_config
 from ridesim.matching import DriverOffer, RiderRequest, ceil_steps, step_durations
 from ridesim.network import Link, Network, Node, load_network
 from ridesim.routing import dijkstra_route
@@ -22,6 +22,23 @@ def testbed() -> Network:
 def free_flow(testbed):
     """Free-flow link steps at dt = 0.05, the step the testbed tests use."""
     return step_durations(testbed, lambda lid: testbed.link(lid).free_flow_time, 0.05)
+
+
+def scenario(horizon: float, od_rates: dict[tuple[int, int], float],
+             shares=(0.0, 0.0, 1.0), **changes) -> ScenarioConfig:
+    """The bundled validation scenario over ``horizon`` hours with explicit
+    hourly O-D rates at scale 1 and (rider, rideshare, regular) ``shares``;
+    ``changes`` set other top-level keys. It passes ``load_config``'s checks,
+    as every scenario a simulation is built from does."""
+    rider, rideshare, regular = shares
+    demand = {
+        "shares": {"rider": rider, "rideshare_driver": rideshare,
+                   "regular_driver": regular},
+        "scale": 1.0,
+        "od_rates": {f"{o}-{d}": rate for (o, d), rate in od_rates.items()},
+    }
+    return load_config(bundled_data_path("validation.yaml"),
+                       {"horizon": horizon, "demand": demand, **changes})
 
 
 def make_network(links: list[tuple[int, int, float]]) -> Network:

@@ -189,9 +189,14 @@ BAD_INPUTS = {
     "bool-seed": ({"seed": True}, None, [], "seed"),
     "negative-seed": ({"seed": -1}, None, [], "seed"),
     "negative-seed-flag": ({}, None, ["--seed", "-1"], "seed"),
+    "zero-horizon": ({"horizon": 0}, None, [], "horizon"),
     "infinite-horizon": ({"horizon": float("inf")}, None, [], "horizon"),
     "nan-horizon": ({"horizon": float("nan")}, None, [], "horizon"),
+    "zero-dt": ({"dt": 0}, None, [], "dt"),
     "nan-dt": ({"dt": float("nan")}, None, [], "dt"),
+    "unused-capacity-above-one": ({"unused_capacity": 1.5}, None, [], "unused_capacity"),
+    "negative-unused-capacity": ({"unused_capacity": -0.1}, None, [],
+                                 "unused_capacity"),
     "nan-flow-window": ({"flow_window": float("nan")}, None, [], "flow_window"),
     "nan-penalty": ({"penalty": float("nan")}, None, [], "penalty"),
     "infinite-penalty": ({"penalty": float("inf")}, None, [], "penalty"),

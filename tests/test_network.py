@@ -12,6 +12,8 @@ from ridesim.network import (
     volume_delay,
 )
 
+BPR = (0.15, 4.0)  # the (alpha, beta) of every bundled scenario
+
 
 def write_net(tmp_path, body: str):
     path = tmp_path / "net.yaml"
@@ -129,25 +131,25 @@ class TestVolumeDelay:
     def test_zero_flow_fixed_point(self, testbed):
         for link in testbed.links:
             for lane_class in LaneClass:
-                assert volume_delay(link, lane_class, 0.0) == link.free_flow_time
+                assert volume_delay(link, lane_class, 0.0, *BPR) == link.free_flow_time
 
     def test_general_at_capacity(self, testbed):
         link = testbed.link(1)
         flow = link.general_lanes * link.lane_capacity
-        assert volume_delay(link, LaneClass.GENERAL, flow) == pytest.approx(0.253)
+        assert volume_delay(link, LaneClass.GENERAL, flow, *BPR) == pytest.approx(0.253)
 
     def test_carpool_half_capacity(self, testbed):
         link = testbed.link(2)
-        value = volume_delay(link, LaneClass.CARPOOL, 0.5 * link.lane_capacity)
+        value = volume_delay(link, LaneClass.CARPOOL, 0.5 * link.lane_capacity, *BPR)
         assert value == pytest.approx(0.5046875)
 
     def test_negative_flow_rejected(self, testbed):
         with pytest.raises(ValueError):
-            volume_delay(testbed.link(0), LaneClass.GENERAL, -1.0)
+            volume_delay(testbed.link(0), LaneClass.GENERAL, -1.0, *BPR)
 
     @given(st.floats(0, 5e4, allow_nan=False), st.floats(0, 5e4, allow_nan=False))
     def test_monotone_in_flow(self, testbed, f1, f2):
         lo, hi = sorted((f1, f2))
         for link in testbed.links:
-            assert (volume_delay(link, LaneClass.GENERAL, lo)
-                    <= volume_delay(link, LaneClass.GENERAL, hi))
+            assert (volume_delay(link, LaneClass.GENERAL, lo, *BPR)
+                    <= volume_delay(link, LaneClass.GENERAL, hi, *BPR))

@@ -3,20 +3,18 @@ import random
 
 import pytest
 
-from ridesim.demand import DemandSpec, Shares
 from ridesim.network import LaneClass, Link, Network, Node, volume_delay
 from ridesim.routing import CostWeights, dijkstra_route
 from ridesim.simulation import SimState
 
-from conftest import make_network
+from conftest import make_network, scenario
 
 
 def route_costs(network: Network, flows=None, weights=CostWeights()):
     """``SimState.route_cost_fn`` at t=0, with ``flows[link_id]`` vehicles/hour
     in each listed link's general-lane flow window."""
-    spec = DemandSpec(od_rates={}, shares=Shares(0.0, 0.0, 1.0), horizon=1.0)
-    sim = SimState(network=network, demand=spec, seed=0, weights=weights,
-                   horizon=1.0)
+    config = scenario(1.0, {}, weights={"toll": weights.toll, "time": weights.time})
+    sim = SimState(config, network, seed=0)
     for link_id, flow in (flows or {}).items():
         sim.link_states[link_id].window[LaneClass.GENERAL].extend(
             [0.0] * round(flow * sim.flow_window))
@@ -65,7 +63,7 @@ class TestLinkCost:
 
     def test_negative_flow_rejected(self, testbed):
         with pytest.raises(ValueError):
-            volume_delay(testbed.link(0), LaneClass.GENERAL, -5.0)
+            volume_delay(testbed.link(0), LaneClass.GENERAL, -5.0, 0.15, 4.0)
 
     def test_degenerate_weights_rejected(self):
         with pytest.raises(ValueError):

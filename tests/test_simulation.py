@@ -13,17 +13,13 @@ from ridesim.simulation import (
     SimState,
     SimulationError,
     carpool_background_rates,
-    inject_background_carpool_load,
 )
 
-ALL_REGULAR = Shares(0.0, 0.0, 1.0)
+from conftest import scenario
 
 
-def empty_sim(testbed, horizon=4.0, **kwargs) -> SimState:
-    spec = DemandSpec(od_rates={(0, 2): 0.0}, shares=ALL_REGULAR,
-                      horizon=horizon, scale=1.0)
-    return SimState(network=testbed, demand=spec, seed=1, horizon=horizon,
-                    **kwargs)
+def empty_sim(testbed, horizon=4.0) -> SimState:
+    return SimState(scenario(horizon, {(0, 2): 0.0}), testbed, seed=1)
 
 
 def seed_agent(sim: SimState, agent: VehicleAgent) -> None:
@@ -107,11 +103,6 @@ class TestBasicRuns:
             DemandSpec(od_rates={(0, 2): 1.0},
                        shares=Shares(0.2, 0.4, 0.5))
 
-    def test_zero_horizon_rejected(self, testbed):
-        spec = DemandSpec(od_rates={(0, 2): 0.0}, shares=ALL_REGULAR)
-        with pytest.raises(SimulationError):
-            SimState(network=testbed, demand=spec, seed=1, horizon=0.0)
-
     def test_events_do_not_precede_clock(self, testbed):
         sim = empty_sim(testbed)
         sim.clock = 2.0
@@ -184,10 +175,13 @@ class TestVehicleAtNode:
 
 class TestConservation:
     def test_counts_return_to_zero(self, testbed):
-        spec = DemandSpec(od_rates={(0, 2): 50.0, (0, 3): 30.0, (1, 3): 40.0},
-                          shares=ALL_REGULAR, horizon=2.0, scale=1.0)
-        sim = SimState(network=testbed, demand=spec, seed=3, horizon=10.0)
-        report = sim.run()
+        # background carpool entries have no vehicle and so no exit: they
+        # must not count as in flight
+        config = scenario(2.0, {(0, 2): 50.0, (0, 3): 30.0, (1, 3): 40.0},
+                          unused_capacity=0.25)
+        sim = SimState(config, testbed, seed=3)
+        report = sim.run(horizon=10.0)  # past the 2 h demand, so all arrive
+        assert report.link_background_counts[(2, LaneClass.CARPOOL)] > 0
         for state in sim.link_states.values():
             for lane_class in LaneClass:
                 assert state.counts[lane_class] == 0
@@ -197,12 +191,10 @@ class TestConservation:
 
 class TestDeterminism:
     def test_identical_runs(self, testbed):
-        spec = DemandSpec(od_rates={(0, 2): 80.0, (1, 3): 60.0},
-                          shares=Shares(0.1, 0.4, 0.5), horizon=3.0, scale=1.0)
+        config = scenario(3.0, {(0, 2): 80.0, (1, 3): 60.0}, (0.1, 0.4, 0.5))
 
         def run_once():
-            sim = SimState(network=testbed, demand=spec, seed=11, horizon=6.0)
-            return sim.run()
+            return SimState(config, testbed, seed=11).run(horizon=6.0)
 
         a, b = run_once(), run_once()
         assert a.link_class_counts == b.link_class_counts
@@ -354,10 +346,9 @@ class TestInitSimulation:
     @pytest.mark.parametrize("unused", [1.0, 0.25])
     def test_initial_events_pop_as_pushed(self, testbed, unused):
         # agent entries are laid down as a ready heap, not pushed one by one
-        demand = DemandSpec(od_rates={(0, 2): 100.0, (1, 2): 200.0},
-                            shares=Shares(0.1, 0.4, 0.5), horizon=4.0)
-        sim = SimState(network=testbed, demand=demand, seed=2, horizon=4.0,
-                       unused_capacity=unused)
+        config = scenario(4.0, {(0, 2): 100.0, (1, 2): 200.0}, (0.1, 0.4, 0.5),
+                          unused_capacity=unused)
+        sim = SimState(config, testbed, seed=2)
         kinds = [kind for _, _, kind, _ in sim.events]
         assert kinds.count(EV_AGENT_ENTER) == len(sim.agents) > 100
         assert (EV_BACKGROUND in kinds) == (unused < 1.0)
@@ -474,21 +465,6 @@ class TestCommitRejections:
         sim.run(horizon=0.0)
         self.assert_refused(sim, 9, (0, 1, 4, 2, 14))  # node 1 is 5 steps away
 
-    def test_departure_after_latest_departure(self, testbed, monkeypatch):
-        """``_offer`` keeps the latest departure step at or after the anchor
-        step, so only an offer that does not clamp it reaches this branch."""
-        import dataclasses
-
-        sim = empty_sim(testbed, horizon=6.0)
-        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
-        sim.run(horizon=0.0)
-        sim.clock = 0.1  # step 2: the driver waits at its origin until step 6
-        offer = sim._offer(sim.vehicles[0])
-        assert not offer.departed and offer.anchor_step == 2
-        late = dataclasses.replace(offer, latest_departure_step=1)
-        monkeypatch.setattr(sim, "_offer", lambda vehicle: late)
-        self.assert_refused(sim, 9, (0, 1, 10, 2, 20))
-
 
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed):
@@ -549,8 +525,7 @@ class TestOfferIndex:
         alone while the anchor step stays at 1."""
         from conftest import make_network
         net = make_network([(0, 1, 0.01), (1, 0, 0.01), (2, 3, 0.5), (1, 2, 0.01)])
-        spec = DemandSpec(od_rates={(0, 3): 0.0}, shares=ALL_REGULAR, horizon=2.0)
-        sim = SimState(network=net, demand=spec, seed=1, horizon=2.0)
+        sim = SimState(scenario(2.0, {(0, 3): 0.0}), net, seed=1)
         seed_agent(sim, rideshare(0, 0, 3, t=0.0, fft=0.53))
         sim.run(horizon=0.0)  # the driver enters and waits at its origin
         vehicle = sim.vehicles[0]
@@ -596,32 +571,26 @@ class TestOfferIndex:
 
 
 class TestBackgroundLoad:
-    def demand(self):
-        return DemandSpec(
-            od_rates={(0, 2): 100.0, (1, 2): 200.0}, shares=ALL_REGULAR,
-            horizon=4.0, scale=1.0,
-        )
+    RATES = {(0, 2): 100.0, (1, 2): 200.0}
 
     def test_full_unused_injects_nothing(self, testbed):
-        sim = SimState(network=testbed, demand=self.demand(), seed=2,
-                       horizon=4.0, unused_capacity=1.0)
-        inject_background_carpool_load(sim, 1.0)
+        sim = SimState(scenario(4.0, self.RATES, unused_capacity=1.0), testbed, seed=2)
+        assert EV_BACKGROUND not in [kind for _, _, kind, _ in sim.events]
         report = sim.run()
         assert report.link_background_counts[(2, LaneClass.CARPOOL)] == 0
 
     def test_rates_scale_with_unused_fraction(self, testbed):
-        r25 = carpool_background_rates(testbed, self.demand().od_rates, 1.0, 0.25)
-        r50 = carpool_background_rates(testbed, self.demand().od_rates, 1.0, 0.50)
+        r25 = carpool_background_rates(testbed, self.RATES, 1.0, 0.25)
+        r50 = carpool_background_rates(testbed, self.RATES, 1.0, 0.50)
         assert r50[2] == pytest.approx(r25[2] * (1 - 0.5) / (1 - 0.25))
 
     def test_anchor_equals_per_lane_general_flow(self, testbed):
-        rates = carpool_background_rates(testbed, self.demand().od_rates, 1.0, 0.25)
+        rates = carpool_background_rates(testbed, self.RATES, 1.0, 0.25)
         per_lane = 300.0 / testbed.link(2).general_lanes  # both ODs use link 2
         assert rates[2] == pytest.approx(per_lane)
 
     def test_background_excluded_from_validation_counts(self, testbed):
-        sim = SimState(network=testbed, demand=self.demand(), seed=2,
-                       horizon=4.0, unused_capacity=0.25)
+        sim = SimState(scenario(4.0, self.RATES, unused_capacity=0.25), testbed, seed=2)
         report = sim.run()
         assert report.link_background_counts[(2, LaneClass.CARPOOL)] > 0
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
@@ -629,17 +598,3 @@ class TestBackgroundLoad:
         assert report.validation_counts[2] == (
             total_on_2 - report.link_background_counts[(2, LaneClass.CARPOOL)]
         )
-
-    def test_invalid_fraction_rejected(self, testbed):
-        sim = SimState(network=testbed, demand=self.demand(), seed=2, horizon=4.0)
-        with pytest.raises(ValueError):
-            inject_background_carpool_load(sim, 1.5)
-
-    def test_network_without_carpool_rejected(self):
-        from conftest import make_network
-        net = make_network([(0, 1, 0.2)])
-        spec = DemandSpec(od_rates={(0, 1): 10.0}, shares=ALL_REGULAR,
-                          horizon=2.0)
-        sim = SimState(network=net, demand=spec, seed=1, horizon=2.0)
-        with pytest.raises(SimulationError):
-            inject_background_carpool_load(sim, 0.5)
