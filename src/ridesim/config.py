@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -20,7 +21,7 @@ import yaml
 
 from .demand import (DEFAULT_OD_02_DAILY, DEFAULT_SEATS, DemandSpec, Shares,
                      calibrate_od_rates, default_od_pairs)
-from .network import Network, load_network, read_yaml
+from .network import Network, load_network, number, read_yaml, whole_number
 from .routing import CostWeights
 
 
@@ -36,24 +37,9 @@ def _require_keys(section: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
-def _whole_number(value: object, name: str) -> int:
-    """``value`` as an int; a bool or a number with a fraction is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be a whole number, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a whole number, got {value!r}") from exc
-
-
-def _number(value: object, name: str) -> float:
-    """``value`` as a float; a bool is an error, not 0 or 1."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
+# the network file's value rules, raising ConfigError
+_whole_number = partial(whole_number, error=ConfigError)
+_number = partial(number, error=ConfigError)
 
 
 def _parse_od_key(key: str) -> tuple[int, int]:

@@ -10,9 +10,11 @@ Pipeline for one rider request:
    unless it has a free seat and, by the triangle inequality on the
    minimum-step matrix, could reach the rider's destination from its first
    stop by the latest arrival and its last stop from the rider's origin.
-2. ``preprocess`` prunes vertices not on any origin-to-destination path and
-   orders the survivors topologically; the request is feasible exactly when
-   the start vertex survives the pruning.
+2. ``preprocess`` prunes vertices not on any origin-to-destination path;
+   the request is feasible exactly when the start vertex survives. It reads
+   the graph from ``TimeExpandedNetwork.forward``, the one place that orders
+   it: vertices by (step, node), a topological order, and each vertex's
+   arcs wait first, then by (head, driver). Every later stage keeps it.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
    may transfer between vehicles but may never re-board a driver previously
    left, so each DP label carries the set of drivers already used; labels at
@@ -23,10 +25,11 @@ Pipeline for one rider request:
    itinerary found along it prune labels that cannot reach the optimum;
    the DP returns exactly what it would return without the bound.
    Itineraries tied on every key the DP orders by are resolved by the DP's
-   visiting order (see ``solve_itinerary``), not by a total order.
+   visiting order, which ``forward`` decides (see ``solve_itinerary``), not
+   by a total order.
 
-``brute_force_itinerary`` enumerates every labelled path and is the testing
-oracle for the dynamic program.
+``brute_force_itinerary`` enumerates every labelled path, in ``forward``'s
+order, and is the testing oracle for the dynamic program.
 
 Every link is priced in whole steps, ``tau``, which ``match_rider`` takes
 once per request from the traffic state frozen at the match instant
@@ -44,7 +47,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .agents import TimeWindow
 from .network import Network
@@ -147,17 +150,24 @@ class DriverOffer:
         return self._chain[0]
 
 
-@dataclass(frozen=True)
-class TravelArc:
+class TravelArc(NamedTuple):
     tail: Vertex
     head: Vertex
     driver: int
     cost: float
 
 
+Arc = tuple[Vertex, Optional[int], float]  # (head, driver or None for a wait, cost)
+
+
 @dataclass
 class TimeExpandedNetwork:
-    """Rider-specific time-expanded graph (the matcher's search space)."""
+    """Rider-specific time-expanded graph (the matcher's search space).
+
+    Vertex ``(node, k)`` exists for every step ``k`` of the node's interval;
+    a wait arc joins each step to the next, and ``travel_arcs``, in no
+    particular order, carry the drivers. ``forward`` lays the graph out.
+    """
 
     origin: int
     destination: int
@@ -169,24 +179,27 @@ class TimeExpandedNetwork:
         interval = self.node_intervals.get(self.origin)
         return (self.origin, interval[0]) if interval else None
 
-    def dest_vertices(self) -> list[Vertex]:
-        interval = self.node_intervals.get(self.destination)
-        if not interval:
-            return []
-        return [(self.destination, k) for k in range(interval[0], interval[1] + 1)]
+    def forward(self) -> dict[Vertex, list[Arc]]:
+        """Every vertex, in (step, node) order, with its outgoing arcs: the
+        wait arc first (driver None, cost 0.0; the solver charges the wait
+        penalty), then the travel arcs by (head, driver).
 
-    def vertices(self) -> list[Vertex]:
-        out = []
-        for node in sorted(self.node_intervals):
-            lo, hi = self.node_intervals[node]
-            out.extend((node, k) for k in range(lo, hi + 1))
-        return out
-
-    def wait_arcs(self) -> Iterator[tuple[Vertex, Vertex]]:
-        for node in sorted(self.node_intervals):
-            lo, hi = self.node_intervals[node]
-            for k in range(lo, hi):
-                yield (node, k), (node, k + 1)
+        Every arc raises the step, so the vertex order is topological. This
+        is the one place the search graph is ordered: ``preprocess``, the DP
+        and the oracle visit it in this order, and it decides which of
+        several exactly tied itineraries they return.
+        """
+        intervals = self.node_intervals
+        graph: dict[Vertex, list[Arc]] = {}
+        for step, node in sorted((k, node) for node, (lo, hi) in intervals.items()
+                                 for k in range(lo, hi + 1)):
+            graph[node, step] = ([((node, step + 1), None, 0.0)]
+                                 if step < intervals[node][1] else [])
+        # equal (tail, head, driver) means equal cost, so whole-tuple order
+        # is (tail, head, driver) order
+        for tail, head, driver, cost in sorted(self.travel_arcs):
+            graph[tail].append((head, driver, cost))
+        return graph
 
 
 @dataclass(frozen=True)
@@ -338,10 +351,10 @@ def build_time_expanded(
     if rider.origin not in intervals or rider.destination not in intervals:
         return TimeExpandedNetwork(rider.origin, rider.destination, {}, [])
 
-    # links with both ends inside the rider's windows, in link id order, with
-    # the tail steps whose arrival also falls in the head's window
+    # links with both ends inside the rider's windows, with the tail steps
+    # whose arrival also falls in the head's window
     candidates = []
-    for link in sorted(network.links, key=lambda l: l.id):
+    for link in network.links:
         i, j = link.from_node, link.to_node
         if i in intervals and j in intervals:
             steps = tau[link.id]
@@ -355,7 +368,7 @@ def build_time_expanded(
     # needs fs + m[a][D] <= la and ed + m[O][b] <= ts
     from_origin = matrix[rider.origin]
     arcs: list[TravelArc] = []
-    for offer in sorted(drivers, key=lambda o: o.id):
+    for offer in drivers:
         stops = offer.stops()
         occupancies = offer.slot_occupancies()
         slots = [
@@ -382,70 +395,62 @@ def build_time_expanded(
                 # ends by the slot's closing step, where the next slot starts
                 arcs.extend(TravelArc((i, k), (j, k + steps), offer.id, cost)
                             for k in range(lo, hi + 1))
-    arcs.sort(key=lambda a: (a.tail, a.head, a.driver))
     return TimeExpandedNetwork(rider.origin, rider.destination, intervals, arcs)
 
 
 @dataclass
 class PrunedGraph:
-    """Topologically ordered remainder of a TEN after reachability pruning."""
+    """The remainder of a TEN after reachability pruning, in ``forward``'s
+    order; ``ten_vertices`` counts the TEN's vertices before pruning."""
 
     vertices: list[Vertex]
-    adjacency: dict[Vertex, list[tuple[Vertex, Optional[int], float]]]
+    adjacency: dict[Vertex, list[Arc]]
     start: Optional[Vertex]
     dests: set[Vertex]
-    removed: set[Vertex]
+    ten_vertices: int
 
     @property
     def feasible(self) -> bool:
         return self.start is not None
 
 
-def _all_arcs(ten: TimeExpandedNetwork) -> Iterator[tuple[Vertex, Vertex, Optional[int], float]]:
-    for tail, head in ten.wait_arcs():
-        yield tail, head, None, 0.0  # wait cost filled in by the solver
-    for arc in ten.travel_arcs:
-        yield arc.tail, arc.head, arc.driver, arc.cost
-
-
 def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
-    """Drop vertices not on any start-to-destination path; topo-sort the rest.
+    """Drop vertices not on any start-to-destination path.
 
     A vertex survives when it is reachable from the start vertex and reaches
     a destination vertex. The request is feasible iff the start survives:
-    a start that reaches a destination already lies on such a path. Every
-    arc raises the step, so (step, node) order is topological: one pass in
-    that order finds what the start reaches, one pass back what of that
-    reaches a destination.
+    a start that reaches a destination already lies on such a path. One pass
+    in ``forward``'s topological order finds what the start reaches; one
+    pass back keeps what of that reaches a destination, with its arcs into
+    survivors, so the survivors keep ``forward``'s order.
     """
-    ordered = sorted(ten.vertices(), key=lambda v: (v[1], v[0]))
-    forward: dict[Vertex, list[tuple[Vertex, Optional[int], float]]] = {
-        v: [] for v in ordered
-    }
-    for tail, head, driver, cost in _all_arcs(ten):
-        forward[tail].append((head, driver, cost))
-
+    forward = ten.forward()
     start = ten.start_vertex
-    reached = {start} if start is not None else set()
-    for v in ordered:
-        if v in reached:
-            reached.update(head for head, _, _ in forward[v])
+    reached = {start}
+    for vertex, arcs in forward.items():
+        if vertex in reached:
+            reached.update(head for head, _, _ in arcs)
     # the heads of a reached vertex are reached, so each reaches a destination
-    # exactly when it survives
-    dests = set(ten.dest_vertices())
-    surviving: set[Vertex] = set()
-    for v in reversed(ordered):
-        if v in reached and (v in dests or any(h in surviving for h, _, _ in forward[v])):
-            surviving.add(v)
-
-    vertices = [v for v in ordered if v in surviving]
+    # exactly when it survives, and a survivor's heads come before it here
+    adjacency: dict[Vertex, list[Arc]] = {}
+    dests: set[Vertex] = set()
+    for vertex in reversed(forward):
+        if vertex not in reached:
+            continue
+        arcs = [arc for arc in forward[vertex] if arc[0] in adjacency]
+        if vertex[0] == ten.destination:
+            dests.add(vertex)
+        elif not arcs:
+            continue
+        adjacency[vertex] = arcs
+    vertices = list(adjacency)
+    vertices.reverse()
     return PrunedGraph(
         vertices=vertices,
-        adjacency={v: [arc for arc in forward[v] if arc[0] in surviving]
-                   for v in vertices},
-        start=start if start in surviving else None,
-        dests=dests & surviving,
-        removed=set(ordered) - surviving,
+        adjacency=adjacency,
+        start=start if start in adjacency else None,
+        dests=dests,
+        ten_vertices=len(forward),
     )
 
 
@@ -478,14 +483,10 @@ def _insert_label(bucket: list[_Label], label: _Label) -> bool:
     return True
 
 
-def _trace(label: _Label) -> Itinerary:
-    arcs: list[tuple[Vertex, Vertex, Optional[int]]] = []
-    node: Optional[_Label] = label
-    while node is not None and node.parent is not None:
-        arcs.append((node.parent.vertex, node.vertex, node.arc_driver))
-        node = node.parent
-    arcs.reverse()
-
+def _legs(arcs: Sequence[tuple[Vertex, Vertex, Optional[int]]]
+          ) -> tuple[ItineraryLeg, ...]:
+    """The legs of a path given as (tail, head, driver) arcs, a wait's
+    driver being None: one leg per run of arcs with one driver."""
     legs: list[ItineraryLeg] = []
     current: Optional[int] = None
     board: Optional[Vertex] = None
@@ -502,7 +503,17 @@ def _trace(label: _Label) -> Itinerary:
     if current is not None:
         legs.append(ItineraryLeg(current, board[0], board[1],
                                  alight[0], alight[1]))
-    return Itinerary(tuple(legs), label.cost, label.waits)
+    return tuple(legs)
+
+
+def _trace(label: _Label) -> Itinerary:
+    arcs: list[tuple[Vertex, Vertex, Optional[int]]] = []
+    node: Optional[_Label] = label
+    while node is not None and node.parent is not None:
+        arcs.append((node.parent.vertex, node.vertex, node.arc_driver))
+        node = node.parent
+    arcs.reverse()
+    return Itinerary(_legs(arcs), label.cost, label.waits)
 
 
 def _cost_to_go(graph: PrunedGraph, penalty: float) -> dict[Vertex, float]:
@@ -523,10 +534,10 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) ->
     """The cost of one itinerary as cheap as ``togo`` at the start, or INF.
 
     The walk takes, at each vertex, an arc that attains ``togo`` there,
-    preferring a wait, then the driver on board, then the first in adjacency
-    order, and stops at the first destination vertex. If the walk would
-    re-board a driver it left, the path is no itinerary and the result is
-    INF, which turns pruning off.
+    preferring a wait, then the driver on board, then the first in
+    ``TimeExpandedNetwork.forward``'s arc order, and stops at the first
+    destination vertex. If the walk would re-board a driver it left, the
+    path is no itinerary and the result is INF, which turns pruning off.
     """
     vertex, cost, last, used = graph.start, 0.0, None, set()
     while vertex not in graph.dests:
@@ -571,11 +582,12 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     broken toward fewer waits, then fewer legs, then earlier arrival, then
     the lexicographically smallest driver sequence. Itineraries equal on all
     five (a different transfer vertex or boarding step) are not ordered: the
-    DP returns the one whose labels came first. It visits vertices in
-    topological (step, node) order, each vertex's (last driver) buckets in
-    ``_bucket_order``, each bucket's labels in insertion order, and each
-    vertex's arcs wait first, then by (head, driver); a new label exactly
-    equal to one already in its bucket is dropped.
+    DP returns the one whose labels came first. It visits vertices and each
+    vertex's arcs in ``TimeExpandedNetwork.forward``'s order ((step, node);
+    the wait first, then by (head, driver)), each vertex's (last driver)
+    buckets in ``_bucket_order`` and each bucket's labels in insertion
+    order; a new label exactly equal to one already in its bucket is
+    dropped.
 
     Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
@@ -654,12 +666,7 @@ def brute_force_itinerary(
     start = ten.start_vertex
     if start is None:
         return None
-    dests = set(ten.dest_vertices())
-
-    forward: dict[Vertex, list[tuple[Vertex, Optional[int], float]]] = {}
-    for tail, head, driver, cost in _all_arcs(ten):
-        forward.setdefault(tail, []).append((head, driver, cost))
-
+    forward = ten.forward()
     best: Optional[tuple] = None
     best_itin: Optional[Itinerary] = None
     expansions = 0
@@ -670,35 +677,17 @@ def brute_force_itinerary(
                           if i == 0 or d != drivers[i - 1])
         return (cost, waits, legs, vertex[1], collapsed)
 
-    def build(path, cost, waits) -> Itinerary:
-        legs: list[ItineraryLeg] = []
-        current = None
-        board = alight = None
-        for tail, head, driver in path:
-            if driver is None:
-                continue
-            if driver != current:
-                if current is not None:
-                    legs.append(ItineraryLeg(current, board[0], board[1],
-                                             alight[0], alight[1]))
-                current, board = driver, tail
-            alight = head
-        if current is not None:
-            legs.append(ItineraryLeg(current, board[0], board[1],
-                                     alight[0], alight[1]))
-        return Itinerary(tuple(legs), cost, waits)
-
     stack: list[tuple[Vertex, Optional[int], frozenset, float, int, int, tuple]] = [
         (start, None, frozenset(), 0.0, 0, 0, ())
     ]
     while stack:
         vertex, last, used, cost, waits, legs, path = stack.pop()
-        if vertex in dests and legs > 0:
+        if vertex[0] == ten.destination and legs > 0:
             key = key_of(path, cost, waits, legs, vertex)
             if best is None or key < best:
                 best = key
-                best_itin = build(path, cost, waits)
-        for head, driver, arc_cost in forward.get(vertex, ()):
+                best_itin = Itinerary(_legs(path), cost, waits)
+        for head, driver, arc_cost in forward[vertex]:
             expansions += 1
             if expansions > budget:
                 raise EnumerationBudgetError(
@@ -736,9 +725,9 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
         "rider_id": rider.id,
         "request_time": rider.request_time,
         "offers": len(offers),
-        "vertices": len(ten.vertices()),
+        "vertices": graph.ten_vertices,
         "travel_arcs": len(ten.travel_arcs),
-        "pruned_vertices": len(graph.removed),
+        "pruned_vertices": graph.ten_vertices - len(graph.vertices),
         "feasible": graph.feasible,
         "dp_cost": itinerary.total_cost if itinerary else None,
         "matched": committed,

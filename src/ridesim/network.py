@@ -2,10 +2,13 @@
 
 The network file is YAML with a ``nodes`` list and a ``links`` array; see
 ``data/la_testbed.yaml`` for the bundled four-link testbed. Unknown keys are
-rejected so typos fail loudly.
+rejected so typos fail loudly. Values are read by ``whole_number`` and
+``number``, the rules scenario files are read by too, and each error names
+``nodes[j]`` or ``links[i].<field>``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,6 +31,30 @@ class NetworkValidationError(ValueError):
     """Raised when a parsed network violates a structural invariant."""
 
 
+def whole_number(value: object, name: str,
+                 error: type[ValueError] = NetworkFormatError) -> int:
+    """``value`` as an int; a bool or a number with a fraction raises
+    ``error`` naming ``name``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be a whole number, got {value!r}") from exc
+
+
+def number(value: object, name: str,
+           error: type[ValueError] = NetworkFormatError) -> float:
+    """``value`` as a float; a bool raises ``error`` naming ``name``, rather
+    than reading as 0 or 1."""
+    if isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class Node:
     id: int
@@ -46,26 +73,37 @@ class Link:
     toll: float = 0.0
     observed_daily_flow: float = 0.0
 
-    def validate(self) -> None:
+    def validate(self, index: int) -> None:
+        """Raise NetworkValidationError naming ``links[index].<field>`` and
+        the link id; ``index`` is the link's place in ``Network.links``,
+        which is its place in the network file."""
+        def fail(field: str, problem: str) -> None:
+            raise NetworkValidationError(
+                f"links[{index}].{field} (link {self.id}): {problem}")
+
+        for field in ("length", "free_flow_time", "lane_capacity", "toll",
+                      "observed_daily_flow"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                fail(field, f"must be finite, got {value}")
         if self.length <= 0:
-            raise NetworkValidationError(f"link {self.id}: length must be > 0")
+            fail("length", "must be > 0")
         if self.free_flow_time <= 0:
-            raise NetworkValidationError(f"link {self.id}: free_flow_time must be > 0")
+            fail("free_flow_time", "must be > 0")
         speed = self.length / self.free_flow_time
         if speed > MAX_FREE_FLOW_SPEED_MPH:
-            raise NetworkValidationError(
-                f"link {self.id}: implied free-flow speed {speed:.1f} mph is not plausible"
-            )
+            fail("free_flow_time",
+                 f"implied free-flow speed {speed:.1f} mph is not plausible")
         if self.from_node == self.to_node:
-            raise NetworkValidationError(f"link {self.id}: self-loop")
+            fail("to", "self-loop")
         if self.general_lanes < 1:
-            raise NetworkValidationError(f"link {self.id}: general_lanes must be >= 1")
+            fail("general_lanes", "must be >= 1")
         if self.lane_capacity <= 0:
-            raise NetworkValidationError(f"link {self.id}: lane_capacity must be > 0")
+            fail("lane_capacity", "must be > 0")
         if self.toll < 0:
-            raise NetworkValidationError(f"link {self.id}: negative toll")
+            fail("toll", "must not be negative")
         if self.observed_daily_flow < 0:
-            raise NetworkValidationError(f"link {self.id}: negative observed_daily_flow")
+            fail("observed_daily_flow", "must not be negative")
 
     def lanes(self, lane_class: LaneClass) -> int:
         return 1 if lane_class is LaneClass.CARPOOL else self.general_lanes
@@ -84,8 +122,8 @@ class Network:
         link_ids = [l.id for l in self.links]
         if len(set(link_ids)) != len(link_ids):
             raise NetworkValidationError("duplicate link ids")
-        for link in self.links:
-            link.validate()
+        for index, link in enumerate(self.links):
+            link.validate(index)
             for end in (link.from_node, link.to_node):
                 if end not in known:
                     raise NetworkValidationError(
@@ -164,21 +202,24 @@ def _parse_link(entry: dict, index: int) -> Link:
     unknown = keys - _LINK_REQUIRED - _LINK_OPTIONAL
     if unknown:
         raise NetworkFormatError(f"links[{index}]: unknown field(s) {sorted(unknown)}")
-    try:
-        return Link(
-            id=int(entry["id"]),
-            from_node=int(entry["from"]),
-            to_node=int(entry["to"]),
-            length=float(entry["length"]),
-            free_flow_time=float(entry["free_flow_time"]),
-            has_carpool_lane=bool(entry["has_carpool_lane"]),
-            general_lanes=int(entry.get("general_lanes", 4)),
-            lane_capacity=float(entry.get("lane_capacity", 2000.0)),
-            toll=float(entry.get("toll", 0.0)),
-            observed_daily_flow=float(entry.get("observed_daily_flow", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"links[{index}]: {exc}") from exc
+    where = f"links[{index}]"
+    carpool = entry["has_carpool_lane"]
+    if not isinstance(carpool, bool):
+        raise NetworkFormatError(f"{where}.has_carpool_lane must be true or false, "
+                                 f"got {carpool!r}")
+    return Link(
+        id=whole_number(entry["id"], f"{where}.id"),
+        from_node=whole_number(entry["from"], f"{where}.from"),
+        to_node=whole_number(entry["to"], f"{where}.to"),
+        length=number(entry["length"], f"{where}.length"),
+        free_flow_time=number(entry["free_flow_time"], f"{where}.free_flow_time"),
+        has_carpool_lane=carpool,
+        general_lanes=whole_number(entry.get("general_lanes", 4), f"{where}.general_lanes"),
+        lane_capacity=number(entry.get("lane_capacity", 2000.0), f"{where}.lane_capacity"),
+        toll=number(entry.get("toll", 0.0), f"{where}.toll"),
+        observed_daily_flow=number(entry.get("observed_daily_flow", 0.0),
+                                   f"{where}.observed_daily_flow"),
+    )
 
 
 # libyaml's parser where PyYAML was built with it; the resolver and the
@@ -214,7 +255,7 @@ def load_network(path: str | Path) -> Network:
         raise NetworkFormatError(f"{path}: 'nodes' must be a list of node ids")
     if not isinstance(raw["links"], list):
         raise NetworkFormatError(f"{path}: 'links' must be an array")
-    nodes = tuple(Node(int(n)) for n in raw["nodes"])
+    nodes = tuple(Node(whole_number(n, f"nodes[{j}]")) for j, n in enumerate(raw["nodes"]))
     links = tuple(_parse_link(entry, i) for i, entry in enumerate(raw["links"]))
     return Network(nodes=nodes, links=links)
 

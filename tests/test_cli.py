@@ -160,6 +160,24 @@ BAD_INPUTS = {
                            [], "free_flow_time"),
     "duplicate-link-id": ({}, lambda net: net["links"][1].update(id=0),
                           [], "duplicate link ids"),
+    "fractional-general-lanes": ({}, lambda net: net["links"][0].update(general_lanes=2.5),
+                                 [], "links[0].general_lanes"),
+    "bool-link-length": ({}, lambda net: net["links"][0].update(length=True),
+                         [], "links[0].length"),
+    "fractional-link-id": ({}, lambda net: net["links"][0].update(id=0.5),
+                           [], "links[0].id"),
+    "string-carpool-flag": ({}, lambda net: net["links"][0].update(has_carpool_lane="no"),
+                            [], "links[0].has_carpool_lane"),
+    "nan-free-flow-time": ({}, lambda net: net["links"][0].update(
+        free_flow_time=float("nan")), [], "links[0].free_flow_time"),
+    "nan-toll": ({}, lambda net: net["links"][0].update(toll=float("nan")),
+                 [], "links[0].toll"),
+    "nan-observed-flow": ({}, lambda net: net["links"][0].update(
+        observed_daily_flow=float("nan")), [], "links[0].observed_daily_flow"),
+    "infinite-lane-capacity": ({}, lambda net: net["links"][0].update(
+        lane_capacity=float("inf")), [], "links[0].lane_capacity"),
+    "string-node": ({}, lambda net: net["nodes"].__setitem__(3, "x"), [], "nodes[3]"),
+    "bool-node": ({}, lambda net: net["nodes"].__setitem__(1, True), [], "nodes[1]"),
     "negative-scale": ({"demand": {"scale": -1}}, None, [], "scale"),
     "negative-window-flexibility": ({"demand": {"window_flexibility": -1}}, None,
                                     [], "window_flexibility"),

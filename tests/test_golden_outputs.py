@@ -10,8 +10,10 @@ import hashlib
 
 import yaml
 
+from ridesim import cli
 from ridesim.cli import EXIT_OK, main
 from ridesim.config import bundled_data_path
+from ridesim.experiments import run_single
 
 GOLDEN = {
     "validate/validation.csv":
@@ -60,3 +62,68 @@ def output_digests(tmp_path) -> dict[str, str]:
 
 def test_cli_outputs_match_golden_digests(tmp_path):
     assert output_digests(tmp_path) == GOLDEN
+
+
+# A run where riders transfer: only such a run shows the order in which the
+# matcher resolves exact ties (``TimeExpandedNetwork.forward``). Recorded at
+# commit d2d35d9, before ``forward`` became the one owner of that order.
+MULTI_LEG_GOLDEN = {
+    "agents.csv":
+        "ca2356b3e7f6c815731ace5c252b2c55f1817358b074946f6e0cc4266bc778ef",
+    "match_trace.csv":
+        "42b2c883221bdf60f552c6ad13b14f41cf06317911a388c4a81dcad39656e45b",
+}
+GRID_SIDE = 4
+
+
+def write_grid(tmp_path):
+    """A 4x4 directed grid whose links run east and south, every second one
+    with a carpool lane, and a scenario with one explicit hourly rate on
+    every pair an east/south path joins; returns the scenario path."""
+    links = []
+    for node in range(GRID_SIDE * GRID_SIDE):
+        row, col = divmod(node, GRID_SIDE)
+        for ok, head in ((col + 1 < GRID_SIDE, node + 1),
+                         (row + 1 < GRID_SIDE, node + GRID_SIDE)):
+            if ok:
+                links.append({"id": len(links), "from": node, "to": head,
+                              "length": 6.875, "free_flow_time": 0.125,
+                              "has_carpool_lane": len(links) % 2 == 0,
+                              "general_lanes": 2})
+    (tmp_path / "grid.yaml").write_text(yaml.safe_dump(
+        {"nodes": list(range(GRID_SIDE * GRID_SIDE)), "links": links}))
+    rates = {
+        f"{o}-{d}": 3.5
+        for o in range(GRID_SIDE * GRID_SIDE) for d in range(GRID_SIDE * GRID_SIDE)
+        if o != d and d // GRID_SIDE >= o // GRID_SIDE and d % GRID_SIDE >= o % GRID_SIDE
+    }
+    scenario = {
+        "network": "grid.yaml", "horizon": 1.5, "replications": 1, "dt": 0.05,
+        "demand": {
+            "shares": {"rider": 0.25, "rideshare_driver": 0.5, "regular_driver": 0.25},
+            "window_flexibility": 0.3, "scale": 1.0, "seats": 3,
+            "od_rates": rates, "calibration_fixed_daily": {},
+        },
+    }
+    path = tmp_path / "grid_scenario.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    return path
+
+
+def test_multi_leg_run_matches_golden_digests(tmp_path, monkeypatch):
+    sims = []
+
+    def keep_sim(config):
+        sim, report = run_single(config)
+        sims.append(sim)
+        return sim, report
+
+    monkeypatch.setattr(cli, "run_single", keep_sim)
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(write_grid(tmp_path)), "--seed", "5", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    (sim,) = sims
+    assert any(len(result.itinerary.legs) > 1
+               for result in sim.match_results.values() if result.matched)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in MULTI_LEG_GOLDEN} == MULTI_LEG_GOLDEN

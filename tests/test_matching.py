@@ -12,6 +12,8 @@ from ridesim.matching import (
     EnumerationBudgetError,
     Pin,
     RiderRequest,
+    TimeExpandedNetwork,
+    TravelArc,
     brute_force_itinerary,
     build_time_expanded,
     ceil_steps,
@@ -100,7 +102,7 @@ class TestBuildTimeExpanded:
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.1, 0.72, 0.9), 0.0)
         ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
-        assert len(ten.vertices()) > 0
+        assert len(ten.forward()) > 0
 
     def test_links_without_capable_driver_carry_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
@@ -226,7 +228,7 @@ class TestMultiSlotArcs:
             offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
             ten = build_time_expanded(rider, offers, net, tau, DT_EXACT)
             vertices, arcs, full = reference_ten(rider, offers, net, tau, DT_EXACT)
-            assert set(ten.vertices()) == vertices
+            assert set(ten.forward()) == vertices
             assert sorted((a.tail, a.head, a.driver, a.cost)
                           for a in ten.travel_arcs) == sorted(arcs)
             later_slot_arcs += sum(slot > 0 for slot in arcs.values())
@@ -332,6 +334,49 @@ class TestMinStepMemo:
         changes = sum(key != prev for prev, key in zip([None] + keys, keys))
         assert len(builds) == changes
         assert 1 < changes < len(keys)
+
+
+class TestForward:
+    """``forward`` alone orders the search graph; the DP's exact ties and
+    the oracle's enumeration follow this order."""
+
+    def hand_built(self):
+        # travel arcs deliberately out of order: by driver, head and tail
+        arcs = [
+            TravelArc((1, 1), (2, 3), 4, 0.5),
+            TravelArc((0, 0), (2, 1), 3, 0.25),
+            TravelArc((0, 0), (1, 1), 9, 0.25),
+            TravelArc((0, 1), (1, 2), 5, 0.25),
+            TravelArc((0, 0), (1, 2), 1, 0.5),
+            TravelArc((0, 0), (1, 1), 3, 0.25),
+        ]
+        return TimeExpandedNetwork(0, 2, {2: (1, 3), 0: (0, 1), 1: (1, 2)}, arcs)
+
+    def test_vertices_in_step_then_node_order(self):
+        assert list(self.hand_built().forward()) == [
+            (0, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (2, 3)]
+
+    def test_wait_first_then_travel_arcs_by_head_and_driver(self):
+        graph = self.hand_built().forward()
+        assert graph[0, 0] == [
+            ((0, 1), None, 0.0),
+            ((1, 1), 3, 0.25), ((1, 1), 9, 0.25),
+            ((1, 2), 1, 0.5),
+            ((2, 1), 3, 0.25),
+        ]
+        assert graph[0, 1] == [((1, 2), 5, 0.25)]  # no wait past the interval
+        assert graph[1, 1] == [((1, 2), None, 0.0), ((2, 3), 4, 0.5)]
+        assert graph[2, 3] == []
+
+    def test_preprocess_keeps_forward_order(self):
+        ten = self.hand_built()
+        graph = preprocess(ten)
+        forward = ten.forward()
+        assert graph.vertices == [v for v in forward if v in graph.adjacency]
+        for vertex in graph.vertices:
+            assert graph.adjacency[vertex] == [
+                arc for arc in forward[vertex] if arc[0] in graph.adjacency]
+        assert graph.ten_vertices == len(forward)
 
 
 class TestPreprocess:
@@ -504,7 +549,7 @@ class TestOracleEquivalence:
                 on_paths = vertices_on_feasible_paths(ten)
             except EnumerationBudgetError:
                 continue
-            assert not (graph.removed & on_paths)
+            assert not ((set(ten.forward()) - set(graph.vertices)) & on_paths)
             checked += 1
         assert checked == 100
 
@@ -514,20 +559,15 @@ def vertices_on_feasible_paths(ten, budget: int = 200_000):
     start = ten.start_vertex
     if start is None:
         return set()
-    dests = set(ten.dest_vertices())
-    forward = {}
-    from ridesim.matching import _all_arcs
-
-    for tail, head, driver, cost in _all_arcs(ten):
-        forward.setdefault(tail, []).append((head, driver))
+    forward = ten.forward()
     onpath = set()
     expansions = 0
     stack = [(start, None, frozenset(), (start,))]
     while stack:
         vertex, last, used, path = stack.pop()
-        if vertex in dests and any(True for _ in path):
+        if vertex[0] == ten.destination and any(True for _ in path):
             onpath.update(path)
-        for head, driver in forward.get(vertex, ()):
+        for head, driver, _ in forward[vertex]:
             expansions += 1
             if expansions > budget:
                 raise EnumerationBudgetError("path enumeration budget")
