@@ -5,11 +5,16 @@ Pipeline for one rider request:
 1. ``build_time_expanded`` discretizes time into steps of ``dt`` hours and
    intersects the rider's spatio-temporal feasibility windows with each
    driver's remaining schedule flexibility, producing driver-labelled travel
-   arcs and (implicit) wait arcs. A slot of a driver's schedule, between two
-   consecutive stops, is skipped before any presence window is computed
-   unless it has a free seat and, by the triangle inequality on the
-   minimum-step matrix, could reach the rider's destination from its first
-   stop by the latest arrival and its last stop from the rider's origin.
+   arcs and (implicit) wait arcs. One rule, read from the minimum-step
+   matrix ``m``, gives a driver's arcs on a link (i, j) of ``steps`` steps
+   within a slot of its schedule from stop (a, s) to stop (b, t) that has a
+   free seat: every step k of the rider's range with s + m[a][i] <= k and
+   k + steps <= t - m[j][b] and, in the first slot of a driver not yet
+   underway, no step at a after its latest departure step. Reaching j from
+   a and b from i need no test: ``m`` is built from the same ``tau``, so
+   m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
+   triangle inequality a slot is skipped unless it could reach the rider's
+   destination from a by the latest arrival and b from the rider's origin.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -280,31 +285,6 @@ def _shared_min_step_matrix(
     return memo[2]
 
 
-def _driver_presence(
-    offer: DriverOffer,
-    slots: list[tuple[int, Stop, Stop]],
-    node: int,
-    matrix: dict[int, dict[int, float]],
-) -> dict[int, tuple[int, int]]:
-    """``{slot: (lo step, hi step)}``: when the driver can be at ``node``
-    within each of ``slots``, a stretch of its schedule between two
-    consecutive stops; a driver not yet underway leaves its origin by its
-    latest departure step."""
-    windows: dict[int, tuple[int, int]] = {}
-    for slot, (from_node, from_step, _), (to_node, to_step, _) in slots:
-        ahead = matrix[from_node][node]
-        behind = matrix[node][to_node]
-        if ahead == INF or behind == INF:
-            continue
-        lo = from_step + int(ahead)
-        hi = to_step - int(behind)
-        if slot == 0 and not offer.departed and node == offer.origin:
-            hi = min(hi, offer.latest_departure_step)
-        if lo <= hi:
-            windows[slot] = (lo, hi)
-    return windows
-
-
 def build_time_expanded(
     rider: RiderRequest,
     drivers: Sequence[DriverOffer],
@@ -324,8 +304,6 @@ def build_time_expanded(
     (including committed stops and seat capacity). An empty network is the
     valid encoding of an infeasible request.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     matrix = _shared_min_step_matrix(network, tau)
 
     w = rider.window
@@ -362,39 +340,35 @@ def build_time_expanded(
             hi = min(intervals[i][1], intervals[j][1] - steps)
             candidates.append((i, j, lo, hi, steps, time_weight * steps * dt))
 
-    # a slot from stop (a, fs) to stop (b, ts) with a free seat can carry
-    # an arc (i, k) -> (j, k') only if fs + m[a][i] <= k <= la - m[i][D] and
-    # ed + m[O][j] <= k' <= ts - m[j][b]; by the triangle inequality that
-    # needs fs + m[a][D] <= la and ed + m[O][b] <= ts
+    # one arc rule per (slot, link): the steps k with s + m[a][i] <= k and
+    # k + steps <= t - m[j][b], capped at a in the first slot of a driver not
+    # yet underway; the bounds at j from a and at i to b never bind, by the
+    # triangle inequality on m (module docstring, step 1). An INF empties the
+    # range; a link is never a loop, so i and j are not both a.
     from_origin = matrix[rider.origin]
     arcs: list[TravelArc] = []
     for offer in drivers:
         stops = offer.stops()
         occupancies = offer.slot_occupancies()
-        slots = [
-            (slot, tail, head)
-            for slot, (tail, head) in enumerate(zip(stops, stops[1:]))
-            if occupancies[slot] < offer.seats
-            and tail[1] + matrix[tail[0]][rider.destination] <= la
-            and ed + from_origin[head[0]] <= head[1]
-        ]
-        if not slots:
-            continue
-        presence = {
-            node: _driver_presence(offer, slots, node, matrix) for node in intervals
-        }
-        for i, j, r_lo, r_hi, steps, cost in candidates:
-            heads = presence[j]
-            for slot, (d_lo, d_hi) in presence[i].items():
-                if slot not in heads:
-                    continue
-                # the head's lower bound never binds: m[a][j] <= m[a][i] + steps
-                lo = max(r_lo, d_lo)
-                hi = min(r_hi, d_hi, heads[slot][1] - steps)
+        for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:])):
+            if (occupancies[slot] >= offer.seats or s + matrix[a][rider.destination] > la
+                    or ed + from_origin[b] > t):
+                continue
+            from_a = matrix[a]
+            leave_by = (offer.latest_departure_step
+                        if slot == 0 and not offer.departed else INF)
+            for i, j, r_lo, r_hi, steps, cost in candidates:
+                lo = max(r_lo, s + from_a[i])
+                hi = min(r_hi, t - matrix[j][b] - steps)
+                if i == a:
+                    hi = min(hi, leave_by)
+                elif j == a:
+                    hi = min(hi, leave_by - steps)
                 # pins in step order keep slots' arcs apart: an arc of a slot
                 # ends by the slot's closing step, where the next slot starts
-                arcs.extend(TravelArc((i, k), (j, k + steps), offer.id, cost)
-                            for k in range(lo, hi + 1))
+                if lo <= hi:
+                    arcs.extend(TravelArc((i, k), (j, k + steps), offer.id, cost)
+                                for k in range(lo, hi + 1))
     return TimeExpandedNetwork(rider.origin, rider.destination, intervals, arcs)
 
 

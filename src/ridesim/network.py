@@ -33,9 +33,10 @@ class NetworkValidationError(ValueError):
 
 def whole_number(value: object, name: str,
                  error: type[ValueError] = NetworkFormatError) -> int:
-    """``value`` as an int; a bool or a number with a fraction raises
-    ``error`` naming ``name``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a bool, a string or a number with a fraction
+    raises ``error`` naming ``name``."""
+    if (isinstance(value, (bool, str))
+            or (isinstance(value, float) and not value.is_integer())):
         raise error(f"{name} must be a whole number, got {value!r}")
     try:
         return int(value)
@@ -45,9 +46,9 @@ def whole_number(value: object, name: str,
 
 def number(value: object, name: str,
            error: type[ValueError] = NetworkFormatError) -> float:
-    """``value`` as a float; a bool raises ``error`` naming ``name``, rather
-    than reading as 0 or 1."""
-    if isinstance(value, bool):
+    """``value`` as a float; a bool or a string raises ``error`` naming
+    ``name``, rather than reading as 0 or 1 or as the number it spells."""
+    if isinstance(value, (bool, str)):
         raise error(f"{name} must be a number, got {value!r}")
     try:
         return float(value)

@@ -147,7 +147,6 @@ class AgentOutcome:
 @dataclass
 class SimReport:
     link_class_counts: dict[tuple[int, LaneClass], int]
-    link_background_counts: dict[tuple[int, LaneClass], int]
     validation_counts: dict[int, int]
     outcomes: list[AgentOutcome]
     riders_total: int
@@ -265,22 +264,19 @@ class SimState:
 
     # ------------------------------------------------------------ vehicle flow
 
-    def _lane_class_for(self, vehicle: Vehicle, link_id: int, now: float) -> LaneClass:
-        link = self.network.link(link_id)
-        if link.has_carpool_lane and vehicle.aboard:  # driver plus a rider
-            carpool = self.link_delay(link_id, LaneClass.CARPOOL, now)
-            general = self.link_delay(link_id, LaneClass.GENERAL, now)
-            if carpool < general:
-                return LaneClass.CARPOOL
-        return LaneClass.GENERAL
-
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
-        lane_class = self._lane_class_for(vehicle, link_id, now)
+        link = self.network.link(link_id)
+        lane_class = LaneClass.GENERAL
         delay = self.link_delay(link_id, lane_class, now)
+        if link.has_carpool_lane and vehicle.aboard:
+            # driver plus a rider: the carpool lane when it is faster
+            carpool = self.link_delay(link_id, LaneClass.CARPOOL, now)
+            if carpool < delay:
+                lane_class, delay = LaneClass.CARPOOL, carpool
         self.link_states[link_id].record_entry(lane_class, now, background=False)
         if vehicle.departure_time is None:
             vehicle.departure_time = now
-        vehicle.node = self.network.link(link_id).to_node
+        vehicle.node = link.to_node
         vehicle.link_arrival_time = now + delay
         self.push_event(
             now + delay, EV_ARRIVE_NODE, (vehicle.agent.id, link_id, lane_class)
@@ -584,14 +580,10 @@ class SimState:
 
     def build_report(self) -> SimReport:
         class_counts = {}
-        background_counts = {}
         validation_counts = {}  # distinct non-background entries per link
         for link_id, state in sorted(self.link_states.items()):
             for lane_class in (LaneClass.GENERAL, LaneClass.CARPOOL):
                 class_counts[(link_id, lane_class)] = state.totals[lane_class]
-                background_counts[(link_id, lane_class)] = (
-                    state.background_totals[lane_class]
-                )
             validation_counts[link_id] = (sum(state.totals.values())
                                           - sum(state.background_totals.values()))
         outcomes = []
@@ -618,7 +610,6 @@ class SimState:
                                              departure, arrival, stranded))
         return SimReport(
             link_class_counts=class_counts,
-            link_background_counts=background_counts,
             validation_counts=validation_counts,
             outcomes=outcomes,
             riders_total=riders_total,

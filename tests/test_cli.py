@@ -238,6 +238,17 @@ BAD_INPUTS = {
                    None, [], "demand.shares.rider"),
     "bool-od-rate": ({"demand": {"od_rates": {"0-2": True}}}, None, [],
                      "demand.od_rates.0-2"),
+    "quoted-seed": ({"seed": "5"}, None, [], "seed"),
+    "quoted-horizon": ({"horizon": "1.5"}, None, [], "horizon"),
+    "quoted-od-rate": ({"demand": {"od_rates": {"0-2": "10.0"}}}, None, [],
+                       "demand.od_rates.0-2"),
+    "quoted-node": ({}, lambda net: net["nodes"].__setitem__(0, "0"), [], "nodes[0]"),
+    "quoted-link-id": ({}, lambda net: net["links"][0].update(id="0"), [], "links[0].id"),
+    "quoted-link-length": ({}, lambda net: net["links"][0].update(length="10.0"),
+                           [], "links[0].length"),
+    "quoted-free-flow-time": ({}, lambda net: net["links"][0].update(free_flow_time="0.55"),
+                              [], "links[0].free_flow_time"),
+    "quoted-toll": ({}, lambda net: net["links"][0].update(toll="1e-1"), [], "links[0].toll"),
 }
 
 

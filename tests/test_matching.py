@@ -218,12 +218,17 @@ def reference_ten(rider, offers, net, tau, dt):
 class TestMultiSlotArcs:
     def test_arcs_match_per_step_reference(self):
         rng = random.Random(4242)
-        later_slot_arcs = full_slots = checked = 0
+        later_slot_arcs = full_slots = congested_arcs = checked = 0
         while checked < 300:
             instance = random_instance(rng)
             if instance is None:
                 continue
             rider, offers, net, tau = instance
+            # the build's arc rule rests on the triangle inequality, which
+            # holds for any tau: raise each link's steps on some instances
+            congested = rng.random() < 0.5
+            if congested:
+                tau = {lid: steps + rng.randint(0, 2) for lid, steps in tau.items()}
             rider = with_slack(rng, rider, DT_EXACT)
             offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
             ten = build_time_expanded(rider, offers, net, tau, DT_EXACT)
@@ -233,9 +238,12 @@ class TestMultiSlotArcs:
                           for a in ten.travel_arcs) == sorted(arcs)
             later_slot_arcs += sum(slot > 0 for slot in arcs.values())
             full_slots += full
+            if congested:
+                congested_arcs += len(arcs)
             checked += 1
-        # the instances reach arcs past the first pin and seat-full slots
-        assert later_slot_arcs > 0 and full_slots > 0
+        # the instances reach arcs past the first pin, seat-full slots and
+        # arcs under congested durations
+        assert later_slot_arcs > 0 and full_slots > 0 and congested_arcs > 0
 
 
 def exactness_instance(seed):

@@ -181,7 +181,7 @@ class TestConservation:
                           unused_capacity=0.25)
         sim = SimState(config, testbed, seed=3)
         report = sim.run(horizon=10.0)  # past the 2 h demand, so all arrive
-        assert report.link_background_counts[(2, LaneClass.CARPOOL)] > 0
+        assert sim.link_states[2].background_totals[LaneClass.CARPOOL] > 0
         for state in sim.link_states.values():
             for lane_class in LaneClass:
                 assert state.counts[lane_class] == 0
@@ -576,8 +576,8 @@ class TestBackgroundLoad:
     def test_full_unused_injects_nothing(self, testbed):
         sim = SimState(scenario(4.0, self.RATES, unused_capacity=1.0), testbed, seed=2)
         assert EV_BACKGROUND not in [kind for _, _, kind, _ in sim.events]
-        report = sim.run()
-        assert report.link_background_counts[(2, LaneClass.CARPOOL)] == 0
+        sim.run()
+        assert sim.link_states[2].background_totals[LaneClass.CARPOOL] == 0
 
     def test_rates_scale_with_unused_fraction(self, testbed):
         r25 = carpool_background_rates(testbed, self.RATES, 1.0, 0.25)
@@ -592,9 +592,8 @@ class TestBackgroundLoad:
     def test_background_excluded_from_validation_counts(self, testbed):
         sim = SimState(scenario(4.0, self.RATES, unused_capacity=0.25), testbed, seed=2)
         report = sim.run()
-        assert report.link_background_counts[(2, LaneClass.CARPOOL)] > 0
+        background = sim.link_states[2].background_totals[LaneClass.CARPOOL]
+        assert background > 0
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
                       + report.link_class_counts[(2, LaneClass.CARPOOL)])
-        assert report.validation_counts[2] == (
-            total_on_2 - report.link_background_counts[(2, LaneClass.CARPOOL)]
-        )
+        assert report.validation_counts[2] == total_on_2 - background
