@@ -36,7 +36,7 @@ def _load(args, default_name: str) -> ScenarioConfig:
         config_path = bundled_data_path(default_name)
     overrides = {"seed": args.seed, "output_dir": args.out,
                  "replications": getattr(args, "replications", None)}
-    if getattr(args, "levels", None):
+    if getattr(args, "levels", None) is not None:
         try:
             overrides["levels"] = [float(x) for x in args.levels.split(",")]
         except ValueError as exc:

@@ -29,12 +29,8 @@ Pipeline for one rider request:
    vertex's cost to go, which ignores drivers, and the cost of one
    itinerary found along it prune labels that cannot reach the optimum;
    the DP returns exactly what it would return without the bound.
-   Itineraries tied on every key the DP orders by are resolved by the DP's
-   visiting order, which ``forward`` decides (see ``solve_itinerary``), not
-   by a total order.
-
-``brute_force_itinerary`` enumerates every labelled path, in ``forward``'s
-order, and is the testing oracle for the dynamic program.
+   Itineraries tied on every key the DP orders by are not ordered; which
+   one it returns follows its visiting order, stated in ``solve_itinerary``.
 
 Every link is priced in whole steps, ``tau``, which ``match_rider`` takes
 once per request from the traffic state frozen at the match instant
@@ -60,10 +56,6 @@ from .network import Network
 INF = float("inf")
 
 Vertex = tuple[int, int]  # (node id, time step)
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when the brute-force oracle exceeds its expansion budget."""
 
 
 def ceil_steps(hours: float, dt: float) -> int:
@@ -190,9 +182,9 @@ class TimeExpandedNetwork:
         penalty), then the travel arcs by (head, driver).
 
         Every arc raises the step, so the vertex order is topological. This
-        is the one place the search graph is ordered: ``preprocess``, the DP
-        and the oracle visit it in this order, and it decides which of
-        several exactly tied itineraries they return.
+        is the one place the search graph is ordered: ``preprocess`` and the
+        DP visit it in this order, and it decides which of several exactly
+        tied itineraries the DP returns.
         """
         intervals = self.node_intervals
         graph: dict[Vertex, list[Arc]] = {}
@@ -433,7 +425,6 @@ class _Label:
     cost: float
     waits: int
     legs: int
-    last: Optional[int]
     used: frozenset[int]
     vertex: Vertex
     parent: Optional["_Label"] = None
@@ -530,77 +521,62 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) ->
     return cost
 
 
-def _bucket_order(graph: PrunedGraph) -> dict[Vertex, dict[Optional[int], None]]:
-    """Per vertex, the last drivers whose buckets can exist there, in the
-    order the DP would first reach them if every label could take every arc:
-    a travel arc brings its driver, a wait arc the buckets of its tail. It
-    depends on the graph alone, so pruning cannot change it; without pruning
-    it is, but for arcs that a label's used drivers rule out, the order in
-    which buckets are created."""
-    order: dict[Vertex, dict[Optional[int], None]] = {v: {} for v in graph.vertices}
-    order[graph.start][None] = None
-    for vertex in graph.vertices:
-        lasts = order[vertex]
-        for head, driver, _ in graph.adjacency[vertex]:
-            if driver is None:
-                order[head].update(dict.fromkeys(lasts))
-            else:
-                order[head].setdefault(driver)
-    return order
-
-
 def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     """Minimum-cost itinerary over the pruned graph, or None when infeasible.
 
     Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
     broken toward fewer waits, then fewer legs, then earlier arrival, then
     the lexicographically smallest driver sequence. Itineraries equal on all
-    five (a different transfer vertex or boarding step) are not ordered: the
-    DP returns the one whose labels came first. It visits vertices and each
-    vertex's arcs in ``TimeExpandedNetwork.forward``'s order ((step, node);
-    the wait first, then by (head, driver)), each vertex's (last driver)
-    buckets in ``_bucket_order`` and each bucket's labels in insertion
-    order; a new label exactly equal to one already in its bucket is
-    dropped.
+    five (a different transfer vertex or boarding step) are not ordered; the
+    DP returns the one its labels reach first. It visits the vertices in
+    ``TimeExpandedNetwork.forward``'s order, each vertex's buckets (one per
+    last driver) in the order the vertex's in-arcs first reach them, and
+    each bucket's labels in insertion order, and of two equal labels it
+    keeps the first.
+
+    Before it expands a vertex's labels, the DP creates every bucket each
+    arc can reach at the arc's head: a travel arc its driver's, a wait arc
+    each of the tail's, in the tail's order. So a bucket exists, in its
+    place, whether or not any label takes the arc, and the bucket order
+    depends on the graph alone.
 
     Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
     of one itinerary. An expansion whose cost plus the bound at its head
     exceeds the incumbent by more than a relative 1e-9 is skipped: it cannot
     reach any finalist, and a label it would have made could dominate only
-    labels that are pruned too, so the survivors and their order, and hence
-    the result, are those of the unpruned DP. The bucket order is what
-    keeps the order: pruning changes which buckets exist when, so visiting
-    them in creation order could make an exact tie resolve differently.
-    ``_bucket_order`` depends on the graph alone and, in nearly every case,
-    equals the creation order of the DP without pruning.
+    labels that are pruned too. Since pruning cannot change the bucket order
+    either, the survivors, their order and hence the result are those of the
+    unpruned DP.
     """
     if not 0 <= penalty < INF:
         raise ValueError("penalty must be non-negative and finite")
     if not graph.feasible:
         return None
     togo = _cost_to_go(graph, penalty)
-    incumbent = _incumbent(graph, togo, penalty)
-    limit = incumbent * (1 + 1e-9)  # costs are non-negative
+    limit = _incumbent(graph, togo, penalty) * (1 + 1e-9)  # costs are non-negative
     table: dict[Vertex, dict[Optional[int], list[_Label]]] = {
         v: {} for v in graph.vertices
     }
-    root = _Label(0.0, 0, 0, None, frozenset(), graph.start)
-    table[graph.start][None] = [root]
+    table[graph.start][None] = [_Label(0.0, 0, 0, frozenset(), graph.start)]
 
-    order = _bucket_order(graph)
     for vertex in graph.vertices:
-        buckets = table[vertex]
-        for last in order[vertex]:
-            for label in buckets.get(last, ()):  # heads lie later: none grows
-                for head, driver, cost in graph.adjacency[vertex]:
+        buckets = table[vertex]  # heads lie later: no bucket here grows
+        arcs = graph.adjacency[vertex]
+        for head, driver, _ in arcs:
+            heads = table[head]
+            for last in (buckets if driver is None else (driver,)):
+                heads.setdefault(last, [])
+        for last, bucket in buckets.items():
+            for label in bucket:
+                for head, driver, cost in arcs:
                     if driver is None:
                         new_cost = label.cost + penalty
                         if new_cost + togo[head] > limit:
                             continue
-                        nxt = _Label(new_cost, label.waits + 1,
-                                     label.legs, last, label.used,
-                                     head, label, None)
+                        nxt = _Label(new_cost, label.waits + 1, label.legs,
+                                     label.used, head, label, None)
+                        _insert_label(table[head][last], nxt)
                     else:
                         if last is not None and driver != last and driver in label.used:
                             continue
@@ -609,74 +585,18 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
                             continue
                         legs = label.legs + (0 if driver == last else 1)
                         nxt = _Label(new_cost, label.waits, legs,
-                                     driver, label.used | {driver},
-                                     head, label, driver)
-                    _insert_label(table[head].setdefault(nxt.last, []), nxt)
+                                     label.used | {driver}, head, label, driver)
+                        _insert_label(table[head][driver], nxt)
 
-    # finalists share one vertex and, with one driver sequence, one bucket
-    candidates: list[_Label] = []
-    for dest in graph.dests:
-        for bucket in table[dest].values():
-            candidates.extend(lbl for lbl in bucket if lbl.legs > 0)
+    candidates = [label for dest in graph.dests for bucket in table[dest].values()
+                  for label in bucket if label.legs > 0]
     if not candidates:
         return None
-    best_key = min(
-        (c.cost, c.waits, c.legs, c.vertex[1]) for c in candidates
-    )
-    finalists = [
-        c for c in candidates if (c.cost, c.waits, c.legs, c.vertex[1]) == best_key
-    ]
-    itineraries = [_trace(c) for c in finalists]
-    return min(itineraries, key=lambda it: it.driver_sequence())
-
-
-def brute_force_itinerary(
-    ten: TimeExpandedNetwork, penalty: float, budget: int = 200_000
-) -> Optional[Itinerary]:
-    """Exhaustive oracle: enumerate every labelled path obeying the
-    no-re-boarding rule and return the exact optimum (same tie-breaks as
-    ``solve_itinerary``). Raises EnumerationBudgetError past ``budget`` arc
-    expansions."""
-    start = ten.start_vertex
-    if start is None:
-        return None
-    forward = ten.forward()
-    best: Optional[tuple] = None
-    best_itin: Optional[Itinerary] = None
-    expansions = 0
-
-    def key_of(path, cost, waits, legs, vertex) -> tuple:
-        drivers = tuple(d for _, _, d in path if d is not None)
-        collapsed = tuple(d for i, d in enumerate(drivers)
-                          if i == 0 or d != drivers[i - 1])
-        return (cost, waits, legs, vertex[1], collapsed)
-
-    stack: list[tuple[Vertex, Optional[int], frozenset, float, int, int, tuple]] = [
-        (start, None, frozenset(), 0.0, 0, 0, ())
-    ]
-    while stack:
-        vertex, last, used, cost, waits, legs, path = stack.pop()
-        if vertex[0] == ten.destination and legs > 0:
-            key = key_of(path, cost, waits, legs, vertex)
-            if best is None or key < best:
-                best = key
-                best_itin = Itinerary(_legs(path), cost, waits)
-        for head, driver, arc_cost in forward[vertex]:
-            expansions += 1
-            if expansions > budget:
-                raise EnumerationBudgetError(
-                    f"brute force exceeded {budget} expansions"
-                )
-            if driver is None:
-                stack.append((head, last, used, cost + penalty, waits + 1,
-                              legs, path + ((vertex, head, None),)))
-            else:
-                if last is not None and driver != last and driver in used:
-                    continue
-                nlegs = legs + (0 if driver == last else 1)
-                stack.append((head, driver, used | {driver}, cost + arc_cost,
-                              waits, nlegs, path + ((vertex, head, driver),)))
-    return best_itin
+    best = min((c.cost, c.waits, c.legs, c.vertex[1]) for c in candidates)
+    # the ties share one vertex, and a driver sequence names one bucket there
+    return min((_trace(c) for c in candidates
+                if (c.cost, c.waits, c.legs, c.vertex[1]) == best),
+               key=Itinerary.driver_sequence)
 
 
 def match_rider(sim, rider: RiderRequest) -> MatchResult:

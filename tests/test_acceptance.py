@@ -18,19 +18,14 @@ from ridesim.experiments import (
     run_capacity_sweep,
     run_validation,
 )
-from ridesim.matching import (
-    EnumerationBudgetError,
-    brute_force_itinerary,
-    build_time_expanded,
-    preprocess,
-    solve_itinerary,
-)
+from ridesim.matching import build_time_expanded, preprocess, solve_itinerary
 from ridesim.network import LaneClass
 from ridesim.routing import dijkstra_route
 from ridesim.simulation import init_simulation
 
 from conftest import DT_EXACT, make_network, random_instance
-from test_matching import vertices_on_feasible_paths
+from oracle import (EnumerationBudgetError, brute_force_itinerary,
+                    vertices_on_feasible_paths)
 
 STRETCH_TARGET_RATES = (0.60, 0.60, 0.50, 0.45)
 

@@ -70,10 +70,11 @@ class TestSweepCommand:
         assert "1.5 outside [0, 1]" in capsys.readouterr().err
 
     def test_unparsable_level_usage_error(self, quick_sweep_config, capsys):
-        code = main(["sweep", "--config", str(quick_sweep_config),
-                     "--levels", "a,b"])
-        assert code == EXIT_USAGE
-        assert "error: --levels:" in capsys.readouterr().err
+        for levels in ("a,b", ""):
+            code = main(["sweep", "--config", str(quick_sweep_config),
+                         "--levels", levels])
+            assert code == EXIT_USAGE, levels
+            assert "error: --levels:" in capsys.readouterr().err
 
     def test_empty_levels_usage_error(self, quick_sweep_config, tmp_path, capsys):
         raw = yaml.safe_load(Path(quick_sweep_config).read_text())
