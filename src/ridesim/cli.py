@@ -10,24 +10,12 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, bundled_data_path, load_config
-from .demand import DemandError
-from .experiments import (
-    ALPHA,
-    ExperimentError,
-    run_capacity_sweep,
-    run_single,
-    run_validation,
-    write_sim_report,
-)
-from .network import NetworkFormatError, NetworkValidationError
+from .experiments import (ALPHA, run_capacity_sweep, run_single, run_validation,
+                          write_sim_report)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
 EXIT_USAGE = 2
-
-# bad input from a scenario, network file or flag; reported with exit 2
-INPUT_ERRORS = (ConfigError, DemandError, ExperimentError, NetworkFormatError,
-                NetworkValidationError)
 
 
 def _load(args, default_name: str) -> ScenarioConfig:
@@ -122,7 +110,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,21 +12,17 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
-from .demand import (DEFAULT_OD_02_DAILY, DEFAULT_SEATS, DemandSpec, Shares,
-                     calibrate_od_rates, default_od_pairs)
-from .network import Network, load_network, number, read_yaml, whole_number
+from .demand import (DEFAULT_SEATS, DemandSpec, Shares, calibrate_od_rates,
+                     default_od_pairs)
+from .network import (ConfigError, Network, load_network, number, read_yaml,
+                      whole_number)
 from .routing import CostWeights
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _require_keys(section: dict, allowed: set[str], context: str) -> None:
@@ -37,17 +33,22 @@ def _require_keys(section: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
-# the network file's value rules, raising ConfigError
-_whole_number = partial(whole_number, error=ConfigError)
-_number = partial(number, error=ConfigError)
+def _parse_od_keys(section: dict, context: str) -> dict[tuple[int, int], float]:
+    """``{"origin-dest": value}`` as ``{(origin, dest): float}``."""
+    parsed = {}
+    for key, value in section.items():
+        try:
+            origin, dest = map(int, str(key).split("-"))
+        except ValueError as exc:
+            raise ConfigError(f"{context}: bad O-D key {key!r}; "
+                              f"expected 'origin-dest'") from exc
+        parsed[origin, dest] = number(value, f"{context}.{key}")
+    return parsed
 
 
-def _parse_od_key(key: str) -> tuple[int, int]:
-    try:
-        origin, dest = key.split("-")
-        return int(origin), int(dest)
-    except ValueError as exc:
-        raise ConfigError(f"bad O-D key {key!r}; expected 'origin-dest'") from exc
+# pinned when the file names no pins: the free split of the shared-corridor
+# demand, applied where the network has the pair
+_DEFAULT_PINS = {(0, 2): 26660.0}
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,23 @@ class DemandConfig:
     scale: float
     seats: int
     explicit_rates: Optional[dict[tuple[int, int], float]]  # hourly; None: calibrated
-    calibration_fixed_daily: dict[tuple[int, int], float]
+    calibration_fixed_daily: Optional[dict[tuple[int, int], float]]  # None: _DEFAULT_PINS
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.window_flexibility < math.inf:
+            raise ConfigError("demand.window_flexibility must be finite and >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise ConfigError("demand.scale must be finite and >= 0")
+        if self.seats < 0:
+            raise ConfigError("demand.seats must be >= 0")
+        for field, values in (("od_rates", self.explicit_rates),
+                              ("calibration_fixed_daily", self.calibration_fixed_daily)):
+            for (origin, dest), value in (values or {}).items():
+                name = f"demand.{field}.{origin}-{dest}"
+                if origin == dest:
+                    raise ConfigError(f"{name}: origin equals destination")
+                if not 0 <= value < math.inf:
+                    raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     @staticmethod
     def from_mapping(section: dict) -> "DemandConfig":
@@ -69,37 +86,38 @@ class DemandConfig:
         _require_keys(shares_raw, {"rider", "rideshare_driver", "regular_driver"},
                       "demand.shares")
         shares = Shares(
-            rider=_number(shares_raw.get("rider", 0.0), "demand.shares.rider"),
-            rideshare_driver=_number(shares_raw.get("rideshare_driver", 0.0),
-                                     "demand.shares.rideshare_driver"),
-            regular_driver=_number(shares_raw.get("regular_driver", 1.0),
-                                   "demand.shares.regular_driver"),
+            rider=number(shares_raw.get("rider", 0.0), "demand.shares.rider"),
+            rideshare_driver=number(shares_raw.get("rideshare_driver", 0.0),
+                                    "demand.shares.rideshare_driver"),
+            regular_driver=number(shares_raw.get("regular_driver", 1.0),
+                                  "demand.shares.regular_driver"),
         )
         od_rates = section.get("od_rates", "calibrated")
         if od_rates == "calibrated":
             explicit = None
         elif isinstance(od_rates, dict):
-            explicit = {_parse_od_key(k): _number(v, f"demand.od_rates.{k}")
-                        for k, v in od_rates.items()}
+            explicit = _parse_od_keys(od_rates, "demand.od_rates")
         else:
             raise ConfigError("demand.od_rates must be 'calibrated' or a map")
-        fixed_raw = section.get("calibration_fixed_daily",
-                                {"0-2": DEFAULT_OD_02_DAILY})
-        if not isinstance(fixed_raw, dict):
-            raise ConfigError("demand.calibration_fixed_daily must be a mapping")
-        fixed = {_parse_od_key(k): _number(v, f"demand.calibration_fixed_daily.{k}")
-                 for k, v in fixed_raw.items()}
+        fixed = None
+        if "calibration_fixed_daily" in section:
+            fixed_raw = section["calibration_fixed_daily"]
+            if not isinstance(fixed_raw, dict):
+                raise ConfigError("demand.calibration_fixed_daily must be a mapping")
+            fixed = _parse_od_keys(fixed_raw, "demand.calibration_fixed_daily")
         return DemandConfig(
             shares=shares,
-            window_flexibility=_number(section.get("window_flexibility", 0.25),
-                                       "demand.window_flexibility"),
-            scale=_number(section.get("scale", 0.1), "demand.scale"),
-            seats=_whole_number(section.get("seats", DEFAULT_SEATS), "demand.seats"),
+            window_flexibility=number(section.get("window_flexibility", 0.25),
+                                      "demand.window_flexibility"),
+            scale=number(section.get("scale", 0.1), "demand.scale"),
+            seats=whole_number(section.get("seats", DEFAULT_SEATS), "demand.seats"),
             explicit_rates=explicit,
             calibration_fixed_daily=fixed,
         )
 
     def to_mapping(self) -> dict:
+        pins = (_DEFAULT_PINS if self.calibration_fixed_daily is None
+                else self.calibration_fixed_daily)
         return {
             "shares": {
                 "rider": self.shares.rider,
@@ -112,7 +130,7 @@ class DemandConfig:
             "od_rates": ("calibrated" if self.explicit_rates is None else
                          {f"{o}-{d}": r for (o, d), r in sorted(self.explicit_rates.items())}),
             "calibration_fixed_daily": {
-                f"{o}-{d}": v for (o, d), v in sorted(self.calibration_fixed_daily.items())
+                f"{o}-{d}": v for (o, d), v in sorted(pins.items())
             },
         }
 
@@ -185,9 +203,9 @@ class ScenarioConfig:
         else:
             targets = {l.id: l.observed_daily_flow for l in network.links}
             pairs = default_od_pairs(network)
-            fixed = {od: daily
-                     for od, daily in self.demand_config.calibration_fixed_daily.items()
-                     if od in pairs}
+            fixed = self.demand_config.calibration_fixed_daily
+            if fixed is None:  # the built-in pin, where its pair exists
+                fixed = {od: daily for od, daily in _DEFAULT_PINS.items() if od in pairs}
             rates = calibrate_od_rates(network, targets, od_pairs=pairs,
                                        fixed_daily=fixed)
         return DemandSpec(
@@ -278,27 +296,27 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
             network_path=_resolve_network_path(
                 str(merged.get("network", "la_testbed.yaml")), path.parent
             ),
-            horizon=_number(merged.get("horizon", 24.0), "horizon"),
-            seed=_whole_number(merged.get("seed", 0), "seed"),
-            replications=_whole_number(merged.get("replications", 20), "replications"),
+            horizon=number(merged.get("horizon", 24.0), "horizon"),
+            seed=whole_number(merged.get("seed", 0), "seed"),
+            replications=whole_number(merged.get("replications", 20), "replications"),
             weights=CostWeights(
-                toll=_number(weights_raw.get("toll", 1.0), "weights.toll"),
-                time=_number(weights_raw.get("time", 1.0), "weights.time"),
+                toll=number(weights_raw.get("toll", 1.0), "weights.toll"),
+                time=number(weights_raw.get("time", 1.0), "weights.time"),
             ),
-            bpr_alpha=_number(bpr_raw.get("alpha", 0.15), "bpr.alpha"),
-            bpr_beta=_number(bpr_raw.get("beta", 4.0), "bpr.beta"),
-            dt=_number(merged.get("dt", 0.05), "dt"),
-            penalty=None if penalty is None else _number(penalty, "penalty"),
-            flow_window=_number(merged.get("flow_window", 0.25), "flow_window"),
-            unused_capacity=_number(merged.get("unused_capacity", 1.0),
-                                    "unused_capacity"),
-            validation_error_threshold=_number(
+            bpr_alpha=number(bpr_raw.get("alpha", 0.15), "bpr.alpha"),
+            bpr_beta=number(bpr_raw.get("beta", 4.0), "bpr.beta"),
+            dt=number(merged.get("dt", 0.05), "dt"),
+            penalty=None if penalty is None else number(penalty, "penalty"),
+            flow_window=number(merged.get("flow_window", 0.25), "flow_window"),
+            unused_capacity=number(merged.get("unused_capacity", 1.0),
+                                   "unused_capacity"),
+            validation_error_threshold=number(
                 merged.get("validation_error_threshold", 0.01),
                 "validation_error_threshold",
             ),
             output_dir=Path(merged.get("output_dir", "out")),
             demand_config=DemandConfig.from_mapping(merged.get("demand", {})),
-            levels=tuple(_number(x, "levels") for x in levels),
+            levels=tuple(number(x, "levels") for x in levels),
         )
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):

@@ -8,22 +8,16 @@ admits at least the free-flow solo trip by construction.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .agents import Role, TimeWindow, VehicleAgent
-from .network import Network
+from .network import ConfigError, Network
 from .routing import dijkstra_route
 
-DEFAULT_OD_02_DAILY = 26660.0  # free split of the shared-corridor demand
 DEFAULT_SEATS = 4
 CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
-
-
-class DemandError(ValueError):
-    """Raised for unsatisfiable demand specifications or calibrations."""
 
 
 @dataclass(frozen=True)
@@ -33,13 +27,12 @@ class Shares:
     regular_driver: float
 
     def __post_init__(self) -> None:
-        for name, value in (("rider", self.rider),
-                            ("rideshare_driver", self.rideshare_driver),
-                            ("regular_driver", self.regular_driver)):
-            if not 0.0 <= value <= 1.0:
-                raise DemandError(f"share {name}={value} outside [0, 1]")
+        for name in ("rider", "rideshare_driver", "regular_driver"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ConfigError(f"demand.shares.{name}={value} outside [0, 1]")
         if abs(self.rider + self.rideshare_driver + self.regular_driver - 1.0) > 1e-9:
-            raise DemandError("participation shares must sum to 1")
+            raise ConfigError("demand.shares must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -51,21 +44,6 @@ class DemandSpec:
     scale: float = 1.0
     seats: int = DEFAULT_SEATS
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.window_flexibility < math.inf:
-            raise DemandError("window_flexibility must be finite and >= 0")
-        if self.horizon <= 0:
-            raise DemandError("horizon must be positive")
-        if not 0 <= self.scale < math.inf:
-            raise DemandError("scale must be finite and >= 0")
-        if self.seats < 0:
-            raise DemandError("seats must be >= 0")
-        for od, rate in self.od_rates.items():
-            if not 0 <= rate < math.inf:
-                raise DemandError(f"negative or non-finite rate for O-D pair {od}")
-            if od[0] == od[1]:
-                raise DemandError(f"degenerate O-D pair {od}")
-
 
 def free_flow_paths(
     network: Network, od_pairs: list[tuple[int, int]]
@@ -74,10 +52,10 @@ def free_flow_paths(
     out = {}
     for origin, dest in od_pairs:
         if origin not in network.adjacency or dest not in network.adjacency:
-            raise DemandError(f"O-D pair {origin}->{dest}: node not in the network")
+            raise ConfigError(f"O-D pair {origin}->{dest}: node not in the network")
         path = dijkstra_route(network, lambda l: l.free_flow_time, origin, dest)
         if path is None:
-            raise DemandError(f"O-D pair {origin}->{dest} is not connected")
+            raise ConfigError(f"O-D pair {origin}->{dest} is not connected")
         out[(origin, dest)] = (path.links, path.total_time)
     return out
 
@@ -93,25 +71,26 @@ def calibrate_od_rates(
     Rates are chosen so that assigning each pair's demand to its free-flow
     route reproduces the targets exactly. Under-determined systems are
     closed with ``fixed_daily`` pins (the bundled testbed pins the
-    origin-to-far-end split). Unsatisfiable targets raise DemandError with
-    the residual per link.
+    origin-to-far-end split); a pin outside ``od_pairs`` raises ConfigError
+    naming ``demand.calibration_fixed_daily.<o-d>``, and unsatisfiable
+    targets raise ConfigError with the residual per link.
     """
     missing = [l.id for l in network.links if l.id not in target_daily_flows]
     if missing:
-        raise DemandError(f"targets missing for link(s) {missing}")
-    if all(abs(v) < 1e-12 for v in target_daily_flows.values()):
-        pairs = od_pairs or default_od_pairs(network)
-        return {od: 0.0 for od in pairs}
-
+        raise ConfigError(f"targets missing for link(s) {missing}")
     pairs = od_pairs or default_od_pairs(network)
     fixed_daily = dict(fixed_daily or {})
-    routes = free_flow_paths(network, pairs)
+    for origin, dest in fixed_daily:
+        if (origin, dest) not in pairs:
+            raise ConfigError(f"demand.calibration_fixed_daily.{origin}-{dest} is not "
+                              f"a calibration pair (those are joined by a path)")
+    if all(abs(v) < 1e-12 for v in target_daily_flows.values()):
+        return {od: 0.0 for od in pairs}
 
+    routes = free_flow_paths(network, pairs)
     link_ids = sorted(target_daily_flows)
     residual_targets = {l: float(target_daily_flows[l]) for l in link_ids}
     for od, daily in fixed_daily.items():
-        if od not in routes:
-            raise DemandError(f"fixed O-D pair {od} not in the pair set")
         for link_id in routes[od][0]:
             residual_targets[link_id] -= daily
 
@@ -128,11 +107,11 @@ def calibrate_od_rates(
     if np.max(np.abs(residual)) > CALIBRATION_TOLERANCE:
         detail = {link_ids[i]: float(residual[i]) for i in range(len(link_ids))
                   if abs(residual[i]) > CALIBRATION_TOLERANCE}
-        raise DemandError(f"calibration residuals exceed tolerance: {detail}")
+        raise ConfigError(f"calibration residuals exceed tolerance: {detail}")
     if np.min(solution) < -CALIBRATION_TOLERANCE:
         negatives = {free[i]: float(solution[i]) for i in range(len(free))
                      if solution[i] < -CALIBRATION_TOLERANCE}
-        raise DemandError(f"calibration produced negative rates: {negatives}")
+        raise ConfigError(f"calibration produced negative rates: {negatives}")
 
     daily = dict(fixed_daily)
     for od, value in zip(free, solution):

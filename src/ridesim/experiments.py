@@ -17,17 +17,13 @@ import numpy as np
 from scipy import stats
 
 from .config import ScenarioConfig
-from .network import Network, flow_distribution
+from .network import ConfigError, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
 from .simulation import SimReport, SimState, init_simulation
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
 SWEEP_SHARES = (0.10, 0.40, 0.50)  # (rider, rideshare, regular) in the sweep
-
-
-class ExperimentError(ValueError):
-    pass
 
 
 def replication_seeds(base_seed: int, count: int) -> list[int]:
@@ -49,15 +45,15 @@ def chi_squared_gof(
     """
     total = sum(observed.values())
     if total <= 0:
-        raise ExperimentError("chi-squared test needs a positive total count")
+        raise ConfigError("chi-squared test needs a positive total count")
     prop_sum = sum(expected_proportions.values())
     if abs(prop_sum - 1.0) > 1e-9:
-        raise ExperimentError("expected proportions must sum to 1")
+        raise ConfigError("expected proportions must sum to 1")
     statistic = 0.0
     for key in sorted(expected_proportions):
         expected = expected_proportions[key] * total
         if expected <= 0:
-            raise ExperimentError(f"expected count for category {key} is zero")
+            raise ConfigError(f"expected count for category {key} is zero")
         diff = observed.get(key, 0.0) - expected
         statistic += diff * diff / expected
     df = len(expected_proportions) - 1
@@ -116,7 +112,7 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
     """
     network = config.make_network()
     if any(l.observed_daily_flow <= 0 for l in network.links):
-        raise ExperimentError("every link needs a positive observed_daily_flow")
+        raise ConfigError("every link needs a positive observed_daily_flow")
     base = config.with_shares(0.0, 0.0, 1.0)
     seeds = replication_seeds(config.seed, config.replications)
 
@@ -131,7 +127,7 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
             totals[link_id] += count
     grand_total = sum(totals.values())
     if grand_total <= 0:
-        raise ExperimentError("validation runs produced zero vehicles")
+        raise ConfigError("validation runs produced zero vehicles")
     simulated = flow_distribution(totals)
     errors = [abs(real[l] - simulated[l]) for l in sorted(real)]
     # test the replication-averaged counts: one representative run's volume
@@ -201,7 +197,7 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     """
     network = config.make_network()
     if not network.carpool_links():
-        raise ExperimentError("capacity sweep needs a carpool-lane link")
+        raise ConfigError("capacity sweep needs a carpool-lane link")
     base = config.with_shares(*SWEEP_SHARES)
     seeds = replication_seeds(config.seed, config.replications)
 

@@ -23,37 +23,32 @@ class LaneClass(str, Enum):
     CARPOOL = "carpool"
 
 
-class NetworkFormatError(ValueError):
-    """Raised when the network file cannot be parsed into the schema."""
+class ConfigError(ValueError):
+    """Bad input: a scenario file, a network file or a flag. The message
+    names the offending field; the CLI reports it with exit code 2."""
 
 
-class NetworkValidationError(ValueError):
-    """Raised when a parsed network violates a structural invariant."""
-
-
-def whole_number(value: object, name: str,
-                 error: type[ValueError] = NetworkFormatError) -> int:
+def whole_number(value: object, name: str) -> int:
     """``value`` as an int; a bool, a string or a number with a fraction
-    raises ``error`` naming ``name``."""
+    raises ConfigError naming ``name``."""
     if (isinstance(value, (bool, str))
             or (isinstance(value, float) and not value.is_integer())):
-        raise error(f"{name} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as exc:
-        raise error(f"{name} must be a whole number, got {value!r}") from exc
+        raise ConfigError(f"{name} must be a whole number, got {value!r}") from exc
 
 
-def number(value: object, name: str,
-           error: type[ValueError] = NetworkFormatError) -> float:
-    """``value`` as a float; a bool or a string raises ``error`` naming
+def number(value: object, name: str) -> float:
+    """``value`` as a float; a bool or a string raises ConfigError naming
     ``name``, rather than reading as 0 or 1 or as the number it spells."""
     if isinstance(value, (bool, str)):
-        raise error(f"{name} must be a number, got {value!r}")
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
-        raise error(f"{name} must be a number, got {value!r}") from exc
+        raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -75,11 +70,11 @@ class Link:
     observed_daily_flow: float = 0.0
 
     def validate(self, index: int) -> None:
-        """Raise NetworkValidationError naming ``links[index].<field>`` and
+        """Raise ConfigError naming ``links[index].<field>`` and
         the link id; ``index`` is the link's place in ``Network.links``,
         which is its place in the network file."""
         def fail(field: str, problem: str) -> None:
-            raise NetworkValidationError(
+            raise ConfigError(
                 f"links[{index}].{field} (link {self.id}): {problem}")
 
         for field in ("length", "free_flow_time", "lane_capacity", "toll",
@@ -118,16 +113,16 @@ class Network:
     def __post_init__(self) -> None:
         node_ids = [n.id for n in self.nodes]
         if len(set(node_ids)) != len(node_ids):
-            raise NetworkValidationError("duplicate node ids")
+            raise ConfigError("duplicate node ids")
         known = set(node_ids)
         link_ids = [l.id for l in self.links]
         if len(set(link_ids)) != len(link_ids):
-            raise NetworkValidationError("duplicate link ids")
+            raise ConfigError("duplicate link ids")
         for index, link in enumerate(self.links):
             link.validate(index)
             for end in (link.from_node, link.to_node):
                 if end not in known:
-                    raise NetworkValidationError(
+                    raise ConfigError(
                         f"link {link.id}: endpoint node {end} not declared"
                     )
         adjacency: dict[int, list[int]] = {n: [] for n in node_ids}
@@ -195,18 +190,18 @@ _LINK_OPTIONAL = {"general_lanes", "lane_capacity", "toll", "observed_daily_flow
 
 def _parse_link(entry: dict, index: int) -> Link:
     if not isinstance(entry, dict):
-        raise NetworkFormatError(f"links[{index}]: expected a mapping")
+        raise ConfigError(f"links[{index}]: expected a mapping")
     keys = set(entry)
     missing = _LINK_REQUIRED - keys
     if missing:
-        raise NetworkFormatError(f"links[{index}]: missing field(s) {sorted(missing)}")
+        raise ConfigError(f"links[{index}]: missing field(s) {sorted(missing)}")
     unknown = keys - _LINK_REQUIRED - _LINK_OPTIONAL
     if unknown:
-        raise NetworkFormatError(f"links[{index}]: unknown field(s) {sorted(unknown)}")
+        raise ConfigError(f"links[{index}]: unknown field(s) {sorted(unknown)}")
     where = f"links[{index}]"
     carpool = entry["has_carpool_lane"]
     if not isinstance(carpool, bool):
-        raise NetworkFormatError(f"{where}.has_carpool_lane must be true or false, "
+        raise ConfigError(f"{where}.has_carpool_lane must be true or false, "
                                  f"got {carpool!r}")
     return Link(
         id=whole_number(entry["id"], f"{where}.id"),
@@ -236,26 +231,25 @@ def read_yaml(path: Path) -> object:
 def load_network(path: str | Path) -> Network:
     """Load and validate a network file.
 
-    Raises NetworkFormatError on malformed files (naming the offending
-    field) and NetworkValidationError on invariant violations (naming the
-    link id).
+    Raises ConfigError on a malformed file or a broken invariant, naming
+    the offending field (and, for a link, its id).
     """
     path = Path(path)
     try:
         raw = read_yaml(path)
     except yaml.YAMLError as exc:
-        raise NetworkFormatError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise NetworkFormatError(f"{path}: top level must be a mapping")
+        raise ConfigError(f"{path}: top level must be a mapping")
     unknown = set(raw) - {"nodes", "links"}
     if unknown:
-        raise NetworkFormatError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
     if "nodes" not in raw or "links" not in raw:
-        raise NetworkFormatError(f"{path}: 'nodes' and 'links' are required")
+        raise ConfigError(f"{path}: 'nodes' and 'links' are required")
     if not isinstance(raw["nodes"], list):
-        raise NetworkFormatError(f"{path}: 'nodes' must be a list of node ids")
+        raise ConfigError(f"{path}: 'nodes' must be a list of node ids")
     if not isinstance(raw["links"], list):
-        raise NetworkFormatError(f"{path}: 'links' must be an array")
+        raise ConfigError(f"{path}: 'links' must be an array")
     nodes = tuple(Node(whole_number(n, f"nodes[{j}]")) for j, n in enumerate(raw["nodes"]))
     links = tuple(_parse_link(entry, i) for i, entry in enumerate(raw["links"]))
     return Network(nodes=nodes, links=links)

@@ -189,11 +189,19 @@ BAD_INPUTS = {
     "negative-seats": ({"demand": {"seats": -2, "shares": RIDESHARE_SHARES}},
                        None, [], "seats"),
     "negative-od-rate": ({"demand": {"od_rates": {"0-2": -1.0}}}, None,
-                         [], "(0, 2)"),
+                         [], "demand.od_rates.0-2"),
     "nan-od-rate": ({"demand": {"od_rates": {"0-2": float("nan")}}}, None,
-                    [], "(0, 2)"),
+                    [], "demand.od_rates.0-2"),
     "degenerate-od-pair": ({"demand": {"od_rates": {"0-0": 1.0}}}, None,
-                           [], "(0, 0)"),
+                           [], "demand.od_rates.0-0"),
+    "integer-od-key": ({"demand": {"od_rates": {5: 1.0}}}, None, [],
+                       "demand.od_rates: bad O-D key 5"),
+    "disconnected-pin": ({"demand": {"calibration_fixed_daily": {"2-0": 5.0}}}, None,
+                         [], "demand.calibration_fixed_daily.2-0"),
+    "unknown-node-pin": ({"demand": {"calibration_fixed_daily": {"0-9": 5.0}}}, None,
+                         [], "demand.calibration_fixed_daily.0-9"),
+    "nan-pin": ({"demand": {"calibration_fixed_daily": {"0-2": float("nan")}}}, None,
+                [], "demand.calibration_fixed_daily.0-2"),
     "disconnected-od-pair": ({"demand": {"od_rates": {"2-0": 1.0}}}, None,
                              [], "2->0"),
     "unknown-od-node": ({"demand": {"od_rates": {"0-9": 1.0}}}, None,

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 import yaml
@@ -84,6 +85,22 @@ class TestLoadConfig:
         path.write_text(yaml.safe_dump(raw))
         with pytest.raises(ConfigError, match=f"^{section} must be a mapping$"):
             load_config(path)
+
+
+@pytest.mark.parametrize("demand, named", [
+    ({"scale": -1}, "demand.scale"),
+    ({"window_flexibility": float("nan")}, "demand.window_flexibility"),
+    ({"seats": -1}, "demand.seats"),
+    ({"od_rates": {"0-2": -1}}, "demand.od_rates.0-2"),
+    ({"od_rates": {"0-0": 1.0}}, "demand.od_rates.0-0"),
+    ({"calibration_fixed_daily": {"0-2": -5}}, "demand.calibration_fixed_daily.0-2"),
+], ids=["negative-scale", "nan-window-flexibility", "negative-seats",
+        "negative-od-rate", "degenerate-od-pair", "negative-pin"])
+def test_demand_values_rejected_at_load(tmp_path, demand, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"demand": demand}))
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
+        load_config(path)
 
 
 class TestFingerprint:

@@ -6,7 +6,6 @@ import pytest
 from conftest import make_network
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.demand import (
-    DemandError,
     DemandSpec,
     Shares,
     calibrate_od_rates,
@@ -15,6 +14,7 @@ from ridesim.demand import (
     free_flow_paths,
     generate_agents,
 )
+from ridesim.network import ConfigError
 
 SWEEP_SHARES = Shares(0.10, 0.40, 0.50)
 ALL_REGULAR = Shares(0.0, 0.0, 1.0)
@@ -73,11 +73,11 @@ def grid_network(size=4):
 
 class TestShares:
     def test_must_sum_to_one(self):
-        with pytest.raises(DemandError):
+        with pytest.raises(ConfigError):
             Shares(0.2, 0.4, 0.5)
 
     def test_bounds(self):
-        with pytest.raises(DemandError):
+        with pytest.raises(ConfigError):
             Shares(-0.1, 0.6, 0.5)
 
 
@@ -115,12 +115,12 @@ class TestCalibration:
     def test_unusable_target_rejected(self, testbed):
         # nothing routes over link 0 once 0->3 demand is excluded
         targets = {0: 1000.0, 1: 0.0, 2: 0.0, 3: 0.0}
-        with pytest.raises(DemandError, match="residual|negative"):
+        with pytest.raises(ConfigError, match="residual|negative"):
             calibrate_od_rates(testbed, targets,
                                od_pairs=[(0, 1), (1, 2)])
 
     def test_missing_target_rejected(self, testbed):
-        with pytest.raises(DemandError, match="missing"):
+        with pytest.raises(ConfigError, match="missing"):
             calibrate_od_rates(testbed, {0: 1.0})
 
 
@@ -238,7 +238,7 @@ class TestGenerateAgents:
 
     def test_disconnected_od_rejected(self, testbed):
         spec = DemandSpec(od_rates={(2, 0): 10.0}, shares=ALL_REGULAR)
-        with pytest.raises(DemandError, match="not connected"):
+        with pytest.raises(ConfigError, match="not connected"):
             generate_agents(spec, testbed, 3)
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from ridesim.config import ConfigError, bundled_data_path, load_config
 from ridesim.experiments import (
-    ExperimentError,
     chi_squared_gof,
     replication_seeds,
     run_capacity_sweep,
@@ -55,11 +54,11 @@ class TestChiSquared:
         assert s2 == pytest.approx(10 * s1)
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             chi_squared_gof({0: 0.0}, {0: 1.0})
 
     def test_bad_proportions_rejected(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             chi_squared_gof({0: 5.0, 1: 5.0}, {0: 0.4, 1: 0.4})
 
 
@@ -102,7 +101,7 @@ class TestValidation:
             "     has_carpool_lane: true}\n"
         )
         bad = dataclasses.replace(quick_validation_config, network_path=net_file)
-        with pytest.raises(ExperimentError, match="observed_daily_flow"):
+        with pytest.raises(ConfigError, match="observed_daily_flow"):
             run_validation(bad)
 
 
@@ -145,5 +144,5 @@ class TestSweep:
             "     has_carpool_lane: false, observed_daily_flow: 100}\n"
         )
         bad = dataclasses.replace(quick_sweep_config, network_path=net_file)
-        with pytest.raises(ExperimentError, match="carpool"):
+        with pytest.raises(ConfigError, match="carpool"):
             run_capacity_sweep(bad)

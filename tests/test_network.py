@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from ridesim.network import (
+    ConfigError,
     LaneClass,
-    NetworkFormatError,
-    NetworkValidationError,
     flow_distribution,
     load_network,
     volume_delay,
@@ -54,7 +53,7 @@ class TestLoadNetwork:
               - {id: 0, from: 0, to: 1, length: -1.0, free_flow_time: 0.1,
                  has_carpool_lane: false}
         """)
-        with pytest.raises(NetworkValidationError, match="link 0"):
+        with pytest.raises(ConfigError, match="link 0"):
             load_network(path)
 
     def test_dangling_endpoint_rejected(self, tmp_path):
@@ -64,7 +63,7 @@ class TestLoadNetwork:
               - {id: 0, from: 0, to: 9, length: 1.0, free_flow_time: 0.1,
                  has_carpool_lane: false}
         """)
-        with pytest.raises(NetworkValidationError, match="node 9"):
+        with pytest.raises(ConfigError, match="node 9"):
             load_network(path)
 
     def test_unknown_field_rejected(self, tmp_path):
@@ -74,7 +73,7 @@ class TestLoadNetwork:
               - {id: 0, from: 0, to: 1, length: 1.0, free_flow_time: 0.1,
                  has_carpool_lane: false, colour: blue}
         """)
-        with pytest.raises(NetworkFormatError, match="colour"):
+        with pytest.raises(ConfigError, match="colour"):
             load_network(path)
 
     def test_missing_field_named(self, tmp_path):
@@ -83,7 +82,7 @@ class TestLoadNetwork:
             links:
               - {id: 0, from: 0, to: 1, length: 1.0, has_carpool_lane: false}
         """)
-        with pytest.raises(NetworkFormatError, match="free_flow_time"):
+        with pytest.raises(ConfigError, match="free_flow_time"):
             load_network(path)
 
     def test_self_loop_rejected(self, tmp_path):
@@ -93,7 +92,7 @@ class TestLoadNetwork:
               - {id: 0, from: 0, to: 0, length: 1.0, free_flow_time: 0.1,
                  has_carpool_lane: false}
         """)
-        with pytest.raises(NetworkValidationError, match="self-loop"):
+        with pytest.raises(ConfigError, match="self-loop"):
             load_network(path)
 
 
