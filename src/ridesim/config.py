@@ -1,9 +1,12 @@
-"""Scenario configuration: strict YAML schema, resolution and fingerprints.
+"""Scenario configuration: the schema of scenario files, and fingerprints.
 
 A scenario file names the network, the demand model and every numeric knob
-of the simulator. Unknown keys are rejected everywhere. The fingerprint
-hashes the fully resolved configuration together with the network file
-contents, so a report can state exactly what produced it.
+of the simulator. The dataclasses below are its schema: a YAML key is its
+field's name, an absent key takes the field's default, and the field's
+declared type picks the reader (see ``_read``). Unknown keys are rejected
+everywhere, and every error names the offending key. The fingerprint hashes
+the resolved configuration together with the network file contents, so a
+report can state exactly what produced it.
 """
 from __future__ import annotations
 
@@ -11,7 +14,8 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -25,25 +29,79 @@ from .network import (ConfigError, Network, load_network, number, read_yaml,
 from .routing import CostWeights
 
 
-def _require_keys(section: dict, allowed: set[str], context: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{context} must be a mapping")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
-
-
-def _parse_od_keys(section: dict, context: str) -> dict[tuple[int, int], float]:
+def _od_map(value: object, key: str) -> dict[tuple[int, int], float]:
     """``{"origin-dest": value}`` as ``{(origin, dest): float}``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping")
     parsed = {}
-    for key, value in section.items():
+    for od, rate in value.items():
         try:
-            origin, dest = map(int, str(key).split("-"))
+            origin, dest = map(int, str(od).split("-"))
         except ValueError as exc:
-            raise ConfigError(f"{context}: bad O-D key {key!r}; "
+            raise ConfigError(f"{key}: bad O-D key {od!r}; "
                               f"expected 'origin-dest'") from exc
-        parsed[origin, dest] = number(value, f"{context}.{key}")
+        parsed[origin, dest] = number(rate, f"{key}.{od}")
     return parsed
+
+
+def _od_rates(value: object, key: str) -> Optional[dict[tuple[int, int], float]]:
+    """``calibrated`` as None, else an O-D map."""
+    if value == "calibrated":
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be 'calibrated' or a map")
+    return _od_map(value, key)
+
+
+def _levels(value: object, key: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    return tuple(number(level, key) for level in value)
+
+
+def _path(value: object, key: str) -> Path:
+    if not isinstance(value, (str, Path)):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return Path(value)
+
+
+def _optional_number(value: object, key: str) -> Optional[float]:
+    return None if value is None else number(value, key)
+
+
+# the reader of each field type without a ``read`` of its own; a dataclass
+# type is a nested section
+_READERS = {float: number, int: whole_number, Optional[float]: _optional_number,
+            Path: _path}
+
+
+def _read(cls: type, mapping: object, where: str):
+    """The schema dataclass ``cls`` read from one section of a scenario file.
+
+    A key is its field's name, and an absent key takes the field's default.
+    A value is read by the field's ``read`` metadata if it has one, else by
+    the reader of its type; a dataclass type is a nested section, read by
+    this same rule. ``where`` names the section ("" at the top level), and
+    every error names ``where.key``.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    prefix = f"{where}." if where else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(f"{prefix}{key}" for key in mapping if key not in fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}")
+    types = typing.get_type_hints(cls)
+    values = {}
+    for name, value in mapping.items():
+        key, kind = f"{prefix}{name}", types[name]
+        if "read" in fields[name].metadata:
+            values[name] = fields[name].metadata["read"](value, key)
+        elif dataclasses.is_dataclass(kind):
+            values[name] = _read(kind, value, key)
+        else:
+            values[name] = _READERS[kind](value, key)
+    return cls(**values)
 
 
 # pinned when the file names no pins: the free split of the shared-corridor
@@ -51,14 +109,35 @@ def _parse_od_keys(section: dict, context: str) -> dict[tuple[int, int], float]:
 _DEFAULT_PINS = {(0, 2): 26660.0}
 
 
+def _od_keys(od_map: dict[tuple[int, int], float]) -> dict[str, float]:
+    return {f"{origin}-{dest}": value for (origin, dest), value in od_map.items()}
+
+
+@dataclass(frozen=True)
+class Bpr:
+    """Parameters of the BPR volume-delay curve (``network.volume_delay``)."""
+
+    alpha: float = 0.15
+    beta: float = 4.0
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"bpr.{name} must be non-negative and finite")
+
+
 @dataclass(frozen=True)
 class DemandConfig:
-    shares: Shares
-    window_flexibility: float
-    scale: float
-    seats: int
-    explicit_rates: Optional[dict[tuple[int, int], float]]  # hourly; None: calibrated
-    calibration_fixed_daily: Optional[dict[tuple[int, int], float]]  # None: _DEFAULT_PINS
+    shares: Shares = Shares()
+    window_flexibility: float = 0.25  # hours
+    scale: float = 0.1
+    seats: int = DEFAULT_SEATS
+    # hourly; None: calibrated from the network's observed flows
+    od_rates: Optional[dict[tuple[int, int], float]] = field(
+        default=None, metadata={"read": _od_rates})
+    # daily; None: _DEFAULT_PINS
+    calibration_fixed_daily: Optional[dict[tuple[int, int], float]] = field(
+        default=None, metadata={"read": _od_map})
 
     def __post_init__(self) -> None:
         if not 0 <= self.window_flexibility < math.inf:
@@ -67,98 +146,32 @@ class DemandConfig:
             raise ConfigError("demand.scale must be finite and >= 0")
         if self.seats < 0:
             raise ConfigError("demand.seats must be >= 0")
-        for field, values in (("od_rates", self.explicit_rates),
-                              ("calibration_fixed_daily", self.calibration_fixed_daily)):
-            for (origin, dest), value in (values or {}).items():
-                name = f"demand.{field}.{origin}-{dest}"
+        for field_name in ("od_rates", "calibration_fixed_daily"):
+            for (origin, dest), value in (getattr(self, field_name) or {}).items():
+                name = f"demand.{field_name}.{origin}-{dest}"
                 if origin == dest:
                     raise ConfigError(f"{name}: origin equals destination")
                 if not 0 <= value < math.inf:
                     raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
-    @staticmethod
-    def from_mapping(section: dict) -> "DemandConfig":
-        _require_keys(section, {
-            "shares", "window_flexibility", "scale", "seats",
-            "od_rates", "calibration_fixed_daily",
-        }, "demand")
-        shares_raw = section.get("shares", {})
-        _require_keys(shares_raw, {"rider", "rideshare_driver", "regular_driver"},
-                      "demand.shares")
-        shares = Shares(
-            rider=number(shares_raw.get("rider", 0.0), "demand.shares.rider"),
-            rideshare_driver=number(shares_raw.get("rideshare_driver", 0.0),
-                                    "demand.shares.rideshare_driver"),
-            regular_driver=number(shares_raw.get("regular_driver", 1.0),
-                                  "demand.shares.regular_driver"),
-        )
-        od_rates = section.get("od_rates", "calibrated")
-        if od_rates == "calibrated":
-            explicit = None
-        elif isinstance(od_rates, dict):
-            explicit = _parse_od_keys(od_rates, "demand.od_rates")
-        else:
-            raise ConfigError("demand.od_rates must be 'calibrated' or a map")
-        fixed = None
-        if "calibration_fixed_daily" in section:
-            fixed_raw = section["calibration_fixed_daily"]
-            if not isinstance(fixed_raw, dict):
-                raise ConfigError("demand.calibration_fixed_daily must be a mapping")
-            fixed = _parse_od_keys(fixed_raw, "demand.calibration_fixed_daily")
-        return DemandConfig(
-            shares=shares,
-            window_flexibility=number(section.get("window_flexibility", 0.25),
-                                      "demand.window_flexibility"),
-            scale=number(section.get("scale", 0.1), "demand.scale"),
-            seats=whole_number(section.get("seats", DEFAULT_SEATS), "demand.seats"),
-            explicit_rates=explicit,
-            calibration_fixed_daily=fixed,
-        )
-
-    def to_mapping(self) -> dict:
-        pins = (_DEFAULT_PINS if self.calibration_fixed_daily is None
-                else self.calibration_fixed_daily)
-        return {
-            "shares": {
-                "rider": self.shares.rider,
-                "rideshare_driver": self.shares.rideshare_driver,
-                "regular_driver": self.shares.regular_driver,
-            },
-            "window_flexibility": self.window_flexibility,
-            "scale": self.scale,
-            "seats": self.seats,
-            "od_rates": ("calibrated" if self.explicit_rates is None else
-                         {f"{o}-{d}": r for (o, d), r in sorted(self.explicit_rates.items())}),
-            "calibration_fixed_daily": {
-                f"{o}-{d}": v for (o, d), v in sorted(pins.items())
-            },
-        }
-
-
-_TOP_KEYS = {
-    "network", "horizon", "seed", "replications", "weights", "bpr", "dt",
-    "penalty", "flow_window", "unused_capacity", "validation_error_threshold",
-    "output_dir", "demand", "levels",
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    network_path: Path
-    horizon: float
-    seed: int
-    replications: int
-    weights: CostWeights
-    bpr_alpha: float
-    bpr_beta: float
-    dt: float
-    penalty: Optional[float]
-    flow_window: float
-    unused_capacity: float
-    validation_error_threshold: float
-    output_dir: Path
-    demand_config: DemandConfig
-    levels: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
+    network: Path = Path("la_testbed.yaml")  # load_config resolves it
+    horizon: float = 24.0
+    seed: int = 0
+    replications: int = 20
+    weights: CostWeights = CostWeights()
+    bpr: Bpr = Bpr()
+    dt: float = 0.05
+    penalty: Optional[float] = None
+    flow_window: float = 0.25
+    unused_capacity: float = 1.0
+    validation_error_threshold: float = 0.01
+    output_dir: Path = Path("out")
+    demand: DemandConfig = DemandConfig()
+    levels: tuple[float, ...] = field(default=(1.0, 0.75, 0.5, 0.25),
+                                      metadata={"read": _levels})
 
     def __post_init__(self) -> None:
         if not 0 < self.horizon < math.inf:
@@ -177,9 +190,6 @@ class ScenarioConfig:
             raise ConfigError("validation_error_threshold must be >= 0")
         if self.penalty is not None and not 0 <= self.penalty < math.inf:
             raise ConfigError("penalty must be non-negative and finite")
-        for name, value in (("bpr.alpha", self.bpr_alpha), ("bpr.beta", self.bpr_beta)):
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"{name} must be non-negative and finite")
         if not self.levels:
             raise ConfigError("levels must name at least one level")
         for level in self.levels:
@@ -191,64 +201,57 @@ class ScenarioConfig:
     def make_network(self) -> Network:
         """The scenario's network; background load below full unused
         capacity needs a carpool lane to run on."""
-        network = load_network(self.network_path)
+        network = load_network(self.network)
         if self.unused_capacity < 1.0 and not network.carpool_links():
             raise ConfigError(f"unused_capacity {self.unused_capacity} < 1 needs a "
-                              f"carpool-lane link, and {self.network_path} has none")
+                              f"carpool-lane link, and {self.network} has none")
         return network
 
     def demand_spec(self, network: Network) -> DemandSpec:
-        if self.demand_config.explicit_rates is not None:
-            rates = dict(self.demand_config.explicit_rates)
+        if self.demand.od_rates is not None:
+            rates = dict(self.demand.od_rates)
         else:
             targets = {l.id: l.observed_daily_flow for l in network.links}
             pairs = default_od_pairs(network)
-            fixed = self.demand_config.calibration_fixed_daily
+            fixed = self.demand.calibration_fixed_daily
             if fixed is None:  # the built-in pin, where its pair exists
                 fixed = {od: daily for od, daily in _DEFAULT_PINS.items() if od in pairs}
             rates = calibrate_od_rates(network, targets, od_pairs=pairs,
                                        fixed_daily=fixed)
         return DemandSpec(
             od_rates=rates,
-            shares=self.demand_config.shares,
-            window_flexibility=self.demand_config.window_flexibility,
+            shares=self.demand.shares,
+            window_flexibility=self.demand.window_flexibility,
             horizon=self.horizon,
-            scale=self.demand_config.scale,
-            seats=self.demand_config.seats,
+            scale=self.demand.scale,
+            seats=self.demand.seats,
         )
 
     def with_shares(self, rider: float, rideshare: float, regular: float) -> "ScenarioConfig":
         new_demand = dataclasses.replace(
-            self.demand_config,
+            self.demand,
             shares=Shares(rider=rider, rideshare_driver=rideshare,
                           regular_driver=regular),
         )
-        return dataclasses.replace(self, demand_config=new_demand)
+        return dataclasses.replace(self, demand=new_demand)
 
     # ----------------------------------------------------------- fingerprint
 
-    def resolved_mapping(self) -> dict:
-        return {
-            "network_sha256": hashlib.sha256(
-                Path(self.network_path).read_bytes()
-            ).hexdigest(),
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "replications": self.replications,
-            "weights": {"toll": self.weights.toll, "time": self.weights.time},
-            "bpr": {"alpha": self.bpr_alpha, "beta": self.bpr_beta},
-            "dt": self.dt,
-            "penalty": self.penalty,
-            "flow_window": self.flow_window,
-            "unused_capacity": self.unused_capacity,
-            "validation_error_threshold": self.validation_error_threshold,
-            "demand": self.demand_config.to_mapping(),
-            "levels": list(self.levels),
-        }
-
     def fingerprint(self) -> str:
-        payload = json.dumps(self.resolved_mapping(), sort_keys=True,
-                             separators=(",", ":"))
+        """SHA-256 of every field but ``output_dir``, with the network file's
+        SHA-256 in place of its path, O-D keys written ``"o-d"`` and the
+        built-in pins written out when the file sets none."""
+        resolved = dataclasses.asdict(self)
+        del resolved["output_dir"]
+        resolved["network_sha256"] = hashlib.sha256(
+            Path(resolved.pop("network")).read_bytes()
+        ).hexdigest()
+        demand = resolved["demand"]
+        rates, pins = demand["od_rates"], demand["calibration_fixed_daily"]
+        demand["od_rates"] = "calibrated" if rates is None else _od_keys(rates)
+        demand["calibration_fixed_daily"] = _od_keys(_DEFAULT_PINS if pins is None
+                                                     else pins)
+        payload = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -256,18 +259,22 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(resources.files("ridesim") / "data" / name))
 
 
-def _resolve_network_path(raw: str, base_dir: Path) -> Path:
-    candidate = (base_dir / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-    if candidate.exists():
+def _resolve_network_path(network: Path, base_dir: Path) -> Path:
+    """``network`` relative to the scenario file's directory, else the
+    bundled network of that name (``.yaml`` optional)."""
+    candidate = network if network.is_absolute() else (base_dir / network).resolve()
+    if candidate.is_file():
         return candidate
-    bundled = bundled_data_path(raw if raw.endswith(".yaml") else f"{raw}.yaml")
-    if bundled.exists():
+    name = str(network)
+    bundled = bundled_data_path(name if name.endswith(".yaml") else f"{name}.yaml")
+    if bundled.is_file():
         return bundled
-    raise ConfigError(f"network file not found: {raw}")
+    raise ConfigError(f"network file not found: {network}")
 
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioConfig:
-    """Parse and validate a scenario file; ``overrides`` win over file values."""
+    """Parse and validate a scenario file; ``overrides`` other than None win
+    over file values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -275,50 +282,9 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
         raw = read_yaml(path)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    _require_keys(raw, _TOP_KEYS, str(path))
-    merged = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    _require_keys(merged, _TOP_KEYS, str(path))
-
-    weights_raw = merged.get("weights", {})
-    _require_keys(weights_raw, {"toll", "time"}, "weights")
-    bpr_raw = merged.get("bpr", {})
-    _require_keys(bpr_raw, {"alpha", "beta"}, "bpr")
-
-    penalty = merged.get("penalty")
-    levels = merged.get("levels", [1.0, 0.75, 0.5, 0.25])
-    if not isinstance(levels, (list, tuple)):
-        raise ConfigError("levels must be a list")
-    try:
-        return ScenarioConfig(
-            network_path=_resolve_network_path(
-                str(merged.get("network", "la_testbed.yaml")), path.parent
-            ),
-            horizon=number(merged.get("horizon", 24.0), "horizon"),
-            seed=whole_number(merged.get("seed", 0), "seed"),
-            replications=whole_number(merged.get("replications", 20), "replications"),
-            weights=CostWeights(
-                toll=number(weights_raw.get("toll", 1.0), "weights.toll"),
-                time=number(weights_raw.get("time", 1.0), "weights.time"),
-            ),
-            bpr_alpha=number(bpr_raw.get("alpha", 0.15), "bpr.alpha"),
-            bpr_beta=number(bpr_raw.get("beta", 4.0), "bpr.beta"),
-            dt=number(merged.get("dt", 0.05), "dt"),
-            penalty=None if penalty is None else number(penalty, "penalty"),
-            flow_window=number(merged.get("flow_window", 0.25), "flow_window"),
-            unused_capacity=number(merged.get("unused_capacity", 1.0),
-                                   "unused_capacity"),
-            validation_error_threshold=number(
-                merged.get("validation_error_threshold", 0.01),
-                "validation_error_threshold",
-            ),
-            output_dir=Path(merged.get("output_dir", "out")),
-            demand_config=DemandConfig.from_mapping(merged.get("demand", {})),
-            levels=tuple(number(x, "levels") for x in levels),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    config = _read(ScenarioConfig, {**raw, **given}, "")
+    return dataclasses.replace(
+        config, network=_resolve_network_path(config.network, path.parent))

@@ -22,9 +22,9 @@ CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
 
 @dataclass(frozen=True)
 class Shares:
-    rider: float
-    rideshare_driver: float
-    regular_driver: float
+    rider: float = 0.0
+    rideshare_driver: float = 0.0
+    regular_driver: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("rider", "rideshare_driver", "regular_driver"):
@@ -72,8 +72,9 @@ def calibrate_od_rates(
     route reproduces the targets exactly. Under-determined systems are
     closed with ``fixed_daily`` pins (the bundled testbed pins the
     origin-to-far-end split); a pin outside ``od_pairs`` raises ConfigError
-    naming ``demand.calibration_fixed_daily.<o-d>``, and unsatisfiable
-    targets raise ConfigError with the residual per link.
+    naming ``demand.calibration_fixed_daily.<o-d>``, all-zero targets raise
+    ConfigError naming ``demand.od_rates``, and unsatisfiable targets raise
+    ConfigError with the residual per link.
     """
     missing = [l.id for l in network.links if l.id not in target_daily_flows]
     if missing:
@@ -85,7 +86,8 @@ def calibrate_od_rates(
             raise ConfigError(f"demand.calibration_fixed_daily.{origin}-{dest} is not "
                               f"a calibration pair (those are joined by a path)")
     if all(abs(v) < 1e-12 for v in target_daily_flows.values()):
-        return {od: 0.0 for od in pairs}
+        raise ConfigError("demand.od_rates: calibration needs observed flows, and "
+                          "every link's observed_daily_flow is 0")
 
     routes = free_flow_paths(network, pairs)
     link_ids = sorted(target_daily_flows)

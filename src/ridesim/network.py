@@ -185,7 +185,9 @@ class Network:
 
 
 _LINK_REQUIRED = {"id", "from", "to", "length", "free_flow_time", "has_carpool_lane"}
-_LINK_OPTIONAL = {"general_lanes", "lane_capacity", "toll", "observed_daily_flow"}
+# the reader of each optional field; an absent one takes ``Link``'s default
+_LINK_OPTIONAL = {"general_lanes": whole_number, "lane_capacity": number,
+                  "toll": number, "observed_daily_flow": number}
 
 
 def _parse_link(entry: dict, index: int) -> Link:
@@ -195,7 +197,7 @@ def _parse_link(entry: dict, index: int) -> Link:
     missing = _LINK_REQUIRED - keys
     if missing:
         raise ConfigError(f"links[{index}]: missing field(s) {sorted(missing)}")
-    unknown = keys - _LINK_REQUIRED - _LINK_OPTIONAL
+    unknown = keys - _LINK_REQUIRED - _LINK_OPTIONAL.keys()
     if unknown:
         raise ConfigError(f"links[{index}]: unknown field(s) {sorted(unknown)}")
     where = f"links[{index}]"
@@ -210,11 +212,8 @@ def _parse_link(entry: dict, index: int) -> Link:
         length=number(entry["length"], f"{where}.length"),
         free_flow_time=number(entry["free_flow_time"], f"{where}.free_flow_time"),
         has_carpool_lane=carpool,
-        general_lanes=whole_number(entry.get("general_lanes", 4), f"{where}.general_lanes"),
-        lane_capacity=number(entry.get("lane_capacity", 2000.0), f"{where}.lane_capacity"),
-        toll=number(entry.get("toll", 0.0), f"{where}.toll"),
-        observed_daily_flow=number(entry.get("observed_daily_flow", 0.0),
-                                   f"{where}.observed_daily_flow"),
+        **{name: read(entry[name], f"{where}.{name}")
+           for name, read in _LINK_OPTIONAL.items() if name in entry},
     )
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .network import Link, Network
+from .network import ConfigError, Link, Network
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class CostWeights:
     def __post_init__(self) -> None:
         for name in ("toll", "time"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"weights.{name} must be non-negative and finite")
+                raise ConfigError(f"weights.{name} must be non-negative and finite")
         if self.toll == 0 and self.time == 0:
-            raise ValueError("at least one cost weight must be positive")
+            raise ConfigError("at least one cost weight must be positive")
 
 
 @dataclass(frozen=True)

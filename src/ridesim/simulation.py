@@ -180,8 +180,8 @@ class SimState:
         self.network = network
         self.demand = config.demand_spec(network)
         self.weights = config.weights
-        self.bpr_alpha = config.bpr_alpha
-        self.bpr_beta = config.bpr_beta
+        self.bpr_alpha = config.bpr.alpha
+        self.bpr_beta = config.bpr.beta
         self.dt = config.dt
         self.penalty = (config.weights.time * config.dt if config.penalty is None
                         else config.penalty)

@@ -59,7 +59,7 @@ def test_criterion_1_validation_reproduction():
     started = time.monotonic()
     config = load_config(bundled_data_path("validation.yaml"))
     assert config.replications == 20
-    assert config.demand_config.scale == 0.1
+    assert config.demand.scale == 0.1
     report = run_validation(config)
     elapsed = time.monotonic() - started
     ok = (report.mean_absolute_error <= 0.01

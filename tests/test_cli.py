@@ -258,6 +258,10 @@ BAD_INPUTS = {
     "quoted-free-flow-time": ({}, lambda net: net["links"][0].update(free_flow_time="0.55"),
                               [], "links[0].free_flow_time"),
     "quoted-toll": ({}, lambda net: net["links"][0].update(toll="1e-1"), [], "links[0].toll"),
+    "integer-output-dir": ({"output_dir": 5}, None, [], "output_dir"),
+    "calibration-without-observed-flows": (
+        {}, lambda net: [link.pop("observed_daily_flow") for link in net["links"]],
+        [], "demand.od_rates: calibration needs observed flows"),
 }
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 import yaml
 
-from ridesim.config import ConfigError, bundled_data_path, load_config
+from ridesim.config import ConfigError, ScenarioConfig, bundled_data_path, load_config
 
 
 @pytest.fixture()
@@ -22,10 +23,10 @@ class TestLoadConfig:
     def test_defaults_fill_in(self, minimal):
         cfg = load_config(minimal)
         assert cfg.dt == 0.05
-        assert cfg.bpr_alpha == 0.15
+        assert cfg.bpr.alpha == 0.15
         assert cfg.weights.time == 1.0
         assert cfg.unused_capacity == 1.0
-        assert cfg.demand_config.window_flexibility == 0.25
+        assert cfg.demand.window_flexibility == 0.25
 
     def test_unknown_top_key_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -63,7 +64,7 @@ class TestLoadConfig:
         path = tmp_path / "whole.yaml"
         path.write_text("seed: 3.0\nreplications: 2.0\ndemand:\n  seats: 2.0\n")
         cfg = load_config(path)
-        values = (cfg.seed, cfg.replications, cfg.demand_config.seats)
+        values = (cfg.seed, cfg.replications, cfg.demand.seats)
         assert values == (3, 2, 2)
         assert all(type(v) is int for v in values)
 
@@ -103,6 +104,32 @@ def test_demand_values_rejected_at_load(tmp_path, demand, named):
         load_config(path)
 
 
+# The fingerprint is written to every report's meta file; these pin its bytes.
+PINNED_FINGERPRINTS = {
+    "defaults": "390fc25434ebe27e490f5ecc412a0a497d8ba263602f414913d9b6fef8d3e391",
+    "validation": "b83a877da67eca98132a5a55ee2e090ef9967e6f5f181ae99a7f8ef847f3423a",
+    "sweep": "a24c50301b69a0505daf237e3bbaaf48f58ec2d411068202713b09bb0f8fe9c2",
+    "variant": "5b1c23388ef55ba7950e4c32165d96fabfc002887464510950785ad6217a6f08",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_fingerprint_pinned(name, tmp_path):
+    path = bundled_data_path("sweep.yaml" if name == "sweep" else "validation.yaml")
+    if name == "defaults":  # every key absent, the built-in pin included
+        path = tmp_path / "empty.yaml"
+        path.write_text("{}\n")
+    elif name == "variant":  # every optional demand form, and the non-default knobs
+        raw = yaml.safe_load(path.read_text())
+        raw["network"] = str(bundled_data_path("la_testbed.yaml"))
+        raw.update(penalty=0.5, levels=[1.0, 0.5])
+        raw["demand"].update(od_rates={"0-2": 120.0, "1-3": 60.0},
+                             calibration_fixed_daily={})
+        path = tmp_path / "variant.yaml"
+        path.write_text(yaml.safe_dump(raw))
+    assert load_config(path).fingerprint() == PINNED_FINGERPRINTS[name]
+
+
 class TestFingerprint:
     def test_stable_across_loads(self, minimal):
         assert load_config(minimal).fingerprint() == load_config(minimal).fingerprint()
@@ -130,3 +157,27 @@ class TestDemandResolution:
         cfg = load_config(path)
         spec = cfg.demand_spec(cfg.make_network())
         assert spec.od_rates == {(0, 2): 120.0, (1, 3): 60.0}
+
+
+def schema_keys(cls=ScenarioConfig, section="top"):
+    """(section, key, default) of every field of the scenario schema that is
+    not itself a section."""
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.default):
+            inner = field.name if section == "top" else f"{section}.{field.name}"
+            yield from schema_keys(type(field.default), inner)
+        else:
+            yield section, field.name, field.default
+
+
+def test_readme_table_matches_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    scenario_files = readme.split("## Scenario files")[1].split("\n## ")[0]
+    rows = {(m[2], m[1]): m[3] for m in re.finditer(
+        r"^\| `(\w+)` \| `?([\w.]+)`? \| (.+?) \|", scenario_files, re.M)}
+    schema = {(section, key): default for section, key, default in schema_keys()}
+    assert rows.keys() == schema.keys()
+    for where, default in schema.items():
+        if default is not None:  # the table explains a None default in words
+            shown = list(default) if isinstance(default, tuple) else default
+            assert rows[where] == f"`{shown}`", where

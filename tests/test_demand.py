@@ -109,8 +109,9 @@ class TestCalibration:
         assert default_od_pairs(testbed) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_all_zero_targets(self, testbed):
-        rates = calibrate_od_rates(testbed, {l.id: 0.0 for l in testbed.links})
-        assert all(r == 0.0 for r in rates.values())
+        with pytest.raises(ConfigError, match="^demand.od_rates: calibration needs "
+                                              "observed flows"):
+            calibrate_od_rates(testbed, {l.id: 0.0 for l in testbed.links})
 
     def test_unusable_target_rejected(self, testbed):
         # nothing routes over link 0 once 0->3 demand is excluded

@@ -100,7 +100,7 @@ class TestValidation:
             "  - {id: 0, from: 0, to: 1, length: 10.0, free_flow_time: 0.2,\n"
             "     has_carpool_lane: true}\n"
         )
-        bad = dataclasses.replace(quick_validation_config, network_path=net_file)
+        bad = dataclasses.replace(quick_validation_config, network=net_file)
         with pytest.raises(ConfigError, match="observed_daily_flow"):
             run_validation(bad)
 
@@ -143,6 +143,6 @@ class TestSweep:
             "  - {id: 0, from: 0, to: 1, length: 10.0, free_flow_time: 0.2,\n"
             "     has_carpool_lane: false, observed_daily_flow: 100}\n"
         )
-        bad = dataclasses.replace(quick_sweep_config, network_path=net_file)
+        bad = dataclasses.replace(quick_sweep_config, network=net_file)
         with pytest.raises(ConfigError, match="carpool"):
             run_capacity_sweep(bad)
