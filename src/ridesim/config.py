@@ -22,7 +22,7 @@ from typing import Optional
 
 import yaml
 
-from .demand import (DEFAULT_SEATS, DemandSpec, Shares, calibrate_od_rates,
+from .demand import (DemandSpec, Shares, calibrate_od_rates,
                      default_od_pairs)
 from .network import (ConfigError, Network, load_network, number, read_yaml,
                       whole_number)
@@ -131,7 +131,7 @@ class DemandConfig:
     shares: Shares = Shares()
     window_flexibility: float = 0.25  # hours
     scale: float = 0.1
-    seats: int = DEFAULT_SEATS
+    seats: int = 4
     # hourly; None: calibrated from the network's observed flows
     od_rates: Optional[dict[tuple[int, int], float]] = field(
         default=None, metadata={"read": _od_rates})

@@ -16,7 +16,6 @@ from .agents import Role, TimeWindow, VehicleAgent
 from .network import ConfigError, Network
 from .routing import dijkstra_route
 
-DEFAULT_SEATS = 4
 CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
 
 
@@ -39,10 +38,10 @@ class Shares:
 class DemandSpec:
     od_rates: dict[tuple[int, int], float]  # vehicles/hour before scaling
     shares: Shares
-    window_flexibility: float = 0.25        # hours
-    horizon: float = 24.0                   # hours
-    scale: float = 1.0
-    seats: int = DEFAULT_SEATS
+    window_flexibility: float  # hours
+    horizon: float             # hours
+    scale: float
+    seats: int
 
 
 def free_flow_paths(

@@ -3,13 +3,16 @@
 Pipeline for one rider request:
 
 1. ``build_time_expanded`` discretizes time into steps of ``dt`` hours and
-   intersects the rider's spatio-temporal feasibility windows with each
-   driver's remaining schedule flexibility, producing driver-labelled travel
-   arcs and (implicit) wait arcs. One rule, read from the minimum-step
+   intersects the rider's feasibility windows with each driver's remaining
+   schedule. A vertex is one integer, ``step * n + p`` for the node at
+   position p of the n nodes the rider's windows reach, ascending, so
+   integer order is (step, node) order and every arc raises it; ``decode``
+   gives (node, step) back. Wait arcs join a node's steps; travel arcs are
+   (tail, head, driver, cost) tuples. One rule, read from the minimum-step
    matrix ``m``, gives a driver's arcs on a link (i, j) of ``steps`` steps
    within a slot of its schedule from stop (a, s) to stop (b, t) that has a
-   free seat: every step k of the rider's range with s + m[a][i] <= k and
-   k + steps <= t - m[j][b] and, in the first slot of a driver not yet
+   free seat: every step k of the rider's range with s + m[a][i] <= k
+   and k + steps <= t - m[j][b] and, in the first slot of a driver not yet
    underway, no step at a after its latest departure step. Reaching j from
    a and b from i need no test: ``m`` is built from the same ``tau``, so
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
@@ -18,44 +21,42 @@ Pipeline for one rider request:
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
-   it: vertices by (step, node), a topological order, and each vertex's
-   arcs wait first, then by (head, driver). Every later stage keeps it.
+   it: vertices in integer order, each vertex's arcs wait first, then by
+   (head, driver). Every later stage keeps that order.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
-   may transfer between vehicles but may never re-board a driver previously
-   left, so each DP label carries the set of drivers already used; labels at
-   a (vertex, current driver) pair are kept Pareto-minimal under
-   (cost, wait steps, leg count) and used-set inclusion, which keeps the
-   search exact under the no-re-boarding rule. A lower bound on every
-   vertex's cost to go, which ignores drivers, and the cost of one
-   itinerary found along it prune labels that cannot reach the optimum;
-   the DP returns exactly what it would return without the bound.
-   Itineraries tied on every key the DP orders by are not ordered; which
-   one it returns follows its visiting order, stated in ``solve_itinerary``.
+   may transfer between vehicles but never re-board a driver it left, so
+   each DP label, a tuple, carries the drivers it used as a bitmask. Labels
+   at a (vertex, last driver) pair are kept Pareto-minimal under (cost,
+   waits, legs) and used-set inclusion, which keeps the search exact. A
+   driver-blind lower bound on each vertex's cost to go, and the cost of
+   one itinerary found along it, prune labels that cannot reach the
+   optimum without changing the result. Which of several exactly tied
+   itineraries it returns follows its visiting order (``solve_itinerary``).
 
-Every link is priced in whole steps, ``tau``, which ``match_rider`` takes
-once per request from the traffic state frozen at the match instant
-(``SimState.matching_steps``, through ``step_durations``) and passes to both
-the network build and the commit, so the two read one set of durations.
-The all-pairs minimum-step matrix is reused from the previous request while
-every link's step count repeats (``_shared_min_step_matrix``).
-``match_rider`` makes one attempt: offers, network and commit all read that
-one instant, and the commit checks each driver's schedule through the same
-``DriverOffer.stops`` chain that built the network.
+``match_rider`` takes every link's whole-step duration, ``tau``, once per
+request from the traffic state frozen at the match instant
+(``SimState.matching_steps``) and passes it to both the network build and
+the commit; ``m`` is reused while every link's step count repeats
+(``_shared_min_step_matrix``). It makes one attempt: offers, network and
+commit read that one instant, and the commit checks each driver's schedule
+through the ``DriverOffer.stops`` chain that built the network.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Optional, Sequence
 
 from .agents import TimeWindow
 from .network import Network
 
 INF = float("inf")
 
-Vertex = tuple[int, int]  # (node id, time step)
+Vertex = int  # step * node count + the node's position; see TimeExpandedNetwork
 
 
 def ceil_steps(hours: float, dt: float) -> int:
@@ -147,38 +148,44 @@ class DriverOffer:
         return self._chain[0]
 
 
-class TravelArc(NamedTuple):
-    tail: Vertex
-    head: Vertex
-    driver: int
-    cost: float
-
-
+TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)
 Arc = tuple[Vertex, Optional[int], float]  # (head, driver or None for a wait, cost)
+
+
+def decode(vertex: Vertex, nodes: Sequence[int]) -> tuple[int, int]:
+    """The (node, step) of ``vertex`` in a network over ``nodes``."""
+    step, position = divmod(vertex, len(nodes))
+    return nodes[position], step
 
 
 @dataclass
 class TimeExpandedNetwork:
     """Rider-specific time-expanded graph (the matcher's search space).
 
-    Vertex ``(node, k)`` exists for every step ``k`` of the node's interval;
-    a wait arc joins each step to the next, and ``travel_arcs``, in no
-    particular order, carry the drivers. ``forward`` lays the graph out.
+    A vertex, ``k * len(nodes) + nodes.index(node)``, exists for every step
+    ``k`` of each node's interval; a wait arc joins each step to the next,
+    and ``travel_arcs``, in no particular order, carry the drivers.
+    ``forward`` lays the graph out.
     """
 
     origin: int
     destination: int
     node_intervals: dict[int, tuple[int, int]]
     travel_arcs: list[TravelArc]
+    nodes: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = tuple(sorted(self.node_intervals))
 
     @property
     def start_vertex(self) -> Optional[Vertex]:
         interval = self.node_intervals.get(self.origin)
-        return (self.origin, interval[0]) if interval else None
+        return (interval[0] * len(self.nodes) + self.nodes.index(self.origin)
+                if interval else None)
 
     def forward(self) -> dict[Vertex, list[Arc]]:
-        """Every vertex, in (step, node) order, with its outgoing arcs: the
-        wait arc first (driver None, cost 0.0; the solver charges the wait
+        """Every vertex, in integer order, with its outgoing arcs: the wait
+        arc first (driver None, cost 0.0; the solver charges the wait
         penalty), then the travel arcs by (head, driver).
 
         Every arc raises the step, so the vertex order is topological. This
@@ -186,12 +193,14 @@ class TimeExpandedNetwork:
         DP visit it in this order, and it decides which of several exactly
         tied itineraries the DP returns.
         """
-        intervals = self.node_intervals
+        n = len(self.nodes)
         graph: dict[Vertex, list[Arc]] = {}
-        for step, node in sorted((k, node) for node, (lo, hi) in intervals.items()
-                                 for k in range(lo, hi + 1)):
-            graph[node, step] = ([((node, step + 1), None, 0.0)]
-                                 if step < intervals[node][1] else [])
+        for position, node in enumerate(self.nodes):
+            lo, hi = self.node_intervals[node]
+            for vertex in range(lo * n + position, hi * n + position, n):
+                graph[vertex] = [(vertex + n, None, 0.0)]
+            graph[hi * n + position] = []
+        graph = {vertex: graph[vertex] for vertex in sorted(graph)}
         # equal (tail, head, driver) means equal cost, so whole-tuple order
         # is (tail, head, driver) order
         for tail, head, driver, cost in sorted(self.travel_arcs):
@@ -285,16 +294,11 @@ def build_time_expanded(
     dt: float,
     time_weight: float = 1.0,
 ) -> TimeExpandedNetwork:
-    """Construct the rider's time-expanded network.
+    """Construct the rider's time-expanded network (module docstring, step 1).
 
-    ``tau`` holds every link's duration in whole steps; ``match_rider`` takes
-    it once per request and the commit reads the same ``tau``. Node windows
-    come from forward/backward minimum-time sweeps between the rider's
-    earliest departure and latest arrival; a driver contributes a
-    travel arc on a link only while the link traversal fits inside both the
-    rider's window at the endpoints and the driver's own remaining schedule
-    (including committed stops and seat capacity). An empty network is the
-    valid encoding of an infeasible request.
+    ``tau`` holds every link's duration in whole steps. Node intervals come
+    from minimum-step sweeps from the rider's earliest departure and back
+    from the latest arrival. An empty network encodes an infeasible request.
     """
     matrix = _shared_min_step_matrix(network, tau)
 
@@ -320,9 +324,13 @@ def build_time_expanded(
             intervals[node] = (lo, hi)
     if rider.origin not in intervals or rider.destination not in intervals:
         return TimeExpandedNetwork(rider.origin, rider.destination, {}, [])
+    ten = TimeExpandedNetwork(rider.origin, rider.destination, intervals, [])
+    nodes = ten.nodes
+    n = len(nodes)
 
     # links with both ends inside the rider's windows, with the tail steps
-    # whose arrival also falls in the head's window
+    # whose arrival also falls in the head's window and the code distance
+    # from tail to head
     candidates = []
     for link in network.links:
         i, j = link.from_node, link.to_node
@@ -330,7 +338,10 @@ def build_time_expanded(
             steps = tau[link.id]
             lo = max(intervals[i][0], intervals[j][0] - steps)
             hi = min(intervals[i][1], intervals[j][1] - steps)
-            candidates.append((i, j, lo, hi, steps, time_weight * steps * dt))
+            if lo <= hi:
+                p = nodes.index(i)
+                candidates.append((i, j, lo, hi, steps, matrix[j], p,
+                                   steps * n + nodes.index(j) - p, time_weight * steps * dt))
 
     # one arc rule per (slot, link): the steps k with s + m[a][i] <= k and
     # k + steps <= t - m[j][b], capped at a in the first slot of a driver not
@@ -338,7 +349,7 @@ def build_time_expanded(
     # triangle inequality on m (module docstring, step 1). An INF empties the
     # range; a link is never a loop, so i and j are not both a.
     from_origin = matrix[rider.origin]
-    arcs: list[TravelArc] = []
+    arcs = ten.travel_arcs
     for offer in drivers:
         stops = offer.stops()
         occupancies = offer.slot_occupancies()
@@ -349,9 +360,11 @@ def build_time_expanded(
             from_a = matrix[a]
             leave_by = (offer.latest_departure_step
                         if slot == 0 and not offer.departed else INF)
-            for i, j, r_lo, r_hi, steps, cost in candidates:
-                lo = max(r_lo, s + from_a[i])
-                hi = min(r_hi, t - matrix[j][b] - steps)
+            for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
+                if s + from_a[i] > lo:
+                    lo = s + from_a[i]
+                if t - from_j[b] - steps < hi:
+                    hi = t - from_j[b] - steps
                 if i == a:
                     hi = min(hi, leave_by)
                 elif j == a:
@@ -359,16 +372,17 @@ def build_time_expanded(
                 # pins in step order keep slots' arcs apart: an arc of a slot
                 # ends by the slot's closing step, where the next slot starts
                 if lo <= hi:
-                    arcs.extend(TravelArc((i, k), (j, k + steps), offer.id, cost)
-                                for k in range(lo, hi + 1))
-    return TimeExpandedNetwork(rider.origin, rider.destination, intervals, arcs)
+                    arcs += [(tail, tail + shift, offer.id, cost)
+                             for tail in range(lo * n + p, hi * n + p + 1, n)]
+    return ten
 
 
 @dataclass
 class PrunedGraph:
     """The remainder of a TEN after reachability pruning, in ``forward``'s
-    order; ``ten_vertices`` counts the TEN's vertices before pruning."""
+    order, over its ``nodes``; ``ten_vertices`` counts the TEN's vertices."""
 
+    nodes: tuple[int, ...]
     vertices: list[Vertex]
     adjacency: dict[Vertex, list[Arc]]
     start: Optional[Vertex]
@@ -404,81 +418,58 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
         if vertex not in reached:
             continue
         arcs = [arc for arc in forward[vertex] if arc[0] in adjacency]
-        if vertex[0] == ten.destination:
+        if decode(vertex, ten.nodes)[0] == ten.destination:
             dests.add(vertex)
         elif not arcs:
             continue
         adjacency[vertex] = arcs
-    vertices = list(adjacency)
-    vertices.reverse()
-    return PrunedGraph(
-        vertices=vertices,
-        adjacency=adjacency,
-        start=start if start in adjacency else None,
-        dests=dests,
-        ten_vertices=len(forward),
-    )
+    vertices = list(reversed(adjacency))
+    return PrunedGraph(ten.nodes, vertices, adjacency,
+                       start if start in adjacency else None, dests, len(forward))
 
 
-@dataclass
-class _Label:
-    cost: float
-    waits: int
-    legs: int
-    used: frozenset[int]
-    vertex: Vertex
-    parent: Optional["_Label"] = None
-    arc_driver: Optional[int] = None  # driver of the arc into this label; None = wait
-
-    def dominates(self, other: "_Label") -> bool:
-        return (
-            self.cost <= other.cost
-            and self.waits <= other.waits
-            and self.legs <= other.legs
-            and self.used <= other.used
-        )
+# (cost, waits, legs, used, parent, vertex, driver): a path's cost, waits
+# and legs, the bitmask of the drivers it rode, the label it extends (None
+# at the start), the vertex it reaches and its last arc's driver (None: wait)
+Label = tuple
 
 
-def _insert_label(bucket: list[_Label], label: _Label) -> bool:
-    for existing in bucket:
-        if existing.dominates(label):
+def _insert_label(bucket: list[Label], label: Label) -> bool:
+    """Add ``label`` to the Pareto set ``bucket`` unless one there dominates
+    it (no greater cost, waits and legs, and no driver it lacks), and drop
+    the labels it dominates."""
+    cost, waits, legs, used = label[0], label[1], label[2], label[3]
+    dominated = []
+    for k, other in enumerate(bucket):
+        if (other[0] <= cost and other[1] <= waits and other[2] <= legs
+                and other[3] | used == used):
             return False
-    bucket[:] = [ex for ex in bucket if not label.dominates(ex)]
+        if (cost <= other[0] and waits <= other[1] and legs <= other[2]
+                and used | other[3] == other[3]):
+            dominated.append(k)
+    for k in reversed(dominated):
+        del bucket[k]
     bucket.append(label)
     return True
 
 
-def _legs(arcs: Sequence[tuple[Vertex, Vertex, Optional[int]]]
-          ) -> tuple[ItineraryLeg, ...]:
-    """The legs of a path given as (tail, head, driver) arcs, a wait's
-    driver being None: one leg per run of arcs with one driver."""
-    legs: list[ItineraryLeg] = []
-    current: Optional[int] = None
-    board: Optional[Vertex] = None
-    alight: Optional[Vertex] = None
-    for tail, head, driver in arcs:
-        if driver is None:
-            continue
-        if driver != current:
-            if current is not None:
-                legs.append(ItineraryLeg(current, board[0], board[1],
-                                         alight[0], alight[1]))
-            current, board = driver, tail
-        alight = head
-    if current is not None:
-        legs.append(ItineraryLeg(current, board[0], board[1],
-                                 alight[0], alight[1]))
-    return tuple(legs)
+def _path(label: Label) -> list[tuple[Vertex, Vertex, Optional[int]]]:
+    """The (tail, head, driver) arcs of the path to ``label``, in order."""
+    arcs = []
+    while (parent := label[4]) is not None:
+        arcs.append((parent[5], label[5], label[6]))
+        label = parent
+    return arcs[::-1]
 
 
-def _trace(label: _Label) -> Itinerary:
-    arcs: list[tuple[Vertex, Vertex, Optional[int]]] = []
-    node: Optional[_Label] = label
-    while node is not None and node.parent is not None:
-        arcs.append((node.parent.vertex, node.vertex, node.arc_driver))
-        node = node.parent
-    arcs.reverse()
-    return Itinerary(_legs(arcs), label.cost, label.waits)
+def _legs(arcs: Sequence[tuple[Vertex, Vertex, Optional[int]]],
+          nodes: Sequence[int]) -> tuple[ItineraryLeg, ...]:
+    """The legs of a path of (tail, head, driver) arcs over ``nodes``, a
+    wait's driver being None: one leg per run of arcs with one driver."""
+    runs = [list(run) for _, run in groupby(
+        (arc for arc in arcs if arc[2] is not None), key=itemgetter(2))]
+    return tuple(ItineraryLeg(run[0][2], *decode(run[0][0], nodes),
+                              *decode(run[-1][1], nodes)) for run in runs)
 
 
 def _cost_to_go(graph: PrunedGraph, penalty: float) -> dict[Vertex, float]:
@@ -526,19 +517,21 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
 
     Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
     broken toward fewer waits, then fewer legs, then earlier arrival, then
-    the lexicographically smallest driver sequence. Itineraries equal on all
-    five (a different transfer vertex or boarding step) are not ordered; the
-    DP returns the one its labels reach first. It visits the vertices in
-    ``TimeExpandedNetwork.forward``'s order, each vertex's buckets (one per
-    last driver) in the order the vertex's in-arcs first reach them, and
-    each bucket's labels in insertion order, and of two equal labels it
-    keeps the first.
+    the lexicographically smallest driver sequence; only the winner is
+    traced into legs. Itineraries equal on all five (a different transfer
+    vertex or boarding step) are not ordered; the DP returns the one its
+    labels reach first. It visits the vertices in integer order, each
+    vertex's buckets (one per last driver) in the order its in-arcs first
+    reach them, and each bucket's labels in insertion order, and of two
+    equal labels it keeps the first. Of ``forward``'s arc order only the
+    order of the arcs into one head counts: from one tail, the wait arc
+    first, then the travel arcs by driver.
 
-    Before it expands a vertex's labels, the DP creates every bucket each
-    arc can reach at the arc's head: a travel arc its driver's, a wait arc
-    each of the tail's, in the tail's order. So a bucket exists, in its
-    place, whether or not any label takes the arc, and the bucket order
-    depends on the graph alone.
+    Before it expands a vertex's labels, the DP pairs each arc with its
+    head's bucket table and cost to go and creates every bucket the arc can
+    reach there: a travel arc its driver's, a wait arc each of the tail's,
+    in the tail's order. So a bucket exists, in its place, whether or not
+    any label takes the arc, and the bucket order depends on the graph alone.
 
     Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
@@ -548,6 +541,14 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     labels that are pruned too. Since pruning cannot change the bucket order
     either, the survivors, their order and hence the result are those of the
     unpruned DP.
+
+    Costs are float sums along each path, so the cost key also compares
+    rounding. At the default penalty, ``weights.time * dt``, a wait step
+    costs what a travel step does, so every path to one vertex has the same
+    real cost and rounding orders them ahead of waits and legs: in the
+    ``multihop-grid`` benchmark scenario, ``SimState(config, network, 101)``,
+    rider 457 gets two legs (drivers 405, 447) with 3 waits at cost 0.45,
+    though one leg with 3 waits has the same real cost (0.45000000000000007).
     """
     if not 0 <= penalty < INF:
         raise ValueError("penalty must be non-negative and finite")
@@ -555,48 +556,46 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
         return None
     togo = _cost_to_go(graph, penalty)
     limit = _incumbent(graph, togo, penalty) * (1 + 1e-9)  # costs are non-negative
-    table: dict[Vertex, dict[Optional[int], list[_Label]]] = {
-        v: {} for v in graph.vertices
-    }
-    table[graph.start][None] = [_Label(0.0, 0, 0, frozenset(), graph.start)]
+    table = {v: {} for v in graph.vertices}  # vertex -> last driver -> labels
+    bits: dict[Optional[int], int] = {None: 0}  # each driver's bit; a wait has none
+    table[graph.start][None] = [(0.0, 0, 0, 0, None, graph.start, None)]
 
     for vertex in graph.vertices:
         buckets = table[vertex]  # heads lie later: no bucket here grows
-        arcs = graph.adjacency[vertex]
-        for head, driver, _ in arcs:
-            heads = table[head]
+        arcs = [(table[head], togo[head], head, driver,
+                 bits.setdefault(driver, 1 << len(bits)), cost)
+                for head, driver, cost in graph.adjacency[vertex]]
+        for heads, _, _, driver, _, _ in arcs:
             for last in (buckets if driver is None else (driver,)):
                 heads.setdefault(last, [])
         for last, bucket in buckets.items():
             for label in bucket:
-                for head, driver, cost in arcs:
+                cost, waits, legs, used = label[0], label[1], label[2], label[3]
+                for heads, bound, head, driver, bit, arc_cost in arcs:
                     if driver is None:
-                        new_cost = label.cost + penalty
-                        if new_cost + togo[head] > limit:
-                            continue
-                        nxt = _Label(new_cost, label.waits + 1, label.legs,
-                                     label.used, head, label, None)
-                        _insert_label(table[head][last], nxt)
-                    else:
-                        if last is not None and driver != last and driver in label.used:
-                            continue
-                        new_cost = label.cost + cost
-                        if new_cost + togo[head] > limit:
-                            continue
-                        legs = label.legs + (0 if driver == last else 1)
-                        nxt = _Label(new_cost, label.waits, legs,
-                                     label.used | {driver}, head, label, driver)
-                        _insert_label(table[head][driver], nxt)
+                        new_cost = cost + penalty
+                        if new_cost + bound <= limit:
+                            _insert_label(heads[last], (new_cost, waits + 1, legs, used,
+                                                        label, head, None))
+                    # the driver on board, or one the rider has not left
+                    elif driver == last or not used & bit:
+                        new_cost = cost + arc_cost
+                        if new_cost + bound <= limit:
+                            new = (new_cost, waits, legs + (driver != last), used | bit,
+                                   label, head, driver)
+                            _insert_label(heads[driver], new)
 
     candidates = [label for dest in graph.dests for bucket in table[dest].values()
-                  for label in bucket if label.legs > 0]
+                  for label in bucket if label[2] > 0]
     if not candidates:
         return None
-    best = min((c.cost, c.waits, c.legs, c.vertex[1]) for c in candidates)
+    # the destination vertices share a node, so code order is arrival order
+    best = min((c[0], c[1], c[2], c[5]) for c in candidates)
     # the ties share one vertex, and a driver sequence names one bucket there
-    return min((_trace(c) for c in candidates
-                if (c.cost, c.waits, c.legs, c.vertex[1]) == best),
-               key=Itinerary.driver_sequence)
+    ties = [c for c in candidates if (c[0], c[1], c[2], c[5]) == best]
+    winner = ties[0] if len(ties) == 1 else min(ties, key=lambda c: [
+        driver for driver, _ in groupby(arc[2] for arc in _path(c) if arc[2] is not None)])
+    return Itinerary(_legs(_path(winner), graph.nodes), winner[0], winner[1])
 
 
 def match_rider(sim, rider: RiderRequest) -> MatchResult:

@@ -27,7 +27,7 @@ class CostWeights:
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ConfigError(f"weights.{name} must be non-negative and finite")
         if self.toll == 0 and self.time == 0:
-            raise ConfigError("at least one cost weight must be positive")
+            raise ConfigError("weights.toll and weights.time must not both be 0")
 
 
 @dataclass(frozen=True)

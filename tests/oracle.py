@@ -7,7 +7,7 @@ the one enumerator ``labelled_paths``.
 """
 from itertools import groupby
 
-from ridesim.matching import Itinerary, _legs
+from ridesim.matching import Itinerary, _legs, decode
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -18,7 +18,7 @@ def labelled_paths(ten, penalty=0.0, budget=200_000):
     """Yield (arcs, cost, waits) for every path from the start vertex to a
     destination vertex that never re-boards a driver it left; ``arcs`` are
     (tail, head, driver) with driver None for a wait, and a wait costs
-    ``penalty``.
+    ``penalty``. Vertices are the network's integer codes.
 
     The search is depth first from a stack of partial paths, pushed in
     ``TimeExpandedNetwork.forward``'s arc order, so a vertex's last arc is
@@ -34,7 +34,7 @@ def labelled_paths(ten, penalty=0.0, budget=200_000):
     stack = [(start, None, frozenset(), 0.0, 0, ())]
     while stack:
         vertex, last, used, cost, waits, arcs = stack.pop()
-        if vertex[0] == ten.destination:
+        if decode(vertex, ten.nodes)[0] == ten.destination:
             yield arcs, cost, waits
         for head, driver, arc_cost in forward[vertex]:
             expansions += 1
@@ -57,9 +57,9 @@ def brute_force_itinerary(ten, penalty, budget=200_000):
     best_key, best = None, None
     for arcs, cost, waits in labelled_paths(ten, penalty, budget):
         drivers = tuple(d for d, _ in groupby(d for _, _, d in arcs if d is not None))
-        key = (cost, waits, len(drivers), arcs[-1][1][1], drivers)
+        key = (cost, waits, len(drivers), decode(arcs[-1][1], ten.nodes)[1], drivers)
         if best_key is None or key < best_key:
-            best_key, best = key, Itinerary(_legs(arcs), cost, waits)
+            best_key, best = key, Itinerary(_legs(arcs, ten.nodes), cost, waits)
     return best
 
 

@@ -236,6 +236,8 @@ BAD_INPUTS = {
     "nan-time-weight": ({"weights": {"time": float("nan")}}, None, [], "weights.time"),
     "infinite-time-weight": ({"weights": {"time": float("inf")}}, None, [],
                              "weights.time"),
+    "zero-weights": ({"weights": {"toll": 0, "time": 0}}, None, [],
+                     "weights.toll and weights.time must not both be 0"),
     "nan-validation-threshold": ({"validation_error_threshold": float("nan")}, None,
                                  [], "validation_error_threshold"),
     "bool-horizon": ({"horizon": True}, None, [], "horizon"),

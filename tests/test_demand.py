@@ -129,10 +129,11 @@ class TestGenerateAgents:
     def spec(self, shares=SWEEP_SHARES, scale=1.0, horizon=4.0, flex=0.25):
         rates = {(0, 2): 200.0, (0, 3): 100.0, (1, 3): 150.0}
         return DemandSpec(od_rates=rates, shares=shares,
-                          window_flexibility=flex, horizon=horizon, scale=scale)
+                          window_flexibility=flex, horizon=horizon, scale=scale, seats=4)
 
     def test_zero_rates_empty(self, testbed):
-        spec = DemandSpec(od_rates={(0, 2): 0.0}, shares=ALL_REGULAR)
+        spec = DemandSpec(od_rates={(0, 2): 0.0}, shares=ALL_REGULAR,
+                          window_flexibility=0.25, horizon=24.0, scale=1.0, seats=4)
         assert len(generate_agents(spec, testbed, 1)) == 0
 
     def test_deterministic(self, testbed):
@@ -181,7 +182,7 @@ class TestGenerateAgents:
 
     def test_poisson_counts(self, testbed):
         spec = DemandSpec(od_rates={(0, 2): 60.0}, shares=ALL_REGULAR,
-                          horizon=1.0, scale=1.0)
+                          window_flexibility=0.25, horizon=1.0, scale=1.0, seats=4)
         counts = [len(generate_agents(spec, testbed, s)) for s in range(200)]
         mean = np.mean(counts)
         assert 60 - 3 * math.sqrt(60 / 200) * 3 <= mean <= 60 + math.sqrt(60 / 200) * 9
@@ -195,17 +196,20 @@ class TestGenerateAgents:
             network = grid_network()
             spec = DemandSpec({od: 3.5 for od in default_od_pairs(network)},
                               Shares(0.25, 0.5, 0.25), window_flexibility=0.3,
-                              horizon=4.0, seats=3)
+                              horizon=4.0, scale=1.0, seats=3)
         elif case == "calibrated":
             from ridesim.config import bundled_data_path, load_config
             rates = load_config(bundled_data_path("validation.yaml")).demand_spec(
                 testbed).od_rates
-            spec = DemandSpec(rates, SWEEP_SHARES, horizon=6.0, scale=0.1)
+            spec = DemandSpec(rates, SWEEP_SHARES, window_flexibility=0.25,
+                              horizon=6.0, scale=0.1, seats=4)
         elif case == "zero-rate-pair":
             spec = DemandSpec({(0, 1): 0.0, (0, 2): 200.0, (1, 3): 150.0},
-                              SWEEP_SHARES, horizon=4.0)
+                              SWEEP_SHARES, window_flexibility=0.25, horizon=4.0,
+                              scale=1.0, seats=4)
         elif case == "all-zero":
-            spec = DemandSpec({(0, 2): 0.0, (1, 3): 0.0}, SWEEP_SHARES)
+            spec = DemandSpec({(0, 2): 0.0, (1, 3): 0.0}, SWEEP_SHARES,
+                              window_flexibility=0.25, horizon=24.0, scale=1.0, seats=4)
         elif case == "scale-0":
             spec = self.spec(scale=0.0)
         else:
@@ -238,7 +242,8 @@ class TestGenerateAgents:
         assert len(set(times)) < len(times) / 10
 
     def test_disconnected_od_rejected(self, testbed):
-        spec = DemandSpec(od_rates={(2, 0): 10.0}, shares=ALL_REGULAR)
+        spec = DemandSpec(od_rates={(2, 0): 10.0}, shares=ALL_REGULAR,
+                          window_flexibility=0.25, horizon=24.0, scale=1.0, seats=4)
         with pytest.raises(ConfigError, match="not connected"):
             generate_agents(spec, testbed, 3)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -12,9 +13,9 @@ from ridesim.matching import (
     Pin,
     RiderRequest,
     TimeExpandedNetwork,
-    TravelArc,
     build_time_expanded,
     ceil_steps,
+    decode,
     preprocess,
     solve_itinerary,
 )
@@ -30,6 +31,17 @@ def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, penalty) if graph.feasible else None
     return ten, graph, itinerary
+
+
+def code(ten, node, step):
+    """The vertex of ``node`` at ``step`` in ``ten``, by the documented rule."""
+    return step * len(ten.nodes) + ten.nodes.index(node)
+
+
+def decoded_arcs(ten):
+    """``ten``'s travel arcs with (node, step) tail and head."""
+    return [(decode(tail, ten.nodes), decode(head, ten.nodes), driver, cost)
+            for tail, head, driver, cost in ten.travel_arcs]
 
 
 def assert_itinerary_invariants(itinerary, rider, offers_by_id, dt):
@@ -88,10 +100,10 @@ class TestBuildTimeExpanded:
                              anchor_step=0, latest_departure_step=4,
                              latest_arrival_step=20, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
-        for arc in ten.travel_arcs:
+        for tail, head, _, _ in decoded_arcs(ten):
             link = next(l for l in testbed.links
-                        if (l.from_node, l.to_node) == (arc.tail[0], arc.head[0]))
-            assert arc.head[1] - arc.tail[1] == ceil_steps(link.free_flow_time, 0.05)
+                        if (l.from_node, l.to_node) == (tail[0], head[0]))
+            assert head[1] - tail[1] == ceil_steps(link.free_flow_time, 0.05)
 
     def test_infeasible_window_empty(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
@@ -111,7 +123,7 @@ class TestBuildTimeExpanded:
                              anchor_step=0, latest_departure_step=2,
                              latest_arrival_step=7, seats=2)
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
-        assert {(a.tail[0], a.head[0]) for a in ten.travel_arcs} == {(0, 1)}
+        assert {(tail[0], head[0]) for tail, head, _, _ in decoded_arcs(ten)} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
@@ -130,7 +142,7 @@ class TestBuildTimeExpanded:
                              aboard=1, pins=(Pin(1, 8, "alight", 55),))
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
-        assert all(arc.tail[1] >= 8 for arc in ten.travel_arcs)
+        assert all(tail[1] >= 8 for tail, _, _, _ in decoded_arcs(ten))
 
 
 def with_pins(rng, offer, net, dt):
@@ -233,9 +245,8 @@ class TestMultiSlotArcs:
             offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
             ten = build_time_expanded(rider, offers, net, tau, DT_EXACT)
             vertices, arcs, full = reference_ten(rider, offers, net, tau, DT_EXACT)
-            assert set(ten.forward()) == vertices
-            assert sorted((a.tail, a.head, a.driver, a.cost)
-                          for a in ten.travel_arcs) == sorted(arcs)
+            assert {decode(v, ten.nodes) for v in ten.forward()} == vertices
+            assert sorted(decoded_arcs(ten)) == sorted(arcs)
             later_slot_arcs += sum(slot > 0 for slot in arcs.values())
             full_slots += full
             if congested:
@@ -294,6 +305,68 @@ class TestBoundPruning:
         assert inserted[True] < inserted[False]
 
 
+class TestTieChoices:
+    # SHA-256 over repr(solve_itinerary(...)) for each instance and penalty
+    # below, in order. It pins every exact tie the DP resolves on them: a
+    # change to the DP's visiting order or to its labels' keys moves it.
+    DIGEST = "c54c9fba353862f28bba8ffd219864030138da29d8c9d3cd7e7ca8584e235143"
+
+    def test_results_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            graph = preprocess(build_time_expanded(rider, offers, net, tau, DT_EXACT))
+            for penalty in TestBoundPruning.PENALTIES:
+                digest.update(repr(solve_itinerary(graph, penalty)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestNoReboarding:
+    """A chain of 70 drivers with sparse ids above 10**9, so the used set
+    of a label runs past 64 bits. The cheapest last hop re-boards the
+    first driver; the only other one waits a step for a fresh driver."""
+
+    DRIVERS = [10**9 + 7919 * k + 13 for k in range(70)]
+    FRESH = 3 * 10**9 + 1
+
+    def chain(self, fresh=True):
+        hops = len(self.DRIVERS)
+        intervals = {k: (k, k) for k in range(hops)}
+        intervals[hops] = (hops, hops + 1)
+        intervals[hops + 1] = (hops + 1, hops + 2)
+        ten = TimeExpandedNetwork(0, hops + 1, intervals, [])
+        ten.travel_arcs.extend(
+            (code(ten, k, k), code(ten, k + 1, k + 1), driver, DT_EXACT)
+            for k, driver in enumerate(self.DRIVERS))
+        ten.travel_arcs.append((code(ten, hops, hops), code(ten, hops + 1, hops + 1),
+                                self.DRIVERS[0], DT_EXACT))
+        if fresh:
+            ten.travel_arcs.append((code(ten, hops, hops + 1),
+                                    code(ten, hops + 1, hops + 2), self.FRESH, DT_EXACT))
+        return ten
+
+    def test_refuses_cheaper_reboarding(self):
+        ten = self.chain()
+        penalty = DT_EXACT
+        solved = solve_itinerary(preprocess(ten), penalty)
+        assert solved.driver_sequence() == (*self.DRIVERS, self.FRESH)
+        assert solved.wait_steps == 1
+        # the re-boarding path would have cost one wait less
+        assert solved.total_cost == (len(self.DRIVERS) + 1) * DT_EXACT + penalty
+        oracle = brute_force_itinerary(ten, penalty)
+        assert ((solved.total_cost, solved.wait_steps, len(solved.legs),
+                 solved.legs[-1].alight_step, solved.driver_sequence())
+                == (oracle.total_cost, oracle.wait_steps, len(oracle.legs),
+                    oracle.legs[-1].alight_step, oracle.driver_sequence()))
+
+    def test_reboarding_alone_is_infeasible(self):
+        ten = self.chain(fresh=False)
+        graph = preprocess(ten)
+        assert graph.feasible  # the path exists in the graph
+        assert solve_itinerary(graph, DT_EXACT) is None
+        assert brute_force_itinerary(ten, DT_EXACT) is None
+
+
 class TestPinChain:
     def test_decreasing_pin_steps_raise(self):
         offer = DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
@@ -349,32 +422,52 @@ class TestForward:
     the oracle's enumeration follow this order."""
 
     def hand_built(self):
+        ten = TimeExpandedNetwork(0, 2, {2: (1, 3), 0: (0, 1), 1: (1, 2)}, [])
         # travel arcs deliberately out of order: by driver, head and tail
-        arcs = [
-            TravelArc((1, 1), (2, 3), 4, 0.5),
-            TravelArc((0, 0), (2, 1), 3, 0.25),
-            TravelArc((0, 0), (1, 1), 9, 0.25),
-            TravelArc((0, 1), (1, 2), 5, 0.25),
-            TravelArc((0, 0), (1, 2), 1, 0.5),
-            TravelArc((0, 0), (1, 1), 3, 0.25),
-        ]
-        return TimeExpandedNetwork(0, 2, {2: (1, 3), 0: (0, 1), 1: (1, 2)}, arcs)
+        ten.travel_arcs.extend(
+            (code(ten, *tail), code(ten, *head), driver, cost)
+            for tail, head, driver, cost in [
+                ((1, 1), (2, 3), 4, 0.5),
+                ((0, 0), (2, 1), 3, 0.25),
+                ((0, 0), (1, 1), 9, 0.25),
+                ((0, 1), (1, 2), 5, 0.25),
+                ((0, 0), (1, 2), 1, 0.5),
+                ((0, 0), (1, 1), 3, 0.25),
+            ])
+        return ten
+
+    def decoded(self, ten, arcs):
+        return [(decode(head, ten.nodes), driver, cost) for head, driver, cost in arcs]
+
+    def test_codes_decode_to_node_and_step(self):
+        ten = self.hand_built()
+        assert ten.nodes == (0, 1, 2)
+        for node, (lo, hi) in ten.node_intervals.items():
+            for step in range(lo, hi + 1):
+                assert decode(code(ten, node, step), ten.nodes) == (node, step)
+        assert ten.start_vertex == code(ten, 0, 0)
 
     def test_vertices_in_step_then_node_order(self):
-        assert list(self.hand_built().forward()) == [
+        ten = self.hand_built()
+        forward = list(ten.forward())
+        assert forward == sorted(forward)
+        assert [decode(v, ten.nodes) for v in forward] == [
             (0, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (2, 3)]
 
     def test_wait_first_then_travel_arcs_by_head_and_driver(self):
-        graph = self.hand_built().forward()
-        assert graph[0, 0] == [
+        ten = self.hand_built()
+        graph = ten.forward()
+        assert self.decoded(ten, graph[code(ten, 0, 0)]) == [
             ((0, 1), None, 0.0),
             ((1, 1), 3, 0.25), ((1, 1), 9, 0.25),
-            ((1, 2), 1, 0.5),
             ((2, 1), 3, 0.25),
+            ((1, 2), 1, 0.5),
         ]
-        assert graph[0, 1] == [((1, 2), 5, 0.25)]  # no wait past the interval
-        assert graph[1, 1] == [((1, 2), None, 0.0), ((2, 3), 4, 0.5)]
-        assert graph[2, 3] == []
+        # no wait past the interval
+        assert self.decoded(ten, graph[code(ten, 0, 1)]) == [((1, 2), 5, 0.25)]
+        assert self.decoded(ten, graph[code(ten, 1, 1)]) == [
+            ((1, 2), None, 0.0), ((2, 3), 4, 0.5)]
+        assert graph[code(ten, 2, 3)] == []
 
     def test_preprocess_keeps_forward_order(self):
         ten = self.hand_built()
@@ -396,7 +489,7 @@ class TestPreprocess:
         ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert graph.feasible
-        assert sorted({v[0] for v in graph.vertices}) == [0, 1, 2]
+        assert sorted({decode(v, graph.nodes)[0] for v in graph.vertices}) == [0, 1, 2]
 
     def test_empty_ten_infeasible(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
@@ -411,7 +504,8 @@ class TestPreprocess:
         ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert not graph.feasible
-        assert all(v[0] == 0 for v in graph.vertices) or graph.vertices == []
+        assert (all(decode(v, graph.nodes)[0] == 0 for v in graph.vertices)
+                or graph.vertices == [])
 
     def test_topological_order(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.1), 0.0)

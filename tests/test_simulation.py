@@ -101,7 +101,8 @@ class TestBasicRuns:
     def test_invalid_shares_rejected(self, testbed):
         with pytest.raises(ValueError):
             DemandSpec(od_rates={(0, 2): 1.0},
-                       shares=Shares(0.2, 0.4, 0.5))
+                       shares=Shares(0.2, 0.4, 0.5), window_flexibility=0.25,
+                       horizon=24.0, scale=1.0, seats=4)
 
     def test_events_do_not_precede_clock(self, testbed):
         sim = empty_sim(testbed)
