@@ -18,6 +18,11 @@ Pipeline for one rider request:
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
    triangle inequality a slot is skipped unless it could reach the rider's
    destination from a by the latest arrival and b from the rider's origin.
+   Each offer carries its free-seat slots, derived once with its stops
+   (``DriverOffer.free_slots``). The rule reads nothing of a driver but the
+   slot, so within one request the slot test and the per-link step ranges
+   run once per distinct slot, and every driver with that slot gets the
+   arcs: drivers waiting at one node for one destination share their slot.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -46,7 +51,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
@@ -92,9 +96,12 @@ class Pin:
 
 
 Stop = tuple[int, int, bool]  # (node, deadline step, holds)
+# (a, s, b, t, leave_by): a slot from stop (a, s) to stop (b, t) with a free
+# seat, left from a by step leave_by (INF unless the driver is not underway)
+FreeSlot = tuple[int, int, int, int, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DriverOffer:
     """Snapshot of one ridesharing driver's remaining flexibility, in steps.
 
@@ -103,6 +110,10 @@ class DriverOffer:
     yet underway leaves its origin by ``latest_departure_step``; every driver
     reaches its destination by ``latest_arrival_step``. ``pins`` are
     committed stops still ahead, in step order.
+
+    An offer is a value: equal and hashed by its fields, and never changed
+    once built (``dataclasses.replace`` makes a new one). Its chain through
+    the pins is derived on first use and kept in ``_chain``.
     """
 
     id: int
@@ -115,15 +126,17 @@ class DriverOffer:
     pins: tuple[Pin, ...] = ()
     aboard: int = 0
     departed: bool = False
+    _chain: Optional[tuple[tuple[Stop, ...], tuple[int, ...], tuple[FreeSlot, ...]]] = \
+        field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
-    def _chain(self) -> tuple[tuple[Stop, ...], tuple[int, ...]]:
-        """(stops, slot occupancies) of the chain through the pins, derived
-        once; raises ValueError when the pins' steps decrease or an
+    def _derive(self) -> tuple[tuple[Stop, ...], tuple[int, ...], tuple[FreeSlot, ...]]:
+        """(stops, slot occupancies, free slots) of the chain through the
+        pins; raises ValueError when the pins' steps decrease or an
         occupancy goes negative, since neither can come from a valid commit."""
         pins = self.pins
-        if any(a.step > b.step for a, b in zip(pins, pins[1:])):
-            raise ValueError(f"driver {self.id}: pin steps decrease in pin chain")
+        for first, then in zip(pins, pins[1:]):
+            if first.step > then.step:
+                raise ValueError(f"driver {self.id}: pin steps decrease in pin chain")
         stops = [(self.origin, self.anchor_step, False)]
         occs = [self.aboard]
         for pin in pins:
@@ -132,11 +145,19 @@ class DriverOffer:
             if occs[-1] < 0:
                 raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
         stops.append((self.destination, self.latest_arrival_step, False))
-        return tuple(stops), tuple(occs)
+        free = []
+        leave_by = INF if self.departed else self.latest_departure_step
+        for slot, occupancy in enumerate(occs):
+            if occupancy < self.seats:
+                (a, s, _), (b, t, _) = stops[slot], stops[slot + 1]
+                free.append((a, s, b, t, leave_by))
+            leave_by = INF
+        self._chain = chain = (tuple(stops), tuple(occs), tuple(free))
+        return chain
 
     def slot_occupancies(self) -> tuple[int, ...]:
         """Riders on board within each inter-pin segment (pins split slots)."""
-        return self._chain[1]
+        return (self._chain or self._derive())[1]
 
     def stops(self) -> tuple[Stop, ...]:
         """The driver's schedule as (node, deadline step, holds) stops.
@@ -145,7 +166,12 @@ class DriverOffer:
         pinned step, then the destination by the latest-arrival step. A
         boarding stop holds the vehicle until its step; other stops do not.
         """
-        return self._chain[0]
+        return (self._chain or self._derive())[0]
+
+    def free_slots(self) -> tuple[FreeSlot, ...]:
+        """The slots between consecutive ``stops`` with a free seat, in
+        order: only these can carry the rider (module docstring, step 1)."""
+        return (self._chain or self._derive())[2]
 
 
 TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)
@@ -344,36 +370,40 @@ def build_time_expanded(
                                    steps * n + nodes.index(j) - p, time_weight * steps * dt))
 
     # one arc rule per (slot, link): the steps k with s + m[a][i] <= k and
-    # k + steps <= t - m[j][b], capped at a in the first slot of a driver not
-    # yet underway; the bounds at j from a and at i to b never bind, by the
-    # triangle inequality on m (module docstring, step 1). An INF empties the
-    # range; a link is never a loop, so i and j are not both a.
+    # k + steps <= t - m[j][b], capped at a by the slot's leave_by; the bounds
+    # at j from a and at i to b never bind, by the triangle inequality on m
+    # (module docstring, step 1). An INF empties the range; a link is never a
+    # loop, so i and j are not both a. The rule reads the slot alone, so each
+    # distinct slot's (tail codes, shift, cost) spans are found once and
+    # written for every driver that has that slot.
     from_origin = matrix[rider.origin]
     arcs = ten.travel_arcs
+    spans_of: dict[FreeSlot, list[tuple[range, int, float]]] = {}
     for offer in drivers:
-        stops = offer.stops()
-        occupancies = offer.slot_occupancies()
-        for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:])):
-            if (occupancies[slot] >= offer.seats or s + matrix[a][rider.destination] > la
-                    or ed + from_origin[b] > t):
-                continue
-            from_a = matrix[a]
-            leave_by = (offer.latest_departure_step
-                        if slot == 0 and not offer.departed else INF)
-            for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
-                if s + from_a[i] > lo:
-                    lo = s + from_a[i]
-                if t - from_j[b] - steps < hi:
-                    hi = t - from_j[b] - steps
-                if i == a:
-                    hi = min(hi, leave_by)
-                elif j == a:
-                    hi = min(hi, leave_by - steps)
-                # pins in step order keep slots' arcs apart: an arc of a slot
-                # ends by the slot's closing step, where the next slot starts
-                if lo <= hi:
-                    arcs += [(tail, tail + shift, offer.id, cost)
-                             for tail in range(lo * n + p, hi * n + p + 1, n)]
+        driver = offer.id
+        for slot in offer.free_slots():
+            spans = spans_of.get(slot)
+            if spans is None:
+                spans = spans_of[slot] = []
+                a, s, b, t, leave_by = slot
+                if s + matrix[a][rider.destination] > la or ed + from_origin[b] > t:
+                    continue
+                from_a = matrix[a]
+                for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
+                    if s + from_a[i] > lo:
+                        lo = s + from_a[i]
+                    if t - from_j[b] - steps < hi:
+                        hi = t - from_j[b] - steps
+                    if i == a:
+                        hi = min(hi, leave_by)
+                    elif j == a:
+                        hi = min(hi, leave_by - steps)
+                    # pins in step order keep slots' arcs apart: an arc of a
+                    # slot ends by its closing step, where the next one starts
+                    if lo <= hi:
+                        spans.append((range(lo * n + p, hi * n + p + 1, n), shift, cost))
+            for tails, shift, cost in spans:
+                arcs += [(tail, tail + shift, driver, cost) for tail in tails]
     return ten
 
 

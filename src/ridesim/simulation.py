@@ -127,9 +127,13 @@ class Vehicle:
 
 @dataclass(slots=True)
 class _IndexEntry:
-    """A vehicle in the offer index, with its cached offer (see ``_offer``)."""
+    """A vehicle in the offer index: the driver's own latest departure and
+    arrival in steps, fixed when it enters, and its cached offer (see
+    ``_offer``)."""
 
     vehicle: Vehicle
+    latest_departure_step: int
+    latest_arrival_step: int
     key: Optional[tuple] = None
     offer: Optional[DriverOffer] = None
 
@@ -352,7 +356,7 @@ class SimState:
         vehicle = Vehicle(agent)
         self.vehicles[agent_id] = vehicle
         if agent.role is Role.RIDESHARE_DRIVER:
-            self._offer_index[agent_id] = _IndexEntry(vehicle)
+            self._offer_index[agent_id] = self._index_entry(vehicle)
             self._plan_initial_route(vehicle, now)
         self._advance(vehicle, now)
 
@@ -418,27 +422,38 @@ class SimState:
     def collect_offers(self, rider: RiderRequest) -> list[DriverOffer]:
         """The offers of every active ridesharing vehicle, in vehicle id order.
 
-        Only vehicles in the offer index are asked. A ridesharing vehicle
-        enters the index when it is created and leaves it, for good, the first
-        time it is found inactive or ``_offer`` returns None. Eviction is exact:
-        an inactive vehicle never becomes active again; ``_offer``'s anchor
-        time never decreases (the clock, or the end of the link the vehicle
-        is on), so one past the driver's latest arrival stays past it; and a
-        vehicle with no offer can never be given a pin (the commit reads the
-        same ``_offer``), so one bound for its destination with no pins left
-        never gets a route past it. An index entry also holds the vehicle's
-        cached offer (see ``_offer``), so eviction drops both.
+        Only vehicles in the offer index are asked, in one pass in the
+        index's insertion order. That is id order: only generated agents
+        can be ridesharing drivers (an unmatched rider's fallback is a
+        regular driver), and they enter in (time, id) order, which is id
+        order. A ridesharing vehicle enters the index when it is created
+        and leaves it, for good, the first time it is found inactive or
+        has no offer. Eviction is exact: an inactive vehicle never becomes
+        active again; the anchor time never decreases (the clock, or the
+        end of the link the vehicle is on), so one past the driver's latest
+        arrival stays past it; and a vehicle with no offer can never be
+        given a pin (the commit reads the same offer), so one bound for its
+        destination with no pins left never gets a route past it. An index
+        entry also holds the vehicle's cached offer, so eviction drops both.
         """
         offers = []
-        index = self._offer_index
-        for agent_id in sorted(index):
-            vehicle = index[agent_id].vehicle
+        evicted = []
+        for agent_id, entry in self._offer_index.items():
+            vehicle = entry.vehicle
             offer = self._offer(vehicle) if vehicle.active else None
             if offer is None:
-                del index[agent_id]
+                evicted.append(agent_id)
             else:
                 offers.append(offer)
+        for agent_id in evicted:
+            del self._offer_index[agent_id]
         return offers
+
+    def _index_entry(self, vehicle: Vehicle) -> _IndexEntry:
+        """A fresh offer-index entry for the ridesharing vehicle."""
+        window = vehicle.agent.window
+        return _IndexEntry(vehicle, ceil_steps(window.latest_departure, self.dt),
+                           ceil_steps(window.latest_arrival, self.dt))
 
     def _offer(self, vehicle: Vehicle) -> Optional[DriverOffer]:
         """The active ridesharing vehicle's remaining schedule at the clock,
@@ -450,14 +465,17 @@ class SimState:
         is no earlier than the anchor step. The matcher and
         ``commit_itinerary`` both read this one offer.
 
-        An indexed vehicle's offer is cached in its index entry under the
-        key (``plan_version``, ``node``, pin count, departed, anchor step),
-        and returned while the key repeats. That is exact: every other
-        field is the driver's own, or the steps above, which round the
-        anchor time up; the pins change only by a pop, which shortens them,
-        or by a commit, which bumps ``plan_version``; and ``aboard`` changes
-        only as a pin is popped. The float anchor time is checked against
-        the latest arrival on every call, before the lookup.
+        An indexed vehicle's entry holds the driver's own latest departure
+        and arrival steps, computed once when it entered, and its offer,
+        cached under the key (``plan_version``, ``node``, pin count,
+        departed, anchor step) and returned while the key repeats. That is
+        exact: every other field is the driver's own, or the steps above,
+        which round the anchor time up; the pins change only by a pop, which
+        shortens them, or by a commit, which bumps ``plan_version``; and
+        ``aboard`` changes only as a pin is popped. The float anchor time is
+        checked against the latest arrival on every call, before the lookup.
+        A waiting driver's anchor step moves with the clock, so its offer is
+        rebuilt once a step. A vehicle outside the index gets a fresh entry.
         """
         agent = vehicle.agent
         anchor_time = vehicle.link_arrival_time
@@ -469,7 +487,9 @@ class SimState:
         key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
                vehicle.departure_time is not None, anchor_step)
         entry = self._offer_index.get(agent.id)
-        if entry is not None and entry.key == key:
+        if entry is None:
+            entry = self._index_entry(vehicle)
+        elif entry.key == key:
             return entry.offer
         if vehicle.node == agent.destination and not vehicle.pins:
             return None
@@ -478,16 +498,14 @@ class SimState:
             origin=vehicle.node,
             destination=agent.destination,
             anchor_step=anchor_step,
-            latest_departure_step=max(
-                ceil_steps(agent.window.latest_departure, self.dt), anchor_step),
-            latest_arrival_step=ceil_steps(agent.window.latest_arrival, self.dt),
+            latest_departure_step=max(entry.latest_departure_step, anchor_step),
+            latest_arrival_step=entry.latest_arrival_step,
             seats=agent.seats,
             pins=tuple(vehicle.pins),
             aboard=len(vehicle.aboard),
             departed=vehicle.departure_time is not None,
         )
-        if entry is not None:
-            entry.key, entry.offer = key, offer
+        entry.key, entry.offer = key, offer
         return offer
 
     def commit_itinerary(

@@ -321,6 +321,53 @@ class TestTieChoices:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestBuildDigest:
+    # SHA-256 over sorted(ten.travel_arcs) and sorted(ten.node_intervals
+    # .items()) for each instance below, built from its offers and again
+    # with every offer twinned under a new id, so that slots repeat. It was
+    # recorded from the build that ran the arc rule once per slot of every
+    # offer; the build that runs it once per distinct slot must match it.
+    DIGEST = "8c1e65163499b66cbc47178a51acb825f11c4daebff84a85f1886c1c378d3ba6"
+
+    def test_networks_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
+            for drivers in (offers, offers + twins):
+                ten = build_time_expanded(rider, drivers, net, tau, DT_EXACT)
+                digest.update(repr(sorted(ten.travel_arcs)).encode())
+                digest.update(repr(sorted(ten.node_intervals.items())).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestSharedSlots:
+    def test_drivers_sharing_a_slot_get_its_arcs(self, testbed, free_flow):
+        rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.3, 0.75, 1.2), 0.0)
+        shared = DriverOffer(id=3, origin=0, destination=2, anchor_step=0,
+                             latest_departure_step=4, latest_arrival_step=22, seats=2)
+        # a pinned driver whose first slot, (0, 0) to the pin (2, 22) left
+        # by step 4, is the pin-free drivers' one slot
+        pinned = DriverOffer(id=5, origin=0, destination=2, anchor_step=0,
+                             latest_departure_step=4, latest_arrival_step=30, seats=2,
+                             pins=(Pin(2, 22, "board", 77),))
+        # the same stops, but underway: no latest departure caps its slot
+        departed = dataclasses.replace(shared, id=9, departed=True)
+        offers = [dataclasses.replace(shared, id=12), pinned, shared, departed,
+                  dataclasses.replace(shared, id=7)]
+        assert pinned.free_slots()[0] == shared.free_slots()[0]
+        assert departed.free_slots() != shared.free_slots()
+        ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)
+        _, arcs, _ = reference_ten(rider, offers, testbed, free_flow, 0.05)
+        assert sorted(decoded_arcs(ten)) == sorted(arcs)
+        by_driver = {offer.id: set() for offer in offers}
+        for tail, head, driver, cost in decoded_arcs(ten):
+            by_driver[driver].add((tail, head, cost))
+        assert by_driver[3]
+        assert by_driver[3] == by_driver[5] == by_driver[7] == by_driver[12]
+        assert by_driver[3] < by_driver[9]
+
+
 class TestNoReboarding:
     """A chain of 70 drivers with sparse ids above 10**9, so the used set
     of a label runs past 64 bits. The cheapest last hop re-boards the

@@ -467,6 +467,18 @@ class TestCommitRejections:
         self.assert_refused(sim, 9, (0, 1, 4, 2, 14))  # node 1 is 5 steps away
 
 
+def seat_free_slots(offer):
+    """``offer``'s slots with a free seat, from its ``stops`` and
+    ``slot_occupancies``: (a, s, b, t, leave_by), leave_by capping the first
+    slot of a driver not yet underway."""
+    stops, occupancies = offer.stops(), offer.slot_occupancies()
+    return tuple(
+        (a, s, b, t, offer.latest_departure_step
+         if slot == 0 and not offer.departed else float("inf"))
+        for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]))
+        if occupancies[slot] < offer.seats)
+
+
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed):
         requests = offers = evicted = 0
@@ -483,6 +495,8 @@ class TestOfferIndex:
                         offer = sim._offer(vehicle)
                         if offer is not None:
                             expected.append(offer)
+                # the scan's order is the index's insertion order
+                assert list(sim._offer_index) == sorted(sim._offer_index), rider
                 result = indexed(rider)
                 assert result == expected, rider
                 requests += 1
@@ -499,27 +513,35 @@ class TestOfferIndex:
         assert evicted > 0
 
     def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
-        hits = rebuilt = 0
+        hits = rebuilt = ticks = 0
         match = simulation.match_rider
 
         def checked(sim, request):
-            nonlocal hits, rebuilt
+            nonlocal hits, rebuilt, ticks
             for entry in sim._offer_index.values():
                 if not entry.vehicle.active:
                     continue
-                before = entry.offer
+                before, key = entry.offer, entry.key
                 cached = sim._offer(entry.vehicle)
+                # a rebuild whose key moved only in its anchor step: a
+                # waiting driver as the clock enters a new step
+                tick = (before is not None and cached is not None
+                        and cached is not before and key[:-1] == entry.key[:-1])
                 entry.key = None  # the next call builds the offer afresh
                 assert cached == sim._offer(entry.vehicle), request
+                if cached is not None:
+                    assert cached.free_slots() == seat_free_slots(cached), request
                 hits += before is not None and cached is before
                 rebuilt += before is not None and cached is not before
+                ticks += tick
             return match(sim, request)
 
         monkeypatch.setattr(simulation, "match_rider", checked)
         for sim in sweep_and_transfer_sims(testbed):
             sim.run()
         # offers were reused across requests, and rebuilt as vehicles moved
-        assert hits > 100 and rebuilt > 100
+        # and as the clock moved on under waiting ones
+        assert hits > 100 and rebuilt > 100 and ticks > 100
 
     def test_cache_key_covers_each_change(self):
         """Links far shorter than a step let every part of the key change
@@ -538,6 +560,7 @@ class TestOfferIndex:
             cached = sim._offer(vehicle)
             entry.key = None  # the next call builds the offer afresh
             assert cached == sim._offer(vehicle)
+            assert cached.free_slots() == seat_free_slots(cached)
             offers.append(cached)
 
         def travel(link_id, now):
@@ -558,6 +581,10 @@ class TestOfferIndex:
         offer_at(0.04)  # a commit replaces them, keeping their count
         vehicle.aboard.add(vehicle.pins.pop(0).rider_id)
         offer_at(0.04)  # a pin is served
+        key = entry.key
+        vehicle.link_arrival_time = None
+        offer_at(0.06)  # it waits at node 1 into step 2
+        assert entry.key[:-1] == key[:-1] and entry.key[-1] == key[-1] + 1
         assert len(set(offers)) == len(offers)
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
