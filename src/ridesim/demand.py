@@ -52,10 +52,11 @@ def free_flow_paths(
     for origin, dest in od_pairs:
         if origin not in network.adjacency or dest not in network.adjacency:
             raise ConfigError(f"O-D pair {origin}->{dest}: node not in the network")
-        path = dijkstra_route(network, lambda l: l.free_flow_time, origin, dest)
-        if path is None:
+        links = dijkstra_route(network, lambda l: l.free_flow_time, origin, dest)
+        if links is None:
             raise ConfigError(f"O-D pair {origin}->{dest} is not connected")
-        out[(origin, dest)] = (path.links, path.total_time)
+        out[(origin, dest)] = (links, sum(network.link(lid).free_flow_time
+                                          for lid in links))
     return out
 
 

@@ -210,7 +210,7 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
             sim = init_simulation(scenario, network, rep_seed)
             report = sim.run()
             riders += report.riders_total
-            rates.append(report.match_rate if report.riders_total else 0.0)
+            rates.append(report.match_rate)
         mean = float(np.mean(rates)) if rates else 0.0
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"

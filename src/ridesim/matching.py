@@ -18,11 +18,12 @@ Pipeline for one rider request:
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
    triangle inequality a slot is skipped unless it could reach the rider's
    destination from a by the latest arrival and b from the rider's origin.
-   Each offer carries its free-seat slots, derived once with its stops
-   (``DriverOffer.free_slots``). The rule reads nothing of a driver but the
-   slot, so within one request the slot test and the per-link step ranges
-   run once per distinct slot, and every driver with that slot gets the
-   arcs: drivers waiting at one node for one destination share their slot.
+   An offer builds its free-seat slots with its stops when it is
+   constructed (``DriverOffer.free_slots``). The rule reads nothing of a
+   driver but the slot, so within one request the slot test and the
+   per-link step ranges run once per distinct slot, and every driver with
+   that slot gets the arcs: drivers waiting at one node for one destination
+   share their slot.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -101,7 +102,7 @@ Stop = tuple[int, int, bool]  # (node, deadline step, holds)
 FreeSlot = tuple[int, int, int, int, float]
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class DriverOffer:
     """Snapshot of one ridesharing driver's remaining flexibility, in steps.
 
@@ -111,9 +112,17 @@ class DriverOffer:
     reaches its destination by ``latest_arrival_step``. ``pins`` are
     committed stops still ahead, in step order.
 
-    An offer is a value: equal and hashed by its fields, and never changed
-    once built (``dataclasses.replace`` makes a new one). Its chain through
-    the pins is derived on first use and kept in ``_chain``.
+    Construction derives the chain through the pins: ``stops``, the
+    schedule as (node, deadline step, holds) stops (the anchor at its
+    available step, each pin at its pinned step, then the destination by
+    the latest-arrival step; a boarding stop holds the vehicle until its
+    step, other stops do not); ``occupancies``, the riders on board in each
+    slot between consecutive stops; and ``free_slots``, the slots with a
+    free seat, in order, which alone can carry the rider (module docstring,
+    step 1). It raises ValueError when the pins' steps decrease or an
+    occupancy goes negative, since neither can come from a valid commit.
+    An offer is a value, equal by its fields and never changed once built;
+    ``dataclasses.replace`` builds a new one.
     """
 
     id: int
@@ -126,13 +135,11 @@ class DriverOffer:
     pins: tuple[Pin, ...] = ()
     aboard: int = 0
     departed: bool = False
-    _chain: Optional[tuple[tuple[Stop, ...], tuple[int, ...], tuple[FreeSlot, ...]]] = \
-        field(default=None, init=False, repr=False, compare=False)
+    stops: tuple[Stop, ...] = field(init=False, repr=False, compare=False)
+    occupancies: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    free_slots: tuple[FreeSlot, ...] = field(init=False, repr=False, compare=False)
 
-    def _derive(self) -> tuple[tuple[Stop, ...], tuple[int, ...], tuple[FreeSlot, ...]]:
-        """(stops, slot occupancies, free slots) of the chain through the
-        pins; raises ValueError when the pins' steps decrease or an
-        occupancy goes negative, since neither can come from a valid commit."""
+    def __post_init__(self) -> None:
         pins = self.pins
         for first, then in zip(pins, pins[1:]):
             if first.step > then.step:
@@ -152,26 +159,9 @@ class DriverOffer:
                 (a, s, _), (b, t, _) = stops[slot], stops[slot + 1]
                 free.append((a, s, b, t, leave_by))
             leave_by = INF
-        self._chain = chain = (tuple(stops), tuple(occs), tuple(free))
-        return chain
-
-    def slot_occupancies(self) -> tuple[int, ...]:
-        """Riders on board within each inter-pin segment (pins split slots)."""
-        return (self._chain or self._derive())[1]
-
-    def stops(self) -> tuple[Stop, ...]:
-        """The driver's schedule as (node, deadline step, holds) stops.
-
-        The anchor comes first at its available step, then each pin at its
-        pinned step, then the destination by the latest-arrival step. A
-        boarding stop holds the vehicle until its step; other stops do not.
-        """
-        return (self._chain or self._derive())[0]
-
-    def free_slots(self) -> tuple[FreeSlot, ...]:
-        """The slots between consecutive ``stops`` with a free seat, in
-        order: only these can carry the rider (module docstring, step 1)."""
-        return (self._chain or self._derive())[2]
+        self.stops = tuple(stops)
+        self.occupancies = tuple(occs)
+        self.free_slots = tuple(free)
 
 
 TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)
@@ -248,9 +238,6 @@ class Itinerary:
     legs: tuple[ItineraryLeg, ...]
     total_cost: float
     wait_steps: int
-
-    def driver_sequence(self) -> tuple[int, ...]:
-        return tuple(leg.driver for leg in self.legs)
 
 
 @dataclass(frozen=True)
@@ -381,7 +368,7 @@ def build_time_expanded(
     spans_of: dict[FreeSlot, list[tuple[range, int, float]]] = {}
     for offer in drivers:
         driver = offer.id
-        for slot in offer.free_slots():
+        for slot in offer.free_slots:
             spans = spans_of.get(slot)
             if spans is None:
                 spans = spans_of[slot] = []

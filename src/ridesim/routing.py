@@ -30,31 +30,23 @@ class CostWeights:
             raise ConfigError("weights.toll and weights.time must not both be 0")
 
 
-@dataclass(frozen=True)
-class RoutePath:
-    links: tuple[int, ...]
-    total_cost: float
-    total_time: float
-
-
 def dijkstra_route(
     network: Network,
     cost_fn: Callable[[Link], float],
     origin: int,
     dest: int,
-) -> Optional[RoutePath]:
-    """Cheapest origin->dest path under a frozen cost snapshot.
+) -> Optional[tuple[int, ...]]:
+    """The link ids of the cheapest origin->dest path under a frozen cost
+    snapshot, ``cost_fn`` mapping a link to its snapshot cost.
 
-    ``cost_fn`` maps a link to its snapshot cost; the returned path's
-    ``total_time`` is its free-flow duration. Ties are broken toward the
-    lexicographically smallest link-id sequence. Returns None when the
-    destination is unreachable.
+    Ties are broken toward the lexicographically smallest link-id sequence.
+    Returns None when the destination is unreachable.
     """
     adjacency = network.adjacency  # keyed by every node id
     if origin not in adjacency or dest not in adjacency:
         raise ValueError(f"origin {origin} or destination {dest} not in network")
     if origin == dest:
-        return RoutePath(links=(), total_cost=0.0, total_time=0.0)
+        return ()
 
     best: dict[int, tuple[float, tuple[int, ...]]] = {origin: (0.0, ())}
     heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), origin)]
@@ -64,8 +56,7 @@ def dijkstra_route(
         if entry is not None and (cost, seq) > entry:
             continue
         if node == dest:
-            total_time = sum(network.link(lid).free_flow_time for lid in seq)
-            return RoutePath(links=seq, total_cost=cost, total_time=total_time)
+            return seq
         for link_id in adjacency.get(node, ()):
             link = network.link(link_id)
             step = cost_fn(link)

@@ -313,7 +313,7 @@ class SimState:
             vehicle.stranded = True
             return None
         return dijkstra_route(self.network, self.route_cost_fn(now), node,
-                              agent.destination).links[0]
+                              agent.destination)[0]
 
     def _advance(self, vehicle: Vehicle, now: float) -> None:
         """Move a vehicle standing at its node: serve the pins due there, then
@@ -356,7 +356,9 @@ class SimState:
         vehicle = Vehicle(agent)
         self.vehicles[agent_id] = vehicle
         if agent.role is Role.RIDESHARE_DRIVER:
-            self._offer_index[agent_id] = self._index_entry(vehicle)
+            self._offer_index[agent_id] = _IndexEntry(
+                vehicle, ceil_steps(agent.window.latest_departure, self.dt),
+                ceil_steps(agent.window.latest_arrival, self.dt))
             self._plan_initial_route(vehicle, now)
         self._advance(vehicle, now)
 
@@ -372,11 +374,11 @@ class SimState:
         step = max(ceil_steps(now, self.dt),
                    ceil_steps(agent.window.latest_departure, self.dt))
         steps = []
-        for link_id in path.links:
+        for link_id in path:
             steps.append(step)
             delay = self.link_delay(link_id, LaneClass.GENERAL, now)
             step += max(1, ceil_steps(delay, self.dt))
-        vehicle.route = list(path.links)
+        vehicle.route = list(path)
         vehicle.planned_entry_steps = steps
         vehicle.route_pos = 0
 
@@ -427,20 +429,21 @@ class SimState:
         can be ridesharing drivers (an unmatched rider's fallback is a
         regular driver), and they enter in (time, id) order, which is id
         order. A ridesharing vehicle enters the index when it is created
-        and leaves it, for good, the first time it is found inactive or
-        has no offer. Eviction is exact: an inactive vehicle never becomes
-        active again; the anchor time never decreases (the clock, or the
-        end of the link the vehicle is on), so one past the driver's latest
-        arrival stays past it; and a vehicle with no offer can never be
-        given a pin (the commit reads the same offer), so one bound for its
-        destination with no pins left never gets a route past it. An index
-        entry also holds the vehicle's cached offer, so eviction drops both.
+        and leaves it, for good, the first time ``_offer`` finds it inactive
+        or with nothing to offer; only a vehicle in the index has an offer,
+        and ``commit_itinerary`` looks each leg's driver up here. Eviction
+        is exact: an inactive vehicle never becomes active again; the
+        anchor time never decreases (the clock, or the end of the link the
+        vehicle is on), so one past the driver's latest arrival stays past
+        it; and a vehicle with no offer can never be given a pin (the
+        commit reads the same offer), so one bound for its destination with
+        no pins left never gets a route past it. An index entry also holds
+        the vehicle's cached offer, so eviction drops both.
         """
         offers = []
         evicted = []
         for agent_id, entry in self._offer_index.items():
-            vehicle = entry.vehicle
-            offer = self._offer(vehicle) if vehicle.active else None
+            offer = self._offer(entry)
             if offer is None:
                 evicted.append(agent_id)
             else:
@@ -449,15 +452,9 @@ class SimState:
             del self._offer_index[agent_id]
         return offers
 
-    def _index_entry(self, vehicle: Vehicle) -> _IndexEntry:
-        """A fresh offer-index entry for the ridesharing vehicle."""
-        window = vehicle.agent.window
-        return _IndexEntry(vehicle, ceil_steps(window.latest_departure, self.dt),
-                           ceil_steps(window.latest_arrival, self.dt))
-
-    def _offer(self, vehicle: Vehicle) -> Optional[DriverOffer]:
-        """The active ridesharing vehicle's remaining schedule at the clock,
-        or None when it has nothing left to offer.
+    def _offer(self, entry: _IndexEntry) -> Optional[DriverOffer]:
+        """The indexed vehicle's remaining schedule at the clock, or None
+        when it is inactive or has nothing left to offer.
 
         The anchor is where the vehicle is, or the end of the link it is on,
         with the step from which it is available there; the schedule runs to
@@ -465,18 +462,21 @@ class SimState:
         is no earlier than the anchor step. The matcher and
         ``commit_itinerary`` both read this one offer.
 
-        An indexed vehicle's entry holds the driver's own latest departure
-        and arrival steps, computed once when it entered, and its offer,
-        cached under the key (``plan_version``, ``node``, pin count,
-        departed, anchor step) and returned while the key repeats. That is
-        exact: every other field is the driver's own, or the steps above,
-        which round the anchor time up; the pins change only by a pop, which
-        shortens them, or by a commit, which bumps ``plan_version``; and
-        ``aboard`` changes only as a pin is popped. The float anchor time is
-        checked against the latest arrival on every call, before the lookup.
-        A waiting driver's anchor step moves with the clock, so its offer is
-        rebuilt once a step. A vehicle outside the index gets a fresh entry.
+        The entry holds the driver's own latest departure and arrival
+        steps, computed once when it entered, and its offer, cached under
+        the key (``plan_version``, ``node``, pin count, departed, anchor
+        step) and returned while the key repeats. That is exact: every
+        other field is the driver's own, or the steps above, which round the
+        anchor time up; the pins change only by a pop, which shortens them,
+        or by a commit, which bumps ``plan_version``; and ``aboard`` changes
+        only as a pin is popped. The float anchor time is checked against
+        the latest arrival on every call, before the lookup. A waiting
+        driver's anchor step moves with the clock, so its offer is rebuilt
+        once a step.
         """
+        vehicle = entry.vehicle
+        if not vehicle.active:
+            return None
         agent = vehicle.agent
         anchor_time = vehicle.link_arrival_time
         if anchor_time is None:
@@ -486,10 +486,7 @@ class SimState:
         anchor_step = ceil_steps(anchor_time, self.dt)
         key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
                vehicle.departure_time is not None, anchor_step)
-        entry = self._offer_index.get(agent.id)
-        if entry is None:
-            entry = self._index_entry(vehicle)
-        elif entry.key == key:
+        if entry.key == key:
             return entry.offer
         if vehicle.node == agent.destination and not vehicle.pins:
             return None
@@ -517,14 +514,16 @@ class SimState:
         rider's pins added (ordering, travel feasibility, seat capacity, own
         window) at ``tau``, the link steps the itinerary was solved on;
         phase two rewrites routes and holds. Returns False when any driver
-        cannot honor the plan, leaving all drivers untouched.
+        cannot honor the plan or is not in the offer index, leaving all
+        drivers untouched.
         """
         plans: list[tuple[Vehicle, list[Pin], list[int], list[int]]] = []
         for leg in itinerary.legs:
-            vehicle = self.vehicles.get(leg.driver)
-            offer = self._offer(vehicle) if vehicle is not None and vehicle.active else None
+            entry = self._offer_index.get(leg.driver)
+            offer = self._offer(entry) if entry is not None else None
             if offer is None:
                 return False
+            vehicle = entry.vehicle
             new_pins = sorted(
                 vehicle.pins
                 + [Pin(leg.board_node, leg.board_step, "board", rider.id),
@@ -532,20 +531,19 @@ class SimState:
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
             candidate = dataclasses.replace(offer, pins=tuple(new_pins))
-            if max(candidate.slot_occupancies()) > offer.seats:
+            if max(candidate.occupancies) > offer.seats:
                 return False
             ld_step = offer.latest_departure_step
-            stops = candidate.stops()
+            stops = candidate.stops
             route: list[int] = []
             entry_steps: list[int] = []
             cursor = stops[0][1]  # earliest step the vehicle can leave the stop
             for idx, ((from_node, _, _), (to_node, to_step, holds)) in enumerate(
                     zip(stops, stops[1:])):
-                path = dijkstra_route(self.network, lambda l: float(tau[l.id]),
-                                      from_node, to_node)
-                if path is None:
+                links = dijkstra_route(self.network, lambda l: float(tau[l.id]),
+                                       from_node, to_node)
+                if links is None:
                     return False
-                links = path.links
                 travel = sum(tau[lid] for lid in links)
                 if cursor + travel > to_step:
                     return False

@@ -78,43 +78,44 @@ def random_instance(rng: random.Random):
     def min_path(o, d):
         return dijkstra_route(net, lambda l: l.free_flow_time, o, d)
 
+    def min_time(o, d):
+        return sum(net.link(lid).free_flow_time for lid in min_path(o, d))
+
     present = net.node_ids()
     connected = [
         (o, d) for o in present for d in present if o != d and min_path(o, d)
     ]
     if not connected:
         return None
-    multi_hop = [(o, d) for o, d in connected if len(min_path(o, d).links) >= 2]
+    multi_hop = [(o, d) for o, d in connected if len(min_path(o, d)) >= 2]
     corridor = bool(multi_hop) and rng.random() < 0.6
     origin, dest = rng.choice(multi_hop if corridor else connected)
-    rider_path = min_path(origin, dest)
-    min_time = rider_path.total_time
+    rider_time = min_time(origin, dest)
     flex = rng.randint(0, 5) * DT_EXACT
-    la = min_time + flex
+    la = rider_time + flex
     if la > 12 * DT_EXACT:
         return None
     rider = RiderRequest(
         id=0, origin=origin, destination=dest,
-        window=TimeWindow(0.0, flex, min_time, la),
+        window=TimeWindow(0.0, flex, rider_time, la),
         request_time=0.0,
     )
 
     def offer_for(i, o, d, start, dflex):
-        path = min_path(o, d)
         return DriverOffer(
             id=10 + i, origin=o, destination=d,
             anchor_step=ceil_steps(start, DT_EXACT),
             latest_departure_step=ceil_steps(start + dflex, DT_EXACT),
-            latest_arrival_step=ceil_steps(start + path.total_time + dflex, DT_EXACT),
+            latest_arrival_step=ceil_steps(start + min_time(o, d) + dflex, DT_EXACT),
             seats=rng.randint(1, 2),
         )
 
     offers = []
     if corridor:
         # split the rider's path at an intermediate node between two drivers
-        node_seq = [origin] + [net.link(lid).to_node for lid in rider_path.links]
+        node_seq = [origin] + [net.link(lid).to_node for lid in min_path(origin, dest)]
         mid = rng.choice(node_seq[1:-1])
-        first_time = min_path(origin, mid).total_time
+        first_time = min_time(origin, mid)
         stagger = rng.randint(0, 2) * DT_EXACT
         offers.append(offer_for(0, origin, mid,
                                 rng.randint(0, 1) * DT_EXACT,

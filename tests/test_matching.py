@@ -33,6 +33,14 @@ def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
     return ten, graph, itinerary
 
 
+def tie_key(itinerary):
+    """The five keys on which two optimal itineraries must agree: cost,
+    waits, legs, arrival step and the sequence of drivers ridden."""
+    return (itinerary.total_cost, itinerary.wait_steps, len(itinerary.legs),
+            itinerary.legs[-1].alight_step,
+            tuple(leg.driver for leg in itinerary.legs))
+
+
 def code(ten, node, step):
     """The vertex of ``node`` at ``step`` in ``ten``, by the documented rule."""
     return step * len(ten.nodes) + ten.nodes.index(node)
@@ -207,8 +215,8 @@ def reference_ten(rider, offers, net, tau, dt):
 
     arcs, full = {}, 0
     for offer in offers:
-        stops = offer.stops()
-        occupancies = offer.slot_occupancies()
+        stops = offer.stops
+        occupancies = offer.occupancies
         for slot in range(len(stops) - 1):
             found = [
                 ((link.from_node, k), (link.to_node, k + tau[link.id]), offer.id,
@@ -355,8 +363,8 @@ class TestSharedSlots:
         departed = dataclasses.replace(shared, id=9, departed=True)
         offers = [dataclasses.replace(shared, id=12), pinned, shared, departed,
                   dataclasses.replace(shared, id=7)]
-        assert pinned.free_slots()[0] == shared.free_slots()[0]
-        assert departed.free_slots() != shared.free_slots()
+        assert pinned.free_slots[0] == shared.free_slots[0]
+        assert departed.free_slots != shared.free_slots
         ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)
         _, arcs, _ = reference_ten(rider, offers, testbed, free_flow, 0.05)
         assert sorted(decoded_arcs(ten)) == sorted(arcs)
@@ -396,15 +404,12 @@ class TestNoReboarding:
         ten = self.chain()
         penalty = DT_EXACT
         solved = solve_itinerary(preprocess(ten), penalty)
-        assert solved.driver_sequence() == (*self.DRIVERS, self.FRESH)
+        assert [leg.driver for leg in solved.legs] == [*self.DRIVERS, self.FRESH]
         assert solved.wait_steps == 1
         # the re-boarding path would have cost one wait less
         assert solved.total_cost == (len(self.DRIVERS) + 1) * DT_EXACT + penalty
         oracle = brute_force_itinerary(ten, penalty)
-        assert ((solved.total_cost, solved.wait_steps, len(solved.legs),
-                 solved.legs[-1].alight_step, solved.driver_sequence())
-                == (oracle.total_cost, oracle.wait_steps, len(oracle.legs),
-                    oracle.legs[-1].alight_step, oracle.driver_sequence()))
+        assert tie_key(solved) == tie_key(oracle)
 
     def test_reboarding_alone_is_infeasible(self):
         ten = self.chain(fresh=False)
@@ -415,18 +420,28 @@ class TestNoReboarding:
 
 
 class TestPinChain:
+    """A bad pin chain cannot be built, directly or by ``dataclasses.replace``."""
+
+    UNPINNED = DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
+                           latest_departure_step=0, latest_arrival_step=20, seats=2)
+
     def test_decreasing_pin_steps_raise(self):
-        offer = DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
-                            latest_departure_step=0, latest_arrival_step=20, seats=2,
-                            pins=(Pin(1, 9, "board", 5), Pin(2, 8, "alight", 5)))
+        pins = (Pin(1, 9, "board", 5), Pin(2, 8, "alight", 5))
         with pytest.raises(ValueError, match="pin steps decrease"):
-            offer.stops()
+            dataclasses.replace(self.UNPINNED, pins=pins)
         with pytest.raises(ValueError, match="pin steps decrease"):
-            offer.slot_occupancies()
-        unpinned = dataclasses.replace(offer, pins=())
-        assert unpinned.stops() == ((0, 0, False), (2, 20, False))
-        with pytest.raises(ValueError, match="pin steps decrease"):
-            dataclasses.replace(unpinned, pins=offer.pins).stops()
+            DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
+                        latest_departure_step=0, latest_arrival_step=20, seats=2,
+                        pins=pins)
+        assert self.UNPINNED.stops == ((0, 0, False), (2, 20, False))
+
+    def test_negative_occupancy_raises(self):
+        pins = (Pin(1, 9, "alight", 5),)
+        with pytest.raises(ValueError, match="negative occupancy"):
+            dataclasses.replace(self.UNPINNED, pins=pins)
+        served = dataclasses.replace(self.UNPINNED, pins=pins, aboard=1)
+        assert served.occupancies == (1, 0)
+        assert served.free_slots == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
 
 
 class TestMinStepMemo:
@@ -676,10 +691,7 @@ class TestOracleEquivalence:
             else:
                 assert solved is not None
                 # exact ties on these five keys may still differ in their legs
-                assert ((solved.total_cost, solved.wait_steps, len(solved.legs),
-                         solved.legs[-1].alight_step, solved.driver_sequence())
-                        == (oracle.total_cost, oracle.wait_steps, len(oracle.legs),
-                            oracle.legs[-1].alight_step, oracle.driver_sequence()))
+                assert tie_key(solved) == tie_key(oracle)
                 offers_by_id = {o.id: o for o in offers}
                 assert_itinerary_invariants(solved, rider, offers_by_id, DT_EXACT)
                 assert_itinerary_invariants(oracle, rider, offers_by_id, DT_EXACT)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ridesim.demand import free_flow_paths
 from ridesim.network import LaneClass, Link, Network, Node, volume_delay
 from ridesim.routing import CostWeights, dijkstra_route
 from ridesim.simulation import SimState
@@ -72,19 +73,15 @@ class TestLinkCost:
 
 class TestDijkstra:
     def test_testbed_0_to_2(self, testbed):
-        path = dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 2)
-        assert path.links == (1, 2)
-        assert path.total_time == pytest.approx(0.72)
+        assert dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 2) == (1, 2)
+        assert free_flow_paths(testbed, [(0, 2)]) == {(0, 2): ((1, 2), pytest.approx(0.72))}
 
     def test_testbed_0_to_3_direct(self, testbed):
-        path = dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 3)
-        assert path.links == (0,)
-        assert path.total_time == pytest.approx(0.55)
+        assert dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 3) == (0,)
+        assert free_flow_paths(testbed, [(0, 3)]) == {(0, 3): ((0,), pytest.approx(0.55))}
 
     def test_origin_equals_dest(self, testbed):
-        path = dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 0)
-        assert path.links == ()
-        assert path.total_cost == 0.0
+        assert dijkstra_route(testbed, lambda l: l.free_flow_time, 0, 0) == ()
 
     def test_unreachable(self, testbed):
         assert dijkstra_route(testbed, lambda l: l.free_flow_time, 2, 0) is None
@@ -93,8 +90,7 @@ class TestDijkstra:
         # direct 0->3 is beaten by 0->1->3 once its snapshot cost passes 0.86
         def cost(link):
             return 0.90 if link.id == 0 else link.free_flow_time
-        path = dijkstra_route(testbed, cost, 0, 3)
-        assert path.links == (1, 3)
+        assert dijkstra_route(testbed, cost, 0, 3) == (1, 3)
 
     def test_optimal_on_random_networks(self):
         rng = random.Random(4242)
@@ -115,39 +111,36 @@ class TestDijkstra:
             assert net.next_hops(origin, dest) is hops
             assert (not hops) == (best is None)
             if best is not None:  # a lone next hop is then Dijkstra's first link
-                assert best.links[0] in hops
+                assert best[0] in hops
             paths = enumerate_paths(net, origin, dest)
             if not paths:
                 assert best is None
                 continue
             expected = min(sum(costs[lid] for lid in p) for p in paths)
-            assert best.total_cost == min(
-                (sum(costs[lid] for lid in p), p) for p in paths
-            )[0]
-            assert best.total_cost == expected
+            assert sum(costs[lid] for lid in best) == expected
             checked += 1
         assert checked >= 50
 
     def test_tie_break_smallest_link_sequence(self):
         # two parallel equal-cost routes 0->1->3 (links 0,2) and 0->2->3 (links 1,3)
         net = make_network([(0, 1, 0.2), (0, 2, 0.2), (1, 3, 0.2), (2, 3, 0.2)])
-        path = dijkstra_route(net, lambda l: 1.0, 0, 3)
-        assert path.links == (0, 2)
+        assert dijkstra_route(net, lambda l: 1.0, 0, 3) == (0, 2)
 
     def test_weight_scaling_keeps_argmin(self, testbed):
         flows = {0: 4000.0, 1: 1000.0, 2: 2000.0, 3: 500.0}
         for scale in (0.5, 1.0, 3.0):
             weights = CostWeights(1.0 * scale, 1.0 * scale)
-            path = dijkstra_route(testbed, route_costs(testbed, flows, weights), 0, 3)
-            assert path.links == (0,)
+            assert dijkstra_route(testbed, route_costs(testbed, flows, weights),
+                                  0, 3) == (0,)
 
     def test_cost_monotone_in_single_link_flow(self, testbed):
         weights = CostWeights(1.0, 1.0)
         base_flows = {l.id: 1000.0 for l in testbed.links}
 
         def route_cost(flows):
-            path = dijkstra_route(testbed, route_costs(testbed, flows, weights), 0, 2)
-            return path.total_cost
+            cost = route_costs(testbed, flows, weights)
+            return sum(cost(testbed.link(lid))
+                       for lid in dijkstra_route(testbed, cost, 0, 2))
 
         for link_id in base_flows:
             bumped = dict(base_flows)

@@ -1,11 +1,13 @@
+import dataclasses
 import heapq
+import itertools
 
 import pytest
 
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import Pin
+from ridesim.matching import Pin, ceil_steps
 from ridesim.network import LaneClass
 from ridesim.simulation import (
     EV_AGENT_ENTER,
@@ -447,6 +449,14 @@ class TestCommitRejections:
         self.assert_refused(sim, 9, first, (1, 1, 17, 2, 27))
         assert self.commit(sim, 9, first) is True  # the first leg alone fits
 
+    def test_driver_never_indexed(self, testbed):
+        # a regular driver with seats: everything but the index would fit
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, dataclasses.replace(regular(0, 0, 2, t=0.0, fft=0.72), seats=4))
+        sim.run(horizon=0.0)  # the driver is on link 0->1 until step 5
+        assert sim.vehicles[0].active and 0 not in sim._offer_index
+        self.assert_refused(sim, 9, (0, 1, 5, 2, 15))
+
     def test_seat_overflow(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72, seats=1))
@@ -469,14 +479,22 @@ class TestCommitRejections:
 
 def seat_free_slots(offer):
     """``offer``'s slots with a free seat, from its ``stops`` and
-    ``slot_occupancies``: (a, s, b, t, leave_by), leave_by capping the first
+    ``occupancies``: (a, s, b, t, leave_by), leave_by capping the first
     slot of a driver not yet underway."""
-    stops, occupancies = offer.stops(), offer.slot_occupancies()
+    stops, occupancies = offer.stops, offer.occupancies
     return tuple(
         (a, s, b, t, offer.latest_departure_step
          if slot == 0 and not offer.departed else float("inf"))
         for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]))
         if occupancies[slot] < offer.seats)
+
+
+def fresh_entry(sim, vehicle):
+    """An offer-index entry for ``vehicle``, as a ridesharing driver gets
+    one when it enters."""
+    window = vehicle.agent.window
+    return simulation._IndexEntry(vehicle, ceil_steps(window.latest_departure, sim.dt),
+                                  ceil_steps(window.latest_arrival, sim.dt))
 
 
 class TestOfferIndex:
@@ -490,9 +508,11 @@ class TestOfferIndex:
                 expected = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
-                    if (vehicle.agent.role is Role.RIDESHARE_DRIVER
-                            and vehicle.active):
-                        offer = sim._offer(vehicle)
+                    if vehicle.agent.role is Role.RIDESHARE_DRIVER:
+                        # an evicted vehicle is asked through a fresh entry
+                        entry = (sim._offer_index.get(agent_id)
+                                 or fresh_entry(sim, vehicle))
+                        offer = sim._offer(entry)
                         if offer is not None:
                             expected.append(offer)
                 # the scan's order is the index's insertion order
@@ -522,15 +542,15 @@ class TestOfferIndex:
                 if not entry.vehicle.active:
                     continue
                 before, key = entry.offer, entry.key
-                cached = sim._offer(entry.vehicle)
+                cached = sim._offer(entry)
                 # a rebuild whose key moved only in its anchor step: a
                 # waiting driver as the clock enters a new step
                 tick = (before is not None and cached is not None
                         and cached is not before and key[:-1] == entry.key[:-1])
                 entry.key = None  # the next call builds the offer afresh
-                assert cached == sim._offer(entry.vehicle), request
+                assert cached == sim._offer(entry), request
                 if cached is not None:
-                    assert cached.free_slots() == seat_free_slots(cached), request
+                    assert cached.free_slots == seat_free_slots(cached), request
                 hits += before is not None and cached is before
                 rebuilt += before is not None and cached is not before
                 ticks += tick
@@ -557,10 +577,10 @@ class TestOfferIndex:
 
         def offer_at(now):
             sim.clock = now
-            cached = sim._offer(vehicle)
+            cached = sim._offer(entry)
             entry.key = None  # the next call builds the offer afresh
-            assert cached == sim._offer(vehicle)
-            assert cached.free_slots() == seat_free_slots(cached)
+            assert cached == sim._offer(entry)
+            assert cached.free_slots == seat_free_slots(cached)
             offers.append(cached)
 
         def travel(link_id, now):
@@ -585,17 +605,19 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None
         offer_at(0.06)  # it waits at node 1 into step 2
         assert entry.key[:-1] == key[:-1] and entry.key[-1] == key[-1] + 1
-        assert len(set(offers)) == len(offers)
+        assert all(a != b for a, b in itertools.combinations(offers, 2))
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
         sim = empty_sim(testbed)
         agent = rideshare(0, 0, 2, t=0.0, fft=0.72)
-        vehicle = simulation.Vehicle(agent)
+        seed_agent(sim, agent)
+        sim.run(horizon=0.0)  # the driver enters and waits at its origin
+        entry = sim._offer_index[0]
         sim.clock = agent.window.latest_arrival
-        assert sim._offer(vehicle) is not None
+        assert sim._offer(entry) is not None
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
-        assert sim._offer(vehicle) is None
+        assert sim._offer(entry) is None
 
 
 class TestBackgroundLoad:
