@@ -16,14 +16,18 @@ Pipeline for one rider request:
    underway, no step at a after its latest departure step. Reaching j from
    a and b from i need no test: ``m`` is built from the same ``tau``, so
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
-   triangle inequality a slot is skipped unless it could reach the rider's
-   destination from a by the latest arrival and b from the rider's origin.
-   An offer builds its free-seat slots with its stops when it is
-   constructed (``DriverOffer.free_slots``). The rule reads nothing of a
-   driver but the slot, so within one request the slot test and the
-   per-link step ranges run once per distinct slot, and every driver with
-   that slot gets the arcs: drivers waiting at one node for one destination
-   share their slot.
+   triangle inequality a slot gets no arc unless it passes the slot test
+   (``slot_test``): the rider's destination reachable from a by the latest
+   arrival and b from the rider's origin. An offer builds its free-seat
+   slots with its stops when it is constructed (``DriverOffer.free_slots``).
+   The offer scan (``SimState.collect_offers``) asks that test of a driver
+   with no pins, whose one slot runs from its anchor to its destination,
+   before it builds the driver's offer, so the build receives only drivers
+   with pins and drivers whose slot passes. The rule reads nothing of a
+   driver but the slot, so within one request the per-link step ranges run
+   once per distinct slot that passes, and every driver with that slot gets
+   the arcs: drivers waiting at one node for one destination share their
+   slot.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -39,13 +43,15 @@ Pipeline for one rider request:
    optimum without changing the result. Which of several exactly tied
    itineraries it returns follows its visiting order (``solve_itinerary``).
 
-``match_rider`` takes every link's whole-step duration, ``tau``, once per
-request from the traffic state frozen at the match instant
-(``SimState.matching_steps``) and passes it to both the network build and
-the commit; ``m`` is reused while every link's step count repeats
-(``_shared_min_step_matrix``). It makes one attempt: offers, network and
-commit read that one instant, and the commit checks each driver's schedule
-through the ``DriverOffer.stops`` chain that built the network.
+``match_rider`` works in the order tau, matrix, offers. It takes every
+link's whole-step duration, ``tau``, once per request from the traffic
+state frozen at the match instant (``SimState.matching_steps``) and passes
+it to both the network build and the commit. From ``tau`` comes ``m``,
+reused while every link's step count repeats (``_shared_min_step_matrix``),
+and the offer scan's slot test reads ``m``. It makes one attempt: offers,
+network and commit read that one instant, and the commit checks each
+driver's schedule through the ``DriverOffer.stops`` chain that built the
+network.
 """
 from __future__ import annotations
 
@@ -247,13 +253,6 @@ class MatchResult:
     reason: str = ""
 
 
-def step_durations(
-    network: Network, delay: Callable[[int], float], dt: float
-) -> dict[int, int]:
-    """Whole steps to traverse each link at the given delays, at least one."""
-    return {link.id: max(1, ceil_steps(delay(link.id), dt)) for link in network.links}
-
-
 def _min_step_matrix(
     network: Network, tau: dict[int, int]
 ) -> dict[int, dict[int, float]]:
@@ -278,10 +277,10 @@ def _min_step_matrix(
     return matrix
 
 
-# (network, step count per link in ``network.links`` order, matrix) of the
-# last request; see ``_shared_min_step_matrix``
+# (network, step count per link id, matrix) of the last request; see
+# ``_shared_min_step_matrix``
 _min_step_memo: Optional[
-    tuple[Network, tuple[int, ...], dict[int, dict[int, float]]]
+    tuple[Network, dict[int, int], dict[int, dict[int, float]]]
 ] = None
 
 
@@ -290,13 +289,33 @@ def _shared_min_step_matrix(
 ) -> dict[int, dict[int, float]]:
     """``_min_step_matrix`` through a one-entry memo keyed on the network
     object and every link's step count, so consecutive requests that see the
-    same whole-step durations share one matrix. Callers must not mutate it."""
+    same whole-step durations share one matrix. Callers must not mutate it,
+    nor the ``tau`` it was built from."""
     global _min_step_memo
-    key = tuple(tau[link.id] for link in network.links)
     memo = _min_step_memo
-    if memo is None or memo[0] is not network or memo[1] != key:
-        memo = _min_step_memo = (network, key, _min_step_matrix(network, tau))
+    if memo is None or memo[0] is not network or memo[1] != tau:
+        memo = _min_step_memo = (network, dict(tau), _min_step_matrix(network, tau))
     return memo[2]
+
+
+def slot_test(
+    rider: RiderRequest, matrix: dict[int, dict[int, float]], dt: float
+) -> Callable[[int, int, int, int], bool]:
+    """The test a slot of a driver's schedule, from stop (a, s) to stop
+    (b, t), must pass to carry ``rider`` (module docstring, step 1): the
+    rider's destination reachable from a by the latest arrival step la, and
+    b from the rider's origin by t, from the earliest departure step ed,
+    at the minimum steps of ``matrix``. A slot that fails gets no arc. The
+    offer scan (``SimState.collect_offers``) and ``build_time_expanded``
+    both ask this one rule."""
+    ed = ceil_steps(rider.window.earliest_departure, dt)
+    la = ceil_steps(rider.window.latest_arrival, dt)
+    destination, from_origin = rider.destination, matrix[rider.origin]
+
+    def passes(a: int, s: int, b: int, t: int) -> bool:
+        return s + matrix[a][destination] <= la and ed + from_origin[b] <= t
+
+    return passes
 
 
 def build_time_expanded(
@@ -361,30 +380,30 @@ def build_time_expanded(
     # at j from a and at i to b never bind, by the triangle inequality on m
     # (module docstring, step 1). An INF empties the range; a link is never a
     # loop, so i and j are not both a. The rule reads the slot alone, so each
-    # distinct slot's (tail codes, shift, cost) spans are found once and
-    # written for every driver that has that slot.
-    from_origin = matrix[rider.origin]
+    # distinct slot that passes the slot test has its (tail codes, shift,
+    # cost) spans found once, written for every driver that has that slot.
+    passes = slot_test(rider, matrix, dt)
     arcs = ten.travel_arcs
     spans_of: dict[FreeSlot, list[tuple[range, int, float]]] = {}
     for offer in drivers:
         driver = offer.id
         for slot in offer.free_slots:
+            a, s, b, t, leave_by = slot
+            if not passes(a, s, b, t):
+                continue
             spans = spans_of.get(slot)
             if spans is None:
                 spans = spans_of[slot] = []
-                a, s, b, t, leave_by = slot
-                if s + matrix[a][rider.destination] > la or ed + from_origin[b] > t:
-                    continue
                 from_a = matrix[a]
                 for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
                     if s + from_a[i] > lo:
                         lo = s + from_a[i]
                     if t - from_j[b] - steps < hi:
                         hi = t - from_j[b] - steps
-                    if i == a:
-                        hi = min(hi, leave_by)
-                    elif j == a:
-                        hi = min(hi, leave_by - steps)
+                    if i == a and leave_by < hi:
+                        hi = leave_by
+                    elif j == a and leave_by - steps < hi:
+                        hi = leave_by - steps
                     # pins in step order keep slots' arcs apart: an arc of a
                     # slot ends by its closing step, where the next one starts
                     if lo <= hi:
@@ -619,13 +638,21 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     """Run the full pipeline once against a live simulation and commit the
     result, appending one diagnostic row to ``sim.match_trace``.
 
+    The order is ``tau``, then the min-step matrix, then the offers: the
+    offer scan asks the slot test at the matrix before it builds a pin-free
+    driver's offer, so the network build receives only drivers with pins
+    and drivers whose slot passes (``SimState.collect_offers``). The
+    trace's ``offers`` still counts every live driver
+    (``SimState.live_drivers``), whether or not it passed the test.
+
     There is no retry: offers, network and commit all read the same
     simulation instant and a rejected commit changes no state, so a second
     attempt would replay the same inputs to the same rejection. A rejected
     commit is reported as ``reason="capacity"``.
     """
-    offers = sim.collect_offers(rider)
     tau = sim.matching_steps()
+    matrix = _shared_min_step_matrix(sim.network, tau)
+    offers = sim.collect_offers(rider, matrix)
     ten = build_time_expanded(rider, offers, sim.network, tau, sim.dt,
                               time_weight=sim.weights.time)
     graph = preprocess(ten)
@@ -634,7 +661,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     sim.match_trace.append({
         "rider_id": rider.id,
         "request_time": rider.request_time,
-        "offers": len(offers),
+        "offers": sim.live_drivers,
         "vertices": graph.ten_vertices,
         "travel_arcs": len(ten.travel_arcs),
         "pruned_vertices": graph.ten_vertices - len(graph.vertices),

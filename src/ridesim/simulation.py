@@ -36,7 +36,7 @@ from .matching import (
     RiderRequest,
     ceil_steps,
     match_rider,
-    step_durations,
+    slot_test,
 )
 from .network import LaneClass, Network, volume_delay
 from .routing import dijkstra_route
@@ -70,12 +70,14 @@ class LinkState:
         default_factory=lambda: {LaneClass.GENERAL: 0, LaneClass.CARPOOL: 0}
     )
 
-    def hourly_flow(self, lane_class: LaneClass, now: float, window_hours: float) -> float:
+    def window_count(self, lane_class: LaneClass, now: float, window_hours: float) -> int:
+        """Entries of the last ``window_hours`` before ``now``; older ones
+        are dropped for good, as the clock never goes back."""
         entries = self.window[lane_class]
         cutoff = now - window_hours
         while entries and entries[0] < cutoff:
             entries.popleft()
-        return len(entries) / window_hours
+        return len(entries)
 
     def record_entry(self, lane_class: LaneClass, now: float, background: bool) -> None:
         """Count an entry; only a vehicle's is in flight until its exit."""
@@ -129,7 +131,7 @@ class Vehicle:
 class _IndexEntry:
     """A vehicle in the offer index: the driver's own latest departure and
     arrival in steps, fixed when it enters, and its cached offer (see
-    ``_offer``)."""
+    ``SimState._offer_at``)."""
 
     vehicle: Vehicle
     latest_departure_step: int
@@ -194,6 +196,8 @@ class SimState:
 
         self.clock = 0.0
         self.link_states = {l.id: LinkState(l.id) for l in network.links}
+        self._delays: dict[tuple[int, LaneClass, int], float] = {}  # see link_delay
+        self._link_steps: dict[tuple[int, int, int], int] = {}  # see matching_steps
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, _IndexEntry] = {}  # see collect_offers
         self.rider_board_time: dict[int, float] = {}
@@ -242,9 +246,19 @@ class SimState:
     # ------------------------------------------------------------- travel time
 
     def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:
-        flow = self.link_states[link_id].hourly_flow(lane_class, now, self.flow_window)
-        return volume_delay(self.network.link(link_id), lane_class, flow,
-                            self.bpr_alpha, self.bpr_beta)
+        """The lane class's BPR delay on the link at the hourly flow of its
+        entry window at ``now``. The delay is memoised on (link id, lane
+        class, entries left in the window): the BPR settings and the window
+        are fixed for the run, so the count alone sets the flow."""
+        count = self.link_states[link_id].window_count(lane_class, now, self.flow_window)
+        key = (link_id, lane_class, count)
+        try:
+            return self._delays[key]
+        except KeyError:
+            delay = self._delays[key] = volume_delay(
+                self.network.link(link_id), lane_class, count / self.flow_window,
+                self.bpr_alpha, self.bpr_beta)
+            return delay
 
     def route_cost_fn(self, now: float) -> Callable:
         """Generalized toll + travel-time cost snapshot for replanning."""
@@ -254,17 +268,24 @@ class SimState:
         return cost
 
     def matching_steps(self) -> dict[int, int]:
-        """Whole steps per link at the clock on the faster lane class: the
-        one frozen traffic state the matcher prices and commits against."""
-        now = self.clock
-
-        def delay(link_id: int) -> float:
-            general = self.link_delay(link_id, LaneClass.GENERAL, now)
-            if not self.network.link(link_id).has_carpool_lane:
-                return general
-            return min(general, self.link_delay(link_id, LaneClass.CARPOOL, now))
-
-        return step_durations(self.network, delay, self.dt)
+        """Whole steps per link at the clock on the faster lane class, at
+        least one: the one frozen traffic state the matcher prices and
+        commits against. A link's steps are memoised on its two window
+        counts, which fix both lane classes' delays (``link_delay``)."""
+        now, window = self.clock, self.flow_window
+        steps = {}
+        for link in self.network.links:
+            state = self.link_states[link.id]
+            key = (link.id, state.window_count(LaneClass.GENERAL, now, window),
+                   state.window_count(LaneClass.CARPOOL, now, window))
+            try:
+                steps[link.id] = self._link_steps[key]
+            except KeyError:
+                delay = self.link_delay(link.id, LaneClass.GENERAL, now)
+                if link.has_carpool_lane:
+                    delay = min(delay, self.link_delay(link.id, LaneClass.CARPOOL, now))
+                steps[link.id] = self._link_steps[key] = max(1, ceil_steps(delay, self.dt))
+        return steps
 
     # ------------------------------------------------------------ vehicle flow
 
@@ -421,86 +442,129 @@ class SimState:
 
     # --------------------------------------------------------------- matching
 
-    def collect_offers(self, rider: RiderRequest) -> list[DriverOffer]:
-        """The offers of every active ridesharing vehicle, in vehicle id order.
+    @property
+    def live_drivers(self) -> int:
+        """Ridesharing drivers in the offer index. Right after
+        ``collect_offers`` that is every driver live at the clock, the
+        match trace's ``offers``."""
+        return len(self._offer_index)
+
+    def collect_offers(
+        self, rider: RiderRequest, matrix: dict[int, dict[int, float]]
+    ) -> list[DriverOffer]:
+        """The offers the network build needs for ``rider``, in vehicle id
+        order: every live ridesharing vehicle with pins, and every pin-free
+        one whose slot passes the slot test at ``matrix``.
 
         Only vehicles in the offer index are asked, in one pass in the
         index's insertion order. That is id order: only generated agents
         can be ridesharing drivers (an unmatched rider's fallback is a
         regular driver), and they enter in (time, id) order, which is id
-        order. A ridesharing vehicle enters the index when it is created
-        and leaves it, for good, the first time ``_offer`` finds it inactive
-        or with nothing to offer; only a vehicle in the index has an offer,
-        and ``commit_itinerary`` looks each leg's driver up here. Eviction
-        is exact: an inactive vehicle never becomes active again; the
-        anchor time never decreases (the clock, or the end of the link the
-        vehicle is on), so one past the driver's latest arrival stays past
-        it; and a vehicle with no offer can never be given a pin (the
-        commit reads the same offer), so one bound for its destination with
-        no pins left never gets a route past it. An index entry also holds
-        the vehicle's cached offer, so eviction drops both.
+        order. A vehicle with pins gets its offer (``_offer_at``). A
+        pin-free one has one slot, from its anchor to its destination by
+        its own latest arrival step, with a free seat unless it has no seat
+        (``demand.seats`` may be 0). That slot is tested on the vehicle's
+        own values (``matching.slot_test``), and the vehicle gets an offer
+        only when it passes: a slot that fails would give the network no
+        arc, so the network is the one every live offer would build.
+
+        A ridesharing vehicle enters the index when it is created and
+        leaves it, for good, the first time ``_live_anchor_step`` finds it
+        has nothing left to offer; so after the pass the index holds every
+        live vehicle (``live_drivers``), whether it passed the test or not.
+        Only a vehicle in the index has an offer, and ``commit_itinerary``
+        looks each leg's driver up here. An index entry also holds the
+        vehicle's cached offer, so eviction drops both.
         """
+        passes = slot_test(rider, matrix, self.dt)
+        clock_step = ceil_steps(self.clock, self.dt)
         offers = []
         evicted = []
         for agent_id, entry in self._offer_index.items():
-            offer = self._offer(entry)
-            if offer is None:
+            anchor_step = self._live_anchor_step(entry, clock_step)
+            if anchor_step is None:
                 evicted.append(agent_id)
-            else:
-                offers.append(offer)
+                continue
+            vehicle = entry.vehicle
+            agent = vehicle.agent
+            if vehicle.pins or (
+                    len(vehicle.aboard) < agent.seats
+                    and passes(vehicle.node, anchor_step, agent.destination,
+                               entry.latest_arrival_step)):
+                offers.append(self._offer_at(entry, anchor_step))
         for agent_id in evicted:
             del self._offer_index[agent_id]
         return offers
 
-    def _offer(self, entry: _IndexEntry) -> Optional[DriverOffer]:
-        """The indexed vehicle's remaining schedule at the clock, or None
-        when it is inactive or has nothing left to offer.
+    def _live_anchor_step(self, entry: _IndexEntry, clock_step: int) -> Optional[int]:
+        """The step from which the indexed vehicle is available at its
+        anchor, or None when it has nothing left to offer: inactive, past
+        its own latest arrival, or at its destination with no pins.
+        ``clock_step`` is the clock's step, the anchor step of a vehicle at
+        its node.
 
-        The anchor is where the vehicle is, or the end of the link it is on,
-        with the step from which it is available there; the schedule runs to
-        the driver's own latest arrival step, and its latest departure step
-        is no earlier than the anchor step. The matcher and
-        ``commit_itinerary`` both read this one offer.
-
-        The entry holds the driver's own latest departure and arrival
-        steps, computed once when it entered, and its offer, cached under
-        the key (``plan_version``, ``node``, pin count, departed, anchor
-        step) and returned while the key repeats. That is exact: every
-        other field is the driver's own, or the steps above, which round the
-        anchor time up; the pins change only by a pop, which shortens them,
-        or by a commit, which bumps ``plan_version``; and ``aboard`` changes
-        only as a pin is popped. The float anchor time is checked against
-        the latest arrival on every call, before the lookup. A waiting
-        driver's anchor step moves with the clock, so its offer is rebuilt
-        once a step.
+        The anchor is where the vehicle is, or the end of the link it is on.
+        None is final, so the vehicle can leave the offer index: an inactive
+        vehicle never becomes active again; the anchor time never decreases
+        (the clock, or the end of the link the vehicle is on), so one past
+        the driver's latest arrival stays past it; and a vehicle with no
+        offer can never be given a pin (the commit reads the same offer), so
+        one bound for its destination with no pins left never gets a route
+        past it.
         """
         vehicle = entry.vehicle
-        if not vehicle.active:
+        # ``vehicle.active``, spelt out: the property call is a measurable
+        # share of a scan that asks every indexed vehicle
+        if vehicle.arrival_time is not None or vehicle.stranded:
             return None
         agent = vehicle.agent
         anchor_time = vehicle.link_arrival_time
         if anchor_time is None:
-            anchor_time = self.clock
+            anchor_time, anchor_step = self.clock, clock_step
+        else:
+            anchor_step = ceil_steps(anchor_time, self.dt)
         if anchor_time > agent.window.latest_arrival:
             return None  # already outside its own schedule
-        anchor_step = ceil_steps(anchor_time, self.dt)
+        if vehicle.node == agent.destination and not vehicle.pins:
+            return None
+        return anchor_step
+
+    def _offer(self, entry: _IndexEntry) -> Optional[DriverOffer]:
+        """The indexed vehicle's remaining schedule at the clock, or None
+        when ``_live_anchor_step`` finds nothing left to offer. It is the
+        offer ``collect_offers`` gave the network build, read back from the
+        entry's cache, which ``commit_itinerary`` checks each leg against."""
+        anchor_step = self._live_anchor_step(entry, ceil_steps(self.clock, self.dt))
+        return None if anchor_step is None else self._offer_at(entry, anchor_step)
+
+    def _offer_at(self, entry: _IndexEntry, anchor_step: int) -> DriverOffer:
+        """The live indexed vehicle's offer from ``anchor_step``.
+
+        The schedule runs from the anchor to the driver's own latest
+        arrival step, and its latest departure step is no earlier than the
+        anchor step. The entry holds the driver's own latest departure and
+        arrival steps, computed once when it entered, and its offer, cached
+        under the key (``plan_version``, ``node``, pin count, departed,
+        anchor step) and returned while the key repeats. That is exact:
+        every other field is the driver's own, or the steps above; the pins
+        change only by a pop, which shortens them, or by a commit, which
+        bumps ``plan_version``; and ``aboard`` changes only as a pin is
+        popped. A waiting driver's anchor step moves with the clock, so its
+        offer is rebuilt once a step if the scan asks for it.
+        """
+        vehicle = entry.vehicle
         key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
                vehicle.departure_time is not None, anchor_step)
         if entry.key == key:
             return entry.offer
-        if vehicle.node == agent.destination and not vehicle.pins:
-            return None
+        agent = vehicle.agent
+        # fields in order: positional arguments build an offer measurably
+        # faster than keywords, and a scan may build several
         offer = DriverOffer(
-            id=agent.id,
-            origin=vehicle.node,
-            destination=agent.destination,
-            anchor_step=anchor_step,
-            latest_departure_step=max(entry.latest_departure_step, anchor_step),
-            latest_arrival_step=entry.latest_arrival_step,
-            seats=agent.seats,
-            pins=tuple(vehicle.pins),
-            aboard=len(vehicle.aboard),
-            departed=vehicle.departure_time is not None,
+            agent.id, vehicle.node, agent.destination, anchor_step,
+            max(entry.latest_departure_step, anchor_step), entry.latest_arrival_step,
+            agent.seats, tuple(vehicle.pins), len(vehicle.aboard),
+            vehicle.departure_time is not None,
         )
         entry.key, entry.offer = key, offer
         return offer
@@ -550,7 +614,7 @@ class SimState:
                 depart = cursor
                 if idx == 0 and not offer.departed:
                     # not yet underway: leave just in time, within the window;
-                    # cursor is the anchor step and _offer keeps ld_step at or
+                    # cursor is the anchor step and _offer_at keeps ld_step at or
                     # after it, so depart never exceeds ld_step
                     depart = max(cursor, min(to_step - travel, ld_step))
                 step = depart

@@ -4,13 +4,19 @@ import pytest
 
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.matching import DriverOffer, RiderRequest, ceil_steps, step_durations
+from ridesim.matching import DriverOffer, RiderRequest, ceil_steps
 from ridesim.network import Link, Network, Node, load_network
 from ridesim.routing import dijkstra_route
 
 # dyadic step size so itinerary costs are exactly representable floats;
 # exact-equality oracle assertions then never trip over summation order
 DT_EXACT = 0.0625
+
+
+def step_durations(network: Network, delay, dt: float) -> dict[int, int]:
+    """Whole steps to traverse each link at ``delay(link)`` hours, at least
+    one, as ``SimState.matching_steps`` rounds them."""
+    return {link.id: max(1, ceil_steps(delay(link), dt)) for link in network.links}
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +27,7 @@ def testbed() -> Network:
 @pytest.fixture(scope="session")
 def free_flow(testbed):
     """Free-flow link steps at dt = 0.05, the step the testbed tests use."""
-    return step_durations(testbed, lambda lid: testbed.link(lid).free_flow_time, 0.05)
+    return step_durations(testbed, lambda link: link.free_flow_time, 0.05)
 
 
 def scenario(horizon: float, od_rates: dict[tuple[int, int], float],
@@ -73,7 +79,7 @@ def random_instance(rng: random.Random):
         a, b = rng.sample(nodes, 2)
         links.append((a, b, 2 * DT_EXACT))
     net = make_network(links)
-    tau = step_durations(net, lambda lid: net.link(lid).free_flow_time, DT_EXACT)
+    tau = step_durations(net, lambda link: link.free_flow_time, DT_EXACT)
 
     def min_path(o, d):
         return dijkstra_route(net, lambda l: l.free_flow_time, o, d)

@@ -3,21 +3,26 @@ import heapq
 import itertools
 
 import pytest
+import yaml
 
+import ridesim.matching as matching
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
+from ridesim.config import load_config
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import Pin, ceil_steps
-from ridesim.network import LaneClass
+from ridesim.matching import Pin, build_time_expanded, ceil_steps, slot_test
+from ridesim.network import LaneClass, volume_delay
 from ridesim.simulation import (
     EV_AGENT_ENTER,
     EV_BACKGROUND,
     SimState,
     SimulationError,
     carpool_background_rates,
+    init_simulation,
 )
 
-from conftest import scenario
+from conftest import scenario, step_durations
+from test_golden_outputs import write_grid
 
 
 def empty_sim(testbed, horizon=4.0) -> SimState:
@@ -497,15 +502,38 @@ def fresh_entry(sim, vehicle):
                                   ceil_steps(window.latest_arrival, sim.dt))
 
 
-class TestOfferIndex:
-    def test_index_equals_full_scan(self, testbed):
-        requests = offers = evicted = 0
-        for sim in sweep_and_transfer_sims(testbed):
-            indexed = sim.collect_offers
+def grid_sim(tmp_path, seats=None) -> SimState:
+    """The 4x4 grid run of the multi-leg golden test (seed 5), with
+    ``demand.seats`` set to ``seats`` if given; it has not run yet."""
+    path = write_grid(tmp_path)
+    if seats is not None:
+        raw = yaml.safe_load(path.read_text())
+        raw["demand"]["seats"] = seats
+        path.write_text(yaml.safe_dump(raw))
+    config = load_config(path, {"seed": 5})
+    return init_simulation(config, config.make_network(), config.seed)
 
-            def checked(rider, sim=sim, indexed=indexed):
-                nonlocal requests, offers
-                expected = []
+
+def ten_key(ten):
+    return sorted(ten.travel_arcs), ten.node_intervals
+
+
+class TestOfferIndex:
+    def test_index_equals_full_scan(self, testbed, tmp_path):
+        """At every request the scan asks a subset of the full scan's live
+        offers, in index order, that builds the same network; the trace
+        counts every live offer."""
+        requests = asked = skipped = evicted = 0
+        for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
+            indexed = sim.collect_offers
+            live = {}
+
+            def checked(rider, matrix, sim=sim, indexed=indexed, live=live):
+                nonlocal requests, asked, skipped
+                # the scan's order is the index's insertion order
+                assert list(sim._offer_index) == sorted(sim._offer_index), rider
+                result = indexed(rider, matrix)
+                full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
                     if vehicle.agent.role is Role.RIDESHARE_DRIVER:
@@ -514,23 +542,69 @@ class TestOfferIndex:
                                  or fresh_entry(sim, vehicle))
                         offer = sim._offer(entry)
                         if offer is not None:
-                            expected.append(offer)
-                # the scan's order is the index's insertion order
-                assert list(sim._offer_index) == sorted(sim._offer_index), rider
-                result = indexed(rider)
-                assert result == expected, rider
+                            full.append(offer)
+                # the asked offers are the full scan's, in index order; the
+                # rest are pin-free, with no free slot that passes the test
+                by_id = {offer.id: offer for offer in full}
+                ids = {offer.id for offer in result}
+                assert [offer.id for offer in result] == [
+                    agent_id for agent_id in sim._offer_index if agent_id in ids], rider
+                assert all(by_id[offer.id] == offer for offer in result), rider
+                passes = slot_test(rider, matrix, sim.dt)
+                left = [offer for offer in full if offer.id not in ids]
+                assert all(not offer.pins and not any(passes(*slot[:4])
+                           for slot in offer.free_slots) for offer in left), rider
+                tau = sim.matching_steps()
+                assert ten_key(build_time_expanded(rider, result, sim.network, tau, sim.dt)) \
+                    == ten_key(build_time_expanded(rider, full, sim.network, tau, sim.dt)), rider
+                live[rider.id] = len(full)
                 requests += 1
-                offers += len(result)
+                asked += len(result)
+                skipped += len(left)
                 return result
 
             sim.collect_offers = checked
             sim.run()
+            # the trace's offers is the full scan's count
+            assert {row["rider_id"]: row["offers"] for row in sim.match_trace} == live
             rideshare = sum(v.agent.role is Role.RIDESHARE_DRIVER
                             for v in sim.vehicles.values())
             evicted += rideshare - len(sim._offer_index)
         assert requests > 50
-        assert offers > requests
+        assert asked > requests
+        assert skipped > requests
         assert evicted > 0
+
+    def test_zero_seat_drivers_counted_never_built(self, tmp_path, monkeypatch):
+        """``demand.seats: 0`` drivers have no free slot: every live one is
+        in the trace's offers, none reaches the network build, and every
+        rider is infeasible."""
+        sim = grid_sim(tmp_path, seats=0)
+        built = []
+        build = matching.build_time_expanded
+
+        def recording(rider, drivers, *args, **kwargs):
+            built.extend(drivers)
+            return build(rider, drivers, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "build_time_expanded", recording)
+        live = {}
+        indexed = sim.collect_offers
+
+        def counted(rider, matrix):
+            live[rider.id] = sum(sim._offer(entry) is not None
+                                 for entry in sim._offer_index.values())
+            return indexed(rider, matrix)
+
+        sim.collect_offers = counted
+        sim.run()
+        assert built == []
+        assert {row["rider_id"]: row["offers"] for row in sim.match_trace} == live
+        assert sum(live.values()) > len(live) > 10
+        riders = [agent_id for agent_id, agent in sim.agents.items()
+                  if agent.role is Role.RIDER]
+        assert riders and all(sim.match_results[agent_id].reason == "infeasible"
+                              for agent_id in riders)
 
     def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
         hits = rebuilt = ticks = 0
@@ -618,6 +692,61 @@ class TestOfferIndex:
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
         assert sim._offer(entry) is None
+
+
+class TestLinkDelayMemo:
+    def test_memoised_delays_equal_fresh(self, testbed, monkeypatch):
+        """On a congested sweep replication every delay ``link_delay``
+        returns is the BPR delay at its window's trimmed count, the lane
+        classes stay apart at equal counts, and every ``matching_steps``
+        equals the steps of those delays."""
+        sim = sweep_and_transfer_sims(testbed)[0]
+        network = sim.network
+        calls = 0
+
+        def fresh(link, lane_class):
+            count = len(sim.link_states[link.id].window[lane_class])
+            return volume_delay(link, lane_class, count / sim.flow_window,
+                                sim.bpr_alpha, sim.bpr_beta)
+
+        memoised = SimState.link_delay
+
+        def delay_checked(self, link_id, lane_class, now):
+            nonlocal calls
+            delay = memoised(self, link_id, lane_class, now)
+            assert delay == fresh(network.link(link_id), lane_class), (link_id, lane_class)
+            calls += 1
+            return delay
+
+        def min_delay(link):
+            delay = fresh(link, LaneClass.GENERAL)
+            if link.has_carpool_lane:
+                delay = min(delay, fresh(link, LaneClass.CARPOOL))
+            return delay
+
+        steps_memoised = SimState.matching_steps
+
+        def steps_checked(self):
+            steps = steps_memoised(self)
+            assert steps == step_durations(network, min_delay, sim.dt), sim.clock
+            return steps
+
+        monkeypatch.setattr(SimState, "link_delay", delay_checked)
+        monkeypatch.setattr(SimState, "matching_steps", steps_checked)
+        sim.run()
+        delays = sim._delays
+        assert calls > 10 * len(delays)
+        # congested: the load raised some delays above free flow
+        assert any(delay > network.link(link_id).free_flow_time
+                   for (link_id, _, _), delay in delays.items())
+        # at one link and count the lane classes have keys and delays apart
+        shared = [(link_id, count) for link_id, lane_class, count in delays
+                  if count > 0 and lane_class is LaneClass.CARPOOL
+                  and (link_id, LaneClass.GENERAL, count) in delays]
+        assert shared
+        assert all(delays[link_id, LaneClass.GENERAL, count]
+                   != delays[link_id, LaneClass.CARPOOL, count]
+                   for link_id, count in shared)
 
 
 class TestBackgroundLoad:
