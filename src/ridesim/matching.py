@@ -16,18 +16,17 @@ Pipeline for one rider request:
    underway, no step at a after its latest departure step. Reaching j from
    a and b from i need no test: ``m`` is built from the same ``tau``, so
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
-   triangle inequality a slot gets no arc unless it passes the slot test
-   (``slot_test``): the rider's destination reachable from a by the latest
-   arrival and b from the rider's origin. An offer builds its free-seat
-   slots with its stops when it is constructed (``DriverOffer.free_slots``).
-   The offer scan (``SimState.collect_offers``) asks that test of a driver
-   with no pins, whose one slot runs from its anchor to its destination,
-   before it builds the driver's offer, so the build receives only drivers
-   with pins and drivers whose slot passes. The rule reads nothing of a
-   driver but the slot, so within one request the per-link step ranges run
-   once per distinct slot that passes, and every driver with that slot gets
-   the arcs: drivers waiting at one node for one destination share their
-   slot.
+   triangle inequality a slot gets no arc unless it passes the slot test:
+   the rider's destination reachable from a by the latest arrival and b
+   from the rider's origin by t. An offer builds its free-seat slots with
+   its stops when it is constructed (``DriverOffer.free_slots``). The rule
+   reads nothing of a driver but the slot, so the build takes the slots
+   grouped, each distinct slot with the ids of the drivers that have it
+   (``SimState.collect_offers``): it runs the slot test and the per-link
+   step ranges once per distinct slot, and writes the arcs for every driver
+   listed. Drivers waiting at one node for one destination share their
+   slot, and a driver with no pins is grouped from its own values, with no
+   offer built.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -43,15 +42,14 @@ Pipeline for one rider request:
    optimum without changing the result. Which of several exactly tied
    itineraries it returns follows its visiting order (``solve_itinerary``).
 
-``match_rider`` works in the order tau, matrix, offers. It takes every
-link's whole-step duration, ``tau``, once per request from the traffic
-state frozen at the match instant (``SimState.matching_steps``) and passes
-it to both the network build and the commit. From ``tau`` comes ``m``,
-reused while every link's step count repeats (``_shared_min_step_matrix``),
-and the offer scan's slot test reads ``m``. It makes one attempt: offers,
-network and commit read that one instant, and the commit checks each
-driver's schedule through the ``DriverOffer.stops`` chain that built the
-network.
+``match_rider`` takes every link's whole-step duration, ``tau``, once per
+request from the traffic state frozen at the match instant
+(``SimState.matching_steps``) and passes it to both the network build and
+the commit. From ``tau`` the build takes ``m``, reused while every link's
+step count repeats (``_shared_min_step_matrix``). It makes one attempt:
+slots, network and commit read that one instant, and the commit checks
+each driver's schedule through the ``DriverOffer.stops`` chain whose free
+slots built the network.
 """
 from __future__ import annotations
 
@@ -60,7 +58,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .agents import TimeWindow
 from .network import Network
@@ -114,8 +112,9 @@ class DriverOffer:
 
     ``origin`` is the driver's anchor: the node where the vehicle currently
     is (or will next be), available there from ``anchor_step``. A driver not
-    yet underway leaves its origin by ``latest_departure_step``; every driver
-    reaches its destination by ``latest_arrival_step``. ``pins`` are
+    yet underway leaves its origin by ``latest_departure_step``, or from its
+    anchor step once that has passed; every driver reaches its destination
+    by ``latest_arrival_step``. ``pins`` are
     committed stops still ahead, in step order.
 
     Construction derives the chain through the pins: ``stops``, the
@@ -124,11 +123,11 @@ class DriverOffer:
     the latest-arrival step; a boarding stop holds the vehicle until its
     step, other stops do not); ``occupancies``, the riders on board in each
     slot between consecutive stops; and ``free_slots``, the slots with a
-    free seat, in order, which alone can carry the rider (module docstring,
-    step 1). It raises ValueError when the pins' steps decrease or an
-    occupancy goes negative, since neither can come from a valid commit.
-    An offer is a value, equal by its fields and never changed once built;
-    ``dataclasses.replace`` builds a new one.
+    free seat, in order (``free_slot``), which alone can carry the rider
+    (module docstring, step 1). It raises ValueError when the pins' steps
+    decrease or an occupancy goes negative, since neither can come from a
+    valid commit. An offer is a value, equal by its fields and never
+    changed once built; ``dataclasses.replace`` builds a new one.
     """
 
     id: int
@@ -159,15 +158,29 @@ class DriverOffer:
                 raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
         stops.append((self.destination, self.latest_arrival_step, False))
         free = []
-        leave_by = INF if self.departed else self.latest_departure_step
         for slot, occupancy in enumerate(occs):
-            if occupancy < self.seats:
-                (a, s, _), (b, t, _) = stops[slot], stops[slot + 1]
-                free.append((a, s, b, t, leave_by))
-            leave_by = INF
+            (a, s, _), (b, t, _) = stops[slot], stops[slot + 1]
+            found = free_slot(a, s, b, t, occupancy, self.seats,
+                              self.latest_departure_step, self.departed or slot > 0)
+            if found is not None:
+                free.append(found)
         self.stops = tuple(stops)
         self.occupancies = tuple(occs)
         self.free_slots = tuple(free)
+
+
+def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
+              latest_departure_step: int, underway: bool) -> Optional[FreeSlot]:
+    """The slot from stop (a, s) to stop (b, t), or None when its
+    ``occupancy`` fills the ``seats``. A driver not yet underway leaves a by
+    its latest departure step, or by s once that has passed; every slot
+    after a driver's first is entered underway. ``DriverOffer`` builds its
+    ``free_slots`` by this rule, and the offer scan a pin-free driver's one
+    slot (``SimState.collect_offers``)."""
+    if occupancy >= seats:
+        return None
+    return (a, s, b, t, INF if underway else
+            latest_departure_step if latest_departure_step > s else s)
 
 
 TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)
@@ -298,29 +311,9 @@ def _shared_min_step_matrix(
     return memo[2]
 
 
-def slot_test(
-    rider: RiderRequest, matrix: dict[int, dict[int, float]], dt: float
-) -> Callable[[int, int, int, int], bool]:
-    """The test a slot of a driver's schedule, from stop (a, s) to stop
-    (b, t), must pass to carry ``rider`` (module docstring, step 1): the
-    rider's destination reachable from a by the latest arrival step la, and
-    b from the rider's origin by t, from the earliest departure step ed,
-    at the minimum steps of ``matrix``. A slot that fails gets no arc. The
-    offer scan (``SimState.collect_offers``) and ``build_time_expanded``
-    both ask this one rule."""
-    ed = ceil_steps(rider.window.earliest_departure, dt)
-    la = ceil_steps(rider.window.latest_arrival, dt)
-    destination, from_origin = rider.destination, matrix[rider.origin]
-
-    def passes(a: int, s: int, b: int, t: int) -> bool:
-        return s + matrix[a][destination] <= la and ed + from_origin[b] <= t
-
-    return passes
-
-
 def build_time_expanded(
     rider: RiderRequest,
-    drivers: Sequence[DriverOffer],
+    slots: dict[FreeSlot, list[int]],
     network: Network,
     tau: dict[int, int],
     dt: float,
@@ -328,9 +321,12 @@ def build_time_expanded(
 ) -> TimeExpandedNetwork:
     """Construct the rider's time-expanded network (module docstring, step 1).
 
-    ``tau`` holds every link's duration in whole steps. Node intervals come
-    from minimum-step sweeps from the rider's earliest departure and back
-    from the latest arrival. An empty network encodes an infeasible request.
+    ``slots`` maps each distinct free slot to the ids of the drivers that
+    have it (``SimState.collect_offers``); a driver gets the arcs of each
+    slot it is listed under. ``tau`` holds every link's duration in whole
+    steps. Node intervals come from minimum-step sweeps from the rider's
+    earliest departure and back from the latest arrival. An empty network
+    encodes an infeasible request.
     """
     matrix = _shared_min_step_matrix(network, tau)
 
@@ -382,34 +378,27 @@ def build_time_expanded(
     # loop, so i and j are not both a. The rule reads the slot alone, so each
     # distinct slot that passes the slot test has its (tail codes, shift,
     # cost) spans found once, written for every driver that has that slot.
-    passes = slot_test(rider, matrix, dt)
     arcs = ten.travel_arcs
-    spans_of: dict[FreeSlot, list[tuple[range, int, float]]] = {}
-    for offer in drivers:
-        driver = offer.id
-        for slot in offer.free_slots:
-            a, s, b, t, leave_by = slot
-            if not passes(a, s, b, t):
-                continue
-            spans = spans_of.get(slot)
-            if spans is None:
-                spans = spans_of[slot] = []
-                from_a = matrix[a]
-                for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
-                    if s + from_a[i] > lo:
-                        lo = s + from_a[i]
-                    if t - from_j[b] - steps < hi:
-                        hi = t - from_j[b] - steps
-                    if i == a and leave_by < hi:
-                        hi = leave_by
-                    elif j == a and leave_by - steps < hi:
-                        hi = leave_by - steps
-                    # pins in step order keep slots' arcs apart: an arc of a
-                    # slot ends by its closing step, where the next one starts
-                    if lo <= hi:
-                        spans.append((range(lo * n + p, hi * n + p + 1, n), shift, cost))
-            for tails, shift, cost in spans:
-                arcs += [(tail, tail + shift, driver, cost) for tail in tails]
+    to_dest, from_origin = rider.destination, matrix[rider.origin]
+    for (a, s, b, t, leave_by), ids in slots.items():
+        from_a = matrix[a]
+        if s + from_a[to_dest] > la or ed + from_origin[b] > t:
+            continue  # the slot test
+        for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
+            if s + from_a[i] > lo:
+                lo = s + from_a[i]
+            if t - from_j[b] - steps < hi:
+                hi = t - from_j[b] - steps
+            if i == a and leave_by < hi:
+                hi = leave_by
+            elif j == a and leave_by - steps < hi:
+                hi = leave_by - steps
+            # pins in step order keep slots' arcs apart: an arc of a
+            # slot ends by its closing step, where the next one starts
+            if lo <= hi:
+                tails = range(lo * n + p, hi * n + p + 1, n)
+                for driver in ids:
+                    arcs += [(tail, tail + shift, driver, cost) for tail in tails]
     return ten
 
 
@@ -638,12 +627,10 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     """Run the full pipeline once against a live simulation and commit the
     result, appending one diagnostic row to ``sim.match_trace``.
 
-    The order is ``tau``, then the min-step matrix, then the offers: the
-    offer scan asks the slot test at the matrix before it builds a pin-free
-    driver's offer, so the network build receives only drivers with pins
-    and drivers whose slot passes (``SimState.collect_offers``). The
-    trace's ``offers`` still counts every live driver
-    (``SimState.live_drivers``), whether or not it passed the test.
+    The offer scan hands the build every live driver's free slots, grouped
+    by distinct slot (``SimState.collect_offers``), and the build tests each
+    slot once. The trace's ``offers`` counts every live driver
+    (``SimState.live_drivers``), whether or not one of its slots passed.
 
     There is no retry: offers, network and commit all read the same
     simulation instant and a rejected commit changes no state, so a second
@@ -651,9 +638,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     commit is reported as ``reason="capacity"``.
     """
     tau = sim.matching_steps()
-    matrix = _shared_min_step_matrix(sim.network, tau)
-    offers = sim.collect_offers(rider, matrix)
-    ten = build_time_expanded(rider, offers, sim.network, tau, sim.dt,
+    ten = build_time_expanded(rider, sim.collect_offers(), sim.network, tau, sim.dt,
                               time_weight=sim.weights.time)
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, sim.penalty)

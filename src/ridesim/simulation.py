@@ -30,13 +30,14 @@ from .config import ScenarioConfig
 from .demand import fallback_to_driver, free_flow_paths, generate_agents
 from .matching import (
     DriverOffer,
+    FreeSlot,
     Itinerary,
     MatchResult,
     Pin,
     RiderRequest,
     ceil_steps,
+    free_slot,
     match_rider,
-    slot_test,
 )
 from .network import LaneClass, Network, volume_delay
 from .routing import dijkstra_route
@@ -449,36 +450,32 @@ class SimState:
         match trace's ``offers``."""
         return len(self._offer_index)
 
-    def collect_offers(
-        self, rider: RiderRequest, matrix: dict[int, dict[int, float]]
-    ) -> list[DriverOffer]:
-        """The offers the network build needs for ``rider``, in vehicle id
-        order: every live ridesharing vehicle with pins, and every pin-free
-        one whose slot passes the slot test at ``matrix``.
+    def collect_offers(self) -> dict[FreeSlot, list[int]]:
+        """Every live ridesharing driver's free slots, grouped: each distinct
+        slot (``matching.FreeSlot``) with the ids of the drivers that have
+        it, in index order, which ``build_time_expanded`` reads.
 
         Only vehicles in the offer index are asked, in one pass in the
         index's insertion order. That is id order: only generated agents
         can be ridesharing drivers (an unmatched rider's fallback is a
         regular driver), and they enter in (time, id) order, which is id
-        order. A vehicle with pins gets its offer (``_offer_at``). A
-        pin-free one has one slot, from its anchor to its destination by
-        its own latest arrival step, with a free seat unless it has no seat
-        (``demand.seats`` may be 0). That slot is tested on the vehicle's
-        own values (``matching.slot_test``), and the vehicle gets an offer
-        only when it passes: a slot that fails would give the network no
-        arc, so the network is the one every live offer would build.
+        order. A vehicle with pins adds its offer's ``free_slots``
+        (``_offer_at``). A pin-free one has one slot, from its anchor to its
+        destination, or none when it has no seat (``demand.seats`` may be
+        0). It adds that slot by its offer's rule (``matching.free_slot``)
+        from the values its offer would hold, and gets no offer: only a
+        commit builds it.
 
         A ridesharing vehicle enters the index when it is created and
         leaves it, for good, the first time ``_live_anchor_step`` finds it
         has nothing left to offer; so after the pass the index holds every
-        live vehicle (``live_drivers``), whether it passed the test or not.
-        Only a vehicle in the index has an offer, and ``commit_itinerary``
-        looks each leg's driver up here. An index entry also holds the
-        vehicle's cached offer, so eviction drops both.
+        live vehicle (``live_drivers``), with a free seat or not. Only a
+        vehicle in the index has an offer, and ``commit_itinerary`` looks
+        each leg's driver up here. An index entry also holds the vehicle's
+        cached offer, so eviction drops both.
         """
-        passes = slot_test(rider, matrix, self.dt)
         clock_step = ceil_steps(self.clock, self.dt)
-        offers = []
+        groups: dict[FreeSlot, list[int]] = {}
         evicted = []
         for agent_id, entry in self._offer_index.items():
             anchor_step = self._live_anchor_step(entry, clock_step)
@@ -486,15 +483,20 @@ class SimState:
                 evicted.append(agent_id)
                 continue
             vehicle = entry.vehicle
-            agent = vehicle.agent
-            if vehicle.pins or (
-                    len(vehicle.aboard) < agent.seats
-                    and passes(vehicle.node, anchor_step, agent.destination,
-                               entry.latest_arrival_step)):
-                offers.append(self._offer_at(entry, anchor_step))
+            if vehicle.pins:
+                for slot in self._offer_at(entry, anchor_step).free_slots:
+                    groups.setdefault(slot, []).append(agent_id)
+            else:
+                agent = vehicle.agent
+                slot = free_slot(vehicle.node, anchor_step, agent.destination,
+                                 entry.latest_arrival_step, len(vehicle.aboard),
+                                 agent.seats, entry.latest_departure_step,
+                                 vehicle.departure_time is not None)
+                if slot is not None:
+                    groups.setdefault(slot, []).append(agent_id)
         for agent_id in evicted:
             del self._offer_index[agent_id]
-        return offers
+        return groups
 
     def _live_anchor_step(self, entry: _IndexEntry, clock_step: int) -> Optional[int]:
         """The step from which the indexed vehicle is available at its
@@ -531,9 +533,9 @@ class SimState:
 
     def _offer(self, entry: _IndexEntry) -> Optional[DriverOffer]:
         """The indexed vehicle's remaining schedule at the clock, or None
-        when ``_live_anchor_step`` finds nothing left to offer. It is the
-        offer ``collect_offers`` gave the network build, read back from the
-        entry's cache, which ``commit_itinerary`` checks each leg against."""
+        when ``_live_anchor_step`` finds nothing left to offer. Its
+        ``free_slots`` are the slots ``collect_offers`` gave the network
+        build, and ``commit_itinerary`` checks each leg against it."""
         anchor_step = self._live_anchor_step(entry, ceil_steps(self.clock, self.dt))
         return None if anchor_step is None else self._offer_at(entry, anchor_step)
 
@@ -541,20 +543,23 @@ class SimState:
         """The live indexed vehicle's offer from ``anchor_step``.
 
         The schedule runs from the anchor to the driver's own latest
-        arrival step, and its latest departure step is no earlier than the
-        anchor step. The entry holds the driver's own latest departure and
-        arrival steps, computed once when it entered, and its offer, cached
-        under the key (``plan_version``, ``node``, pin count, departed,
-        anchor step) and returned while the key repeats. That is exact:
-        every other field is the driver's own, or the steps above; the pins
-        change only by a pop, which shortens them, or by a commit, which
-        bumps ``plan_version``; and ``aboard`` changes only as a pin is
-        popped. A waiting driver's anchor step moves with the clock, so its
-        offer is rebuilt once a step if the scan asks for it.
+        arrival step; a driver whose latest departure step has passed leaves
+        by the anchor step (``matching.free_slot``). The entry holds the
+        driver's own latest departure and arrival steps, computed once when
+        it entered, and its offer, cached under the key (``plan_version``,
+        ``node``, pin count, departed, anchor step) and returned while the
+        key repeats. That is exact: every other field is the driver's own,
+        or the steps above; the pins change only by a pop, which shortens
+        them, or by a commit, which bumps ``plan_version``; and ``aboard``
+        changes only as a pin is popped. The cache serves the scan for
+        vehicles with pins and the commit for every leg; a pin-free
+        vehicle's offer is built only when a commit asks for it, since the
+        scan reads its slot from its values.
         """
         vehicle = entry.vehicle
+        departed = vehicle.departure_time is not None
         key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
-               vehicle.departure_time is not None, anchor_step)
+               departed, anchor_step)
         if entry.key == key:
             return entry.offer
         agent = vehicle.agent
@@ -562,9 +567,8 @@ class SimState:
         # faster than keywords, and a scan may build several
         offer = DriverOffer(
             agent.id, vehicle.node, agent.destination, anchor_step,
-            max(entry.latest_departure_step, anchor_step), entry.latest_arrival_step,
-            agent.seats, tuple(vehicle.pins), len(vehicle.aboard),
-            vehicle.departure_time is not None,
+            entry.latest_departure_step, entry.latest_arrival_step,
+            agent.seats, tuple(vehicle.pins), len(vehicle.aboard), departed,
         )
         entry.key, entry.offer = key, offer
         return offer
@@ -613,9 +617,8 @@ class SimState:
                     return False
                 depart = cursor
                 if idx == 0 and not offer.departed:
-                    # not yet underway: leave just in time, within the window;
-                    # cursor is the anchor step and _offer_at keeps ld_step at or
-                    # after it, so depart never exceeds ld_step
+                    # not yet underway: leave just in time, within the window,
+                    # or at the anchor step (cursor) once ld_step has passed
                     depart = max(cursor, min(to_step - travel, ld_step))
                 step = depart
                 for lid in links:

@@ -19,6 +19,17 @@ def step_durations(network: Network, delay, dt: float) -> dict[int, int]:
     return {link.id: max(1, ceil_steps(delay(link), dt)) for link in network.links}
 
 
+def slot_groups(offers) -> dict:
+    """The offers' free slots as ``SimState.collect_offers`` hands them to
+    ``build_time_expanded``: each distinct slot with the ids of the offers
+    that have it, in offer order."""
+    groups: dict = {}
+    for offer in offers:
+        for slot in offer.free_slots:
+            groups.setdefault(slot, []).append(offer.id)
+    return groups
+
+
 @pytest.fixture(scope="session")
 def testbed() -> Network:
     return load_network(bundled_data_path("la_testbed.yaml"))

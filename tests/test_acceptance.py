@@ -23,7 +23,7 @@ from ridesim.network import LaneClass
 from ridesim.routing import dijkstra_route
 from ridesim.simulation import init_simulation
 
-from conftest import DT_EXACT, make_network, random_instance
+from conftest import DT_EXACT, make_network, random_instance, slot_groups
 from oracle import (EnumerationBudgetError, brute_force_itinerary,
                     vertices_on_feasible_paths)
 
@@ -45,7 +45,7 @@ def matcher_instances():
         if candidate is None:
             continue
         rider, offers, net, tt = candidate
-        ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
+        ten = build_time_expanded(rider, slot_groups(offers), net, tt, DT_EXACT)
         try:
             oracle = brute_force_itinerary(ten, DT_EXACT)
             on_paths = vertices_on_feasible_paths(ten)

@@ -21,13 +21,13 @@ from ridesim.matching import (
 )
 from ridesim.simulation import init_simulation
 
-from conftest import DT_EXACT, random_instance
+from conftest import DT_EXACT, random_instance, slot_groups
 from oracle import (EnumerationBudgetError, brute_force_itinerary,
                     vertices_on_feasible_paths)
 
 
 def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
-    ten = build_time_expanded(rider, offers, net, tau, dt)
+    ten = build_time_expanded(rider, slot_groups(offers), net, tau, dt)
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, penalty) if graph.feasible else None
     return ten, graph, itinerary
@@ -96,7 +96,7 @@ class TestBuildTimeExpanded:
         driver = DriverOffer(id=9, origin=0, destination=2,
                              anchor_step=0, latest_departure_step=0,
                              latest_arrival_step=15, seats=2)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.node_intervals[0] == (0, 0)
         assert ten.node_intervals[1] == (5, 5)
         assert ten.node_intervals[2] == (15, 15)
@@ -107,7 +107,7 @@ class TestBuildTimeExpanded:
         driver = DriverOffer(id=9, origin=0, destination=2,
                              anchor_step=0, latest_departure_step=4,
                              latest_arrival_step=20, seats=2)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         for tail, head, _, _ in decoded_arcs(ten):
             link = next(l for l in testbed.links
                         if (l.from_node, l.to_node) == (tail[0], head[0]))
@@ -115,12 +115,12 @@ class TestBuildTimeExpanded:
 
     def test_infeasible_window_empty(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
-        ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         assert not ten.node_intervals
 
     def test_no_drivers_no_travel_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.1, 0.72, 0.9), 0.0)
-        ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
         assert len(ten.forward()) > 0
 
@@ -130,7 +130,7 @@ class TestBuildTimeExpanded:
         driver = DriverOffer(id=9, origin=0, destination=1,
                              anchor_step=0, latest_departure_step=2,
                              latest_arrival_step=7, seats=2)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert {(tail[0], head[0]) for tail, head, _, _ in decoded_arcs(ten)} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
@@ -138,7 +138,7 @@ class TestBuildTimeExpanded:
         driver = DriverOffer(id=9, origin=0, destination=2,
                              anchor_step=0, latest_departure_step=4,
                              latest_arrival_step=20, seats=1, aboard=1)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
 
     def test_seat_frees_after_alight_pin(self, testbed, free_flow):
@@ -148,7 +148,7 @@ class TestBuildTimeExpanded:
                              anchor_step=0, latest_departure_step=4,
                              latest_arrival_step=24, seats=1,
                              aboard=1, pins=(Pin(1, 8, "alight", 55),))
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
         assert all(tail[1] >= 8 for tail, _, _, _ in decoded_arcs(ten))
 
@@ -209,7 +209,7 @@ def reference_ten(rider, offers, net, tau, dt):
     def driver_at(offer, stops, slot, node, k):
         (a, a_step, _), (b, b_step, _) = stops[slot], stops[slot + 1]
         if (slot == 0 and not offer.departed and node == offer.origin
-                and k > offer.latest_departure_step):
+                and k > max(offer.latest_departure_step, a_step)):
             return False
         return a_step + m[a][node] <= k <= b_step - m[node][b]
 
@@ -251,7 +251,7 @@ class TestMultiSlotArcs:
                 tau = {lid: steps + rng.randint(0, 2) for lid, steps in tau.items()}
             rider = with_slack(rng, rider, DT_EXACT)
             offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
-            ten = build_time_expanded(rider, offers, net, tau, DT_EXACT)
+            ten = build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT)
             vertices, arcs, full = reference_ten(rider, offers, net, tau, DT_EXACT)
             assert {decode(v, ten.nodes) for v in ten.forward()} == vertices
             assert sorted(decoded_arcs(ten)) == sorted(arcs)
@@ -302,7 +302,7 @@ class TestBoundPruning:
         solved = 0
         for seed in [*range(400), self.CREATION_ORDER_SENSITIVE]:
             rider, offers, net, tau = exactness_instance(seed)
-            graph = preprocess(build_time_expanded(rider, offers, net, tau, DT_EXACT))
+            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT))
             for penalty in self.PENALTIES:
                 pruning = True
                 pruned = solve_itinerary(graph, penalty)
@@ -323,10 +323,57 @@ class TestTieChoices:
         digest = hashlib.sha256()
         for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
             rider, offers, net, tau = exactness_instance(seed)
-            graph = preprocess(build_time_expanded(rider, offers, net, tau, DT_EXACT))
+            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT))
             for penalty in TestBoundPruning.PENALTIES:
                 digest.update(repr(solve_itinerary(graph, penalty)).encode())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestTwinnedTies:
+    # SHA-256 over repr(solve_itinerary(...)) for TestTieChoices' instances
+    # and penalties, every offer twinned under a new id as in TestBuildDigest.
+    # A twin rides every arc its original rides, so single-leg finalists tie
+    # in pairs; this pins their resolution to the order of the driver
+    # sequences read from each finalist's path. It was recorded before the
+    # network build took slot groups. It equals TestTieChoices.DIGEST: every
+    # tie goes to the original's smaller id.
+    DIGEST = "c54c9fba353862f28bba8ffd219864030138da29d8c9d3cd7e7ca8584e235143"
+
+    def test_results_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
+            graph = preprocess(build_time_expanded(
+                rider, slot_groups(offers + twins), net, tau, DT_EXACT))
+            for penalty in TestBoundPruning.PENALTIES:
+                digest.update(repr(solve_itinerary(graph, penalty)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_single_leg_tie_goes_to_smaller_id_visited_second(self):
+        """Both routes from node 0 to node 3 take 3 steps. Driver 20 may take
+        either; driver 10, pinned to board another rider at node 2 by step
+        2, only the one through node 2. At the destination vertex driver
+        20's bucket comes first, from the tail at node 1, yet the tie goes
+        to the smaller driver sequence."""
+        from conftest import make_network
+        net = make_network([(0, 1, DT_EXACT), (1, 3, 2 * DT_EXACT),
+                            (0, 2, 2 * DT_EXACT), (2, 3, DT_EXACT)])
+        tau = {link.id: round(link.free_flow_time / DT_EXACT) for link in net.links}
+        rider = RiderRequest(0, 0, 3, TimeWindow(0.0, 0.0, 3 * DT_EXACT, 3 * DT_EXACT), 0.0)
+        free = DriverOffer(id=20, origin=0, destination=3, anchor_step=0,
+                           latest_departure_step=0, latest_arrival_step=3, seats=2)
+        pinned = dataclasses.replace(free, id=10, pins=(
+            Pin(2, 2, "board", 77), Pin(3, 3, "alight", 77)))
+        graph = preprocess(build_time_expanded(
+            rider, slot_groups([free, pinned]), net, tau, DT_EXACT))
+        head = code(graph, 3, 3)
+        assert [driver for _, driver, _ in graph.adjacency[code(graph, 1, 1)]] == [20]
+        assert [driver for _, driver, _ in graph.adjacency[code(graph, 2, 2)]] == [10, 20]
+        assert all(arc[0] == head for v in (code(graph, 1, 1), code(graph, 2, 2))
+                   for arc in graph.adjacency[v])
+        itinerary = solve_itinerary(graph, DT_EXACT)
+        assert [leg.driver for leg in itinerary.legs] == [10]
 
 
 class TestBuildDigest:
@@ -343,7 +390,7 @@ class TestBuildDigest:
             rider, offers, net, tau = exactness_instance(seed)
             twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
             for drivers in (offers, offers + twins):
-                ten = build_time_expanded(rider, drivers, net, tau, DT_EXACT)
+                ten = build_time_expanded(rider, slot_groups(drivers), net, tau, DT_EXACT)
                 digest.update(repr(sorted(ten.travel_arcs)).encode())
                 digest.update(repr(sorted(ten.node_intervals.items())).encode())
         assert digest.hexdigest() == self.DIGEST
@@ -365,7 +412,7 @@ class TestSharedSlots:
                   dataclasses.replace(shared, id=7)]
         assert pinned.free_slots[0] == shared.free_slots[0]
         assert departed.free_slots != shared.free_slots
-        ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups(offers), testbed, free_flow, 0.05)
         _, arcs, _ = reference_ten(rider, offers, testbed, free_flow, 0.05)
         assert sorted(decoded_arcs(ten)) == sorted(arcs)
         by_driver = {offer.id: set() for offer in offers}
@@ -548,14 +595,14 @@ class TestPreprocess:
         driver = DriverOffer(id=9, origin=0, destination=2,
                              anchor_step=0, latest_departure_step=0,
                              latest_arrival_step=15, seats=2)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert graph.feasible
         assert sorted({decode(v, graph.nodes)[0] for v in graph.vertices}) == [0, 1, 2]
 
     def test_empty_ten_infeasible(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
-        ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert not graph.feasible
         assert graph.vertices == []
@@ -563,7 +610,7 @@ class TestPreprocess:
     def test_unreachable_cluster_removed(self, testbed, free_flow):
         # without drivers every non-origin vertex is unreachable
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.1, 0.72, 0.9), 0.0)
-        ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert not graph.feasible
         assert (all(decode(v, graph.nodes)[0] == 0 for v in graph.vertices)
@@ -574,7 +621,7 @@ class TestPreprocess:
         driver = DriverOffer(id=9, origin=0, destination=2,
                              anchor_step=0, latest_departure_step=4,
                              latest_arrival_step=22, seats=2)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         position = {v: i for i, v in enumerate(graph.vertices)}
         for tail, arcs in graph.adjacency.items():
@@ -618,7 +665,7 @@ class TestSolveExamples:
         detour = DriverOffer(id=2, origin=0, destination=3,
                              anchor_step=0, latest_departure_step=8,
                              latest_arrival_step=24, seats=2)
-        ten = build_time_expanded(rider, [direct, detour], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([direct, detour]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         itinerary = solve_itinerary(graph, 0.05)
         assert itinerary.legs[0].driver == 1
@@ -641,7 +688,7 @@ class TestSolveExamples:
 class TestBruteForce:
     def test_empty_infeasible(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
-        ten = build_time_expanded(rider, [], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         assert brute_force_itinerary(ten, 0.05) is None
 
     def test_single_arc(self, testbed, free_flow):
@@ -649,7 +696,7 @@ class TestBruteForce:
         driver = DriverOffer(id=3, origin=0, destination=1,
                              anchor_step=0, latest_departure_step=0,
                              latest_arrival_step=5, seats=1)
-        ten = build_time_expanded(rider, [driver], testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert len(ten.travel_arcs) == 1
         itinerary = brute_force_itinerary(ten, 0.05)
         assert itinerary.legs[0].driver == 3
@@ -662,7 +709,7 @@ class TestBruteForce:
                         latest_arrival_step=30, seats=2)
             for i in range(4)
         ]
-        ten = build_time_expanded(rider, offers, testbed, free_flow, 0.05)
+        ten = build_time_expanded(rider, slot_groups(offers), testbed, free_flow, 0.05)
         with pytest.raises(EnumerationBudgetError):
             brute_force_itinerary(ten, 0.05, budget=50)
 
@@ -679,7 +726,7 @@ class TestOracleEquivalence:
                 continue
             rider, offers, net, tt = instance
             penalty = rng.choice([0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT])
-            ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
+            ten = build_time_expanded(rider, slot_groups(offers), net, tt, DT_EXACT)
             try:
                 oracle = brute_force_itinerary(ten, penalty)
             except EnumerationBudgetError:
@@ -708,7 +755,7 @@ class TestOracleEquivalence:
             if instance is None:
                 continue
             rider, offers, net, tt = instance
-            ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
+            ten = build_time_expanded(rider, slot_groups(offers), net, tt, DT_EXACT)
             graph = preprocess(ten)
             try:
                 on_paths = vertices_on_feasible_paths(ten)
@@ -730,7 +777,7 @@ class TestPenaltyMonotonicity:
             if instance is None:
                 continue
             rider, offers, net, tt = instance
-            ten = build_time_expanded(rider, offers, net, tt, DT_EXACT)
+            ten = build_time_expanded(rider, slot_groups(offers), net, tt, DT_EXACT)
             graph = preprocess(ten)
             if not graph.feasible:
                 continue

@@ -10,7 +10,7 @@ import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import load_config
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import Pin, build_time_expanded, ceil_steps, slot_test
+from ridesim.matching import Pin, build_time_expanded, ceil_steps
 from ridesim.network import LaneClass, volume_delay
 from ridesim.simulation import (
     EV_AGENT_ENTER,
@@ -21,7 +21,7 @@ from ridesim.simulation import (
     init_simulation,
 )
 
-from conftest import scenario, step_durations
+from conftest import scenario, slot_groups, step_durations
 from test_golden_outputs import write_grid
 
 
@@ -485,10 +485,11 @@ class TestCommitRejections:
 def seat_free_slots(offer):
     """``offer``'s slots with a free seat, from its ``stops`` and
     ``occupancies``: (a, s, b, t, leave_by), leave_by capping the first
-    slot of a driver not yet underway."""
+    slot of a driver not yet underway, at s once its latest departure step
+    has passed."""
     stops, occupancies = offer.stops, offer.occupancies
     return tuple(
-        (a, s, b, t, offer.latest_departure_step
+        (a, s, b, t, max(offer.latest_departure_step, s)
          if slot == 0 and not offer.departed else float("inf"))
         for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]))
         if occupancies[slot] < offer.seats)
@@ -519,49 +520,64 @@ def ten_key(ten):
 
 
 class TestOfferIndex:
-    def test_index_equals_full_scan(self, testbed, tmp_path):
-        """At every request the scan asks a subset of the full scan's live
-        offers, in index order, that builds the same network; the trace
-        counts every live offer."""
-        requests = asked = skipped = evicted = 0
+    def test_index_equals_full_scan(self, testbed, tmp_path, monkeypatch):
+        """At every request the scan's slot groups are those of every live
+        driver's full offer, in index order, and build the same network;
+        pin-free drivers get no offer built; the trace counts every live
+        driver."""
+        requests = grouped = pin_free = evicted = 0
+        riders = []
+        match = simulation.match_rider
+
+        def recording(sim, rider):
+            riders.append(rider)
+            return match(sim, rider)
+
+        monkeypatch.setattr(simulation, "match_rider", recording)
         for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
             indexed = sim.collect_offers
             live = {}
 
-            def checked(rider, matrix, sim=sim, indexed=indexed, live=live):
-                nonlocal requests, asked, skipped
+            def checked(sim=sim, indexed=indexed, live=live):
+                nonlocal requests, grouped, pin_free
                 # the scan's order is the index's insertion order
-                assert list(sim._offer_index) == sorted(sim._offer_index), rider
-                result = indexed(rider, matrix)
+                assert list(sim._offer_index) == sorted(sim._offer_index)
+                cached = {agent_id: entry.offer
+                          for agent_id, entry in sim._offer_index.items()}
+                groups = indexed()
                 full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
                     if vehicle.agent.role is Role.RIDESHARE_DRIVER:
                         # an evicted vehicle is asked through a fresh entry
-                        entry = (sim._offer_index.get(agent_id)
-                                 or fresh_entry(sim, vehicle))
-                        offer = sim._offer(entry)
+                        entry = sim._offer_index.get(agent_id)
+                        if entry is not None and not vehicle.pins:
+                            # the scan built no offer for a pin-free driver
+                            assert entry.offer is cached[agent_id], agent_id
+                        offer = sim._offer(entry or fresh_entry(sim, vehicle))
                         if offer is not None:
                             full.append(offer)
-                # the asked offers are the full scan's, in index order; the
-                # rest are pin-free, with no free slot that passes the test
-                by_id = {offer.id: offer for offer in full}
-                ids = {offer.id for offer in result}
-                assert [offer.id for offer in result] == [
-                    agent_id for agent_id in sim._offer_index if agent_id in ids], rider
-                assert all(by_id[offer.id] == offer for offer in result), rider
-                passes = slot_test(rider, matrix, sim.dt)
-                left = [offer for offer in full if offer.id not in ids]
-                assert all(not offer.pins and not any(passes(*slot[:4])
-                           for slot in offer.free_slots) for offer in left), rider
+                # the groups, their order and each group's ids are the full
+                # scan's, ids in index order (id order); a driver is listed
+                # once per slot it has, so twice for a slot it has twice (a
+                # stop repeated at one step, a slot that gets no arc)
+                assert list(groups.items()) == list(slot_groups(full).items())
+                assert all(ids == sorted(ids) for ids in groups.values())
+                for offer in full:
+                    if not offer.pins and offer.free_slots:
+                        members = [slot for slot, ids in groups.items()
+                                   for i in ids if i == offer.id]
+                        assert members == [offer.free_slots[0]], offer
+                        pin_free += 1
+                rider = riders[-1]
                 tau = sim.matching_steps()
-                assert ten_key(build_time_expanded(rider, result, sim.network, tau, sim.dt)) \
-                    == ten_key(build_time_expanded(rider, full, sim.network, tau, sim.dt)), rider
+                assert ten_key(build_time_expanded(rider, groups, sim.network, tau, sim.dt)) \
+                    == ten_key(build_time_expanded(rider, slot_groups(full), sim.network,
+                                                   tau, sim.dt)), rider
                 live[rider.id] = len(full)
                 requests += 1
-                asked += len(result)
-                skipped += len(left)
-                return result
+                grouped += sum(map(len, groups.values()))
+                return groups
 
             sim.collect_offers = checked
             sim.run()
@@ -571,8 +587,8 @@ class TestOfferIndex:
                             for v in sim.vehicles.values())
             evicted += rideshare - len(sim._offer_index)
         assert requests > 50
-        assert asked > requests
-        assert skipped > requests
+        assert grouped > requests
+        assert pin_free > requests
         assert evicted > 0
 
     def test_zero_seat_drivers_counted_never_built(self, tmp_path, monkeypatch):
@@ -583,28 +599,62 @@ class TestOfferIndex:
         built = []
         build = matching.build_time_expanded
 
-        def recording(rider, drivers, *args, **kwargs):
-            built.extend(drivers)
-            return build(rider, drivers, *args, **kwargs)
+        def recording(rider, slots, *args, **kwargs):
+            built.extend(slots)
+            return build(rider, slots, *args, **kwargs)
 
         monkeypatch.setattr(matching, "build_time_expanded", recording)
-        live = {}
+        live = []
         indexed = sim.collect_offers
 
-        def counted(rider, matrix):
-            live[rider.id] = sum(sim._offer(entry) is not None
-                                 for entry in sim._offer_index.values())
-            return indexed(rider, matrix)
+        def counted():
+            live.append(sum(sim._offer(entry) is not None
+                            for entry in sim._offer_index.values()))
+            return indexed()
 
         sim.collect_offers = counted
         sim.run()
         assert built == []
-        assert {row["rider_id"]: row["offers"] for row in sim.match_trace} == live
-        assert sum(live.values()) > len(live) > 10
+        assert [row["offers"] for row in sim.match_trace] == live
+        assert sum(live) > len(live) > 10
         riders = [agent_id for agent_id, agent in sim.agents.items()
                   if agent.role is Role.RIDER]
         assert riders and all(sim.match_results[agent_id].reason == "infeasible"
                               for agent_id in riders)
+
+    def test_pin_free_drivers_grouped_by_slot(self):
+        """Drivers 0 and 1 wait at node 0 for node 2 with one window and
+        share a slot; driver 3, with the same window, has driven round the
+        0-1 loop, so its slot differs only in ``leave_by``; driver 2 has no
+        seat and no slot, but is live."""
+        from conftest import make_network
+        net = make_network([(0, 1, 0.01), (1, 0, 0.01), (0, 2, 0.5)])
+        sim = SimState(scenario(2.0, {(0, 2): 0.0}), net, seed=1)
+        for agent_id in (0, 1, 3):
+            seed_agent(sim, rideshare(agent_id, 0, 2, t=0.0, fft=0.5))
+        seed_agent(sim, rideshare(2, 0, 2, t=0.0, fft=0.5, seats=0))
+        sim.run(horizon=0.0)  # the drivers enter and wait at node 0
+        vehicle = sim.vehicles[3]
+        sim.enter_link(vehicle, 0, 0.0)
+        vehicle.link_arrival_time = None
+        sim.enter_link(vehicle, 1, 0.01)
+        vehicle.link_arrival_time = None  # back at node 0, now underway
+        sim.clock = 0.03
+        groups = sim.collect_offers()
+        waiting, departed = (sim._offer(sim._offer_index[i]).free_slots
+                             for i in (0, 3))
+        assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
+        assert departed[0][4] == float("inf") != waiting[0][4]
+        assert groups == {waiting[0]: [0, 1], departed[0]: [3]}
+        assert sim._offer(sim._offer_index[1]).free_slots == waiting
+        assert sim._offer(sim._offer_index[2]).free_slots == ()
+        assert sim.live_drivers == 4
+        # past the waiting drivers' latest departure step (6), their slot is
+        # left by the anchor step, as their offers' first slot is
+        sim.clock = 0.33
+        waiting = sim._offer(sim._offer_index[0]).free_slots
+        assert waiting[0][1] == waiting[0][4] == 7
+        assert sim.collect_offers()[waiting[0]] == [0, 1]
 
     def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
         hits = rebuilt = ticks = 0
