@@ -125,6 +125,7 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
         report = sim.run()
         for link_id, count in report.validation_counts.items():
             totals[link_id] += count
+        del sim, report  # free this replication before the next is built
     grand_total = sum(totals.values())
     if grand_total <= 0:
         raise ConfigError("validation runs produced zero vehicles")
@@ -211,6 +212,7 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
             report = sim.run()
             riders += report.riders_total
             rates.append(report.match_rate)
+            del sim, report  # free this replication before the next is built
         mean = float(np.mean(rates)) if rates else 0.0
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"

@@ -123,11 +123,12 @@ class DriverOffer:
     the latest-arrival step; a boarding stop holds the vehicle until its
     step, other stops do not); ``occupancies``, the riders on board in each
     slot between consecutive stops; and ``free_slots``, the slots with a
-    free seat, in order (``free_slot``), which alone can carry the rider
-    (module docstring, step 1). It raises ValueError when the pins' steps
-    decrease or an occupancy goes negative, since neither can come from a
-    valid commit. An offer is a value, equal by its fields and never
-    changed once built; ``dataclasses.replace`` builds a new one.
+    free seat that end after they start, in order (``free_slot``), which
+    alone can carry the rider (module docstring, step 1). It raises
+    ValueError when the pins' steps decrease or an occupancy goes negative,
+    since neither can come from a valid commit. An offer is a value, equal
+    by its fields and never changed once built; ``dataclasses.replace``
+    builds a new one.
     """
 
     id: int
@@ -172,12 +173,14 @@ class DriverOffer:
 def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
               latest_departure_step: int, underway: bool) -> Optional[FreeSlot]:
     """The slot from stop (a, s) to stop (b, t), or None when its
-    ``occupancy`` fills the ``seats``. A driver not yet underway leaves a by
-    its latest departure step, or by s once that has passed; every slot
-    after a driver's first is entered underway. ``DriverOffer`` builds its
+    ``occupancy`` fills the ``seats`` or it ends by the step it starts
+    (t <= s): an arc in it needs s <= k and k + steps <= t, and every link
+    takes at least one step. A driver not yet underway leaves a by its
+    latest departure step, or by s once that has passed; every slot after a
+    driver's first is entered underway. ``DriverOffer`` builds its
     ``free_slots`` by this rule, and the offer scan a pin-free driver's one
     slot (``SimState.collect_offers``)."""
-    if occupancy >= seats:
+    if occupancy >= seats or t <= s:
         return None
     return (a, s, b, t, INF if underway else
             latest_departure_step if latest_departure_step > s else s)

@@ -14,12 +14,28 @@ the matcher exactly once.
 
 Determinism: one event queue ordered by (time, insertion sequence), all
 randomness drawn from generators seeded per replication.
+
+Memory: CPython's cyclic garbage collector is paused while a replication is
+built and while it runs (``_collector_paused``). Its passes start on
+allocation counts, and most of what a replication allocates stays alive
+until it ends (agents, vehicles, events, outcomes: about 144,000 tracked
+objects after one day of the bundled validation scenario), so each pass
+would walk them again and find no garbage. A run builds no reference
+cycle: a DP label points to its parent label, a vehicle to its agent, an
+offer-index entry to its vehicle and cached offer, an event holds ids, and
+nothing points back. Reference counting therefore frees every object a
+replication made, at the latest when its ``SimState`` is dropped.
+``TestCollectorPause`` in ``tests/test_simulation.py`` guards that:
+building, running and dropping a replication of the bundled validation
+scenario or of the multi-leg grid leaves no cyclic garbage.
 """
 from __future__ import annotations
 
 import dataclasses
+import gc
 import heapq
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,6 +67,20 @@ EV_BACKGROUND = 3
 
 class SimulationError(ValueError):
     pass
+
+
+@contextmanager
+def _collector_paused():
+    """Turn the cyclic garbage collector off for the block, and back on
+    when the block ends, also by an exception, unless it was already off
+    ("Memory" in the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -181,8 +211,10 @@ class SimState:
     ``ScenarioConfig`` that ``load_config`` has validated; none is checked
     again here. Construction draws the agents of ``config.demand_spec`` and,
     below full unused carpool capacity, schedules the background carpool
-    load, each from its own stream of ``seed``."""
+    load, each from its own stream of ``seed``. Construction and ``run``
+    pause the cyclic garbage collector ("Memory" in the module docstring)."""
 
+    @_collector_paused()
     def __init__(self, config: ScenarioConfig, network: Network, seed: int):
         self.network = network
         self.demand = config.demand_spec(network)
@@ -462,9 +494,10 @@ class SimState:
         order. A vehicle with pins adds its offer's ``free_slots``
         (``_offer_at``). A pin-free one has one slot, from its anchor to its
         destination, or none when it has no seat (``demand.seats`` may be
-        0). It adds that slot by its offer's rule (``matching.free_slot``)
-        from the values its offer would hold, and gets no offer: only a
-        commit builds it.
+        0) or its anchor step has reached its latest arrival step. It adds
+        that slot by its offer's rule (``matching.free_slot``) from the
+        values its offer would hold, and gets no offer: only a commit
+        builds it.
 
         A ridesharing vehicle enters the index when it is created and
         leaves it, for good, the first time ``_live_anchor_step`` finds it
@@ -645,6 +678,7 @@ class SimState:
 
     # ------------------------------------------------------------------- runs
 
+    @_collector_paused()
     def run(self, horizon: Optional[float] = None) -> SimReport:
         """Process every event with time <= horizon and assemble the report."""
         limit = self.horizon if horizon is None else horizon

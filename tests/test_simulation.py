@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import heapq
 import itertools
 
@@ -8,7 +9,7 @@ import yaml
 import ridesim.matching as matching
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
-from ridesim.config import load_config
+from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
 from ridesim.matching import Pin, build_time_expanded, ceil_steps
 from ridesim.network import LaneClass, volume_delay
@@ -483,16 +484,16 @@ class TestCommitRejections:
 
 
 def seat_free_slots(offer):
-    """``offer``'s slots with a free seat, from its ``stops`` and
-    ``occupancies``: (a, s, b, t, leave_by), leave_by capping the first
-    slot of a driver not yet underway, at s once its latest departure step
-    has passed."""
+    """``offer``'s slots with a free seat that end after they start (s < t),
+    from its ``stops`` and ``occupancies``: (a, s, b, t, leave_by), leave_by
+    capping the first slot of a driver not yet underway, at s once its
+    latest departure step has passed."""
     stops, occupancies = offer.stops, offer.occupancies
     return tuple(
         (a, s, b, t, max(offer.latest_departure_step, s)
          if slot == 0 and not offer.departed else float("inf"))
         for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]))
-        if occupancies[slot] < offer.seats)
+        if occupancies[slot] < offer.seats and s < t)
 
 
 def fresh_entry(sim, vehicle):
@@ -559,10 +560,10 @@ class TestOfferIndex:
                             full.append(offer)
                 # the groups, their order and each group's ids are the full
                 # scan's, ids in index order (id order); a driver is listed
-                # once per slot it has, so twice for a slot it has twice (a
-                # stop repeated at one step, a slot that gets no arc)
+                # at most once per slot, since two equal slots of one chain
+                # would need a slot that ends at the step it starts
                 assert list(groups.items()) == list(slot_groups(full).items())
-                assert all(ids == sorted(ids) for ids in groups.values())
+                assert all(ids == sorted(set(ids)) for ids in groups.values())
                 for offer in full:
                     if not offer.pins and offer.free_slots:
                         members = [slot for slot, ids in groups.items()
@@ -655,6 +656,46 @@ class TestOfferIndex:
         waiting = sim._offer(sim._offer_index[0]).free_slots
         assert waiting[0][1] == waiting[0][4] == 7
         assert sim.collect_offers()[waiting[0]] == [0, 1]
+
+    def test_alight_at_destination_adds_no_empty_slot(self):
+        """A vehicle at its destination whose one pin is an alight there at
+        the anchor step s has stops (2, s), (2, s), (2, t): the first slot
+        ends at the step it starts, so the vehicle is grouped once, under
+        its last slot; at its latest arrival step (t == s) it has no slot,
+        yet stays live in the index."""
+        from conftest import make_network
+        net = make_network([(0, 2, 0.5)])
+        sim = SimState(scenario(2.0, {(0, 2): 0.0}), net, seed=1)
+        agent = rideshare(0, 0, 2, t=0.0, fft=0.5)
+        seed_agent(sim, agent)
+        sim.run(horizon=0.0)  # the driver enters and waits at node 0
+        vehicle, entry = sim.vehicles[0], sim._offer_index[0]
+        sim.enter_link(vehicle, 0, 0.0)
+        vehicle.link_arrival_time = None  # at node 2, its destination
+        vehicle.aboard.add(9)
+        latest_arrival_step = entry.latest_arrival_step
+
+        def alight_due(now):
+            sim.clock = now
+            step = ceil_steps(now, sim.dt)
+            vehicle.pins = [Pin(2, step, "alight", 9)]
+            vehicle.plan_version += 1
+            return step
+
+        s = alight_due(0.5)
+        assert s < latest_arrival_step
+        offer = sim._offer(entry)
+        assert offer.stops == ((2, s, False), (2, s, False),
+                               (2, latest_arrival_step, False))
+        assert offer.free_slots == seat_free_slots(offer) \
+            == ((2, s, 2, latest_arrival_step, float("inf")),)
+        assert sim.collect_offers() == {offer.free_slots[0]: [0]}
+        assert alight_due(agent.window.latest_arrival) == latest_arrival_step
+        offer = sim._offer(entry)
+        assert offer.stops == ((2, latest_arrival_step, False),) * 3
+        assert offer.free_slots == seat_free_slots(offer) == ()
+        assert sim.collect_offers() == {}
+        assert sim.live_drivers == 1
 
     def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
         hits = rebuilt = ticks = 0
@@ -826,3 +867,78 @@ class TestBackgroundLoad:
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
                       + report.link_class_counts[(2, LaneClass.CARPOOL)])
         assert report.validation_counts[2] == total_on_2 - background
+
+
+class TestCollectorPause:
+    """``SimState`` pauses the cyclic garbage collector while it is built
+    and while it runs ("Memory" in the ``ridesim.simulation`` docstring)."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_state_restored(self, testbed, enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        sim = SimState(scenario(2.0, {(0, 2): 100.0}), testbed, seed=2)
+        assert gc.isenabled() is enabled
+        sim.run()
+        assert gc.isenabled() is enabled
+
+    def test_restored_when_construction_or_run_raises(self, testbed, monkeypatch):
+        gc.enable()
+        sim = empty_sim(testbed)
+        seed_agent(sim, regular(0, 0, 2, t=0.0))
+
+        def fail(*args):
+            raise SimulationError("handler failed")
+
+        monkeypatch.setattr(SimState, "_handle_agent_enter", fail)
+        with pytest.raises(SimulationError, match="handler failed"):
+            sim.run()
+        assert gc.isenabled()
+        monkeypatch.setattr(simulation, "generate_agents", fail)
+        with pytest.raises(SimulationError, match="handler failed"):
+            empty_sim(testbed)
+        assert gc.isenabled()
+
+    def test_off_while_agents_are_drawn_and_riders_matched(self, testbed, monkeypatch):
+        gc.enable()
+        seen = []
+
+        def recording(inner):
+            def wrapped(*args):
+                seen.append((inner.__name__, gc.isenabled()))
+                return inner(*args)
+            return wrapped
+
+        for name in ("generate_agents", "match_rider"):
+            monkeypatch.setattr(simulation, name, recording(getattr(simulation, name)))
+        transfer_sim(testbed).run()
+        assert seen == [("generate_agents", False), ("match_rider", False)]
+        assert gc.isenabled()
+
+    def test_replication_leaves_no_cyclic_garbage(self, tmp_path):
+        """The premise of the pause: reference counting alone frees all
+        that building, running and dropping a replication allocates, on the
+        bundled validation scenario and on the multi-leg grid."""
+        validation = load_config(bundled_data_path("validation.yaml"),
+                                 {"horizon": 3.0}).with_shares(0.0, 0.0, 1.0)
+        grid = load_config(write_grid(tmp_path), {"seed": 5})
+        for config in (validation, grid):
+            network = config.make_network()
+            gc.collect()
+            gc.disable()  # so any cyclic garbage made below stays to be counted
+            sim = SimState(config, network, config.seed)
+            report = sim.run()
+            assert report.outcomes
+            del sim, report
+            assert gc.collect() == 0, config.network
