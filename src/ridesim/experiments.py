@@ -35,13 +35,12 @@ def replication_seeds(base_seed: int, count: int) -> list[int]:
 def chi_squared_gof(
     observed: dict[int, float],
     expected_proportions: dict[int, float],
-    alpha: float = ALPHA,
 ) -> tuple[float, float, bool]:
     """Pearson goodness-of-fit: (statistic, critical value, reject).
 
     Expected counts are ``proportion * sum(observed)``; degrees of freedom
     are categories minus one; reject iff the statistic exceeds the
-    chi-squared quantile at 1 - alpha.
+    chi-squared quantile at 1 - ``ALPHA``.
     """
     total = sum(observed.values())
     if total <= 0:
@@ -57,7 +56,7 @@ def chi_squared_gof(
         diff = observed.get(key, 0.0) - expected
         statistic += diff * diff / expected
     df = len(expected_proportions) - 1
-    critical = float(stats.chi2.ppf(1.0 - alpha, df))
+    critical = float(stats.chi2.ppf(1.0 - ALPHA, df))
     return statistic, critical, statistic > critical
 
 

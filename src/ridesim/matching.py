@@ -127,8 +127,7 @@ class DriverOffer:
     alone can carry the rider (module docstring, step 1). It raises
     ValueError when the pins' steps decrease or an occupancy goes negative,
     since neither can come from a valid commit. An offer is a value, equal
-    by its fields and never changed once built; ``dataclasses.replace``
-    builds a new one.
+    by its fields and never changed once built.
     """
 
     id: int

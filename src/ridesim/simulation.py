@@ -21,8 +21,8 @@ allocation counts, and most of what a replication allocates stays alive
 until it ends (agents, vehicles, events, outcomes: about 144,000 tracked
 objects after one day of the bundled validation scenario), so each pass
 would walk them again and find no garbage. A run builds no reference
-cycle: a DP label points to its parent label, a vehicle to its agent, an
-offer-index entry to its vehicle and cached offer, an event holds ids, and
+cycle: a DP label points to its parent label, a vehicle to its agent and,
+for a ridesharing driver, to its cached offer, an event holds ids, and
 nothing points back. Reference counting therefore frees every object a
 replication made, at the latest when its ``SimState`` is dropped.
 ``TestCollectorPause`` in ``tests/test_simulation.py`` guards that:
@@ -31,7 +31,6 @@ scenario or of the multi-leg grid leaves no cyclic garbage.
 """
 from __future__ import annotations
 
-import dataclasses
 import gc
 import heapq
 from collections import deque
@@ -83,45 +82,41 @@ def _collector_paused():
             gc.enable()
 
 
-@dataclass
-class LinkState:
-    """Per-link flow bookkeeping, split by lane class."""
+@dataclass(slots=True)
+class Lane:
+    """The flow bookkeeping of one lane class of one link: the times of
+    its recent ``entries``, the vehicles ``in_flight`` on it, its entry
+    ``total`` and the ``background`` share of that total, and its BPR
+    delays memoised by window count (``SimState.link_delay``)."""
 
     link_id: int
-    counts: dict[LaneClass, int] = field(
-        default_factory=lambda: {LaneClass.GENERAL: 0, LaneClass.CARPOOL: 0}
-    )
-    window: dict[LaneClass, deque] = field(
-        default_factory=lambda: {LaneClass.GENERAL: deque(), LaneClass.CARPOOL: deque()}
-    )
-    totals: dict[LaneClass, int] = field(
-        default_factory=lambda: {LaneClass.GENERAL: 0, LaneClass.CARPOOL: 0}
-    )
-    background_totals: dict[LaneClass, int] = field(
-        default_factory=lambda: {LaneClass.GENERAL: 0, LaneClass.CARPOOL: 0}
-    )
+    entries: deque = field(default_factory=deque)
+    in_flight: int = 0
+    total: int = 0
+    background: int = 0
+    delays: dict[int, float] = field(default_factory=dict)
 
-    def window_count(self, lane_class: LaneClass, now: float, window_hours: float) -> int:
+    def window_count(self, now: float, window_hours: float) -> int:
         """Entries of the last ``window_hours`` before ``now``; older ones
         are dropped for good, as the clock never goes back."""
-        entries = self.window[lane_class]
+        entries = self.entries
         cutoff = now - window_hours
         while entries and entries[0] < cutoff:
             entries.popleft()
         return len(entries)
 
-    def record_entry(self, lane_class: LaneClass, now: float, background: bool) -> None:
+    def record_entry(self, now: float, background: bool) -> None:
         """Count an entry; only a vehicle's is in flight until its exit."""
-        self.window[lane_class].append(now)
-        self.totals[lane_class] += 1
+        self.entries.append(now)
+        self.total += 1
         if background:
-            self.background_totals[lane_class] += 1
+            self.background += 1
         else:
-            self.counts[lane_class] += 1
+            self.in_flight += 1
 
-    def record_exit(self, lane_class: LaneClass) -> None:
-        self.counts[lane_class] -= 1
-        if self.counts[lane_class] < 0:
+    def record_exit(self) -> None:
+        self.in_flight -= 1
+        if self.in_flight < 0:
             raise SimulationError(f"link {self.link_id}: exit without entry")
 
 
@@ -158,17 +153,30 @@ class Vehicle:
         return self.arrival_time is None and not self.stranded
 
 
-@dataclass(slots=True)
-class _IndexEntry:
-    """A vehicle in the offer index: the driver's own latest departure and
-    arrival in steps, fixed when it enters, and its cached offer (see
-    ``SimState._offer_at``)."""
+class RideshareVehicle(Vehicle):
+    """A ridesharing driver's vehicle. It adds the driver's own latest
+    departure and arrival in steps, fixed when it enters, and its cached
+    offer with the key it was built under (``SimState._offer_at``); regular
+    drivers' vehicles carry none of these."""
 
-    vehicle: Vehicle
-    latest_departure_step: int
-    latest_arrival_step: int
-    key: Optional[tuple] = None
-    offer: Optional[DriverOffer] = None
+    __slots__ = ("latest_departure_step", "latest_arrival_step", "offer_key", "offer")
+
+    def __init__(self, agent: VehicleAgent, dt: float):
+        super().__init__(agent)
+        self.latest_departure_step = ceil_steps(agent.window.latest_departure, dt)
+        self.latest_arrival_step = ceil_steps(agent.window.latest_arrival, dt)
+        self.offer_key = self.offer = None
+
+    def offer_from(self, anchor_step: int, pins: tuple[Pin, ...]) -> DriverOffer:
+        """The driver's offer from ``anchor_step`` with ``pins`` ahead."""
+        agent = self.agent
+        # fields in order: positional arguments build an offer measurably
+        # faster than keywords, and a scan may build several
+        return DriverOffer(
+            agent.id, self.node, agent.destination, anchor_step,
+            self.latest_departure_step, self.latest_arrival_step,
+            agent.seats, pins, len(self.aboard), self.departure_time is not None,
+        )
 
 
 @dataclass
@@ -228,11 +236,13 @@ class SimState:
         self.horizon = config.horizon
 
         self.clock = 0.0
-        self.link_states = {l.id: LinkState(l.id) for l in network.links}
-        self._delays: dict[tuple[int, LaneClass, int], float] = {}  # see link_delay
+        # links by id, general before carpool: the order of build_report
+        self.lanes = {(link_id, lane_class): Lane(link_id)
+                      for link_id in sorted(l.id for l in network.links)
+                      for lane_class in (LaneClass.GENERAL, LaneClass.CARPOOL)}
         self._link_steps: dict[tuple[int, int, int], int] = {}  # see matching_steps
         self.vehicles: dict[int, Vehicle] = {}
-        self._offer_index: dict[int, _IndexEntry] = {}  # see collect_offers
+        self._offer_index: dict[int, RideshareVehicle] = {}  # see collect_offers
         self.rider_board_time: dict[int, float] = {}
         self.rider_alight_time: dict[int, float] = {}
         self.match_results: dict[int, MatchResult] = {}
@@ -280,15 +290,15 @@ class SimState:
 
     def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:
         """The lane class's BPR delay on the link at the hourly flow of its
-        entry window at ``now``. The delay is memoised on (link id, lane
-        class, entries left in the window): the BPR settings and the window
-        are fixed for the run, so the count alone sets the flow."""
-        count = self.link_states[link_id].window_count(lane_class, now, self.flow_window)
-        key = (link_id, lane_class, count)
+        entry window at ``now``. Each lane memoises its delays on the
+        entries left in its window: the BPR settings and the window are
+        fixed for the run, so the count alone sets the flow."""
+        lane = self.lanes[link_id, lane_class]
+        count = lane.window_count(now, self.flow_window)
         try:
-            return self._delays[key]
+            return lane.delays[count]
         except KeyError:
-            delay = self._delays[key] = volume_delay(
+            delay = lane.delays[count] = volume_delay(
                 self.network.link(link_id), lane_class, count / self.flow_window,
                 self.bpr_alpha, self.bpr_beta)
             return delay
@@ -305,12 +315,11 @@ class SimState:
         least one: the one frozen traffic state the matcher prices and
         commits against. A link's steps are memoised on its two window
         counts, which fix both lane classes' delays (``link_delay``)."""
-        now, window = self.clock, self.flow_window
+        now, window, lanes = self.clock, self.flow_window, self.lanes
         steps = {}
         for link in self.network.links:
-            state = self.link_states[link.id]
-            key = (link.id, state.window_count(LaneClass.GENERAL, now, window),
-                   state.window_count(LaneClass.CARPOOL, now, window))
+            key = (link.id, lanes[link.id, LaneClass.GENERAL].window_count(now, window),
+                   lanes[link.id, LaneClass.CARPOOL].window_count(now, window))
             try:
                 steps[link.id] = self._link_steps[key]
             except KeyError:
@@ -331,7 +340,7 @@ class SimState:
             carpool = self.link_delay(link_id, LaneClass.CARPOOL, now)
             if carpool < delay:
                 lane_class, delay = LaneClass.CARPOOL, carpool
-        self.link_states[link_id].record_entry(lane_class, now, background=False)
+        self.lanes[link_id, lane_class].record_entry(now, background=False)
         if vehicle.departure_time is None:
             vehicle.departure_time = now
         vehicle.node = link.to_node
@@ -407,16 +416,15 @@ class SimState:
         if agent.role is Role.RIDER:
             self._handle_rider_request(agent, now)
             return
-        vehicle = Vehicle(agent)
-        self.vehicles[agent_id] = vehicle
         if agent.role is Role.RIDESHARE_DRIVER:
-            self._offer_index[agent_id] = _IndexEntry(
-                vehicle, ceil_steps(agent.window.latest_departure, self.dt),
-                ceil_steps(agent.window.latest_arrival, self.dt))
+            vehicle = self._offer_index[agent_id] = RideshareVehicle(agent, self.dt)
             self._plan_initial_route(vehicle, now)
+        else:
+            vehicle = Vehicle(agent)
+        self.vehicles[agent_id] = vehicle
         self._advance(vehicle, now)
 
-    def _plan_initial_route(self, vehicle: Vehicle, now: float) -> None:
+    def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
         their latest departure, then drive their own best route; a matching
         commit rewrites this plan."""
@@ -425,8 +433,7 @@ class SimState:
                               agent.origin, agent.destination)
         if path is None:
             return  # the empty route strands the vehicle at its origin
-        step = max(ceil_steps(now, self.dt),
-                   ceil_steps(agent.window.latest_departure, self.dt))
+        step = max(ceil_steps(now, self.dt), vehicle.latest_departure_step)
         steps = []
         for link_id in path:
             steps.append(step)
@@ -454,15 +461,15 @@ class SimState:
 
     def _handle_arrive(self, payload: tuple, now: float) -> None:
         agent_id, link_id, lane_class = payload
-        self.link_states[link_id].record_exit(lane_class)
+        self.lanes[link_id, lane_class].record_exit()
         vehicle = self.vehicles[agent_id]
         vehicle.link_arrival_time = None
         self._advance(vehicle, now)
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
         agent_id, version = payload
-        vehicle = self.vehicles.get(agent_id)
-        if vehicle is None or not vehicle.active or vehicle.link_arrival_time is not None:
+        vehicle = self.vehicles[agent_id]
+        if not vehicle.active or vehicle.link_arrival_time is not None:
             return
         if version != vehicle.plan_version:
             return  # superseded by a later matching commit
@@ -471,7 +478,7 @@ class SimState:
     def _handle_background(self, link_id: int, now: float) -> None:
         # background traffic only loads the entry window that BPR reads; it
         # has no vehicle, so it needs no exit
-        self.link_states[link_id].record_entry(LaneClass.CARPOOL, now, background=True)
+        self.lanes[link_id, LaneClass.CARPOOL].record_entry(now, background=True)
 
     # --------------------------------------------------------------- matching
 
@@ -495,35 +502,32 @@ class SimState:
         (``_offer_at``). A pin-free one has one slot, from its anchor to its
         destination, or none when it has no seat (``demand.seats`` may be
         0) or its anchor step has reached its latest arrival step. It adds
-        that slot by its offer's rule (``matching.free_slot``) from the
-        values its offer would hold, and gets no offer: only a commit
-        builds it.
+        that slot by its offer's rule (``matching.free_slot``) from its own
+        values, and no offer is built for it.
 
         A ridesharing vehicle enters the index when it is created and
         leaves it, for good, the first time ``_live_anchor_step`` finds it
         has nothing left to offer; so after the pass the index holds every
-        live vehicle (``live_drivers``), with a free seat or not. Only a
-        vehicle in the index has an offer, and ``commit_itinerary`` looks
-        each leg's driver up here. An index entry also holds the vehicle's
-        cached offer, so eviction drops both.
+        live vehicle (``live_drivers``), with a free seat or not.
+        ``commit_itinerary`` looks each leg's driver up here, so an evicted
+        vehicle is never given a pin.
         """
         clock_step = ceil_steps(self.clock, self.dt)
         groups: dict[FreeSlot, list[int]] = {}
         evicted = []
-        for agent_id, entry in self._offer_index.items():
-            anchor_step = self._live_anchor_step(entry, clock_step)
+        for agent_id, vehicle in self._offer_index.items():
+            anchor_step = self._live_anchor_step(vehicle, clock_step)
             if anchor_step is None:
                 evicted.append(agent_id)
                 continue
-            vehicle = entry.vehicle
             if vehicle.pins:
-                for slot in self._offer_at(entry, anchor_step).free_slots:
+                for slot in self._offer_at(vehicle, anchor_step).free_slots:
                     groups.setdefault(slot, []).append(agent_id)
             else:
                 agent = vehicle.agent
                 slot = free_slot(vehicle.node, anchor_step, agent.destination,
-                                 entry.latest_arrival_step, len(vehicle.aboard),
-                                 agent.seats, entry.latest_departure_step,
+                                 vehicle.latest_arrival_step, len(vehicle.aboard),
+                                 agent.seats, vehicle.latest_departure_step,
                                  vehicle.departure_time is not None)
                 if slot is not None:
                     groups.setdefault(slot, []).append(agent_id)
@@ -531,23 +535,21 @@ class SimState:
             del self._offer_index[agent_id]
         return groups
 
-    def _live_anchor_step(self, entry: _IndexEntry, clock_step: int) -> Optional[int]:
+    def _live_anchor_step(self, vehicle: RideshareVehicle, clock_step: int) -> Optional[int]:
         """The step from which the indexed vehicle is available at its
         anchor, or None when it has nothing left to offer: inactive, past
         its own latest arrival, or at its destination with no pins.
         ``clock_step`` is the clock's step, the anchor step of a vehicle at
-        its node.
+        its node. The scan and the commit both ask here.
 
         The anchor is where the vehicle is, or the end of the link it is on.
         None is final, so the vehicle can leave the offer index: an inactive
         vehicle never becomes active again; the anchor time never decreases
         (the clock, or the end of the link the vehicle is on), so one past
-        the driver's latest arrival stays past it; and a vehicle with no
-        offer can never be given a pin (the commit reads the same offer), so
-        one bound for its destination with no pins left never gets a route
-        past it.
+        the driver's latest arrival stays past it; and a commit refuses a
+        vehicle for which this is None, so one bound for its destination
+        with no pins left is never given a route past it.
         """
-        vehicle = entry.vehicle
         # ``vehicle.active``, spelt out: the property call is a measurable
         # share of a scan that asks every indexed vehicle
         if vehicle.arrival_time is not None or vehicle.stranded:
@@ -564,77 +566,61 @@ class SimState:
             return None
         return anchor_step
 
-    def _offer(self, entry: _IndexEntry) -> Optional[DriverOffer]:
-        """The indexed vehicle's remaining schedule at the clock, or None
-        when ``_live_anchor_step`` finds nothing left to offer. Its
-        ``free_slots`` are the slots ``collect_offers`` gave the network
-        build, and ``commit_itinerary`` checks each leg against it."""
-        anchor_step = self._live_anchor_step(entry, ceil_steps(self.clock, self.dt))
-        return None if anchor_step is None else self._offer_at(entry, anchor_step)
-
-    def _offer_at(self, entry: _IndexEntry, anchor_step: int) -> DriverOffer:
-        """The live indexed vehicle's offer from ``anchor_step``.
+    def _offer_at(self, vehicle: RideshareVehicle, anchor_step: int) -> DriverOffer:
+        """The live indexed vehicle's offer from ``anchor_step`` with its
+        pins (``RideshareVehicle.offer_from``), for the scan.
 
         The schedule runs from the anchor to the driver's own latest
         arrival step; a driver whose latest departure step has passed leaves
-        by the anchor step (``matching.free_slot``). The entry holds the
-        driver's own latest departure and arrival steps, computed once when
-        it entered, and its offer, cached under the key (``plan_version``,
-        ``node``, pin count, departed, anchor step) and returned while the
-        key repeats. That is exact: every other field is the driver's own,
-        or the steps above; the pins change only by a pop, which shortens
-        them, or by a commit, which bumps ``plan_version``; and ``aboard``
-        changes only as a pin is popped. The cache serves the scan for
-        vehicles with pins and the commit for every leg; a pin-free
-        vehicle's offer is built only when a commit asks for it, since the
-        scan reads its slot from its values.
+        by the anchor step (``matching.free_slot``). The vehicle caches the
+        offer under the key (``plan_version``, ``node``, pin count,
+        departed, anchor step) and returns it while the key repeats. That
+        is exact: every other field is the driver's own, fixed when it
+        entered; the pins change only by a pop, which shortens them, or by
+        a commit, which bumps ``plan_version``; and ``aboard`` changes only
+        as a pin is popped. Only the scan of a vehicle with pins reads the
+        cache: a pin-free vehicle's slot comes from its values, and a
+        commit builds its own candidate offer and bumps ``plan_version``.
         """
-        vehicle = entry.vehicle
-        departed = vehicle.departure_time is not None
         key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
-               departed, anchor_step)
-        if entry.key == key:
-            return entry.offer
-        agent = vehicle.agent
-        # fields in order: positional arguments build an offer measurably
-        # faster than keywords, and a scan may build several
-        offer = DriverOffer(
-            agent.id, vehicle.node, agent.destination, anchor_step,
-            entry.latest_departure_step, entry.latest_arrival_step,
-            agent.seats, tuple(vehicle.pins), len(vehicle.aboard), departed,
-        )
-        entry.key, entry.offer = key, offer
-        return offer
+               vehicle.departure_time is not None, anchor_step)
+        if vehicle.offer_key != key:
+            vehicle.offer = vehicle.offer_from(anchor_step, tuple(vehicle.pins))
+            vehicle.offer_key = key
+        return vehicle.offer
 
     def commit_itinerary(
         self, rider: RiderRequest, itinerary: Itinerary, tau: dict[int, int]
     ) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
 
-        Phase one walks every driver's ``DriverOffer.stops`` chain with the
-        rider's pins added (ordering, travel feasibility, seat capacity, own
-        window) at ``tau``, the link steps the itinerary was solved on;
-        phase two rewrites routes and holds. Returns False when any driver
-        cannot honor the plan or is not in the offer index, leaving all
-        drivers untouched.
+        Phase one builds each leg's driver one candidate offer, from its
+        anchor at the clock (``_live_anchor_step``) with the rider's pins
+        added to its own, and walks its ``DriverOffer.stops`` chain
+        (ordering, travel feasibility, seat capacity, own window) at
+        ``tau``, the link steps the itinerary was solved on; phase two
+        rewrites routes and holds. Returns False when any driver cannot
+        honor the plan or is not live in the offer index, leaving all
+        drivers and every cached offer untouched.
         """
-        plans: list[tuple[Vehicle, list[Pin], list[int], list[int]]] = []
+        clock_step = ceil_steps(self.clock, self.dt)
+        plans: list[tuple[RideshareVehicle, list[Pin], list[int], list[int]]] = []
         for leg in itinerary.legs:
-            entry = self._offer_index.get(leg.driver)
-            offer = self._offer(entry) if entry is not None else None
-            if offer is None:
+            vehicle = self._offer_index.get(leg.driver)
+            anchor_step = (None if vehicle is None
+                           else self._live_anchor_step(vehicle, clock_step))
+            if anchor_step is None:
                 return False
-            vehicle = entry.vehicle
             new_pins = sorted(
                 vehicle.pins
                 + [Pin(leg.board_node, leg.board_step, "board", rider.id),
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)],
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
-            candidate = dataclasses.replace(offer, pins=tuple(new_pins))
-            if max(candidate.occupancies) > offer.seats:
+            candidate = vehicle.offer_from(anchor_step, tuple(new_pins))
+            if max(candidate.occupancies) > candidate.seats:
                 return False
-            ld_step = offer.latest_departure_step
+            ld_step = candidate.latest_departure_step
             stops = candidate.stops
             route: list[int] = []
             entry_steps: list[int] = []
@@ -649,7 +635,7 @@ class SimState:
                 if cursor + travel > to_step:
                     return False
                 depart = cursor
-                if idx == 0 and not offer.departed:
+                if idx == 0 and not candidate.departed:
                     # not yet underway: leave just in time, within the window,
                     # or at the anchor step (cursor) once ld_step has passed
                     depart = max(cursor, min(to_step - travel, ld_step))
@@ -698,11 +684,10 @@ class SimState:
     def build_report(self) -> SimReport:
         class_counts = {}
         validation_counts = {}  # distinct non-background entries per link
-        for link_id, state in sorted(self.link_states.items()):
-            for lane_class in (LaneClass.GENERAL, LaneClass.CARPOOL):
-                class_counts[(link_id, lane_class)] = state.totals[lane_class]
-            validation_counts[link_id] = (sum(state.totals.values())
-                                          - sum(state.background_totals.values()))
+        for (link_id, lane_class), lane in self.lanes.items():
+            class_counts[link_id, lane_class] = lane.total
+            validation_counts[link_id] = (validation_counts.get(link_id, 0)
+                                          + lane.total - lane.background)
         outcomes = []
         riders_total = 0
         riders_matched = 0

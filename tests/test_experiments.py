@@ -35,7 +35,7 @@ class TestChiSquared:
     def test_critical_value_df3(self):
         observed = {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0}
         expected = {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
-        _, critical, _ = chi_squared_gof(observed, expected, alpha=0.05)
+        _, critical, _ = chi_squared_gof(observed, expected)
         assert critical == pytest.approx(7.815, abs=5e-4)
 
     def test_concentrated_mass_rejects(self):

@@ -17,7 +17,7 @@ def route_costs(network: Network, flows=None, weights=CostWeights()):
     config = scenario(1.0, {}, weights={"toll": weights.toll, "time": weights.time})
     sim = SimState(config, network, seed=0)
     for link_id, flow in (flows or {}).items():
-        sim.link_states[link_id].window[LaneClass.GENERAL].extend(
+        sim.lanes[link_id, LaneClass.GENERAL].entries.extend(
             [0.0] * round(flow * sim.flow_window))
     return sim.route_cost_fn(0.0)
 

@@ -137,7 +137,7 @@ class TestVehicleAtNode:
     def test_congested_direct_link_diverts(self, testbed):
         sim = empty_sim(testbed)
         # flood link 0's sliding window so its delay beats the 0.86 h detour
-        window = sim.link_states[0].window[LaneClass.GENERAL]
+        window = sim.lanes[0, LaneClass.GENERAL].entries
         for _ in range(3000):
             window.append(0.0)
         agent = regular(0, 0, 3, t=0.0)
@@ -190,12 +190,24 @@ class TestConservation:
                           unused_capacity=0.25)
         sim = SimState(config, testbed, seed=3)
         report = sim.run(horizon=10.0)  # past the 2 h demand, so all arrive
-        assert sim.link_states[2].background_totals[LaneClass.CARPOOL] > 0
-        for state in sim.link_states.values():
-            for lane_class in LaneClass:
-                assert state.counts[lane_class] == 0
+        assert sim.lanes[2, LaneClass.CARPOOL].background > 0
+        assert len(sim.lanes) == 2 * len(testbed.links)
+        for lane in sim.lanes.values():
+            assert lane.in_flight == 0
         finished = [o for o in report.outcomes if o.arrival is not None]
         assert len(finished) == len(report.outcomes)
+
+    def test_exit_without_entry_names_link(self, testbed):
+        lane = simulation.Lane(7)
+        lane.record_entry(0.0, background=False)
+        lane.record_exit()
+        lane.record_entry(0.1, background=True)  # never in flight
+        with pytest.raises(SimulationError, match="link 7: exit without entry"):
+            lane.record_exit()
+        # an arrival on a lane no vehicle entered is caught the same way
+        sim = empty_sim(testbed)
+        with pytest.raises(SimulationError, match="link 3: exit without entry"):
+            sim._handle_arrive((0, 3, LaneClass.GENERAL), 0.0)
 
 
 class TestDeterminism:
@@ -233,7 +245,7 @@ class TestRidesharing:
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
         # congest link 2's general lanes so the carpool class is faster
-        general = sim.link_states[2].window[LaneClass.GENERAL]
+        general = sim.lanes[2, LaneClass.GENERAL].entries
         for _ in range(3000):
             general.append(0.0)
         report = sim.run()
@@ -243,7 +255,7 @@ class TestRidesharing:
     def test_solo_rideshare_driver_never_uses_carpool(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
-        general = sim.link_states[2].window[LaneClass.GENERAL]
+        general = sim.lanes[2, LaneClass.GENERAL].entries
         for _ in range(3000):
             general.append(0.0)
         report = sim.run()
@@ -496,12 +508,11 @@ def seat_free_slots(offer):
         if occupancies[slot] < offer.seats and s < t)
 
 
-def fresh_entry(sim, vehicle):
-    """An offer-index entry for ``vehicle``, as a ridesharing driver gets
-    one when it enters."""
-    window = vehicle.agent.window
-    return simulation._IndexEntry(vehicle, ceil_steps(window.latest_departure, sim.dt),
-                                  ceil_steps(window.latest_arrival, sim.dt))
+def live_offer(sim, vehicle):
+    """The ridesharing ``vehicle``'s offer at the clock, through its cache,
+    or None when it has nothing left to offer: what the scan asks of it."""
+    anchor_step = sim._live_anchor_step(vehicle, ceil_steps(sim.clock, sim.dt))
+    return None if anchor_step is None else sim._offer_at(vehicle, anchor_step)
 
 
 def grid_sim(tmp_path, seats=None) -> SimState:
@@ -543,19 +554,18 @@ class TestOfferIndex:
                 nonlocal requests, grouped, pin_free
                 # the scan's order is the index's insertion order
                 assert list(sim._offer_index) == sorted(sim._offer_index)
-                cached = {agent_id: entry.offer
-                          for agent_id, entry in sim._offer_index.items()}
+                cached = {agent_id: vehicle.offer
+                          for agent_id, vehicle in sim._offer_index.items()}
                 groups = indexed()
                 full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
                     if vehicle.agent.role is Role.RIDESHARE_DRIVER:
-                        # an evicted vehicle is asked through a fresh entry
-                        entry = sim._offer_index.get(agent_id)
-                        if entry is not None and not vehicle.pins:
+                        # an evicted vehicle is asked too
+                        if agent_id in sim._offer_index and not vehicle.pins:
                             # the scan built no offer for a pin-free driver
-                            assert entry.offer is cached[agent_id], agent_id
-                        offer = sim._offer(entry or fresh_entry(sim, vehicle))
+                            assert vehicle.offer is cached[agent_id], agent_id
+                        offer = live_offer(sim, vehicle)
                         if offer is not None:
                             full.append(offer)
                 # the groups, their order and each group's ids are the full
@@ -592,6 +602,40 @@ class TestOfferIndex:
         assert pin_free > requests
         assert evicted > 0
 
+    def test_commit_builds_one_offer_per_leg(self, testbed, tmp_path, monkeypatch):
+        """Each accepted commit builds one ``DriverOffer`` per leg, its
+        candidate, and leaves every other indexed vehicle's cached offer the
+        same object; pin-free and multi-leg commits are among them."""
+        built = commits = pin_free = multi_leg = 0
+        init = matching.DriverOffer.__post_init__
+
+        def counted(offer):
+            nonlocal built
+            built += 1
+            init(offer)
+
+        monkeypatch.setattr(matching.DriverOffer, "__post_init__", counted)
+        for sim in (transfer_sim(testbed), grid_sim(tmp_path)):
+            def checked(rider, itinerary, tau, sim=sim, commit=sim.commit_itinerary):
+                nonlocal built, commits, pin_free, multi_leg
+                drivers = {leg.driver for leg in itinerary.legs}
+                others = {agent_id: vehicle.offer
+                          for agent_id, vehicle in sim._offer_index.items()
+                          if agent_id not in drivers}
+                pin_free += any(not sim.vehicles[d].pins for d in drivers)
+                built = 0
+                assert commit(rider, itinerary, tau) is True
+                assert built == len(itinerary.legs), itinerary
+                assert all(sim._offer_index[agent_id].offer is offer
+                           for agent_id, offer in others.items())
+                commits += 1
+                multi_leg += len(itinerary.legs) > 1
+                return True
+
+            sim.commit_itinerary = checked
+            sim.run()
+        assert commits > 10 and pin_free > 0 and multi_leg > 0
+
     def test_zero_seat_drivers_counted_never_built(self, tmp_path, monkeypatch):
         """``demand.seats: 0`` drivers have no free slot: every live one is
         in the trace's offers, none reaches the network build, and every
@@ -609,8 +653,8 @@ class TestOfferIndex:
         indexed = sim.collect_offers
 
         def counted():
-            live.append(sum(sim._offer(entry) is not None
-                            for entry in sim._offer_index.values()))
+            live.append(sum(live_offer(sim, vehicle) is not None
+                            for vehicle in sim._offer_index.values()))
             return indexed()
 
         sim.collect_offers = counted
@@ -642,18 +686,18 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None  # back at node 0, now underway
         sim.clock = 0.03
         groups = sim.collect_offers()
-        waiting, departed = (sim._offer(sim._offer_index[i]).free_slots
+        waiting, departed = (live_offer(sim, sim._offer_index[i]).free_slots
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
         assert departed[0][4] == float("inf") != waiting[0][4]
         assert groups == {waiting[0]: [0, 1], departed[0]: [3]}
-        assert sim._offer(sim._offer_index[1]).free_slots == waiting
-        assert sim._offer(sim._offer_index[2]).free_slots == ()
+        assert live_offer(sim, sim._offer_index[1]).free_slots == waiting
+        assert live_offer(sim, sim._offer_index[2]).free_slots == ()
         assert sim.live_drivers == 4
         # past the waiting drivers' latest departure step (6), their slot is
         # left by the anchor step, as their offers' first slot is
         sim.clock = 0.33
-        waiting = sim._offer(sim._offer_index[0]).free_slots
+        waiting = live_offer(sim, sim._offer_index[0]).free_slots
         assert waiting[0][1] == waiting[0][4] == 7
         assert sim.collect_offers()[waiting[0]] == [0, 1]
 
@@ -669,11 +713,12 @@ class TestOfferIndex:
         agent = rideshare(0, 0, 2, t=0.0, fft=0.5)
         seed_agent(sim, agent)
         sim.run(horizon=0.0)  # the driver enters and waits at node 0
-        vehicle, entry = sim.vehicles[0], sim._offer_index[0]
+        vehicle = sim.vehicles[0]
+        assert sim._offer_index[0] is vehicle
         sim.enter_link(vehicle, 0, 0.0)
         vehicle.link_arrival_time = None  # at node 2, its destination
         vehicle.aboard.add(9)
-        latest_arrival_step = entry.latest_arrival_step
+        latest_arrival_step = vehicle.latest_arrival_step
 
         def alight_due(now):
             sim.clock = now
@@ -684,14 +729,14 @@ class TestOfferIndex:
 
         s = alight_due(0.5)
         assert s < latest_arrival_step
-        offer = sim._offer(entry)
+        offer = live_offer(sim, vehicle)
         assert offer.stops == ((2, s, False), (2, s, False),
                                (2, latest_arrival_step, False))
         assert offer.free_slots == seat_free_slots(offer) \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
         assert sim.collect_offers() == {offer.free_slots[0]: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
-        offer = sim._offer(entry)
+        offer = live_offer(sim, vehicle)
         assert offer.stops == ((2, latest_arrival_step, False),) * 3
         assert offer.free_slots == seat_free_slots(offer) == ()
         assert sim.collect_offers() == {}
@@ -703,17 +748,17 @@ class TestOfferIndex:
 
         def checked(sim, request):
             nonlocal hits, rebuilt, ticks
-            for entry in sim._offer_index.values():
-                if not entry.vehicle.active:
+            for vehicle in sim._offer_index.values():
+                if not vehicle.active:
                     continue
-                before, key = entry.offer, entry.key
-                cached = sim._offer(entry)
+                before, key = vehicle.offer, vehicle.offer_key
+                cached = live_offer(sim, vehicle)
                 # a rebuild whose key moved only in its anchor step: a
                 # waiting driver as the clock enters a new step
                 tick = (before is not None and cached is not None
-                        and cached is not before and key[:-1] == entry.key[:-1])
-                entry.key = None  # the next call builds the offer afresh
-                assert cached == sim._offer(entry), request
+                        and cached is not before and key[:-1] == vehicle.offer_key[:-1])
+                vehicle.offer_key = None  # the next call builds the offer afresh
+                assert cached == live_offer(sim, vehicle), request
                 if cached is not None:
                     assert cached.free_slots == seat_free_slots(cached), request
                 hits += before is not None and cached is before
@@ -736,15 +781,14 @@ class TestOfferIndex:
         sim = SimState(scenario(2.0, {(0, 3): 0.0}), net, seed=1)
         seed_agent(sim, rideshare(0, 0, 3, t=0.0, fft=0.53))
         sim.run(horizon=0.0)  # the driver enters and waits at its origin
-        vehicle = sim.vehicles[0]
-        entry = sim._offer_index[0]
+        vehicle = sim._offer_index[0]
         offers = []
 
         def offer_at(now):
             sim.clock = now
-            cached = sim._offer(entry)
-            entry.key = None  # the next call builds the offer afresh
-            assert cached == sim._offer(entry)
+            cached = live_offer(sim, vehicle)
+            vehicle.offer_key = None  # the next call builds the offer afresh
+            assert cached == live_offer(sim, vehicle)
             assert cached.free_slots == seat_free_slots(cached)
             offers.append(cached)
 
@@ -766,10 +810,10 @@ class TestOfferIndex:
         offer_at(0.04)  # a commit replaces them, keeping their count
         vehicle.aboard.add(vehicle.pins.pop(0).rider_id)
         offer_at(0.04)  # a pin is served
-        key = entry.key
+        key = vehicle.offer_key
         vehicle.link_arrival_time = None
         offer_at(0.06)  # it waits at node 1 into step 2
-        assert entry.key[:-1] == key[:-1] and entry.key[-1] == key[-1] + 1
+        assert vehicle.offer_key[:-1] == key[:-1] and vehicle.offer_key[-1] == key[-1] + 1
         assert all(a != b for a, b in itertools.combinations(offers, 2))
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
@@ -777,12 +821,12 @@ class TestOfferIndex:
         agent = rideshare(0, 0, 2, t=0.0, fft=0.72)
         seed_agent(sim, agent)
         sim.run(horizon=0.0)  # the driver enters and waits at its origin
-        entry = sim._offer_index[0]
+        vehicle = sim._offer_index[0]
         sim.clock = agent.window.latest_arrival
-        assert sim._offer(entry) is not None
+        assert live_offer(sim, vehicle) is not None
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
-        assert sim._offer(entry) is None
+        assert live_offer(sim, vehicle) is None
 
 
 class TestLinkDelayMemo:
@@ -796,7 +840,7 @@ class TestLinkDelayMemo:
         calls = 0
 
         def fresh(link, lane_class):
-            count = len(sim.link_states[link.id].window[lane_class])
+            count = len(sim.lanes[link.id, lane_class].entries)
             return volume_delay(link, lane_class, count / sim.flow_window,
                                 sim.bpr_alpha, sim.bpr_beta)
 
@@ -825,7 +869,10 @@ class TestLinkDelayMemo:
         monkeypatch.setattr(SimState, "link_delay", delay_checked)
         monkeypatch.setattr(SimState, "matching_steps", steps_checked)
         sim.run()
-        delays = sim._delays
+        # every lane's memo, keyed as one table: (link id, lane class, count)
+        delays = {(link_id, lane_class, count): delay
+                  for (link_id, lane_class), lane in sim.lanes.items()
+                  for count, delay in lane.delays.items()}
         assert calls > 10 * len(delays)
         # congested: the load raised some delays above free flow
         assert any(delay > network.link(link_id).free_flow_time
@@ -847,7 +894,7 @@ class TestBackgroundLoad:
         sim = SimState(scenario(4.0, self.RATES, unused_capacity=1.0), testbed, seed=2)
         assert EV_BACKGROUND not in [kind for _, _, kind, _ in sim.events]
         sim.run()
-        assert sim.link_states[2].background_totals[LaneClass.CARPOOL] == 0
+        assert sim.lanes[2, LaneClass.CARPOOL].background == 0
 
     def test_rates_scale_with_unused_fraction(self, testbed):
         r25 = carpool_background_rates(testbed, self.RATES, 1.0, 0.25)
@@ -862,7 +909,7 @@ class TestBackgroundLoad:
     def test_background_excluded_from_validation_counts(self, testbed):
         sim = SimState(scenario(4.0, self.RATES, unused_capacity=0.25), testbed, seed=2)
         report = sim.run()
-        background = sim.link_states[2].background_totals[LaneClass.CARPOOL]
+        background = sim.lanes[2, LaneClass.CARPOOL].background
         assert background > 0
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
                       + report.link_class_counts[(2, LaneClass.CARPOOL)])
