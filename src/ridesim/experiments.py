@@ -6,6 +6,10 @@ distribution and applies a goodness-of-fit test. The sweep reruns the
 ridesharing scenario across carpool-lane background levels with common
 random numbers per replication index, reporting mean and spread of the
 match rate.
+
+Each experiment builds, runs, reads and drops one replication at a time,
+inside one pause of the cyclic garbage collector, and reads only a summary
+of it ("Memory" in ``ridesim.simulation``).
 """
 from __future__ import annotations
 
@@ -19,7 +23,8 @@ from scipy import stats
 from .config import ScenarioConfig
 from .network import ConfigError, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
-from .simulation import SimReport, SimState, init_simulation
+from .simulation import (SimReport, SimState, _collector_paused, init_simulation,
+                         matched_share)
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
@@ -120,11 +125,12 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
     )
     totals = {l.id: 0.0 for l in network.links}
     for rep_seed in seeds:
-        sim = init_simulation(base, network, rep_seed)
-        report = sim.run()
-        for link_id, count in report.validation_counts.items():
-            totals[link_id] += count
-        del sim, report  # free this replication before the next is built
+        with _collector_paused():
+            sim = init_simulation(base, network, rep_seed)
+            sim.run()
+            for link_id, count in sim.validation_counts().items():
+                totals[link_id] += count
+            del sim  # free this replication before the collector is back on
     grand_total = sum(totals.values())
     if grand_total <= 0:
         raise ConfigError("validation runs produced zero vehicles")
@@ -207,11 +213,13 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
         rates = []
         riders = 0
         for rep_seed in seeds:
-            sim = init_simulation(scenario, network, rep_seed)
-            report = sim.run()
-            riders += report.riders_total
-            rates.append(report.match_rate)
-            del sim, report  # free this replication before the next is built
+            with _collector_paused():
+                sim = init_simulation(scenario, network, rep_seed)
+                sim.run()
+                total, matched = sim.rider_totals()
+                del sim  # free this replication before the collector is back on
+            riders += total
+            rates.append(matched_share(total, matched))
         mean = float(np.mean(rates)) if rates else 0.0
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"
@@ -224,10 +232,13 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
 
 
 def run_single(config: ScenarioConfig, seed: int | None = None) -> tuple[SimState, SimReport]:
-    """One scenario run with the configured demand and background level."""
+    """One scenario run with the configured demand and background level,
+    and its report."""
     network = config.make_network()
-    sim = init_simulation(config, network, seed if seed is not None else config.seed)
-    return sim, sim.run()
+    with _collector_paused():
+        sim = init_simulation(config, network, seed if seed is not None else config.seed)
+        sim.run()
+        return sim, sim.build_report()
 
 
 def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,

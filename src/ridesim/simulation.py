@@ -12,18 +12,27 @@ that link is the choice the search would make. Ridesharing drivers follow
 committed routes that the matcher may rewrite; each arriving rider triggers
 the matcher exactly once.
 
-Determinism: one event queue ordered by (time, insertion sequence), all
-randomness drawn from generators seeded per replication.
+Determinism: events are handled in (time, insertion sequence) order, all
+randomness drawn from generators seeded per replication. The generated
+agents' entries are not queued: they stay in the generated tuple, which is
+in (time, id) order, and an index walks it beside a heap that holds every
+other event. An entry's sequence number is its agent id, and every pushed
+event's is larger, so an entry is handled before the heap's head exactly
+when its time is not later: the order one heap of every event would give.
 
 Memory: CPython's cyclic garbage collector is paused while a replication is
 built and while it runs (``_collector_paused``). Its passes start on
 allocation counts, and most of what a replication allocates stays alive
-until it ends (agents, vehicles, events, outcomes: about 144,000 tracked
-objects after one day of the bundled validation scenario), so each pass
-would walk them again and find no garbage. A run builds no reference
-cycle: a DP label points to its parent label, a vehicle to its agent and,
-for a ridesharing driver, to its cached offer, an event holds ids, and
-nothing points back. Reference counting therefore frees every object a
+until it ends (agents, vehicles, events: about 144,000 tracked objects
+after one day of the bundled validation scenario), so each pass would walk
+them again and find no garbage. The experiments build, run, read and drop
+each replication inside one pause, reading only a summary
+(``validation_counts``, ``rider_totals``), so no pass runs while a
+replication is alive; ``build_report``, the per-agent table, is built only
+for a single run. A run builds no reference cycle: a DP label points to its
+parent label, a vehicle to its agent and, for a ridesharing driver, to its
+cached offer, an event holds ids or, for an arrival, its vehicle and lane,
+and nothing points back. Reference counting therefore frees every object a
 replication made, at the latest when its ``SimState`` is dropped.
 ``TestCollectorPause`` in ``tests/test_simulation.py`` guards that:
 building, running and dropping a replication of the bundled validation
@@ -62,6 +71,11 @@ EV_AGENT_ENTER = 0
 EV_ARRIVE_NODE = 1
 EV_DEPART_NODE = 2
 EV_BACKGROUND = 3
+
+# the enum members the event handlers read, as module globals: on CPython
+# 3.11 a global read takes about 20 ns, an enum member lookup about 140 ns
+GENERAL, CARPOOL = LaneClass.GENERAL, LaneClass.CARPOOL
+RIDER, RIDESHARE_DRIVER = Role.RIDER, Role.RIDESHARE_DRIVER
 
 
 class SimulationError(ValueError):
@@ -189,6 +203,11 @@ class AgentOutcome:
     stranded: bool = False
 
 
+def matched_share(riders: int, matched: int) -> float:
+    """The match rate: matched riders over riders, 0 with no rider."""
+    return matched / riders if riders else 0.0
+
+
 @dataclass
 class SimReport:
     link_class_counts: dict[tuple[int, LaneClass], int]
@@ -201,9 +220,7 @@ class SimReport:
 
     @property
     def match_rate(self) -> float:
-        if self.riders_total == 0:
-            return 0.0
-        return self.riders_matched / self.riders_total
+        return matched_share(self.riders_total, self.riders_matched)
 
     def mean_travel_time(self) -> float:
         times = [
@@ -239,7 +256,7 @@ class SimState:
         # links by id, general before carpool: the order of build_report
         self.lanes = {(link_id, lane_class): Lane(link_id)
                       for link_id in sorted(l.id for l in network.links)
-                      for lane_class in (LaneClass.GENERAL, LaneClass.CARPOOL)}
+                      for lane_class in (GENERAL, CARPOOL)}
         self._link_steps: dict[tuple[int, int, int], int] = {}  # see matching_steps
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, RideshareVehicle] = {}  # see collect_offers
@@ -251,13 +268,13 @@ class SimState:
         demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
         agents = generate_agents(self.demand, network, demand_seed)
 
-        # agents come sorted by time with ids 0..n-1, so with seq = id the
-        # entries are sorted by (time, seq): already a heap, as n pushes give
+        # agents come sorted by time with ids 0..n-1: their entries are
+        # scheduled in (time, seq) order with seq = id, and every pushed
+        # event's seq is larger ("Determinism" in the module docstring)
         self.agents: dict[int, VehicleAgent] = {agent.id: agent for agent in agents}
-        self.events: list[tuple[float, int, int, object]] = [
-            (agent.request_time, seq, EV_AGENT_ENTER, agent.id)
-            for seq, agent in enumerate(agents)
-        ]
+        self._scheduled: tuple[VehicleAgent, ...] = agents
+        self._next_scheduled = 0
+        self.events: list[tuple[float, int, int, object]] = []
         self._seq = self._next_agent_id = len(agents)
 
         if config.unused_capacity < 1.0:
@@ -281,6 +298,8 @@ class SimState:
     # ------------------------------------------------------------------ events
 
     def push_event(self, time: float, kind: int, payload: object) -> None:
+        """Queue an event on the heap; every event but a generated agent's
+        entry comes through here."""
         if time < self.clock - 1e-12:
             raise SimulationError("event scheduled before the clock")
         heapq.heappush(self.events, (time, self._seq, kind, payload))
@@ -305,9 +324,11 @@ class SimState:
 
     def route_cost_fn(self, now: float) -> Callable:
         """Generalized toll + travel-time cost snapshot for replanning."""
+        link_delay, toll, time = self.link_delay, self.weights.toll, self.weights.time
+
         def cost(link) -> float:
-            delay = self.link_delay(link.id, LaneClass.GENERAL, now)
-            return self.weights.toll * link.toll + self.weights.time * delay
+            delay = link_delay(link.id, GENERAL, now)
+            return toll * link.toll + time * delay
         return cost
 
     def matching_steps(self) -> dict[int, int]:
@@ -318,14 +339,14 @@ class SimState:
         now, window, lanes = self.clock, self.flow_window, self.lanes
         steps = {}
         for link in self.network.links:
-            key = (link.id, lanes[link.id, LaneClass.GENERAL].window_count(now, window),
-                   lanes[link.id, LaneClass.CARPOOL].window_count(now, window))
+            key = (link.id, lanes[link.id, GENERAL].window_count(now, window),
+                   lanes[link.id, CARPOOL].window_count(now, window))
             try:
                 steps[link.id] = self._link_steps[key]
             except KeyError:
-                delay = self.link_delay(link.id, LaneClass.GENERAL, now)
+                delay = self.link_delay(link.id, GENERAL, now)
                 if link.has_carpool_lane:
-                    delay = min(delay, self.link_delay(link.id, LaneClass.CARPOOL, now))
+                    delay = min(delay, self.link_delay(link.id, CARPOOL, now))
                 steps[link.id] = self._link_steps[key] = max(1, ceil_steps(delay, self.dt))
         return steps
 
@@ -333,21 +354,21 @@ class SimState:
 
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
         link = self.network.link(link_id)
-        lane_class = LaneClass.GENERAL
-        delay = self.link_delay(link_id, lane_class, now)
+        lane_class = GENERAL
+        delay = self.link_delay(link_id, GENERAL, now)
         if link.has_carpool_lane and vehicle.aboard:
             # driver plus a rider: the carpool lane when it is faster
-            carpool = self.link_delay(link_id, LaneClass.CARPOOL, now)
+            carpool = self.link_delay(link_id, CARPOOL, now)
             if carpool < delay:
-                lane_class, delay = LaneClass.CARPOOL, carpool
-        self.lanes[link_id, lane_class].record_entry(now, background=False)
+                lane_class, delay = CARPOOL, carpool
+        lane = self.lanes[link_id, lane_class]
+        lane.record_entry(now, background=False)
         if vehicle.departure_time is None:
             vehicle.departure_time = now
         vehicle.node = link.to_node
         vehicle.link_arrival_time = now + delay
-        self.push_event(
-            now + delay, EV_ARRIVE_NODE, (vehicle.agent.id, link_id, lane_class)
-        )
+        # the arrival carries the lane it leaves, so its exit needs no lookup
+        self.push_event(now + delay, EV_ARRIVE_NODE, (vehicle, lane))
 
     def vehicle_at_node(self, vehicle: Vehicle, node: int, now: float) -> Optional[int]:
         """Decide the vehicle's next link at ``node``; None means the trip ends.
@@ -362,7 +383,7 @@ class SimState:
         crash.
         """
         agent = vehicle.agent
-        if agent.role is Role.RIDESHARE_DRIVER:
+        if agent.role is RIDESHARE_DRIVER:
             if vehicle.route_pos < len(vehicle.route):
                 return vehicle.route[vehicle.route_pos]
             vehicle.stranded = node != agent.destination
@@ -411,17 +432,17 @@ class SimState:
 
     # ------------------------------------------------------------ event logic
 
-    def _handle_agent_enter(self, agent_id: int, now: float) -> None:
-        agent = self.agents[agent_id]
-        if agent.role is Role.RIDER:
+    def _handle_agent_enter(self, agent: VehicleAgent, now: float) -> None:
+        role = agent.role
+        if role is RIDER:
             self._handle_rider_request(agent, now)
             return
-        if agent.role is Role.RIDESHARE_DRIVER:
-            vehicle = self._offer_index[agent_id] = RideshareVehicle(agent, self.dt)
+        if role is RIDESHARE_DRIVER:
+            vehicle = self._offer_index[agent.id] = RideshareVehicle(agent, self.dt)
             self._plan_initial_route(vehicle, now)
         else:
             vehicle = Vehicle(agent)
-        self.vehicles[agent_id] = vehicle
+        self.vehicles[agent.id] = vehicle
         self._advance(vehicle, now)
 
     def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
@@ -437,7 +458,7 @@ class SimState:
         steps = []
         for link_id in path:
             steps.append(step)
-            delay = self.link_delay(link_id, LaneClass.GENERAL, now)
+            delay = self.link_delay(link_id, GENERAL, now)
             step += max(1, ceil_steps(delay, self.dt))
         vehicle.route = list(path)
         vehicle.planned_entry_steps = steps
@@ -460,9 +481,8 @@ class SimState:
             self.push_event(now, EV_AGENT_ENTER, fallback.id)
 
     def _handle_arrive(self, payload: tuple, now: float) -> None:
-        agent_id, link_id, lane_class = payload
-        self.lanes[link_id, lane_class].record_exit()
-        vehicle = self.vehicles[agent_id]
+        vehicle, lane = payload
+        lane.record_exit()
         vehicle.link_arrival_time = None
         self._advance(vehicle, now)
 
@@ -478,7 +498,7 @@ class SimState:
     def _handle_background(self, link_id: int, now: float) -> None:
         # background traffic only loads the entry window that BPR reads; it
         # has no vehicle, so it needs no exit
-        self.lanes[link_id, LaneClass.CARPOOL].record_entry(now, background=True)
+        self.lanes[link_id, CARPOOL].record_entry(now, background=True)
 
     # --------------------------------------------------------------- matching
 
@@ -665,40 +685,77 @@ class SimState:
     # ------------------------------------------------------------------- runs
 
     @_collector_paused()
-    def run(self, horizon: Optional[float] = None) -> SimReport:
-        """Process every event with time <= horizon and assemble the report."""
-        limit = self.horizon if horizon is None else horizon
-        while self.events and self.events[0][0] <= limit + 1e-12:
-            time, _, kind, payload = heapq.heappop(self.events)
-            self.clock = time
-            if kind == EV_AGENT_ENTER:
-                self._handle_agent_enter(payload, time)
-            elif kind == EV_ARRIVE_NODE:
-                self._handle_arrive(payload, time)
-            elif kind == EV_DEPART_NODE:
-                self._handle_depart(payload, time)
-            elif kind == EV_BACKGROUND:
-                self._handle_background(payload, time)
-        return self.build_report()
+    def run(self, horizon: Optional[float] = None) -> None:
+        """Process every event with time <= horizon (the scenario's by
+        default), in (time, seq) order: the next scheduled agent entry when
+        its time is not after the heap's head, else the head ("Determinism"
+        in the module docstring). A later call goes on from there. Only
+        events are processed: ``build_report``, ``validation_counts`` and
+        ``rider_totals`` read the results."""
+        limit = (self.horizon if horizon is None else horizon) + 1e-12
+        events, scheduled = self.events, self._scheduled
+        i, n = self._next_scheduled, len(scheduled)
+        heappop = heapq.heappop
+        try:
+            while True:
+                if i < n:
+                    agent = scheduled[i]
+                    time = agent.request_time
+                    if not events or time <= events[0][0]:
+                        if time > limit:
+                            break
+                        i += 1
+                        self.clock = time
+                        self._handle_agent_enter(agent, time)
+                        continue
+                if not events or events[0][0] > limit:
+                    break
+                time, _, kind, payload = heappop(events)
+                self.clock = time
+                if kind == EV_ARRIVE_NODE:
+                    self._handle_arrive(payload, time)
+                elif kind == EV_DEPART_NODE:
+                    self._handle_depart(payload, time)
+                elif kind == EV_BACKGROUND:
+                    self._handle_background(payload, time)
+                else:  # EV_AGENT_ENTER, an unmatched rider's fallback
+                    self._handle_agent_enter(self.agents[payload], time)
+        finally:
+            self._next_scheduled = i
+
+    def validation_counts(self) -> dict[int, int]:
+        """Entries per link so far, both lane classes, without the
+        background load: the counts the validation compares, in link id
+        order."""
+        counts: dict[int, int] = {}
+        for (link_id, _), lane in self.lanes.items():
+            counts[link_id] = counts.get(link_id, 0) + lane.total - lane.background
+        return counts
+
+    def rider_totals(self) -> tuple[int, int]:
+        """(riders, matched riders) so far; the sweep's match rate is
+        ``matched_share`` of them."""
+        riders = matched = 0
+        results = self.match_results
+        for agent_id, agent in self.agents.items():
+            if agent.role is RIDER:
+                riders += 1
+                result = results.get(agent_id)
+                matched += result is not None and result.matched
+        return riders, matched
 
     def build_report(self) -> SimReport:
-        class_counts = {}
-        validation_counts = {}  # distinct non-background entries per link
-        for (link_id, lane_class), lane in self.lanes.items():
-            class_counts[link_id, lane_class] = lane.total
-            validation_counts[link_id] = (validation_counts.get(link_id, 0)
-                                          + lane.total - lane.background)
+        """The run so far as a report: every agent's outcome in id order,
+        each lane class's entries per link, the rider totals and the match
+        trace. The CLI's ``run`` writes it; the experiments read only
+        ``validation_counts`` and ``rider_totals``."""
+        class_counts = {key: lane.total for key, lane in self.lanes.items()}
         outcomes = []
-        riders_total = 0
-        riders_matched = 0
         for agent_id in sorted(self.agents):
             agent = self.agents[agent_id]
-            if agent.role is Role.RIDER:
-                riders_total += 1
+            if agent.role is RIDER:
                 result = self.match_results.get(agent_id)
                 matched = result is not None and result.matched
-                if matched:
-                    riders_matched += 1
                 departure = self.rider_board_time.get(agent_id)
                 arrival = self.rider_alight_time.get(agent_id)
                 outcomes.append(AgentOutcome(agent_id, agent.role, matched,
@@ -710,9 +767,10 @@ class SimState:
                 stranded = vehicle.stranded if vehicle else False
                 outcomes.append(AgentOutcome(agent_id, agent.role, None,
                                              departure, arrival, stranded))
+        riders_total, riders_matched = self.rider_totals()
         return SimReport(
             link_class_counts=class_counts,
-            validation_counts=validation_counts,
+            validation_counts=self.validation_counts(),
             outcomes=outcomes,
             riders_total=riders_total,
             riders_matched=riders_matched,

@@ -174,7 +174,8 @@ def test_criterion_6_carpool_calibration_anchor():
     carpool, general = [], []
     for seed in replication_seeds(baseline.seed, 20):
         sim = init_simulation(baseline, network, seed)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         counts = report.link_class_counts
         carpool.append(counts[(2, LaneClass.CARPOOL)] / baseline.horizon)
         general.append(counts[(2, LaneClass.GENERAL)] / lanes / baseline.horizon)

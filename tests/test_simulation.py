@@ -2,10 +2,13 @@ import dataclasses
 import gc
 import heapq
 import itertools
+import re
+import weakref
 
 import pytest
 import yaml
 
+import ridesim.experiments as experiments
 import ridesim.matching as matching
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
@@ -13,9 +16,12 @@ from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
 from ridesim.matching import Pin, build_time_expanded, ceil_steps
 from ridesim.network import LaneClass, volume_delay
+from ridesim.experiments import write_sim_report
 from ridesim.simulation import (
     EV_AGENT_ENTER,
+    EV_ARRIVE_NODE,
     EV_BACKGROUND,
+    EV_DEPART_NODE,
     SimState,
     SimulationError,
     carpool_background_rates,
@@ -58,6 +64,51 @@ def rider(agent_id, origin, dest, t, fft, flex=0.3):
     )
 
 
+def record_handled(monkeypatch) -> list:
+    """A list that every event any ``SimState`` handles from now on is
+    appended to, as (clock, kind, key); an arrival's key names its vehicle,
+    link and lane class."""
+    log = []
+    keys = {
+        "_handle_agent_enter": (EV_AGENT_ENTER, lambda sim, agent: agent.id),
+        "_handle_arrive": (EV_ARRIVE_NODE, lambda sim, payload: (
+            payload[0].agent.id, payload[1].link_id,
+            payload[1] is sim.lanes[payload[1].link_id, LaneClass.CARPOOL])),
+        "_handle_depart": (EV_DEPART_NODE, lambda sim, payload: payload),
+        "_handle_background": (EV_BACKGROUND, lambda sim, link_id: link_id),
+    }
+    for name, (kind, key) in keys.items():
+        def recording(sim, payload, now, original=getattr(SimState, name),
+                      kind=kind, key=key):
+            log.append((now, kind, key(sim, payload)))
+            return original(sim, payload, now)
+        monkeypatch.setattr(SimState, name, recording)
+    return log
+
+
+def handled_as_one_heap(sim: SimState, reference: SimState, monkeypatch,
+                        horizon=None) -> list:
+    """Run ``sim`` and ``reference``, built alike, to ``horizon``, with
+    ``reference``'s scheduled agent entries moved onto its event heap, each
+    as a push would have put it there with seq = agent id: the one queue of
+    every event whose order the entry stream must give. Assert they handle
+    the same events in the same order and report alike, and return the
+    events handled."""
+    reference.events.extend((agent.request_time, agent.id, EV_AGENT_ENTER, agent.id)
+                            for agent in reference._scheduled)
+    heapq.heapify(reference.events)
+    reference._scheduled = ()
+    log = record_handled(monkeypatch)
+    sim.run(horizon)
+    handled = log[:]
+    log.clear()
+    reference.run(horizon)
+    assert handled == log
+    assert sim.build_report() == reference.build_report()
+    assert sim._seq == reference._seq
+    return handled
+
+
 def transfer_sim(testbed) -> SimState:
     """Rider 2 (0->2) can only be carried by driver 0 (0->1) and then driver 1
     (1->2); both drivers are already in the system when the rider requests,
@@ -86,14 +137,17 @@ def sweep_and_transfer_sims(testbed) -> list[SimState]:
 
 class TestBasicRuns:
     def test_zero_demand_all_zero(self, testbed):
-        report = empty_sim(testbed).run()
+        sim = empty_sim(testbed)
+        sim.run()
+        report = sim.build_report()
         assert all(c == 0 for c in report.validation_counts.values())
         assert report.outcomes == []
 
     def test_single_regular_driver_free_flow(self, testbed):
         sim = empty_sim(testbed)
         seed_agent(sim, regular(0, 0, 3, t=0.0))
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert report.validation_counts == {0: 1, 1: 0, 2: 0, 3: 0}
         outcome = report.outcomes[0]
         assert outcome.arrival - outcome.departure == pytest.approx(0.55)
@@ -101,7 +155,8 @@ class TestBasicRuns:
     def test_two_leg_regular_trip(self, testbed):
         sim = empty_sim(testbed)
         seed_agent(sim, regular(0, 0, 2, t=0.0))
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert report.validation_counts == {0: 0, 1: 1, 2: 1, 3: 0}
         outcome = report.outcomes[0]
         assert outcome.arrival - outcome.departure == pytest.approx(0.72)
@@ -147,7 +202,8 @@ class TestVehicleAtNode:
     def test_unreachable_destination_strands(self, testbed):
         sim = empty_sim(testbed)
         seed_agent(sim, regular(0, 2, 3, t=0.0))  # node 2 has no outgoing links
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert report.stranded_count == 1
         [outcome] = report.outcomes
         assert outcome.stranded
@@ -189,7 +245,8 @@ class TestConservation:
         config = scenario(2.0, {(0, 2): 50.0, (0, 3): 30.0, (1, 3): 40.0},
                           unused_capacity=0.25)
         sim = SimState(config, testbed, seed=3)
-        report = sim.run(horizon=10.0)  # past the 2 h demand, so all arrive
+        sim.run(horizon=10.0)  # past the 2 h demand, so all arrive
+        report = sim.build_report()
         assert sim.lanes[2, LaneClass.CARPOOL].background > 0
         assert len(sim.lanes) == 2 * len(testbed.links)
         for lane in sim.lanes.values():
@@ -206,8 +263,9 @@ class TestConservation:
             lane.record_exit()
         # an arrival on a lane no vehicle entered is caught the same way
         sim = empty_sim(testbed)
+        vehicle = simulation.Vehicle(regular(0, 0, 3, t=0.0))
         with pytest.raises(SimulationError, match="link 3: exit without entry"):
-            sim._handle_arrive((0, 3, LaneClass.GENERAL), 0.0)
+            sim._handle_arrive((vehicle, sim.lanes[3, LaneClass.GENERAL]), 0.0)
 
 
 class TestDeterminism:
@@ -215,7 +273,9 @@ class TestDeterminism:
         config = scenario(3.0, {(0, 2): 80.0, (1, 3): 60.0}, (0.1, 0.4, 0.5))
 
         def run_once():
-            return SimState(config, testbed, seed=11).run(horizon=6.0)
+            sim = SimState(config, testbed, seed=11)
+            sim.run(horizon=6.0)
+            return sim.build_report()
 
         a, b = run_once(), run_once()
         assert a.link_class_counts == b.link_class_counts
@@ -230,7 +290,8 @@ class TestRidesharing:
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert sim.match_results[1].matched
         assert report.riders_matched == 1
         outcome = next(o for o in report.outcomes if o.agent_id == 1)
@@ -248,7 +309,8 @@ class TestRidesharing:
         general = sim.lanes[2, LaneClass.GENERAL].entries
         for _ in range(3000):
             general.append(0.0)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert sim.match_results[1].matched
         assert report.link_class_counts[(2, LaneClass.CARPOOL)] == 1
 
@@ -258,7 +320,8 @@ class TestRidesharing:
         general = sim.lanes[2, LaneClass.GENERAL].entries
         for _ in range(3000):
             general.append(0.0)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert report.link_class_counts[(2, LaneClass.CARPOOL)] == 0
         assert report.link_class_counts[(2, LaneClass.GENERAL)] == 1
 
@@ -283,7 +346,8 @@ class TestRidesharing:
     def test_unmatched_rider_falls_back(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert not sim.match_results[1].matched
         assert report.riders_matched == 0
         # the fallback drives the same trip like any regular driver
@@ -301,7 +365,8 @@ class TestRidesharing:
             window=TimeWindow(0.2, 0.2, 0.21, 0.21),
         )
         seed_agent(sim, tight)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert report.match_rate == 0.0
         # driver's own trip plus the fallback's two links
         assert report.validation_counts == {0: 0, 1: 2, 2: 2, 3: 0}
@@ -319,7 +384,8 @@ class TestRidesharing:
 
     def test_transfer_across_two_drivers(self, testbed):
         sim = transfer_sim(testbed)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert sim.match_results[2].matched
         legs = sim.match_results[2].itinerary.legs
         assert [leg.driver for leg in legs] == [0, 1]
@@ -355,37 +421,83 @@ class TestRidesharing:
 
 
 class TestInitSimulation:
-    def test_default_config_ready_to_run(self, testbed):
-        from ridesim.config import bundled_data_path, load_config
-        from ridesim.simulation import init_simulation
-
+    def test_default_config_ready_to_run(self, testbed, monkeypatch):
         config = load_config(bundled_data_path("validation.yaml"))
         sim = init_simulation(config, testbed, seed=7)
         assert sim.clock == 0.0
-        assert sim.events
+        # every generated agent's entry is scheduled, in (time, id) order,
+        # and the heap is empty: the validation has no background load
+        scheduled = sim._scheduled
+        assert len(scheduled) == len(sim.agents) > 1000
+        assert [agent.id for agent in scheduled] == list(range(len(scheduled)))
+        assert [a.request_time for a in scheduled] == sorted(a.request_time for a in scheduled)
+        assert sim.events == [] and sim._seq == len(scheduled)
+        handled = handled_as_one_heap(sim, init_simulation(config, testbed, seed=7),
+                                      monkeypatch, horizon=2.0)
+        assert {kind for _, kind, _ in handled} == {EV_AGENT_ENTER, EV_ARRIVE_NODE}
 
     @pytest.mark.parametrize("unused", [1.0, 0.25])
-    def test_initial_events_pop_as_pushed(self, testbed, unused):
-        # agent entries are laid down as a ready heap, not pushed one by one
+    def test_initial_events_pop_as_pushed(self, testbed, monkeypatch, unused):
+        """Scheduled entries beside the heap are handled in the order one
+        heap of every push gives, with riders, drivers, holds and background
+        load."""
         config = scenario(4.0, {(0, 2): 100.0, (1, 2): 200.0}, (0.1, 0.4, 0.5),
                           unused_capacity=unused)
         sim = SimState(config, testbed, seed=2)
-        kinds = [kind for _, _, kind, _ in sim.events]
-        assert kinds.count(EV_AGENT_ENTER) == len(sim.agents) > 100
-        assert (EV_BACKGROUND in kinds) == (unused < 1.0)
-        pushed = empty_sim(testbed)
-        for time, _, kind, payload in sorted(sim.events, key=lambda e: e[1]):
-            pushed.push_event(time, kind, payload)
-        ready = list(sim.events)
-        assert ([heapq.heappop(ready) for _ in range(len(kinds))]
-                == [heapq.heappop(pushed.events) for _ in range(len(kinds))])
-        assert sim._seq == pushed._seq
+        assert len(sim._scheduled) == len(sim.agents) > 100
+        # only the background load is queued, after every entry's seq
+        assert all(kind == EV_BACKGROUND and seq >= len(sim.agents)
+                   for _, seq, kind, _ in sim.events)
+        assert bool(sim.events) == (unused < 1.0)
+        handled = handled_as_one_heap(sim, SimState(config, testbed, seed=2), monkeypatch)
+        kinds = {kind for _, kind, _ in handled}
+        assert kinds == {EV_AGENT_ENTER, EV_ARRIVE_NODE, EV_DEPART_NODE} | (
+            {EV_BACKGROUND} if unused < 1.0 else set())
+        assert any(result.matched for result in sim.match_results.values())
+
+    def test_entry_tied_with_background_and_fallback(self, testbed, monkeypatch):
+        """At one time, scheduled entries go before a queued background
+        event and an unmatched rider's fallback entry: an entry's seq is its
+        id, below every pushed seq."""
+        agents = (rider(0, 0, 2, t=0.5, fft=0.72), regular(1, 0, 2, t=0.5),
+                  regular(2, 1, 2, t=0.7))
+        monkeypatch.setattr(simulation, "generate_agents", lambda *args: agents)
+
+        def tied():
+            sim = empty_sim(testbed)
+            sim.push_event(0.5, EV_BACKGROUND, 2)
+            return sim
+
+        handled = handled_as_one_heap(tied(), tied(), monkeypatch)
+        assert handled[:4] == [(0.5, EV_AGENT_ENTER, 0), (0.5, EV_AGENT_ENTER, 1),
+                               (0.5, EV_BACKGROUND, 2), (0.5, EV_AGENT_ENTER, 3)]
+        assert (0.7, EV_AGENT_ENTER, 2) in handled
+
+    def test_resumed_run_equals_one_run(self, testbed, tmp_path):
+        config = scenario(4.0, {(0, 2): 100.0, (1, 2): 200.0}, (0.1, 0.4, 0.5),
+                          unused_capacity=0.25)
+        whole = SimState(config, testbed, seed=2)
+        whole.run()
+        split = SimState(config, testbed, seed=2)
+        split.run(horizon=1.3)
+        assert 0 < split._next_scheduled < len(split._scheduled)
+        split.run()
+        assert split.build_report() == whole.build_report()
+        for name, sim in (("whole", whole), ("split", split)):
+            write_sim_report(sim.build_report(), tmp_path / name, config.fingerprint(), 2)
+        written = sorted(path.name for path in (tmp_path / "whole").iterdir())
+        assert "match_trace.csv" in written
+        assert sorted(path.name for path in (tmp_path / "split").iterdir()) == written
+        for name in written:
+            assert (tmp_path / "split" / name).read_bytes() == \
+                (tmp_path / "whole" / name).read_bytes(), name
 
     def test_match_trace_collected(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         assert len(report.match_trace) == 1
         row = report.match_trace[0]
         assert row["rider_id"] == 1
@@ -908,7 +1020,8 @@ class TestBackgroundLoad:
 
     def test_background_excluded_from_validation_counts(self, testbed):
         sim = SimState(scenario(4.0, self.RATES, unused_capacity=0.25), testbed, seed=2)
-        report = sim.run()
+        sim.run()
+        report = sim.build_report()
         background = sim.lanes[2, LaneClass.CARPOOL].background
         assert background > 0
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
@@ -973,6 +1086,53 @@ class TestCollectorPause:
         assert seen == [("generate_agents", False), ("match_rider", False)]
         assert gc.isenabled()
 
+    @pytest.mark.parametrize("experiment", ["validation", "sweep"])
+    def test_experiments_pass_no_collection_over_replications(self, monkeypatch,
+                                                             experiment):
+        """``run_validation`` and ``run_capacity_sweep`` build, run, read
+        and drop each replication inside one pause: the collector makes no
+        pass while a replication is alive, and, once a first call has
+        filled the interpreter's free lists (whose frees the collector's
+        allocation count does not see), none from the first replication's
+        build to the last one's drop."""
+        if experiment == "validation":
+            config = load_config(bundled_data_path("validation.yaml"),
+                                 {"horizon": 3.0, "replications": 2})
+            run, replications = experiments.run_validation, 2
+        else:
+            config = load_config(bundled_data_path("sweep.yaml"),
+                                 {"horizon": 1.0, "replications": 2})
+            run, replications = experiments.run_capacity_sweep, 2 * len(config.levels)
+        log = []
+        build = experiments.init_simulation
+
+        def recording(*args):
+            log.append("b")
+            sim = build(*args)
+            weakref.finalize(sim, log.append, "d")
+            return sim
+
+        def on_pass(phase, info):
+            if phase == "start":
+                log.append("p")
+
+        monkeypatch.setattr(experiments, "init_simulation", recording)
+        gc.enable()
+        gc.collect()  # this also empties the free lists
+        gc.callbacks.append(on_pass)
+        try:
+            for _ in range(2):
+                log.clear()
+                run(config)
+                # build, drop, pass: one replication at a time, no pass
+                # while one is alive
+                events = "".join(log)
+                assert re.fullmatch("p*(bdp*)+", events), events
+                assert events.count("b") == replications
+        finally:
+            gc.callbacks.remove(on_pass)
+        assert "p" not in events.strip("p"), events
+
     def test_replication_leaves_no_cyclic_garbage(self, tmp_path):
         """The premise of the pause: reference counting alone frees all
         that building, running and dropping a replication allocates, on the
@@ -985,7 +1145,8 @@ class TestCollectorPause:
             gc.collect()
             gc.disable()  # so any cyclic garbage made below stays to be counted
             sim = SimState(config, network, config.seed)
-            report = sim.run()
+            sim.run()
+            report = sim.build_report()
             assert report.outcomes
             del sim, report
             assert gc.collect() == 0, config.network
