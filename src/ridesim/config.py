@@ -3,10 +3,11 @@
 A scenario file names the network, the demand model and every numeric knob
 of the simulator. The dataclasses below are its schema: a YAML key is its
 field's name, an absent key takes the field's default, and the field's
-declared type picks the reader (see ``_read``). Unknown keys are rejected
-everywhere, and every error names the offending key. The fingerprint hashes
-the resolved configuration together with the network file contents, so a
-report can state exactly what produced it.
+declared type picks the reader (see ``network.read_section``, which reads
+network files too). Unknown keys are rejected everywhere, and every error
+names the offending key. The fingerprint hashes the resolved configuration
+together with the network file contents, so a report can state exactly what
+produced it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -24,8 +24,7 @@ import yaml
 
 from .demand import (DemandSpec, Shares, calibrate_od_rates,
                      default_od_pairs)
-from .network import (ConfigError, Network, load_network, number, read_yaml,
-                      whole_number)
+from .network import ConfigError, Network, load_network, number, read_section, read_yaml
 from .routing import CostWeights
 
 
@@ -33,13 +32,16 @@ def _od_map(value: object, key: str) -> dict[tuple[int, int], float]:
     """``{"origin-dest": value}`` as ``{(origin, dest): float}``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping")
-    parsed = {}
+    parsed, spelled = {}, {}
     for od, rate in value.items():
         try:
             origin, dest = map(int, str(od).split("-"))
         except ValueError as exc:
             raise ConfigError(f"{key}: bad O-D key {od!r}; "
                               f"expected 'origin-dest'") from exc
+        if spelled.setdefault((origin, dest), od) != od:
+            raise ConfigError(f"{key}: O-D keys {spelled[origin, dest]!r} and "
+                              f"{od!r} name one pair")
         parsed[origin, dest] = number(rate, f"{key}.{od}")
     return parsed
 
@@ -51,57 +53,6 @@ def _od_rates(value: object, key: str) -> Optional[dict[tuple[int, int], float]]
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be 'calibrated' or a map")
     return _od_map(value, key)
-
-
-def _levels(value: object, key: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{key} must be a list")
-    return tuple(number(level, key) for level in value)
-
-
-def _path(value: object, key: str) -> Path:
-    if not isinstance(value, (str, Path)):
-        raise ConfigError(f"{key} must be a path, got {value!r}")
-    return Path(value)
-
-
-def _optional_number(value: object, key: str) -> Optional[float]:
-    return None if value is None else number(value, key)
-
-
-# the reader of each field type without a ``read`` of its own; a dataclass
-# type is a nested section
-_READERS = {float: number, int: whole_number, Optional[float]: _optional_number,
-            Path: _path}
-
-
-def _read(cls: type, mapping: object, where: str):
-    """The schema dataclass ``cls`` read from one section of a scenario file.
-
-    A key is its field's name, and an absent key takes the field's default.
-    A value is read by the field's ``read`` metadata if it has one, else by
-    the reader of its type; a dataclass type is a nested section, read by
-    this same rule. ``where`` names the section ("" at the top level), and
-    every error names ``where.key``.
-    """
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    prefix = f"{where}." if where else ""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(f"{prefix}{key}" for key in mapping if key not in fields)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown}")
-    types = typing.get_type_hints(cls)
-    values = {}
-    for name, value in mapping.items():
-        key, kind = f"{prefix}{name}", types[name]
-        if "read" in fields[name].metadata:
-            values[name] = fields[name].metadata["read"](value, key)
-        elif dataclasses.is_dataclass(kind):
-            values[name] = _read(kind, value, key)
-        else:
-            values[name] = _READERS[kind](value, key)
-    return cls(**values)
 
 
 # pinned when the file names no pins: the free split of the shared-corridor
@@ -170,8 +121,7 @@ class ScenarioConfig:
     validation_error_threshold: float = 0.01
     output_dir: Path = Path("out")
     demand: DemandConfig = DemandConfig()
-    levels: tuple[float, ...] = field(default=(1.0, 0.75, 0.5, 0.25),
-                                      metadata={"read": _levels})
+    levels: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
 
     def __post_init__(self) -> None:
         if not 0 < self.horizon < math.inf:
@@ -285,6 +235,6 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     given = {key: value for key, value in (overrides or {}).items() if value is not None}
-    config = _read(ScenarioConfig, {**raw, **given}, "")
+    config = read_section(ScenarioConfig, {**raw, **given}, "")
     return dataclasses.replace(
         config, network=_resolve_network_path(config.network, path.parent))

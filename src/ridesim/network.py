@@ -1,17 +1,21 @@
-"""Directed highway network: file ingestion and the flow-dependent travel time.
+"""Directed highway network, the reader of every input file, and the
+flow-dependent travel time.
 
-The network file is YAML with a ``nodes`` list and a ``links`` array; see
-``data/la_testbed.yaml`` for the bundled four-link testbed. Unknown keys are
-rejected so typos fail loudly. Values are read by ``whole_number`` and
-``number``, the rules scenario files are read by too, and each error names
-``nodes[j]`` or ``links[i].<field>``.
+Both input files, the scenario and the network, are read by ``read_section``
+from schema dataclasses. The network file is YAML with a ``nodes`` list and
+a ``links`` list (the schema is ``Network`` and ``Link``); see
+``data/la_testbed.yaml`` for the bundled four-link testbed.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Optional
 
 import yaml
 
@@ -51,16 +55,87 @@ def number(value: object, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
+def _truth(value: object, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _path(value: object, key: str) -> Path:
+    if not isinstance(value, (str, Path)):
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return Path(value)
+
+
+def _optional_number(value: object, key: str) -> Optional[float]:
+    return None if value is None else number(value, key)
+
+
+def _items(read_item, value: object, key: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list")
+    return tuple(read_item(item, f"{key}[{i}]") for i, item in enumerate(value))
+
+
+# the reader of each field type without a ``read`` of its own; a dataclass
+# type is a nested section and ``tuple[X, ...]`` a list of X
+_READERS = {float: number, int: whole_number, bool: _truth,
+            Optional[float]: _optional_number, Path: _path}
+
+
+def _reader(kind):
+    if dataclasses.is_dataclass(kind):
+        return functools.partial(read_section, kind)
+    if typing.get_origin(kind) is tuple:
+        return functools.partial(_items, _reader(typing.get_args(kind)[0]))
+    return _READERS[kind]
+
+
+@functools.cache
+def _schema(cls: type) -> dict[str, tuple[str, object, bool]]:
+    """(field name, reader, required) of each field of ``cls`` by its file
+    key; built once per class, as ``get_type_hints`` is slow."""
+    types = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name):
+            (f.name, f.metadata.get("read") or _reader(types[f.name]),
+             f.default is f.default_factory is dataclasses.MISSING)
+            for f in dataclasses.fields(cls)}
+
+
+def read_section(cls: type, mapping: object, where: str):
+    """The schema dataclass ``cls`` read from one section of an input file.
+
+    A key is its field's ``key`` metadata, else its name. A field with no
+    default must be given; an absent key takes the field's default. A value
+    is read by the field's ``read`` metadata if it has one, else by the
+    reader of its type; a dataclass type is a nested section, read by this
+    same rule, and ``tuple[X, ...]`` a list whose items are read as X.
+    ``where`` names the section ("" at the top level), and every error names
+    ``where.key``, or ``where.key[i]`` for a list item.
+    """
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    prefix = f"{where}." if where else ""
+    schema = _schema(cls)
+    unknown = sorted(f"{prefix}{key}" for key in mapping if key not in schema)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}")
+    missing = sorted(f"{prefix}{key}" for key, (_, _, required) in schema.items()
+                     if required and key not in mapping)
+    if missing:
+        raise ConfigError(f"missing key(s) {missing}")
+    values = {}
+    for key, value in mapping.items():
+        name, read, _ = schema[key]
+        values[name] = read(value, f"{prefix}{key}")
+    return cls(**values)
 
 
 @dataclass(frozen=True)
 class Link:
     id: int
-    from_node: int
-    to_node: int
+    from_node: int = field(metadata={"key": "from"})
+    to_node: int = field(metadata={"key": "to"})
     length: float               # miles
     free_flow_time: float       # hours
     has_carpool_lane: bool
@@ -105,19 +180,26 @@ class Link:
         return 1 if lane_class is LaneClass.CARPOOL else self.general_lanes
 
 
+def _unique(ids: typing.Iterable[int], where: str) -> dict[int, int]:
+    """The position of each id; a repeated id raises ConfigError naming
+    both its places."""
+    first: dict[int, int] = {}
+    for position, id_ in enumerate(ids):
+        if id_ in first:
+            raise ConfigError(f"duplicate id {id_} at {where}[{first[id_]}] "
+                              f"and {where}[{position}]")
+        first[id_] = position
+    return first
+
+
 @dataclass(frozen=True)
 class Network:
-    nodes: tuple[Node, ...]
+    nodes: tuple[int, ...]
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
-            raise ConfigError("duplicate node ids")
-        known = set(node_ids)
-        link_ids = [l.id for l in self.links]
-        if len(set(link_ids)) != len(link_ids):
-            raise ConfigError("duplicate link ids")
+        known = _unique(self.nodes, "nodes")
+        _unique((l.id for l in self.links), "links")
         for index, link in enumerate(self.links):
             link.validate(index)
             for end in (link.from_node, link.to_node):
@@ -125,12 +207,12 @@ class Network:
                     raise ConfigError(
                         f"link {link.id}: endpoint node {end} not declared"
                     )
-        adjacency: dict[int, list[int]] = {n: [] for n in node_ids}
+        adjacency: dict[int, list[int]] = {n: [] for n in self.nodes}
         for link in sorted(self.links, key=lambda l: l.id):
             adjacency[link.from_node].append(link.id)
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
-        object.__setattr__(self, "_node_ids", tuple(sorted(node_ids)))
+        object.__setattr__(self, "_node_ids", tuple(sorted(self.nodes)))
         object.__setattr__(self, "_next_hops", {})
 
     @property
@@ -184,39 +266,6 @@ class Network:
         return [l for l in self.links if l.has_carpool_lane]
 
 
-_LINK_REQUIRED = {"id", "from", "to", "length", "free_flow_time", "has_carpool_lane"}
-# the reader of each optional field; an absent one takes ``Link``'s default
-_LINK_OPTIONAL = {"general_lanes": whole_number, "lane_capacity": number,
-                  "toll": number, "observed_daily_flow": number}
-
-
-def _parse_link(entry: dict, index: int) -> Link:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"links[{index}]: expected a mapping")
-    keys = set(entry)
-    missing = _LINK_REQUIRED - keys
-    if missing:
-        raise ConfigError(f"links[{index}]: missing field(s) {sorted(missing)}")
-    unknown = keys - _LINK_REQUIRED - _LINK_OPTIONAL.keys()
-    if unknown:
-        raise ConfigError(f"links[{index}]: unknown field(s) {sorted(unknown)}")
-    where = f"links[{index}]"
-    carpool = entry["has_carpool_lane"]
-    if not isinstance(carpool, bool):
-        raise ConfigError(f"{where}.has_carpool_lane must be true or false, "
-                                 f"got {carpool!r}")
-    return Link(
-        id=whole_number(entry["id"], f"{where}.id"),
-        from_node=whole_number(entry["from"], f"{where}.from"),
-        to_node=whole_number(entry["to"], f"{where}.to"),
-        length=number(entry["length"], f"{where}.length"),
-        free_flow_time=number(entry["free_flow_time"], f"{where}.free_flow_time"),
-        has_carpool_lane=carpool,
-        **{name: read(entry[name], f"{where}.{name}")
-           for name, read in _LINK_OPTIONAL.items() if name in entry},
-    )
-
-
 # libyaml's parser where PyYAML was built with it; the resolver and the
 # constructor are PyYAML's either way, so the values equal ``yaml.safe_load``'s
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -231,27 +280,16 @@ def load_network(path: str | Path) -> Network:
     """Load and validate a network file.
 
     Raises ConfigError on a malformed file or a broken invariant, naming
-    the offending field (and, for a link, its id).
+    the file and the offending field (and, for a link, its id).
     """
     path = Path(path)
     try:
         raw = read_yaml(path)
-    except yaml.YAMLError as exc:
+        if not isinstance(raw, dict):
+            raise ConfigError("top level must be a mapping")
+        return read_section(Network, raw, "")
+    except (yaml.YAMLError, ConfigError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-    unknown = set(raw) - {"nodes", "links"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level key(s) {sorted(unknown)}")
-    if "nodes" not in raw or "links" not in raw:
-        raise ConfigError(f"{path}: 'nodes' and 'links' are required")
-    if not isinstance(raw["nodes"], list):
-        raise ConfigError(f"{path}: 'nodes' must be a list of node ids")
-    if not isinstance(raw["links"], list):
-        raise ConfigError(f"{path}: 'links' must be an array")
-    nodes = tuple(Node(whole_number(n, f"nodes[{j}]")) for j, n in enumerate(raw["nodes"]))
-    links = tuple(_parse_link(entry, i) for i, entry in enumerate(raw["links"]))
-    return Network(nodes=nodes, links=links)
 
 
 def flow_distribution(counts: dict[int, float]) -> dict[int, float]:

@@ -5,7 +5,7 @@ import pytest
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
 from ridesim.matching import DriverOffer, RiderRequest, ceil_steps
-from ridesim.network import Link, Network, Node, load_network
+from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
 
 # dyadic step size so itinerary costs are exactly representable floats;
@@ -62,7 +62,7 @@ def make_network(links: list[tuple[int, int, float]]) -> Network:
     """Network from (from, to, free_flow_time) triples; lengths keep speeds sane."""
     nodes = sorted({n for a, b, _ in links for n in (a, b)})
     return Network(
-        nodes=tuple(Node(n) for n in nodes),
+        nodes=tuple(nodes),
         links=tuple(
             Link(id=i, from_node=a, to_node=b, length=max(t * 50.0, 0.1),
                  free_flow_time=t, has_carpool_lane=False)

@@ -160,7 +160,15 @@ BAD_INPUTS = {
     "missing-link-field": ({}, lambda net: net["links"][0].pop("free_flow_time"),
                            [], "free_flow_time"),
     "duplicate-link-id": ({}, lambda net: net["links"][1].update(id=0),
-                          [], "duplicate link ids"),
+                          [], "duplicate id 0 at links[0] and links[1]"),
+    "duplicate-node-id": ({}, lambda net: net["nodes"].__setitem__(2, 0),
+                          [], "duplicate id 0 at nodes[0] and nodes[2]"),
+    "missing-links": ({}, lambda net: net.pop("links"), [], "missing key(s) ['links']"),
+    "link-not-a-mapping": ({}, lambda net: net["links"].__setitem__(1, 5),
+                           [], "links[1] must be a mapping"),
+    "nodes-not-a-list": ({}, lambda net: net.update(nodes=4), [], "nodes must be a list"),
+    "unknown-network-key": ({}, lambda net: net.update(extra=1), [],
+                            "unknown key(s) ['extra']"),
     "fractional-general-lanes": ({}, lambda net: net["links"][0].update(general_lanes=2.5),
                                  [], "links[0].general_lanes"),
     "bool-link-length": ({}, lambda net: net["links"][0].update(length=True),
@@ -196,6 +204,8 @@ BAD_INPUTS = {
                            [], "demand.od_rates.0-0"),
     "integer-od-key": ({"demand": {"od_rates": {5: 1.0}}}, None, [],
                        "demand.od_rates: bad O-D key 5"),
+    "duplicate-od-pair": ({"demand": {"od_rates": {"0-2": 5.0, "00-2": 7.0}}}, None, [],
+                          "demand.od_rates: O-D keys '0-2' and '00-2' name one pair"),
     "disconnected-pin": ({"demand": {"calibration_fixed_daily": {"2-0": 5.0}}}, None,
                          [], "demand.calibration_fixed_daily.2-0"),
     "unknown-node-pin": ({"demand": {"calibration_fixed_daily": {"0-9": 5.0}}}, None,
@@ -284,7 +294,10 @@ def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys)
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(raw))
     assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err
+    if network_edit is not None and not named.startswith("demand."):
+        assert raw["network"] in err  # an error in the network file names it
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -74,6 +74,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="level"):
             load_config(path)
 
+    def test_bad_level_item_named(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("levels: [0.5, true]\n")
+        with pytest.raises(ConfigError, match=r"^levels\[1\] must be a number"):
+            load_config(path)
+
     @pytest.mark.parametrize("section, value", [
         ("weights", 5), ("bpr", [1, 2]), ("demand.shares", "even"),
         ("demand.calibration_fixed_daily", 5),
@@ -95,8 +101,10 @@ class TestLoadConfig:
     ({"od_rates": {"0-2": -1}}, "demand.od_rates.0-2"),
     ({"od_rates": {"0-0": 1.0}}, "demand.od_rates.0-0"),
     ({"calibration_fixed_daily": {"0-2": -5}}, "demand.calibration_fixed_daily.0-2"),
+    ({"calibration_fixed_daily": {"0-2": 5, " 0-2": 7}},
+     "demand.calibration_fixed_daily: O-D keys ' 0-2' and '0-2' name one pair"),
 ], ids=["negative-scale", "nan-window-flexibility", "negative-seats",
-        "negative-od-rate", "degenerate-od-pair", "negative-pin"])
+        "negative-od-rate", "degenerate-od-pair", "negative-pin", "duplicate-pin"])
 def test_demand_values_rejected_at_load(tmp_path, demand, named):
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump({"demand": demand}))

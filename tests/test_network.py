@@ -37,7 +37,7 @@ class TestLoadNetwork:
             assert 64.0 <= link.length / link.free_flow_time <= 67.0
 
     def test_adjacency_consistent(self, testbed):
-        rebuilt = {n.id: [] for n in testbed.nodes}
+        rebuilt = {n: [] for n in testbed.nodes}
         for link in sorted(testbed.links, key=lambda l: l.id):
             rebuilt[link.from_node].append(link.id)
         assert testbed.adjacency == rebuilt

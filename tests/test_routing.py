@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ridesim.demand import free_flow_paths
-from ridesim.network import LaneClass, Link, Network, Node, volume_delay
+from ridesim.network import LaneClass, Link, Network, volume_delay
 from ridesim.routing import CostWeights, dijkstra_route
 from ridesim.simulation import SimState
 
@@ -25,7 +25,7 @@ def route_costs(network: Network, flows=None, weights=CostWeights()):
 def one_toll_link(toll: float) -> Network:
     link = Link(id=0, from_node=0, to_node=1, length=10.0,
                 free_flow_time=0.5, has_carpool_lane=False, toll=toll)
-    return Network(nodes=(Node(0), Node(1)), links=(link,))
+    return Network(nodes=(0, 1), links=(link,))
 
 
 def enumerate_paths(net: Network, origin: int, dest: int):
