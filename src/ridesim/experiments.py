@@ -28,7 +28,6 @@ from .simulation import (SimReport, SimState, _collector_paused, init_simulation
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
-SWEEP_SHARES = (0.10, 0.40, 0.50)  # (rider, rideshare, regular) in the sweep
 
 
 def replication_seeds(base_seed: int, count: int) -> list[int]:
@@ -168,6 +167,7 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     seeds: tuple[int, ...]
     fingerprint: str
+    shares: tuple[float, float, float]  # (rider, rideshare, regular)
 
     def write_csv(self, path: Path) -> None:
         write_csv_atomic(
@@ -182,7 +182,7 @@ class SweepReport:
         write_json_atomic(path, {
             "seeds": list(self.seeds),
             "config_fingerprint": self.fingerprint,
-            "shares": list(SWEEP_SHARES),
+            "shares": list(self.shares),
             "rows": [
                 {
                     "unused_capacity": r.unused_fraction,
@@ -197,19 +197,18 @@ class SweepReport:
 def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     """Match-rate response to carpool-lane background load.
 
-    Participation shares are fixed at (rider, rideshare, regular) =
-    (0.10, 0.40, 0.50); each replication index reuses the same seed across
-    levels so level differences are paired. Rows keep ``config.levels`` order.
+    Participation follows the scenario's ``demand.shares`` at every level;
+    each replication index reuses the same seed across levels so level
+    differences are paired. Rows keep ``config.levels`` order.
     """
     network = config.make_network()
     if not network.carpool_links():
         raise ConfigError("capacity sweep needs a carpool-lane link")
-    base = config.with_shares(*SWEEP_SHARES)
     seeds = replication_seeds(config.seed, config.replications)
 
     rows = []
     for level in config.levels:
-        scenario = dataclasses.replace(base, unused_capacity=level)
+        scenario = dataclasses.replace(config, unused_capacity=level)
         rates = []
         riders = 0
         for rep_seed in seeds:
@@ -227,7 +226,8 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     return SweepReport(
         rows=tuple(rows),
         seeds=tuple(seeds),
-        fingerprint=base.fingerprint(),
+        fingerprint=config.fingerprint(),
+        shares=dataclasses.astuple(config.demand.shares),
     )
 
 
@@ -253,9 +253,7 @@ def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
     write_csv_atomic(
         outdir / "agents.csv",
         ("id", "role", "matched", "departure", "arrival"),
-        [(o.agent_id, o.role.value,
-          "" if o.matched is None else ("true" if o.matched else "false"),
-          o.departure, o.arrival)
+        [(o.agent_id, o.role.value, o.matched, o.departure, o.arrival)
          for o in report.outcomes],
     )
     write_csv_atomic(
@@ -264,15 +262,14 @@ def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
         [("match_rate", report.match_rate),
          ("mean_travel_time", report.mean_travel_time())],
     )
-    if report.match_trace:
-        write_csv_atomic(
-            outdir / "match_trace.csv",
-            ("rider_id", "request_time", "offers", "vertices", "travel_arcs",
-             "pruned_vertices", "feasible", "dp_cost", "matched"),
-            [(t["rider_id"], t["request_time"], t["offers"], t["vertices"],
-              t["travel_arcs"], t["pruned_vertices"], t["feasible"],
-              t["dp_cost"], t["matched"]) for t in report.match_trace],
-        )
+    write_csv_atomic(
+        outdir / "match_trace.csv",
+        ("rider_id", "request_time", "offers", "vertices", "travel_arcs",
+         "pruned_vertices", "feasible", "dp_cost", "matched"),
+        [(t["rider_id"], t["request_time"], t["offers"], t["vertices"],
+          t["travel_arcs"], t["pruned_vertices"], t["feasible"],
+          t["dp_cost"], t["matched"]) for t in report.match_trace],
+    )
     write_json_atomic(outdir / "run_meta.json", {
         "config_fingerprint": fingerprint,
         "seed": seed,

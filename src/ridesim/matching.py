@@ -18,15 +18,16 @@ Pipeline for one rider request:
    m[a][j] <= m[a][i] + steps and m[i][b] <= steps + m[j][b]. By the same
    triangle inequality a slot gets no arc unless it passes the slot test:
    the rider's destination reachable from a by the latest arrival and b
-   from the rider's origin by t. An offer builds its free-seat slots with
-   its stops when it is constructed (``DriverOffer.free_slots``). The rule
-   reads nothing of a driver but the slot, so the build takes the slots
-   grouped, each distinct slot with the ids of the drivers that have it
-   (``SimState.collect_offers``): it runs the slot test and the per-link
-   step ranges once per distinct slot, and writes the arcs for every driver
-   listed. Drivers waiting at one node for one destination share their
-   slot, and a driver with no pins is grouped from its own values, with no
-   offer built.
+   from the rider's origin by t. A driver's first slot runs from its
+   anchor to its next stop, and the scan takes it from the vehicle's values;
+   the slots after that change only with its pins and riders aboard, and
+   the vehicle keeps them from the offer chain built where those change
+   (``DriverOffer.later_slots``). The rule reads nothing of a driver but
+   the slot, so the build takes the slots grouped, each distinct slot with
+   the ids of the drivers that have it (``SimState.collect_offers``): it
+   runs the slot test and the per-link step ranges once per distinct slot,
+   and writes the arcs for every driver listed. Drivers waiting at one node
+   for one destination share their slot.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -48,8 +49,8 @@ request from the traffic state frozen at the match instant
 the commit. From ``tau`` the build takes ``m``, reused while every link's
 step count repeats (``_shared_min_step_matrix``). It makes one attempt:
 slots, network and commit read that one instant, and the commit checks
-each driver's schedule through the ``DriverOffer.stops`` chain whose free
-slots built the network.
+each driver's schedule through a ``DriverOffer.stops`` chain, the chain
+whose slots built the network with the rider's pins added.
 """
 from __future__ import annotations
 
@@ -122,12 +123,15 @@ class DriverOffer:
     available step, each pin at its pinned step, then the destination by
     the latest-arrival step; a boarding stop holds the vehicle until its
     step, other stops do not); ``occupancies``, the riders on board in each
-    slot between consecutive stops; and ``free_slots``, the slots with a
-    free seat that end after they start, in order (``free_slot``), which
-    alone can carry the rider (module docstring, step 1). It raises
-    ValueError when the pins' steps decrease or an occupancy goes negative,
-    since neither can come from a valid commit. An offer is a value, equal
-    by its fields and never changed once built.
+    slot between consecutive stops; and ``later_slots``, the slots after
+    ``stops[1]`` with a free seat that end after they start, in order
+    (``free_slot``). They and the first slot, from the anchor to
+    ``stops[1]``, alone can carry the rider (module docstring, step 1); the
+    first is left out, as it is the one slot that moves with the anchor, and
+    the offer scan adds it from the vehicle's values. It raises ValueError
+    when the pins' steps decrease or an occupancy goes negative, since
+    neither can come from a valid commit. An offer is a value, equal by its
+    fields and never changed once built.
     """
 
     id: int
@@ -142,7 +146,7 @@ class DriverOffer:
     departed: bool = False
     stops: tuple[Stop, ...] = field(init=False, repr=False, compare=False)
     occupancies: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    free_slots: tuple[FreeSlot, ...] = field(init=False, repr=False, compare=False)
+    later_slots: tuple[FreeSlot, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pins = self.pins
@@ -157,16 +161,15 @@ class DriverOffer:
             if occs[-1] < 0:
                 raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
         stops.append((self.destination, self.latest_arrival_step, False))
-        free = []
-        for slot, occupancy in enumerate(occs):
-            (a, s, _), (b, t, _) = stops[slot], stops[slot + 1]
+        later = []
+        for (a, s, _), (b, t, _), occupancy in zip(stops[1:], stops[2:], occs[1:]):
             found = free_slot(a, s, b, t, occupancy, self.seats,
-                              self.latest_departure_step, self.departed or slot > 0)
+                              self.latest_departure_step, True)
             if found is not None:
-                free.append(found)
+                later.append(found)
         self.stops = tuple(stops)
         self.occupancies = tuple(occs)
-        self.free_slots = tuple(free)
+        self.later_slots = tuple(later)
 
 
 def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
@@ -177,7 +180,7 @@ def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
     takes at least one step. A driver not yet underway leaves a by its
     latest departure step, or by s once that has passed; every slot after a
     driver's first is entered underway. ``DriverOffer`` builds its
-    ``free_slots`` by this rule, and the offer scan a pin-free driver's one
+    ``later_slots`` by this rule, and the offer scan every driver's first
     slot (``SimState.collect_offers``)."""
     if occupancy >= seats or t <= s:
         return None

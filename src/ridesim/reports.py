@@ -24,12 +24,17 @@ def fmt(value) -> str:
 def _atomic_text(path: Path) -> Iterator[IO[str]]:
     """A text handle on a temporary file beside ``path``, with ``\\n`` line
     ends. The file replaces ``path`` when the block exits cleanly and is
-    removed when it raises, so readers see the old file or the whole new one."""
+    removed when it raises, so readers see the old file or the whole new one.
+    It gets the mode a plain ``open`` would give, 0666 less the process
+    umask, not ``mkstemp``'s 0600."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             yield handle
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

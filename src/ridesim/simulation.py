@@ -30,9 +30,9 @@ each replication inside one pause, reading only a summary
 (``validation_counts``, ``rider_totals``), so no pass runs while a
 replication is alive; ``build_report``, the per-agent table, is built only
 for a single run. A run builds no reference cycle: a DP label points to its
-parent label, a vehicle to its agent and, for a ridesharing driver, to its
-cached offer, an event holds ids or, for an arrival, its vehicle and lane,
-and nothing points back. Reference counting therefore frees every object a
+parent label, a vehicle to its agent and to pins and slots, which are
+values, an event holds ids or, for an arrival, its vehicle and lane, and
+nothing points back. Reference counting therefore frees every object a
 replication made, at the latest when its ``SimState`` is dropped.
 ``TestCollectorPause`` in ``tests/test_simulation.py`` guards that:
 building, running and dropping a replication of the bundled validation
@@ -155,7 +155,7 @@ class Vehicle:
         self.route: list[int] = []
         self.route_pos = 0
         self.planned_entry_steps: list[int] = []
-        self.pins: list[Pin] = []
+        self.pins: tuple[Pin, ...] = ()
         self.aboard: set[int] = set()
         self.departure_time: Optional[float] = None
         self.arrival_time: Optional[float] = None
@@ -169,28 +169,42 @@ class Vehicle:
 
 class RideshareVehicle(Vehicle):
     """A ridesharing driver's vehicle. It adds the driver's own latest
-    departure and arrival in steps, fixed when it enters, and its cached
-    offer with the key it was built under (``SimState._offer_at``); regular
-    drivers' vehicles carry none of these."""
+    departure and arrival in steps, fixed when it enters, and the part of
+    its schedule that only its pins and riders aboard move: its
+    ``next_stop``, (node, step), the first pin or else its destination by
+    its latest arrival step, and its ``later_slots``, the free slots after
+    that stop (``DriverOffer.later_slots``). A commit and a pin's service
+    are the only places where pins or riders aboard change, and both set
+    the three together (``set_pins``). Regular drivers' vehicles carry none
+    of these."""
 
-    __slots__ = ("latest_departure_step", "latest_arrival_step", "offer_key", "offer")
+    __slots__ = ("latest_departure_step", "latest_arrival_step", "next_stop", "later_slots")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
         self.latest_departure_step = ceil_steps(agent.window.latest_departure, dt)
         self.latest_arrival_step = ceil_steps(agent.window.latest_arrival, dt)
-        self.offer_key = self.offer = None
+        self.next_stop = (agent.destination, self.latest_arrival_step)
+        self.later_slots: tuple[FreeSlot, ...] = ()
 
     def offer_from(self, anchor_step: int, pins: tuple[Pin, ...]) -> DriverOffer:
         """The driver's offer from ``anchor_step`` with ``pins`` ahead."""
         agent = self.agent
         # fields in order: positional arguments build an offer measurably
-        # faster than keywords, and a scan may build several
+        # faster than keywords
         return DriverOffer(
             agent.id, self.node, agent.destination, anchor_step,
             self.latest_departure_step, self.latest_arrival_step,
             agent.seats, pins, len(self.aboard), self.departure_time is not None,
         )
+
+    def set_pins(self, offer: DriverOffer) -> None:
+        """Take ``offer``'s pins, and the next stop and later slots of its
+        chain; ``offer`` comes from ``offer_from`` with the riders aboard as
+        they are."""
+        self.pins = offer.pins
+        self.next_stop = offer.stops[1][:2]
+        self.later_slots = offer.later_slots
 
 
 @dataclass
@@ -211,7 +225,6 @@ def matched_share(riders: int, matched: int) -> float:
 @dataclass
 class SimReport:
     link_class_counts: dict[tuple[int, LaneClass], int]
-    validation_counts: dict[int, int]
     outcomes: list[AgentOutcome]
     riders_total: int
     riders_matched: int
@@ -257,7 +270,6 @@ class SimState:
         self.lanes = {(link_id, lane_class): Lane(link_id)
                       for link_id in sorted(l.id for l in network.links)
                       for lane_class in (GENERAL, CARPOOL)}
-        self._link_steps: dict[tuple[int, int, int], int] = {}  # see matching_steps
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, RideshareVehicle] = {}  # see collect_offers
         self.rider_board_time: dict[int, float] = {}
@@ -334,20 +346,14 @@ class SimState:
     def matching_steps(self) -> dict[int, int]:
         """Whole steps per link at the clock on the faster lane class, at
         least one: the one frozen traffic state the matcher prices and
-        commits against. A link's steps are memoised on its two window
-        counts, which fix both lane classes' delays (``link_delay``)."""
-        now, window, lanes = self.clock, self.flow_window, self.lanes
+        commits against. The delays come memoised (``link_delay``)."""
+        now, dt, link_delay = self.clock, self.dt, self.link_delay
         steps = {}
         for link in self.network.links:
-            key = (link.id, lanes[link.id, GENERAL].window_count(now, window),
-                   lanes[link.id, CARPOOL].window_count(now, window))
-            try:
-                steps[link.id] = self._link_steps[key]
-            except KeyError:
-                delay = self.link_delay(link.id, GENERAL, now)
-                if link.has_carpool_lane:
-                    delay = min(delay, self.link_delay(link.id, CARPOOL, now))
-                steps[link.id] = self._link_steps[key] = max(1, ceil_steps(delay, self.dt))
+            delay = link_delay(link.id, GENERAL, now)
+            if link.has_carpool_lane:
+                delay = min(delay, link_delay(link.id, CARPOOL, now))
+            steps[link.id] = max(1, ceil_steps(delay, dt))
         return steps
 
     # ------------------------------------------------------------ vehicle flow
@@ -404,17 +410,8 @@ class SimState:
         hold until the planned entry step, enter the next link, or end the
         trip (a stranded vehicle ends without an arrival time)."""
         node = vehicle.node
-        while vehicle.pins and vehicle.pins[0].node == node:
-            pin = vehicle.pins[0]
-            if pin.action == "board" and now + 1e-9 < pin.step * self.dt:
-                break  # boarding is due at the pinned step; hold first
-            vehicle.pins.pop(0)
-            if pin.action == "board":
-                vehicle.aboard.add(pin.rider_id)
-                self.rider_board_time.setdefault(pin.rider_id, now)
-            else:
-                vehicle.aboard.discard(pin.rider_id)
-                self.rider_alight_time[pin.rider_id] = now
+        if vehicle.pins:
+            self._serve_pins(vehicle, node, now)
         next_link = self.vehicle_at_node(vehicle, node, now)
         if next_link is None:
             if not vehicle.stranded:
@@ -429,6 +426,28 @@ class SimState:
                 return
         vehicle.route_pos += 1
         self.enter_link(vehicle, next_link, now)
+
+    def _serve_pins(self, vehicle: RideshareVehicle, node: int, now: float) -> None:
+        """Serve the vehicle's pins due at ``node``, in order, up to a
+        boarding whose step is still ahead. Serving changes its pins and
+        riders aboard, so its next stop and later slots are then taken from
+        one fresh chain over the pins left (``set_pins``)."""
+        pins = vehicle.pins
+        served = 0
+        for pin in pins:
+            if pin.node != node:
+                break
+            if pin.action == "board":
+                if now + 1e-9 < pin.step * self.dt:
+                    break  # boarding is due at the pinned step; hold first
+                vehicle.aboard.add(pin.rider_id)
+                self.rider_board_time.setdefault(pin.rider_id, now)
+            else:
+                vehicle.aboard.discard(pin.rider_id)
+                self.rider_alight_time[pin.rider_id] = now
+            served += 1
+        if served:
+            vehicle.set_pins(vehicle.offer_from(ceil_steps(now, self.dt), pins[served:]))
 
     # ------------------------------------------------------------ event logic
 
@@ -518,12 +537,11 @@ class SimState:
         index's insertion order. That is id order: only generated agents
         can be ridesharing drivers (an unmatched rider's fallback is a
         regular driver), and they enter in (time, id) order, which is id
-        order. A vehicle with pins adds its offer's ``free_slots``
-        (``_offer_at``). A pin-free one has one slot, from its anchor to its
-        destination, or none when it has no seat (``demand.seats`` may be
-        0) or its anchor step has reached its latest arrival step. It adds
-        that slot by its offer's rule (``matching.free_slot``) from its own
-        values, and no offer is built for it.
+        order. Every vehicle adds its first slot, from its anchor to its
+        ``next_stop``, by the offer chain's rule (``matching.free_slot``)
+        from its own values, then its ``later_slots``; no offer is built. The
+        first slot is missing when its seats are full (``demand.seats`` may
+        be 0) or its anchor step has reached the stop's step.
 
         A ridesharing vehicle enters the index when it is created and
         leaves it, for good, the first time ``_live_anchor_step`` finds it
@@ -540,16 +558,14 @@ class SimState:
             if anchor_step is None:
                 evicted.append(agent_id)
                 continue
-            if vehicle.pins:
-                for slot in self._offer_at(vehicle, anchor_step).free_slots:
-                    groups.setdefault(slot, []).append(agent_id)
-            else:
-                agent = vehicle.agent
-                slot = free_slot(vehicle.node, anchor_step, agent.destination,
-                                 vehicle.latest_arrival_step, len(vehicle.aboard),
-                                 agent.seats, vehicle.latest_departure_step,
-                                 vehicle.departure_time is not None)
-                if slot is not None:
+            stop, step = vehicle.next_stop
+            slot = free_slot(vehicle.node, anchor_step, stop, step, len(vehicle.aboard),
+                             vehicle.agent.seats, vehicle.latest_departure_step,
+                             vehicle.departure_time is not None)
+            if slot is not None:
+                groups.setdefault(slot, []).append(agent_id)
+            if vehicle.later_slots:  # most have none: skip an empty loop's set-up
+                for slot in vehicle.later_slots:
                     groups.setdefault(slot, []).append(agent_id)
         for agent_id in evicted:
             del self._offer_index[agent_id]
@@ -586,29 +602,6 @@ class SimState:
             return None
         return anchor_step
 
-    def _offer_at(self, vehicle: RideshareVehicle, anchor_step: int) -> DriverOffer:
-        """The live indexed vehicle's offer from ``anchor_step`` with its
-        pins (``RideshareVehicle.offer_from``), for the scan.
-
-        The schedule runs from the anchor to the driver's own latest
-        arrival step; a driver whose latest departure step has passed leaves
-        by the anchor step (``matching.free_slot``). The vehicle caches the
-        offer under the key (``plan_version``, ``node``, pin count,
-        departed, anchor step) and returns it while the key repeats. That
-        is exact: every other field is the driver's own, fixed when it
-        entered; the pins change only by a pop, which shortens them, or by
-        a commit, which bumps ``plan_version``; and ``aboard`` changes only
-        as a pin is popped. Only the scan of a vehicle with pins reads the
-        cache: a pin-free vehicle's slot comes from its values, and a
-        commit builds its own candidate offer and bumps ``plan_version``.
-        """
-        key = (vehicle.plan_version, vehicle.node, len(vehicle.pins),
-               vehicle.departure_time is not None, anchor_step)
-        if vehicle.offer_key != key:
-            vehicle.offer = vehicle.offer_from(anchor_step, tuple(vehicle.pins))
-            vehicle.offer_key = key
-        return vehicle.offer
-
     def commit_itinerary(
         self, rider: RiderRequest, itinerary: Itinerary, tau: dict[int, int]
     ) -> bool:
@@ -619,12 +612,13 @@ class SimState:
         added to its own, and walks its ``DriverOffer.stops`` chain
         (ordering, travel feasibility, seat capacity, own window) at
         ``tau``, the link steps the itinerary was solved on; phase two
-        rewrites routes and holds. Returns False when any driver cannot
-        honor the plan or is not live in the offer index, leaving all
-        drivers and every cached offer untouched.
+        rewrites routes and holds, and each vehicle takes its candidate's
+        pins, next stop and later slots (``RideshareVehicle.set_pins``).
+        Returns False when any driver cannot honor the plan or is not live
+        in the offer index, leaving all drivers untouched.
         """
         clock_step = ceil_steps(self.clock, self.dt)
-        plans: list[tuple[RideshareVehicle, list[Pin], list[int], list[int]]] = []
+        plans: list[tuple[RideshareVehicle, DriverOffer, list[int], list[int]]] = []
         for leg in itinerary.legs:
             vehicle = self._offer_index.get(leg.driver)
             anchor_step = (None if vehicle is None
@@ -633,8 +627,8 @@ class SimState:
                 return False
             new_pins = sorted(
                 vehicle.pins
-                + [Pin(leg.board_node, leg.board_step, "board", rider.id),
-                   Pin(leg.alight_node, leg.alight_step, "alight", rider.id)],
+                + (Pin(leg.board_node, leg.board_step, "board", rider.id),
+                   Pin(leg.alight_node, leg.alight_step, "alight", rider.id)),
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             )
             candidate = vehicle.offer_from(anchor_step, tuple(new_pins))
@@ -666,10 +660,10 @@ class SimState:
                     step += tau[lid]
                 # a boarding stop pins the onward departure; dropoffs do not
                 cursor = max(step, to_step) if holds else step
-            plans.append((vehicle, new_pins, route, entry_steps))
+            plans.append((vehicle, candidate, route, entry_steps))
 
-        for vehicle, new_pins, route, entry_steps in plans:
-            vehicle.pins = new_pins
+        for vehicle, candidate, route, entry_steps in plans:
+            vehicle.set_pins(candidate)
             vehicle.route = route
             vehicle.planned_entry_steps = entry_steps
             vehicle.route_pos = 0
@@ -770,7 +764,6 @@ class SimState:
         riders_total, riders_matched = self.rider_totals()
         return SimReport(
             link_class_counts=class_counts,
-            validation_counts=self.validation_counts(),
             outcomes=outcomes,
             riders_total=riders_total,
             riders_matched=riders_matched,

@@ -4,7 +4,7 @@ import pytest
 
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.matching import DriverOffer, RiderRequest, ceil_steps
+from ridesim.matching import DriverOffer, RiderRequest, ceil_steps, free_slot
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
 
@@ -19,13 +19,24 @@ def step_durations(network: Network, delay, dt: float) -> dict[int, int]:
     return {link.id: max(1, ceil_steps(delay(link), dt)) for link in network.links}
 
 
+def free_slots(offer) -> tuple:
+    """Every free slot of ``offer``, in order: its first, from the anchor to
+    ``stops[1]``, if it has one, then its ``later_slots``; the slots
+    ``SimState.collect_offers`` adds for a vehicle with this offer's
+    values."""
+    (a, s, _), (b, t, _) = offer.stops[:2]
+    first = free_slot(a, s, b, t, offer.aboard, offer.seats,
+                      offer.latest_departure_step, offer.departed)
+    return offer.later_slots if first is None else (first, *offer.later_slots)
+
+
 def slot_groups(offers) -> dict:
     """The offers' free slots as ``SimState.collect_offers`` hands them to
     ``build_time_expanded``: each distinct slot with the ids of the offers
     that have it, in offer order."""
     groups: dict = {}
     for offer in offers:
-        for slot in offer.free_slots:
+        for slot in free_slots(offer):
             groups.setdefault(slot, []).append(offer.id)
     return groups
 

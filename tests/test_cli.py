@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -95,6 +97,27 @@ class TestSweepCommand:
             fingerprints.append(meta["config_fingerprint"])
         assert fingerprints[0] != fingerprints[1]
 
+    def test_shares_come_from_the_scenario(self, quick_sweep_config, tmp_path):
+        """Editing ``demand.shares`` changes the sweep's riders, and
+        ``sweep_meta.json`` records the shares the sweep ran with."""
+        raw = yaml.safe_load(Path(quick_sweep_config).read_text())
+        bundled = raw["demand"]["shares"]
+        edited = {"rider": 0.2, "rideshare_driver": 0.3, "regular_driver": 0.5}
+        riders = []
+        for name, shares in (("bundled", bundled), ("edited", edited)):
+            raw["demand"]["shares"] = shares
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            out = tmp_path / name
+            assert main(["sweep", "--config", str(path), "--levels", "1.0",
+                         "--out", str(out)]) == EXIT_OK
+            meta = json.loads((out / "sweep_meta.json").read_text())
+            assert meta["shares"] == [shares["rider"], shares["rideshare_driver"],
+                                      shares["regular_driver"]]
+            riders.append((out / "sweep.csv").read_text().splitlines()[1].split(",")[4])
+        assert bundled == {"rider": 0.1, "rideshare_driver": 0.4, "regular_driver": 0.5}
+        assert riders[0] != riders[1]
+
     def test_byte_identical_reruns(self, quick_sweep_config, tmp_path):
         argv = ["sweep", "--config", str(quick_sweep_config), "--levels", "1.0"]
         assert main(argv) == EXIT_OK
@@ -112,6 +135,34 @@ class TestRunCommand:
             assert (out / name).exists()
         header = (out / "agents.csv").read_text().splitlines()[0]
         assert header == "id,role,matched,departure,arrival"
+
+    def test_rider_free_run_replaces_old_trace(self, quick_config, tmp_path):
+        """A run with no rider request still writes ``match_trace.csv``,
+        header only, so an earlier run's rows do not stay beside it."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "match_trace.csv").write_text("rider_id\n1\n2\n3\n4\n5\n")
+        assert main(["run", "--config", str(quick_config)]) == EXIT_OK
+        assert json.loads((out / "run_meta.json").read_text())["riders_total"] == 0
+        assert (out / "match_trace.csv").read_text().splitlines() == [
+            "rider_id,request_time,offers,vertices,travel_arcs,pruned_vertices,"
+            "feasible,dp_cost,matched"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_get_the_umask_mode(self, quick_config, tmp_path, umask, mode):
+        """Every output file gets the mode ``open`` would give it, 0666
+        less the umask, and no temporary file is left beside them."""
+        previous = os.umask(umask)
+        try:
+            assert main(["run", "--config", str(quick_config)]) == EXIT_OK
+        finally:
+            os.umask(previous)
+        written = sorted((tmp_path / "out").iterdir())
+        assert [path.name for path in written] == [
+            "agents.csv", "link_flows.csv", "match_trace.csv", "run_meta.json",
+            "summary.csv"]
+        assert all(stat.S_IMODE(path.stat().st_mode) == mode for path in written)
 
     def test_seed_changes_agent_table(self, quick_config, tmp_path):
         assert main(["run", "--config", str(quick_config), "--seed", "1"]) == EXIT_OK

@@ -16,7 +16,7 @@ from ridesim.demand import (
 )
 from ridesim.network import ConfigError
 
-SWEEP_SHARES = Shares(0.10, 0.40, 0.50)
+RIDESHARE_MIX = Shares(0.10, 0.40, 0.50)  # the bundled sweep.yaml's shares
 ALL_REGULAR = Shares(0.0, 0.0, 1.0)
 
 
@@ -126,7 +126,7 @@ class TestCalibration:
 
 
 class TestGenerateAgents:
-    def spec(self, shares=SWEEP_SHARES, scale=1.0, horizon=4.0, flex=0.25):
+    def spec(self, shares=RIDESHARE_MIX, scale=1.0, horizon=4.0, flex=0.25):
         rates = {(0, 2): 200.0, (0, 3): 100.0, (1, 3): 150.0}
         return DemandSpec(od_rates=rates, shares=shares,
                           window_flexibility=flex, horizon=horizon, scale=scale, seats=4)
@@ -201,14 +201,14 @@ class TestGenerateAgents:
             from ridesim.config import bundled_data_path, load_config
             rates = load_config(bundled_data_path("validation.yaml")).demand_spec(
                 testbed).od_rates
-            spec = DemandSpec(rates, SWEEP_SHARES, window_flexibility=0.25,
+            spec = DemandSpec(rates, RIDESHARE_MIX, window_flexibility=0.25,
                               horizon=6.0, scale=0.1, seats=4)
         elif case == "zero-rate-pair":
             spec = DemandSpec({(0, 1): 0.0, (0, 2): 200.0, (1, 3): 150.0},
-                              SWEEP_SHARES, window_flexibility=0.25, horizon=4.0,
+                              RIDESHARE_MIX, window_flexibility=0.25, horizon=4.0,
                               scale=1.0, seats=4)
         elif case == "all-zero":
-            spec = DemandSpec({(0, 2): 0.0, (1, 3): 0.0}, SWEEP_SHARES,
+            spec = DemandSpec({(0, 2): 0.0, (1, 3): 0.0}, RIDESHARE_MIX,
                               window_flexibility=0.25, horizon=24.0, scale=1.0, seats=4)
         elif case == "scale-0":
             spec = self.spec(scale=0.0)

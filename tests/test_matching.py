@@ -21,7 +21,7 @@ from ridesim.matching import (
 )
 from ridesim.simulation import init_simulation
 
-from conftest import DT_EXACT, random_instance, slot_groups
+from conftest import DT_EXACT, free_slots, random_instance, slot_groups
 from oracle import (EnumerationBudgetError, brute_force_itinerary,
                     vertices_on_feasible_paths)
 
@@ -410,8 +410,8 @@ class TestSharedSlots:
         departed = dataclasses.replace(shared, id=9, departed=True)
         offers = [dataclasses.replace(shared, id=12), pinned, shared, departed,
                   dataclasses.replace(shared, id=7)]
-        assert pinned.free_slots[0] == shared.free_slots[0]
-        assert departed.free_slots != shared.free_slots
+        assert free_slots(pinned)[0] == free_slots(shared)[0]
+        assert free_slots(departed) != free_slots(shared)
         ten = build_time_expanded(rider, slot_groups(offers), testbed, free_flow, 0.05)
         _, arcs, _ = reference_ten(rider, offers, testbed, free_flow, 0.05)
         assert sorted(decoded_arcs(ten)) == sorted(arcs)
@@ -488,7 +488,8 @@ class TestPinChain:
             dataclasses.replace(self.UNPINNED, pins=pins)
         served = dataclasses.replace(self.UNPINNED, pins=pins, aboard=1)
         assert served.occupancies == (1, 0)
-        assert served.free_slots == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
+        assert served.later_slots == ((1, 9, 2, 20, matching.INF),)
+        assert free_slots(served) == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
 
 
 class TestMinStepMemo:

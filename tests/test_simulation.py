@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import heapq
-import itertools
 import re
 import weakref
 
@@ -28,7 +27,7 @@ from ridesim.simulation import (
     init_simulation,
 )
 
-from conftest import scenario, slot_groups, step_durations
+from conftest import free_slots, scenario, slot_groups, step_durations
 from test_golden_outputs import write_grid
 
 
@@ -140,7 +139,7 @@ class TestBasicRuns:
         sim = empty_sim(testbed)
         sim.run()
         report = sim.build_report()
-        assert all(c == 0 for c in report.validation_counts.values())
+        assert all(c == 0 for c in sim.validation_counts().values())
         assert report.outcomes == []
 
     def test_single_regular_driver_free_flow(self, testbed):
@@ -148,7 +147,7 @@ class TestBasicRuns:
         seed_agent(sim, regular(0, 0, 3, t=0.0))
         sim.run()
         report = sim.build_report()
-        assert report.validation_counts == {0: 1, 1: 0, 2: 0, 3: 0}
+        assert sim.validation_counts() == {0: 1, 1: 0, 2: 0, 3: 0}
         outcome = report.outcomes[0]
         assert outcome.arrival - outcome.departure == pytest.approx(0.55)
 
@@ -157,7 +156,7 @@ class TestBasicRuns:
         seed_agent(sim, regular(0, 0, 2, t=0.0))
         sim.run()
         report = sim.build_report()
-        assert report.validation_counts == {0: 0, 1: 1, 2: 1, 3: 0}
+        assert sim.validation_counts() == {0: 0, 1: 1, 2: 1, 3: 0}
         outcome = report.outcomes[0]
         assert outcome.arrival - outcome.departure == pytest.approx(0.72)
 
@@ -275,11 +274,12 @@ class TestDeterminism:
         def run_once():
             sim = SimState(config, testbed, seed=11)
             sim.run(horizon=6.0)
-            return sim.build_report()
+            return sim
 
-        a, b = run_once(), run_once()
+        sim_a, sim_b = run_once(), run_once()
+        assert sim_a.validation_counts() == sim_b.validation_counts()
+        a, b = sim_a.build_report(), sim_b.build_report()
         assert a.link_class_counts == b.link_class_counts
-        assert a.validation_counts == b.validation_counts
         assert [(o.agent_id, o.departure, o.arrival) for o in a.outcomes] == \
                [(o.agent_id, o.departure, o.arrival) for o in b.outcomes]
         assert a.riders_matched == b.riders_matched
@@ -351,7 +351,7 @@ class TestRidesharing:
         assert not sim.match_results[1].matched
         assert report.riders_matched == 0
         # the fallback drives the same trip like any regular driver
-        assert report.validation_counts == {0: 0, 1: 1, 2: 1, 3: 0}
+        assert sim.validation_counts() == {0: 0, 1: 1, 2: 1, 3: 0}
         [outcome] = [o for o in report.outcomes if o.agent_id != 1]
         assert outcome.role is Role.REGULAR_DRIVER
         assert outcome.arrival is not None
@@ -369,7 +369,7 @@ class TestRidesharing:
         report = sim.build_report()
         assert report.match_rate == 0.0
         # driver's own trip plus the fallback's two links
-        assert report.validation_counts == {0: 0, 1: 2, 2: 2, 3: 0}
+        assert sim.validation_counts() == {0: 0, 1: 2, 2: 2, 3: 0}
 
     def test_capacity_respected(self, testbed):
         sim = empty_sim(testbed, horizon=6.0)
@@ -620,11 +620,12 @@ def seat_free_slots(offer):
         if occupancies[slot] < offer.seats and s < t)
 
 
-def live_offer(sim, vehicle):
-    """The ridesharing ``vehicle``'s offer at the clock, through its cache,
-    or None when it has nothing left to offer: what the scan asks of it."""
+def fresh_offer(sim, vehicle):
+    """A ``DriverOffer`` built afresh for the ridesharing ``vehicle`` at the
+    clock, from its current pins and riders aboard, or None when it has
+    nothing left to offer: what the scan must agree with."""
     anchor_step = sim._live_anchor_step(vehicle, ceil_steps(sim.clock, sim.dt))
-    return None if anchor_step is None else sim._offer_at(vehicle, anchor_step)
+    return None if anchor_step is None else vehicle.offer_from(anchor_step, vehicle.pins)
 
 
 def grid_sim(tmp_path, seats=None) -> SimState:
@@ -645,53 +646,58 @@ def ten_key(ten):
 
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed, tmp_path, monkeypatch):
-        """At every request the scan's slot groups are those of every live
-        driver's full offer, in index order, and build the same network;
-        pin-free drivers get no offer built; the trace counts every live
-        driver."""
-        requests = grouped = pin_free = evicted = 0
+        """At every request of the sweep, transfer and grid runs, the scan's
+        slot groups are those of fresh offers built from every live
+        driver's current pins, in index order, and build the same network;
+        every live vehicle's next stop and later slots are its fresh
+        offer's; the trace counts every live driver. Pins are served
+        mid-route, with pins left, and those vehicles are scanned."""
+        requests = grouped = pinned = carrying = served_mid_route = evicted = 0
         riders = []
         match = simulation.match_rider
+        serve = SimState._serve_pins
 
         def recording(sim, rider):
             riders.append(rider)
             return match(sim, rider)
 
+        def serving(sim, vehicle, node, now):
+            nonlocal served_mid_route
+            before = vehicle.pins
+            serve(sim, vehicle, node, now)
+            served_mid_route += vehicle.pins != before and len(vehicle.pins) > 0
+
         monkeypatch.setattr(simulation, "match_rider", recording)
+        monkeypatch.setattr(SimState, "_serve_pins", serving)
         for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
             indexed = sim.collect_offers
             live = {}
 
             def checked(sim=sim, indexed=indexed, live=live):
-                nonlocal requests, grouped, pin_free
+                nonlocal requests, grouped, pinned, carrying
                 # the scan's order is the index's insertion order
                 assert list(sim._offer_index) == sorted(sim._offer_index)
-                cached = {agent_id: vehicle.offer
-                          for agent_id, vehicle in sim._offer_index.items()}
                 groups = indexed()
                 full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
                     if vehicle.agent.role is Role.RIDESHARE_DRIVER:
                         # an evicted vehicle is asked too
-                        if agent_id in sim._offer_index and not vehicle.pins:
-                            # the scan built no offer for a pin-free driver
-                            assert vehicle.offer is cached[agent_id], agent_id
-                        offer = live_offer(sim, vehicle)
-                        if offer is not None:
-                            full.append(offer)
+                        offer = fresh_offer(sim, vehicle)
+                        if offer is None:
+                            continue
+                        full.append(offer)
+                        assert free_slots(offer) == seat_free_slots(offer), offer
+                        assert vehicle.next_stop == offer.stops[1][:2], offer
+                        assert vehicle.later_slots == offer.later_slots, offer
+                        pinned += len(offer.pins) > 0
+                        carrying += len(offer.pins) > 0 and offer.aboard > 0
                 # the groups, their order and each group's ids are the full
                 # scan's, ids in index order (id order); a driver is listed
                 # at most once per slot, since two equal slots of one chain
                 # would need a slot that ends at the step it starts
                 assert list(groups.items()) == list(slot_groups(full).items())
                 assert all(ids == sorted(set(ids)) for ids in groups.values())
-                for offer in full:
-                    if not offer.pins and offer.free_slots:
-                        members = [slot for slot, ids in groups.items()
-                                   for i in ids if i == offer.id]
-                        assert members == [offer.free_slots[0]], offer
-                        pin_free += 1
                 rider = riders[-1]
                 tau = sim.matching_steps()
                 assert ten_key(build_time_expanded(rider, groups, sim.network, tau, sim.dt)) \
@@ -711,35 +717,46 @@ class TestOfferIndex:
             evicted += rideshare - len(sim._offer_index)
         assert requests > 50
         assert grouped > requests
-        assert pin_free > requests
+        assert pinned > requests and carrying > requests
+        assert served_mid_route > 100
         assert evicted > 0
 
     def test_commit_builds_one_offer_per_leg(self, testbed, tmp_path, monkeypatch):
         """Each accepted commit builds one ``DriverOffer`` per leg, its
-        candidate, and leaves every other indexed vehicle's cached offer the
-        same object; pin-free and multi-leg commits are among them."""
+        candidate, whose pins, next stop and later slots the leg's vehicle
+        takes; every other indexed vehicle keeps its own. Pin-free and
+        multi-leg commits are among them."""
         built = commits = pin_free = multi_leg = 0
         init = matching.DriverOffer.__post_init__
+        candidates = []
 
         def counted(offer):
             nonlocal built
             built += 1
             init(offer)
+            candidates.append(offer)
+
+        def stored(vehicle):
+            return vehicle.pins, vehicle.next_stop, vehicle.later_slots
 
         monkeypatch.setattr(matching.DriverOffer, "__post_init__", counted)
         for sim in (transfer_sim(testbed), grid_sim(tmp_path)):
             def checked(rider, itinerary, tau, sim=sim, commit=sim.commit_itinerary):
                 nonlocal built, commits, pin_free, multi_leg
-                drivers = {leg.driver for leg in itinerary.legs}
-                others = {agent_id: vehicle.offer
+                drivers = [leg.driver for leg in itinerary.legs]
+                others = {agent_id: stored(vehicle)
                           for agent_id, vehicle in sim._offer_index.items()
                           if agent_id not in drivers}
                 pin_free += any(not sim.vehicles[d].pins for d in drivers)
                 built = 0
+                candidates.clear()
                 assert commit(rider, itinerary, tau) is True
                 assert built == len(itinerary.legs), itinerary
-                assert all(sim._offer_index[agent_id].offer is offer
-                           for agent_id, offer in others.items())
+                for driver, offer in zip(drivers, candidates):
+                    assert stored(sim.vehicles[driver]) == \
+                        (offer.pins, offer.stops[1][:2], offer.later_slots)
+                assert all(stored(sim._offer_index[agent_id]) == before
+                           for agent_id, before in others.items())
                 commits += 1
                 multi_leg += len(itinerary.legs) > 1
                 return True
@@ -765,7 +782,7 @@ class TestOfferIndex:
         indexed = sim.collect_offers
 
         def counted():
-            live.append(sum(live_offer(sim, vehicle) is not None
+            live.append(sum(fresh_offer(sim, vehicle) is not None
                             for vehicle in sim._offer_index.values()))
             return indexed()
 
@@ -798,18 +815,18 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None  # back at node 0, now underway
         sim.clock = 0.03
         groups = sim.collect_offers()
-        waiting, departed = (live_offer(sim, sim._offer_index[i]).free_slots
+        waiting, departed = (free_slots(fresh_offer(sim, sim._offer_index[i]))
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
         assert departed[0][4] == float("inf") != waiting[0][4]
         assert groups == {waiting[0]: [0, 1], departed[0]: [3]}
-        assert live_offer(sim, sim._offer_index[1]).free_slots == waiting
-        assert live_offer(sim, sim._offer_index[2]).free_slots == ()
+        assert free_slots(fresh_offer(sim, sim._offer_index[1])) == waiting
+        assert free_slots(fresh_offer(sim, sim._offer_index[2])) == ()
         assert sim.live_drivers == 4
         # past the waiting drivers' latest departure step (6), their slot is
         # left by the anchor step, as their offers' first slot is
         sim.clock = 0.33
-        waiting = live_offer(sim, sim._offer_index[0]).free_slots
+        waiting = free_slots(fresh_offer(sim, sim._offer_index[0]))
         assert waiting[0][1] == waiting[0][4] == 7
         assert sim.collect_offers()[waiting[0]] == [0, 1]
 
@@ -817,7 +834,7 @@ class TestOfferIndex:
         """A vehicle at its destination whose one pin is an alight there at
         the anchor step s has stops (2, s), (2, s), (2, t): the first slot
         ends at the step it starts, so the vehicle is grouped once, under
-        its last slot; at its latest arrival step (t == s) it has no slot,
+        its later slot; at its latest arrival step (t == s) it has no slot,
         yet stays live in the index."""
         from conftest import make_network
         net = make_network([(0, 2, 0.5)])
@@ -835,98 +852,23 @@ class TestOfferIndex:
         def alight_due(now):
             sim.clock = now
             step = ceil_steps(now, sim.dt)
-            vehicle.pins = [Pin(2, step, "alight", 9)]
-            vehicle.plan_version += 1
+            vehicle.set_pins(vehicle.offer_from(step, (Pin(2, step, "alight", 9),)))
             return step
 
         s = alight_due(0.5)
         assert s < latest_arrival_step
-        offer = live_offer(sim, vehicle)
+        offer = fresh_offer(sim, vehicle)
         assert offer.stops == ((2, s, False), (2, s, False),
                                (2, latest_arrival_step, False))
-        assert offer.free_slots == seat_free_slots(offer) \
+        assert free_slots(offer) == seat_free_slots(offer) == offer.later_slots \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
-        assert sim.collect_offers() == {offer.free_slots[0]: [0]}
+        assert sim.collect_offers() == {offer.later_slots[0]: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
-        offer = live_offer(sim, vehicle)
+        offer = fresh_offer(sim, vehicle)
         assert offer.stops == ((2, latest_arrival_step, False),) * 3
-        assert offer.free_slots == seat_free_slots(offer) == ()
+        assert free_slots(offer) == seat_free_slots(offer) == ()
         assert sim.collect_offers() == {}
         assert sim.live_drivers == 1
-
-    def test_cached_offers_equal_fresh(self, testbed, monkeypatch):
-        hits = rebuilt = ticks = 0
-        match = simulation.match_rider
-
-        def checked(sim, request):
-            nonlocal hits, rebuilt, ticks
-            for vehicle in sim._offer_index.values():
-                if not vehicle.active:
-                    continue
-                before, key = vehicle.offer, vehicle.offer_key
-                cached = live_offer(sim, vehicle)
-                # a rebuild whose key moved only in its anchor step: a
-                # waiting driver as the clock enters a new step
-                tick = (before is not None and cached is not None
-                        and cached is not before and key[:-1] == vehicle.offer_key[:-1])
-                vehicle.offer_key = None  # the next call builds the offer afresh
-                assert cached == live_offer(sim, vehicle), request
-                if cached is not None:
-                    assert cached.free_slots == seat_free_slots(cached), request
-                hits += before is not None and cached is before
-                rebuilt += before is not None and cached is not before
-                ticks += tick
-            return match(sim, request)
-
-        monkeypatch.setattr(simulation, "match_rider", checked)
-        for sim in sweep_and_transfer_sims(testbed):
-            sim.run()
-        # offers were reused across requests, and rebuilt as vehicles moved
-        # and as the clock moved on under waiting ones
-        assert hits > 100 and rebuilt > 100 and ticks > 100
-
-    def test_cache_key_covers_each_change(self):
-        """Links far shorter than a step let every part of the key change
-        alone while the anchor step stays at 1."""
-        from conftest import make_network
-        net = make_network([(0, 1, 0.01), (1, 0, 0.01), (2, 3, 0.5), (1, 2, 0.01)])
-        sim = SimState(scenario(2.0, {(0, 3): 0.0}), net, seed=1)
-        seed_agent(sim, rideshare(0, 0, 3, t=0.0, fft=0.53))
-        sim.run(horizon=0.0)  # the driver enters and waits at its origin
-        vehicle = sim._offer_index[0]
-        offers = []
-
-        def offer_at(now):
-            sim.clock = now
-            cached = live_offer(sim, vehicle)
-            vehicle.offer_key = None  # the next call builds the offer afresh
-            assert cached == live_offer(sim, vehicle)
-            assert cached.free_slots == seat_free_slots(cached)
-            offers.append(cached)
-
-        def travel(link_id, now):
-            vehicle.link_arrival_time = None
-            sim.enter_link(vehicle, link_id, now)
-
-        offer_at(0.01)
-        travel(0, 0.01)
-        travel(1, 0.02)
-        offer_at(0.03)  # back at its origin, now departed
-        travel(0, 0.03)
-        offer_at(0.035)  # another node
-        vehicle.pins = [Pin(2, 10, "board", 9), Pin(3, 15, "alight", 9)]
-        vehicle.plan_version += 1
-        offer_at(0.04)  # a commit adds pins
-        vehicle.pins = [Pin(2, 11, "board", 9), Pin(3, 15, "alight", 9)]
-        vehicle.plan_version += 1
-        offer_at(0.04)  # a commit replaces them, keeping their count
-        vehicle.aboard.add(vehicle.pins.pop(0).rider_id)
-        offer_at(0.04)  # a pin is served
-        key = vehicle.offer_key
-        vehicle.link_arrival_time = None
-        offer_at(0.06)  # it waits at node 1 into step 2
-        assert vehicle.offer_key[:-1] == key[:-1] and vehicle.offer_key[-1] == key[-1] + 1
-        assert all(a != b for a, b in itertools.combinations(offers, 2))
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
         sim = empty_sim(testbed)
@@ -935,10 +877,10 @@ class TestOfferIndex:
         sim.run(horizon=0.0)  # the driver enters and waits at its origin
         vehicle = sim._offer_index[0]
         sim.clock = agent.window.latest_arrival
-        assert live_offer(sim, vehicle) is not None
+        assert fresh_offer(sim, vehicle) is not None
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
-        assert live_offer(sim, vehicle) is None
+        assert fresh_offer(sim, vehicle) is None
 
 
 class TestLinkDelayMemo:
@@ -1026,7 +968,7 @@ class TestBackgroundLoad:
         assert background > 0
         total_on_2 = (report.link_class_counts[(2, LaneClass.GENERAL)]
                       + report.link_class_counts[(2, LaneClass.CARPOOL)])
-        assert report.validation_counts[2] == total_on_2 - background
+        assert sim.validation_counts()[2] == total_on_2 - background
 
 
 class TestCollectorPause:
