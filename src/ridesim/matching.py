@@ -46,15 +46,17 @@ Pipeline for one rider request:
 ``match_rider`` takes every link's whole-step duration, ``tau``, once per
 request from the traffic state frozen at the match instant
 (``SimState.matching_steps``) and passes it to both the network build and
-the commit. From ``tau`` the build takes ``m``, reused while every link's
-step count repeats (``_shared_min_step_matrix``). It makes one attempt:
-slots, network and commit read that one instant, and the commit checks
-each driver's schedule through a ``DriverOffer.stops`` chain, the chain
-whose slots built the network with the rider's pins added.
+the commit. From ``tau`` both read ``step_matrix``: ``m`` and, for each
+pair of nodes, the links of the path that gives its entry, one
+``routing.shortest_paths`` tree per node, reused while every link's step
+count repeats. It makes one attempt: slots, network and commit read that
+one instant, and the commit checks each driver's schedule through a
+``DriverOffer.stops`` chain, the chain whose slots built the network with
+the rider's pins added, and routes the driver between stops along the
+matrix's paths, with no search of its own.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -63,10 +65,15 @@ from typing import Optional, Sequence
 
 from .agents import TimeWindow
 from .network import Network
+from .routing import shortest_paths
 
 INF = float("inf")
 
 Vertex = int  # step * node count + the node's position; see TimeExpandedNetwork
+
+# (steps, paths): the minimum steps from node a to node b, INF where no path
+# leads, and the link ids of that path; see ``step_matrix``
+StepMatrix = tuple[dict[int, dict[int, float]], dict[int, dict[int, tuple[int, ...]]]]
 
 
 def ceil_steps(hours: float, dt: float) -> int:
@@ -271,44 +278,32 @@ class MatchResult:
     reason: str = ""
 
 
-def _min_step_matrix(
-    network: Network, tau: dict[int, int]
-) -> dict[int, dict[int, float]]:
-    """All-pairs minimum travel steps under the frozen per-link durations."""
-    matrix: dict[int, dict[int, float]] = {}
+def _min_step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
+    """All-pairs minimum travel steps under the frozen per-link durations,
+    and the link ids of each such path: one ``shortest_paths`` tree per
+    source, so a path is the one ``dijkstra_route`` returns at the same
+    ``tau``."""
+    steps: dict[int, dict[int, float]] = {}
+    paths: dict[int, dict[int, tuple[int, ...]]] = {}
     nodes = network.node_ids()
     for source in nodes:
-        dist: dict[int, float] = {n: INF for n in nodes}
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for link_id in network.adjacency[u]:
-                link = network.link(link_id)
-                nd = d + tau[link_id]
-                if nd < dist[link.to_node]:
-                    dist[link.to_node] = nd
-                    heapq.heappush(heap, (nd, link.to_node))
-        matrix[source] = dist
-    return matrix
+        tree = shortest_paths(network, lambda link: tau[link.id], source)
+        steps[source] = {n: tree[n][0] if n in tree else INF for n in nodes}
+        paths[source] = {n: links for n, (_, links) in tree.items()}
+    return steps, paths
 
 
-# (network, step count per link id, matrix) of the last request; see
-# ``_shared_min_step_matrix``
-_min_step_memo: Optional[
-    tuple[Network, dict[int, int], dict[int, dict[int, float]]]
-] = None
+# (network, step count per link id, matrices) of the last request; see
+# ``step_matrix``
+_min_step_memo: Optional[tuple[Network, dict[int, int], StepMatrix]] = None
 
 
-def _shared_min_step_matrix(
-    network: Network, tau: dict[int, int]
-) -> dict[int, dict[int, float]]:
-    """``_min_step_matrix`` through a one-entry memo keyed on the network
-    object and every link's step count, so consecutive requests that see the
-    same whole-step durations share one matrix. Callers must not mutate it,
-    nor the ``tau`` it was built from."""
+def step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
+    """``_min_step_matrix``, (steps, paths), through a one-entry memo keyed
+    on the network object and every link's step count, so a request's build
+    and commit, and consecutive requests that see the same whole-step
+    durations, share one matrix. Callers must not mutate it, nor the
+    ``tau`` it was built from."""
     global _min_step_memo
     memo = _min_step_memo
     if memo is None or memo[0] is not network or memo[1] != tau:
@@ -333,7 +328,7 @@ def build_time_expanded(
     earliest departure and back from the latest arrival. An empty network
     encodes an infeasible request.
     """
-    matrix = _shared_min_step_matrix(network, tau)
+    matrix = step_matrix(network, tau)[0]
 
     w = rider.window
     ed = ceil_steps(w.earliest_departure, dt)

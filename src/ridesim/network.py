@@ -198,15 +198,16 @@ class Network:
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
+        if not self.links:
+            raise ConfigError("links must name at least one link")
         known = _unique(self.nodes, "nodes")
         _unique((l.id for l in self.links), "links")
         for index, link in enumerate(self.links):
             link.validate(index)
-            for end in (link.from_node, link.to_node):
+            for key, end in (("from", link.from_node), ("to", link.to_node)):
                 if end not in known:
-                    raise ConfigError(
-                        f"link {link.id}: endpoint node {end} not declared"
-                    )
+                    raise ConfigError(f"links[{index}].{key} (link {link.id}): "
+                                      f"node {end} not declared")
         adjacency: dict[int, list[int]] = {n: [] for n in self.nodes}
         for link in sorted(self.links, key=lambda l: l.id):
             adjacency[link.from_node].append(link.id)

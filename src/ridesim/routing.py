@@ -1,9 +1,13 @@
-"""Dijkstra routing for regular drivers, and the weights of the link cost.
+"""Shortest paths, and the weights of the link cost.
 
-A driver replanning at a node sees a frozen snapshot of link costs
-(toll + congested travel time, each weighted; see ``SimState.route_cost_fn``);
-the route is the cheapest path under that snapshot with a deterministic
-tie-break.
+``shortest_paths`` is the one shortest-path search: a Dijkstra tree from
+one origin under a frozen cost per link, ties broken toward the
+lexicographically smallest link-id sequence. A regular driver replanning at
+a node takes its route from it through ``dijkstra_route``, at a snapshot of
+link costs (toll + congested travel time, each weighted; see
+``SimState.route_cost_fn``); the matcher's step matrix holds one tree per
+node under the links' whole-step durations (``matching.step_matrix``), and
+a committed driver's route is read from there.
 """
 from __future__ import annotations
 
@@ -30,34 +34,31 @@ class CostWeights:
             raise ConfigError("weights.toll and weights.time must not both be 0")
 
 
-def dijkstra_route(
+def shortest_paths(
     network: Network,
     cost_fn: Callable[[Link], float],
     origin: int,
-    dest: int,
-) -> Optional[tuple[int, ...]]:
-    """The link ids of the cheapest origin->dest path under a frozen cost
-    snapshot, ``cost_fn`` mapping a link to its snapshot cost.
+    dest: Optional[int] = None,
+) -> dict[int, tuple[float, tuple[int, ...]]]:
+    """(cost, link ids) of the cheapest path from ``origin`` to each node it
+    reaches, ``cost_fn`` mapping a link to its cost, which must not be
+    negative. Ties are broken toward the lexicographically smallest link-id
+    sequence. The origin's entry is ``(0, ())``: an int, so integer costs
+    sum to ints.
 
-    Ties are broken toward the lexicographically smallest link-id sequence.
-    Returns None when the destination is unreachable.
+    With a ``dest``, the search stops once ``dest`` is settled; then only
+    the entries of nodes settled by then are final.
     """
     adjacency = network.adjacency  # keyed by every node id
-    if origin not in adjacency or dest not in adjacency:
-        raise ValueError(f"origin {origin} or destination {dest} not in network")
-    if origin == dest:
-        return ()
-
-    best: dict[int, tuple[float, tuple[int, ...]]] = {origin: (0.0, ())}
-    heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), origin)]
+    best: dict[int, tuple[float, tuple[int, ...]]] = {origin: (0, ())}
+    heap: list[tuple[float, tuple[int, ...], int]] = [(0, (), origin)]
     while heap:
         cost, seq, node = heapq.heappop(heap)
-        entry = best.get(node)
-        if entry is not None and (cost, seq) > entry:
+        if (cost, seq) > best[node]:
             continue
         if node == dest:
-            return seq
-        for link_id in adjacency.get(node, ()):
+            break
+        for link_id in adjacency[node]:
             link = network.link(link_id)
             step = cost_fn(link)
             if step < 0:
@@ -67,4 +68,22 @@ def dijkstra_route(
             if existing is None or cand < existing:
                 best[link.to_node] = cand
                 heapq.heappush(heap, (cand[0], cand[1], link.to_node))
-    return None
+    return best
+
+
+def dijkstra_route(
+    network: Network,
+    cost_fn: Callable[[Link], float],
+    origin: int,
+    dest: int,
+) -> Optional[tuple[int, ...]]:
+    """The link ids of the cheapest origin->dest path under a frozen cost
+    snapshot, ``cost_fn`` mapping a link to its snapshot cost: the entry
+    for ``dest`` of ``shortest_paths``. None when the destination is
+    unreachable.
+    """
+    adjacency = network.adjacency
+    if origin not in adjacency or dest not in adjacency:
+        raise ValueError(f"origin {origin} or destination {dest} not in network")
+    entry = shortest_paths(network, cost_fn, origin, dest).get(dest)
+    return None if entry is None else entry[1]

@@ -62,6 +62,7 @@ from .matching import (
     ceil_steps,
     free_slot,
     match_rider,
+    step_matrix,
 )
 from .network import LaneClass, Network, volume_delay
 from .routing import dijkstra_route
@@ -611,13 +612,17 @@ class SimState:
         anchor at the clock (``_live_anchor_step``) with the rider's pins
         added to its own, and walks its ``DriverOffer.stops`` chain
         (ordering, travel feasibility, seat capacity, own window) at
-        ``tau``, the link steps the itinerary was solved on; phase two
-        rewrites routes and holds, and each vehicle takes its candidate's
-        pins, next stop and later slots (``RideshareVehicle.set_pins``).
+        ``tau``, the link steps the itinerary was solved on. Between two
+        stops the driver takes the path of ``step_matrix`` at ``tau``, the
+        matrix that built the rider's network, read and not searched
+        again; phase two rewrites routes and holds, and each vehicle takes
+        its candidate's pins, next stop and later slots
+        (``RideshareVehicle.set_pins``).
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
         clock_step = ceil_steps(self.clock, self.dt)
+        steps, paths = step_matrix(self.network, tau)
         plans: list[tuple[RideshareVehicle, DriverOffer, list[int], list[int]]] = []
         for leg in itinerary.legs:
             vehicle = self._offer_index.get(leg.driver)
@@ -641,13 +646,10 @@ class SimState:
             cursor = stops[0][1]  # earliest step the vehicle can leave the stop
             for idx, ((from_node, _, _), (to_node, to_step, holds)) in enumerate(
                     zip(stops, stops[1:])):
-                links = dijkstra_route(self.network, lambda l: float(tau[l.id]),
-                                       from_node, to_node)
-                if links is None:
+                travel = steps[from_node][to_node]
+                if cursor + travel > to_step:  # INF, no path, fails too
                     return False
-                travel = sum(tau[lid] for lid in links)
-                if cursor + travel > to_step:
-                    return False
+                links = paths[from_node][to_node]
                 depart = cursor
                 if idx == 0 and not candidate.departed:
                     # not yet underway: leave just in time, within the window,

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
@@ -80,6 +81,23 @@ def make_network(links: list[tuple[int, int, float]]) -> Network:
             for i, (a, b, t) in enumerate(links)
         ),
     )
+
+
+@st.composite
+def step_digraphs(draw) -> tuple[Network, dict[int, int]]:
+    """A random network on 2-7 nodes, some with no link, parallel links
+    allowed and link ids in random order, and a whole-step cost of 1-3 per
+    link id: a search on it meets many exact ties."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=14))
+    ids = draw(st.permutations(range(len(pairs))))
+    network = Network(nodes=tuple(range(n)), links=tuple(
+        Link(id=i, from_node=a, to_node=b, length=1.0, free_flow_time=0.1,
+             has_carpool_lane=False)
+        for i, (a, b) in zip(ids, pairs)))
+    return network, {i: draw(st.integers(1, 3)) for i in sorted(ids)}
 
 
 def random_instance(rng: random.Random):

@@ -207,7 +207,9 @@ BAD_INPUTS = {
     "unknown-link-field": ({}, lambda net: net["links"][0].update(colour="blue"),
                            [], "colour"),
     "undeclared-endpoint": ({}, lambda net: net["links"][0].update(to=9),
-                            [], "node 9"),
+                            [], "links[0].to (link 0): node 9 not declared"),
+    "no-links": ({}, lambda net: net.update(links=[]), [],
+                 "links must name at least one link"),
     "missing-link-field": ({}, lambda net: net["links"][0].pop("free_flow_time"),
                            [], "free_flow_time"),
     "duplicate-link-id": ({}, lambda net: net["links"][1].update(id=0),
@@ -364,6 +366,17 @@ def test_background_needs_carpool_lane(command, quick_config, tmp_path, capsys):
     config.write_text(yaml.safe_dump(raw))
     assert main([command, "--config", str(config)]) == EXIT_USAGE
     assert "unused_capacity" in capsys.readouterr().err
+
+
+def test_validate_rejects_network_without_links(quick_config, tmp_path, capsys):
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    raw["network"] = str(tmp_path / "no_links.yaml")
+    Path(raw["network"]).write_text("nodes: [0, 1]\nlinks: []\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["validate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "links must name at least one link" in err and raw["network"] in err
 
 
 @pytest.mark.parametrize("broken", ["config", "network"])

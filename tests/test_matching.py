@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import ridesim.matching as matching
 from ridesim.agents import TimeWindow
@@ -21,7 +22,7 @@ from ridesim.matching import (
 )
 from ridesim.simulation import init_simulation
 
-from conftest import DT_EXACT, free_slots, random_instance, slot_groups
+from conftest import DT_EXACT, free_slots, random_instance, slot_groups, step_digraphs
 from oracle import (EnumerationBudgetError, brute_force_itinerary,
                     vertices_on_feasible_paths)
 
@@ -190,7 +191,7 @@ def reference_ten(rider, offers, net, tau, dt):
     by testing every step against the rider's window and each driver's
     ``stops`` chain one at a time; ``full`` counts seat-full slots that would
     otherwise carry an arc."""
-    m = matching._min_step_matrix(net, tau)
+    m = matching._min_step_matrix(net, tau)[0]
     w = rider.window
     ed, ld, ea, la = (ceil_steps(t, dt) for t in (
         w.earliest_departure, w.latest_departure, w.earliest_arrival,
@@ -492,13 +493,35 @@ class TestPinChain:
         assert free_slots(served) == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
 
 
+class TestStepMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(step_digraphs())
+    def test_paths_sum_to_steps(self, graph):
+        """Each path of the matrix runs link to link from its source to its
+        node and its steps sum to the matrix entry; an entry is INF, and has
+        no path, exactly where no path leads."""
+        net, tau = graph
+        steps, paths = matching._min_step_matrix(net, tau)
+        for a in net.node_ids():
+            for b in net.node_ids():
+                if not (a == b or net.next_hops(a, b)):
+                    assert steps[a][b] == matching.INF and b not in paths[a]
+                    continue
+                node = a
+                for lid in paths[a][b]:
+                    assert net.link(lid).from_node == node
+                    node = net.link(lid).to_node
+                assert node == b
+                assert steps[a][b] == sum(tau[lid] for lid in paths[a][b])
+
+
 class TestMinStepMemo:
     def test_memo_follows_step_durations(self, testbed):
         tau = {link.id: 3 for link in testbed.links}
-        first = matching._shared_min_step_matrix(testbed, tau)
-        assert matching._shared_min_step_matrix(testbed, dict(tau)) is first
+        first = matching.step_matrix(testbed, tau)
+        assert matching.step_matrix(testbed, dict(tau)) is first
         slower = {**tau, testbed.links[0].id: 40}
-        memo = matching._shared_min_step_matrix(testbed, slower)
+        memo = matching.step_matrix(testbed, slower)
         assert memo == matching._min_step_matrix(testbed, slower)
         assert memo != first
 

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ridesim.demand import free_flow_paths
 from ridesim.network import LaneClass, Link, Network, volume_delay
-from ridesim.routing import CostWeights, dijkstra_route
+from ridesim.routing import CostWeights, dijkstra_route, shortest_paths
 from ridesim.simulation import SimState
 
-from conftest import make_network, scenario
+from conftest import make_network, scenario, step_digraphs
 
 
 def route_costs(network: Network, flows=None, weights=CostWeights()):
@@ -120,6 +121,32 @@ class TestDijkstra:
             assert sum(costs[lid] for lid in best) == expected
             checked += 1
         assert checked >= 50
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_digraphs())
+    def test_tree_entries_are_routes(self, graph):
+        """Every entry of a full ``shortest_paths`` tree is the route
+        ``dijkstra_route`` finds for that destination, and the least
+        (cost, link ids) over every loop-free path, its int cost the sum
+        over its links; unreachable nodes have no entry."""
+        net, costs = graph
+
+        def cost(link):
+            return costs[link.id]
+
+        for origin in net.node_ids():
+            tree = shortest_paths(net, cost, origin)
+            for dest in net.node_ids():
+                paths = enumerate_paths(net, origin, dest)
+                route = dijkstra_route(net, cost, origin, dest)
+                if not paths:
+                    assert route is None and dest not in tree
+                    continue
+                total, links = tree[dest]
+                assert links == route
+                assert type(total) is int and total == sum(costs[lid] for lid in links)
+                assert (total, links) == min(
+                    (sum(costs[lid] for lid in path), path) for path in paths)
 
     def test_tie_break_smallest_link_sequence(self):
         # two parallel equal-cost routes 0->1->3 (links 0,2) and 0->2->3 (links 1,3)

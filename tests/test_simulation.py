@@ -721,6 +721,36 @@ class TestOfferIndex:
         assert served_mid_route > 100
         assert evicted > 0
 
+    def test_commit_runs_no_search(self, testbed, tmp_path, monkeypatch):
+        """A commit routes each driver along the step matrix's paths: no
+        ``dijkstra_route`` call happens while one runs, on the sweep,
+        transfer and grid runs, and accepted commits are among them."""
+        committing = False
+        commits = accepted = 0
+        search = simulation.dijkstra_route
+        commit = SimState.commit_itinerary
+
+        def guarded_search(*args):
+            assert not committing, "a commit searched for a route"
+            return search(*args)
+
+        def watched(sim, rider, itinerary, tau):
+            nonlocal committing, commits, accepted
+            committing = True
+            try:
+                ok = commit(sim, rider, itinerary, tau)
+            finally:
+                committing = False
+            commits += 1
+            accepted += ok
+            return ok
+
+        monkeypatch.setattr(simulation, "dijkstra_route", guarded_search)
+        monkeypatch.setattr(SimState, "commit_itinerary", watched)
+        for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
+            sim.run()
+        assert commits > 100 and accepted > 0
+
     def test_commit_builds_one_offer_per_leg(self, testbed, tmp_path, monkeypatch):
         """Each accepted commit builds one ``DriverOffer`` per leg, its
         candidate, whose pins, next stop and later slots the leg's vehicle
