@@ -29,7 +29,15 @@ def _load(args, default_name: str) -> ScenarioConfig:
             overrides["levels"] = [float(x) for x in args.levels.split(",")]
         except ValueError as exc:
             raise ConfigError(f"--levels: {exc}") from exc
-    return load_config(config_path, overrides)
+    config = load_config(config_path, overrides)
+    # the outputs are written after every replication has run, so a path
+    # that cannot become a directory is refused before the first one
+    outdir = Path(config.output_dir)
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output_dir: {outdir} is not a directory" if existing == outdir
+                          else f"output_dir: {outdir} lies under {existing}, not a directory")
+    return config
 
 
 def cmd_validate(args) -> int:

@@ -226,7 +226,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
     """Parse and validate a scenario file; ``overrides`` other than None win
     over file values."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = read_yaml(path)

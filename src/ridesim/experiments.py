@@ -7,27 +7,67 @@ ridesharing scenario across carpool-lane background levels with common
 random numbers per replication index, reporting mean and spread of the
 match rate.
 
-Each experiment builds, runs, reads and drops one replication at a time,
-inside one pause of the cyclic garbage collector, and reads only a summary
-of it ("Memory" in ``ridesim.simulation``).
+Memory: every replication is built, run, read and dropped by one function,
+``_replicate``, inside one pause of CPython's cyclic garbage collector
+(``_collector_paused``). The collector's passes start on allocation counts,
+and most of what a replication allocates stays alive until it ends (agents,
+vehicles, events: about 144,000 tracked objects after one day of the
+bundled validation scenario), so each pass would walk them again and find
+no garbage. A replication builds no reference cycle ("Memory" in
+``ridesim.simulation``), so reference counting frees it once it is
+dropped, and no pass runs while one is alive. The experiments read only a
+summary (``validation_counts``, ``rider_totals``); ``build_report``, the
+per-agent table, is built only for a single run, whose replication
+``run_single`` returns to its caller and so outlives the pause.
 """
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
 from .config import ScenarioConfig
-from .network import ConfigError, flow_distribution
+from .matching import MATCH_TRACE_COLUMNS
+from .network import ConfigError, Network, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
-from .simulation import (SimReport, SimState, _collector_paused, init_simulation,
-                         matched_share)
+from .simulation import SimReport, SimState, init_simulation, matched_share
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
+
+
+class _collector_paused:
+    """Turn the cyclic garbage collector off for the block, and back on
+    when the block ends, also by an exception, unless it was already off.
+    A class, not a generator: once the collector is back on, leaving the
+    block allocates nothing, so no pass starts before the code after the
+    block runs."""
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.enabled:
+            gc.enable()
+
+
+def _replicate(config: ScenarioConfig, network: Network, seed: int,
+               read: Callable[[SimState], object]):
+    """Build and run one replication and return ``read`` of it, inside one
+    collector pause that ends after the replication is dropped, unless
+    ``read`` returned it ("Memory" in the module docstring)."""
+    with _collector_paused():
+        sim = init_simulation(config, network, seed)
+        sim.run()
+        result = read(sim)
+        del sim  # free this replication before the collector is back on
+    return result
 
 
 def replication_seeds(base_seed: int, count: int) -> list[int]:
@@ -124,12 +164,9 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
     )
     totals = {l.id: 0.0 for l in network.links}
     for rep_seed in seeds:
-        with _collector_paused():
-            sim = init_simulation(base, network, rep_seed)
-            sim.run()
-            for link_id, count in sim.validation_counts().items():
-                totals[link_id] += count
-            del sim  # free this replication before the collector is back on
+        counts = _replicate(base, network, rep_seed, SimState.validation_counts)
+        for link_id, count in counts.items():
+            totals[link_id] += count
     grand_total = sum(totals.values())
     if grand_total <= 0:
         raise ConfigError("validation runs produced zero vehicles")
@@ -212,11 +249,8 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
         rates = []
         riders = 0
         for rep_seed in seeds:
-            with _collector_paused():
-                sim = init_simulation(scenario, network, rep_seed)
-                sim.run()
-                total, matched = sim.rider_totals()
-                del sim  # free this replication before the collector is back on
+            total, matched = _replicate(scenario, network, rep_seed,
+                                        SimState.rider_totals)
             riders += total
             rates.append(matched_share(total, matched))
         mean = float(np.mean(rates)) if rates else 0.0
@@ -234,11 +268,9 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
 def run_single(config: ScenarioConfig, seed: int | None = None) -> tuple[SimState, SimReport]:
     """One scenario run with the configured demand and background level,
     and its report."""
-    network = config.make_network()
-    with _collector_paused():
-        sim = init_simulation(config, network, seed if seed is not None else config.seed)
-        sim.run()
-        return sim, sim.build_report()
+    return _replicate(config, config.make_network(),
+                      config.seed if seed is None else seed,
+                      lambda sim: (sim, sim.build_report()))
 
 
 def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
@@ -264,11 +296,8 @@ def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
     )
     write_csv_atomic(
         outdir / "match_trace.csv",
-        ("rider_id", "request_time", "offers", "vertices", "travel_arcs",
-         "pruned_vertices", "feasible", "dp_cost", "matched"),
-        [(t["rider_id"], t["request_time"], t["offers"], t["vertices"],
-          t["travel_arcs"], t["pruned_vertices"], t["feasible"],
-          t["dp_cost"], t["matched"]) for t in report.match_trace],
+        MATCH_TRACE_COLUMNS,
+        [tuple(row[key] for key in MATCH_TRACE_COLUMNS) for row in report.match_trace],
     )
     write_json_atomic(outdir / "run_meta.json", {
         "config_fingerprint": fingerprint,

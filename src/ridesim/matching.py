@@ -623,6 +623,11 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     return Itinerary(_legs(_path(winner), graph.nodes), winner[0], winner[1])
 
 
+# the keys of a ``match_trace`` row, in ``match_trace.csv``'s column order
+MATCH_TRACE_COLUMNS = ("rider_id", "request_time", "offers", "vertices", "travel_arcs",
+                       "pruned_vertices", "feasible", "dp_cost", "matched")
+
+
 def match_rider(sim, rider: RiderRequest) -> MatchResult:
     """Run the full pipeline once against a live simulation and commit the
     result, appending one diagnostic row to ``sim.match_trace``.
@@ -643,17 +648,10 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, sim.penalty)
     committed = itinerary is not None and sim.commit_itinerary(rider, itinerary, tau)
-    sim.match_trace.append({
-        "rider_id": rider.id,
-        "request_time": rider.request_time,
-        "offers": sim.live_drivers,
-        "vertices": graph.ten_vertices,
-        "travel_arcs": len(ten.travel_arcs),
-        "pruned_vertices": graph.ten_vertices - len(graph.vertices),
-        "feasible": graph.feasible,
-        "dp_cost": itinerary.total_cost if itinerary else None,
-        "matched": committed,
-    })
+    sim.match_trace.append(dict(zip(MATCH_TRACE_COLUMNS, (
+        rider.id, rider.request_time, sim.live_drivers, graph.ten_vertices,
+        len(ten.travel_arcs), graph.ten_vertices - len(graph.vertices),
+        graph.feasible, itinerary.total_cost if itinerary else None, committed))))
     if itinerary is None:
         return MatchResult(False, reason="infeasible")
     if not committed:

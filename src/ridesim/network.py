@@ -273,8 +273,9 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def read_yaml(path: Path) -> object:
-    """Parse one YAML file as ``yaml.safe_load`` would; raises ``yaml.YAMLError``."""
-    return yaml.load(path.read_text(), Loader=_YAML_LOADER)
+    """Parse one YAML file as ``yaml.safe_load`` would; raises ``yaml.YAMLError``,
+    also for bytes that are not text in YAML's encodings (UTF-8, UTF-16)."""
+    return yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
 
 
 def load_network(path: str | Path) -> Network:

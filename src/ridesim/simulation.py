@@ -20,30 +20,21 @@ other event. An entry's sequence number is its agent id, and every pushed
 event's is larger, so an entry is handled before the heap's head exactly
 when its time is not later: the order one heap of every event would give.
 
-Memory: CPython's cyclic garbage collector is paused while a replication is
-built and while it runs (``_collector_paused``). Its passes start on
-allocation counts, and most of what a replication allocates stays alive
-until it ends (agents, vehicles, events: about 144,000 tracked objects
-after one day of the bundled validation scenario), so each pass would walk
-them again and find no garbage. The experiments build, run, read and drop
-each replication inside one pause, reading only a summary
-(``validation_counts``, ``rider_totals``), so no pass runs while a
-replication is alive; ``build_report``, the per-agent table, is built only
-for a single run. A run builds no reference cycle: a DP label points to its
-parent label, a vehicle to its agent and to pins and slots, which are
-values, an event holds ids or, for an arrival, its vehicle and lane, and
-nothing points back. Reference counting therefore frees every object a
-replication made, at the latest when its ``SimState`` is dropped.
-``TestCollectorPause`` in ``tests/test_simulation.py`` guards that:
-building, running and dropping a replication of the bundled validation
-scenario or of the multi-leg grid leaves no cyclic garbage.
+Memory: a run builds no reference cycle. A DP label points to its parent
+label, a vehicle to its agent and to pins and slots, which are values, an
+event holds ids or, for an arrival, its vehicle and lane, and nothing
+points back. Reference counting therefore frees every object a replication
+made, at the latest when its ``SimState`` is dropped, and the cyclic
+garbage collector finds nothing to free in it; ``ridesim.experiments``
+pauses the collector while a replication is alive. ``TestCollectorPause``
+in ``tests/test_simulation.py`` guards the premise: building, running and
+dropping a replication of the bundled validation scenario or of the
+multi-leg grid leaves no cyclic garbage.
 """
 from __future__ import annotations
 
-import gc
 import heapq
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -81,20 +72,6 @@ RIDER, RIDESHARE_DRIVER = Role.RIDER, Role.RIDESHARE_DRIVER
 
 class SimulationError(ValueError):
     pass
-
-
-@contextmanager
-def _collector_paused():
-    """Turn the cyclic garbage collector off for the block, and back on
-    when the block ends, also by an exception, unless it was already off
-    ("Memory" in the module docstring)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(slots=True)
@@ -250,10 +227,9 @@ class SimState:
     ``ScenarioConfig`` that ``load_config`` has validated; none is checked
     again here. Construction draws the agents of ``config.demand_spec`` and,
     below full unused carpool capacity, schedules the background carpool
-    load, each from its own stream of ``seed``. Construction and ``run``
-    pause the cyclic garbage collector ("Memory" in the module docstring)."""
+    load, each from its own stream of ``seed``. A replication builds no
+    reference cycle ("Memory" in the module docstring)."""
 
-    @_collector_paused()
     def __init__(self, config: ScenarioConfig, network: Network, seed: int):
         self.network = network
         self.demand = config.demand_spec(network)
@@ -680,7 +656,6 @@ class SimState:
 
     # ------------------------------------------------------------------- runs
 
-    @_collector_paused()
     def run(self, horizon: Optional[float] = None) -> None:
         """Process every event with time <= horizon (the scenario's by
         default), in (time, seq) order: the next scheduled agent entry when

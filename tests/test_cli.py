@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import ridesim.experiments as experiments
 from ridesim.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
 from ridesim.config import bundled_data_path
 
@@ -390,3 +391,42 @@ def test_unparsable_yaml_usage_error(broken, quick_config, tmp_path, capsys):
     config.write_text(yaml.safe_dump(raw) + ("horizon: [1.5\n" if broken == "config" else ""))
     assert main(["run", "--config", str(config)]) == EXIT_USAGE
     assert str(net if broken == "network" else config) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, below", [("run", ""), ("validate", "sub")])
+def test_output_dir_at_or_under_a_file_usage_error(command, below, quick_config,
+                                                   tmp_path, monkeypatch, capsys):
+    """Refused before the first replication, naming ``output_dir`` and the file."""
+    def fail(*args):
+        raise AssertionError("a replication was built")
+
+    monkeypatch.setattr(experiments, "init_simulation", fail)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / below if below else blocker
+    assert main([command, "--config", str(quick_config), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"output_dir: {out}" in err and str(blocker) in err
+
+
+def test_config_directory_usage_error(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken", ["config", "network"])
+def test_non_utf8_file_usage_error(broken, quick_config, tmp_path, capsys):
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    net = tmp_path / "net.yaml"
+    if broken == "network":
+        net.write_bytes(b"\x80abc: 1\n")
+    else:
+        net.write_text(bundled_data_path("la_testbed.yaml").read_text())
+    raw["network"] = str(net)
+    config = tmp_path / "scenario.yaml"
+    config.write_bytes((b"\x80abc: 1\n" if broken == "config" else b"")
+                       + yaml.safe_dump(raw).encode())
+    assert main(["run", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(net if broken == "network" else config) in err
+    assert "unacceptable character #x0080" in err

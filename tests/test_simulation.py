@@ -1002,8 +1002,14 @@ class TestBackgroundLoad:
 
 
 class TestCollectorPause:
-    """``SimState`` pauses the cyclic garbage collector while it is built
-    and while it runs ("Memory" in the ``ridesim.simulation`` docstring)."""
+    """The experiments pause the cyclic garbage collector while a
+    replication is built, run and read ("Memory" in the
+    ``ridesim.experiments`` docstring), and a replication builds no
+    reference cycle ("Memory" in the ``ridesim.simulation`` docstring)."""
+
+    @pytest.fixture()
+    def riders(self):
+        return scenario(1.0, {(0, 2): 60.0}, shares=(0.3, 0.3, 0.4))
 
     @pytest.fixture(autouse=True)
     def restore_collector(self):
@@ -1015,34 +1021,33 @@ class TestCollectorPause:
             gc.disable()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_caller_state_restored(self, testbed, enabled):
+    def test_caller_state_restored(self, enabled):
         if enabled:
             gc.enable()
         else:
             gc.disable()
-        sim = SimState(scenario(2.0, {(0, 2): 100.0}), testbed, seed=2)
-        assert gc.isenabled() is enabled
-        sim.run()
+        sim, report = experiments.run_single(scenario(2.0, {(0, 2): 100.0}), seed=2)
+        assert report.outcomes
         assert gc.isenabled() is enabled
 
-    def test_restored_when_construction_or_run_raises(self, testbed, monkeypatch):
-        gc.enable()
-        sim = empty_sim(testbed)
-        seed_agent(sim, regular(0, 0, 2, t=0.0))
-
+    def test_restored_when_construction_or_run_raises(self, riders, monkeypatch):
         def fail(*args):
             raise SimulationError("handler failed")
 
-        monkeypatch.setattr(SimState, "_handle_agent_enter", fail)
-        with pytest.raises(SimulationError, match="handler failed"):
-            sim.run()
-        assert gc.isenabled()
-        monkeypatch.setattr(simulation, "generate_agents", fail)
-        with pytest.raises(SimulationError, match="handler failed"):
-            empty_sim(testbed)
-        assert gc.isenabled()
+        for owner, name in ((SimState, "_handle_agent_enter"),
+                            (simulation, "generate_agents")):
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fail)
+                for enabled in (True, False):
+                    if enabled:
+                        gc.enable()
+                    else:
+                        gc.disable()
+                    with pytest.raises(SimulationError, match="handler failed"):
+                        experiments.run_single(riders)
+                    assert gc.isenabled() is enabled, name
 
-    def test_off_while_agents_are_drawn_and_riders_matched(self, testbed, monkeypatch):
+    def test_off_while_agents_are_drawn_and_riders_matched(self, riders, monkeypatch):
         gc.enable()
         seen = []
 
@@ -1054,11 +1059,12 @@ class TestCollectorPause:
 
         for name in ("generate_agents", "match_rider"):
             monkeypatch.setattr(simulation, name, recording(getattr(simulation, name)))
-        transfer_sim(testbed).run()
-        assert seen == [("generate_agents", False), ("match_rider", False)]
+        experiments.run_single(riders)
+        assert seen[0] == ("generate_agents", False)
+        assert len(seen) > 1 and set(seen[1:]) == {("match_rider", False)}
         assert gc.isenabled()
 
-    @pytest.mark.parametrize("experiment", ["validation", "sweep"])
+    @pytest.mark.parametrize("experiment", ["validation", "sweep", "single"])
     def test_experiments_pass_no_collection_over_replications(self, monkeypatch,
                                                              experiment):
         """``run_validation`` and ``run_capacity_sweep`` build, run, read
@@ -1066,16 +1072,29 @@ class TestCollectorPause:
         pass while a replication is alive, and, once a first call has
         filled the interpreter's free lists (whose frees the collector's
         allocation count does not see), none from the first replication's
-        build to the last one's drop."""
+        build to the last one's drop. ``run_single`` returns its
+        replication, which outlives the call: no pass runs from its build
+        to the return."""
+        log = []
         if experiment == "validation":
             config = load_config(bundled_data_path("validation.yaml"),
                                  {"horizon": 3.0, "replications": 2})
             run, replications = experiments.run_validation, 2
-        else:
+        elif experiment == "sweep":
             config = load_config(bundled_data_path("sweep.yaml"),
                                  {"horizon": 1.0, "replications": 2})
             run, replications = experiments.run_capacity_sweep, 2 * len(config.levels)
-        log = []
+        else:
+            config = load_config(bundled_data_path("sweep.yaml"), {"horizon": 1.0})
+            replications = 1
+
+            def run(config):
+                result = experiments.run_single(config)
+                log.append("r")  # returned; the caller still holds the replication
+                assert result[1].riders_total
+        # build, drop, pass: one replication at a time, no pass while one is
+        # alive, nor before run_single has returned
+        pattern, end = ("p*brp*dp*", "r") if experiment == "single" else ("p*(bdp*)+", "d")
         build = experiments.init_simulation
 
         def recording(*args):
@@ -1096,14 +1115,12 @@ class TestCollectorPause:
             for _ in range(2):
                 log.clear()
                 run(config)
-                # build, drop, pass: one replication at a time, no pass
-                # while one is alive
                 events = "".join(log)
-                assert re.fullmatch("p*(bdp*)+", events), events
+                assert re.fullmatch(pattern, events), events
                 assert events.count("b") == replications
         finally:
             gc.callbacks.remove(on_pass)
-        assert "p" not in events.strip("p"), events
+        assert "p" not in events[events.index("b"):events.rindex(end)], events
 
     def test_replication_leaves_no_cyclic_garbage(self, tmp_path):
         """The premise of the pause: reference counting alone frees all
