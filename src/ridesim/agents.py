@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 
 class Role(str, Enum):
@@ -36,14 +37,19 @@ class TimeWindow:
 
 @dataclass(slots=True)
 class VehicleAgent:
-    """One traveller: a regular driver, a ridesharing driver, or a rider."""
+    """One traveller: a regular driver, a ridesharing driver, or a rider.
+
+    ``window`` is None exactly for a regular driver: it leaves at its
+    ``request_time`` and replans at every node, and nothing reads a
+    schedule for it. Riders and ridesharing drivers have one.
+    """
 
     id: int
     role: Role
     origin: int
     destination: int
     request_time: float
-    window: TimeWindow
+    window: Optional[TimeWindow]
     seats: int = 0
 
     def __post_init__(self) -> None:

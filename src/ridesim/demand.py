@@ -3,8 +3,9 @@
 O-D hourly rates are either given explicitly or calibrated so that a
 free-flow all-or-nothing assignment reproduces the network's observed daily
 link flows. Agents arrive as independent Poisson streams per O-D pair;
-roles are drawn from the configured participation shares; every window
-admits at least the free-flow solo trip by construction.
+roles are drawn from the configured participation shares; every rider's
+and ridesharing driver's window admits at least the free-flow solo trip by
+construction, and a regular driver has none.
 """
 from __future__ import annotations
 
@@ -141,8 +142,9 @@ def generate_agents(
     arrival time with ids 0..n-1.
 
     Arrivals are Poisson per O-D pair at ``scale * rate``; roles follow the
-    participation shares; windows give every agent ``window_flexibility``
-    hours of slack beyond the free-flow trip. Identical (spec, seed) pairs
+    participation shares; every rider's and ridesharing driver's window
+    gives ``window_flexibility`` hours of slack beyond the free-flow trip,
+    and a regular driver's window is None. Identical (spec, seed) pairs
     produce identical schedules.
     """
     od_pairs = sorted(spec.od_rates)
@@ -178,7 +180,7 @@ def generate_agents(
     return tuple(
         VehicleAgent(
             idx, role_order[role], od_pairs[pair][0], od_pairs[pair][1], time,
-            TimeWindow(time, late_dep, early_arr, late_arr),
+            None if role == 2 else TimeWindow(time, late_dep, early_arr, late_arr),
             spec.seats if role == 1 else 0,
         )
         for idx, (time, pair, role, late_dep, early_arr, late_arr) in enumerate(zip(
@@ -191,7 +193,8 @@ def generate_agents(
 
 def fallback_to_driver(rider: VehicleAgent, next_id: int) -> VehicleAgent:
     """Convert an unmatched rider into a regular driver with the same trip,
-    under the fresh agent id ``next_id``."""
+    leaving at the rider's earliest departure under the fresh agent id
+    ``next_id``; like every regular driver, it has no window."""
     if rider.role is not Role.RIDER:
         raise ValueError(f"agent {rider.id} is not a rider")
     return VehicleAgent(
@@ -200,6 +203,6 @@ def fallback_to_driver(rider: VehicleAgent, next_id: int) -> VehicleAgent:
         origin=rider.origin,
         destination=rider.destination,
         request_time=rider.window.earliest_departure,
-        window=rider.window,
+        window=None,
         seats=0,
     )

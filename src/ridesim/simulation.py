@@ -3,14 +3,14 @@
 Vehicles advance link by link; a vehicle entering a link exits after the
 volume-delay time implied by the link's instantaneous hourly flow, estimated
 from a sliding entry window. Every vehicle passes each node through one
-handler, ``SimState._advance``: it serves the pickups and dropoffs due there,
-asks ``vehicle_at_node`` for the next link, then holds, enters that link or
-ends the trip. Only ``vehicle_at_node`` tells the roles apart. Regular
-drivers replan there from the current cost snapshot; a node with only one
-outgoing link that still reaches the destination needs no search, and taking
-that link is the choice the search would make. Ridesharing drivers follow
-committed routes that the matcher may rewrite; each arriving rider triggers
-the matcher exactly once.
+handler, ``SimState._advance``, which tells the roles apart once. A
+ridesharing driver serves the pickups and dropoffs due there, then holds,
+enters the next link of its plan or ends the trip; the plan is the route
+with its entry steps, which the matcher may rewrite. A regular driver asks
+``vehicle_at_node``, which replans from the current cost snapshot; a node
+with only one outgoing link that still reaches the destination needs no
+search, and taking that link is the choice the search would make. Each
+arriving rider triggers the matcher exactly once.
 
 Determinism: events are handled in (time, insertion sequence) order, all
 randomness drawn from generators seeded per replication. The generated
@@ -21,9 +21,10 @@ event's is larger, so an entry is handled before the heap's head exactly
 when its time is not later: the order one heap of every event would give.
 
 Memory: a run builds no reference cycle. A DP label points to its parent
-label, a vehicle to its agent and to pins and slots, which are values, an
-event holds ids or, for an arrival, its vehicle and lane, and nothing
-points back. Reference counting therefore frees every object a replication
+label, a vehicle to its agent and to its pins, slots and plan, which hold
+only values, an event holds an agent or link id or, for an arrival or a
+departure, its vehicle with its lane or plan version, and nothing points
+back. Reference counting therefore frees every object a replication
 made, at the latest when its ``SimState`` is dropped, and the cyclic
 garbage collector finds nothing to free in it; ``ridesim.experiments``
 pauses the collector while a replication is alive. ``TestCollectorPause``
@@ -113,32 +114,28 @@ class Lane:
 
 
 class Vehicle:
-    """Runtime state of one agent's vehicle (riders have no vehicle).
+    """Runtime state of one agent's vehicle (riders have no vehicle): where
+    it is, and when it left and arrived or whether it was stranded. A
+    regular driver's vehicle has nothing more: it picks each link as it
+    reaches a node (``vehicle_at_node``) and carries no one (``aboard`` is
+    empty).
 
     Position: ``node`` is the node the vehicle is at or, while it is on a
     link, the end of that link; ``link_arrival_time`` is when it gets there,
     and None while it is at the node.
     """
 
-    __slots__ = (
-        "agent", "node", "link_arrival_time",
-        "route", "route_pos", "planned_entry_steps", "pins", "aboard",
-        "departure_time", "arrival_time", "stranded", "plan_version",
-    )
+    __slots__ = ("agent", "node", "link_arrival_time",
+                 "departure_time", "arrival_time", "stranded")
+    aboard = ()
 
     def __init__(self, agent: VehicleAgent):
         self.agent = agent
         self.node = agent.origin
         self.link_arrival_time: Optional[float] = None
-        self.route: list[int] = []
-        self.route_pos = 0
-        self.planned_entry_steps: list[int] = []
-        self.pins: tuple[Pin, ...] = ()
-        self.aboard: set[int] = set()
         self.departure_time: Optional[float] = None
         self.arrival_time: Optional[float] = None
         self.stranded = False
-        self.plan_version = 0
 
     @property
     def active(self) -> bool:
@@ -147,23 +144,35 @@ class Vehicle:
 
 class RideshareVehicle(Vehicle):
     """A ridesharing driver's vehicle. It adds the driver's own latest
-    departure and arrival in steps, fixed when it enters, and the part of
-    its schedule that only its pins and riders aboard move: its
-    ``next_stop``, (node, step), the first pin or else its destination by
-    its latest arrival step, and its ``later_slots``, the free slots after
-    that stop (``DriverOffer.later_slots``). A commit and a pin's service
-    are the only places where pins or riders aboard change, and both set
-    the three together (``set_pins``). Regular drivers' vehicles carry none
-    of these."""
+    departure and arrival in steps, fixed when it enters; its ``pins``, in
+    service order, and the ids of the riders ``aboard``; and the part of
+    its schedule that only these two move: its ``next_stop``, (node, step),
+    the first pin or else its destination by its latest arrival step, and
+    its ``later_slots``, the free slots after that stop
+    (``DriverOffer.later_slots``). A commit and a pin's service are the only
+    places where pins or riders aboard change, and both set the three
+    together (``set_pins``).
 
-    __slots__ = ("latest_departure_step", "latest_arrival_step", "next_stop", "later_slots")
+    Its ``plan`` is the route it drives, one (link id, entry step) pair per
+    link, which it follows from ``plan_pos`` on, holding at a node until the
+    next link's entry step. The entry sets it (``_plan_initial_route``) and
+    every accepted commit replaces it and raises ``plan_version``, which
+    makes the holds queued for an older plan stale."""
+
+    __slots__ = ("latest_departure_step", "latest_arrival_step", "pins", "aboard",
+                 "next_stop", "later_slots", "plan", "plan_pos", "plan_version")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
         self.latest_departure_step = ceil_steps(agent.window.latest_departure, dt)
         self.latest_arrival_step = ceil_steps(agent.window.latest_arrival, dt)
+        self.pins: tuple[Pin, ...] = ()
+        self.aboard: set[int] = set()
         self.next_stop = (agent.destination, self.latest_arrival_step)
         self.later_slots: tuple[FreeSlot, ...] = ()
+        self.plan: list[tuple[int, int]] = []
+        self.plan_pos = 0
+        self.plan_version = 0
 
     def offer_from(self, anchor_step: int, pins: tuple[Pin, ...]) -> DriverOffer:
         """The driver's offer from ``anchor_step`` with ``pins`` ahead."""
@@ -354,54 +363,57 @@ class SimState:
         self.push_event(now + delay, EV_ARRIVE_NODE, (vehicle, lane))
 
     def vehicle_at_node(self, vehicle: Vehicle, node: int, now: float) -> Optional[int]:
-        """Decide the vehicle's next link at ``node``; None means the trip ends.
+        """A regular driver's next link at ``node``; None means the trip ends.
 
-        Regular drivers replan against the current cost snapshot; ridesharing
-        drivers follow their committed route. A regular driver's choice is
-        among the outgoing links that still reach its destination
+        The driver replans against the current cost snapshot, among the
+        outgoing links that still reach its destination
         (``Network.next_hops``): at a fork Dijkstra picks the cheapest, and
         where only one such link exists it is taken without a search, since
         Dijkstra's first link would be that link. A vehicle with no feasible
         continuation is recorded as stranded (``vehicle.stranded``), not a
         crash.
         """
-        agent = vehicle.agent
-        if agent.role is RIDESHARE_DRIVER:
-            if vehicle.route_pos < len(vehicle.route):
-                return vehicle.route[vehicle.route_pos]
-            vehicle.stranded = node != agent.destination
+        destination = vehicle.agent.destination
+        if node == destination:
             return None
-        if node == agent.destination:
-            return None
-        hops = self.network.next_hops(node, agent.destination)
+        hops = self.network.next_hops(node, destination)
         if len(hops) == 1:
             return hops[0]
         if not hops:
             vehicle.stranded = True
             return None
         return dijkstra_route(self.network, self.route_cost_fn(now), node,
-                              agent.destination)[0]
+                              destination)[0]
 
     def _advance(self, vehicle: Vehicle, now: float) -> None:
-        """Move a vehicle standing at its node: serve the pins due there, then
-        hold until the planned entry step, enter the next link, or end the
-        trip (a stranded vehicle ends without an arrival time)."""
+        """Move a vehicle standing at its node. A ridesharing driver serves
+        the pins due there, then holds until its plan's next entry step,
+        enters that link, or ends the trip where its plan ends (stranded
+        unless that is its destination); a regular driver enters the link
+        ``vehicle_at_node`` picks or ends the trip. A stranded vehicle ends
+        without an arrival time."""
         node = vehicle.node
-        if vehicle.pins:
-            self._serve_pins(vehicle, node, now)
-        next_link = self.vehicle_at_node(vehicle, node, now)
+        if vehicle.agent.role is RIDESHARE_DRIVER:
+            if vehicle.pins:
+                self._serve_pins(vehicle, node, now)
+            pos = vehicle.plan_pos
+            if pos < len(vehicle.plan):
+                next_link, entry_step = vehicle.plan[pos]
+                hold_until = entry_step * self.dt
+                if hold_until > now + 1e-12:
+                    self.push_event(hold_until, EV_DEPART_NODE,
+                                    (vehicle, vehicle.plan_version))
+                    return
+                vehicle.plan_pos = pos + 1
+            else:
+                next_link = None
+                vehicle.stranded = node != vehicle.agent.destination
+        else:
+            next_link = self.vehicle_at_node(vehicle, node, now)
         if next_link is None:
             if not vehicle.stranded:
                 vehicle.arrival_time = now
             return
-        planned = vehicle.planned_entry_steps
-        if vehicle.route_pos < len(planned):
-            hold_until = planned[vehicle.route_pos] * self.dt
-            if hold_until > now + 1e-12:
-                self.push_event(hold_until, EV_DEPART_NODE,
-                                (vehicle.agent.id, vehicle.plan_version))
-                return
-        vehicle.route_pos += 1
         self.enter_link(vehicle, next_link, now)
 
     def _serve_pins(self, vehicle: RideshareVehicle, node: int, now: float) -> None:
@@ -449,16 +461,14 @@ class SimState:
         path = dijkstra_route(self.network, self.route_cost_fn(now),
                               agent.origin, agent.destination)
         if path is None:
-            return  # the empty route strands the vehicle at its origin
+            return  # the empty plan strands the vehicle at its origin
         step = max(ceil_steps(now, self.dt), vehicle.latest_departure_step)
-        steps = []
+        plan = []
         for link_id in path:
-            steps.append(step)
+            plan.append((link_id, step))
             delay = self.link_delay(link_id, GENERAL, now)
             step += max(1, ceil_steps(delay, self.dt))
-        vehicle.route = list(path)
-        vehicle.planned_entry_steps = steps
-        vehicle.route_pos = 0
+        vehicle.plan = plan
 
     def _handle_rider_request(self, agent: VehicleAgent, now: float) -> None:
         rider = RiderRequest(
@@ -483,8 +493,7 @@ class SimState:
         self._advance(vehicle, now)
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
-        agent_id, version = payload
-        vehicle = self.vehicles[agent_id]
+        vehicle, version = payload
         if not vehicle.active or vehicle.link_arrival_time is not None:
             return
         if version != vehicle.plan_version:
@@ -591,15 +600,15 @@ class SimState:
         ``tau``, the link steps the itinerary was solved on. Between two
         stops the driver takes the path of ``step_matrix`` at ``tau``, the
         matrix that built the rider's network, read and not searched
-        again; phase two rewrites routes and holds, and each vehicle takes
-        its candidate's pins, next stop and later slots
+        again; phase two replaces each vehicle's plan, queues its next
+        hold, and gives it its candidate's pins, next stop and later slots
         (``RideshareVehicle.set_pins``).
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
         clock_step = ceil_steps(self.clock, self.dt)
         steps, paths = step_matrix(self.network, tau)
-        plans: list[tuple[RideshareVehicle, DriverOffer, list[int], list[int]]] = []
+        updates: list[tuple[RideshareVehicle, DriverOffer, list[tuple[int, int]]]] = []
         for leg in itinerary.legs:
             vehicle = self._offer_index.get(leg.driver)
             anchor_step = (None if vehicle is None
@@ -617,8 +626,7 @@ class SimState:
                 return False
             ld_step = candidate.latest_departure_step
             stops = candidate.stops
-            route: list[int] = []
-            entry_steps: list[int] = []
+            plan: list[tuple[int, int]] = []
             cursor = stops[0][1]  # earliest step the vehicle can leave the stop
             for idx, ((from_node, _, _), (to_node, to_step, holds)) in enumerate(
                     zip(stops, stops[1:])):
@@ -633,25 +641,21 @@ class SimState:
                     depart = max(cursor, min(to_step - travel, ld_step))
                 step = depart
                 for lid in links:
-                    route.append(lid)
-                    entry_steps.append(step)
+                    plan.append((lid, step))
                     step += tau[lid]
                 # a boarding stop pins the onward departure; dropoffs do not
                 cursor = max(step, to_step) if holds else step
-            plans.append((vehicle, candidate, route, entry_steps))
+            updates.append((vehicle, candidate, plan))
 
-        for vehicle, candidate, route, entry_steps in plans:
+        for vehicle, candidate, plan in updates:
             vehicle.set_pins(candidate)
-            vehicle.route = route
-            vehicle.planned_entry_steps = entry_steps
-            vehicle.route_pos = 0
+            vehicle.plan = plan
+            vehicle.plan_pos = 0
             vehicle.plan_version += 1
             if vehicle.link_arrival_time is None:
-                release = entry_steps[0] * self.dt if entry_steps else self.clock
-                self.push_event(
-                    max(release, self.clock), EV_DEPART_NODE,
-                    (vehicle.agent.id, vehicle.plan_version),
-                )
+                release = plan[0][1] * self.dt if plan else self.clock
+                self.push_event(max(release, self.clock), EV_DEPART_NODE,
+                                (vehicle, vehicle.plan_version))
         return True
 
     # ------------------------------------------------------------------- runs

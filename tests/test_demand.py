@@ -46,7 +46,7 @@ def reference_agents(spec, network, seed):
         else:
             role = Role.REGULAR_DRIVER
         fft = routes[od][1]
-        window = TimeWindow(
+        window = None if role is Role.REGULAR_DRIVER else TimeWindow(
             earliest_departure=time,
             latest_departure=time + spec.window_flexibility,
             earliest_arrival=time + fft,
@@ -165,8 +165,13 @@ class TestGenerateAgents:
 
     def test_windows_admit_free_flow_trip(self, testbed):
         spec = self.spec(horizon=2.0)
-        for agent in generate_agents(spec, testbed, 5):
+        agents = generate_agents(spec, testbed, 5)
+        assert {agent.role for agent in agents} == set(Role)
+        for agent in agents:
             w = agent.window
+            if agent.role is Role.REGULAR_DRIVER:
+                assert w is None
+                continue
             assert w.earliest_departure == agent.request_time
             assert w.latest_departure >= w.earliest_departure
             assert w.earliest_arrival <= w.latest_arrival
@@ -259,6 +264,7 @@ class TestFallback:
         assert driver.role is Role.REGULAR_DRIVER
         assert (driver.origin, driver.destination) == (0, 2)
         assert driver.request_time == 1.0
+        assert driver.window is None
 
     def test_fresh_id(self):
         driver = fallback_to_driver(self.make_rider(), next_id=99)
@@ -266,7 +272,6 @@ class TestFallback:
 
     def test_non_rider_rejected(self):
         agent = VehicleAgent(id=1, role=Role.REGULAR_DRIVER, origin=0,
-                             destination=3, request_time=0.0,
-                             window=TimeWindow(0.0, 0.0, 0.55, 0.55))
+                             destination=3, request_time=0.0, window=None)
         with pytest.raises(ValueError):
             fallback_to_driver(agent, next_id=2)

@@ -41,10 +41,10 @@ def seed_agent(sim: SimState, agent: VehicleAgent) -> None:
     sim._next_agent_id = max(sim._next_agent_id, agent.id + 1)
 
 
-def regular(agent_id, origin, dest, t, flex=0.25, fft=1.0):
+def regular(agent_id, origin, dest, t):
     return VehicleAgent(
         id=agent_id, role=Role.REGULAR_DRIVER, origin=origin, destination=dest,
-        request_time=t, window=TimeWindow(t, t + flex, t + fft, t + fft + flex),
+        request_time=t, window=None,
     )
 
 
@@ -66,14 +66,15 @@ def rider(agent_id, origin, dest, t, fft, flex=0.3):
 def record_handled(monkeypatch) -> list:
     """A list that every event any ``SimState`` handles from now on is
     appended to, as (clock, kind, key); an arrival's key names its vehicle,
-    link and lane class."""
+    link and lane class, a departure's its vehicle and plan version."""
     log = []
     keys = {
         "_handle_agent_enter": (EV_AGENT_ENTER, lambda sim, agent: agent.id),
         "_handle_arrive": (EV_ARRIVE_NODE, lambda sim, payload: (
             payload[0].agent.id, payload[1].link_id,
             payload[1] is sim.lanes[payload[1].link_id, LaneClass.CARPOOL])),
-        "_handle_depart": (EV_DEPART_NODE, lambda sim, payload: payload),
+        "_handle_depart": (EV_DEPART_NODE, lambda sim, payload: (
+            payload[0].agent.id, payload[1])),
         "_handle_background": (EV_BACKGROUND, lambda sim, link_id: link_id),
     }
     for name, (kind, key) in keys.items():
@@ -391,11 +392,6 @@ class TestRidesharing:
         assert [leg.driver for leg in legs] == [0, 1]
         outcome = next(o for o in report.outcomes if o.agent_id == 2)
         assert outcome.arrival is not None
-        # committed routes stay contiguous after the matching rewrite
-        for driver_id in (0, 1):
-            links = [sim.network.link(lid) for lid in sim.vehicles[driver_id].route]
-            for a, b in zip(links, links[1:]):
-                assert a.to_node == b.from_node
 
     def test_matched_itinerary_honors_rider_window(self, testbed):
         from ridesim.matching import ceil_steps
@@ -546,9 +542,9 @@ class TestCommitRejections:
     @staticmethod
     def plans(sim):
         drivers = {
-            agent_id: (list(v.pins), list(v.route), list(v.planned_entry_steps),
-                       v.route_pos, v.plan_version)
+            agent_id: (list(v.pins), list(v.plan), v.plan_pos, v.plan_version)
             for agent_id, v in sim.vehicles.items()
+            if isinstance(v, simulation.RideshareVehicle)
         }
         return drivers, list(sim.events)
 
@@ -582,7 +578,7 @@ class TestCommitRejections:
     def test_driver_never_indexed(self, testbed):
         # a regular driver with seats: everything but the index would fit
         sim = empty_sim(testbed, horizon=6.0)
-        seed_agent(sim, dataclasses.replace(regular(0, 0, 2, t=0.0, fft=0.72), seats=4))
+        seed_agent(sim, dataclasses.replace(regular(0, 0, 2, t=0.0), seats=4))
         sim.run(horizon=0.0)  # the driver is on link 0->1 until step 5
         assert sim.vehicles[0].active and 0 not in sim._offer_index
         self.assert_refused(sim, 9, (0, 1, 5, 2, 15))
@@ -911,6 +907,59 @@ class TestOfferIndex:
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
         assert fresh_offer(sim, vehicle) is None
+
+
+class TestVehicleRoles:
+    def test_each_role_keeps_only_its_own_state(self, testbed, tmp_path, monkeypatch):
+        """On the sweep, transfer and grid runs, each time a ridesharing
+        vehicle's plan is set (at its entry and at each accepted commit) its
+        links chain from the vehicle's node and its entry steps strictly
+        increase; every regular driver's vehicle, generated or an unmatched
+        rider's fallback, is a plain ``Vehicle`` whose agent has no window."""
+        plans = commits = generated = fallbacks = 0
+        plan_initial_route = SimState._plan_initial_route
+        commit = SimState.commit_itinerary
+
+        def check_plan(sim, vehicle):
+            nonlocal plans
+            assert vehicle.plan_pos == 0
+            node, last_step = vehicle.node, -1
+            for link_id, step in vehicle.plan:
+                link = sim.network.link(link_id)
+                assert link.from_node == node and step > last_step, vehicle.plan
+                node, last_step = link.to_node, step
+            plans += 1
+
+        def planned(sim, vehicle, now):
+            plan_initial_route(sim, vehicle, now)
+            check_plan(sim, vehicle)
+
+        def committed(sim, rider, itinerary, tau):
+            nonlocal commits
+            ok = commit(sim, rider, itinerary, tau)
+            if ok:
+                commits += 1
+                for leg in itinerary.legs:
+                    check_plan(sim, sim.vehicles[leg.driver])
+            return ok
+
+        monkeypatch.setattr(SimState, "_plan_initial_route", planned)
+        monkeypatch.setattr(SimState, "commit_itinerary", committed)
+        for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
+            sim.run()
+            for vehicle in sim.vehicles.values():
+                agent = vehicle.agent
+                if agent.role is Role.RIDESHARE_DRIVER:
+                    assert type(vehicle) is simulation.RideshareVehicle
+                    continue
+                assert type(vehicle) is simulation.Vehicle
+                assert agent.window is None
+                if agent.id < len(sim._scheduled):
+                    generated += 1
+                else:
+                    fallbacks += 1
+        assert commits > 100 and plans > 1000
+        assert generated > 1000 and fallbacks > 100
 
 
 class TestLinkDelayMemo:
