@@ -380,6 +380,22 @@ def test_validate_rejects_network_without_links(quick_config, tmp_path, capsys):
     assert "links must name at least one link" in err and raw["network"] in err
 
 
+def test_validate_rejects_one_link_network(quick_config, tmp_path, capsys):
+    # one link leaves the goodness-of-fit test no degree of freedom
+    raw = yaml.safe_load(Path(quick_config).read_text())
+    raw["network"] = str(tmp_path / "one_link.yaml")
+    Path(raw["network"]).write_text(yaml.safe_dump({"nodes": [0, 1], "links": [
+        {"id": 0, "from": 0, "to": 1, "length": 10.0, "free_flow_time": 0.2,
+         "has_carpool_lane": False, "observed_daily_flow": 1000}]}))
+    del raw["demand"]["calibration_fixed_daily"]
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    assert main(["validate", "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "links must name at least two links" in err and raw["network"] in err
+    assert not Path(raw["output_dir"]).exists()
+
+
 @pytest.mark.parametrize("broken", ["config", "network"])
 def test_unparsable_yaml_usage_error(broken, quick_config, tmp_path, capsys):
     raw = yaml.safe_load(Path(quick_config).read_text())

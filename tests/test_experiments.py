@@ -1,9 +1,14 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridesim.config import ConfigError, bundled_data_path, load_config
 from ridesim.experiments import (
+    chi2_isf,
+    chi2_sf,
     chi_squared_gof,
     replication_seeds,
     run_capacity_sweep,
@@ -24,6 +29,32 @@ def quick_sweep_config():
     return dataclasses.replace(cfg, horizon=2.0, replications=2)
 
 
+# The chi-squared quantiles at 0.95, correctly rounded from 40-digit roots.
+QUANTILES_95 = {1: 3.841458820694126, 2: 5.991464547107982, 3: 7.81472790325118,
+                4: 9.487729036781158, 5: 11.070497693516355}
+
+
+class TestChiSquaredQuantile:
+    @pytest.mark.parametrize("df", sorted(QUANTILES_95))
+    def test_within_two_ulps_of_correctly_rounded(self, df):
+        quantile = QUANTILES_95[df]
+        assert abs(chi2_isf(0.05, df) - quantile) <= 2 * math.ulp(quantile)
+
+    def test_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for alpha in (0.01, 0.05, 0.10):
+            for df in range(1, 301):
+                expected = float(stats.chi2.ppf(1.0 - alpha, df))
+                assert chi2_isf(alpha, df) == pytest.approx(expected, rel=1e-12), \
+                    (alpha, df)
+
+    @settings(deadline=None)
+    @given(df=st.integers(1, 2000), alpha=st.floats(1e-9, 1.0 - 1e-9))
+    def test_smallest_double_with_tail_at_most_alpha(self, df, alpha):
+        x = chi2_isf(alpha, df)
+        assert chi2_sf(x, df) <= alpha < chi2_sf(math.nextafter(x, 0.0), df)
+
+
 class TestChiSquared:
     def test_proportional_observed_statistic_zero(self):
         observed = {0: 250.0, 1: 250.0, 2: 250.0, 3: 250.0}
@@ -36,7 +67,7 @@ class TestChiSquared:
         observed = {0: 10.0, 1: 10.0, 2: 10.0, 3: 10.0}
         expected = {0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25}
         _, critical, _ = chi_squared_gof(observed, expected)
-        assert critical == pytest.approx(7.815, abs=5e-4)
+        assert abs(critical - QUANTILES_95[3]) <= 2 * math.ulp(QUANTILES_95[3])
 
     def test_concentrated_mass_rejects(self):
         observed = {0: 100.0, 1: 0.0, 2: 0.0, 3: 0.0}
@@ -54,8 +85,13 @@ class TestChiSquared:
         assert s2 == pytest.approx(10 * s1)
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ConfigError):
-            chi_squared_gof({0: 0.0}, {0: 1.0})
+        with pytest.raises(ConfigError, match="positive total"):
+            chi_squared_gof({0: 0.0, 1: 0.0}, {0: 0.5, 1: 0.5})
+
+    def test_single_category_rejected(self):
+        # no degree of freedom: the test would be vacuous
+        with pytest.raises(ConfigError, match="at least two categories"):
+            chi_squared_gof({0: 10.0}, {0: 1.0})
 
     def test_bad_proportions_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,9 +7,15 @@ criterion 7 shrinks them (1.5 h, two replications, seed 5). A change that
 alters outputs on purpose must say so and re-record the digests.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
+import ridesim
 from ridesim import cli
 from ridesim.cli import EXIT_OK, main
 from ridesim.config import bundled_data_path
@@ -62,6 +68,48 @@ def output_digests(tmp_path) -> dict[str, str]:
 
 def test_cli_outputs_match_golden_digests(tmp_path):
     assert output_digests(tmp_path) == GOLDEN
+
+
+# Runs in a fresh interpreter in which every scipy import fails; prints the
+# scipy modules it tried to import or holds, and the golden runs' digests.
+WITHOUT_SCIPY = """
+import json
+import sys
+from pathlib import Path
+
+tried = []
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            tried.append(name)
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+import ridesim.cli
+import test_golden_outputs
+
+digests = test_golden_outputs.output_digests(Path(sys.argv[1]))
+held = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+print(json.dumps({"tried": tried, "held": held, "digests": digests}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: no ridesim module imports it, and
+    the golden runs give the same bytes in a process that cannot."""
+    src = Path(ridesim.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["tried"] == [] and result["held"] == []
+    assert result["digests"] == GOLDEN
 
 
 # A run where riders transfer: only such a run shows the order in which the
