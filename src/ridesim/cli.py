@@ -71,7 +71,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load(args, "validation.yaml")
-    sim, report = run_single(config)
+    # only the report is kept: the replication is freed before the writes
+    report = run_single(config)[1]
     outdir = Path(config.output_dir)
     write_sim_report(report, outdir, config.fingerprint(), config.seed)
     print(f"agents: {len(report.outcomes)}  riders: {report.riders_total}  "

@@ -20,14 +20,15 @@ Pipeline for one rider request:
    the rider's destination reachable from a by the latest arrival and b
    from the rider's origin by t. A driver's first slot runs from its
    anchor to its next stop, and the scan takes it from the vehicle's values;
-   the slots after that change only with its pins and riders aboard, and
-   the vehicle keeps them from the offer chain built where those change
-   (``DriverOffer.later_slots``). The rule reads nothing of a driver but
-   the slot, so the build takes the slots grouped, each distinct slot with
-   the ids of the drivers that have it (``SimState.collect_offers``): it
-   runs the slot test and the per-link step ranges once per distinct slot,
-   and writes the arcs for every driver listed. Drivers waiting at one node
-   for one destination share their slot.
+   the slots after that do not depend on where the driver is, and the
+   vehicle keeps them from the chain of its pins (``pin_chain``), derived
+   where its pins or riders aboard change. The rule reads nothing of a
+   driver but the slot, so the build takes the slots grouped, each
+   distinct slot with the ids of the drivers that have it
+   (``SimState.collect_offers``): it runs the slot test and the per-link
+   step ranges once per distinct slot, and writes the arcs for every
+   driver listed. Drivers waiting at one node for one destination share
+   their slot.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
@@ -50,10 +51,10 @@ the commit. From ``tau`` both read ``step_matrix``: ``m`` and, for each
 pair of nodes, the links of the path that gives its entry, one
 ``routing.shortest_paths`` tree per node, reused while every link's step
 count repeats. It makes one attempt: slots, network and commit read that
-one instant, and the commit checks each driver's schedule through a
-``DriverOffer.stops`` chain, the chain whose slots built the network with
-the rider's pins added, and routes the driver between stops along the
-matrix's paths, with no search of its own.
+one instant, and the commit checks each driver's schedule through the
+chain of its pins with the rider's added (``pin_chain``), from the anchor
+the scan read, and routes the driver between stops along the matrix's
+paths, with no search of its own.
 """
 from __future__ import annotations
 
@@ -114,85 +115,63 @@ Stop = tuple[int, int, bool]  # (node, deadline step, holds)
 FreeSlot = tuple[int, int, int, int, float]
 
 
-@dataclass(slots=True)
-class DriverOffer:
-    """Snapshot of one ridesharing driver's remaining flexibility, in steps.
-
-    ``origin`` is the driver's anchor: the node where the vehicle currently
-    is (or will next be), available there from ``anchor_step``. A driver not
-    yet underway leaves its origin by ``latest_departure_step``, or from its
-    anchor step once that has passed; every driver reaches its destination
-    by ``latest_arrival_step``. ``pins`` are
-    committed stops still ahead, in step order.
-
-    Construction derives the chain through the pins: ``stops``, the
-    schedule as (node, deadline step, holds) stops (the anchor at its
-    available step, each pin at its pinned step, then the destination by
-    the latest-arrival step; a boarding stop holds the vehicle until its
-    step, other stops do not); ``occupancies``, the riders on board in each
-    slot between consecutive stops; and ``later_slots``, the slots after
-    ``stops[1]`` with a free seat that end after they start, in order
-    (``free_slot``). They and the first slot, from the anchor to
-    ``stops[1]``, alone can carry the rider (module docstring, step 1); the
-    first is left out, as it is the one slot that moves with the anchor, and
-    the offer scan adds it from the vehicle's values. It raises ValueError
-    when the pins' steps decrease or an occupancy goes negative, since
-    neither can come from a valid commit. An offer is a value, equal by its
-    fields and never changed once built.
-    """
-
-    id: int
-    origin: int
-    destination: int
-    anchor_step: int
-    latest_departure_step: int
-    latest_arrival_step: int
-    seats: int
-    pins: tuple[Pin, ...] = ()
-    aboard: int = 0
-    departed: bool = False
-    stops: tuple[Stop, ...] = field(init=False, repr=False, compare=False)
-    occupancies: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    later_slots: tuple[FreeSlot, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        pins = self.pins
-        for first, then in zip(pins, pins[1:]):
-            if first.step > then.step:
-                raise ValueError(f"driver {self.id}: pin steps decrease in pin chain")
-        stops = [(self.origin, self.anchor_step, False)]
-        occs = [self.aboard]
-        for pin in pins:
-            stops.append((pin.node, pin.step, pin.action == "board"))
-            occs.append(occs[-1] + (1 if pin.action == "board" else -1))
-            if occs[-1] < 0:
-                raise ValueError(f"driver {self.id}: negative occupancy in pin chain")
-        stops.append((self.destination, self.latest_arrival_step, False))
-        later = []
-        for (a, s, _), (b, t, _), occupancy in zip(stops[1:], stops[2:], occs[1:]):
-            found = free_slot(a, s, b, t, occupancy, self.seats,
-                              self.latest_departure_step, True)
-            if found is not None:
-                later.append(found)
-        self.stops = tuple(stops)
-        self.occupancies = tuple(occs)
-        self.later_slots = tuple(later)
-
-
 def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
-              latest_departure_step: int, underway: bool) -> Optional[FreeSlot]:
+              latest_departure: float) -> Optional[FreeSlot]:
     """The slot from stop (a, s) to stop (b, t), or None when its
     ``occupancy`` fills the ``seats`` or it ends by the step it starts
     (t <= s): an arc in it needs s <= k and k + steps <= t, and every link
-    takes at least one step. A driver not yet underway leaves a by its
-    latest departure step, or by s once that has passed; every slot after a
-    driver's first is entered underway. ``DriverOffer`` builds its
-    ``later_slots`` by this rule, and the offer scan every driver's first
-    slot (``SimState.collect_offers``)."""
+    takes at least one step. The driver leaves a by ``latest_departure``,
+    or by s once that has passed: its latest departure step while it is not
+    yet underway, INF once it is. Every slot after a driver's first is
+    entered underway. ``pin_chain`` builds the later slots by this rule,
+    and the offer scan every driver's first slot
+    (``SimState.collect_offers``)."""
     if occupancy >= seats or t <= s:
         return None
-    return (a, s, b, t, INF if underway else
-            latest_departure_step if latest_departure_step > s else s)
+    return (a, s, b, t, latest_departure if latest_departure > s else s)
+
+
+# (stops, occupancies, later slots) of a driver's pins; see ``pin_chain``
+PinChain = tuple[tuple[Stop, ...], tuple[int, ...], tuple[FreeSlot, ...]]
+
+
+def pin_chain(driver: int, pins: tuple[Pin, ...], aboard: int, seats: int,
+              destination: int, latest_arrival_step: int) -> PinChain:
+    """The schedule of ridesharing driver ``driver`` after its anchor, with
+    ``pins`` still ahead, in service order, and ``aboard`` riders on board:
+    (stops, occupancies, later slots).
+
+    ``stops`` are its (node, deadline step, holds) stops: each pin at its
+    pinned step, then ``destination`` by ``latest_arrival_step``; a
+    boarding stop holds the vehicle until its step, other stops do not.
+    ``occupancies`` are the riders on board in each slot, the first from
+    the anchor to ``stops[0]``. The later slots are the slots after
+    ``stops[0]`` with a free seat that end after they start, in order
+    (``free_slot``). None of the three depends on where the driver is or
+    from when; of its slots only the first does, which the offer scan takes
+    from the vehicle's values and the commit checks from the anchor stop it
+    puts in front of ``stops``. Raises ValueError when the pins' steps
+    decrease or an occupancy goes negative, since neither can come from a
+    valid commit.
+    """
+    for first, then in zip(pins, pins[1:]):
+        if first.step > then.step:
+            raise ValueError(f"driver {driver}: pin steps decrease in pin chain")
+    stops = []
+    occs = [aboard]
+    for pin in pins:
+        boards = pin.action == "board"
+        stops.append((pin.node, pin.step, boards))
+        occs.append(occs[-1] + (1 if boards else -1))
+        if occs[-1] < 0:
+            raise ValueError(f"driver {driver}: negative occupancy in pin chain")
+    stops.append((destination, latest_arrival_step, False))
+    later = []
+    for (a, s, _), (b, t, _), occupancy in zip(stops, stops[1:], occs[1:]):
+        found = free_slot(a, s, b, t, occupancy, seats, INF)
+        if found is not None:
+            later.append(found)
+    return tuple(stops), tuple(occs), tuple(later)
 
 
 TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)

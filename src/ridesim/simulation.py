@@ -45,15 +45,17 @@ from .agents import Role, VehicleAgent
 from .config import ScenarioConfig
 from .demand import fallback_to_driver, free_flow_paths, generate_agents
 from .matching import (
-    DriverOffer,
+    INF,
     FreeSlot,
     Itinerary,
     MatchResult,
     Pin,
+    PinChain,
     RiderRequest,
     ceil_steps,
     free_slot,
     match_rider,
+    pin_chain,
     step_matrix,
 )
 from .network import LaneClass, Network, volume_delay
@@ -143,15 +145,15 @@ class Vehicle:
 
 
 class RideshareVehicle(Vehicle):
-    """A ridesharing driver's vehicle. It adds the driver's own latest
-    departure and arrival in steps, fixed when it enters; its ``pins``, in
-    service order, and the ids of the riders ``aboard``; and the part of
-    its schedule that only these two move: its ``next_stop``, (node, step),
-    the first pin or else its destination by its latest arrival step, and
-    its ``later_slots``, the free slots after that stop
-    (``DriverOffer.later_slots``). A commit and a pin's service are the only
-    places where pins or riders aboard change, and both set the three
-    together (``set_pins``).
+    """A ridesharing driver's vehicle, the one record of its schedule. It
+    adds the driver's own latest departure and arrival in steps, fixed when
+    it enters; its ``pins``, in service order, and the ids of the riders
+    ``aboard``; and the part of its schedule that only these two move, of
+    the chain ``matching.pin_chain`` derives from them: its ``next_stop``,
+    (node, step), the first pin or else its destination by its latest
+    arrival step, and its ``later_slots``, the free slots after that stop.
+    A commit and a pin's service are the only places where pins or riders
+    aboard change, and both set the three together (``set_pins``).
 
     Its ``plan`` is the route it drives, one (link id, entry step) pair per
     link, which it follows from ``plan_pos`` on, holding at a node until the
@@ -174,24 +176,12 @@ class RideshareVehicle(Vehicle):
         self.plan_pos = 0
         self.plan_version = 0
 
-    def offer_from(self, anchor_step: int, pins: tuple[Pin, ...]) -> DriverOffer:
-        """The driver's offer from ``anchor_step`` with ``pins`` ahead."""
-        agent = self.agent
-        # fields in order: positional arguments build an offer measurably
-        # faster than keywords
-        return DriverOffer(
-            agent.id, self.node, agent.destination, anchor_step,
-            self.latest_departure_step, self.latest_arrival_step,
-            agent.seats, pins, len(self.aboard), self.departure_time is not None,
-        )
-
-    def set_pins(self, offer: DriverOffer) -> None:
-        """Take ``offer``'s pins, and the next stop and later slots of its
-        chain; ``offer`` comes from ``offer_from`` with the riders aboard as
-        they are."""
-        self.pins = offer.pins
-        self.next_stop = offer.stops[1][:2]
-        self.later_slots = offer.later_slots
+    def set_pins(self, pins: tuple[Pin, ...], chain: PinChain) -> None:
+        """Take ``pins``, and the next stop and later slots of ``chain``,
+        their ``pin_chain`` with the riders aboard as they are."""
+        self.pins = pins
+        self.next_stop = chain[0][0][:2]
+        self.later_slots = chain[2]
 
 
 @dataclass
@@ -420,7 +410,8 @@ class SimState:
         """Serve the vehicle's pins due at ``node``, in order, up to a
         boarding whose step is still ahead. Serving changes its pins and
         riders aboard, so its next stop and later slots are then taken from
-        one fresh chain over the pins left (``set_pins``)."""
+        the ``pin_chain`` of the pins left (``set_pins``); where the vehicle
+        is, and from which step, never enters it."""
         pins = vehicle.pins
         served = 0
         for pin in pins:
@@ -436,7 +427,10 @@ class SimState:
                 self.rider_alight_time[pin.rider_id] = now
             served += 1
         if served:
-            vehicle.set_pins(vehicle.offer_from(ceil_steps(now, self.dt), pins[served:]))
+            agent, pins = vehicle.agent, pins[served:]
+            vehicle.set_pins(pins, pin_chain(
+                agent.id, pins, len(vehicle.aboard), agent.seats, agent.destination,
+                vehicle.latest_arrival_step))
 
     # ------------------------------------------------------------ event logic
 
@@ -524,10 +518,10 @@ class SimState:
         can be ridesharing drivers (an unmatched rider's fallback is a
         regular driver), and they enter in (time, id) order, which is id
         order. Every vehicle adds its first slot, from its anchor to its
-        ``next_stop``, by the offer chain's rule (``matching.free_slot``)
-        from its own values, then its ``later_slots``; no offer is built. The
-        first slot is missing when its seats are full (``demand.seats`` may
-        be 0) or its anchor step has reached the stop's step.
+        ``next_stop``, by the chain's rule (``matching.free_slot``) from its
+        own values, then its ``later_slots``; no chain is built. The first
+        slot is missing when its seats are full (``demand.seats`` may be 0)
+        or its anchor step has reached the stop's step.
 
         A ridesharing vehicle enters the index when it is created and
         leaves it, for good, the first time ``_live_anchor_step`` finds it
@@ -546,8 +540,8 @@ class SimState:
                 continue
             stop, step = vehicle.next_stop
             slot = free_slot(vehicle.node, anchor_step, stop, step, len(vehicle.aboard),
-                             vehicle.agent.seats, vehicle.latest_departure_step,
-                             vehicle.departure_time is not None)
+                             vehicle.agent.seats, vehicle.latest_departure_step
+                             if vehicle.departure_time is None else INF)
             if slot is not None:
                 groups.setdefault(slot, []).append(agent_id)
             if vehicle.later_slots:  # most have none: skip an empty loop's set-up
@@ -593,62 +587,66 @@ class SimState:
     ) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
 
-        Phase one builds each leg's driver one candidate offer, from its
-        anchor at the clock (``_live_anchor_step``) with the rider's pins
-        added to its own, and walks its ``DriverOffer.stops`` chain
-        (ordering, travel feasibility, seat capacity, own window) at
-        ``tau``, the link steps the itinerary was solved on. Between two
+        Phase one takes, for each leg's driver, the ``pin_chain`` of its own
+        pins with the rider's added, puts its anchor stop, (node, anchor
+        step, False) at the clock (``_live_anchor_step``), in front of the
+        chain's stops and walks them (ordering, travel feasibility, seat
+        capacity, own window) at ``tau``, the link steps the itinerary was
+        solved on, reading the latest departure step, the seats and whether
+        it is underway from the vehicle itself. Between two
         stops the driver takes the path of ``step_matrix`` at ``tau``, the
         matrix that built the rider's network, read and not searched
         again; phase two replaces each vehicle's plan, queues its next
-        hold, and gives it its candidate's pins, next stop and later slots
+        hold, and gives it the new pins with their chain
         (``RideshareVehicle.set_pins``).
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
         clock_step = ceil_steps(self.clock, self.dt)
         steps, paths = step_matrix(self.network, tau)
-        updates: list[tuple[RideshareVehicle, DriverOffer, list[tuple[int, int]]]] = []
+        updates: list[tuple[RideshareVehicle, tuple[Pin, ...], PinChain,
+                            list[tuple[int, int]]]] = []
         for leg in itinerary.legs:
             vehicle = self._offer_index.get(leg.driver)
             anchor_step = (None if vehicle is None
                            else self._live_anchor_step(vehicle, clock_step))
             if anchor_step is None:
                 return False
-            new_pins = sorted(
+            pins = tuple(sorted(
                 vehicle.pins
                 + (Pin(leg.board_node, leg.board_step, "board", rider.id),
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)),
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
-            )
-            candidate = vehicle.offer_from(anchor_step, tuple(new_pins))
-            if max(candidate.occupancies) > candidate.seats:
+            ))
+            agent = vehicle.agent
+            chain = pin_chain(agent.id, pins, len(vehicle.aboard), agent.seats,
+                              agent.destination, vehicle.latest_arrival_step)
+            if max(chain[1]) > agent.seats:
                 return False
-            ld_step = candidate.latest_departure_step
-            stops = candidate.stops
+            stops = ((vehicle.node, anchor_step, False), *chain[0])
+            underway = vehicle.departure_time is not None
             plan: list[tuple[int, int]] = []
-            cursor = stops[0][1]  # earliest step the vehicle can leave the stop
-            for idx, ((from_node, _, _), (to_node, to_step, holds)) in enumerate(
-                    zip(stops, stops[1:])):
+            cursor = anchor_step  # earliest step the vehicle can leave the stop
+            for (from_node, _, _), (to_node, to_step, holds) in zip(stops, stops[1:]):
                 travel = steps[from_node][to_node]
                 if cursor + travel > to_step:  # INF, no path, fails too
                     return False
-                links = paths[from_node][to_node]
-                depart = cursor
-                if idx == 0 and not candidate.departed:
-                    # not yet underway: leave just in time, within the window,
-                    # or at the anchor step (cursor) once ld_step has passed
-                    depart = max(cursor, min(to_step - travel, ld_step))
-                step = depart
-                for lid in links:
+                step = cursor
+                if not underway:
+                    # the first slot, not yet underway: leave just in time,
+                    # within the window, or at the anchor step (cursor) once
+                    # its latest departure step has passed
+                    step = max(cursor, min(to_step - travel, vehicle.latest_departure_step))
+                    underway = True
+                for lid in paths[from_node][to_node]:
                     plan.append((lid, step))
                     step += tau[lid]
                 # a boarding stop pins the onward departure; dropoffs do not
                 cursor = max(step, to_step) if holds else step
-            updates.append((vehicle, candidate, plan))
+            updates.append((vehicle, pins, chain, plan))
 
-        for vehicle, candidate, plan in updates:
-            vehicle.set_pins(candidate)
+        for vehicle, pins, chain, plan in updates:
+            vehicle.set_pins(pins, chain)
             vehicle.plan = plan
             vehicle.plan_pos = 0
             vehicle.plan_version += 1

@@ -1,11 +1,12 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.matching import DriverOffer, RiderRequest, ceil_steps, free_slot
+from ridesim.matching import INF, Pin, RiderRequest, ceil_steps, free_slot, pin_chain
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
 
@@ -20,25 +21,56 @@ def step_durations(network: Network, delay, dt: float) -> dict[int, int]:
     return {link.id: max(1, ceil_steps(delay(link), dt)) for link in network.links}
 
 
-def free_slots(offer) -> tuple:
-    """Every free slot of ``offer``, in order: its first, from the anchor to
-    ``stops[1]``, if it has one, then its ``later_slots``; the slots
-    ``SimState.collect_offers`` adds for a vehicle with this offer's
+@dataclass(frozen=True)
+class Driver:
+    """One ridesharing driver as plain values, nothing derived: its anchor,
+    ``origin`` from ``anchor_step``, its own latest departure and arrival
+    steps, its seats, the ``pins`` still ahead, the riders ``aboard`` and
+    whether it has ``departed`` (is underway). Its stops come from
+    ``pin_chain``."""
+
+    id: int
+    origin: int
+    destination: int
+    anchor_step: int
+    latest_departure_step: int
+    latest_arrival_step: int
+    seats: int
+    pins: tuple[Pin, ...] = ()
+    aboard: int = 0
+    departed: bool = False
+
+    def chain(self):
+        """The ``pin_chain`` of its pins: (stops after the anchor,
+        occupancies, later slots)."""
+        return pin_chain(self.id, self.pins, self.aboard, self.seats,
+                         self.destination, self.latest_arrival_step)
+
+    def stops(self) -> tuple:
+        """Its whole schedule: the anchor stop, then the chain's stops."""
+        return ((self.origin, self.anchor_step, False), *self.chain()[0])
+
+
+def free_slots(driver: Driver) -> tuple:
+    """Every free slot of ``driver``, in order: its first, from the anchor
+    to the chain's first stop, if it has one, then the chain's later slots;
+    the slots ``SimState.collect_offers`` adds for a vehicle with these
     values."""
-    (a, s, _), (b, t, _) = offer.stops[:2]
-    first = free_slot(a, s, b, t, offer.aboard, offer.seats,
-                      offer.latest_departure_step, offer.departed)
-    return offer.later_slots if first is None else (first, *offer.later_slots)
+    stops, _, later = driver.chain()
+    b, t, _ = stops[0]
+    first = free_slot(driver.origin, driver.anchor_step, b, t, driver.aboard, driver.seats,
+                      INF if driver.departed else driver.latest_departure_step)
+    return later if first is None else (first, *later)
 
 
-def slot_groups(offers) -> dict:
-    """The offers' free slots as ``SimState.collect_offers`` hands them to
-    ``build_time_expanded``: each distinct slot with the ids of the offers
-    that have it, in offer order."""
+def slot_groups(drivers) -> dict:
+    """The drivers' free slots as ``SimState.collect_offers`` hands them to
+    ``build_time_expanded``: each distinct slot with the ids of the drivers
+    that have it, in driver order."""
     groups: dict = {}
-    for offer in offers:
-        for slot in free_slots(offer):
-            groups.setdefault(slot, []).append(offer.id)
+    for driver in drivers:
+        for slot in free_slots(driver):
+            groups.setdefault(slot, []).append(driver.id)
     return groups
 
 
@@ -148,7 +180,7 @@ def random_instance(rng: random.Random):
     )
 
     def offer_for(i, o, d, start, dflex):
-        return DriverOffer(
+        return Driver(
             id=10 + i, origin=o, destination=d,
             anchor_step=ceil_steps(start, DT_EXACT),
             latest_departure_step=ceil_steps(start + dflex, DT_EXACT),

@@ -1,11 +1,13 @@
 import json
 import os
 import stat
+import weakref
 from pathlib import Path
 
 import pytest
 import yaml
 
+import ridesim.cli as cli
 import ridesim.experiments as experiments
 from ridesim.cli import EXIT_OK, EXIT_THRESHOLD, EXIT_USAGE, main
 from ridesim.config import bundled_data_path
@@ -190,6 +192,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(zero)]) == EXIT_OK
         lines = (tmp_path / "out" / "agents.csv").read_text().splitlines()
         assert lines == ["id,role,matched,departure,arrival"]
+
+    def test_replication_freed_before_writing(self, quick_config, monkeypatch):
+        """``run`` keeps only the report: its replication is freed before
+        ``write_sim_report`` is called, not held through the writes."""
+        freed, written = [], []
+        build, write = experiments.init_simulation, cli.write_sim_report
+
+        def watched(*args):
+            sim = build(*args)
+            weakref.finalize(sim, freed.append, True)
+            return sim
+
+        def writing(*args):
+            written.append(list(freed))
+            write(*args)
+
+        monkeypatch.setattr(experiments, "init_simulation", watched)
+        monkeypatch.setattr(cli, "write_sim_report", writing)
+        assert main(["run", "--config", str(quick_config)]) == EXIT_OK
+        assert written == [[True]]
 
     def test_unknown_config_key_usage_error(self, quick_config, tmp_path):
         raw = yaml.safe_load(Path(quick_config).read_text())

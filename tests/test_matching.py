@@ -1,28 +1,31 @@
 import dataclasses
 import hashlib
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridesim.matching as matching
 from ridesim.agents import TimeWindow
 from ridesim.config import bundled_data_path, load_config
 from ridesim.experiments import replication_seeds
 from ridesim.matching import (
-    DriverOffer,
     Pin,
     RiderRequest,
     TimeExpandedNetwork,
     build_time_expanded,
     ceil_steps,
     decode,
+    pin_chain,
     preprocess,
     solve_itinerary,
 )
 from ridesim.simulation import init_simulation
 
-from conftest import DT_EXACT, free_slots, random_instance, slot_groups, step_digraphs
+from conftest import (DT_EXACT, Driver, free_slots, random_instance, slot_groups,
+                      step_digraphs)
 from oracle import (EnumerationBudgetError, brute_force_itinerary,
                     vertices_on_feasible_paths)
 
@@ -94,9 +97,9 @@ class TestCeilSteps:
 class TestBuildTimeExpanded:
     def test_exact_window_intervals(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=0,
-                             latest_arrival_step=15, seats=2)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=0,
+                        latest_arrival_step=15, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.node_intervals[0] == (0, 0)
         assert ten.node_intervals[1] == (5, 5)
@@ -105,9 +108,9 @@ class TestBuildTimeExpanded:
 
     def test_arc_durations_are_rounded_up_travel_times(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=4,
-                             latest_arrival_step=20, seats=2)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=4,
+                        latest_arrival_step=20, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         for tail, head, _, _ in decoded_arcs(ten):
             link = next(l for l in testbed.links
@@ -128,27 +131,27 @@ class TestBuildTimeExpanded:
     def test_links_without_capable_driver_carry_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
         # driver only covers 0->1 within its window
-        driver = DriverOffer(id=9, origin=0, destination=1,
-                             anchor_step=0, latest_departure_step=2,
-                             latest_arrival_step=7, seats=2)
+        driver = Driver(id=9, origin=0, destination=1,
+                        anchor_step=0, latest_departure_step=2,
+                        latest_arrival_step=7, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert {(tail[0], head[0]) for tail, head, _, _ in decoded_arcs(ten)} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=4,
-                             latest_arrival_step=20, seats=1, aboard=1)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=4,
+                        latest_arrival_step=20, seats=1, aboard=1)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
 
     def test_seat_frees_after_alight_pin(self, testbed, free_flow):
         rider = RiderRequest(0, 1, 2, TimeWindow(0.3, 0.6, 0.8, 1.2), 0.3)
         # vehicle full until it drops its rider at node 1 at step 8 (0.4 h)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=4,
-                             latest_arrival_step=24, seats=1,
-                             aboard=1, pins=(Pin(1, 8, "alight", 55),))
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=4,
+                        latest_arrival_step=24, seats=1,
+                        aboard=1, pins=(Pin(1, 8, "alight", 55),))
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
         assert all(tail[1] >= 8 for tail, _, _, _ in decoded_arcs(ten))
@@ -189,7 +192,7 @@ def with_slack(rng, rider, dt):
 def reference_ten(rider, offers, net, tau, dt):
     """(vertices, {(tail, head, driver, cost): slot}) of the rider's network,
     by testing every step against the rider's window and each driver's
-    ``stops`` chain one at a time; ``full`` counts seat-full slots that would
+    stops one at a time; ``full`` counts seat-full slots that would
     otherwise carry an arc."""
     m = matching._min_step_matrix(net, tau)[0]
     w = rider.window
@@ -216,8 +219,8 @@ def reference_ten(rider, offers, net, tau, dt):
 
     arcs, full = {}, 0
     for offer in offers:
-        stops = offer.stops
-        occupancies = offer.occupancies
+        stops = offer.stops()
+        occupancies = offer.chain()[1]
         for slot in range(len(stops) - 1):
             found = [
                 ((link.from_node, k), (link.to_node, k + tau[link.id]), offer.id,
@@ -362,8 +365,8 @@ class TestTwinnedTies:
                             (0, 2, 2 * DT_EXACT), (2, 3, DT_EXACT)])
         tau = {link.id: round(link.free_flow_time / DT_EXACT) for link in net.links}
         rider = RiderRequest(0, 0, 3, TimeWindow(0.0, 0.0, 3 * DT_EXACT, 3 * DT_EXACT), 0.0)
-        free = DriverOffer(id=20, origin=0, destination=3, anchor_step=0,
-                           latest_departure_step=0, latest_arrival_step=3, seats=2)
+        free = Driver(id=20, origin=0, destination=3, anchor_step=0,
+                      latest_departure_step=0, latest_arrival_step=3, seats=2)
         pinned = dataclasses.replace(free, id=10, pins=(
             Pin(2, 2, "board", 77), Pin(3, 3, "alight", 77)))
         graph = preprocess(build_time_expanded(
@@ -400,13 +403,13 @@ class TestBuildDigest:
 class TestSharedSlots:
     def test_drivers_sharing_a_slot_get_its_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.3, 0.75, 1.2), 0.0)
-        shared = DriverOffer(id=3, origin=0, destination=2, anchor_step=0,
-                             latest_departure_step=4, latest_arrival_step=22, seats=2)
+        shared = Driver(id=3, origin=0, destination=2, anchor_step=0,
+                        latest_departure_step=4, latest_arrival_step=22, seats=2)
         # a pinned driver whose first slot, (0, 0) to the pin (2, 22) left
         # by step 4, is the pin-free drivers' one slot
-        pinned = DriverOffer(id=5, origin=0, destination=2, anchor_step=0,
-                             latest_departure_step=4, latest_arrival_step=30, seats=2,
-                             pins=(Pin(2, 22, "board", 77),))
+        pinned = Driver(id=5, origin=0, destination=2, anchor_step=0,
+                        latest_departure_step=4, latest_arrival_step=30, seats=2,
+                        pins=(Pin(2, 22, "board", 77),))
         # the same stops, but underway: no latest departure caps its slot
         departed = dataclasses.replace(shared, id=9, departed=True)
         offers = [dataclasses.replace(shared, id=12), pinned, shared, departed,
@@ -468,29 +471,69 @@ class TestNoReboarding:
 
 
 class TestPinChain:
-    """A bad pin chain cannot be built, directly or by ``dataclasses.replace``."""
-
-    UNPINNED = DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
-                           latest_departure_step=0, latest_arrival_step=20, seats=2)
+    """``pin_chain`` refuses pins no valid commit can make, naming the
+    driver, and derives a driver's stops, occupancies and later slots."""
 
     def test_decreasing_pin_steps_raise(self):
         pins = (Pin(1, 9, "board", 5), Pin(2, 8, "alight", 5))
-        with pytest.raises(ValueError, match="pin steps decrease"):
-            dataclasses.replace(self.UNPINNED, pins=pins)
-        with pytest.raises(ValueError, match="pin steps decrease"):
-            DriverOffer(id=1, origin=0, destination=2, anchor_step=0,
-                        latest_departure_step=0, latest_arrival_step=20, seats=2,
-                        pins=pins)
-        assert self.UNPINNED.stops == ((0, 0, False), (2, 20, False))
+        with pytest.raises(ValueError, match="driver 1: pin steps decrease"):
+            pin_chain(1, pins, 0, 2, 2, 20)
+        assert pin_chain(1, (), 0, 2, 2, 20) == (((2, 20, False),), (0,), ())
 
     def test_negative_occupancy_raises(self):
         pins = (Pin(1, 9, "alight", 5),)
-        with pytest.raises(ValueError, match="negative occupancy"):
-            dataclasses.replace(self.UNPINNED, pins=pins)
-        served = dataclasses.replace(self.UNPINNED, pins=pins, aboard=1)
-        assert served.occupancies == (1, 0)
-        assert served.later_slots == ((1, 9, 2, 20, matching.INF),)
+        with pytest.raises(ValueError, match="driver 1: negative occupancy"):
+            pin_chain(1, pins, 0, 2, 2, 20)
+        served = Driver(id=1, origin=0, destination=2, anchor_step=0,
+                        latest_departure_step=0, latest_arrival_step=20, seats=2,
+                        pins=pins, aboard=1)
+        assert served.chain() == (((1, 9, False), (2, 20, False)), (1, 0),
+                                  ((1, 9, 2, 20, matching.INF),))
         assert free_slots(served) == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_pins(self, data):
+        """Pins drawn as (board, alight) pairs, sorted by the commit's key
+        and sometimes shuffled: the occupancies are the running count from
+        ``aboard``, the stops are the pins' and then the destination by the
+        latest arrival step, the later slots are a per-slot reference's over
+        the stops after the first, and ValueError comes exactly when a step
+        decreases or an occupancy goes negative."""
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12),
+                                             st.integers(0, 3), st.integers(0, 4)),
+                                   max_size=4))
+        pins = []
+        for rider, (board_node, board_step, alight_node, ride) in enumerate(pairs):
+            pins += [Pin(board_node, board_step, "board", rider),
+                     Pin(alight_node, board_step + ride, "alight", rider)]
+        pins.sort(key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id))
+        if data.draw(st.booleans()):
+            pins = data.draw(st.permutations(pins))
+        pins = tuple(pins)
+        aboard, seats, destination = (data.draw(st.integers(0, 3)) for _ in range(3))
+        latest_arrival_step = data.draw(st.integers(0, 20))
+        running = tuple(accumulate((1 if p.action == "board" else -1 for p in pins),
+                                   initial=aboard))
+
+        def chain():
+            return pin_chain(7, pins, aboard, seats, destination, latest_arrival_step)
+
+        if any(p.step > q.step for p, q in zip(pins, pins[1:])):
+            with pytest.raises(ValueError, match="driver 7: pin steps decrease"):
+                chain()
+        elif min(running) < 0:
+            with pytest.raises(ValueError, match="driver 7: negative occupancy"):
+                chain()
+        else:
+            stops, occupancies, later = chain()
+            assert occupancies == running
+            assert stops == (*((p.node, p.step, p.action == "board") for p in pins),
+                             (destination, latest_arrival_step, False))
+            assert later == tuple(
+                (a, s, b, t, matching.INF)
+                for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]), 1)
+                if running[slot] < seats and s < t)
 
 
 class TestStepMatrix:
@@ -616,9 +659,9 @@ class TestForward:
 class TestPreprocess:
     def test_exact_window_survivors(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=0,
-                             latest_arrival_step=15, seats=2)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=0,
+                        latest_arrival_step=15, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         assert graph.feasible
@@ -642,9 +685,9 @@ class TestPreprocess:
 
     def test_topological_order(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.1), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=4,
-                             latest_arrival_step=22, seats=2)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=4,
+                        latest_arrival_step=22, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         position = {v: i for i, v in enumerate(graph.vertices)}
@@ -656,9 +699,9 @@ class TestPreprocess:
 class TestSolveExamples:
     def test_single_driver_exact_cover(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
-        driver = DriverOffer(id=9, origin=0, destination=2,
-                             anchor_step=0, latest_departure_step=0,
-                             latest_arrival_step=15, seats=2)
+        driver = Driver(id=9, origin=0, destination=2,
+                        anchor_step=0, latest_departure_step=0,
+                        latest_arrival_step=15, seats=2)
         _, graph, itinerary = pipeline(rider, [driver], testbed, free_flow,
                                        dt=0.05, penalty=0.05)
         assert itinerary is not None
@@ -668,12 +711,12 @@ class TestSolveExamples:
 
     def test_transfer_with_wait_costs_penalty(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.3, 0.72, 1.2), 0.0)
-        a = DriverOffer(id=1, origin=0, destination=1,
-                        anchor_step=0, latest_departure_step=0,
-                        latest_arrival_step=5, seats=2)
-        b = DriverOffer(id=2, origin=1, destination=2,
-                        anchor_step=6, latest_departure_step=6,
-                        latest_arrival_step=17, seats=2)
+        a = Driver(id=1, origin=0, destination=1,
+                   anchor_step=0, latest_departure_step=0,
+                   latest_arrival_step=5, seats=2)
+        b = Driver(id=2, origin=1, destination=2,
+                   anchor_step=6, latest_departure_step=6,
+                   latest_arrival_step=17, seats=2)
         _, _, itinerary = pipeline(rider, [a, b], testbed, free_flow,
                                    dt=0.05, penalty=0.05)
         assert itinerary is not None
@@ -683,12 +726,12 @@ class TestSolveExamples:
 
     def test_faster_of_two_full_covers_wins(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 3, TimeWindow(0.0, 0.4, 0.55, 1.1), 0.0)
-        direct = DriverOffer(id=1, origin=0, destination=3,
-                             anchor_step=0, latest_departure_step=2,
-                             latest_arrival_step=16, seats=2)
-        detour = DriverOffer(id=2, origin=0, destination=3,
-                             anchor_step=0, latest_departure_step=8,
-                             latest_arrival_step=24, seats=2)
+        direct = Driver(id=1, origin=0, destination=3,
+                        anchor_step=0, latest_departure_step=2,
+                        latest_arrival_step=16, seats=2)
+        detour = Driver(id=2, origin=0, destination=3,
+                        anchor_step=0, latest_departure_step=8,
+                        latest_arrival_step=24, seats=2)
         ten = build_time_expanded(rider, slot_groups([direct, detour]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
         itinerary = solve_itinerary(graph, 0.05)
@@ -717,9 +760,9 @@ class TestBruteForce:
 
     def test_single_arc(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 1, TimeWindow(0.0, 0.0, 0.22, 0.22), 0.0)
-        driver = DriverOffer(id=3, origin=0, destination=1,
-                             anchor_step=0, latest_departure_step=0,
-                             latest_arrival_step=5, seats=1)
+        driver = Driver(id=3, origin=0, destination=1,
+                        anchor_step=0, latest_departure_step=0,
+                        latest_arrival_step=5, seats=1)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert len(ten.travel_arcs) == 1
         itinerary = brute_force_itinerary(ten, 0.05)
@@ -728,9 +771,9 @@ class TestBruteForce:
     def test_budget_error(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.5, 0.72, 1.5), 0.0)
         offers = [
-            DriverOffer(id=i, origin=0, destination=2,
-                        anchor_step=0, latest_departure_step=10,
-                        latest_arrival_step=30, seats=2)
+            Driver(id=i, origin=0, destination=2,
+                   anchor_step=0, latest_departure_step=10,
+                   latest_arrival_step=30, seats=2)
             for i in range(4)
         ]
         ten = build_time_expanded(rider, slot_groups(offers), testbed, free_flow, 0.05)

@@ -13,7 +13,7 @@ import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import Pin, build_time_expanded, ceil_steps
+from ridesim.matching import Pin, build_time_expanded, ceil_steps, pin_chain
 from ridesim.network import LaneClass, volume_delay
 from ridesim.experiments import write_sim_report
 from ridesim.simulation import (
@@ -27,7 +27,7 @@ from ridesim.simulation import (
     init_simulation,
 )
 
-from conftest import free_slots, scenario, slot_groups, step_durations
+from conftest import Driver, free_slots, scenario, slot_groups, step_durations
 from test_golden_outputs import write_grid
 
 
@@ -603,25 +603,31 @@ class TestCommitRejections:
         self.assert_refused(sim, 9, (0, 1, 4, 2, 14))  # node 1 is 5 steps away
 
 
-def seat_free_slots(offer):
-    """``offer``'s slots with a free seat that end after they start (s < t),
-    from its ``stops`` and ``occupancies``: (a, s, b, t, leave_by), leave_by
-    capping the first slot of a driver not yet underway, at s once its
-    latest departure step has passed."""
-    stops, occupancies = offer.stops, offer.occupancies
+def seat_free_slots(driver):
+    """``driver``'s slots with a free seat that end after they start
+    (s < t), from its stops and occupancies: (a, s, b, t, leave_by),
+    leave_by capping the first slot of a driver not yet underway, at s once
+    its latest departure step has passed."""
+    stops, occupancies = driver.stops(), driver.chain()[1]
     return tuple(
-        (a, s, b, t, max(offer.latest_departure_step, s)
-         if slot == 0 and not offer.departed else float("inf"))
+        (a, s, b, t, max(driver.latest_departure_step, s)
+         if slot == 0 and not driver.departed else float("inf"))
         for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]))
-        if occupancies[slot] < offer.seats and s < t)
+        if occupancies[slot] < driver.seats and s < t)
 
 
-def fresh_offer(sim, vehicle):
-    """A ``DriverOffer`` built afresh for the ridesharing ``vehicle`` at the
-    clock, from its current pins and riders aboard, or None when it has
-    nothing left to offer: what the scan must agree with."""
+def fresh_driver(sim, vehicle):
+    """The ridesharing ``vehicle`` as a ``Driver`` record at the clock,
+    from its current pins and riders aboard, or None when it has nothing
+    left to offer: what the scan must agree with."""
     anchor_step = sim._live_anchor_step(vehicle, ceil_steps(sim.clock, sim.dt))
-    return None if anchor_step is None else vehicle.offer_from(anchor_step, vehicle.pins)
+    if anchor_step is None:
+        return None
+    agent = vehicle.agent
+    return Driver(agent.id, vehicle.node, agent.destination, anchor_step,
+                  vehicle.latest_departure_step, vehicle.latest_arrival_step,
+                  agent.seats, vehicle.pins, len(vehicle.aboard),
+                  vehicle.departure_time is not None)
 
 
 def grid_sim(tmp_path, seats=None) -> SimState:
@@ -679,13 +685,13 @@ class TestOfferIndex:
                     vehicle = sim.vehicles[agent_id]
                     if vehicle.agent.role is Role.RIDESHARE_DRIVER:
                         # an evicted vehicle is asked too
-                        offer = fresh_offer(sim, vehicle)
+                        offer = fresh_driver(sim, vehicle)
                         if offer is None:
                             continue
                         full.append(offer)
                         assert free_slots(offer) == seat_free_slots(offer), offer
-                        assert vehicle.next_stop == offer.stops[1][:2], offer
-                        assert vehicle.later_slots == offer.later_slots, offer
+                        assert vehicle.next_stop == offer.stops()[1][:2], offer
+                        assert vehicle.later_slots == offer.chain()[2], offer
                         pinned += len(offer.pins) > 0
                         carrying += len(offer.pins) > 0 and offer.aboard > 0
                 # the groups, their order and each group's ids are the full
@@ -747,40 +753,36 @@ class TestOfferIndex:
             sim.run()
         assert commits > 100 and accepted > 0
 
-    def test_commit_builds_one_offer_per_leg(self, testbed, tmp_path, monkeypatch):
-        """Each accepted commit builds one ``DriverOffer`` per leg, its
-        candidate, whose pins, next stop and later slots the leg's vehicle
-        takes; every other indexed vehicle keeps its own. Pin-free and
-        multi-leg commits are among them."""
-        built = commits = pin_free = multi_leg = 0
-        init = matching.DriverOffer.__post_init__
-        candidates = []
+    def test_commit_builds_one_chain_per_leg(self, testbed, tmp_path, monkeypatch):
+        """Each accepted commit calls ``pin_chain`` once per leg, and the
+        leg's vehicle takes that chain's pins, next stop and later slots;
+        every other indexed vehicle keeps its own. Pin-free and multi-leg
+        commits are among them."""
+        commits = pin_free = multi_leg = 0
+        chains = []
 
-        def counted(offer):
-            nonlocal built
-            built += 1
-            init(offer)
-            candidates.append(offer)
+        def recorded(driver, pins, *args):
+            chain = pin_chain(driver, pins, *args)
+            chains.append((driver, pins, chain))
+            return chain
 
         def stored(vehicle):
             return vehicle.pins, vehicle.next_stop, vehicle.later_slots
 
-        monkeypatch.setattr(matching.DriverOffer, "__post_init__", counted)
+        monkeypatch.setattr(simulation, "pin_chain", recorded)
         for sim in (transfer_sim(testbed), grid_sim(tmp_path)):
             def checked(rider, itinerary, tau, sim=sim, commit=sim.commit_itinerary):
-                nonlocal built, commits, pin_free, multi_leg
+                nonlocal commits, pin_free, multi_leg
                 drivers = [leg.driver for leg in itinerary.legs]
                 others = {agent_id: stored(vehicle)
                           for agent_id, vehicle in sim._offer_index.items()
                           if agent_id not in drivers}
                 pin_free += any(not sim.vehicles[d].pins for d in drivers)
-                built = 0
-                candidates.clear()
+                chains.clear()
                 assert commit(rider, itinerary, tau) is True
-                assert built == len(itinerary.legs), itinerary
-                for driver, offer in zip(drivers, candidates):
-                    assert stored(sim.vehicles[driver]) == \
-                        (offer.pins, offer.stops[1][:2], offer.later_slots)
+                assert [driver for driver, _, _ in chains] == drivers, itinerary
+                for driver, pins, (stops, _, later) in chains:
+                    assert stored(sim.vehicles[driver]) == (pins, stops[0][:2], later)
                 assert all(stored(sim._offer_index[agent_id]) == before
                            for agent_id, before in others.items())
                 commits += 1
@@ -808,7 +810,7 @@ class TestOfferIndex:
         indexed = sim.collect_offers
 
         def counted():
-            live.append(sum(fresh_offer(sim, vehicle) is not None
+            live.append(sum(fresh_driver(sim, vehicle) is not None
                             for vehicle in sim._offer_index.values()))
             return indexed()
 
@@ -841,18 +843,18 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None  # back at node 0, now underway
         sim.clock = 0.03
         groups = sim.collect_offers()
-        waiting, departed = (free_slots(fresh_offer(sim, sim._offer_index[i]))
+        waiting, departed = (free_slots(fresh_driver(sim, sim._offer_index[i]))
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
         assert departed[0][4] == float("inf") != waiting[0][4]
         assert groups == {waiting[0]: [0, 1], departed[0]: [3]}
-        assert free_slots(fresh_offer(sim, sim._offer_index[1])) == waiting
-        assert free_slots(fresh_offer(sim, sim._offer_index[2])) == ()
+        assert free_slots(fresh_driver(sim, sim._offer_index[1])) == waiting
+        assert free_slots(fresh_driver(sim, sim._offer_index[2])) == ()
         assert sim.live_drivers == 4
         # past the waiting drivers' latest departure step (6), their slot is
         # left by the anchor step, as their offers' first slot is
         sim.clock = 0.33
-        waiting = free_slots(fresh_offer(sim, sim._offer_index[0]))
+        waiting = free_slots(fresh_driver(sim, sim._offer_index[0]))
         assert waiting[0][1] == waiting[0][4] == 7
         assert sim.collect_offers()[waiting[0]] == [0, 1]
 
@@ -878,20 +880,22 @@ class TestOfferIndex:
         def alight_due(now):
             sim.clock = now
             step = ceil_steps(now, sim.dt)
-            vehicle.set_pins(vehicle.offer_from(step, (Pin(2, step, "alight", 9),)))
+            pins = (Pin(2, step, "alight", 9),)
+            vehicle.set_pins(pins, pin_chain(agent.id, pins, len(vehicle.aboard), agent.seats,
+                                             agent.destination, latest_arrival_step))
             return step
 
         s = alight_due(0.5)
         assert s < latest_arrival_step
-        offer = fresh_offer(sim, vehicle)
-        assert offer.stops == ((2, s, False), (2, s, False),
-                               (2, latest_arrival_step, False))
-        assert free_slots(offer) == seat_free_slots(offer) == offer.later_slots \
+        offer = fresh_driver(sim, vehicle)
+        assert offer.stops() == ((2, s, False), (2, s, False),
+                                 (2, latest_arrival_step, False))
+        assert free_slots(offer) == seat_free_slots(offer) == vehicle.later_slots \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
-        assert sim.collect_offers() == {offer.later_slots[0]: [0]}
+        assert sim.collect_offers() == {vehicle.later_slots[0]: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
-        offer = fresh_offer(sim, vehicle)
-        assert offer.stops == ((2, latest_arrival_step, False),) * 3
+        offer = fresh_driver(sim, vehicle)
+        assert offer.stops() == ((2, latest_arrival_step, False),) * 3
         assert free_slots(offer) == seat_free_slots(offer) == ()
         assert sim.collect_offers() == {}
         assert sim.live_drivers == 1
@@ -903,10 +907,10 @@ class TestOfferIndex:
         sim.run(horizon=0.0)  # the driver enters and waits at its origin
         vehicle = sim._offer_index[0]
         sim.clock = agent.window.latest_arrival
-        assert fresh_offer(sim, vehicle) is not None
+        assert fresh_driver(sim, vehicle) is not None
         # any later anchor is one the offer's own TimeWindow would reject
         sim.clock = agent.window.latest_arrival + 5e-13
-        assert fresh_offer(sim, vehicle) is None
+        assert fresh_driver(sim, vehicle) is None
 
 
 class TestVehicleRoles:
