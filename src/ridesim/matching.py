@@ -220,13 +220,14 @@ class TimeExpandedNetwork:
         tied itineraries the DP returns.
         """
         n = len(self.nodes)
-        graph: dict[Vertex, list[Arc]] = {}
+        vertices: list[Vertex] = []
+        ends = []  # the last vertex of each position
         for position, node in enumerate(self.nodes):
             lo, hi = self.node_intervals[node]
-            for vertex in range(lo * n + position, hi * n + position, n):
-                graph[vertex] = [(vertex + n, None, 0.0)]
-            graph[hi * n + position] = []
-        graph = {vertex: graph[vertex] for vertex in sorted(graph)}
+            ends.append(hi * n + position)
+            vertices += range(lo * n + position, ends[-1] + 1, n)
+        graph = {vertex: [(vertex + n, None, 0.0)] if vertex < ends[vertex % n] else []
+                 for vertex in sorted(vertices)}
         # equal (tail, head, driver) means equal cost, so whole-tuple order
         # is (tail, head, driver) order
         for tail, head, driver, cost in sorted(self.travel_arcs):
@@ -413,7 +414,12 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     reached = {start}
     for vertex, arcs in forward.items():
         if vertex in reached:
-            reached.update(head for head, _, _ in arcs)
+            for head, _, _ in arcs:
+                reached.add(head)
+    # a destination vertex is one at the destination's position; an empty
+    # network has no nodes, so no position to look up
+    n = len(ten.nodes)
+    target = ten.nodes.index(ten.destination) if forward else None
     # the heads of a reached vertex are reached, so each reaches a destination
     # exactly when it survives, and a survivor's heads come before it here
     adjacency: dict[Vertex, list[Arc]] = {}
@@ -422,7 +428,7 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
         if vertex not in reached:
             continue
         arcs = [arc for arc in forward[vertex] if arc[0] in adjacency]
-        if decode(vertex, ten.nodes)[0] == ten.destination:
+        if vertex % n == target:
             dests.add(vertex)
         elif not arcs:
             continue
@@ -480,12 +486,18 @@ def _cost_to_go(graph: PrunedGraph, penalty: float) -> dict[Vertex, float]:
     """Least cost from each vertex to a destination vertex, ignoring drivers
     (any arc may follow any other) and charging ``penalty`` per wait arc.
     Every itinerary from a vertex is such a path, so the value is a lower
-    bound on its cost; it is consistent, being a shortest path."""
+    bound on its cost; it is consistent, being a shortest path.
+
+    ``_incumbent`` looks for an arc whose value equals this bound, so both
+    must compute an arc's value by the one float expression
+    ``(penalty if driver is None else cost) + togo[head]``."""
     togo: dict[Vertex, float] = {}
     for vertex in reversed(graph.vertices):
         best = 0.0 if vertex in graph.dests else INF
         for head, driver, cost in graph.adjacency[vertex]:
-            best = min(best, (penalty if driver is None else cost) + togo[head])
+            value = (penalty if driver is None else cost) + togo[head]
+            if value < best:
+                best = value
         togo[vertex] = best
     return togo
 
@@ -494,16 +506,23 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) ->
     """The cost of one itinerary as cheap as ``togo`` at the start, or INF.
 
     The walk takes, at each vertex, an arc that attains ``togo`` there,
-    preferring a wait, then the driver on board, then the first in
-    ``TimeExpandedNetwork.forward``'s arc order, and stops at the first
-    destination vertex. If the walk would re-board a driver it left, the
-    path is no itinerary and the result is INF, which turns pruning off.
+    preferring a wait, then the driver on board, then another driver, the
+    first in ``TimeExpandedNetwork.forward``'s arc order among equals, and
+    stops at the first destination vertex. If the walk would re-board a
+    driver it left, the path is no itinerary and the result is INF, which
+    turns pruning off. An arc attains ``togo`` by the one float expression
+    ``_cost_to_go`` computes it with, so the two must keep it the same.
     """
     vertex, cost, last, used = graph.start, 0.0, None, set()
     while vertex not in graph.dests:
-        ties = [(head, driver, arc) for head, driver, arc in graph.adjacency[vertex]
-                if (penalty if driver is None else arc) + togo[head] == togo[vertex]]
-        head, driver, arc = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
+        bound, rank = togo[vertex], 3
+        for head, driver, arc in graph.adjacency[vertex]:
+            if (penalty if driver is None else arc) + togo[head] == bound:
+                # 0: a wait, 1: the driver on board, 2: another driver
+                here = 0 if driver is None else 1 if driver == last else 2
+                if here < rank:
+                    rank, chosen = here, (head, driver, arc)
+        head, driver, arc = chosen
         if driver is None:
             cost += penalty
         else:
@@ -521,21 +540,26 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
 
     Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
     broken toward fewer waits, then fewer legs, then earlier arrival, then
-    the lexicographically smallest driver sequence; only the winner is
-    traced into legs. Itineraries equal on all five (a different transfer
-    vertex or boarding step) are not ordered; the DP returns the one its
-    labels reach first. It visits the vertices in integer order, each
+    the lexicographically smallest driver sequence. Itineraries equal on
+    all five (a different transfer vertex or boarding step) are not
+    ordered; the DP returns the one its labels reach first. It visits the vertices in integer order, each
     vertex's buckets (one per last driver) in the order its in-arcs first
     reach them, and each bucket's labels in insertion order, and of two
     equal labels it keeps the first. Of ``forward``'s arc order only the
     order of the arcs into one head counts: from one tail, the wait arc
     first, then the travel arcs by driver.
 
-    Before it expands a vertex's labels, the DP pairs each arc with its
-    head's bucket table and cost to go and creates every bucket the arc can
-    reach there: a travel arc its driver's, a wait arc each of the tail's,
-    in the tail's order. So a bucket exists, in its place, whether or not
-    any label takes the arc, and the bucket order depends on the graph alone.
+    Tied finalists share one vertex and their legs. A one-leg tie's driver
+    sequence is its bucket's driver, so ``_path`` is walked only for the
+    winner, to trace its legs, and for ties of more than one leg.
+
+    Before it expands a vertex's labels, the DP walks the vertex's arcs
+    once: it pairs each with its head's bucket table and cost to go, and
+    its driver's bit, given where the driver is first seen, and creates
+    each bucket the arc can reach there that is still missing, in the same
+    order: a travel arc its driver's, a wait arc each of the tail's, in the
+    tail's order. So a bucket exists, in its place, whether or not any
+    label takes the arc, and the bucket order depends on the graph alone.
 
     Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
@@ -561,17 +585,24 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     togo = _cost_to_go(graph, penalty)
     limit = _incumbent(graph, togo, penalty) * (1 + 1e-9)  # costs are non-negative
     table = {v: {} for v in graph.vertices}  # vertex -> last driver -> labels
-    bits: dict[Optional[int], int] = {None: 0}  # each driver's bit; a wait has none
+    bits: dict[int, int] = {}  # each driver's bit, given where first seen; none for a wait
     table[graph.start][None] = [(0.0, 0, 0, 0, None, graph.start, None)]
 
     for vertex in graph.vertices:
         buckets = table[vertex]  # heads lie later: no bucket here grows
-        arcs = [(table[head], togo[head], head, driver,
-                 bits.setdefault(driver, 1 << len(bits)), cost)
-                for head, driver, cost in graph.adjacency[vertex]]
-        for heads, _, _, driver, _, _ in arcs:
-            for last in (buckets if driver is None else (driver,)):
-                heads.setdefault(last, [])
+        arcs = []
+        for head, driver, cost in graph.adjacency[vertex]:
+            heads = table[head]
+            if driver is None:
+                for last in buckets:
+                    if last not in heads:
+                        heads[last] = []
+            else:
+                if driver not in bits:
+                    bits[driver] = 1 << len(bits)
+                if driver not in heads:
+                    heads[driver] = []
+            arcs.append((heads, togo[head], head, driver, bits.get(driver), cost))
         for last, bucket in buckets.items():
             for label in bucket:
                 cost, waits, legs, used = label[0], label[1], label[2], label[3]
@@ -589,16 +620,26 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
                                    label, head, driver)
                             _insert_label(heads[driver], new)
 
-    candidates = [label for dest in graph.dests for bucket in table[dest].values()
-                  for label in bucket if label[2] > 0]
-    if not candidates:
+    # the best (cost, waits, legs, vertex) key of the finalists, and its ties
+    # with their buckets' drivers; the destination vertices share a node, so
+    # code order is arrival order
+    best, ties = None, []
+    for dest in graph.dests:
+        for last, bucket in table[dest].items():
+            for label in bucket:
+                if label[2]:
+                    key = (label[0], label[1], label[2], dest)
+                    if best is None or key < best:
+                        best, ties = key, [(last, label)]
+                    elif key == best:
+                        ties.append((last, label))
+    if best is None:
         return None
-    # the destination vertices share a node, so code order is arrival order
-    best = min((c[0], c[1], c[2], c[5]) for c in candidates)
-    # the ties share one vertex, and a driver sequence names one bucket there
-    ties = [c for c in candidates if (c[0], c[1], c[2], c[5]) == best]
-    winner = ties[0] if len(ties) == 1 else min(ties, key=lambda c: [
-        driver for driver, _ in groupby(arc[2] for arc in _path(c) if arc[2] is not None)])
+    # the ties share one vertex and their legs, and a driver sequence names
+    # one bucket there; a one-leg tie's sequence is its bucket's driver
+    order = itemgetter(0) if len(ties) == 1 or best[2] == 1 else (lambda tie: [
+        driver for driver, _ in groupby(arc[2] for arc in _path(tie[1]) if arc[2] is not None)])
+    winner = min(ties, key=order)[1]
     return Itinerary(_legs(_path(winner), graph.nodes), winner[0], winner[1])
 
 

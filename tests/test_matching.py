@@ -283,6 +283,55 @@ def exactness_instance(seed):
     return rider, offers, net, tau
 
 
+def exactness_graphs(twinned=False):
+    """Each ``exactness_instance``'s pruned graph, its offers also twinned
+    under new ids when ``twinned``, as ``TestTieChoices`` and
+    ``TestTwinnedTies`` solve them."""
+    for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+        rider, offers, net, tau = exactness_instance(seed)
+        if twinned:
+            offers = offers + [dataclasses.replace(o, id=o.id + 100) for o in offers]
+        yield seed, preprocess(build_time_expanded(
+            rider, slot_groups(offers), net, tau, DT_EXACT))
+
+
+def reference_cost_to_go(graph, penalty):
+    """The least cost from each vertex of ``graph`` to a destination vertex,
+    by plain recursion over its arcs, a wait costing ``penalty``."""
+    least = {}
+
+    def cost_to_go(vertex):
+        if vertex not in least:
+            values = [(penalty if driver is None else cost) + cost_to_go(head)
+                      for head, driver, cost in graph.adjacency[vertex]]
+            least[vertex] = min(values + [0.0] if vertex in graph.dests else values,
+                                default=matching.INF)
+        return least[vertex]
+
+    return {vertex: cost_to_go(vertex) for vertex in graph.vertices}
+
+
+def reference_incumbent(graph, togo, penalty):
+    """The walk ``_incumbent`` documents, spelled out: at each vertex the
+    arcs that attain ``togo``, then the least by (not a wait, not the driver
+    on board), the first in arc order among equals."""
+    vertex, cost, last, used = graph.start, 0.0, None, set()
+    while vertex not in graph.dests:
+        ties = [(head, driver, arc) for head, driver, arc in graph.adjacency[vertex]
+                if (penalty if driver is None else arc) + togo[head] == togo[vertex]]
+        head, driver, arc = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
+        if driver is None:
+            cost += penalty
+        else:
+            if driver != last and driver in used:
+                return matching.INF
+            cost += arc
+            last = driver
+            used.add(driver)
+        vertex = head
+    return cost
+
+
 class TestBoundPruning:
     PENALTIES = (0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT, 10 * DT_EXACT)
     # found by search over seeds: if buckets are visited in creation order,
@@ -315,6 +364,27 @@ class TestBoundPruning:
                 solved += pruned is not None
         assert solved > 500
         assert inserted[True] < inserted[False]
+
+    def test_cost_to_go_equals_recursion(self):
+        checked = 0
+        for seed, graph in exactness_graphs():
+            for penalty in self.PENALTIES:
+                assert matching._cost_to_go(graph, penalty) == reference_cost_to_go(
+                    graph, penalty), (seed, penalty)
+                checked += len(graph.vertices)
+        assert checked > 5000
+
+    def test_incumbent_equals_reference_walk(self):
+        walks = 0
+        for seed, graph in exactness_graphs():
+            if not graph.feasible:
+                continue
+            for penalty in self.PENALTIES:
+                togo = matching._cost_to_go(graph, penalty)
+                assert matching._incumbent(graph, togo, penalty) == reference_incumbent(
+                    graph, togo, penalty), (seed, penalty)
+                walks += 1
+        assert walks > 500
 
 
 class TestTieChoices:
@@ -378,6 +448,32 @@ class TestTwinnedTies:
                    for arc in graph.adjacency[v])
         itinerary = solve_itinerary(graph, DT_EXACT)
         assert [leg.driver for leg in itinerary.legs] == [10]
+
+    def test_one_leg_ties_walk_no_path(self, monkeypatch):
+        """A solve walks ``_path`` for its winner, and otherwise only for
+        tied finalists of more than one leg: a one-leg tie's driver sequence
+        is its bucket's driver. Here one-leg finalists tie in pairs."""
+        path = matching._path
+        walked = []
+
+        def recording_path(label):
+            walked.append(label)
+            return path(label)
+
+        monkeypatch.setattr(matching, "_path", recording_path)
+        one_leg = 0
+        for seed, graph in exactness_graphs(twinned=True):
+            for penalty in TestBoundPruning.PENALTIES:
+                walked.clear()
+                itinerary = solve_itinerary(graph, penalty)
+                if itinerary is None:
+                    assert walked == [], (seed, penalty)
+                    continue
+                winner = (itinerary.total_cost, itinerary.wait_steps, len(itinerary.legs))
+                assert winner in [label[:3] for label in walked], (seed, penalty)
+                assert sum(label[2] <= 1 for label in walked) <= 1, (seed, penalty)
+                one_leg += len(itinerary.legs) == 1
+        assert one_leg > 300
 
 
 class TestBuildDigest:

@@ -1,0 +1,120 @@
+"""Time the matcher's kernel over every rider request of one run.
+
+Runs one scenario (``--config``, ``--seed``, ``--horizon``) through
+``experiments.run_single`` and keeps every request's time-expanded network,
+by wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
+up. It then times ``preprocess`` and ``solve_itinerary`` over the kept
+networks, in request order, at the scenario's penalty and with the
+collector paused, and prints for each the best of ``--rounds`` in µs per
+request, the ``_path`` walks per request, and a SHA-256 over the ``repr``
+of every result. Run on two checkouts, it shows a change to the kernel
+without the event loop's noise, and equal digests show equal results. It
+imports ridesim from the ``src`` beside it and needs nothing but the
+standard library and ridesim's own dependencies::
+
+    python tools/matcher_replay.py --config src/ridesim/data/sweep.yaml --horizon 1.5
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ridesim import experiments, matching  # noqa: E402
+from ridesim.config import load_config  # noqa: E402
+
+
+def kept_networks(config) -> tuple[list, float]:
+    """Every request's network from one run of ``config``, in request
+    order, and the run's penalty."""
+    kept = []
+    build = matching.build_time_expanded
+
+    def keeping(*args, **kwargs):
+        ten = build(*args, **kwargs)
+        kept.append(ten)
+        return ten
+
+    matching.build_time_expanded = keeping
+    try:
+        sim, _ = experiments.run_single(config)
+    finally:
+        matching.build_time_expanded = build
+    return kept, sim.penalty
+
+
+def best_times(tens: list, penalty: float, rounds: int) -> tuple[float, float]:
+    """The least seconds, over ``rounds``, that ``preprocess`` and
+    ``solve_itinerary`` each took over all of ``tens``."""
+    prep = solve = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        graphs = [matching.preprocess(ten) for ten in tens]
+        middle = time.perf_counter()
+        for graph in graphs:
+            matching.solve_itinerary(graph, penalty)
+        end = time.perf_counter()
+        prep, solve = min(prep, middle - start), min(solve, end - middle)
+    return prep, solve
+
+
+def counted_results(tens: list, penalty: float) -> tuple[list, int]:
+    """Every request's result, and the ``_path`` walks that made them."""
+    walks = 0
+    path = matching._path
+
+    def counting(label):
+        nonlocal walks
+        walks += 1
+        return path(label)
+
+    matching._path = counting
+    try:
+        results = [matching.solve_itinerary(matching.preprocess(ten), penalty)
+                   for ten in tens]
+    finally:
+        matching._path = path
+    return results, walks
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", required=True, help="scenario file")
+    parser.add_argument("--seed", type=int, help="run seed (default: the scenario's)")
+    parser.add_argument("--horizon", type=float,
+                        help="hours simulated (default: the scenario's)")
+    parser.add_argument("--rounds", type=int, default=5, help="timed rounds (default 5)")
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
+    tens, penalty = kept_networks(config)
+    gc.collect()
+    gc.disable()
+    try:
+        prep, solve = best_times(tens, penalty, args.rounds)
+        results, walks = counted_results(tens, penalty)
+    finally:
+        gc.enable()
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(repr(result).encode())
+    requests = len(tens)
+    per = 1e6 / requests if requests else 0.0
+    print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
+    print(f"requests        {requests}")
+    print(f"preprocess_us   {prep * per:.1f}")
+    print(f"solve_us        {solve * per:.1f}")
+    print(f"kernel_us       {(prep + solve) * per:.1f}")
+    print(f"path_walks      {walks / requests if requests else 0.0:.2f}")
+    print(f"digest          {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
