@@ -49,12 +49,13 @@ request from the traffic state frozen at the match instant
 (``SimState.matching_steps``) and passes it to both the network build and
 the commit. From ``tau`` both read ``step_matrix``: ``m`` and, for each
 pair of nodes, the links of the path that gives its entry, one
-``routing.shortest_paths`` tree per node, reused while every link's step
-count repeats. It makes one attempt: slots, network and commit read that
-one instant, and the commit checks each driver's schedule through the
-chain of its pins with the rider's added (``pin_chain``), from the anchor
-the scan read, and routes the driver between stops along the matrix's
-paths, with no search of its own.
+``routing.shortest_paths`` tree per node, built once per step state (every
+link's step count) and reused whenever that state recurs, the
+``STEP_MATRICES_KEPT`` most recently used kept. It makes one attempt:
+slots, network and commit read that one instant, and the commit checks
+each driver's schedule through the chain of its pins with the rider's
+added (``pin_chain``), from the anchor the scan read, and routes the driver
+between stops along the matrix's paths, with no search of its own.
 """
 from __future__ import annotations
 
@@ -273,22 +274,44 @@ def _min_step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
     return steps, paths
 
 
-# (network, step count per link id, matrices) of the last request; see
-# ``step_matrix``
-_min_step_memo: Optional[tuple[Network, dict[int, int], StepMatrix]] = None
+# the most step matrices ``step_matrix`` keeps for one network
+STEP_MATRICES_KEPT = 64
+
+# (network, step count per link id, matrices) of the last request, and the
+# network's matrices by every link's step count, least recently used first;
+# see ``step_matrix``
+_last_step_matrix: Optional[tuple[Network, dict[int, int], StepMatrix]] = None
+_step_matrices_network: Optional[Network] = None
+_step_matrices: dict[tuple[int, ...], StepMatrix] = {}
 
 
 def step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
-    """``_min_step_matrix``, (steps, paths), through a one-entry memo keyed
-    on the network object and every link's step count, so a request's build
+    """``_min_step_matrix``, (steps, paths), built once per step state: the
+    matrices of one network object are kept keyed by every link's step
+    count, at most ``STEP_MATRICES_KEPT`` of them, the least recently used
+    evicted first, and a different network clears them. The last request's
+    entry is checked first, with one dict comparison, so a request's build
     and commit, and consecutive requests that see the same whole-step
-    durations, share one matrix. Callers must not mutate it, nor the
+    durations, share one matrix without building the key. A matrix is a
+    pure function of the network and ``tau``, so the memo changes only
+    which equal object is returned. Callers must not mutate it, nor the
     ``tau`` it was built from."""
-    global _min_step_memo
-    memo = _min_step_memo
-    if memo is None or memo[0] is not network or memo[1] != tau:
-        memo = _min_step_memo = (network, dict(tau), _min_step_matrix(network, tau))
-    return memo[2]
+    global _last_step_matrix, _step_matrices_network
+    last = _last_step_matrix
+    if last is not None and last[0] is network and last[1] == tau:
+        return last[2]
+    if network is not _step_matrices_network:
+        _step_matrices.clear()
+        _step_matrices_network = network
+    key = tuple(tau[link.id] for link in network.links)
+    matrix = _step_matrices.pop(key, None)
+    if matrix is None:
+        matrix = _min_step_matrix(network, tau)
+        if len(_step_matrices) == STEP_MATRICES_KEPT:
+            del _step_matrices[next(iter(_step_matrices))]
+    _step_matrices[key] = matrix  # now the most recently used
+    _last_step_matrix = network, dict(tau), matrix
+    return matrix
 
 
 def build_time_expanded(

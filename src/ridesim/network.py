@@ -215,6 +215,7 @@ class Network:
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
         object.__setattr__(self, "_node_ids", tuple(sorted(self.nodes)))
         object.__setattr__(self, "_next_hops", {})
+        object.__setattr__(self, "_forced_routes", {})
 
     @property
     def adjacency(self) -> dict[int, list[int]]:
@@ -235,6 +236,36 @@ class Network:
         if table is None:
             table = self._build_next_hops(dest)
         return table[node]
+
+    def forced_route(self, origin: int, dest: int) -> Optional[tuple[int, ...]]:
+        """The link ids of the walk from ``origin`` that takes, at each
+        node, its one next hop towards ``dest`` (``next_hops``); None where
+        a node on the way has none or more than one. Memoised per pair on
+        the network, like ``next_hops``; a later lookup returns the same
+        object.
+
+        Every link of an origin->dest path is a next hop of its tail, so
+        where each node has exactly one, the walk is the only loop-free
+        path, the one any shortest-path search returns whatever the link
+        costs. The walk cannot cycle: a node on a cycle that reaches
+        ``dest`` would need a second link to leave it. None does not prove
+        a second path: a next hop may reach ``dest`` only through a node
+        already passed.
+        """
+        key = origin, dest
+        routes = self._forced_routes  # type: ignore[attr-defined]
+        if key not in routes:
+            route: Optional[tuple[int, ...]] = ()
+            node = origin
+            while node != dest:
+                hops = self.next_hops(node, dest)
+                if len(hops) != 1:
+                    route = None
+                    break
+                route += hops
+                node = self.link(hops[0]).to_node
+            routes[key] = route
+        return routes[key]
 
     def _build_next_hops(self, dest: int) -> dict[int, tuple[int, ...]]:
         if dest not in self._adjacency:  # type: ignore[attr-defined]

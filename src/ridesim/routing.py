@@ -6,8 +6,16 @@ lexicographically smallest link-id sequence. A regular driver replanning at
 a node takes its route from it through ``dijkstra_route``, at a snapshot of
 link costs (toll + congested travel time, each weighted; see
 ``SimState.route_cost_fn``); the matcher's step matrix holds one tree per
-node under the links' whole-step durations (``matching.step_matrix``), and
-a committed driver's route is read from there.
+node under the links' whole-step durations (``matching.step_matrix``, built
+once per set of step counts), and a committed driver's route is read from
+there.
+
+A route that is forced needs no search: where a node has only one next hop
+towards the destination (``Network.next_hops``), or every node on the way
+has one (``Network.forced_route``), that is the answer any search gives,
+so the simulation takes it directly. The shortcut stays with the callers:
+``dijkstra_route`` itself always searches, and so always runs
+``shortest_paths``' check for a negative cost.
 """
 from __future__ import annotations
 

@@ -450,10 +450,14 @@ class SimState:
     def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
         their latest departure, then drive their own best route; a matching
-        commit rewrites this plan."""
+        commit rewrites this plan. A forced route (``Network.forced_route``)
+        needs no search, as at a node with one next hop
+        (``vehicle_at_node``): it is the only path Dijkstra could return."""
         agent = vehicle.agent
-        path = dijkstra_route(self.network, self.route_cost_fn(now),
-                              agent.origin, agent.destination)
+        path = self.network.forced_route(agent.origin, agent.destination)
+        if path is None:
+            path = dijkstra_route(self.network, self.route_cost_fn(now),
+                                  agent.origin, agent.destination)
         if path is None:
             return  # the empty plan strands the vehicle at its origin
         step = max(ceil_steps(now, self.dt), vehicle.latest_departure_step)

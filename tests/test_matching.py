@@ -22,6 +22,7 @@ from ridesim.matching import (
     preprocess,
     solve_itinerary,
 )
+from ridesim.network import Network
 from ridesim.simulation import init_simulation
 
 from conftest import (DT_EXACT, Driver, free_slots, random_instance, slot_groups,
@@ -685,8 +686,64 @@ class TestMinStepMemo:
         monkeypatch.setattr(matching, "_min_step_matrix", counting_matrix)
         sim.run()
         changes = sum(key != prev for prev, key in zip([None] + keys, keys))
-        assert len(builds) == changes
-        assert 1 < changes < len(keys)
+        assert len(builds) == len(set(keys))  # one build per step state
+        assert 1 < len(builds) < changes < len(keys)
+
+    def counted_builds(self, monkeypatch) -> list:
+        builds = []
+        fresh_matrix = matching._min_step_matrix
+
+        def counting_matrix(network, tau):
+            builds.append(dict(tau))
+            return fresh_matrix(network, tau)
+
+        monkeypatch.setattr(matching, "_min_step_matrix", counting_matrix)
+        return builds
+
+    @staticmethod
+    def fresh_copy(network: Network) -> Network:
+        """An equal network object, which the memo does not know."""
+        return Network(nodes=network.nodes, links=network.links)
+
+    def test_revisited_state_returns_same_matrix(self, testbed, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        net = self.fresh_copy(testbed)
+        tau = {link.id: 3 for link in net.links}
+        slower = {**tau, net.links[0].id: 40}
+        first = matching.step_matrix(net, tau)
+        other = matching.step_matrix(net, slower)
+        assert matching.step_matrix(net, dict(tau)) is first
+        assert matching.step_matrix(net, dict(slower)) is other
+        assert builds == [tau, slower]
+
+    def test_new_network_clears_memo(self, testbed, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        net, twin = self.fresh_copy(testbed), self.fresh_copy(testbed)
+        tau = {link.id: 3 for link in net.links}
+        slower = {**tau, net.links[0].id: 40}
+        first = matching.step_matrix(net, tau)
+        matching.step_matrix(net, slower)
+        assert matching.step_matrix(twin, tau) == first
+        again = matching.step_matrix(net, tau)
+        assert again is not first and again == first
+        assert len(builds) == 4
+
+    def test_evicts_least_recently_used(self, testbed, monkeypatch):
+        builds = self.counted_builds(monkeypatch)
+        net = self.fresh_copy(testbed)
+        kept = matching.STEP_MATRICES_KEPT
+        states = [{**{link.id: 3 for link in net.links}, net.links[0].id: k}
+                  for k in range(1, kept + 2)]
+        matrices = [matching.step_matrix(net, tau) for tau in states[:kept]]
+        assert matching.step_matrix(net, states[0]) is matrices[0]
+        matching.step_matrix(net, states[kept])  # evicts states[1]
+        assert len(builds) == kept + 1
+        for i in (0, *range(2, kept)):
+            assert matching.step_matrix(net, states[i]) is matrices[i]
+        assert len(builds) == kept + 1
+        rebuilt = matching.step_matrix(net, states[1])
+        assert rebuilt is not matrices[1] and rebuilt == matrices[1]
+        assert len(builds) == kept + 2
 
 
 class TestForward:

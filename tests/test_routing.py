@@ -47,6 +47,49 @@ def enumerate_paths(net: Network, origin: int, dest: int):
     return out
 
 
+def random_network(rng: random.Random):
+    """(network, cost per link id) on 3-8 nodes, each ordered pair linked
+    with probability 0.4; None where no pair is."""
+    n = rng.randint(3, 8)
+    links = []
+    for a, b in itertools.permutations(range(n), 2):
+        if rng.random() < 0.4:
+            links.append((a, b, rng.uniform(0.01, 1.0)))
+    if not links:
+        return None
+    net = make_network(links)
+    return net, {l.id: rng.uniform(0.01, 5.0) for l in net.links}
+
+
+def assert_forced_routes(net: Network, costs: dict[int, float]) -> int:
+    """Check ``forced_route`` for every pair of ``net``; the number of
+    pairs with a forced route.
+
+    A route is forced only where exactly one loop-free path leads, and then
+    it is that path and the route ``dijkstra_route`` finds. A lone path is
+    not forced exactly where a node on it has a second next hop, one whose
+    every way to the destination passes a node the path has visited (with
+    links 0->1, 1->0 and 0->2, 0->2 is the one path, but 0->1 also reaches
+    2)."""
+    forced = 0
+    for origin in net.node_ids():
+        for dest in net.node_ids():
+            route = net.forced_route(origin, dest)
+            assert net.forced_route(origin, dest) is route
+            paths = enumerate_paths(net, origin, dest)
+            if len(paths) != 1:
+                assert route is None
+                continue
+            tails = [net.link(lid).from_node for lid in paths[0]]
+            if any(len(net.next_hops(node, dest)) > 1 for node in tails):
+                assert route is None
+                continue
+            assert route == paths[0]
+            assert route == dijkstra_route(net, lambda l: costs[l.id], origin, dest)
+            forced += 1
+    return forced
+
+
 class TestLinkCost:
     def test_reduces_to_free_flow(self, testbed):
         cost = route_costs(testbed)(testbed.link(1))
@@ -97,15 +140,10 @@ class TestDijkstra:
         rng = random.Random(4242)
         checked = 0
         for _ in range(100):
-            n = rng.randint(3, 8)
-            links = []
-            for a, b in itertools.permutations(range(n), 2):
-                if rng.random() < 0.4:
-                    links.append((a, b, rng.uniform(0.01, 1.0)))
-            if not links:
+            drawn = random_network(rng)
+            if drawn is None:
                 continue
-            net = make_network(links)
-            costs = {l.id: rng.uniform(0.01, 5.0) for l in net.links}
+            net, costs = drawn
             origin, dest = rng.sample(net.node_ids(), 2)
             best = dijkstra_route(net, lambda l: costs[l.id], origin, dest)
             hops = net.next_hops(origin, dest)
@@ -147,6 +185,23 @@ class TestDijkstra:
                 assert type(total) is int and total == sum(costs[lid] for lid in links)
                 assert (total, links) == min(
                     (sum(costs[lid] for lid in path), path) for path in paths)
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_digraphs())
+    def test_forced_route_is_the_only_path(self, graph):
+        """``forced_route`` is the one loop-free path where there is exactly
+        one, and then the route ``dijkstra_route`` finds; None otherwise.
+        A repeated lookup returns the same object."""
+        assert_forced_routes(*graph)
+
+    def test_forced_route_on_random_networks(self):
+        rng = random.Random(4242)
+        forced = 0
+        for _ in range(100):
+            drawn = random_network(rng)
+            if drawn is not None:
+                forced += assert_forced_routes(*drawn)
+        assert forced > 100
 
     def test_tie_break_smallest_link_sequence(self):
         # two parallel equal-cost routes 0->1->3 (links 0,2) and 0->2->3 (links 1,3)

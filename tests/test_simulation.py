@@ -237,6 +237,41 @@ class TestVehicleAtNode:
         assert set(replans) == {(0, 3)}
         assert replans == forks
 
+    def test_initial_plans_search_only_at_forks(self, testbed, tmp_path, monkeypatch):
+        """On the sweep, transfer and grid runs, a ridesharing driver's
+        initial plan makes one search where its pair has no forced route
+        (``Network.forced_route``) and none where it has one, and its links
+        are the route ``dijkstra_route`` finds at that instant."""
+        search = simulation.dijkstra_route
+        plan_initial_route = SimState._plan_initial_route
+        searches = []
+        forced = forked = 0
+
+        def counted_search(network, cost_fn, origin, dest):
+            searches.append((origin, dest))
+            return search(network, cost_fn, origin, dest)
+
+        def planned(sim, vehicle, now):
+            nonlocal forced, forked
+            agent = vehicle.agent
+            pair = agent.origin, agent.destination
+            route = search(sim.network, sim.route_cost_fn(now), *pair)
+            searches.clear()
+            plan_initial_route(sim, vehicle, now)
+            if sim.network.forced_route(*pair) is None:
+                assert searches == [pair]
+                forked += 1
+            else:
+                assert searches == []
+                forced += 1
+            assert [link_id for link_id, _ in vehicle.plan] == list(route or ())
+
+        monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
+        monkeypatch.setattr(SimState, "_plan_initial_route", planned)
+        for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
+            sim.run()
+        assert forced > 1000 and forked > 100
+
 
 class TestConservation:
     def test_counts_return_to_zero(self, testbed):
