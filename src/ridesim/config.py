@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 import yaml
@@ -57,7 +58,7 @@ def _od_rates(value: object, key: str) -> Optional[dict[tuple[int, int], float]]
 
 # pinned when the file names no pins: the free split of the shared-corridor
 # demand, applied where the network has the pair
-_DEFAULT_PINS = {(0, 2): 26660.0}
+_DEFAULT_PINS = MappingProxyType({(0, 2): 26660.0})
 
 
 def _od_keys(od_map: dict[tuple[int, int], float]) -> dict[str, float]:

@@ -50,8 +50,8 @@ request from the traffic state frozen at the match instant
 the commit. From ``tau`` both read ``step_matrix``: ``m`` and, for each
 pair of nodes, the links of the path that gives its entry, one
 ``routing.shortest_paths`` tree per node, built once per step state (every
-link's step count) and reused whenever that state recurs, the
-``STEP_MATRICES_KEPT`` most recently used kept. It makes one attempt:
+link's step count) and reused whenever that state recurs; the network keeps
+its own ``STEP_MATRICES_KEPT`` most recently used. It makes one attempt:
 slots, network and commit read that one instant, and the commit checks
 each driver's schedule through the chain of its pins with the rider's
 added (``pin_chain``), from the anchor the scan read, and routes the driver
@@ -277,41 +277,30 @@ def _min_step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
 # the most step matrices ``step_matrix`` keeps for one network
 STEP_MATRICES_KEPT = 64
 
-# (network, step count per link id, matrices) of the last request, and the
-# network's matrices by every link's step count, least recently used first;
-# see ``step_matrix``
-_last_step_matrix: Optional[tuple[Network, dict[int, int], StepMatrix]] = None
-_step_matrices_network: Optional[Network] = None
-_step_matrices: dict[tuple[int, ...], StepMatrix] = {}
-
 
 def step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
-    """``_min_step_matrix``, (steps, paths), built once per step state: the
-    matrices of one network object are kept keyed by every link's step
-    count, at most ``STEP_MATRICES_KEPT`` of them, the least recently used
-    evicted first, and a different network clears them. The last request's
-    entry is checked first, with one dict comparison, so a request's build
-    and commit, and consecutive requests that see the same whole-step
+    """``_min_step_matrix``, (steps, paths), built once per step state: each
+    network keeps its own matrices, each with a copy of its ``tau``, keyed
+    by every link's step count, at most ``STEP_MATRICES_KEPT`` of them, the
+    least recently used evicted first. The most recently used entry is
+    checked first, with one dict comparison, so a request's build and
+    commit, and consecutive requests that see the same whole-step
     durations, share one matrix without building the key. A matrix is a
     pure function of the network and ``tau``, so the memo changes only
-    which equal object is returned. Callers must not mutate it, nor the
-    ``tau`` it was built from."""
-    global _last_step_matrix, _step_matrices_network
-    last = _last_step_matrix
-    if last is not None and last[0] is network and last[1] == tau:
-        return last[2]
-    if network is not _step_matrices_network:
-        _step_matrices.clear()
-        _step_matrices_network = network
+    which equal object is returned. Callers must not mutate it."""
+    matrices = network._step_matrices  # type: ignore[attr-defined]
+    if matrices:
+        last_tau, matrix = next(reversed(matrices.values()))
+        if last_tau == tau:
+            return matrix
     key = tuple(tau[link.id] for link in network.links)
-    matrix = _step_matrices.pop(key, None)
-    if matrix is None:
-        matrix = _min_step_matrix(network, tau)
-        if len(_step_matrices) == STEP_MATRICES_KEPT:
-            del _step_matrices[next(iter(_step_matrices))]
-    _step_matrices[key] = matrix  # now the most recently used
-    _last_step_matrix = network, dict(tau), matrix
-    return matrix
+    entry = matrices.pop(key, None)
+    if entry is None:
+        entry = dict(tau), _min_step_matrix(network, tau)
+        if len(matrices) == STEP_MATRICES_KEPT:
+            del matrices[next(iter(matrices))]
+    matrices[key] = entry  # now the most recently used
+    return entry[1]
 
 
 def build_time_expanded(

@@ -15,6 +15,7 @@ import typing
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 import yaml
@@ -79,8 +80,8 @@ def _items(read_item, value: object, key: str) -> tuple:
 
 # the reader of each field type without a ``read`` of its own; a dataclass
 # type is a nested section and ``tuple[X, ...]`` a list of X
-_READERS = {float: number, int: whole_number, bool: _truth,
-            Optional[float]: _optional_number, Path: _path}
+_READERS = MappingProxyType({float: number, int: whole_number, bool: _truth,
+                             Optional[float]: _optional_number, Path: _path})
 
 
 def _reader(kind):
@@ -216,6 +217,8 @@ class Network:
         object.__setattr__(self, "_node_ids", tuple(sorted(self.nodes)))
         object.__setattr__(self, "_next_hops", {})
         object.__setattr__(self, "_forced_routes", {})
+        # the matcher's step matrices, kept by ``matching.step_matrix`` alone
+        object.__setattr__(self, "_step_matrices", {})
 
     @property
     def adjacency(self) -> dict[int, list[int]]:

@@ -7,8 +7,8 @@ a node takes its route from it through ``dijkstra_route``, at a snapshot of
 link costs (toll + congested travel time, each weighted; see
 ``SimState.route_cost_fn``); the matcher's step matrix holds one tree per
 node under the links' whole-step durations (``matching.step_matrix``, built
-once per set of step counts), and a committed driver's route is read from
-there.
+once per set of step counts and kept on the network), and a committed
+driver's route is read from there.
 
 A route that is forced needs no search: where a node has only one next hop
 towards the destination (``Network.next_hops``), or every node on the way

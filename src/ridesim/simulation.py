@@ -23,10 +23,12 @@ when its time is not later: the order one heap of every event would give.
 Memory: a run builds no reference cycle. A DP label points to its parent
 label, a vehicle to its agent and to its pins, slots and plan, which hold
 only values, an event holds an agent or link id or, for an arrival or a
-departure, its vehicle with its lane or plan version, and nothing points
-back. Reference counting therefore frees every object a replication
-made, at the latest when its ``SimState`` is dropped, and the cyclic
-garbage collector finds nothing to free in it; ``ridesim.experiments``
+departure, its vehicle with its lane or plan, and nothing points back.
+Reference counting therefore frees every object a replication made, at
+the latest when its ``SimState`` is dropped, but for the matcher's step
+matrices: the network keeps them for later replications on it
+(``matching.step_matrix``) and frees them with itself. The cyclic
+garbage collector finds nothing to free in a run; ``ridesim.experiments``
 pauses the collector while a replication is alive. ``TestCollectorPause``
 in ``tests/test_simulation.py`` guards the premise: building, running and
 dropping a replication of the bundled validation scenario or of the
@@ -158,11 +160,11 @@ class RideshareVehicle(Vehicle):
     Its ``plan`` is the route it drives, one (link id, entry step) pair per
     link, which it follows from ``plan_pos`` on, holding at a node until the
     next link's entry step. The entry sets it (``_plan_initial_route``) and
-    every accepted commit replaces it and raises ``plan_version``, which
-    makes the holds queued for an older plan stale."""
+    every accepted commit replaces it with a new list. A queued hold names
+    the plan it was made for, and is stale once ``plan`` is another list."""
 
     __slots__ = ("latest_departure_step", "latest_arrival_step", "pins", "aboard",
-                 "next_stop", "later_slots", "plan", "plan_pos", "plan_version")
+                 "next_stop", "later_slots", "plan", "plan_pos")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
@@ -174,7 +176,6 @@ class RideshareVehicle(Vehicle):
         self.later_slots: tuple[FreeSlot, ...] = ()
         self.plan: list[tuple[int, int]] = []
         self.plan_pos = 0
-        self.plan_version = 0
 
     def set_pins(self, pins: tuple[Pin, ...], chain: PinChain) -> None:
         """Take ``pins``, and the next stop and later slots of ``chain``,
@@ -391,8 +392,7 @@ class SimState:
                 next_link, entry_step = vehicle.plan[pos]
                 hold_until = entry_step * self.dt
                 if hold_until > now + 1e-12:
-                    self.push_event(hold_until, EV_DEPART_NODE,
-                                    (vehicle, vehicle.plan_version))
+                    self.push_event(hold_until, EV_DEPART_NODE, (vehicle, vehicle.plan))
                     return
                 vehicle.plan_pos = pos + 1
             else:
@@ -491,10 +491,10 @@ class SimState:
         self._advance(vehicle, now)
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
-        vehicle, version = payload
+        vehicle, plan = payload
         if not vehicle.active or vehicle.link_arrival_time is not None:
             return
-        if version != vehicle.plan_version:
+        if plan is not vehicle.plan:
             return  # superseded by a later matching commit
         self._advance(vehicle, now)
 
@@ -653,11 +653,9 @@ class SimState:
             vehicle.set_pins(pins, chain)
             vehicle.plan = plan
             vehicle.plan_pos = 0
-            vehicle.plan_version += 1
             if vehicle.link_arrival_time is None:
                 release = plan[0][1] * self.dt if plan else self.clock
-                self.push_event(max(release, self.clock), EV_DEPART_NODE,
-                                (vehicle, vehicle.plan_version))
+                self.push_event(max(release, self.clock), EV_DEPART_NODE, (vehicle, plan))
         return True
 
     # ------------------------------------------------------------------- runs

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import weakref
 from itertools import accumulate
 
 import pytest
@@ -716,7 +717,7 @@ class TestMinStepMemo:
         assert matching.step_matrix(net, dict(slower)) is other
         assert builds == [tau, slower]
 
-    def test_new_network_clears_memo(self, testbed, monkeypatch):
+    def test_each_network_keeps_its_own_memo(self, testbed, monkeypatch):
         builds = self.counted_builds(monkeypatch)
         net, twin = self.fresh_copy(testbed), self.fresh_copy(testbed)
         tau = {link.id: 3 for link in net.links}
@@ -724,9 +725,15 @@ class TestMinStepMemo:
         first = matching.step_matrix(net, tau)
         matching.step_matrix(net, slower)
         assert matching.step_matrix(twin, tau) == first
-        again = matching.step_matrix(net, tau)
-        assert again is not first and again == first
-        assert len(builds) == 4
+        assert matching.step_matrix(net, tau) is first
+        assert len(builds) == 3
+
+    def test_dropped_network_frees_its_matrices(self, testbed):
+        net = self.fresh_copy(testbed)
+        matching.step_matrix(net, {link.id: 3 for link in net.links})
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
 
     def test_evicts_least_recently_used(self, testbed, monkeypatch):
         builds = self.counted_builds(monkeypatch)

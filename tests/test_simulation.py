@@ -66,7 +66,7 @@ def rider(agent_id, origin, dest, t, fft, flex=0.3):
 def record_handled(monkeypatch) -> list:
     """A list that every event any ``SimState`` handles from now on is
     appended to, as (clock, kind, key); an arrival's key names its vehicle,
-    link and lane class, a departure's its vehicle and plan version."""
+    link and lane class, a departure's its vehicle and plan."""
     log = []
     keys = {
         "_handle_agent_enter": (EV_AGENT_ENTER, lambda sim, agent: agent.id),
@@ -577,7 +577,7 @@ class TestCommitRejections:
     @staticmethod
     def plans(sim):
         drivers = {
-            agent_id: (list(v.pins), list(v.plan), v.plan_pos, v.plan_version)
+            agent_id: (list(v.pins), list(v.plan), id(v.plan), v.plan_pos)
             for agent_id, v in sim.vehicles.items()
             if isinstance(v, simulation.RideshareVehicle)
         }
@@ -636,6 +636,27 @@ class TestCommitRejections:
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         sim.run(horizon=0.0)
         self.assert_refused(sim, 9, (0, 1, 4, 2, 14))  # node 1 is 5 steps away
+
+
+class TestStaleHold:
+    def test_hold_for_a_replaced_plan_does_nothing(self, testbed):
+        """A hold queued for a plan that a commit has since replaced is
+        dropped when it comes due: the vehicle stays where its new plan
+        has it, and nothing is queued. The hold for the new plan moves it."""
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
+        sim.run(horizon=0.0)  # the driver holds at its origin
+        vehicle = sim.vehicles[0]
+        (hold_time, _, _, stale), = sim.events
+        assert hold_time > 0 and stale[0] is vehicle and stale[1] is vehicle.plan
+        assert TestCommitRejections.commit(sim, 9, (0, 0, 0, 2, 15)) is True
+        plan, queued = vehicle.plan, list(sim.events)
+        assert plan is not stale[1] and len(queued) == 2
+        sim._handle_depart(stale, hold_time)
+        assert sim.events == queued
+        assert vehicle.node == 0 and vehicle.plan is plan and vehicle.plan_pos == 0
+        sim._handle_depart((vehicle, plan), hold_time)
+        assert vehicle.plan_pos == 1 and len(sim.events) == 3
 
 
 def seat_free_slots(driver):
