@@ -44,6 +44,14 @@ Pipeline for one rider request:
    optimum without changing the result. Which of several exactly tied
    itineraries it returns follows its visiting order (``solve_itinerary``).
 
+The time grid: hours become steps of ``dt`` by three rules, each with one
+home beside ``ceil_steps``, which every caller uses. ``window_steps``
+rounds each bound of a trip window up, for a rider's network and a
+ridesharing driver's schedule alike. ``link_steps`` takes a link's delay to
+whole steps, at least one, for the matcher's ``tau`` and a driver's
+initial plan. ``step_due`` says whether a step has come, for a driver's
+hold and a boarding pin, within the tolerance ``ceil_steps`` allows.
+
 ``match_rider`` takes every link's whole-step duration, ``tau``, once per
 request from the traffic state frozen at the match instant
 (``SimState.matching_steps``) and passes it to both the network build and
@@ -78,11 +86,33 @@ Vertex = int  # step * node count + the node's position; see TimeExpandedNetwork
 StepMatrix = tuple[dict[int, dict[int, float]], dict[int, dict[int, tuple[int, ...]]]]
 
 
+# how far, in steps, float noise may put a time on the wrong side of a step
+STEP_TOLERANCE = 1e-9
+
+
 def ceil_steps(hours: float, dt: float) -> int:
-    """Smallest whole step count covering ``hours`` (tolerant of float noise)."""
-    if hours <= 0:
-        return 0
-    return math.ceil(hours / dt - 1e-9)
+    """Smallest whole step count covering ``hours`` >= 0 (tolerant of float
+    noise)."""
+    return math.ceil(hours / dt - STEP_TOLERANCE)
+
+
+def window_steps(window: TimeWindow, dt: float) -> tuple[int, int, int, int]:
+    """A trip window's earliest and latest departure and earliest and
+    latest arrival in steps, each bound rounded up (``ceil_steps``)."""
+    return (ceil_steps(window.earliest_departure, dt), ceil_steps(window.latest_departure, dt),
+            ceil_steps(window.earliest_arrival, dt), ceil_steps(window.latest_arrival, dt))
+
+
+def link_steps(delay: float, dt: float) -> int:
+    """The whole steps a link takes at ``delay`` hours: rounded up, and at
+    least one."""
+    return max(1, ceil_steps(delay, dt))
+
+
+def step_due(step: int, now: float, dt: float) -> bool:
+    """Whether step ``step`` has come at ``now`` hours, within the
+    tolerance of ``ceil_steps``."""
+    return step <= now / dt + STEP_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -322,11 +352,7 @@ def build_time_expanded(
     """
     matrix = step_matrix(network, tau)[0]
 
-    w = rider.window
-    ed = ceil_steps(w.earliest_departure, dt)
-    ld = ceil_steps(w.latest_departure, dt)
-    ea = ceil_steps(w.earliest_arrival, dt)
-    la = ceil_steps(w.latest_arrival, dt)
+    ed, ld, ea, la = window_steps(rider.window, dt)
 
     intervals: dict[int, tuple[int, int]] = {}
     for node in network.node_ids():

@@ -10,7 +10,9 @@ with its entry steps, which the matcher may rewrite. A regular driver asks
 ``vehicle_at_node``, which replans from the current cost snapshot; a node
 with only one outgoing link that still reaches the destination needs no
 search, and taking that link is the choice the search would make. Each
-arriving rider triggers the matcher exactly once.
+arriving rider triggers the matcher exactly once. Only ``_advance``
+queues a hold, and it decides whether a step has come by the time grid's
+one rule (``matching.step_due``).
 
 Determinism: events are handled in (time, insertion sequence) order, all
 randomness drawn from generators seeded per replication. The generated
@@ -56,9 +58,12 @@ from .matching import (
     RiderRequest,
     ceil_steps,
     free_slot,
+    link_steps,
     match_rider,
     pin_chain,
+    step_due,
     step_matrix,
+    window_steps,
 )
 from .network import LaneClass, Network, volume_delay
 from .routing import dijkstra_route
@@ -141,10 +146,6 @@ class Vehicle:
         self.arrival_time: Optional[float] = None
         self.stranded = False
 
-    @property
-    def active(self) -> bool:
-        return self.arrival_time is None and not self.stranded
-
 
 class RideshareVehicle(Vehicle):
     """A ridesharing driver's vehicle, the one record of its schedule. It
@@ -160,16 +161,16 @@ class RideshareVehicle(Vehicle):
     Its ``plan`` is the route it drives, one (link id, entry step) pair per
     link, which it follows from ``plan_pos`` on, holding at a node until the
     next link's entry step. The entry sets it (``_plan_initial_route``) and
-    every accepted commit replaces it with a new list. A queued hold names
-    the plan it was made for, and is stale once ``plan`` is another list."""
+    every accepted commit replaces it with a new list. Holds come only from
+    ``SimState._advance``; a queued hold names the plan it was made for, and
+    is stale once ``plan`` is another list."""
 
     __slots__ = ("latest_departure_step", "latest_arrival_step", "pins", "aboard",
                  "next_stop", "later_slots", "plan", "plan_pos")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
-        self.latest_departure_step = ceil_steps(agent.window.latest_departure, dt)
-        self.latest_arrival_step = ceil_steps(agent.window.latest_arrival, dt)
+        _, self.latest_departure_step, _, self.latest_arrival_step = window_steps(agent.window, dt)
         self.pins: tuple[Pin, ...] = ()
         self.aboard: set[int] = set()
         self.next_stop = (agent.destination, self.latest_arrival_step)
@@ -330,7 +331,7 @@ class SimState:
             delay = link_delay(link.id, GENERAL, now)
             if link.has_carpool_lane:
                 delay = min(delay, link_delay(link.id, CARPOOL, now))
-            steps[link.id] = max(1, ceil_steps(delay, dt))
+            steps[link.id] = link_steps(delay, dt)
         return steps
 
     # ------------------------------------------------------------ vehicle flow
@@ -378,21 +379,24 @@ class SimState:
 
     def _advance(self, vehicle: Vehicle, now: float) -> None:
         """Move a vehicle standing at its node. A ridesharing driver serves
-        the pins due there, then holds until its plan's next entry step,
-        enters that link, or ends the trip where its plan ends (stranded
-        unless that is its destination); a regular driver enters the link
-        ``vehicle_at_node`` picks or ends the trip. A stranded vehicle ends
-        without an arrival time."""
+        the pins due there, then holds until its plan's next entry step is
+        due (``matching.step_due``), enters that link, or ends the trip where
+        its plan ends (stranded unless that is its destination); a regular
+        driver enters the link ``vehicle_at_node`` picks or ends the trip. A
+        stranded vehicle ends without an arrival time.
+
+        This is the one place that queues a hold: a driver's entry, its
+        arrival at a node, a hold that comes due and an accepted commit all
+        hand the driver at its node here."""
         node = vehicle.node
         if vehicle.agent.role is RIDESHARE_DRIVER:
             if vehicle.pins:
                 self._serve_pins(vehicle, node, now)
-            pos = vehicle.plan_pos
-            if pos < len(vehicle.plan):
-                next_link, entry_step = vehicle.plan[pos]
-                hold_until = entry_step * self.dt
-                if hold_until > now + 1e-12:
-                    self.push_event(hold_until, EV_DEPART_NODE, (vehicle, vehicle.plan))
+            pos, plan = vehicle.plan_pos, vehicle.plan
+            if pos < len(plan):
+                next_link, entry_step = plan[pos]
+                if not step_due(entry_step, now, self.dt):
+                    self.push_event(entry_step * self.dt, EV_DEPART_NODE, (vehicle, plan))
                     return
                 vehicle.plan_pos = pos + 1
             else:
@@ -408,17 +412,18 @@ class SimState:
 
     def _serve_pins(self, vehicle: RideshareVehicle, node: int, now: float) -> None:
         """Serve the vehicle's pins due at ``node``, in order, up to a
-        boarding whose step is still ahead. Serving changes its pins and
-        riders aboard, so its next stop and later slots are then taken from
-        the ``pin_chain`` of the pins left (``set_pins``); where the vehicle
-        is, and from which step, never enters it."""
+        boarding whose step is not yet due (``matching.step_due``). Serving
+        changes its pins and riders aboard, so its next stop and later slots
+        are then taken from the ``pin_chain`` of the pins left
+        (``set_pins``); where the vehicle is, and from which step, never
+        enters it."""
         pins = vehicle.pins
         served = 0
         for pin in pins:
             if pin.node != node:
                 break
             if pin.action == "board":
-                if now + 1e-9 < pin.step * self.dt:
+                if not step_due(pin.step, now, self.dt):
                     break  # boarding is due at the pinned step; hold first
                 vehicle.aboard.add(pin.rider_id)
                 self.rider_board_time.setdefault(pin.rider_id, now)
@@ -465,7 +470,7 @@ class SimState:
         for link_id in path:
             plan.append((link_id, step))
             delay = self.link_delay(link_id, GENERAL, now)
-            step += max(1, ceil_steps(delay, self.dt))
+            step += link_steps(delay, self.dt)
         vehicle.plan = plan
 
     def _handle_rider_request(self, agent: VehicleAgent, now: float) -> None:
@@ -492,10 +497,12 @@ class SimState:
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
         vehicle, plan = payload
-        if not vehicle.active or vehicle.link_arrival_time is not None:
-            return
         if plan is not vehicle.plan:
             return  # superseded by a later matching commit
+        if (vehicle.arrival_time is not None or vehicle.stranded
+                or vehicle.link_arrival_time is not None):
+            raise SimulationError(f"vehicle {vehicle.agent.id}: a hold for its current plan "
+                                  "finds it finished or on a link")
         self._advance(vehicle, now)
 
     def _handle_background(self, link_id: int, now: float) -> None:
@@ -557,21 +564,19 @@ class SimState:
 
     def _live_anchor_step(self, vehicle: RideshareVehicle, clock_step: int) -> Optional[int]:
         """The step from which the indexed vehicle is available at its
-        anchor, or None when it has nothing left to offer: inactive, past
-        its own latest arrival, or at its destination with no pins.
-        ``clock_step`` is the clock's step, the anchor step of a vehicle at
-        its node. The scan and the commit both ask here.
+        anchor, or None when it has nothing left to offer: finished (arrived
+        or stranded), past its own latest arrival, or at its destination
+        with no pins. ``clock_step`` is the clock's step, the anchor step of
+        a vehicle at its node. The scan and the commit both ask here.
 
         The anchor is where the vehicle is, or the end of the link it is on.
-        None is final, so the vehicle can leave the offer index: an inactive
-        vehicle never becomes active again; the anchor time never decreases
-        (the clock, or the end of the link the vehicle is on), so one past
+        None is final, so the vehicle can leave the offer index: a finished
+        vehicle never moves again; the anchor time never decreases (the
+        clock, or the end of the link the vehicle is on), so one past
         the driver's latest arrival stays past it; and a commit refuses a
         vehicle for which this is None, so one bound for its destination
         with no pins left is never given a route past it.
         """
-        # ``vehicle.active``, spelt out: the property call is a measurable
-        # share of a scan that asks every indexed vehicle
         if vehicle.arrival_time is not None or vehicle.stranded:
             return None
         agent = vehicle.agent
@@ -600,9 +605,11 @@ class SimState:
         it is underway from the vehicle itself. Between two
         stops the driver takes the path of ``step_matrix`` at ``tau``, the
         matrix that built the rider's network, read and not searched
-        again; phase two replaces each vehicle's plan, queues its next
-        hold, and gives it the new pins with their chain
-        (``RideshareVehicle.set_pins``).
+        again. Phase two gives each vehicle the new pins with their chain
+        (``RideshareVehicle.set_pins``) and replaces its plan, and hands a
+        vehicle standing at its node to ``_advance`` at the clock, which
+        serves the pins due, then holds it or moves it on: the commit
+        queues no event of its own.
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
@@ -651,11 +658,9 @@ class SimState:
 
         for vehicle, pins, chain, plan in updates:
             vehicle.set_pins(pins, chain)
-            vehicle.plan = plan
-            vehicle.plan_pos = 0
+            vehicle.plan, vehicle.plan_pos = plan, 0
             if vehicle.link_arrival_time is None:
-                release = plan[0][1] * self.dt if plan else self.clock
-                self.push_event(max(release, self.clock), EV_DEPART_NODE, (vehicle, plan))
+                self._advance(vehicle, self.clock)
         return True
 
     # ------------------------------------------------------------------- runs

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.matching import INF, Pin, RiderRequest, ceil_steps, free_slot, pin_chain
+from ridesim.matching import (INF, Pin, RiderRequest, ceil_steps, free_slot, link_steps,
+                              pin_chain)
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
 
@@ -17,8 +18,8 @@ DT_EXACT = 0.0625
 
 def step_durations(network: Network, delay, dt: float) -> dict[int, int]:
     """Whole steps to traverse each link at ``delay(link)`` hours, at least
-    one, as ``SimState.matching_steps`` rounds them."""
-    return {link.id: max(1, ceil_steps(delay(link), dt)) for link in network.links}
+    one (``link_steps``), as ``SimState.matching_steps`` rounds them."""
+    return {link.id: link_steps(delay(link), dt) for link in network.links}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridesim.matching as matching
-from ridesim.agents import TimeWindow
+from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.experiments import replication_seeds
 from ridesim.matching import (
@@ -19,12 +19,15 @@ from ridesim.matching import (
     build_time_expanded,
     ceil_steps,
     decode,
+    link_steps,
     pin_chain,
     preprocess,
     solve_itinerary,
+    step_due,
+    window_steps,
 )
 from ridesim.network import Network
-from ridesim.simulation import init_simulation
+from ridesim.simulation import RideshareVehicle, init_simulation
 
 from conftest import (DT_EXACT, Driver, free_slots, random_instance, slot_groups,
                       step_digraphs)
@@ -94,6 +97,62 @@ class TestCeilSteps:
 
     def test_zero(self):
         assert ceil_steps(0.0, 0.05) == 0
+
+
+def trip_windows():
+    """Trip windows within a day whose latest arrival is at least 2 h after
+    the earliest departure, so the testbed's 0 -> 2 trip (15 steps of 0.05
+    h at free flow) fits at every step size below 0.1 h."""
+    hours = st.floats(0.0, 2.0)
+    return st.builds(lambda ed, slack, ride, late: TimeWindow(
+        ed, ed + slack, ed + ride, ed + 2.0 + ride + late),
+        st.floats(0.0, 20.0), hours, hours, hours)
+
+
+step_sizes = st.floats(0.005, 0.1)
+
+
+class TestTimeGrid:
+    """The three rules by which hours become steps (``matching``'s module
+    docstring, "The time grid"), and the callers that must agree with them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(window=trip_windows(), dt=step_sizes)
+    def test_window_steps_round_each_bound_up(self, window, dt):
+        bounds = (window.earliest_departure, window.latest_departure,
+                  window.earliest_arrival, window.latest_arrival)
+        steps = window_steps(window, dt)
+        assert steps == tuple(ceil_steps(hours, dt) for hours in bounds)
+        for step, hours in zip(steps, bounds):
+            # never earlier than the hours it rounds, within the tolerance
+            assert step >= hours / dt - matching.STEP_TOLERANCE
+
+    @settings(max_examples=300, deadline=None)
+    @given(delay=st.floats(0.0, 10.0), dt=step_sizes)
+    def test_link_steps_at_least_one(self, delay, dt):
+        steps = link_steps(delay, dt)
+        assert steps >= 1 and steps >= ceil_steps(delay, dt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(step=st.integers(0, 10**5), dt=step_sizes)
+    def test_step_due_at_its_step_not_before(self, step, dt):
+        assert step_due(step, step * dt, dt)
+        assert not step_due(step, (step - 1) * dt, dt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(window=trip_windows(), dt=step_sizes)
+    def test_callers_round_windows_by_window_steps(self, testbed, free_flow, window, dt):
+        """A ridesharing driver's latest departure and arrival steps, and
+        the start of a rider's origin interval, are ``window_steps``'."""
+        ed, ld, _, la = window_steps(window, dt)
+        agent = VehicleAgent(0, Role.RIDESHARE_DRIVER, 0, 2, window.earliest_departure,
+                             window, seats=2)
+        vehicle = RideshareVehicle(agent, dt)
+        assert (vehicle.latest_departure_step, vehicle.latest_arrival_step) == (ld, la)
+        assert vehicle.next_stop == (2, la)
+        rider = RiderRequest(1, 0, 2, window, window.earliest_departure)
+        ten = build_time_expanded(rider, {}, testbed, free_flow, dt)
+        assert ten.node_intervals[0][0] == ed
 
 
 class TestBuildTimeExpanded:
@@ -198,6 +257,7 @@ def reference_ten(rider, offers, net, tau, dt):
     otherwise carry an arc."""
     m = matching._min_step_matrix(net, tau)[0]
     w = rider.window
+    # a reference keeps its own copy of ``window_steps``'s rule
     ed, ld, ea, la = (ceil_steps(t, dt) for t in (
         w.earliest_departure, w.latest_departure, w.earliest_arrival,
         w.latest_arrival))

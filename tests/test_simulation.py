@@ -1,7 +1,10 @@
+import contextlib
 import dataclasses
 import gc
 import heapq
+import math
 import re
+import statistics
 import weakref
 
 import pytest
@@ -14,7 +17,7 @@ from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
 from ridesim.matching import Pin, build_time_expanded, ceil_steps, pin_chain
-from ridesim.network import LaneClass, volume_delay
+from ridesim.network import LaneClass, Link, Network, volume_delay
 from ridesim.experiments import write_sim_report
 from ridesim.simulation import (
     EV_AGENT_ENTER,
@@ -107,6 +110,23 @@ def handled_as_one_heap(sim: SimState, reference: SimState, monkeypatch,
     assert sim.build_report() == reference.build_report()
     assert sim._seq == reference._seq
     return handled
+
+
+@contextlib.contextmanager
+def advances_held(sim: SimState):
+    """Hold back the ``_advance`` calls ``sim`` makes inside the block,
+    collected as (vehicle, now), and make them in order when it ends
+    without an error. A commit's drivers can so be inspected as its phase
+    two left them, before any of them moves on; no driver's ``_advance``
+    reads another's pins or plan, so the run goes on as it would have."""
+    handed = []
+    sim._advance = lambda vehicle, now: handed.append((vehicle, now))
+    try:
+        yield handed
+    finally:
+        del sim._advance
+    for vehicle, now in handed:
+        sim._advance(vehicle, now)
 
 
 def transfer_sim(testbed) -> SimState:
@@ -605,7 +625,9 @@ class TestCommitRejections:
         seed_agent(sim, rideshare(0, 0, 1, t=0.0, fft=0.22, flex=2.0))
         seed_agent(sim, rideshare(1, 1, 2, t=0.0, fft=0.5, flex=0.0))
         sim.run(horizon=0.6)  # driver 1 arrives at 0.5 h; driver 0 still waits
-        assert not sim.vehicles[1].active and sim.vehicles[0].active
+        arrived, waiting = sim.vehicles[1], sim.vehicles[0]
+        assert arrived.arrival_time is not None
+        assert waiting.arrival_time is None and not waiting.stranded
         first = (0, 0, 12, 1, 17)
         self.assert_refused(sim, 9, first, (1, 1, 17, 2, 27))
         assert self.commit(sim, 9, first) is True  # the first leg alone fits
@@ -615,7 +637,9 @@ class TestCommitRejections:
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, dataclasses.replace(regular(0, 0, 2, t=0.0), seats=4))
         sim.run(horizon=0.0)  # the driver is on link 0->1 until step 5
-        assert sim.vehicles[0].active and 0 not in sim._offer_index
+        vehicle = sim.vehicles[0]
+        assert vehicle.arrival_time is None and not vehicle.stranded
+        assert 0 not in sim._offer_index
         self.assert_refused(sim, 9, (0, 1, 5, 2, 15))
 
     def test_seat_overflow(self, testbed):
@@ -642,21 +666,52 @@ class TestStaleHold:
     def test_hold_for_a_replaced_plan_does_nothing(self, testbed):
         """A hold queued for a plan that a commit has since replaced is
         dropped when it comes due: the vehicle stays where its new plan
-        has it, and nothing is queued. The hold for the new plan moves it."""
+        has it, and nothing is queued. The commit hands the driver to
+        ``_advance``, which queues the hold for the new plan at its first
+        entry step; that hold moves it. Once the driver is on a link, the
+        stale hold still does nothing."""
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         sim.run(horizon=0.0)  # the driver holds at its origin
         vehicle = sim.vehicles[0]
         (hold_time, _, _, stale), = sim.events
         assert hold_time > 0 and stale[0] is vehicle and stale[1] is vehicle.plan
-        assert TestCommitRejections.commit(sim, 9, (0, 0, 0, 2, 15)) is True
+        # the rider boards at step 2: the driver holds at its origin until then
+        assert TestCommitRejections.commit(sim, 9, (0, 0, 2, 2, 17)) is True
         plan, queued = vehicle.plan, list(sim.events)
         assert plan is not stale[1] and len(queued) == 2
+        (new_time, _, kind, current), = (event for event in queued if event[3] is not stale)
+        assert kind == EV_DEPART_NODE and new_time == plan[0][1] * sim.dt == 2 * sim.dt
+        assert current[0] is vehicle and current[1] is plan
         sim._handle_depart(stale, hold_time)
         assert sim.events == queued
         assert vehicle.node == 0 and vehicle.plan is plan and vehicle.plan_pos == 0
-        sim._handle_depart((vehicle, plan), hold_time)
+        sim._handle_depart(current, new_time)
         assert vehicle.plan_pos == 1 and len(sim.events) == 3
+        assert vehicle.link_arrival_time is not None and vehicle.aboard == {9}
+        sim._handle_depart(stale, hold_time)
+        assert len(sim.events) == 3 and vehicle.plan_pos == 1
+
+    @pytest.mark.parametrize("state", ["on a link", "arrived", "stranded"])
+    def test_hold_for_the_current_plan_off_its_node_raises(self, testbed, state):
+        """A hold for the vehicle's current plan was queued by ``_advance``
+        while the vehicle stood at its node, and nothing moves it before the
+        hold comes due: one that finds it on a link or finished is an
+        error, not a hold to skip."""
+        sim = empty_sim(testbed, horizon=6.0)
+        seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
+        sim.run(horizon=0.0)  # the driver holds at its origin
+        vehicle = sim.vehicles[0]
+        (hold_time, _, _, hold), = sim.events
+        assert hold[1] is vehicle.plan
+        if state == "on a link":
+            sim.enter_link(vehicle, vehicle.plan[0][0], 0.0)
+        elif state == "arrived":
+            vehicle.arrival_time = 0.0
+        else:
+            vehicle.stranded = True
+        with pytest.raises(SimulationError, match="vehicle 0: a hold for its current plan"):
+            sim._handle_depart(hold, hold_time)
 
 
 def seat_free_slots(driver):
@@ -834,13 +889,20 @@ class TestOfferIndex:
                           for agent_id, vehicle in sim._offer_index.items()
                           if agent_id not in drivers}
                 pin_free += any(not sim.vehicles[d].pins for d in drivers)
+                at_node = [sim.vehicles[d] for d in drivers
+                           if sim.vehicles[d].link_arrival_time is None]
                 chains.clear()
-                assert commit(rider, itinerary, tau) is True
-                assert [driver for driver, _, _ in chains] == drivers, itinerary
-                for driver, pins, (stops, _, later) in chains:
-                    assert stored(sim.vehicles[driver]) == (pins, stops[0][:2], later)
-                assert all(stored(sim._offer_index[agent_id]) == before
-                           for agent_id, before in others.items())
+                # the drivers as phase two leaves them, before any serves
+                # a pin or moves on (which builds chains of its own)
+                with advances_held(sim) as handed:
+                    assert commit(rider, itinerary, tau) is True
+                    assert [driver for driver, _, _ in chains] == drivers, itinerary
+                    for driver, pins, (stops, _, later) in chains:
+                        assert stored(sim.vehicles[driver]) == (pins, stops[0][:2], later)
+                    assert all(stored(sim._offer_index[agent_id]) == before
+                               for agent_id, before in others.items())
+                    # each driver at its node is handed on at the clock
+                    assert handed == [(vehicle, sim.clock) for vehicle in at_node]
                 commits += 1
                 multi_leg += len(itinerary.legs) > 1
                 return True
@@ -996,11 +1058,13 @@ class TestVehicleRoles:
 
         def committed(sim, rider, itinerary, tau):
             nonlocal commits
-            ok = commit(sim, rider, itinerary, tau)
-            if ok:
-                commits += 1
-                for leg in itinerary.legs:
-                    check_plan(sim, sim.vehicles[leg.driver])
+            # each plan as the commit sets it, before its driver moves on
+            with advances_held(sim):
+                ok = commit(sim, rider, itinerary, tau)
+                if ok:
+                    commits += 1
+                    for leg in itinerary.legs:
+                        check_plan(sim, sim.vehicles[leg.driver])
             return ok
 
         monkeypatch.setattr(SimState, "_plan_initial_route", planned)
@@ -1020,6 +1084,44 @@ class TestVehicleRoles:
                     fallbacks += 1
         assert commits > 100 and plans > 1000
         assert generated > 1000 and fallbacks > 100
+
+
+class TestKnownAnswerBPR:
+    """The simulated BPR delay against its closed form on one link with
+    Poisson entries. An entry at rate lambda sees N ~ Poisson(m), m =
+    lambda * w, earlier entries in its flow window w (Poisson arrivals see
+    time averages: Wolff, Operations Research 30(2), 1982), so its mean
+    delay is t0 (1 + alpha E[(N / (w c))^4]) at beta = 4, with E[N^4] = m^4
+    + 6 m^3 + 7 m^2 + m."""
+
+    T0, CAPACITY, HORIZON, REPLICATIONS = 0.2, 20.0, 50.0, 20
+
+    @pytest.mark.parametrize("v_over_c", [0.5, 1.0, 1.5])
+    def test_mean_delay_matches_closed_form(self, v_over_c):
+        """Regular drivers only, on one one-lane link of capacity 20 veh/h
+        and free-flow time 0.2 h, over 20 replications of 50 h: the mean
+        delay of the entries made after the first window lies within 4
+        standard errors, taken across replications, of the closed form."""
+        network = Network(nodes=(0, 1), links=(Link(
+            id=0, from_node=0, to_node=1, length=self.T0 * 50.0, free_flow_time=self.T0,
+            has_carpool_lane=False, general_lanes=1, lane_capacity=self.CAPACITY),))
+        rate = v_over_c * self.CAPACITY
+        config = scenario(self.HORIZON, {(0, 1): rate})
+        w, alpha = config.flow_window, config.bpr.alpha
+        assert (w, alpha, config.bpr.beta) == (0.25, 0.15, 4.0)
+        m = rate * w
+        expected = self.T0 * (1.0 + alpha * (m**4 + 6 * m**3 + 7 * m**2 + m)
+                              / (w * self.CAPACITY) ** 4)
+        means = []
+        for seed in range(self.REPLICATIONS):
+            sim = SimState(config, network, seed)
+            sim.run(horizon=self.HORIZON + 10.0)  # every trip entered ends
+            delays = [o.arrival - o.departure for o in sim.build_report().outcomes
+                      if o.departure >= w]
+            assert len(delays) > 200
+            means.append(statistics.fmean(delays))
+        error = statistics.stdev(means) / math.sqrt(len(means))
+        assert abs(statistics.fmean(means) - expected) <= 4 * error, (expected, means)
 
 
 class TestLinkDelayMemo:
