@@ -216,7 +216,7 @@ class Network:
         object.__setattr__(self, "_by_id", {l.id: l for l in self.links})
         object.__setattr__(self, "_node_ids", tuple(sorted(self.nodes)))
         object.__setattr__(self, "_next_hops", {})
-        object.__setattr__(self, "_forced_routes", {})
+        object.__setattr__(self, "_route_choices", {})
         # the matcher's step matrices, kept by ``matching.step_matrix`` alone
         object.__setattr__(self, "_step_matrices", {})
 
@@ -240,35 +240,47 @@ class Network:
             table = self._build_next_hops(dest)
         return table[node]
 
-    def forced_route(self, origin: int, dest: int) -> Optional[tuple[int, ...]]:
-        """The link ids of the walk from ``origin`` that takes, at each
-        node, its one next hop towards ``dest`` (``next_hops``); None where
-        a node on the way has none or more than one. Memoised per pair on
+    def route_choices(self, origin: int, dest: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The origin->dest routes, as link-id tuples, when each next hop
+        of ``origin`` (``next_hops``) leads on by a forced walk, one that
+        takes at every later node its one next hop towards ``dest``: one
+        branch per next hop, in their order. ``((),)`` where ``origin`` is
+        ``dest`` and ``()`` where no path leads. None, where a search must
+        choose, when a node on a branch has more than one next hop or two
+        branches share a node other than the two ends. Memoised per pair on
         the network, like ``next_hops``; a later lookup returns the same
         object.
 
-        Every link of an origin->dest path is a next hop of its tail, so
-        where each node has exactly one, the walk is the only loop-free
-        path, the one any shortest-path search returns whatever the link
-        costs. The walk cannot cycle: a node on a cycle that reaches
-        ``dest`` would need a second link to leave it. None does not prove
-        a second path: a next hop may reach ``dest`` only through a node
-        already passed.
+        Every link of an origin->dest path is a next hop of its tail, so the
+        branches are then every loop-free path: a lone branch is the route
+        any shortest-path search returns whatever the link costs, and among
+        several ``routing.cheapest_route`` picks the search's. A walk cannot
+        cycle: a node on a cycle that reaches ``dest`` would need a second
+        link to leave it. None does not prove a second path: a next hop may
+        reach ``dest`` only through a node already passed.
         """
         key = origin, dest
-        routes = self._forced_routes  # type: ignore[attr-defined]
-        if key not in routes:
-            route: Optional[tuple[int, ...]] = ()
-            node = origin
+        choices = self._route_choices  # type: ignore[attr-defined]
+        if key not in choices:
+            choices[key] = self._branches(origin, dest)
+        return choices[key]
+
+    def _branches(self, origin: int, dest: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        if origin == dest:
+            return ((),)
+        routes = []
+        for hop in self.next_hops(origin, dest):
+            route = (hop,)
+            node = self.link(hop).to_node
             while node != dest:
                 hops = self.next_hops(node, dest)
                 if len(hops) != 1:
-                    route = None
-                    break
+                    return None
                 route += hops
                 node = self.link(hops[0]).to_node
-            routes[key] = route
-        return routes[key]
+            routes.append(route)
+        # branches that meet go on by the same walk, so they end in one link
+        return tuple(routes) if len({route[-1] for route in routes}) == len(routes) else None
 
     def _build_next_hops(self, dest: int) -> dict[int, tuple[int, ...]]:
         if dest not in self._adjacency:  # type: ignore[attr-defined]

@@ -3,19 +3,19 @@
 ``shortest_paths`` is the one shortest-path search: a Dijkstra tree from
 one origin under a frozen cost per link, ties broken toward the
 lexicographically smallest link-id sequence. A regular driver replanning at
-a node takes its route from it through ``dijkstra_route``, at a snapshot of
-link costs (toll + congested travel time, each weighted; see
-``SimState.route_cost_fn``); the matcher's step matrix holds one tree per
-node under the links' whole-step durations (``matching.step_matrix``, built
-once per set of step counts and kept on the network), and a committed
-driver's route is read from there.
+a fork the network leaves open takes its route from it through
+``dijkstra_route``, at a snapshot of link costs (toll + congested travel
+time, each weighted; see ``SimState.route_cost_fn``); the matcher's step
+matrix holds one tree per node under the links' whole-step durations
+(``matching.step_matrix``, built once per set of step counts and kept on
+the network), and a committed driver's route is read from there.
 
-A route that is forced needs no search: where a node has only one next hop
-towards the destination (``Network.next_hops``), or every node on the way
-has one (``Network.forced_route``), that is the answer any search gives,
-so the simulation takes it directly. The shortcut stays with the callers:
-``dijkstra_route`` itself always searches, and so always runs
-``shortest_paths``' check for a negative cost.
+Where the routes are known, no search is needed: where a node has only one
+next hop towards the destination (``Network.next_hops``), that is the
+answer any search gives, and where every branch from a fork is forced
+(``Network.route_choices``), ``cheapest_route`` picks among them the route
+the search would find. The shortcut stays with the callers:
+``dijkstra_route`` itself always searches.
 """
 from __future__ import annotations
 
@@ -95,3 +95,34 @@ def dijkstra_route(
         raise ValueError(f"origin {origin} or destination {dest} not in network")
     entry = shortest_paths(network, cost_fn, origin, dest).get(dest)
     return None if entry is None else entry[1]
+
+
+def cheapest_route(
+    network: Network,
+    routes: tuple[tuple[int, ...], ...],
+    cost_fn: Callable[[Link], float],
+) -> tuple[int, ...]:
+    """The route of ``routes``, link-id tuples, with the least key (cost
+    summed from 0 in link order, link ids), the key ``shortest_paths``
+    orders by; ``cost_fn`` maps a link to its cost, which must not be
+    negative. A lone route is returned without pricing it.
+
+    For the branches ``Network.route_choices`` returns, this is the route
+    ``dijkstra_route`` finds at the same costs: the branches share no inner
+    node and each inner node has one next hop, so each inner node gets only
+    its branch's label, and the destination is popped at the least branch
+    key, which nothing left on the heap can beat.
+    """
+    if len(routes) == 1:
+        return routes[0]
+    link = network.link
+    keys = []
+    for route in routes:
+        cost = 0
+        for link_id in route:
+            step = cost_fn(link(link_id))
+            if step < 0:
+                raise ValueError(f"negative cost on link {link_id}")
+            cost += step
+        keys.append((cost, route))
+    return min(keys)[1]

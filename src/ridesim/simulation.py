@@ -7,9 +7,13 @@ handler, ``SimState._advance``, which tells the roles apart once. A
 ridesharing driver serves the pickups and dropoffs due there, then holds,
 enters the next link of its plan or ends the trip; the plan is the route
 with its entry steps, which the matcher may rewrite. A regular driver asks
-``vehicle_at_node``, which replans from the current cost snapshot; a node
-with only one outgoing link that still reaches the destination needs no
-search, and taking that link is the choice the search would make. Each
+``vehicle_at_node``, which replans from the current cost snapshot. It
+searches only where the network leaves a choice open: a node with only one
+outgoing link that still reaches the destination takes that link, and a
+fork whose branches are all forced (``Network.route_choices``) takes the
+cheapest branch, each the choice the search would make. A link entry
+reads its lanes' delays through ``SimState.lane_delay``, the one place a
+lane's flow window is trimmed and its BPR memo read or filled. Each
 arriving rider triggers the matcher exactly once. Only ``_advance``
 queues a hold, and it decides whether a step has come by the time grid's
 one rule (``matching.step_due``).
@@ -65,8 +69,8 @@ from .matching import (
     step_matrix,
     window_steps,
 )
-from .network import LaneClass, Network, volume_delay
-from .routing import dijkstra_route
+from .network import LaneClass, Link, Network, volume_delay
+from .routing import cheapest_route, dijkstra_route
 
 # event kinds, ordered only for readability; queue order is (time, seq)
 EV_AGENT_ENTER = 0
@@ -86,26 +90,18 @@ class SimulationError(ValueError):
 
 @dataclass(slots=True)
 class Lane:
-    """The flow bookkeeping of one lane class of one link: the times of
-    its recent ``entries``, the vehicles ``in_flight`` on it, its entry
-    ``total`` and the ``background`` share of that total, and its BPR
-    delays memoised by window count (``SimState.link_delay``)."""
+    """The flow bookkeeping of the ``lane_class`` lanes of one ``link``:
+    the times of its recent ``entries``, the vehicles ``in_flight`` on it,
+    its entry ``total`` and the ``background`` share of that total, and its
+    BPR delays memoised by window count (``SimState.lane_delay``)."""
 
-    link_id: int
+    link: Link
+    lane_class: LaneClass
     entries: deque = field(default_factory=deque)
     in_flight: int = 0
     total: int = 0
     background: int = 0
     delays: dict[int, float] = field(default_factory=dict)
-
-    def window_count(self, now: float, window_hours: float) -> int:
-        """Entries of the last ``window_hours`` before ``now``; older ones
-        are dropped for good, as the clock never goes back."""
-        entries = self.entries
-        cutoff = now - window_hours
-        while entries and entries[0] < cutoff:
-            entries.popleft()
-        return len(entries)
 
     def record_entry(self, now: float, background: bool) -> None:
         """Count an entry; only a vehicle's is in flight until its exit."""
@@ -119,7 +115,7 @@ class Lane:
     def record_exit(self) -> None:
         self.in_flight -= 1
         if self.in_flight < 0:
-            raise SimulationError(f"link {self.link_id}: exit without entry")
+            raise SimulationError(f"link {self.link.id}: exit without entry")
 
 
 class Vehicle:
@@ -244,10 +240,13 @@ class SimState:
         self.horizon = config.horizon
 
         self.clock = 0.0
-        # links by id, general before carpool: the order of build_report
-        self.lanes = {(link_id, lane_class): Lane(link_id)
-                      for link_id in sorted(l.id for l in network.links)
-                      for lane_class in (GENERAL, CARPOOL)}
+        # each link's (general, carpool) lanes by id, for ``enter_link``;
+        # ``lanes`` keys them by (link id, lane class) in link id order,
+        # general before carpool: the order of build_report
+        self.link_lanes = {link.id: (Lane(link, GENERAL), Lane(link, CARPOOL))
+                           for link in sorted(network.links, key=lambda l: l.id)}
+        self.lanes = {(link_id, lane.lane_class): lane
+                      for link_id, pair in self.link_lanes.items() for lane in pair}
         self.vehicles: dict[int, Vehicle] = {}
         self._offer_index: dict[int, RideshareVehicle] = {}  # see collect_offers
         self.rider_board_time: dict[int, float] = {}
@@ -297,20 +296,29 @@ class SimState:
 
     # ------------------------------------------------------------- travel time
 
-    def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:
-        """The lane class's BPR delay on the link at the hourly flow of its
-        entry window at ``now``. Each lane memoises its delays on the
-        entries left in its window: the BPR settings and the window are
-        fixed for the run, so the count alone sets the flow."""
-        lane = self.lanes[link_id, lane_class]
-        count = lane.window_count(now, self.flow_window)
+    def lane_delay(self, lane: Lane, now: float) -> float:
+        """The lane's BPR delay at the hourly flow of its entry window at
+        ``now``. Entries older than the window are dropped for good, as the
+        clock never goes back. Each lane memoises its delays on the entries
+        left in its window: the BPR settings and the window are fixed for
+        the run, so the count alone sets the flow."""
+        entries = lane.entries
+        cutoff = now - self.flow_window
+        while entries and entries[0] < cutoff:
+            entries.popleft()
+        count = len(entries)
         try:
             return lane.delays[count]
         except KeyError:
             delay = lane.delays[count] = volume_delay(
-                self.network.link(link_id), lane_class, count / self.flow_window,
+                lane.link, lane.lane_class, count / self.flow_window,
                 self.bpr_alpha, self.bpr_beta)
             return delay
+
+    def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:
+        """``lane_delay`` of the link's lane of ``lane_class``, looked up by
+        id: the route costs, ``matching_steps`` and initial plans ask here."""
+        return self.lane_delay(self.lanes[link_id, lane_class], now)
 
     def route_cost_fn(self, now: float) -> Callable:
         """Generalized toll + travel-time cost snapshot for replanning."""
@@ -337,33 +345,34 @@ class SimState:
     # ------------------------------------------------------------ vehicle flow
 
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
-        link = self.network.link(link_id)
-        lane_class = GENERAL
-        delay = self.link_delay(link_id, GENERAL, now)
+        lane, carpool = self.link_lanes[link_id]
+        link = lane.link
+        delay = self.lane_delay(lane, now)
         if link.has_carpool_lane and vehicle.aboard:
             # driver plus a rider: the carpool lane when it is faster
-            carpool = self.link_delay(link_id, CARPOOL, now)
-            if carpool < delay:
-                lane_class, delay = CARPOOL, carpool
-        lane = self.lanes[link_id, lane_class]
-        lane.record_entry(now, background=False)
+            carpool_delay = self.lane_delay(carpool, now)
+            if carpool_delay < delay:
+                lane, delay = carpool, carpool_delay
+        lane.record_entry(now, False)  # positional: a keyword costs on this path
         if vehicle.departure_time is None:
             vehicle.departure_time = now
         vehicle.node = link.to_node
-        vehicle.link_arrival_time = now + delay
+        arrival = vehicle.link_arrival_time = now + delay
         # the arrival carries the lane it leaves, so its exit needs no lookup
-        self.push_event(now + delay, EV_ARRIVE_NODE, (vehicle, lane))
+        self.push_event(arrival, EV_ARRIVE_NODE, (vehicle, lane))
 
     def vehicle_at_node(self, vehicle: Vehicle, node: int, now: float) -> Optional[int]:
         """A regular driver's next link at ``node``; None means the trip ends.
 
         The driver replans against the current cost snapshot, among the
         outgoing links that still reach its destination
-        (``Network.next_hops``): at a fork Dijkstra picks the cheapest, and
-        where only one such link exists it is taken without a search, since
-        Dijkstra's first link would be that link. A vehicle with no feasible
-        continuation is recorded as stranded (``vehicle.stranded``), not a
-        crash.
+        (``Network.next_hops``). Where only one such link exists it is
+        taken without a search, since Dijkstra's first link would be that
+        link; at a fork whose branches are all forced
+        (``Network.route_choices``) ``cheapest_route`` prices them and
+        picks Dijkstra's route without a search; at any other fork Dijkstra
+        picks the cheapest. A vehicle with no feasible continuation is
+        recorded as stranded (``vehicle.stranded``), not a crash.
         """
         destination = vehicle.agent.destination
         if node == destination:
@@ -374,8 +383,10 @@ class SimState:
         if not hops:
             vehicle.stranded = True
             return None
-        return dijkstra_route(self.network, self.route_cost_fn(now), node,
-                              destination)[0]
+        routes = self.network.route_choices(node, destination)
+        if routes is None:
+            return dijkstra_route(self.network, self.route_cost_fn(now), node, destination)[0]
+        return cheapest_route(self.network, routes, self.route_cost_fn(now))[0]
 
     def _advance(self, vehicle: Vehicle, now: float) -> None:
         """Move a vehicle standing at its node. A ridesharing driver serves
@@ -455,16 +466,18 @@ class SimState:
     def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
         their latest departure, then drive their own best route; a matching
-        commit rewrites this plan. A forced route (``Network.forced_route``)
-        needs no search, as at a node with one next hop
-        (``vehicle_at_node``): it is the only path Dijkstra could return."""
+        commit rewrites this plan. Where every branch of the pair is forced
+        (``Network.route_choices``), ``cheapest_route`` picks Dijkstra's
+        route among them without a search, as at a fork in
+        ``vehicle_at_node``; a lone branch is the only path Dijkstra could
+        return."""
         agent = vehicle.agent
-        path = self.network.forced_route(agent.origin, agent.destination)
-        if path is None:
-            path = dijkstra_route(self.network, self.route_cost_fn(now),
-                                  agent.origin, agent.destination)
-        if path is None:
-            return  # the empty plan strands the vehicle at its origin
+        routes = self.network.route_choices(agent.origin, agent.destination)
+        if routes == ():
+            return  # no path: the empty plan strands the vehicle at its origin
+        cost_fn = self.route_cost_fn(now)
+        path = (dijkstra_route(self.network, cost_fn, agent.origin, agent.destination)
+                if routes is None else cheapest_route(self.network, routes, cost_fn))
         step = max(ceil_steps(now, self.dt), vehicle.latest_departure_step)
         plan = []
         for link_id in path:
@@ -506,9 +519,9 @@ class SimState:
         self._advance(vehicle, now)
 
     def _handle_background(self, link_id: int, now: float) -> None:
-        # background traffic only loads the entry window that BPR reads; it
-        # has no vehicle, so it needs no exit
-        self.lanes[link_id, CARPOOL].record_entry(now, background=True)
+        # background traffic only loads the carpool lane's entry window that
+        # BPR reads; it has no vehicle, so it needs no exit
+        self.link_lanes[link_id][1].record_entry(now, background=True)
 
     # --------------------------------------------------------------- matching
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from ridesim.demand import free_flow_paths
 from ridesim.network import LaneClass, Link, Network, volume_delay
-from ridesim.routing import CostWeights, dijkstra_route, shortest_paths
+from ridesim.routing import CostWeights, cheapest_route, dijkstra_route, shortest_paths
 from ridesim.simulation import SimState
 
 from conftest import make_network, scenario, step_digraphs
@@ -61,33 +61,45 @@ def random_network(rng: random.Random):
     return net, {l.id: rng.uniform(0.01, 5.0) for l in net.links}
 
 
-def assert_forced_routes(net: Network, costs: dict[int, float]) -> int:
-    """Check ``forced_route`` for every pair of ``net``; the number of
-    pairs with a forced route.
+def assert_route_choices(net: Network, costs: dict[int, float]) -> int:
+    """Check ``route_choices`` and ``cheapest_route`` for every pair of
+    ``net``; the number of pairs with more than one branch.
 
-    A route is forced only where exactly one loop-free path leads, and then
-    it is that path and the route ``dijkstra_route`` finds. A lone path is
-    not forced exactly where a node on it has a second next hop, one whose
-    every way to the destination passes a node the path has visited (with
-    links 0->1, 1->0 and 0->2, 0->2 is the one path, but 0->1 also reaches
-    2)."""
-    forced = 0
+    The branches are given exactly where each next hop of the origin starts
+    a loop-free path, no two paths share an inner node and every inner node
+    has one next hop; then they are those paths, in next-hop order, and
+    ``cheapest_route`` picks the route ``dijkstra_route`` finds, under
+    ``costs``, under whole costs with exact ties and zeros, and under float
+    costs whose sums round. Elsewhere the choices are None, also where a
+    path is lone but a node on it has a second next hop, one whose every
+    way to the destination passes a node the path has visited (with links
+    0->1, 1->0 and 0->2, 0->2 is the one path, but 0->1 also reaches 2)."""
+    variants = [costs, {lid: round(cost) % 3 for lid, cost in costs.items()},
+                {lid: 0.1 * (round(cost) % 3 + 1) for lid, cost in costs.items()}]
+    multi = 0
     for origin in net.node_ids():
         for dest in net.node_ids():
-            route = net.forced_route(origin, dest)
-            assert net.forced_route(origin, dest) is route
+            choices = net.route_choices(origin, dest)
+            assert net.route_choices(origin, dest) is choices
+            if origin == dest:
+                assert choices == ((),)
+                continue
             paths = enumerate_paths(net, origin, dest)
-            if len(paths) != 1:
-                assert route is None
+            hops = net.next_hops(origin, dest)
+            inner = [net.link(lid).from_node for path in paths for lid in path[1:]]
+            if not (len(paths) == len(hops) and len(set(inner)) == len(inner)
+                    and all(len(net.next_hops(node, dest)) == 1 for node in inner)):
+                assert choices is None
                 continue
-            tails = [net.link(lid).from_node for lid in paths[0]]
-            if any(len(net.next_hops(node, dest)) > 1 for node in tails):
-                assert route is None
-                continue
-            assert route == paths[0]
-            assert route == dijkstra_route(net, lambda l: costs[l.id], origin, dest)
-            forced += 1
-    return forced
+            assert sorted(choices) == sorted(paths)
+            assert tuple(route[0] for route in choices) == hops
+            for variant in variants:
+                def cost(link, variant=variant):
+                    return variant[link.id]
+                assert (cheapest_route(net, choices, cost) if choices else None) == \
+                    dijkstra_route(net, cost, origin, dest)
+            multi += len(choices) > 1
+    return multi
 
 
 class TestLinkCost:
@@ -188,20 +200,35 @@ class TestDijkstra:
 
     @settings(max_examples=200, deadline=None)
     @given(step_digraphs())
-    def test_forced_route_is_the_only_path(self, graph):
-        """``forced_route`` is the one loop-free path where there is exactly
-        one, and then the route ``dijkstra_route`` finds; None otherwise.
-        A repeated lookup returns the same object."""
-        assert_forced_routes(*graph)
+    def test_route_choices_match_dijkstra(self, graph):
+        """``route_choices`` gives every loop-free path exactly where they
+        are disjoint forced branches, () where none leads and None
+        otherwise, and ``cheapest_route`` picks among them the route
+        ``dijkstra_route`` finds; a repeated lookup returns the same
+        object."""
+        assert_route_choices(*graph)
 
-    def test_forced_route_on_random_networks(self):
+    def test_route_choices_on_random_networks(self):
         rng = random.Random(4242)
-        forced = 0
-        for _ in range(100):
+        multi = 0
+        for _ in range(1000):
             drawn = random_network(rng)
             if drawn is not None:
-                forced += assert_forced_routes(*drawn)
-        assert forced > 100
+                multi += assert_route_choices(*drawn)
+        assert multi > 300
+
+    def test_cheapest_route_rejects_a_negative_cost(self, testbed):
+        """A negative cost fails as in ``shortest_paths``; a lone route is
+        returned without pricing it."""
+        routes = testbed.route_choices(0, 3)
+        assert routes == ((0,), (1, 3))
+
+        def cost(link):
+            return -1.0 if link.id == 3 else link.free_flow_time
+
+        with pytest.raises(ValueError, match="negative cost on link 3"):
+            cheapest_route(testbed, routes, cost)
+        assert cheapest_route(testbed, ((1, 3),), cost) == (1, 3)
 
     def test_tie_break_smallest_link_sequence(self):
         # two parallel equal-cost routes 0->1->3 (links 0,2) and 0->2->3 (links 1,3)

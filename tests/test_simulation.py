@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import gc
@@ -74,8 +75,8 @@ def record_handled(monkeypatch) -> list:
     keys = {
         "_handle_agent_enter": (EV_AGENT_ENTER, lambda sim, agent: agent.id),
         "_handle_arrive": (EV_ARRIVE_NODE, lambda sim, payload: (
-            payload[0].agent.id, payload[1].link_id,
-            payload[1] is sim.lanes[payload[1].link_id, LaneClass.CARPOOL])),
+            payload[0].agent.id, payload[1].link.id,
+            payload[1].lane_class is LaneClass.CARPOOL)),
         "_handle_depart": (EV_DEPART_NODE, lambda sim, payload: (
             payload[0].agent.id, payload[1])),
         "_handle_background": (EV_BACKGROUND, lambda sim, link_id: link_id),
@@ -229,68 +230,84 @@ class TestVehicleAtNode:
         assert outcome.stranded
         assert outcome.departure is None and outcome.arrival is None
 
-    def test_replans_only_at_forks(self, monkeypatch):
-        from ridesim.config import bundled_data_path, load_config
-        from ridesim.simulation import init_simulation
-
+    def test_replans_only_at_forks(self, tmp_path, monkeypatch):
+        """A regular driver searches only at a fork whose branches are not
+        all forced (``Network.route_choices`` is None), and the link it
+        picks at every fork is the first of the route ``dijkstra_route``
+        finds at that instant. On the validation run the only fork is the
+        LA pair 0 -> 3, whose two branches are forced, so it never
+        searches; the grid run searches where its branches merge."""
         config = load_config(bundled_data_path("validation.yaml"), {"horizon": 2.0})
-        sim = init_simulation(config, config.make_network(), seed=101)
-        forks, replans = [], []
+        validation = init_simulation(config, config.make_network(), seed=101)
         visit = SimState.vehicle_at_node
         search = simulation.dijkstra_route
-
-        def counted_visit(self, vehicle, node, now):
-            dest = vehicle.agent.destination
-            if (vehicle.agent.role is Role.REGULAR_DRIVER and node != dest
-                    and len(self.network.next_hops(node, dest)) > 1):
-                forks.append((node, dest))
-            return visit(self, vehicle, node, now)
+        searches = []
+        forks = collections.Counter()
 
         def counted_search(network, cost_fn, origin, dest):
-            replans.append((origin, dest))
+            searches.append((origin, dest))
             return search(network, cost_fn, origin, dest)
 
-        monkeypatch.setattr(SimState, "vehicle_at_node", counted_visit)
+        def checked_visit(sim, vehicle, node, now):
+            dest = vehicle.agent.destination
+            fork = node != dest and len(sim.network.next_hops(node, dest)) > 1
+            if fork:
+                route = search(sim.network, sim.route_cost_fn(now), node, dest)
+            searches.clear()
+            link = visit(sim, vehicle, node, now)
+            if not fork:
+                assert searches == []
+                return link
+            open_fork = sim.network.route_choices(node, dest) is None
+            assert searches == ([(node, dest)] if open_fork else [])
+            assert link == route[0]
+            if sim is validation:
+                assert (node, dest, open_fork) == (0, 3, False)
+            forks[sim is validation, open_fork] += 1
+            return link
+
+        monkeypatch.setattr(SimState, "vehicle_at_node", checked_visit)
         monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
-        sim.run()
-        # on the testbed only 0 -> 3 has two links that reach the destination
-        assert set(replans) == {(0, 3)}
-        assert replans == forks
+        for sim in (validation, grid_sim(tmp_path)):
+            sim.run()
+        assert forks[True, False] > 100
+        assert forks[False, True] > 20 and forks[False, False] > 20, forks
 
     def test_initial_plans_search_only_at_forks(self, testbed, tmp_path, monkeypatch):
         """On the sweep, transfer and grid runs, a ridesharing driver's
-        initial plan makes one search where its pair has no forced route
-        (``Network.forced_route``) and none where it has one, and its links
-        are the route ``dijkstra_route`` finds at that instant."""
+        initial plan makes one search where its pair's branches are not all
+        forced (``Network.route_choices`` is None) and none otherwise, and
+        its links are the route ``dijkstra_route`` finds at that instant."""
         search = simulation.dijkstra_route
         plan_initial_route = SimState._plan_initial_route
         searches = []
-        forced = forked = 0
+        plans = collections.Counter()
 
         def counted_search(network, cost_fn, origin, dest):
             searches.append((origin, dest))
             return search(network, cost_fn, origin, dest)
 
         def planned(sim, vehicle, now):
-            nonlocal forced, forked
             agent = vehicle.agent
             pair = agent.origin, agent.destination
             route = search(sim.network, sim.route_cost_fn(now), *pair)
             searches.clear()
             plan_initial_route(sim, vehicle, now)
-            if sim.network.forced_route(*pair) is None:
+            routes = sim.network.route_choices(*pair)
+            if routes is None:
                 assert searches == [pair]
-                forked += 1
+                plans["searched"] += 1
             else:
                 assert searches == []
-                forced += 1
+                plans["forced" if len(routes) == 1 else "priced"] += 1
             assert [link_id for link_id, _ in vehicle.plan] == list(route or ())
 
         monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
         monkeypatch.setattr(SimState, "_plan_initial_route", planned)
         for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
             sim.run()
-        assert forced > 1000 and forked > 100
+        assert plans["forced"] > 1000 and plans["priced"] > 100, plans
+        assert plans["searched"] > 50, plans
 
 
 class TestConservation:
@@ -310,7 +327,8 @@ class TestConservation:
         assert len(finished) == len(report.outcomes)
 
     def test_exit_without_entry_names_link(self, testbed):
-        lane = simulation.Lane(7)
+        lane = simulation.Lane(dataclasses.replace(testbed.link(3), id=7),
+                               LaneClass.GENERAL)
         lane.record_entry(0.0, background=False)
         lane.record_exit()
         lane.record_entry(0.1, background=True)  # never in flight
@@ -1124,10 +1142,51 @@ class TestKnownAnswerBPR:
         assert abs(statistics.fmean(means) - expected) <= 4 * error, (expected, means)
 
 
+class TestKnownAnswerRouteChoice:
+    """Regular drivers split between two parallel links by the delay each
+    sees at its entry, so the long-run share on the longer link settles
+    where the two BPR delays are equal: the user equilibrium of the pair."""
+
+    T0, CAPACITY, HORIZON, REPLICATIONS = (0.2, 0.3), 20.0, 50.0, 10
+
+    @pytest.mark.parametrize("rate", [60.0, 80.0])
+    def test_share_where_delays_equalise(self, rate):
+        """Two one-lane links 0 -> 1 of free-flow time 0.2 h and 0.3 h and
+        capacity 20 veh/h, demand ``rate`` veh/h over 10 replications of
+        50 h: the share of entries on the longer link lies within one
+        vehicle per flow window, 1 / (w rate), of the share at which the
+        two links' BPR delays are equal, found by bisection."""
+        network = Network(nodes=(0, 1), links=tuple(
+            Link(id=i, from_node=0, to_node=1, length=t0 * 50.0, free_flow_time=t0,
+                 has_carpool_lane=False, general_lanes=1, lane_capacity=self.CAPACITY)
+            for i, t0 in enumerate(self.T0)))
+        config = scenario(self.HORIZON, {(0, 1): rate})
+        w, alpha, beta = config.flow_window, config.bpr.alpha, config.bpr.beta
+
+        def delay(t0, share):
+            return t0 * (1.0 + alpha * (share * rate / self.CAPACITY) ** beta)
+
+        low, high = 0.0, 1.0  # the longer link's share
+        for _ in range(60):
+            mid = (low + high) / 2
+            if delay(self.T0[0], 1.0 - mid) > delay(self.T0[1], mid):
+                low = mid
+            else:
+                high = mid
+        counts = collections.Counter()
+        for seed in range(self.REPLICATIONS):
+            sim = SimState(config, network, seed)
+            sim.run()
+            counts.update(sim.validation_counts())
+        share = counts[1] / (counts[0] + counts[1])
+        assert abs(share - low) <= 1.0 / (w * rate), (share, low)
+
+
 class TestLinkDelayMemo:
     def test_memoised_delays_equal_fresh(self, testbed, monkeypatch):
-        """On a congested sweep replication every delay ``link_delay``
-        returns is the BPR delay at its window's trimmed count, the lane
+        """On a congested sweep replication every delay ``lane_delay``
+        returns, for a link entry, a route cost, a plan or the matcher's
+        steps, is the BPR delay at its window's trimmed count, the lane
         classes stay apart at equal counts, and every ``matching_steps``
         equals the steps of those delays."""
         sim = sweep_and_transfer_sims(testbed)[0]
@@ -1139,14 +1198,25 @@ class TestLinkDelayMemo:
             return volume_delay(link, lane_class, count / sim.flow_window,
                                 sim.bpr_alpha, sim.bpr_beta)
 
-        memoised = SimState.link_delay
+        memoised = SimState.lane_delay
+        record_entry = simulation.Lane.record_entry
+        checked = set()  # (lane's id, time) of every delay checked
+        entries = 0
 
-        def delay_checked(self, link_id, lane_class, now):
+        def delay_checked(self, lane, now):
             nonlocal calls
-            delay = memoised(self, link_id, lane_class, now)
-            assert delay == fresh(network.link(link_id), lane_class), (link_id, lane_class)
+            delay = memoised(self, lane, now)
+            assert delay == fresh(lane.link, lane.lane_class), (lane.link.id, lane.lane_class)
+            checked.add((id(lane), now))
             calls += 1
             return delay
+
+        def entry_checked(lane, now, background):
+            nonlocal entries
+            if not background:  # a vehicle's entry reads its lane's delay first
+                assert (id(lane), now) in checked
+                entries += 1
+            record_entry(lane, now, background)
 
         def min_delay(link):
             delay = fresh(link, LaneClass.GENERAL)
@@ -1161,9 +1231,11 @@ class TestLinkDelayMemo:
             assert steps == step_durations(network, min_delay, sim.dt), sim.clock
             return steps
 
-        monkeypatch.setattr(SimState, "link_delay", delay_checked)
+        monkeypatch.setattr(SimState, "lane_delay", delay_checked)
         monkeypatch.setattr(SimState, "matching_steps", steps_checked)
+        monkeypatch.setattr(simulation.Lane, "record_entry", entry_checked)
         sim.run()
+        assert entries > 1000
         # every lane's memo, keyed as one table: (link id, lane class, count)
         delays = {(link_id, lane_class, count): delay
                   for (link_id, lane_class), lane in sim.lanes.items()
