@@ -252,12 +252,12 @@ class Network:
         object.
 
         Every link of an origin->dest path is a next hop of its tail, so the
-        branches are then every loop-free path: a lone branch is the route
-        any shortest-path search returns whatever the link costs, and among
-        several ``routing.cheapest_route`` picks the search's. A walk cannot
-        cycle: a node on a cycle that reaches ``dest`` would need a second
-        link to leave it. None does not prove a second path: a next hop may
-        reach ``dest`` only through a node already passed.
+        branches are then every loop-free path, among which
+        ``routing.dijkstra_route`` picks the search's route without a
+        search. A walk cannot cycle: a node on a cycle that reaches
+        ``dest`` would need a second link to leave it. None does not prove a
+        second path: a next hop may reach ``dest`` only through a node
+        already passed.
         """
         key = origin, dest
         choices = self._route_choices  # type: ignore[attr-defined]

@@ -2,20 +2,17 @@
 
 ``shortest_paths`` is the one shortest-path search: a Dijkstra tree from
 one origin under a frozen cost per link, ties broken toward the
-lexicographically smallest link-id sequence. A regular driver replanning at
-a fork the network leaves open takes its route from it through
-``dijkstra_route``, at a snapshot of link costs (toll + congested travel
-time, each weighted; see ``SimState.route_cost_fn``); the matcher's step
-matrix holds one tree per node under the links' whole-step durations
-(``matching.step_matrix``, built once per set of step counts and kept on
-the network), and a committed driver's route is read from there.
-
-Where the routes are known, no search is needed: where a node has only one
-next hop towards the destination (``Network.next_hops``), that is the
-answer any search gives, and where every branch from a fork is forced
-(``Network.route_choices``), ``cheapest_route`` picks among them the route
-the search would find. The shortcut stays with the callers:
-``dijkstra_route`` itself always searches.
+lexicographically smallest link-id sequence. ``dijkstra_route`` is the one
+route function: a regular driver replanning at a fork and a ridesharing
+driver's initial plan take their routes from it, at a snapshot of link
+costs (toll + congested travel time, each weighted; see
+``SimState.route_cost_fn``), and the demand calibration its free-flow
+routes. It searches only where the network leaves a choice open
+(``Network.route_choices``) and elsewhere returns, without a search, the
+route the search would find. The matcher's step matrix holds one tree per
+node under the links' whole-step durations (``matching.step_matrix``,
+built once per set of step counts and kept on the network), and a
+committed driver's route is read from there.
 """
 from __future__ import annotations
 
@@ -86,35 +83,28 @@ def dijkstra_route(
     dest: int,
 ) -> Optional[tuple[int, ...]]:
     """The link ids of the cheapest origin->dest path under a frozen cost
-    snapshot, ``cost_fn`` mapping a link to its snapshot cost: the entry
-    for ``dest`` of ``shortest_paths``. None when the destination is
-    unreachable.
-    """
-    adjacency = network.adjacency
-    if origin not in adjacency or dest not in adjacency:
-        raise ValueError(f"origin {origin} or destination {dest} not in network")
-    entry = shortest_paths(network, cost_fn, origin, dest).get(dest)
-    return None if entry is None else entry[1]
+    snapshot, ``cost_fn`` mapping a link to its snapshot cost, which must
+    not be negative: the entry for ``dest`` of ``shortest_paths``. None
+    when the destination is unreachable.
 
-
-def cheapest_route(
-    network: Network,
-    routes: tuple[tuple[int, ...], ...],
-    cost_fn: Callable[[Link], float],
-) -> tuple[int, ...]:
-    """The route of ``routes``, link-id tuples, with the least key (cost
-    summed from 0 in link order, link ids), the key ``shortest_paths``
-    orders by; ``cost_fn`` maps a link to its cost, which must not be
-    negative. A lone route is returned without pricing it.
-
-    For the branches ``Network.route_choices`` returns, this is the route
-    ``dijkstra_route`` finds at the same costs: the branches share no inner
+    It searches only where ``Network.route_choices`` is None. A lone branch
+    is the only path and is returned without reading a cost. Among several
+    it takes the branch with the least key (cost summed from 0 in link
+    order, link ids), the key ``shortest_paths`` orders by, and that is the
+    route the search finds at the same costs: the branches share no inner
     node and each inner node has one next hop, so each inner node gets only
     its branch's label, and the destination is popped at the least branch
     key, which nothing left on the heap can beat.
     """
-    if len(routes) == 1:
-        return routes[0]
+    adjacency = network.adjacency
+    if origin not in adjacency or dest not in adjacency:
+        raise ValueError(f"origin {origin} or destination {dest} not in network")
+    routes = network.route_choices(origin, dest)
+    if routes is None:
+        entry = shortest_paths(network, cost_fn, origin, dest).get(dest)
+        return None if entry is None else entry[1]
+    if len(routes) < 2:
+        return routes[0] if routes else None
     link = network.link
     keys = []
     for route in routes:

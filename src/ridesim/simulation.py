@@ -7,16 +7,13 @@ handler, ``SimState._advance``, which tells the roles apart once. A
 ridesharing driver serves the pickups and dropoffs due there, then holds,
 enters the next link of its plan or ends the trip; the plan is the route
 with its entry steps, which the matcher may rewrite. A regular driver asks
-``vehicle_at_node``, which replans from the current cost snapshot. It
-searches only where the network leaves a choice open: a node with only one
-outgoing link that still reaches the destination takes that link, and a
-fork whose branches are all forced (``Network.route_choices``) takes the
-cheapest branch, each the choice the search would make. A link entry
-reads its lanes' delays through ``SimState.lane_delay``, the one place a
-lane's flow window is trimmed and its BPR memo read or filled. Each
-arriving rider triggers the matcher exactly once. Only ``_advance``
-queues a hold, and it decides whether a step has come by the time grid's
-one rule (``matching.step_due``).
+``vehicle_at_node``, which replans from the current cost snapshot through
+``routing.dijkstra_route``, the one place that decides whether a choice
+needs a search. A link entry reads its lanes' delays through
+``SimState.lane_delay``, the one place a lane's flow window is trimmed and
+its BPR memo read or filled. Each arriving rider triggers the matcher
+exactly once. Only ``_advance`` queues a hold, and it decides whether a
+step has come by the time grid's one rule (``matching.step_due``).
 
 Determinism: events are handled in (time, insertion sequence) order, all
 randomness drawn from generators seeded per replication. The generated
@@ -70,7 +67,7 @@ from .matching import (
     window_steps,
 )
 from .network import LaneClass, Link, Network, volume_delay
-from .routing import cheapest_route, dijkstra_route
+from .routing import dijkstra_route
 
 # event kinds, ordered only for readability; queue order is (time, seq)
 EV_AGENT_ENTER = 0
@@ -364,15 +361,12 @@ class SimState:
     def vehicle_at_node(self, vehicle: Vehicle, node: int, now: float) -> Optional[int]:
         """A regular driver's next link at ``node``; None means the trip ends.
 
-        The driver replans against the current cost snapshot, among the
-        outgoing links that still reach its destination
-        (``Network.next_hops``). Where only one such link exists it is
-        taken without a search, since Dijkstra's first link would be that
-        link; at a fork whose branches are all forced
-        (``Network.route_choices``) ``cheapest_route`` prices them and
-        picks Dijkstra's route without a search; at any other fork Dijkstra
-        picks the cheapest. A vehicle with no feasible continuation is
-        recorded as stranded (``vehicle.stranded``), not a crash.
+        The driver takes the first link of ``dijkstra_route`` at the
+        current cost snapshot. Where only one outgoing link still reaches
+        the destination (``Network.next_hops``) that link is the answer,
+        taken without building the snapshot. A vehicle with no feasible
+        continuation is recorded as stranded (``vehicle.stranded``), not a
+        crash.
         """
         destination = vehicle.agent.destination
         if node == destination:
@@ -380,13 +374,11 @@ class SimState:
         hops = self.network.next_hops(node, destination)
         if len(hops) == 1:
             return hops[0]
-        if not hops:
+        route = dijkstra_route(self.network, self.route_cost_fn(now), node, destination)
+        if route is None:
             vehicle.stranded = True
             return None
-        routes = self.network.route_choices(node, destination)
-        if routes is None:
-            return dijkstra_route(self.network, self.route_cost_fn(now), node, destination)[0]
-        return cheapest_route(self.network, routes, self.route_cost_fn(now))[0]
+        return route[0]
 
     def _advance(self, vehicle: Vehicle, now: float) -> None:
         """Move a vehicle standing at its node. A ridesharing driver serves
@@ -466,18 +458,13 @@ class SimState:
     def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
         their latest departure, then drive their own best route; a matching
-        commit rewrites this plan. Where every branch of the pair is forced
-        (``Network.route_choices``), ``cheapest_route`` picks Dijkstra's
-        route among them without a search, as at a fork in
-        ``vehicle_at_node``; a lone branch is the only path Dijkstra could
-        return."""
+        commit rewrites this plan. The route is ``dijkstra_route``'s at the
+        current cost snapshot."""
         agent = vehicle.agent
-        routes = self.network.route_choices(agent.origin, agent.destination)
-        if routes == ():
+        path = dijkstra_route(self.network, self.route_cost_fn(now),
+                              agent.origin, agent.destination)
+        if path is None:
             return  # no path: the empty plan strands the vehicle at its origin
-        cost_fn = self.route_cost_fn(now)
-        path = (dijkstra_route(self.network, cost_fn, agent.origin, agent.destination)
-                if routes is None else cheapest_route(self.network, routes, cost_fn))
         step = max(ceil_steps(now, self.dt), vehicle.latest_departure_step)
         plan = []
         for link_id in path:

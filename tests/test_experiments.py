@@ -14,6 +14,8 @@ from ridesim.experiments import (
     run_capacity_sweep,
     run_validation,
 )
+from ridesim.network import Network
+from ridesim.simulation import SimState
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,61 @@ class TestValidation:
         bad = dataclasses.replace(quick_validation_config, network=net_file)
         with pytest.raises(ConfigError, match="observed_daily_flow"):
             run_validation(bad)
+
+
+class TestRouteMutants:
+    """Declared mutants of route choice and the check that fails each
+    (ROADMAP 14(c)), on the bundled validation at 2 replications, which
+    passes unmutated (MAE 0.00072, chi-squared 0.41 against 7.81):
+
+    - regular drivers at node 0 bound for 3 always take link 1, in the
+      simulator only: criterion 1 rejects (MAE 0.0406 against 0.01,
+      chi-squared 1,729 against 7.81);
+    - ``Network.route_choices(0, 3)`` answers ``((1, 3),)``, so
+      ``dijkstra_route``, the route function the simulator and the demand
+      calibration share, sends 0 -> 3 by links 1 and 3: the calibration
+      fails before any run ("calibration residuals exceed tolerance:
+      {0: -12948.0}").
+
+    Nothing is tuned so that a mutant fails."""
+
+    @staticmethod
+    def validate():
+        return run_validation(load_config(bundled_data_path("validation.yaml"),
+                                          {"replications": 2}))
+
+    def test_unmutated_validation_passes(self):
+        report = self.validate()
+        assert report.mean_absolute_error <= 0.01 and not report.reject
+
+    def test_simulator_detour_fails_criterion_1(self, monkeypatch):
+        visit = SimState.vehicle_at_node
+
+        def detour(sim, vehicle, node, now):
+            if (node, vehicle.agent.destination) == (0, 3):
+                return 1
+            return visit(sim, vehicle, node, now)
+
+        monkeypatch.setattr(SimState, "vehicle_at_node", detour)
+        report = self.validate()
+        assert report.mean_absolute_error > 0.01 and report.reject
+
+    def test_shared_route_function_fails_calibration(self, monkeypatch):
+        choices, run = Network.route_choices, SimState.run
+        runs = []
+
+        def forced(network, origin, dest):
+            return ((1, 3),) if (origin, dest) == (0, 3) else choices(network, origin, dest)
+
+        def counted(sim, *args, **kwargs):
+            runs.append(sim)
+            return run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "route_choices", forced)
+        monkeypatch.setattr(SimState, "run", counted)
+        with pytest.raises(ConfigError, match=r"calibration residuals exceed tolerance: \{0: "):
+            self.validate()
+        assert runs == []
 
 
 class TestSweep:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from ridesim.demand import free_flow_paths
 from ridesim.network import LaneClass, Link, Network, volume_delay
-from ridesim.routing import CostWeights, cheapest_route, dijkstra_route, shortest_paths
+from ridesim.routing import CostWeights, dijkstra_route, shortest_paths
 from ridesim.simulation import SimState
 
 from conftest import make_network, scenario, step_digraphs
@@ -62,23 +62,30 @@ def random_network(rng: random.Random):
 
 
 def assert_route_choices(net: Network, costs: dict[int, float]) -> int:
-    """Check ``route_choices`` and ``cheapest_route`` for every pair of
+    """Check ``route_choices`` and ``dijkstra_route`` for every pair of
     ``net``; the number of pairs with more than one branch.
 
-    The branches are given exactly where each next hop of the origin starts
-    a loop-free path, no two paths share an inner node and every inner node
-    has one next hop; then they are those paths, in next-hop order, and
-    ``cheapest_route`` picks the route ``dijkstra_route`` finds, under
-    ``costs``, under whole costs with exact ties and zeros, and under float
-    costs whose sums round. Elsewhere the choices are None, also where a
-    path is lone but a node on it has a second next hop, one whose every
-    way to the destination passes a node the path has visited (with links
-    0->1, 1->0 and 0->2, 0->2 is the one path, but 0->1 also reaches 2)."""
+    ``dijkstra_route`` returns the route the search itself finds
+    (``shortest_paths``), under ``costs``, under whole costs with exact
+    ties and zeros, and under float costs whose sums round. The branches are
+    given exactly where each next hop of the origin starts a loop-free path,
+    no two paths share an inner node and every inner node has one next hop;
+    then they are those paths, in next-hop order. Elsewhere the choices are
+    None, also where a path is lone but a node on it has a second next hop,
+    one whose every way to the destination passes a node the path has
+    visited (with links 0->1, 1->0 and 0->2, 0->2 is the one path, but 0->1
+    also reaches 2)."""
     variants = [costs, {lid: round(cost) % 3 for lid, cost in costs.items()},
                 {lid: 0.1 * (round(cost) % 3 + 1) for lid, cost in costs.items()}]
     multi = 0
     for origin in net.node_ids():
         for dest in net.node_ids():
+            for variant in variants:
+                def cost(link, variant=variant):
+                    return variant[link.id]
+                entry = shortest_paths(net, cost, origin, dest).get(dest)
+                assert dijkstra_route(net, cost, origin, dest) == \
+                    (None if entry is None else entry[1])
             choices = net.route_choices(origin, dest)
             assert net.route_choices(origin, dest) is choices
             if origin == dest:
@@ -93,11 +100,6 @@ def assert_route_choices(net: Network, costs: dict[int, float]) -> int:
                 continue
             assert sorted(choices) == sorted(paths)
             assert tuple(route[0] for route in choices) == hops
-            for variant in variants:
-                def cost(link, variant=variant):
-                    return variant[link.id]
-                assert (cheapest_route(net, choices, cost) if choices else None) == \
-                    dijkstra_route(net, cost, origin, dest)
             multi += len(choices) > 1
     return multi
 
@@ -176,9 +178,10 @@ class TestDijkstra:
     @given(step_digraphs())
     def test_tree_entries_are_routes(self, graph):
         """Every entry of a full ``shortest_paths`` tree is the route
-        ``dijkstra_route`` finds for that destination, and the least
-        (cost, link ids) over every loop-free path, its int cost the sum
-        over its links; unreachable nodes have no entry."""
+        ``dijkstra_route`` returns for that destination, searched or not
+        (``Network.route_choices``), and the least (cost, link ids) over
+        every loop-free path, its int cost the sum over its links;
+        unreachable nodes have no entry."""
         net, costs = graph
 
         def cost(link):
@@ -203,9 +206,8 @@ class TestDijkstra:
     def test_route_choices_match_dijkstra(self, graph):
         """``route_choices`` gives every loop-free path exactly where they
         are disjoint forced branches, () where none leads and None
-        otherwise, and ``cheapest_route`` picks among them the route
-        ``dijkstra_route`` finds; a repeated lookup returns the same
-        object."""
+        otherwise, and ``dijkstra_route`` returns the route the search
+        finds; a repeated lookup returns the same object."""
         assert_route_choices(*graph)
 
     def test_route_choices_on_random_networks(self):
@@ -217,18 +219,20 @@ class TestDijkstra:
                 multi += assert_route_choices(*drawn)
         assert multi > 300
 
-    def test_cheapest_route_rejects_a_negative_cost(self, testbed):
-        """A negative cost fails as in ``shortest_paths``; a lone route is
-        returned without pricing it."""
-        routes = testbed.route_choices(0, 3)
-        assert routes == ((0,), (1, 3))
+    def test_dijkstra_route_rejects_a_negative_cost(self, testbed):
+        """A negative cost fails wherever a cost is read: at a priced fork
+        as in a search. A lone route reads no cost, so it is returned."""
+        assert testbed.route_choices(0, 3) == ((0,), (1, 3))
+        assert testbed.route_choices(1, 3) == ((3,),)
 
         def cost(link):
             return -1.0 if link.id == 3 else link.free_flow_time
 
         with pytest.raises(ValueError, match="negative cost on link 3"):
-            cheapest_route(testbed, routes, cost)
-        assert cheapest_route(testbed, ((1, 3),), cost) == (1, 3)
+            dijkstra_route(testbed, cost, 0, 3)
+        with pytest.raises(ValueError, match="negative cost on link 3"):
+            shortest_paths(testbed, cost, 1)
+        assert dijkstra_route(testbed, cost, 1, 3) == (3,)
 
     def test_tie_break_smallest_link_sequence(self):
         # two parallel equal-cost routes 0->1->3 (links 0,2) and 0->2->3 (links 1,3)

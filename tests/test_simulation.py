@@ -13,6 +13,7 @@ import yaml
 
 import ridesim.experiments as experiments
 import ridesim.matching as matching
+import ridesim.routing as routing
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
@@ -231,20 +232,20 @@ class TestVehicleAtNode:
         assert outcome.departure is None and outcome.arrival is None
 
     def test_replans_only_at_forks(self, tmp_path, monkeypatch):
-        """A regular driver searches only at a fork whose branches are not
-        all forced (``Network.route_choices`` is None), and the link it
-        picks at every fork is the first of the route ``dijkstra_route``
-        finds at that instant. On the validation run the only fork is the
-        LA pair 0 -> 3, whose two branches are forced, so it never
-        searches; the grid run searches where its branches merge."""
+        """A regular driver searches (``routing.shortest_paths``) only at a
+        fork whose branches are not all forced (``Network.route_choices`` is
+        None), and the link it picks at every fork is the first of the
+        route the search finds at that instant. On the validation run the
+        only fork is the LA pair 0 -> 3, whose two branches are forced, so
+        it never searches; the grid run searches where its branches merge."""
         config = load_config(bundled_data_path("validation.yaml"), {"horizon": 2.0})
         validation = init_simulation(config, config.make_network(), seed=101)
         visit = SimState.vehicle_at_node
-        search = simulation.dijkstra_route
+        search = routing.shortest_paths
         searches = []
         forks = collections.Counter()
 
-        def counted_search(network, cost_fn, origin, dest):
+        def counted_search(network, cost_fn, origin, dest=None):
             searches.append((origin, dest))
             return search(network, cost_fn, origin, dest)
 
@@ -252,7 +253,7 @@ class TestVehicleAtNode:
             dest = vehicle.agent.destination
             fork = node != dest and len(sim.network.next_hops(node, dest)) > 1
             if fork:
-                route = search(sim.network, sim.route_cost_fn(now), node, dest)
+                route = search(sim.network, sim.route_cost_fn(now), node, dest)[dest][1]
             searches.clear()
             link = visit(sim, vehicle, node, now)
             if not fork:
@@ -267,7 +268,7 @@ class TestVehicleAtNode:
             return link
 
         monkeypatch.setattr(SimState, "vehicle_at_node", checked_visit)
-        monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
+        monkeypatch.setattr(routing, "shortest_paths", counted_search)
         for sim in (validation, grid_sim(tmp_path)):
             sim.run()
         assert forks[True, False] > 100
@@ -275,22 +276,24 @@ class TestVehicleAtNode:
 
     def test_initial_plans_search_only_at_forks(self, testbed, tmp_path, monkeypatch):
         """On the sweep, transfer and grid runs, a ridesharing driver's
-        initial plan makes one search where its pair's branches are not all
-        forced (``Network.route_choices`` is None) and none otherwise, and
-        its links are the route ``dijkstra_route`` finds at that instant."""
-        search = simulation.dijkstra_route
+        initial plan makes one search (``routing.shortest_paths``) where its
+        pair's branches are not all forced (``Network.route_choices`` is
+        None) and none otherwise, and its links are the route the search
+        finds at that instant."""
+        search = routing.shortest_paths
         plan_initial_route = SimState._plan_initial_route
         searches = []
         plans = collections.Counter()
 
-        def counted_search(network, cost_fn, origin, dest):
+        def counted_search(network, cost_fn, origin, dest=None):
             searches.append((origin, dest))
             return search(network, cost_fn, origin, dest)
 
         def planned(sim, vehicle, now):
             agent = vehicle.agent
             pair = agent.origin, agent.destination
-            route = search(sim.network, sim.route_cost_fn(now), *pair)
+            entry = search(sim.network, sim.route_cost_fn(now), *pair).get(pair[1])
+            route = None if entry is None else entry[1]
             searches.clear()
             plan_initial_route(sim, vehicle, now)
             routes = sim.network.route_choices(*pair)
@@ -302,7 +305,7 @@ class TestVehicleAtNode:
                 plans["forced" if len(routes) == 1 else "priced"] += 1
             assert [link_id for link_id, _ in vehicle.plan] == list(route or ())
 
-        monkeypatch.setattr(simulation, "dijkstra_route", counted_search)
+        monkeypatch.setattr(routing, "shortest_paths", counted_search)
         monkeypatch.setattr(SimState, "_plan_initial_route", planned)
         for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
             sim.run()

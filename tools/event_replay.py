@@ -4,16 +4,18 @@ Builds one replication of a scenario (``--config``, ``--seed``,
 ``--horizon``) as ``experiments.run_single`` does and runs it ``--rounds``
 times, each on a fresh network and replication with the collector paused,
 and prints the least CPU time of ``SimState.run``. One more run, with the
-four event handlers, the route search (``dijkstra_route`` where
-``simulation`` looks it up) and the two route choosers wrapped, prints the
-events handled per kind, the searches made, the routes chosen without one
-(a regular driver's next link at a node and a ridesharing driver's initial
-plan, less the searches), and a SHA-256 over the log of handled events, one
-``repr`` of (time, kind, key) each: an entry's key is its agent id, an
-arrival's its vehicle's agent id with the link id and lane class it leaves,
-a hold's its vehicle's agent id with the plan it was made for, and a
-background entry's its link id. Run on two checkouts, equal digests show
-the same event sequence. It imports ridesim from the ``src`` beside it and
+four event handlers, the route search and the two route choosers wrapped,
+prints the events handled per kind, the searches made while the run lasts,
+the routes chosen without one (a regular driver's next link at a node and
+a ridesharing driver's initial plan, less the searches), and a SHA-256
+over the log of handled events, one ``repr`` of (time, kind, key) each: an
+entry's key is its agent id, an arrival's its vehicle's agent id with the
+link id and lane class of the lane it leaves, a hold's its vehicle's agent
+id with the plan it was made for, and a background entry's its link id.
+A search is a call of ``shortest_paths`` where ``routing.dijkstra_route``
+looks it up; the matcher's step matrices import their own name for it, so
+their builds are not counted. Run on two checkouts, equal digests show the
+same event sequence. It imports ridesim from the ``src`` beside it and
 needs nothing but the standard library and ridesim's own dependencies::
 
     python tools/event_replay.py --config src/ridesim/data/validation.yaml --horizon 2
@@ -30,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ridesim import simulation  # noqa: E402
+from ridesim import routing  # noqa: E402
 from ridesim.config import load_config  # noqa: E402
 from ridesim.simulation import SimState, init_simulation  # noqa: E402
 
@@ -56,12 +58,12 @@ def best_run_time(config, rounds: int) -> float:
     return best
 
 
-def event_key(kind: str, payload, lane_keys: dict) -> object:
+def event_key(kind: str, payload) -> object:
     if kind == "agent_enter":
         return payload.id
     if kind == "arrive_node":
         vehicle, lane = payload
-        return vehicle.agent.id, lane_keys[id(lane)]
+        return vehicle.agent.id, (lane.link.id, lane.lane_class.value)
     if kind == "depart_node":
         vehicle, plan = payload
         return vehicle.agent.id, tuple(plan)
@@ -72,20 +74,18 @@ def recorded_run(config) -> tuple[Counter, str]:
     """Counts per event kind and of searches and route choices, and the
     hex digest of the handled events, from one run of ``config``."""
     sim = init_simulation(config, config.make_network(), config.seed)
-    lane_keys = {id(lane): (link_id, lane_class.value)
-                 for (link_id, lane_class), lane in sim.lanes.items()}
     counts: Counter = Counter()
     digest = hashlib.sha256()
     originals = {name: getattr(SimState, name)
                  for name in (*KINDS, "vehicle_at_node", "_plan_initial_route")}
-    search = simulation.dijkstra_route
+    search = routing.shortest_paths
 
     def handler(name):
         kind, original = KINDS[name], originals[name]
 
         def handled(state, payload, now):
             counts[kind] += 1
-            digest.update(repr((now, kind, event_key(kind, payload, lane_keys))).encode())
+            digest.update(repr((now, kind, event_key(kind, payload))).encode())
             return original(state, payload, now)
         return handled
 
@@ -106,11 +106,11 @@ def recorded_run(config) -> tuple[Counter, str]:
     wrappers.update(vehicle_at_node=counted_visit, _plan_initial_route=counted_plan)
     for name, wrapper in wrappers.items():
         setattr(SimState, name, wrapper)
-    simulation.dijkstra_route = counted_search
+    routing.shortest_paths = counted_search
     try:
         sim.run()
     finally:
-        simulation.dijkstra_route = search
+        routing.shortest_paths = search
         for name, original in originals.items():
             setattr(SimState, name, original)
     return counts, digest.hexdigest()
