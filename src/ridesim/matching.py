@@ -25,15 +25,19 @@ Pipeline for one rider request:
    where its pins or riders aboard change. The rule reads nothing of a
    driver but the slot, so the build takes the slots grouped, each
    distinct slot with the ids of the drivers that have it
-   (``SimState.collect_offers``): it runs the slot test and the per-link
-   step ranges once per distinct slot, and writes the arcs for every
-   driver listed. Drivers waiting at one node for one destination share
-   their slot.
+   (``SimState.collect_offers``): it runs the slot test once per distinct
+   slot, then the per-link step ranges once per slot that passed, and
+   writes the arcs for every driver listed. Drivers waiting at one node for
+   one destination share their slot. When no slot passes, the network keeps
+   its node intervals and gets no travel arc, and no link is looked at.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. It reads
    the graph from ``TimeExpandedNetwork.forward``, the one place that orders
    it: vertices in integer order, each vertex's arcs wait first, then by
-   (head, driver). Every later stage keeps that order.
+   (head, driver). Every later stage keeps that order. A network with no
+   travel arc whose origin is not its destination cannot leave the origin's
+   waits, so ``preprocess`` answers it as infeasible without laying it out;
+   more than a third of the bundled sweep's requests get such a network.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
    may transfer between vehicles but never re-board a driver it left, so
    each DP label, a tuple, carries the drivers it used as a bitmask. Labels
@@ -348,7 +352,9 @@ def build_time_expanded(
     slot it is listed under. ``tau`` holds every link's duration in whole
     steps. Node intervals come from minimum-step sweeps from the rider's
     earliest departure and back from the latest arrival. An empty network
-    encodes an infeasible request.
+    encodes an infeasible request. The candidate links are listed only
+    once a slot passes the slot test: when none passes, the network has its
+    node intervals and no travel arc, and no link is looked at.
     """
     matrix = step_matrix(network, tau)[0]
 
@@ -374,21 +380,6 @@ def build_time_expanded(
     nodes = ten.nodes
     n = len(nodes)
 
-    # links with both ends inside the rider's windows, with the tail steps
-    # whose arrival also falls in the head's window and the code distance
-    # from tail to head
-    candidates = []
-    for link in network.links:
-        i, j = link.from_node, link.to_node
-        if i in intervals and j in intervals:
-            steps = tau[link.id]
-            lo = max(intervals[i][0], intervals[j][0] - steps)
-            hi = min(intervals[i][1], intervals[j][1] - steps)
-            if lo <= hi:
-                p = nodes.index(i)
-                candidates.append((i, j, lo, hi, steps, matrix[j], p,
-                                   steps * n + nodes.index(j) - p, time_weight * steps * dt))
-
     # one arc rule per (slot, link): the steps k with s + m[a][i] <= k and
     # k + steps <= t - m[j][b], capped at a by the slot's leave_by; the bounds
     # at j from a and at i to b never bind, by the triangle inequality on m
@@ -397,11 +388,28 @@ def build_time_expanded(
     # distinct slot that passes the slot test has its (tail codes, shift,
     # cost) spans found once, written for every driver that has that slot.
     arcs = ten.travel_arcs
+    candidates = None  # listed when the first slot passes the slot test
     to_dest, from_origin = rider.destination, matrix[rider.origin]
     for (a, s, b, t, leave_by), ids in slots.items():
         from_a = matrix[a]
         if s + from_a[to_dest] > la or ed + from_origin[b] > t:
             continue  # the slot test
+        if candidates is None:
+            # links with both ends inside the rider's windows, with the tail
+            # steps whose arrival also falls in the head's window and the
+            # code distance from tail to head
+            candidates = []
+            for link in network.links:
+                i, j = link.from_node, link.to_node
+                if i in intervals and j in intervals:
+                    steps = tau[link.id]
+                    lo = max(intervals[i][0], intervals[j][0] - steps)
+                    hi = min(intervals[i][1], intervals[j][1] - steps)
+                    if lo <= hi:
+                        p = nodes.index(i)
+                        candidates.append((i, j, lo, hi, steps, matrix[j], p,
+                                           steps * n + nodes.index(j) - p,
+                                           time_weight * steps * dt))
         for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
             if s + from_a[i] > lo:
                 lo = s + from_a[i]
@@ -446,7 +454,18 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     in ``forward``'s topological order finds what the start reaches; one
     pass back keeps what of that reaches a destination, with its arcs into
     survivors, so the survivors keep ``forward``'s order.
+
+    With no travel arc and the origin not the destination, the start
+    reaches only the origin's later steps, none of which is a destination
+    vertex, so nothing survives: the graph is returned empty without
+    calling ``forward``, and ``ten_vertices`` is the sum of the interval
+    lengths, the vertices ``forward`` would list. An origin that is its
+    destination (possible only in a hand-built network) still takes both
+    passes, and its interval survives.
     """
+    if not ten.travel_arcs and ten.origin != ten.destination:
+        return PrunedGraph(ten.nodes, [], {}, None, set(),
+                           sum(hi - lo + 1 for lo, hi in ten.node_intervals.values()))
     forward = ten.forward()
     start = ten.start_vertex
     reached = {start}

@@ -916,6 +916,47 @@ class TestPreprocess:
                 assert position[tail] < position[head]
 
 
+class TestNoArcShortcut:
+    """A rider no slot can carry gets a network with no travel arc, which
+    ``preprocess`` answers as infeasible without laying the graph out."""
+
+    def test_failing_slot_builds_the_no_slot_network(self, monkeypatch):
+        laid_out = []
+        forward = TimeExpandedNetwork.forward
+        monkeypatch.setattr(TimeExpandedNetwork, "forward",
+                            lambda ten: laid_out.append(ten) or forward(ten))
+        with_vertices = 0
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            ed = window_steps(rider.window, DT_EXACT)[0]
+            # a slot that ends before the rider's earliest departure step
+            failing = {(rider.origin, ed - 2, rider.destination, ed - 1, matching.INF):
+                       [offer.id for offer in offers]}
+            ten = build_time_expanded(rider, {}, net, tau, DT_EXACT)
+            assert build_time_expanded(rider, failing, net, tau, DT_EXACT) == ten, seed
+            assert ten.travel_arcs == []
+            graph = preprocess(ten)
+            assert not laid_out, seed
+            assert (graph.vertices, graph.adjacency, graph.start, graph.dests) == (
+                [], {}, None, set()), seed
+            assert graph.ten_vertices == len(ten.forward()), seed
+            laid_out.clear()
+            assert solve_itinerary(graph, DT_EXACT) is None, seed
+            with_vertices += graph.ten_vertices > 0
+        assert with_vertices > 300
+
+    def test_origin_at_destination_still_feasible(self):
+        """The shortcut needs the origin to differ from the destination: a
+        hand-built network whose origin is its destination, with no travel
+        arc, keeps the origin's interval as survivors."""
+        ten = TimeExpandedNetwork(0, 0, {0: (2, 5), 1: (3, 4)}, [])
+        graph = preprocess(ten)
+        assert graph.feasible and graph.start == code(ten, 0, 2)
+        survivors = {code(ten, 0, step) for step in range(2, 6)}
+        assert set(graph.vertices) == graph.dests == survivors
+        assert graph.ten_vertices == len(ten.forward()) == 6
+
+
 class TestSolveExamples:
     def test_single_driver_exact_cover(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)

@@ -1185,6 +1185,42 @@ class TestKnownAnswerRouteChoice:
         assert abs(share - low) <= 1.0 / (w * rate), (share, low)
 
 
+class TestKnownAnswerLaneWindow:
+    """A lane's flow is the count of its entries in the flow window ending
+    now, over the window's length."""
+
+    T0, CAPACITY = 0.2, 20.0
+
+    def test_delay_at_the_count_in_the_window(self):
+        """Entries at known times on one one-lane link of capacity 20 veh/h,
+        read at rising times: each ``lane_delay`` equals ``volume_delay`` at
+        the count of entries in [now - w, now], counted from the times
+        themselves, over w."""
+        network = Network(nodes=(0, 1), links=(Link(
+            id=0, from_node=0, to_node=1, length=self.T0 * 50.0, free_flow_time=self.T0,
+            has_carpool_lane=False, general_lanes=1, lane_capacity=self.CAPACITY),))
+        sim = SimState(scenario(4.0, {(0, 1): 0.0}), network, seed=1)
+        w = sim.flow_window
+        assert w == 0.25
+        lane = sim.lanes[0, LaneClass.GENERAL]
+        # binary fractions of an hour, so every window's start is exact; the
+        # entries come closer together as time goes on, so the count over
+        # twice the window is not twice the count over the window
+        times = [0.0, 0.125, 0.25, 0.25, 0.5, 0.625, 0.75, 0.8125, 0.875, 0.875,
+                 0.9375, 1.0, 1.25]
+        recorded, at_start = [], 0
+        for now in [0.5, 0.75, 1.0, 1.0625, 1.25, 1.5]:
+            while times and times[0] <= now:
+                lane.record_entry(times[0], True)
+                recorded.append(times.pop(0))
+            count = sum(now - w <= t <= now for t in recorded)
+            at_start += (now - w) in recorded
+            expected = volume_delay(lane.link, lane.lane_class, count / w,
+                                    sim.bpr_alpha, sim.bpr_beta)
+            assert sim.lane_delay(lane, now) == expected, (now, count)
+        assert at_start >= 3  # entries exactly at the window's start count
+
+
 class TestLinkDelayMemo:
     def test_memoised_delays_equal_fresh(self, testbed, monkeypatch):
         """On a congested sweep replication every delay ``lane_delay``

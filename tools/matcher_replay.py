@@ -6,11 +6,13 @@ by wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
 up. It then times ``preprocess`` and ``solve_itinerary`` over the kept
 networks, in request order, at the scenario's penalty and with the
 collector paused, and prints for each the best of ``--rounds`` in µs per
-request, the ``_path`` walks per request, and a SHA-256 over the ``repr``
-of every result. Run on two checkouts, it shows a change to the kernel
-without the event loop's noise, and equal digests show equal results. It
-imports ridesim from the ``src`` beside it and needs nothing but the
-standard library and ridesim's own dependencies::
+request, the ``_path`` walks per request, the networks with no travel arc
+(which ``preprocess`` answers without laying out the graph) as a count and
+a share, and a SHA-256 over the ``repr`` of every result. Run on two
+checkouts, it shows a change to the kernel without the event loop's noise,
+and equal digests show equal results. It imports ridesim from the ``src``
+beside it and needs nothing but the standard library and ridesim's own
+dependencies::
 
     python tools/matcher_replay.py --config src/ridesim/data/sweep.yaml --horizon 1.5
 """
@@ -106,12 +108,14 @@ def main(argv: list[str] | None = None) -> int:
         digest.update(repr(result).encode())
     requests = len(tens)
     per = 1e6 / requests if requests else 0.0
+    no_arc = sum(not ten.travel_arcs for ten in tens)
     print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
     print(f"requests        {requests}")
     print(f"preprocess_us   {prep * per:.1f}")
     print(f"solve_us        {solve * per:.1f}")
     print(f"kernel_us       {(prep + solve) * per:.1f}")
     print(f"path_walks      {walks / requests if requests else 0.0:.2f}")
+    print(f"no_arc_requests {no_arc} {no_arc / requests if requests else 0.0:.3f}")
     print(f"digest          {digest.hexdigest()}")
     return 0
 
