@@ -31,13 +31,15 @@ Pipeline for one rider request:
    one destination share their slot. When no slot passes, the network keeps
    its node intervals and gets no travel arc, and no link is looked at.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
-   the request is feasible exactly when the start vertex survives. It reads
-   the graph from ``TimeExpandedNetwork.forward``, the one place that orders
-   it: vertices in integer order, each vertex's arcs wait first, then by
-   (head, driver). Every later stage keeps that order. A network with no
-   travel arc whose origin is not its destination cannot leave the origin's
-   waits, so ``preprocess`` answers it as infeasible without laying it out;
-   more than a third of the bundled sweep's requests get such a network.
+   the request is feasible exactly when the start vertex survives. The
+   survivors at each node are one interval of steps, found for every node
+   by one pass over the travel arcs and one pass back. It then lays out the
+   survivors alone, the one place that orders the search graph: vertices in
+   integer order, each vertex's arcs wait first, then by (head, driver).
+   Every later stage keeps that order. A network with no travel arc whose
+   origin is not its destination cannot leave the origin's waits, so
+   ``preprocess`` answers it as infeasible at once; more than a third of
+   the bundled sweep's requests get such a network.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
    may transfer between vehicles but never re-board a driver it left, so
    each DP label, a tuple, carries the drivers it used as a bitmask. Labels
@@ -225,8 +227,9 @@ class TimeExpandedNetwork:
 
     A vertex, ``k * len(nodes) + nodes.index(node)``, exists for every step
     ``k`` of each node's interval; a wait arc joins each step to the next,
-    and ``travel_arcs``, in no particular order, carry the drivers.
-    ``forward`` lays the graph out.
+    and ``travel_arcs``, in no particular order, carry the drivers. Every
+    travel arc raises the step, and both its ends lie in their nodes'
+    intervals. ``preprocess`` lays out the part that survives pruning.
     """
 
     origin: int
@@ -237,37 +240,6 @@ class TimeExpandedNetwork:
 
     def __post_init__(self) -> None:
         self.nodes = tuple(sorted(self.node_intervals))
-
-    @property
-    def start_vertex(self) -> Optional[Vertex]:
-        interval = self.node_intervals.get(self.origin)
-        return (interval[0] * len(self.nodes) + self.nodes.index(self.origin)
-                if interval else None)
-
-    def forward(self) -> dict[Vertex, list[Arc]]:
-        """Every vertex, in integer order, with its outgoing arcs: the wait
-        arc first (driver None, cost 0.0; the solver charges the wait
-        penalty), then the travel arcs by (head, driver).
-
-        Every arc raises the step, so the vertex order is topological. This
-        is the one place the search graph is ordered: ``preprocess`` and the
-        DP visit it in this order, and it decides which of several exactly
-        tied itineraries the DP returns.
-        """
-        n = len(self.nodes)
-        vertices: list[Vertex] = []
-        ends = []  # the last vertex of each position
-        for position, node in enumerate(self.nodes):
-            lo, hi = self.node_intervals[node]
-            ends.append(hi * n + position)
-            vertices += range(lo * n + position, ends[-1] + 1, n)
-        graph = {vertex: [(vertex + n, None, 0.0)] if vertex < ends[vertex % n] else []
-                 for vertex in sorted(vertices)}
-        # equal (tail, head, driver) means equal cost, so whole-tuple order
-        # is (tail, head, driver) order
-        for tail, head, driver, cost in sorted(self.travel_arcs):
-            graph[tail].append((head, driver, cost))
-        return graph
 
 
 @dataclass(frozen=True)
@@ -430,8 +402,9 @@ def build_time_expanded(
 
 @dataclass
 class PrunedGraph:
-    """The remainder of a TEN after reachability pruning, in ``forward``'s
-    order, over its ``nodes``; ``ten_vertices`` counts the TEN's vertices."""
+    """The remainder of a TEN after reachability pruning, laid out by
+    ``preprocess``, over its ``nodes``; ``ten_vertices`` counts the TEN's
+    vertices."""
 
     nodes: tuple[int, ...]
     vertices: list[Vertex]
@@ -446,53 +419,73 @@ class PrunedGraph:
 
 
 def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
-    """Drop vertices not on any start-to-destination path.
+    """Drop vertices not on any start-to-destination path, and lay out the
+    rest: the one search graph every later stage reads.
 
-    A vertex survives when it is reachable from the start vertex and reaches
-    a destination vertex. The request is feasible iff the start survives:
-    a start that reaches a destination already lies on such a path. One pass
-    in ``forward``'s topological order finds what the start reaches; one
-    pass back keeps what of that reaches a destination, with its arcs into
-    survivors, so the survivors keep ``forward``'s order.
+    A vertex survives when it is reachable from the start vertex, the
+    origin's first step, and reaches a destination vertex, any step of the
+    destination. The request is feasible iff the start survives: a start
+    that reaches a destination already lies on such a path. Waits join a
+    node's consecutive steps, every arc raises the step and every arc's ends
+    lie in their nodes' intervals, so the survivors at a node are one
+    interval: from the first step the start reaches there to the last step
+    that reaches a destination vertex. Two passes over the travel arcs in
+    tail-code order find both ends for every node: forward, an arc from a
+    reached tail reaches its head; back, an arc into a head that reaches a
+    destination lets its tail reach one. The start seeds the origin's first
+    end and the destination's interval end its last; every other end starts
+    one step past the far end of its node's interval, so that a node no arc
+    reaches keeps no survivor.
+
+    The layout lists the survivors in integer order, a topological order,
+    each with its arcs: the wait arc first (driver None, cost 0.0; the
+    solver charges the wait penalty), kept when the next step survives too,
+    then the travel arcs into survivors by (head, driver). Every later stage
+    keeps this order, and it decides which of several exactly tied
+    itineraries the DP returns.
 
     With no travel arc and the origin not the destination, the start
     reaches only the origin's later steps, none of which is a destination
-    vertex, so nothing survives: the graph is returned empty without
-    calling ``forward``, and ``ten_vertices`` is the sum of the interval
-    lengths, the vertices ``forward`` would list. An origin that is its
-    destination (possible only in a hand-built network) still takes both
-    passes, and its interval survives.
+    vertex, so nothing survives and the graph is returned empty at once;
+    more than a third of the bundled sweep's requests get such a network.
+    An origin that is its destination (possible only in a hand-built
+    network) keeps its whole interval. ``ten_vertices`` is the sum of the
+    interval lengths.
     """
+    intervals = ten.node_intervals
+    ten_vertices = sum(hi - lo + 1 for lo, hi in intervals.values())
     if not ten.travel_arcs and ten.origin != ten.destination:
-        return PrunedGraph(ten.nodes, [], {}, None, set(),
-                           sum(hi - lo + 1 for lo, hi in ten.node_intervals.values()))
-    forward = ten.forward()
-    start = ten.start_vertex
-    reached = {start}
-    for vertex, arcs in forward.items():
-        if vertex in reached:
-            for head, _, _ in arcs:
-                reached.add(head)
-    # a destination vertex is one at the destination's position; an empty
-    # network has no nodes, so no position to look up
-    n = len(ten.nodes)
-    target = ten.nodes.index(ten.destination) if forward else None
-    # the heads of a reached vertex are reached, so each reaches a destination
-    # exactly when it survives, and a survivor's heads come before it here
-    adjacency: dict[Vertex, list[Arc]] = {}
-    dests: set[Vertex] = set()
-    for vertex in reversed(forward):
-        if vertex not in reached:
-            continue
-        arcs = [arc for arc in forward[vertex] if arc[0] in adjacency]
-        if vertex % n == target:
-            dests.add(vertex)
-        elif not arcs:
-            continue
-        adjacency[vertex] = arcs
-    vertices = list(reversed(adjacency))
-    return PrunedGraph(ten.nodes, vertices, adjacency,
-                       start if start in adjacency else None, dests, len(forward))
+        return PrunedGraph(ten.nodes, [], {}, None, set(), ten_vertices)
+    nodes = ten.nodes
+    n = len(nodes)
+    # each position's first and last surviving vertex, one step past the far
+    # end of its interval until the start or an arc reaches it
+    first = [(intervals[node][1] + 1) * n + p for p, node in enumerate(nodes)]
+    last = [(intervals[node][0] - 1) * n + p for p, node in enumerate(nodes)]
+    origin, target = nodes.index(ten.origin), nodes.index(ten.destination)
+    first[origin] = intervals[ten.origin][0] * n + origin
+    last[target] = intervals[ten.destination][1] * n + target
+    # equal (tail, head, driver) means equal cost, so whole-tuple order is
+    # (tail, head, driver) order. Whether a tail is reached is settled by
+    # the arcs from earlier steps, all before it; whether a head reaches a
+    # destination, by the arcs from its step on, all after the arc's tail.
+    arcs = sorted(ten.travel_arcs)
+    for tail, head, _, _ in arcs:
+        if first[tail % n] <= tail and head < first[head % n]:
+            first[head % n] = head
+    for tail, head, _, _ in reversed(arcs):
+        if head <= last[head % n] and last[tail % n] < tail:
+            last[tail % n] = tail
+    adjacency: dict[Vertex, list[Arc]] = {
+        vertex: [(vertex + n, None, 0.0)] if vertex < last[vertex % n] else []
+        for vertex in sorted(v for p in range(n) for v in range(first[p], last[p] + 1, n))}
+    for tail, head, driver, cost in arcs:
+        if tail in adjacency and head in adjacency:
+            adjacency[tail].append((head, driver, cost))
+    start = first[origin]
+    return PrunedGraph(nodes, list(adjacency), adjacency,
+                       start if start in adjacency else None,
+                       set(range(first[target], last[target] + 1, n)), ten_vertices)
 
 
 # (cost, waits, legs, used, parent, vertex, driver): a path's cost, waits
@@ -564,11 +557,11 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) ->
 
     The walk takes, at each vertex, an arc that attains ``togo`` there,
     preferring a wait, then the driver on board, then another driver, the
-    first in ``TimeExpandedNetwork.forward``'s arc order among equals, and
-    stops at the first destination vertex. If the walk would re-board a
-    driver it left, the path is no itinerary and the result is INF, which
-    turns pruning off. An arc attains ``togo`` by the one float expression
-    ``_cost_to_go`` computes it with, so the two must keep it the same.
+    first in ``preprocess``'s arc order among equals, and stops at the first
+    destination vertex. If the walk would re-board a driver it left, the
+    path is no itinerary and the result is INF, which turns pruning off. An
+    arc attains ``togo`` by the one float expression ``_cost_to_go``
+    computes it with, so the two must keep it the same.
     """
     vertex, cost, last, used = graph.start, 0.0, None, set()
     while vertex not in graph.dests:
@@ -602,8 +595,8 @@ def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
     ordered; the DP returns the one its labels reach first. It visits the vertices in integer order, each
     vertex's buckets (one per last driver) in the order its in-arcs first
     reach them, and each bucket's labels in insertion order, and of two
-    equal labels it keeps the first. Of ``forward``'s arc order only the
-    order of the arcs into one head counts: from one tail, the wait arc
+    equal labels it keeps the first. Of ``preprocess``'s arc order only
+    the order of the arcs into one head counts: from one tail, the wait arc
     first, then the travel arcs by driver.
 
     Tied finalists share one vertex and their legs. A one-leg tie's driver

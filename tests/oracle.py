@@ -3,11 +3,36 @@ time-expanded network, enumerated one by one.
 
 ``brute_force_itinerary`` checks ``solve_itinerary``'s optimum and
 ``vertices_on_feasible_paths`` checks ``preprocess``'s pruning; both read
-the one enumerator ``labelled_paths``.
+the one enumerator ``labelled_paths``. It walks the whole network as
+``layout`` lays it out, from ``start_vertex``, and shares no layout code
+with the matcher it checks.
 """
 from itertools import groupby
 
 from ridesim.matching import Itinerary, _legs, decode
+
+
+def start_vertex(ten):
+    """The origin's first step in ``ten``, or None when the network has no
+    interval at the origin."""
+    interval = ten.node_intervals.get(ten.origin)
+    return interval[0] * len(ten.nodes) + ten.nodes.index(ten.origin) if interval else None
+
+
+def layout(ten):
+    """Every vertex of ``ten``, in integer order, with its outgoing arcs:
+    the wait arc first (driver None, cost 0.0), then the travel arcs by
+    (head, driver), the order ``preprocess`` gives its survivors."""
+    n = len(ten.nodes)
+    graph = {}
+    for vertex in sorted(step * n + position for position, node in enumerate(ten.nodes)
+                         for step in range(ten.node_intervals[node][0],
+                                           ten.node_intervals[node][1] + 1)):
+        node, step = decode(vertex, ten.nodes)
+        graph[vertex] = [(vertex + n, None, 0.0)] if step < ten.node_intervals[node][1] else []
+    for tail, head, driver, cost in sorted(ten.travel_arcs):
+        graph[tail].append((head, driver, cost))
+    return graph
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -21,22 +46,22 @@ def labelled_paths(ten, penalty=0.0, budget=200_000):
     ``penalty``. Vertices are the network's integer codes.
 
     The search is depth first from a stack of partial paths, pushed in
-    ``TimeExpandedNetwork.forward``'s arc order, so a vertex's last arc is
-    followed first. Every arc out of an expanded vertex counts one
-    expansion, a re-boarding one too; past ``budget`` expansions the
-    enumerator raises EnumerationBudgetError.
+    ``layout``'s arc order, so a vertex's last arc is followed first. Every
+    arc out of an expanded vertex counts one expansion, a re-boarding one
+    too; past ``budget`` expansions the enumerator raises
+    EnumerationBudgetError.
     """
-    start = ten.start_vertex
+    start = start_vertex(ten)
     if start is None:
         return
-    forward = ten.forward()
+    graph = layout(ten)
     expansions = 0
     stack = [(start, None, frozenset(), 0.0, 0, ())]
     while stack:
         vertex, last, used, cost, waits, arcs = stack.pop()
         if decode(vertex, ten.nodes)[0] == ten.destination:
             yield arcs, cost, waits
-        for head, driver, arc_cost in forward[vertex]:
+        for head, driver, arc_cost in graph[vertex]:
             expansions += 1
             if expansions > budget:
                 raise EnumerationBudgetError(

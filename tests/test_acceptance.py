@@ -24,7 +24,7 @@ from ridesim.routing import dijkstra_route
 from ridesim.simulation import init_simulation
 
 from conftest import DT_EXACT, make_network, random_instance, slot_groups
-from oracle import (EnumerationBudgetError, brute_force_itinerary,
+from oracle import (EnumerationBudgetError, brute_force_itinerary, layout,
                     vertices_on_feasible_paths)
 
 STRETCH_TARGET_RATES = (0.60, 0.60, 0.50, 0.45)
@@ -95,7 +95,7 @@ def test_criterion_3_pruning_soundness(matcher_instances):
     sound = 0
     for rider, ten, _, on_paths in matcher_instances:
         graph = preprocess(ten)
-        if not ((set(ten.forward()) - set(graph.vertices)) & on_paths):
+        if not ((set(layout(ten)) - set(graph.vertices)) & on_paths):
             sound += 1
     announce(3, sound == 100,
              f"pruning soundness: {sound}/100 instances removed only "

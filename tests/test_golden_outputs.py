@@ -113,8 +113,8 @@ def test_cli_runs_without_scipy(tmp_path):
 
 
 # A run where riders transfer: only such a run shows the order in which the
-# matcher resolves exact ties (``TimeExpandedNetwork.forward``). Recorded at
-# commit d2d35d9, before ``forward`` became the one owner of that order.
+# matcher resolves exact ties (``matching.preprocess``'s layout). Recorded at
+# commit d2d35d9, before one function owned that order.
 MULTI_LEG_GOLDEN = {
     "agents.csv":
         "ca2356b3e7f6c815731ace5c252b2c55f1817358b074946f6e0cc4266bc778ef",

@@ -14,6 +14,7 @@ from ridesim.config import bundled_data_path, load_config
 from ridesim.experiments import replication_seeds
 from ridesim.matching import (
     Pin,
+    PrunedGraph,
     RiderRequest,
     TimeExpandedNetwork,
     build_time_expanded,
@@ -31,7 +32,7 @@ from ridesim.simulation import RideshareVehicle, init_simulation
 
 from conftest import (DT_EXACT, Driver, free_slots, random_instance, slot_groups,
                       step_digraphs)
-from oracle import (EnumerationBudgetError, brute_force_itinerary,
+from oracle import (EnumerationBudgetError, brute_force_itinerary, layout, start_vertex,
                     vertices_on_feasible_paths)
 
 
@@ -187,7 +188,7 @@ class TestBuildTimeExpanded:
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.1, 0.72, 0.9), 0.0)
         ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
         assert ten.travel_arcs == []
-        assert len(ten.forward()) > 0
+        assert len(layout(ten)) > 0
 
     def test_links_without_capable_driver_carry_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
@@ -319,7 +320,7 @@ class TestMultiSlotArcs:
             offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
             ten = build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT)
             vertices, arcs, full = reference_ten(rider, offers, net, tau, DT_EXACT)
-            assert {decode(v, ten.nodes) for v in ten.forward()} == vertices
+            assert {decode(v, ten.nodes) for v in layout(ten)} == vertices
             assert sorted(decoded_arcs(ten)) == sorted(arcs)
             later_slot_arcs += sum(slot > 0 for slot in arcs.values())
             full_slots += full
@@ -814,8 +815,9 @@ class TestMinStepMemo:
 
 
 class TestForward:
-    """``forward`` alone orders the search graph; the DP's exact ties and
-    the oracle's enumeration follow this order."""
+    """The oracle's ``layout`` orders a whole network as ``preprocess``
+    orders its survivors; the DP's exact ties and the oracle's enumeration
+    follow this order."""
 
     def hand_built(self):
         ten = TimeExpandedNetwork(0, 2, {2: (1, 3), 0: (0, 1), 1: (1, 2)}, [])
@@ -841,18 +843,18 @@ class TestForward:
         for node, (lo, hi) in ten.node_intervals.items():
             for step in range(lo, hi + 1):
                 assert decode(code(ten, node, step), ten.nodes) == (node, step)
-        assert ten.start_vertex == code(ten, 0, 0)
+        assert start_vertex(ten) == code(ten, 0, 0)
 
     def test_vertices_in_step_then_node_order(self):
         ten = self.hand_built()
-        forward = list(ten.forward())
+        forward = list(layout(ten))
         assert forward == sorted(forward)
         assert [decode(v, ten.nodes) for v in forward] == [
             (0, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (2, 3)]
 
     def test_wait_first_then_travel_arcs_by_head_and_driver(self):
         ten = self.hand_built()
-        graph = ten.forward()
+        graph = layout(ten)
         assert self.decoded(ten, graph[code(ten, 0, 0)]) == [
             ((0, 1), None, 0.0),
             ((1, 1), 3, 0.25), ((1, 1), 9, 0.25),
@@ -868,7 +870,7 @@ class TestForward:
     def test_preprocess_keeps_forward_order(self):
         ten = self.hand_built()
         graph = preprocess(ten)
-        forward = ten.forward()
+        forward = layout(ten)
         assert graph.vertices == [v for v in forward if v in graph.adjacency]
         for vertex in graph.vertices:
             assert graph.adjacency[vertex] == [
@@ -918,13 +920,9 @@ class TestPreprocess:
 
 class TestNoArcShortcut:
     """A rider no slot can carry gets a network with no travel arc, which
-    ``preprocess`` answers as infeasible without laying the graph out."""
+    ``preprocess`` answers as infeasible at once."""
 
-    def test_failing_slot_builds_the_no_slot_network(self, monkeypatch):
-        laid_out = []
-        forward = TimeExpandedNetwork.forward
-        monkeypatch.setattr(TimeExpandedNetwork, "forward",
-                            lambda ten: laid_out.append(ten) or forward(ten))
+    def test_failing_slot_builds_the_no_slot_network(self):
         with_vertices = 0
         for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
             rider, offers, net, tau = exactness_instance(seed)
@@ -936,11 +934,9 @@ class TestNoArcShortcut:
             assert build_time_expanded(rider, failing, net, tau, DT_EXACT) == ten, seed
             assert ten.travel_arcs == []
             graph = preprocess(ten)
-            assert not laid_out, seed
             assert (graph.vertices, graph.adjacency, graph.start, graph.dests) == (
                 [], {}, None, set()), seed
-            assert graph.ten_vertices == len(ten.forward()), seed
-            laid_out.clear()
+            assert graph.ten_vertices == len(layout(ten)), seed
             assert solve_itinerary(graph, DT_EXACT) is None, seed
             with_vertices += graph.ten_vertices > 0
         assert with_vertices > 300
@@ -954,7 +950,123 @@ class TestNoArcShortcut:
         assert graph.feasible and graph.start == code(ten, 0, 2)
         survivors = {code(ten, 0, step) for step in range(2, 6)}
         assert set(graph.vertices) == graph.dests == survivors
-        assert graph.ten_vertices == len(ten.forward()) == 6
+        assert graph.ten_vertices == len(layout(ten)) == 6
+
+
+def reference_preprocess(ten):
+    """The pruning ``preprocess`` documents, vertex by vertex over the
+    oracle's ``layout``: a reached set from the start, then a pass back that
+    keeps what of it reaches a destination vertex, with its arcs into
+    survivors."""
+    graph = layout(ten)
+    start = start_vertex(ten)
+    reached = {start}
+    for vertex, arcs in graph.items():
+        if vertex in reached:
+            reached.update(head for head, _, _ in arcs)
+    n = len(ten.nodes)
+    target = ten.nodes.index(ten.destination) if graph else None
+    adjacency, dests = {}, set()
+    for vertex in reversed(graph):
+        if vertex not in reached:
+            continue
+        arcs = [arc for arc in graph[vertex] if arc[0] in adjacency]
+        if vertex % n == target:
+            dests.add(vertex)
+        elif not arcs:
+            continue
+        adjacency[vertex] = arcs
+    return PrunedGraph(ten.nodes, sorted(adjacency), adjacency,
+                       start if start in adjacency else None, dests, len(graph))
+
+
+def assert_arc_ends_in_intervals(ten):
+    """Every travel arc raises the step, and both its ends lie in their
+    nodes' intervals (``TimeExpandedNetwork``)."""
+    for tail, head, _, _ in ten.travel_arcs:
+        (i, k), (j, step) = decode(tail, ten.nodes), decode(head, ten.nodes)
+        assert k < step
+        assert ten.node_intervals[i][0] <= k <= ten.node_intervals[i][1]
+        assert ten.node_intervals[j][0] <= step <= ten.node_intervals[j][1]
+
+
+class TestSurvivorIntervals:
+    """``preprocess``'s per-node survivor intervals and their layout equal
+    the vertex-by-vertex pruning over the oracle's whole layout."""
+
+    def assert_exact(self, ten):
+        assert_arc_ends_in_intervals(ten)
+        graph = preprocess(ten)
+        assert graph == reference_preprocess(ten)
+        return graph
+
+    def test_exactness_instances_plain_and_twinned(self):
+        feasible = pruned = 0
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
+            for drivers in (offers, offers + twins):
+                ten = build_time_expanded(rider, slot_groups(drivers), net, tau, DT_EXACT)
+                graph = self.assert_exact(ten)
+                feasible += graph.feasible
+                pruned += graph.feasible and len(graph.vertices) < graph.ten_vertices
+        assert feasible > 250 and pruned > 200
+
+    def test_random_instances(self):
+        rng = random.Random(31337)
+        checked = 0
+        while checked < 300:
+            instance = random_instance(rng)
+            if instance is None:
+                continue
+            rider, offers, net, tau = instance
+            self.assert_exact(build_time_expanded(rider, slot_groups(offers), net, tau,
+                                                  DT_EXACT))
+            checked += 1
+
+    def test_hand_built_networks(self):
+        assert self.assert_exact(TestForward().hand_built()).feasible
+        no_arc = TimeExpandedNetwork(0, 2, {0: (0, 3), 1: (1, 2), 2: (2, 4)}, [])
+        assert not self.assert_exact(no_arc).feasible
+        origin_at_destination = TimeExpandedNetwork(0, 0, {0: (2, 5), 1: (3, 4)}, [])
+        assert self.assert_exact(origin_at_destination).feasible
+        # a round trip that leaves the destination and comes back
+        origin_at_destination.travel_arcs += [
+            (code(origin_at_destination, 0, 2), code(origin_at_destination, 1, 3), 1, 0.5),
+            (code(origin_at_destination, 1, 4), code(origin_at_destination, 0, 5), 2, 0.5)]
+        assert len(self.assert_exact(origin_at_destination).vertices) == 6
+
+
+class TestOfferRemoval:
+    """Metamorphic: taking one offer away never lowers the optimal cost,
+    and taking away one the optimum does not ride leaves the itinerary as it
+    was, None where there is no optimum. These instances make 2,631
+    removals, 2,014 of them of an offer the optimum does not ride."""
+
+    PENALTIES = (0.0, DT_EXACT, 2 * DT_EXACT)
+
+    def test_removing_one_offer(self):
+        def solved(rider, offers, net, tau):
+            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau,
+                                                   DT_EXACT))
+            return [solve_itinerary(graph, penalty) for penalty in self.PENALTIES]
+
+        def cost(itinerary):
+            return matching.INF if itinerary is None else itinerary.total_cost
+
+        removals = unused = 0
+        for seed in range(400):
+            rider, offers, net, tau = exactness_instance(seed)
+            optima = solved(rider, offers, net, tau)
+            for k, offer in enumerate(offers):
+                rest = solved(rider, offers[:k] + offers[k + 1:], net, tau)
+                for penalty, best, without in zip(self.PENALTIES, optima, rest):
+                    assert cost(without) >= cost(best), (seed, offer.id, penalty)
+                    removals += 1
+                    if best is None or all(leg.driver != offer.id for leg in best.legs):
+                        assert without == best, (seed, offer.id, penalty)
+                        unused += 1
+        assert removals > 2500 and unused > 1900
 
 
 class TestSolveExamples:
@@ -1089,7 +1201,7 @@ class TestOracleEquivalence:
                 on_paths = vertices_on_feasible_paths(ten)
             except EnumerationBudgetError:
                 continue
-            assert not ((set(ten.forward()) - set(graph.vertices)) & on_paths)
+            assert not ((set(layout(ten)) - set(graph.vertices)) & on_paths)
             checked += 1
         assert checked == 100
 

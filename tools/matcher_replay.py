@@ -7,12 +7,12 @@ up. It then times ``preprocess`` and ``solve_itinerary`` over the kept
 networks, in request order, at the scenario's penalty and with the
 collector paused, and prints for each the best of ``--rounds`` in µs per
 request, the ``_path`` walks per request, the networks with no travel arc
-(which ``preprocess`` answers without laying out the graph) as a count and
-a share, and a SHA-256 over the ``repr`` of every result. Run on two
-checkouts, it shows a change to the kernel without the event loop's noise,
-and equal digests show equal results. It imports ridesim from the ``src``
-beside it and needs nothing but the standard library and ridesim's own
-dependencies::
+(which ``preprocess`` answers as infeasible at once, with no pass over the
+graph) as a count and a share, and a SHA-256 over the ``repr`` of every
+result. Run on two checkouts, it shows a change to the kernel without the
+event loop's noise, and equal digests show equal results. It imports
+ridesim from the ``src`` beside it and needs nothing but the standard
+library and ridesim's own dependencies::
 
     python tools/matcher_replay.py --config src/ridesim/data/sweep.yaml --horizon 1.5
 """
