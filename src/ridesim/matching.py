@@ -34,21 +34,20 @@ Pipeline for one rider request:
    the request is feasible exactly when the start vertex survives. The
    survivors at each node are one interval of steps, found for every node
    by one pass over the travel arcs and one pass back. It then lays out the
-   survivors alone, the one place that orders the search graph: vertices in
-   integer order, each vertex's arcs wait first, then by (head, driver).
-   Every later stage keeps that order. A network with no travel arc whose
-   origin is not its destination cannot leave the origin's waits, so
-   ``preprocess`` answers it as infeasible at once; more than a third of
-   the bundled sweep's requests get such a network.
-3. ``solve_itinerary`` runs a dynamic program over the pruned graph. A rider
-   may transfer between vehicles but never re-board a driver it left, so
-   each DP label, a tuple, carries the drivers it used as a bitmask. Labels
-   at a (vertex, last driver) pair are kept Pareto-minimal under (cost,
-   waits, legs) and used-set inclusion, which keeps the search exact. A
-   driver-blind lower bound on each vertex's cost to go, and the cost of
-   one itinerary found along it, prune labels that cannot reach the
-   optimum without changing the result. Which of several exactly tied
-   itineraries it returns follows its visiting order (``solve_itinerary``).
+   survivors alone: vertices in integer order, a topological order, each
+   vertex's arcs wait first, then by (head, driver). A network with no
+   travel arc whose origin is not its destination cannot leave the
+   origin's waits, so ``preprocess`` answers it as infeasible at once; more
+   than a third of the bundled sweep's requests get such a network.
+3. ``solve_itinerary`` runs a dynamic program over the pruned graph and
+   returns the one least itinerary under the total order it states, in
+   costs that are exact integers (``StepCosts``). A rider may transfer
+   between vehicles but never re-board a driver it left, so each DP label,
+   a tuple, carries the drivers it used and could still meet as a bitmask.
+   Labels at a (vertex, last driver) pair are kept when no other is below
+   them, which keeps the search exact. A driver-blind lower bound on each
+   vertex's cost to go, and the cost of one itinerary found along it, prune
+   labels that cannot reach the optimum.
 
 The time grid: hours become steps of ``dt`` by three rules, each with one
 home beside ``ceil_steps``, which every caller uses. ``window_steps``
@@ -75,8 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .agents import TimeWindow
@@ -440,9 +438,7 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     The layout lists the survivors in integer order, a topological order,
     each with its arcs: the wait arc first (driver None, cost 0.0; the
     solver charges the wait penalty), kept when the next step survives too,
-    then the travel arcs into survivors by (head, driver). Every later stage
-    keeps this order, and it decides which of several exactly tied
-    itineraries the DP returns.
+    then the travel arcs into survivors by (head, driver).
 
     With no travel arc and the origin not the destination, the start
     reaches only the origin's later steps, none of which is a destination
@@ -488,209 +484,241 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
                        set(range(first[target], last[target] + 1, n)), ten_vertices)
 
 
-# (cost, waits, legs, used, parent, vertex, driver): a path's cost, waits
-# and legs, the bitmask of the drivers it rode, the label it extends (None
-# at the start), the vertex it reaches and its last arc's driver (None: wait)
+@dataclass(frozen=True)
+class StepCosts:
+    """What one step of an itinerary costs: ``travel`` on board, every
+    travel arc's cost per step (``weights.time * dt``), and ``wait`` at a
+    node, the wait penalty. ``units`` are the two as coprime integers in
+    exactly their ratio, the units in which ``solve_itinerary`` adds and
+    compares costs; a run makes them once (``SimState.step_costs``)."""
+
+    travel: float
+    wait: float
+    units: tuple[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, value in (("step cost", self.travel), ("penalty", self.wait)):
+            if not 0 <= value < INF:
+                raise ValueError(f"{name} must be non-negative and finite")
+        travel, wait = Fraction(self.travel), Fraction(self.wait)
+        scale = math.lcm(travel.denominator, wait.denominator)
+        units = int(travel * scale), int(wait * scale)
+        common = math.gcd(*units) or 1
+        object.__setattr__(self, "units", (units[0] // common, units[1] // common))
+
+    def total(self, steps: int, waits: int) -> float:
+        """The cost of an itinerary that spans ``steps`` steps, ``waits`` of
+        them waits."""
+        return self.travel * steps + (self.wait - self.travel) * waits
+
+
+# (cost, waits, legs, used, drivers, spans, board, alight): a path's cost in
+# ``StepCosts.units``, its waits and legs, the bitmask of the drivers it rode
+# that an arc ahead still carries, and its tie key: the drivers of its legs
+# before the last, those legs' (-board, alight) vertex pairs, flattened, and
+# its last leg's board vertex, negated, and alight vertex so far (None and
+# None before the first leg). Its vertex and last driver are its bucket's.
 Label = tuple
 
 
-def _insert_label(bucket: list[Label], label: Label) -> bool:
-    """Add ``label`` to the Pareto set ``bucket`` unless one there dominates
-    it (no greater cost, waits and legs, and no driver it lacks), and drop
-    the labels it dominates."""
+def _insert_label(buckets: dict[Optional[int], list[Label]], last: Optional[int],
+                  label: Label) -> None:
+    """Add ``label`` to the bucket of ``last`` in ``buckets``, creating it,
+    unless a label there is below it, and drop the labels there below it.
+
+    A label is below another in one bucket when its cost, waits and legs are
+    each no greater, its used set lies within the other's, and, if the three
+    are all equal, its tie key is no greater. Then whatever extends the
+    other extends it too, to an itinerary that comes no later in
+    ``solve_itinerary``'s order: the two end at one vertex with one driver,
+    so an extension adds the same to both; their legs, equal in number, are
+    compared leg by leg; and the last leg's alight vertex counts only when
+    no extension rides on."""
+    bucket = buckets.get(last)
+    if bucket is None:
+        buckets[last] = [label]
+        return
     cost, waits, legs, used = label[0], label[1], label[2], label[3]
     dominated = []
     for k, other in enumerate(bucket):
-        if (other[0] <= cost and other[1] <= waits and other[2] <= legs
-                and other[3] | used == used):
-            return False
-        if (cost <= other[0] and waits <= other[1] and legs <= other[2]
-                and used | other[3] == other[3]):
+        c, w, m, u = other[0], other[1], other[2], other[3]  # its cost, waits, legs, used
+        if c == cost and w == waits and m == legs:
+            if u | used == used and other[4:] <= label[4:]:
+                return
+            if used | u == u and label[4:] <= other[4:]:
+                dominated.append(k)
+        elif c <= cost and w <= waits and m <= legs:
+            if u | used == used:
+                return
+        elif cost <= c and waits <= w and legs <= m and used | u == u:
             dominated.append(k)
     for k in reversed(dominated):
         del bucket[k]
     bucket.append(label)
-    return True
 
 
-def _path(label: Label) -> list[tuple[Vertex, Vertex, Optional[int]]]:
-    """The (tail, head, driver) arcs of the path to ``label``, in order."""
-    arcs = []
-    while (parent := label[4]) is not None:
-        arcs.append((parent[5], label[5], label[6]))
-        label = parent
-    return arcs[::-1]
-
-
-def _legs(arcs: Sequence[tuple[Vertex, Vertex, Optional[int]]],
-          nodes: Sequence[int]) -> tuple[ItineraryLeg, ...]:
-    """The legs of a path of (tail, head, driver) arcs over ``nodes``, a
-    wait's driver being None: one leg per run of arcs with one driver."""
-    runs = [list(run) for _, run in groupby(
-        (arc for arc in arcs if arc[2] is not None), key=itemgetter(2))]
-    return tuple(ItineraryLeg(run[0][2], *decode(run[0][0], nodes),
-                              *decode(run[-1][1], nodes)) for run in runs)
-
-
-def _cost_to_go(graph: PrunedGraph, penalty: float) -> dict[Vertex, float]:
-    """Least cost from each vertex to a destination vertex, ignoring drivers
-    (any arc may follow any other) and charging ``penalty`` per wait arc.
-    Every itinerary from a vertex is such a path, so the value is a lower
-    bound on its cost; it is consistent, being a shortest path.
-
-    ``_incumbent`` looks for an arc whose value equals this bound, so both
-    must compute an arc's value by the one float expression
-    ``(penalty if driver is None else cost) + togo[head]``."""
-    togo: dict[Vertex, float] = {}
+def _cost_to_go(graph: PrunedGraph, costs: StepCosts
+                ) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[int, int]]:
+    """Least cost, in ``costs.units``, from each vertex to a destination
+    vertex, ignoring drivers (any arc may follow any other); the drivers
+    with an arc reachable from each vertex, as a bitmask; and each driver's
+    bit, given where this reverse pass first sees it. Every itinerary from a
+    vertex is such a path, so the cost is a lower bound on its cost; it is
+    consistent, being a shortest path. A travel arc costs ``units[0]`` per
+    step, read from its vertex codes, a wait ``units[1]``."""
+    step, wait = costs.units
+    n = len(graph.nodes)
+    togo: dict[Vertex, int] = {}
+    reach: dict[Vertex, int] = {}
+    bits: dict[int, int] = {}
     for vertex in reversed(graph.vertices):
-        best = 0.0 if vertex in graph.dests else INF
-        for head, driver, cost in graph.adjacency[vertex]:
-            value = (penalty if driver is None else cost) + togo[head]
+        best = 0 if vertex in graph.dests else INF
+        drivers = 0
+        for head, driver, _ in graph.adjacency[vertex]:
+            if driver is None:
+                value = wait + togo[head]
+            else:
+                bit = bits.get(driver)
+                if bit is None:
+                    bit = bits[driver] = 1 << len(bits)
+                drivers |= bit
+                value = step * (head // n - vertex // n) + togo[head]
+            drivers |= reach[head]
             if value < best:
                 best = value
         togo[vertex] = best
-    return togo
+        reach[vertex] = drivers
+    return togo, reach, bits
 
 
-def _incumbent(graph: PrunedGraph, togo: dict[Vertex, float], penalty: float) -> float:
-    """The cost of one itinerary as cheap as ``togo`` at the start, or INF.
+def _incumbent(graph: PrunedGraph, togo: dict[Vertex, int], costs: StepCosts) -> float:
+    """The cost, in ``costs.units``, of one itinerary as cheap as ``togo``
+    at the start, or INF.
 
     The walk takes, at each vertex, an arc that attains ``togo`` there,
     preferring a wait, then the driver on board, then another driver, the
     first in ``preprocess``'s arc order among equals, and stops at the first
     destination vertex. If the walk would re-board a driver it left, the
-    path is no itinerary and the result is INF, which turns pruning off. An
-    arc attains ``togo`` by the one float expression ``_cost_to_go``
-    computes it with, so the two must keep it the same.
+    path is no itinerary and the result is INF, which turns pruning off.
     """
-    vertex, cost, last, used = graph.start, 0.0, None, set()
+    step, wait = costs.units
+    n = len(graph.nodes)
+    vertex, cost, last, used = graph.start, 0, None, set()
     while vertex not in graph.dests:
         bound, rank = togo[vertex], 3
-        for head, driver, arc in graph.adjacency[vertex]:
-            if (penalty if driver is None else arc) + togo[head] == bound:
+        for head, driver, _ in graph.adjacency[vertex]:
+            value = wait if driver is None else step * (head // n - vertex // n)
+            if value + togo[head] == bound:
                 # 0: a wait, 1: the driver on board, 2: another driver
                 here = 0 if driver is None else 1 if driver == last else 2
                 if here < rank:
-                    rank, chosen = here, (head, driver, arc)
-        head, driver, arc = chosen
-        if driver is None:
-            cost += penalty
-        else:
+                    rank, chosen = here, (head, driver, value)
+        head, driver, value = chosen
+        if driver is not None:
             if driver != last and driver in used:
                 return INF
-            cost += arc
             last = driver
             used.add(driver)
+        cost += value
         vertex = head
     return cost
 
 
-def solve_itinerary(graph: PrunedGraph, penalty: float) -> Optional[Itinerary]:
-    """Minimum-cost itinerary over the pruned graph, or None when infeasible.
+def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]:
+    """The least itinerary over the pruned graph, or None when infeasible.
 
-    Objective: summed travel-arc cost plus ``penalty`` per wait step; ties
-    broken toward fewer waits, then fewer legs, then earlier arrival, then
-    the lexicographically smallest driver sequence. Itineraries equal on
-    all five (a different transfer vertex or boarding step) are not
-    ordered; the DP returns the one its labels reach first. It visits the vertices in integer order, each
-    vertex's buckets (one per last driver) in the order its in-arcs first
-    reach them, and each bucket's labels in insertion order, and of two
-    equal labels it keeps the first. Of ``preprocess``'s arc order only
-    the order of the arcs into one head counts: from one tail, the wait arc
-    first, then the travel arcs by driver.
+    Itineraries rank by cost, then waits, then legs, then arrival step,
+    then the sequence of drivers, then leg by leg each leg's board vertex,
+    latest first, and alight vertex, earliest first: of otherwise equal
+    itineraries, the one whose rider spends least time in a seat. No two
+    itineraries rank equal, so the result is one itinerary, whatever the
+    order of the graph's vertices, arcs, buckets and labels.
 
-    Tied finalists share one vertex and their legs. A one-leg tie's driver
-    sequence is its bucket's driver, so ``_path`` is walked only for the
-    winner, to trace its legs, and for ties of more than one leg.
+    Costs are exact: a travel arc costs ``costs.units[0]`` per step, read
+    from its vertex codes, and a wait ``costs.units[1]``, so every cost is
+    an integer. Every path to a vertex spans the same steps, so the
+    itinerary's ``total_cost`` is ``costs.total`` of its steps and waits.
 
-    Before it expands a vertex's labels, the DP walks the vertex's arcs
-    once: it pairs each with its head's bucket table and cost to go, and
-    its driver's bit, given where the driver is first seen, and creates
-    each bucket the arc can reach there that is still missing, in the same
-    order: a travel arc its driver's, a wait arc each of the tail's, in the
-    tail's order. So a bucket exists, in its place, whether or not any
-    label takes the arc, and the bucket order depends on the graph alone.
+    A rider may transfer between vehicles but never re-board a driver it
+    left, so each label carries the drivers it used as a bitmask, masked by
+    the drivers that still have an arc reachable from its vertex
+    (``_cost_to_go``): a driver outside the mask can never be boarded
+    again, so forgetting it changes no extension. The DP visits the
+    vertices in integer order, a topological order, and only those a label
+    reached. A label is kept in its bucket, one per (vertex, last driver),
+    unless another is below it (``_insert_label``). It carries its tie key,
+    from which the winner's legs are read.
 
-    Labels are pruned by a bound. ``_cost_to_go`` gives a lower bound on
+    Labels are pruned by a bound: ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
-    of one itinerary. An expansion whose cost plus the bound at its head
-    exceeds the incumbent by more than a relative 1e-9 is skipped: it cannot
-    reach any finalist, and a label it would have made could dominate only
-    labels that are pruned too. Since pruning cannot change the bucket order
-    either, the survivors, their order and hence the result are those of the
-    unpruned DP.
-
-    Costs are float sums along each path, so the cost key also compares
-    rounding. At the default penalty, ``weights.time * dt``, a wait step
-    costs what a travel step does, so every path to one vertex has the same
-    real cost and rounding orders them ahead of waits and legs: in the
-    ``multihop-grid`` benchmark scenario, ``SimState(config, network, 101)``,
-    rider 457 gets two legs (drivers 405, 447) with 3 waits at cost 0.45,
-    though one leg with 3 waits has the same real cost (0.45000000000000007).
+    of one itinerary. An extension whose cost plus the bound at its head
+    exceeds that cost cannot lead to the optimum, and is skipped.
     """
-    if not 0 <= penalty < INF:
-        raise ValueError("penalty must be non-negative and finite")
     if not graph.feasible:
         return None
-    togo = _cost_to_go(graph, penalty)
-    limit = _incumbent(graph, togo, penalty) * (1 + 1e-9)  # costs are non-negative
-    table = {v: {} for v in graph.vertices}  # vertex -> last driver -> labels
-    bits: dict[int, int] = {}  # each driver's bit, given where first seen; none for a wait
-    table[graph.start][None] = [(0.0, 0, 0, 0, None, graph.start, None)]
+    nodes, dests, adjacency = graph.nodes, graph.dests, graph.adjacency
+    n = len(nodes)
+    step, wait = costs.units
+    togo, reach, bits = _cost_to_go(graph, costs)
+    limit = _incumbent(graph, togo, costs)
+    # vertex -> last driver -> labels, holding only the buckets a label reached
+    table: dict[Vertex, dict[Optional[int], list[Label]]] = {
+        graph.start: {None: [(0, 0, 0, 0, (), (), None, None)]}}
+    best = None  # the least (cost, waits, legs, arrival, drivers, spans)
 
     for vertex in graph.vertices:
-        buckets = table[vertex]  # heads lie later: no bucket here grows
+        buckets = table.get(vertex)
+        if not buckets:
+            continue
+        if vertex in dests:
+            for last, bucket in buckets.items():
+                for label in bucket:
+                    if label[2]:
+                        key = (label[0], label[1], label[2], vertex, label[4] + (last,),
+                               label[5] + (label[6], label[7]))
+                        if best is None or key < best:
+                            best = key
+        # each arc's head buckets, the bit and cost units of its driver, the
+        # most a label here may cost to take it, and the drivers reachable
+        # from its head
         arcs = []
-        for head, driver, cost in graph.adjacency[vertex]:
-            heads = table[head]
-            if driver is None:
-                for last in buckets:
-                    if last not in heads:
-                        heads[last] = []
-            else:
-                if driver not in bits:
-                    bits[driver] = 1 << len(bits)
-                if driver not in heads:
-                    heads[driver] = []
-            arcs.append((heads, togo[head], head, driver, bits.get(driver), cost))
+        for head, driver, _ in adjacency[vertex]:
+            units = wait if driver is None else step * (head // n - vertex // n)
+            room = limit - togo[head] - units
+            if room >= 0:
+                heads = table.get(head)
+                if heads is None:
+                    heads = table[head] = {}
+                arcs.append((heads, driver, bits.get(driver), units, room, head, reach[head]))
         for last, bucket in buckets.items():
             for label in bucket:
                 cost, waits, legs, used = label[0], label[1], label[2], label[3]
-                for heads, bound, head, driver, bit, arc_cost in arcs:
+                for heads, driver, bit, units, room, head, mask in arcs:
+                    if cost > room:
+                        continue
                     if driver is None:
-                        new_cost = cost + penalty
-                        if new_cost + bound <= limit:
-                            _insert_label(heads[last], (new_cost, waits + 1, legs, used,
-                                                        label, head, None))
-                    # the driver on board, or one the rider has not left
-                    elif driver == last or not used & bit:
-                        new_cost = cost + arc_cost
-                        if new_cost + bound <= limit:
-                            new = (new_cost, waits, legs + (driver != last), used | bit,
-                                   label, head, driver)
-                            _insert_label(heads[driver], new)
+                        _insert_label(heads, last, (cost + units, waits + 1, legs, used & mask,
+                                                    label[4], label[5], label[6], label[7]))
+                    elif driver == last:
+                        _insert_label(heads, last, (cost + units, waits, legs, used & mask,
+                                                    label[4], label[5], label[6], head))
+                    elif used & bit:
+                        continue  # the rider left this driver
+                    elif last is None:
+                        _insert_label(heads, driver, (cost + units, waits, 1, bit & mask,
+                                                      (), (), -vertex, head))
+                    else:
+                        _insert_label(heads, driver, (
+                            cost + units, waits, legs + 1, (used | bit) & mask,
+                            label[4] + (last,), label[5] + (label[6], label[7]), -vertex, head))
 
-    # the best (cost, waits, legs, vertex) key of the finalists, and its ties
-    # with their buckets' drivers; the destination vertices share a node, so
-    # code order is arrival order
-    best, ties = None, []
-    for dest in graph.dests:
-        for last, bucket in table[dest].items():
-            for label in bucket:
-                if label[2]:
-                    key = (label[0], label[1], label[2], dest)
-                    if best is None or key < best:
-                        best, ties = key, [(last, label)]
-                    elif key == best:
-                        ties.append((last, label))
     if best is None:
         return None
-    # the ties share one vertex and their legs, and a driver sequence names
-    # one bucket there; a one-leg tie's sequence is its bucket's driver
-    order = itemgetter(0) if len(ties) == 1 or best[2] == 1 else (lambda tie: [
-        driver for driver, _ in groupby(arc[2] for arc in _path(tie[1]) if arc[2] is not None)])
-    winner = min(ties, key=order)[1]
-    return Itinerary(_legs(_path(winner), graph.nodes), winner[0], winner[1])
+    _, waits, _, arrival, drivers, spans = best
+    legs = tuple(ItineraryLeg(driver, *decode(-spans[2 * k], nodes),
+                              *decode(spans[2 * k + 1], nodes))
+                 for k, driver in enumerate(drivers))
+    return Itinerary(legs, costs.total(arrival // n - graph.start // n, waits), waits)
 
 
 # the keys of a ``match_trace`` row, in ``match_trace.csv``'s column order
@@ -716,7 +744,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     ten = build_time_expanded(rider, sim.collect_offers(), sim.network, tau, sim.dt,
                               time_weight=sim.weights.time)
     graph = preprocess(ten)
-    itinerary = solve_itinerary(graph, sim.penalty)
+    itinerary = solve_itinerary(graph, sim.step_costs)
     committed = itinerary is not None and sim.commit_itinerary(rider, itinerary, tau)
     sim.match_trace.append(dict(zip(MATCH_TRACE_COLUMNS, (
         rider.id, rider.request_time, sim.live_drivers, graph.ten_vertices,

@@ -23,10 +23,10 @@ other event. An entry's sequence number is its agent id, and every pushed
 event's is larger, so an entry is handled before the heap's head exactly
 when its time is not later: the order one heap of every event would give.
 
-Memory: a run builds no reference cycle. A DP label points to its parent
-label, a vehicle to its agent and to its pins, slots and plan, which hold
-only values, an event holds an agent or link id or, for an arrival or a
-departure, its vehicle with its lane or plan, and nothing points back.
+Memory: a run builds no reference cycle. A vehicle points to its agent and
+to its pins, slots and plan, which hold only values, an event holds an
+agent or link id or, for an arrival or a departure, its vehicle with its
+lane or plan, and nothing points back.
 Reference counting therefore frees every object a replication made, at
 the latest when its ``SimState`` is dropped, but for the matcher's step
 matrices: the network keeps them for later replications on it
@@ -57,6 +57,7 @@ from .matching import (
     Pin,
     PinChain,
     RiderRequest,
+    StepCosts,
     ceil_steps,
     free_slot,
     link_steps,
@@ -231,8 +232,8 @@ class SimState:
         self.bpr_alpha = config.bpr.alpha
         self.bpr_beta = config.bpr.beta
         self.dt = config.dt
-        self.penalty = (config.weights.time * config.dt if config.penalty is None
-                        else config.penalty)
+        travel = config.weights.time * config.dt  # a step's cost on board
+        self.step_costs = StepCosts(travel, travel if config.penalty is None else config.penalty)
         self.flow_window = config.flow_window
         self.horizon = config.horizon
 

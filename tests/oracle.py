@@ -5,11 +5,14 @@ time-expanded network, enumerated one by one.
 ``vertices_on_feasible_paths`` checks ``preprocess``'s pruning; both read
 the one enumerator ``labelled_paths``. It walks the whole network as
 ``layout`` lays it out, from ``start_vertex``, and shares no layout code
-with the matcher it checks.
+with the matcher it checks. The optimum is ranked with exact rational
+costs and shares only ``StepCosts.total``, the formula of its reported
+cost, with the DP.
 """
+from fractions import Fraction
 from itertools import groupby
 
-from ridesim.matching import Itinerary, _legs, decode
+from ridesim.matching import Itinerary, ItineraryLeg, decode
 
 
 def start_vertex(ten):
@@ -39,11 +42,10 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when path enumeration exceeds its expansion budget."""
 
 
-def labelled_paths(ten, penalty=0.0, budget=200_000):
-    """Yield (arcs, cost, waits) for every path from the start vertex to a
-    destination vertex that never re-boards a driver it left; ``arcs`` are
-    (tail, head, driver) with driver None for a wait, and a wait costs
-    ``penalty``. Vertices are the network's integer codes.
+def labelled_paths(ten, budget=200_000):
+    """Yield the arcs of every path from the start vertex to a destination
+    vertex that never re-boards a driver it left, as (tail, head, driver)
+    with driver None for a wait. Vertices are the network's integer codes.
 
     The search is depth first from a stack of partial paths, pushed in
     ``layout``'s arc order, so a vertex's last arc is followed first. Every
@@ -56,39 +58,70 @@ def labelled_paths(ten, penalty=0.0, budget=200_000):
         return
     graph = layout(ten)
     expansions = 0
-    stack = [(start, None, frozenset(), 0.0, 0, ())]
+    stack = [(start, None, frozenset(), ())]
     while stack:
-        vertex, last, used, cost, waits, arcs = stack.pop()
+        vertex, last, used, arcs = stack.pop()
         if decode(vertex, ten.nodes)[0] == ten.destination:
-            yield arcs, cost, waits
-        for head, driver, arc_cost in graph[vertex]:
+            yield arcs
+        for head, driver, _ in graph[vertex]:
             expansions += 1
             if expansions > budget:
                 raise EnumerationBudgetError(
                     f"path enumeration exceeded {budget} expansions")
             if driver is None:
-                stack.append((head, last, used, cost + penalty, waits + 1,
-                              arcs + ((vertex, head, None),)))
+                stack.append((head, last, used, arcs + ((vertex, head, None),)))
             elif last is None or driver == last or driver not in used:
-                stack.append((head, driver, used | {driver}, cost + arc_cost,
-                              waits, arcs + ((vertex, head, driver),)))
+                stack.append((head, driver, used | {driver},
+                              arcs + ((vertex, head, driver),)))
 
 
-def brute_force_itinerary(ten, penalty, budget=200_000):
-    """The optimum over ``labelled_paths`` by (cost, waits, legs, arrival
-    step, driver sequence), or None when no path exists. Of two paths equal
-    on all five keys it keeps the first enumerated, which need not be the
-    one ``solve_itinerary`` returns."""
+def path_legs(arcs, nodes):
+    """The legs of a path of (tail, head, driver) arcs over ``nodes``, a
+    wait's driver being None: one leg per run of arcs with one driver, from
+    the run's first tail to its last head."""
+    runs = [list(run) for _, run in groupby(
+        (arc for arc in arcs if arc[2] is not None), key=lambda arc: arc[2])]
+    return tuple(ItineraryLeg(run[0][2], *decode(run[0][0], nodes),
+                              *decode(run[-1][1], nodes)) for run in runs)
+
+
+def brute_force_itinerary(ten, costs, budget=200_000):
+    """The least ``labelled_paths`` path that rides at least one leg, or
+    None when there is none, with its cost by ``costs.total``.
+
+    Paths rank by their exact cost, a travel step costing ``costs.travel``
+    and a wait ``costs.wait`` as rationals, then waits, legs, arrival step
+    and driver sequence, then leg by leg by board vertex, latest first, and
+    alight vertex, earliest first, each as (step, node). A path whose cost
+    and waits already rank below the best so far is not ranked further."""
+    travel, wait = Fraction(costs.travel), Fraction(costs.wait)
+    nodes = ten.nodes
+    prices = {}  # (steps, waits) -> exact cost
     best_key, best = None, None
-    for arcs, cost, waits in labelled_paths(ten, penalty, budget):
-        drivers = tuple(d for d, _ in groupby(d for _, _, d in arcs if d is not None))
-        key = (cost, waits, len(drivers), decode(arcs[-1][1], ten.nodes)[1], drivers)
-        if best_key is None or key < best_key:
-            best_key, best = key, Itinerary(_legs(arcs, ten.nodes), cost, waits)
-    return best
+    for arcs in labelled_paths(ten, budget):
+        if not arcs:
+            continue
+        waits = sum(driver is None for _, _, driver in arcs)
+        arrival = decode(arcs[-1][1], nodes)[1]
+        steps = arrival - decode(arcs[0][0], nodes)[1]
+        cost = prices.get((steps, waits))
+        if cost is None:
+            cost = prices[steps, waits] = travel * (steps - waits) + wait * waits
+        if best_key is not None and (cost, waits) > best_key[:2]:
+            continue
+        legs = path_legs(arcs, nodes)
+        key = (cost, waits, len(legs), arrival, tuple(leg.driver for leg in legs),
+               tuple((-leg.board_step, -leg.board_node, leg.alight_step, leg.alight_node)
+                     for leg in legs))
+        if legs and (best_key is None or key < best_key):
+            best_key, best = key, (legs, steps)
+    if best is None:
+        return None
+    legs, steps = best
+    return Itinerary(legs, costs.total(steps, best_key[1]), best_key[1])
 
 
 def vertices_on_feasible_paths(ten, budget=200_000):
     """Union of the vertices on every ``labelled_paths`` path."""
-    return {vertex for arcs, _, _ in labelled_paths(ten, budget=budget)
+    return {vertex for arcs in labelled_paths(ten, budget=budget)
             for tail, head, _ in arcs for vertex in (tail, head)}

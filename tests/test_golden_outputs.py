@@ -16,10 +16,12 @@ from pathlib import Path
 import yaml
 
 import ridesim
-from ridesim import cli
+from ridesim import cli, matching
 from ridesim.cli import EXIT_OK, main
-from ridesim.config import bundled_data_path
+from ridesim.config import bundled_data_path, load_config
 from ridesim.experiments import run_single
+
+from oracle import EnumerationBudgetError, brute_force_itinerary
 
 GOLDEN = {
     "validate/validation.csv":
@@ -112,14 +114,14 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result["digests"] == GOLDEN
 
 
-# A run where riders transfer: only such a run shows the order in which the
-# matcher resolves exact ties (``matching.preprocess``'s layout). Recorded at
-# commit d2d35d9, before one function owned that order.
+# A run where riders transfer: only such a run shows how the matcher ranks
+# itineraries of equal cost, waits and legs, which differ in their transfer
+# points (``matching.solve_itinerary``'s canonical order).
 MULTI_LEG_GOLDEN = {
     "agents.csv":
-        "ca2356b3e7f6c815731ace5c252b2c55f1817358b074946f6e0cc4266bc778ef",
+        "e6231afd22bfa22811f110e52d6d522d6eebc23919c7e1442f8af028c3b5ab32",
     "match_trace.csv":
-        "42b2c883221bdf60f552c6ad13b14f41cf06317911a388c4a81dcad39656e45b",
+        "b864326fb2a7515a4a66b97c7c26e44ac29780baf8708b7c5dd34a8aa765a0de",
 }
 GRID_SIDE = 4
 
@@ -175,3 +177,30 @@ def test_multi_leg_run_matches_golden_digests(tmp_path, monkeypatch):
                for result in sim.match_results.values() if result.matched)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in MULTI_LEG_GOLDEN} == MULTI_LEG_GOLDEN
+
+
+def test_multi_leg_run_requests_match_oracle(tmp_path, monkeypatch):
+    """Every request of the run above gets the oracle's itinerary, wherever
+    the oracle's enumeration fits its budget; prints how many requests were
+    checked and how many went over the budget."""
+    kept = []
+    build = matching.build_time_expanded
+
+    def keeping(*args, **kwargs):
+        ten = build(*args, **kwargs)
+        kept.append(ten)
+        return ten
+
+    monkeypatch.setattr(matching, "build_time_expanded", keeping)
+    sim, _ = run_single(load_config(write_grid(tmp_path), {"seed": 5}))
+    checked = skipped = 0
+    for ten in kept:
+        try:
+            oracle = brute_force_itinerary(ten, sim.step_costs)
+        except EnumerationBudgetError:
+            skipped += 1
+            continue
+        assert matching.solve_itinerary(matching.preprocess(ten), sim.step_costs) == oracle
+        checked += 1
+    print(f"grid requests: {checked} equal the oracle's, {skipped} over its budget")
+    assert checked >= 100 and skipped <= 2

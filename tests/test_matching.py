@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import weakref
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -16,6 +17,7 @@ from ridesim.matching import (
     Pin,
     PrunedGraph,
     RiderRequest,
+    StepCosts,
     TimeExpandedNetwork,
     build_time_expanded,
     ceil_steps,
@@ -39,16 +41,8 @@ from oracle import (EnumerationBudgetError, brute_force_itinerary, layout, start
 def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
     ten = build_time_expanded(rider, slot_groups(offers), net, tau, dt)
     graph = preprocess(ten)
-    itinerary = solve_itinerary(graph, penalty) if graph.feasible else None
+    itinerary = solve_itinerary(graph, StepCosts(dt, penalty)) if graph.feasible else None
     return ten, graph, itinerary
-
-
-def tie_key(itinerary):
-    """The five keys on which two optimal itineraries must agree: cost,
-    waits, legs, arrival step and the sequence of drivers ridden."""
-    return (itinerary.total_cost, itinerary.wait_steps, len(itinerary.legs),
-            itinerary.legs[-1].alight_step,
-            tuple(leg.driver for leg in itinerary.legs))
 
 
 def code(ten, node, step):
@@ -358,48 +352,63 @@ def exactness_graphs(twinned=False):
             rider, slot_groups(offers), net, tau, DT_EXACT))
 
 
-def reference_cost_to_go(graph, penalty):
+def arc_units(graph, vertex, head, driver, costs):
+    """The cost of an arc of ``graph`` in ``costs.units``: a wait's, or a
+    travel step's times the steps between its ends."""
+    travel, wait = costs.units
+    if driver is None:
+        return wait
+    return travel * (decode(head, graph.nodes)[1] - decode(vertex, graph.nodes)[1])
+
+
+def reference_cost_to_go(graph, costs):
     """The least cost from each vertex of ``graph`` to a destination vertex,
-    by plain recursion over its arcs, a wait costing ``penalty``."""
-    least = {}
+    in ``costs.units``, and the drivers of the arcs reachable from it, by
+    plain recursion over its arcs."""
+    least, drivers = {}, {}
 
     def cost_to_go(vertex):
         if vertex not in least:
-            values = [(penalty if driver is None else cost) + cost_to_go(head)
-                      for head, driver, cost in graph.adjacency[vertex]]
-            least[vertex] = min(values + [0.0] if vertex in graph.dests else values,
+            values = [arc_units(graph, vertex, head, driver, costs) + cost_to_go(head)
+                      for head, driver, _ in graph.adjacency[vertex]]
+            least[vertex] = min(values + [0] if vertex in graph.dests else values,
                                 default=matching.INF)
+            drivers[vertex] = {driver for _, driver, _ in graph.adjacency[vertex]
+                               if driver is not None}.union(
+                *(drivers[head] for head, _, _ in graph.adjacency[vertex]))
         return least[vertex]
 
-    return {vertex: cost_to_go(vertex) for vertex in graph.vertices}
+    return {vertex: cost_to_go(vertex) for vertex in graph.vertices}, drivers
 
 
-def reference_incumbent(graph, togo, penalty):
+def reference_incumbent(graph, togo, costs):
     """The walk ``_incumbent`` documents, spelled out: at each vertex the
     arcs that attain ``togo``, then the least by (not a wait, not the driver
     on board), the first in arc order among equals."""
-    vertex, cost, last, used = graph.start, 0.0, None, set()
+    vertex, cost, last, used = graph.start, 0, None, set()
     while vertex not in graph.dests:
-        ties = [(head, driver, arc) for head, driver, arc in graph.adjacency[vertex]
-                if (penalty if driver is None else arc) + togo[head] == togo[vertex]]
-        head, driver, arc = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
-        if driver is None:
-            cost += penalty
-        else:
+        ties = [(head, driver) for head, driver, _ in graph.adjacency[vertex]
+                if arc_units(graph, vertex, head, driver, costs) + togo[head] == togo[vertex]]
+        head, driver = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
+        if driver is not None:
             if driver != last and driver in used:
                 return matching.INF
-            cost += arc
             last = driver
             used.add(driver)
+        cost += arc_units(graph, vertex, head, driver, costs)
         vertex = head
     return cost
 
 
+def reversed_arcs(graph):
+    """``graph`` with every vertex's arcs in reverse order."""
+    return dataclasses.replace(graph, adjacency={
+        vertex: arcs[::-1] for vertex, arcs in graph.adjacency.items()})
+
+
 class TestBoundPruning:
     PENALTIES = (0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT, 10 * DT_EXACT)
-    # found by search over seeds: if buckets are visited in creation order,
-    # pruning changes which of two exactly tied itineraries it returns
-    # (at penalties 2 dt and 10 dt)
+    COSTS = tuple(StepCosts(DT_EXACT, penalty) for penalty in PENALTIES)
     CREATION_ORDER_SENSITIVE = 29760
 
     def test_pruned_equals_unpruned(self, monkeypatch):
@@ -408,22 +417,20 @@ class TestBoundPruning:
         pruning = True
         inserted = {True: 0, False: 0}
 
-        def counting_insert(bucket, label):
+        def counting_insert(*args):
             inserted[pruning] += 1
-            return insert(bucket, label)
+            return insert(*args)
 
         monkeypatch.setattr(matching, "_insert_label", counting_insert)
         monkeypatch.setattr(matching, "_incumbent",
                             lambda *args: incumbent(*args) if pruning else matching.INF)
         solved = 0
-        for seed in [*range(400), self.CREATION_ORDER_SENSITIVE]:
-            rider, offers, net, tau = exactness_instance(seed)
-            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT))
-            for penalty in self.PENALTIES:
+        for seed, graph in exactness_graphs():
+            for costs in self.COSTS:
                 pruning = True
-                pruned = solve_itinerary(graph, penalty)
+                pruned = solve_itinerary(graph, costs)
                 pruning = False
-                assert pruned == solve_itinerary(graph, penalty), (seed, penalty)
+                assert pruned == solve_itinerary(graph, costs), (seed, costs)
                 solved += pruned is not None
         assert solved > 500
         assert inserted[True] < inserted[False]
@@ -431,9 +438,12 @@ class TestBoundPruning:
     def test_cost_to_go_equals_recursion(self):
         checked = 0
         for seed, graph in exactness_graphs():
-            for penalty in self.PENALTIES:
-                assert matching._cost_to_go(graph, penalty) == reference_cost_to_go(
-                    graph, penalty), (seed, penalty)
+            for costs in self.COSTS:
+                togo, reach, bits = matching._cost_to_go(graph, costs)
+                least, drivers = reference_cost_to_go(graph, costs)
+                assert togo == least, (seed, costs)
+                assert reach == {vertex: sum(bits[driver] for driver in drivers[vertex])
+                                 for vertex in graph.vertices}, (seed, costs)
                 checked += len(graph.vertices)
         assert checked > 5000
 
@@ -442,27 +452,92 @@ class TestBoundPruning:
         for seed, graph in exactness_graphs():
             if not graph.feasible:
                 continue
-            for penalty in self.PENALTIES:
-                togo = matching._cost_to_go(graph, penalty)
-                assert matching._incumbent(graph, togo, penalty) == reference_incumbent(
-                    graph, togo, penalty), (seed, penalty)
+            for costs in self.COSTS:
+                togo = matching._cost_to_go(graph, costs)[0]
+                assert matching._incumbent(graph, togo, costs) == reference_incumbent(
+                    graph, togo, costs), (seed, costs)
                 walks += 1
         assert walks > 500
 
 
+class TestCanonicalOrder:
+    """The optimum is one itinerary whatever order the DP meets the graph
+    in: with every vertex's arcs reversed, the buckets are created, the
+    labels inserted and the driver bits given in other orders."""
+
+    def test_reversed_arcs_same_itinerary(self):
+        solved = 0
+        for twinned in (False, True):
+            for seed, graph in exactness_graphs(twinned):
+                for costs in TestBoundPruning.COSTS:
+                    itinerary = solve_itinerary(graph, costs)
+                    assert solve_itinerary(reversed_arcs(graph), costs) == itinerary, (
+                        seed, twinned, costs)
+                    solved += itinerary is not None
+        assert solved > 1000
+
+    def test_exact_costs_break_float_ties(self):
+        """One leg of 6 steps after a wait, and a transfer: 1 step, a wait,
+        5 steps. At a penalty equal to the step cost both cost 7 steps'
+        worth, though float sums of their arc costs differ (the transfer's
+        is smaller); the one leg wins on legs, and its reported cost is 7
+        times the step cost."""
+        dt = 0.05
+        ten = TimeExpandedNetwork(0, 2, {0: (0, 1), 1: (1, 2), 2: (7, 7)}, [])
+        ten.travel_arcs += [(code(ten, 0, 1), code(ten, 2, 7), 7, 6 * dt),
+                            (code(ten, 0, 0), code(ten, 1, 1), 8, 1 * dt),
+                            (code(ten, 1, 2), code(ten, 2, 7), 9, 5 * dt)]
+        assert 1 * dt + dt + 5 * dt < dt + 6 * dt
+        costs = StepCosts(dt, dt)
+        itinerary = solve_itinerary(preprocess(ten), costs)
+        assert [leg.driver for leg in itinerary.legs] == [7]
+        assert itinerary == brute_force_itinerary(ten, costs)
+        assert itinerary.total_cost == 7 * dt
+
+    def test_seat_time_breaks_remaining_ties(self):
+        """Driver 4 carries the rider from node 0 to node 1 leaving at step 0
+        or at step 1, and driver 5 on from node 1 at step 2: either way the
+        itinerary spans 3 steps with one wait, two legs and the drivers
+        (4, 5). The later boarding, which waits before it, wins."""
+        ten = TimeExpandedNetwork(0, 2, {0: (0, 1), 1: (1, 2), 2: (3, 3)}, [])
+        ten.travel_arcs += [(code(ten, 0, 0), code(ten, 1, 1), 4, DT_EXACT),
+                            (code(ten, 0, 1), code(ten, 1, 2), 4, DT_EXACT),
+                            (code(ten, 1, 2), code(ten, 2, 3), 5, DT_EXACT)]
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        itinerary = solve_itinerary(preprocess(ten), costs)
+        assert itinerary.legs == (matching.ItineraryLeg(4, 0, 1, 1, 2),
+                                  matching.ItineraryLeg(5, 1, 2, 2, 3))
+        assert itinerary == brute_force_itinerary(ten, costs)
+        assert solve_itinerary(reversed_arcs(preprocess(ten)), costs) == itinerary
+
+
+class TestStepCosts:
+    def test_units_keep_the_exact_ratio(self):
+        assert StepCosts(0.05, 0.05).units == (1, 1)
+        assert StepCosts(DT_EXACT, DT_EXACT / 2).units == (2, 1)
+        assert StepCosts(DT_EXACT, 0.0).units == (1, 0)
+        assert StepCosts(0.0, 0.0).units == (0, 0)
+        travel, wait = StepCosts(0.05, 0.1 / 3).units
+        assert Fraction(wait, travel) == Fraction(0.1 / 3) / Fraction(0.05)
+
+    @pytest.mark.parametrize("travel, wait", [(0.05, float("nan")), (0.05, -0.05),
+                                              (float("inf"), 0.05), (-0.05, 0.05)])
+    def test_bad_costs_rejected(self, travel, wait):
+        with pytest.raises(ValueError):
+            StepCosts(travel, wait)
+
+
 class TestTieChoices:
     # SHA-256 over repr(solve_itinerary(...)) for each instance and penalty
-    # below, in order. It pins every exact tie the DP resolves on them: a
-    # change to the DP's visiting order or to its labels' keys moves it.
-    DIGEST = "c54c9fba353862f28bba8ffd219864030138da29d8c9d3cd7e7ca8584e235143"
+    # below, in order. It pins every tie the canonical order resolves on
+    # them: a change to that order or to the costs moves it.
+    DIGEST = "f46f6830b6a752288ed3e5684dec2e3b8886420928615ee799422c53e8caae2c"
 
     def test_results_match_recorded_digest(self):
         digest = hashlib.sha256()
-        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
-            rider, offers, net, tau = exactness_instance(seed)
-            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT))
-            for penalty in TestBoundPruning.PENALTIES:
-                digest.update(repr(solve_itinerary(graph, penalty)).encode())
+        for _, graph in exactness_graphs():
+            for costs in TestBoundPruning.COSTS:
+                digest.update(repr(solve_itinerary(graph, costs)).encode())
         assert digest.hexdigest() == self.DIGEST
 
 
@@ -470,28 +545,22 @@ class TestTwinnedTies:
     # SHA-256 over repr(solve_itinerary(...)) for TestTieChoices' instances
     # and penalties, every offer twinned under a new id as in TestBuildDigest.
     # A twin rides every arc its original rides, so single-leg finalists tie
-    # in pairs; this pins their resolution to the order of the driver
-    # sequences read from each finalist's path. It was recorded before the
-    # network build took slot groups. It equals TestTieChoices.DIGEST: every
-    # tie goes to the original's smaller id.
-    DIGEST = "c54c9fba353862f28bba8ffd219864030138da29d8c9d3cd7e7ca8584e235143"
+    # in pairs, which the driver sequence decides. It equals
+    # TestTieChoices.DIGEST: every tie goes to the original's smaller id.
+    DIGEST = "f46f6830b6a752288ed3e5684dec2e3b8886420928615ee799422c53e8caae2c"
 
     def test_results_match_recorded_digest(self):
         digest = hashlib.sha256()
-        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
-            rider, offers, net, tau = exactness_instance(seed)
-            twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
-            graph = preprocess(build_time_expanded(
-                rider, slot_groups(offers + twins), net, tau, DT_EXACT))
-            for penalty in TestBoundPruning.PENALTIES:
-                digest.update(repr(solve_itinerary(graph, penalty)).encode())
+        for _, graph in exactness_graphs(twinned=True):
+            for costs in TestBoundPruning.COSTS:
+                digest.update(repr(solve_itinerary(graph, costs)).encode())
         assert digest.hexdigest() == self.DIGEST
 
     def test_single_leg_tie_goes_to_smaller_id_visited_second(self):
         """Both routes from node 0 to node 3 take 3 steps. Driver 20 may take
         either; driver 10, pinned to board another rider at node 2 by step
         2, only the one through node 2. At the destination vertex driver
-        20's bucket comes first, from the tail at node 1, yet the tie goes
+        20's label arrives first, from the tail at node 1, yet the tie goes
         to the smaller driver sequence."""
         from conftest import make_network
         net = make_network([(0, 1, DT_EXACT), (1, 3, 2 * DT_EXACT),
@@ -509,34 +578,8 @@ class TestTwinnedTies:
         assert [driver for _, driver, _ in graph.adjacency[code(graph, 2, 2)]] == [10, 20]
         assert all(arc[0] == head for v in (code(graph, 1, 1), code(graph, 2, 2))
                    for arc in graph.adjacency[v])
-        itinerary = solve_itinerary(graph, DT_EXACT)
+        itinerary = solve_itinerary(graph, StepCosts(DT_EXACT, DT_EXACT))
         assert [leg.driver for leg in itinerary.legs] == [10]
-
-    def test_one_leg_ties_walk_no_path(self, monkeypatch):
-        """A solve walks ``_path`` for its winner, and otherwise only for
-        tied finalists of more than one leg: a one-leg tie's driver sequence
-        is its bucket's driver. Here one-leg finalists tie in pairs."""
-        path = matching._path
-        walked = []
-
-        def recording_path(label):
-            walked.append(label)
-            return path(label)
-
-        monkeypatch.setattr(matching, "_path", recording_path)
-        one_leg = 0
-        for seed, graph in exactness_graphs(twinned=True):
-            for penalty in TestBoundPruning.PENALTIES:
-                walked.clear()
-                itinerary = solve_itinerary(graph, penalty)
-                if itinerary is None:
-                    assert walked == [], (seed, penalty)
-                    continue
-                winner = (itinerary.total_cost, itinerary.wait_steps, len(itinerary.legs))
-                assert winner in [label[:3] for label in walked], (seed, penalty)
-                assert sum(label[2] <= 1 for label in walked) <= 1, (seed, penalty)
-                one_leg += len(itinerary.legs) == 1
-        assert one_leg > 300
 
 
 class TestBuildDigest:
@@ -612,21 +655,21 @@ class TestNoReboarding:
 
     def test_refuses_cheaper_reboarding(self):
         ten = self.chain()
-        penalty = DT_EXACT
-        solved = solve_itinerary(preprocess(ten), penalty)
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        solved = solve_itinerary(preprocess(ten), costs)
         assert [leg.driver for leg in solved.legs] == [*self.DRIVERS, self.FRESH]
         assert solved.wait_steps == 1
         # the re-boarding path would have cost one wait less
-        assert solved.total_cost == (len(self.DRIVERS) + 1) * DT_EXACT + penalty
-        oracle = brute_force_itinerary(ten, penalty)
-        assert tie_key(solved) == tie_key(oracle)
+        assert solved.total_cost == (len(self.DRIVERS) + 1) * DT_EXACT + DT_EXACT
+        assert solved == brute_force_itinerary(ten, costs)
 
     def test_reboarding_alone_is_infeasible(self):
         ten = self.chain(fresh=False)
         graph = preprocess(ten)
         assert graph.feasible  # the path exists in the graph
-        assert solve_itinerary(graph, DT_EXACT) is None
-        assert brute_force_itinerary(ten, DT_EXACT) is None
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        assert solve_itinerary(graph, costs) is None
+        assert brute_force_itinerary(ten, costs) is None
 
 
 class TestPinChain:
@@ -937,7 +980,7 @@ class TestNoArcShortcut:
             assert (graph.vertices, graph.adjacency, graph.start, graph.dests) == (
                 [], {}, None, set()), seed
             assert graph.ten_vertices == len(layout(ten)), seed
-            assert solve_itinerary(graph, DT_EXACT) is None, seed
+            assert solve_itinerary(graph, StepCosts(DT_EXACT, DT_EXACT)) is None, seed
             with_vertices += graph.ten_vertices > 0
         assert with_vertices > 300
 
@@ -1037,23 +1080,28 @@ class TestSurvivorIntervals:
         assert len(self.assert_exact(origin_at_destination).vertices) == 6
 
 
+def offer_cost(itinerary):
+    """An optimum's cost, INF where there is none."""
+    return matching.INF if itinerary is None else itinerary.total_cost
+
+
 class TestOfferRemoval:
     """Metamorphic: taking one offer away never lowers the optimal cost,
     and taking away one the optimum does not ride leaves the itinerary as it
     was, None where there is no optimum. These instances make 2,631
-    removals, 2,014 of them of an offer the optimum does not ride."""
+    removals, 2,014 of them of an offer the optimum does not ride. Adding
+    an offer never raises the optimal cost, and adding one the new optimum
+    does not ride leaves the itinerary as it was."""
 
     PENALTIES = (0.0, DT_EXACT, 2 * DT_EXACT)
 
+    def solved(self, rider, offers, net, tau):
+        graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT))
+        return [solve_itinerary(graph, StepCosts(DT_EXACT, penalty))
+                for penalty in self.PENALTIES]
+
     def test_removing_one_offer(self):
-        def solved(rider, offers, net, tau):
-            graph = preprocess(build_time_expanded(rider, slot_groups(offers), net, tau,
-                                                   DT_EXACT))
-            return [solve_itinerary(graph, penalty) for penalty in self.PENALTIES]
-
-        def cost(itinerary):
-            return matching.INF if itinerary is None else itinerary.total_cost
-
+        solved, cost = self.solved, offer_cost
         removals = unused = 0
         for seed in range(400):
             rider, offers, net, tau = exactness_instance(seed)
@@ -1067,6 +1115,26 @@ class TestOfferRemoval:
                         assert without == best, (seed, offer.id, penalty)
                         unused += 1
         assert removals > 2500 and unused > 1900
+
+    def test_adding_one_offer(self):
+        """Each added offer is a twin of one already there, under an id
+        below every other, so it wins each tie it enters on the driver
+        sequence: of 2,631 additions, 658 give an optimum that rides it."""
+        additions = used = 0
+        for seed in range(400):
+            rider, offers, net, tau = exactness_instance(seed)
+            optima = self.solved(rider, offers, net, tau)
+            for offer in offers:
+                twin = dataclasses.replace(offer, id=-1 - offer.id)
+                more = self.solved(rider, offers + [twin], net, tau)
+                for penalty, best, added in zip(self.PENALTIES, optima, more):
+                    assert offer_cost(added) <= offer_cost(best), (seed, offer.id, penalty)
+                    additions += 1
+                    if added is None or all(leg.driver != twin.id for leg in added.legs):
+                        assert added == best, (seed, offer.id, penalty)
+                    else:
+                        used += 1
+        assert additions > 2500 and used > 600
 
 
 class TestSolveExamples:
@@ -1107,7 +1175,7 @@ class TestSolveExamples:
                         latest_arrival_step=24, seats=2)
         ten = build_time_expanded(rider, slot_groups([direct, detour]), testbed, free_flow, 0.05)
         graph = preprocess(ten)
-        itinerary = solve_itinerary(graph, 0.05)
+        itinerary = solve_itinerary(graph, StepCosts(0.05, 0.05))
         assert itinerary.legs[0].driver == 1
         assert itinerary.legs[0].alight_step - itinerary.legs[0].board_step == 11
 
@@ -1116,7 +1184,7 @@ class TestSolveExamples:
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.72, 0.72), 0.0)
         _, graph, _ = pipeline(rider, [], testbed, free_flow, dt=0.05, penalty=0.05)
         with pytest.raises(ValueError, match="penalty"):
-            solve_itinerary(graph, penalty)
+            solve_itinerary(graph, StepCosts(0.05, penalty))
 
     def test_empty_graph_returns_none(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
@@ -1129,7 +1197,7 @@ class TestBruteForce:
     def test_empty_infeasible(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 0.5, 0.5), 0.0)
         ten = build_time_expanded(rider, {}, testbed, free_flow, 0.05)
-        assert brute_force_itinerary(ten, 0.05) is None
+        assert brute_force_itinerary(ten, StepCosts(0.05, 0.05)) is None
 
     def test_single_arc(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 1, TimeWindow(0.0, 0.0, 0.22, 0.22), 0.0)
@@ -1138,7 +1206,7 @@ class TestBruteForce:
                         latest_arrival_step=5, seats=1)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert len(ten.travel_arcs) == 1
-        itinerary = brute_force_itinerary(ten, 0.05)
+        itinerary = brute_force_itinerary(ten, StepCosts(0.05, 0.05))
         assert itinerary.legs[0].driver == 3
 
     def test_budget_error(self, testbed, free_flow):
@@ -1151,7 +1219,7 @@ class TestBruteForce:
         ]
         ten = build_time_expanded(rider, slot_groups(offers), testbed, free_flow, 0.05)
         with pytest.raises(EnumerationBudgetError):
-            brute_force_itinerary(ten, 0.05, budget=50)
+            brute_force_itinerary(ten, StepCosts(0.05, 0.05), budget=50)
 
 
 class TestOracleEquivalence:
@@ -1165,25 +1233,43 @@ class TestOracleEquivalence:
             if instance is None:
                 continue
             rider, offers, net, tt = instance
-            penalty = rng.choice([0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT])
+            costs = StepCosts(DT_EXACT, rng.choice([0.0, DT_EXACT / 2, DT_EXACT, 2 * DT_EXACT]))
             ten = build_time_expanded(rider, slot_groups(offers), net, tt, DT_EXACT)
             try:
-                oracle = brute_force_itinerary(ten, penalty)
+                oracle = brute_force_itinerary(ten, costs)
             except EnumerationBudgetError:
                 continue
             graph = preprocess(ten)
-            solved = solve_itinerary(graph, penalty) if graph.feasible else None
-            if oracle is None:
-                assert solved is None
-            else:
-                assert solved is not None
-                # exact ties on these five keys may still differ in their legs
-                assert tie_key(solved) == tie_key(oracle)
+            solved = solve_itinerary(graph, costs) if graph.feasible else None
+            assert solved == oracle
+            if oracle is not None:
                 offers_by_id = {o.id: o for o in offers}
                 assert_itinerary_invariants(solved, rider, offers_by_id, DT_EXACT)
                 assert_itinerary_invariants(oracle, rider, offers_by_id, DT_EXACT)
             agree += 1
         assert agree == 100
+
+    def test_exactness_instances_plain_and_twinned(self):
+        """The DP's itinerary is the oracle's on every ``exactness_instance``
+        at every ``TestBoundPruning`` penalty, with its offers as drawn and
+        twinned, where single-leg optima tie in pairs."""
+        checked = skipped = 0
+        for twinned in (False, True):
+            for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+                rider, offers, net, tau = exactness_instance(seed)
+                if twinned:
+                    offers = offers + [dataclasses.replace(o, id=o.id + 100) for o in offers]
+                ten = build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT)
+                graph = preprocess(ten)
+                for costs in TestBoundPruning.COSTS:
+                    try:
+                        oracle = brute_force_itinerary(ten, costs)
+                    except EnumerationBudgetError:
+                        skipped += 1
+                        continue
+                    assert solve_itinerary(graph, costs) == oracle, (seed, twinned, costs)
+                    checked += 1
+        assert checked > 3900 and skipped < 100
 
     def test_pruning_soundness_on_random_instances(self):
         rng = random.Random(900913)
@@ -1222,7 +1308,7 @@ class TestPenaltyMonotonicity:
             if not graph.feasible:
                 continue
             penalties = [0.0, DT_EXACT, 4 * DT_EXACT]
-            results = [solve_itinerary(graph, p) for p in penalties]
+            results = [solve_itinerary(graph, StepCosts(DT_EXACT, p)) for p in penalties]
             if any(r is None for r in results):
                 continue
             for low, high in zip(results, results[1:]):

@@ -4,15 +4,17 @@ Runs one scenario (``--config``, ``--seed``, ``--horizon``) through
 ``experiments.run_single`` and keeps every request's time-expanded network,
 by wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
 up. It then times ``preprocess`` and ``solve_itinerary`` over the kept
-networks, in request order, at the scenario's penalty and with the
-collector paused, and prints for each the best of ``--rounds`` in µs per
-request, the ``_path`` walks per request, the networks with no travel arc
-(which ``preprocess`` answers as infeasible at once, with no pass over the
-graph) as a count and a share, and a SHA-256 over the ``repr`` of every
-result. Run on two checkouts, it shows a change to the kernel without the
-event loop's noise, and equal digests show equal results. It imports
-ridesim from the ``src`` beside it and needs nothing but the standard
-library and ridesim's own dependencies::
+networks, in request order, at the scenario's step costs and with the
+collector paused. It prints the best of ``--rounds`` of each in µs per
+request, ``preprocess`` timed over all requests at once and
+``solve_itinerary`` request by request, with the 50th and 99th
+nearest-rank percentiles of the requests' best solve times; the networks
+with no travel arc (which ``preprocess`` answers as infeasible at once,
+with no pass over the graph) as a count and a share; and a SHA-256 over the
+``repr`` of every result. Run on two checkouts, it shows a change to the
+kernel without the event loop's noise, and equal digests show equal
+results. It imports ridesim from the ``src`` beside it and needs nothing
+but the standard library and ridesim's own dependencies::
 
     python tools/matcher_replay.py --config src/ridesim/data/sweep.yaml --horizon 1.5
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -31,9 +34,9 @@ from ridesim import experiments, matching  # noqa: E402
 from ridesim.config import load_config  # noqa: E402
 
 
-def kept_networks(config) -> tuple[list, float]:
+def kept_networks(config) -> tuple[list, matching.StepCosts]:
     """Every request's network from one run of ``config``, in request
-    order, and the run's penalty."""
+    order, and the run's step costs."""
     kept = []
     build = matching.build_time_expanded
 
@@ -47,41 +50,32 @@ def kept_networks(config) -> tuple[list, float]:
         sim, _ = experiments.run_single(config)
     finally:
         matching.build_time_expanded = build
-    return kept, sim.penalty
+    return kept, sim.step_costs
 
 
-def best_times(tens: list, penalty: float, rounds: int) -> tuple[float, float]:
-    """The least seconds, over ``rounds``, that ``preprocess`` and
-    ``solve_itinerary`` each took over all of ``tens``."""
-    prep = solve = float("inf")
+def best_times(tens: list, costs: matching.StepCosts,
+               rounds: int) -> tuple[float, list[float], list]:
+    """The least seconds, over ``rounds``, that ``preprocess`` took over all
+    of ``tens``; the least seconds ``solve_itinerary`` took on each; and
+    every request's result."""
+    prep = math.inf
+    solve = [math.inf] * len(tens)
     for _ in range(rounds):
         start = time.perf_counter()
         graphs = [matching.preprocess(ten) for ten in tens]
-        middle = time.perf_counter()
-        for graph in graphs:
-            matching.solve_itinerary(graph, penalty)
-        end = time.perf_counter()
-        prep, solve = min(prep, middle - start), min(solve, end - middle)
-    return prep, solve
+        prep = min(prep, time.perf_counter() - start)
+        results = []
+        for k, graph in enumerate(graphs):
+            start = time.perf_counter()
+            results.append(matching.solve_itinerary(graph, costs))
+            solve[k] = min(solve[k], time.perf_counter() - start)
+    return prep, solve, results
 
 
-def counted_results(tens: list, penalty: float) -> tuple[list, int]:
-    """Every request's result, and the ``_path`` walks that made them."""
-    walks = 0
-    path = matching._path
-
-    def counting(label):
-        nonlocal walks
-        walks += 1
-        return path(label)
-
-    matching._path = counting
-    try:
-        results = [matching.solve_itinerary(matching.preprocess(ten), penalty)
-                   for ten in tens]
-    finally:
-        matching._path = path
-    return results, walks
+def percentile(values: list[float], share: float) -> float:
+    """The nearest-rank ``share`` percentile of ``values``, 0.0 if empty."""
+    ranked = sorted(values)
+    return ranked[max(0, math.ceil(share * len(ranked)) - 1)] if ranked else 0.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,12 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
-    tens, penalty = kept_networks(config)
+    tens, costs = kept_networks(config)
     gc.collect()
     gc.disable()
     try:
-        prep, solve = best_times(tens, penalty, args.rounds)
-        results, walks = counted_results(tens, penalty)
+        prep, solve, results = best_times(tens, costs, args.rounds)
     finally:
         gc.enable()
     digest = hashlib.sha256()
@@ -112,9 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
     print(f"requests        {requests}")
     print(f"preprocess_us   {prep * per:.1f}")
-    print(f"solve_us        {solve * per:.1f}")
-    print(f"kernel_us       {(prep + solve) * per:.1f}")
-    print(f"path_walks      {walks / requests if requests else 0.0:.2f}")
+    print(f"solve_us        {sum(solve) * per:.1f}")
+    print(f"kernel_us       {(prep + sum(solve)) * per:.1f}")
+    print(f"solve_us_p50    {1e6 * percentile(solve, 0.5):.1f}")
+    print(f"solve_us_p99    {1e6 * percentile(solve, 0.99):.1f}")
     print(f"no_arc_requests {no_arc} {no_arc / requests if requests else 0.0:.3f}")
     print(f"digest          {digest.hexdigest()}")
     return 0
