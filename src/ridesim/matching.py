@@ -8,7 +8,8 @@ Pipeline for one rider request:
    position p of the n nodes the rider's windows reach, ascending, so
    integer order is (step, node) order and every arc raises it; ``decode``
    gives (node, step) back. Wait arcs join a node's steps; travel arcs are
-   (tail, head, driver, cost) tuples. One rule, read from the minimum-step
+   (tail, head, driver) tuples, a travel arc's steps read from its vertex
+   codes. One rule, read from the minimum-step
    matrix ``m``, gives a driver's arcs on a link (i, j) of ``steps`` steps
    within a slot of its schedule from stop (a, s) to stop (b, t) that has a
    free seat: every step k of the rider's range with s + m[a][i] <= k
@@ -19,16 +20,19 @@ Pipeline for one rider request:
    triangle inequality a slot gets no arc unless it passes the slot test:
    the rider's destination reachable from a by the latest arrival and b
    from the rider's origin by t. A driver's first slot runs from its
-   anchor to its next stop, and the scan takes it from the vehicle's values;
-   the slots after that do not depend on where the driver is, and the
-   vehicle keeps them from the chain of its pins (``pin_chain``), derived
-   where its pins or riders aboard change. The rule reads nothing of a
-   driver but the slot, so the build takes the slots grouped, each
-   distinct slot with the ids of the drivers that have it
-   (``SimState.collect_offers``): it runs the slot test once per distinct
-   slot, then the per-link step ranges once per slot that passed, and
-   writes the arcs for every driver listed. Drivers waiting at one node for
-   one destination share their slot. When no slot passes, the network keeps
+   anchor to its next stop; the slots after that do not depend on where the
+   driver is, and the vehicle keeps them from the chain of its pins
+   (``pin_chain``), derived where its pins or riders aboard change. The
+   rule reads nothing of a driver but the slot, so the build takes the
+   slots grouped, each distinct slot with the ids of the drivers that have
+   it, from the offer index the simulation keeps (``SimState
+   .collect_offers``): it runs the slot test once per distinct slot, then
+   the per-link step ranges once per slot that passed, and writes the arcs
+   for every driver listed. A driver standing at its node is listed under
+   an open first slot, its start step None: the slot starts at the clock's
+   step, which the build fills in by ``free_slot``'s rule, so the listing
+   holds until the driver moves. Drivers waiting at one node for one
+   destination share their slot. When no slot passes, the network keeps
    its node intervals and gets no travel arc, and no link is looked at.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. The
@@ -67,7 +71,7 @@ link's step count) and reused whenever that state recurs; the network keeps
 its own ``STEP_MATRICES_KEPT`` most recently used. It makes one attempt:
 slots, network and commit read that one instant, and the commit checks
 each driver's schedule through the chain of its pins with the rider's
-added (``pin_chain``), from the anchor the scan read, and routes the driver
+added (``pin_chain``), from its anchor at that instant, and routes the driver
 between stops along the matrix's paths, with no search of its own.
 """
 from __future__ import annotations
@@ -146,8 +150,10 @@ class Pin:
 
 Stop = tuple[int, int, bool]  # (node, deadline step, holds)
 # (a, s, b, t, leave_by): a slot from stop (a, s) to stop (b, t) with a free
-# seat, left from a by step leave_by (INF unless the driver is not underway)
-FreeSlot = tuple[int, int, int, int, float]
+# seat, left from a by step leave_by (INF unless the driver is not underway);
+# s is None in an open slot, one that starts at the clock's step (see
+# ``build_time_expanded``)
+FreeSlot = tuple[int, Optional[int], int, int, float]
 
 
 def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
@@ -159,8 +165,12 @@ def free_slot(a: int, s: int, b: int, t: int, occupancy: int, seats: int,
     or by s once that has passed: its latest departure step while it is not
     yet underway, INF once it is. Every slot after a driver's first is
     entered underway. ``pin_chain`` builds the later slots by this rule,
-    and the offer scan every driver's first slot
-    (``SimState.collect_offers``)."""
+    and the offer index the first slot of a driver on a link, which starts
+    at the link's end (``SimState.collect_offers``). The first slot of a
+    driver standing at its node starts at the clock's step, so the index
+    lists it open and ``build_time_expanded`` applies this rule to it, at
+    the clock's step, the seat test aside: the index lists no open slot
+    without a free seat."""
     if occupancy >= seats or t <= s:
         return None
     return (a, s, b, t, latest_departure if latest_departure > s else s)
@@ -183,7 +193,7 @@ def pin_chain(driver: int, pins: tuple[Pin, ...], aboard: int, seats: int,
     the anchor to ``stops[0]``. The later slots are the slots after
     ``stops[0]`` with a free seat that end after they start, in order
     (``free_slot``). None of the three depends on where the driver is or
-    from when; of its slots only the first does, which the offer scan takes
+    from when; of its slots only the first does, which the offer index lists
     from the vehicle's values and the commit checks from the anchor stop it
     puts in front of ``stops``. Raises ValueError when the pins' steps
     decrease or an occupancy goes negative, since neither can come from a
@@ -209,8 +219,8 @@ def pin_chain(driver: int, pins: tuple[Pin, ...], aboard: int, seats: int,
     return tuple(stops), tuple(occs), tuple(later)
 
 
-TravelArc = tuple[Vertex, Vertex, int, float]  # (tail, head, driver, cost)
-Arc = tuple[Vertex, Optional[int], float]  # (head, driver or None for a wait, cost)
+TravelArc = tuple[Vertex, Vertex, int]  # (tail, head, driver)
+Arc = tuple[Vertex, Optional[int]]  # (head, driver or None for a wait)
 
 
 def decode(vertex: Vertex, nodes: Sequence[int]) -> tuple[int, int]:
@@ -313,18 +323,22 @@ def build_time_expanded(
     network: Network,
     tau: dict[int, int],
     dt: float,
-    time_weight: float = 1.0,
+    clock_step: int = 0,
 ) -> TimeExpandedNetwork:
     """Construct the rider's time-expanded network (module docstring, step 1).
 
     ``slots`` maps each distinct free slot to the ids of the drivers that
     have it (``SimState.collect_offers``); a driver gets the arcs of each
-    slot it is listed under. ``tau`` holds every link's duration in whole
-    steps. Node intervals come from minimum-step sweeps from the rider's
-    earliest departure and back from the latest arrival. An empty network
-    encodes an infeasible request. The candidate links are listed only
-    once a slot passes the slot test: when none passes, the network has its
-    node intervals and no travel arc, and no link is looked at.
+    slot it is listed under. An open slot, (a, None, b, t, latest
+    departure), starts at ``clock_step``, the clock's step: ``free_slot``'s
+    rule makes it no slot once t <= clock_step, and left from a by its
+    latest departure or by ``clock_step`` once that has passed; its seat
+    was tested where it was listed. ``tau`` holds every link's duration in
+    whole steps. Node intervals come from minimum-step sweeps from the
+    rider's earliest departure and back from the latest arrival. An empty
+    network encodes an infeasible request. The candidate links are listed
+    only once a slot passes the slot test: when none passes, the network
+    has its node intervals and no travel arc, and no link is looked at.
     """
     matrix = step_matrix(network, tau)[0]
 
@@ -355,12 +369,18 @@ def build_time_expanded(
     # at j from a and at i to b never bind, by the triangle inequality on m
     # (module docstring, step 1). An INF empties the range; a link is never a
     # loop, so i and j are not both a. The rule reads the slot alone, so each
-    # distinct slot that passes the slot test has its (tail codes, shift,
-    # cost) spans found once, written for every driver that has that slot.
+    # distinct slot that passes the slot test has its (tail codes, shift)
+    # spans found once, written for every driver that has that slot.
     arcs = ten.travel_arcs
     candidates = None  # listed when the first slot passes the slot test
     to_dest, from_origin = rider.destination, matrix[rider.origin]
     for (a, s, b, t, leave_by), ids in slots.items():
+        if s is None:  # an open slot, by free_slot's rule at the clock's step
+            s = clock_step
+            if t <= s:
+                continue
+            if leave_by < s:
+                leave_by = s
         from_a = matrix[a]
         if s + from_a[to_dest] > la or ed + from_origin[b] > t:
             continue  # the slot test
@@ -378,9 +398,8 @@ def build_time_expanded(
                     if lo <= hi:
                         p = nodes.index(i)
                         candidates.append((i, j, lo, hi, steps, matrix[j], p,
-                                           steps * n + nodes.index(j) - p,
-                                           time_weight * steps * dt))
-        for i, j, lo, hi, steps, from_j, p, shift, cost in candidates:
+                                           steps * n + nodes.index(j) - p))
+        for i, j, lo, hi, steps, from_j, p, shift in candidates:
             if s + from_a[i] > lo:
                 lo = s + from_a[i]
             if t - from_j[b] - steps < hi:
@@ -394,7 +413,7 @@ def build_time_expanded(
             if lo <= hi:
                 tails = range(lo * n + p, hi * n + p + 1, n)
                 for driver in ids:
-                    arcs += [(tail, tail + shift, driver, cost) for tail in tails]
+                    arcs += [(tail, tail + shift, driver) for tail in tails]
     return ten
 
 
@@ -436,9 +455,9 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     reaches keeps no survivor.
 
     The layout lists the survivors in integer order, a topological order,
-    each with its arcs: the wait arc first (driver None, cost 0.0; the
-    solver charges the wait penalty), kept when the next step survives too,
-    then the travel arcs into survivors by (head, driver).
+    each with its arcs: the wait arc first (driver None; the solver charges
+    the wait penalty), kept when the next step survives too, then the
+    travel arcs into survivors by (head, driver).
 
     With no travel arc and the origin not the destination, the start
     reaches only the origin's later steps, none of which is a destination
@@ -461,23 +480,22 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     origin, target = nodes.index(ten.origin), nodes.index(ten.destination)
     first[origin] = intervals[ten.origin][0] * n + origin
     last[target] = intervals[ten.destination][1] * n + target
-    # equal (tail, head, driver) means equal cost, so whole-tuple order is
-    # (tail, head, driver) order. Whether a tail is reached is settled by
+    # Whether a tail is reached is settled by
     # the arcs from earlier steps, all before it; whether a head reaches a
     # destination, by the arcs from its step on, all after the arc's tail.
     arcs = sorted(ten.travel_arcs)
-    for tail, head, _, _ in arcs:
+    for tail, head, _ in arcs:
         if first[tail % n] <= tail and head < first[head % n]:
             first[head % n] = head
-    for tail, head, _, _ in reversed(arcs):
+    for tail, head, _ in reversed(arcs):
         if head <= last[head % n] and last[tail % n] < tail:
             last[tail % n] = tail
     adjacency: dict[Vertex, list[Arc]] = {
-        vertex: [(vertex + n, None, 0.0)] if vertex < last[vertex % n] else []
+        vertex: [(vertex + n, None)] if vertex < last[vertex % n] else []
         for vertex in sorted(v for p in range(n) for v in range(first[p], last[p] + 1, n))}
-    for tail, head, driver, cost in arcs:
+    for tail, head, driver in arcs:
         if tail in adjacency and head in adjacency:
-            adjacency[tail].append((head, driver, cost))
+            adjacency[tail].append((head, driver))
     start = first[origin]
     return PrunedGraph(nodes, list(adjacency), adjacency,
                        start if start in adjacency else None,
@@ -574,7 +592,7 @@ def _cost_to_go(graph: PrunedGraph, costs: StepCosts
     for vertex in reversed(graph.vertices):
         best = 0 if vertex in graph.dests else INF
         drivers = 0
-        for head, driver, _ in graph.adjacency[vertex]:
+        for head, driver in graph.adjacency[vertex]:
             if driver is None:
                 value = wait + togo[head]
             else:
@@ -606,7 +624,7 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, int], costs: StepCosts) ->
     vertex, cost, last, used = graph.start, 0, None, set()
     while vertex not in graph.dests:
         bound, rank = togo[vertex], 3
-        for head, driver, _ in graph.adjacency[vertex]:
+        for head, driver in graph.adjacency[vertex]:
             value = wait if driver is None else step * (head // n - vertex // n)
             if value + togo[head] == bound:
                 # 0: a wait, 1: the driver on board, 2: another driver
@@ -682,7 +700,7 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
         # most a label here may cost to take it, and the drivers reachable
         # from its head
         arcs = []
-        for head, driver, _ in adjacency[vertex]:
+        for head, driver in adjacency[vertex]:
             units = wait if driver is None else step * (head // n - vertex // n)
             room = limit - togo[head] - units
             if room >= 0:
@@ -730,10 +748,11 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     """Run the full pipeline once against a live simulation and commit the
     result, appending one diagnostic row to ``sim.match_trace``.
 
-    The offer scan hands the build every live driver's free slots, grouped
+    The offer index hands the build every live driver's free slots, grouped
     by distinct slot (``SimState.collect_offers``), and the build tests each
-    slot once. The trace's ``offers`` counts every live driver
-    (``SimState.live_drivers``), whether or not one of its slots passed.
+    slot once, an open slot started at the clock's step. The trace's
+    ``offers`` counts every live driver (``SimState.live_drivers``), whether
+    or not one of its slots passed.
 
     There is no retry: offers, network and commit all read the same
     simulation instant and a rejected commit changes no state, so a second
@@ -742,7 +761,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     """
     tau = sim.matching_steps()
     ten = build_time_expanded(rider, sim.collect_offers(), sim.network, tau, sim.dt,
-                              time_weight=sim.weights.time)
+                              clock_step=ceil_steps(sim.clock, sim.dt))
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, sim.step_costs)
     committed = itinerary is not None and sim.commit_itinerary(rider, itinerary, tau)

@@ -15,6 +15,15 @@ its BPR memo read or filled. Each arriving rider triggers the matcher
 exactly once. Only ``_advance`` queues a hold, and it decides whether a
 step has come by the time grid's one rule (``matching.step_due``).
 
+The matcher reads the ridesharing drivers' free slots from one offer index,
+kept across requests: each distinct slot with the ids of the live drivers
+that have it. A driver's slots change only where it moves, in ``_advance``,
+or takes a commit, in ``commit_itinerary``'s phase two; both mark it
+(``_moved``), and ``collect_offers`` re-lists only the drivers marked since
+the last request. A driver standing at its node is listed under an open
+first slot, which starts at whatever step the clock has reached
+(``matching.build_time_expanded``), so standing still needs no re-listing.
+
 Determinism: events are handled in (time, insertion sequence) order, all
 randomness drawn from generators seeded per replication. The generated
 agents' entries are not queued: they stay in the generated tuple, which is
@@ -157,10 +166,15 @@ class RideshareVehicle(Vehicle):
     next link's entry step. The entry sets it (``_plan_initial_route``) and
     every accepted commit replaces it with a new list. Holds come only from
     ``SimState._advance``; a queued hold names the plan it was made for, and
-    is stale once ``plan`` is another list."""
+    is stale once ``plan`` is another list.
+
+    ``listed_first`` and ``listed_later`` are the first slot, or None, and
+    the later slots the offer index lists it under (``SimState
+    .collect_offers``)."""
 
     __slots__ = ("latest_departure_step", "latest_arrival_step", "pins", "aboard",
-                 "next_stop", "later_slots", "plan", "plan_pos")
+                 "next_stop", "later_slots", "plan", "plan_pos",
+                 "listed_first", "listed_later")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
@@ -171,6 +185,8 @@ class RideshareVehicle(Vehicle):
         self.later_slots: tuple[FreeSlot, ...] = ()
         self.plan: list[tuple[int, int]] = []
         self.plan_pos = 0
+        self.listed_first: Optional[FreeSlot] = None
+        self.listed_later: tuple[FreeSlot, ...] = ()
 
     def set_pins(self, pins: tuple[Pin, ...], chain: PinChain) -> None:
         """Take ``pins``, and the next stop and later slots of ``chain``,
@@ -246,7 +262,14 @@ class SimState:
         self.lanes = {(link_id, lane.lane_class): lane
                       for link_id, pair in self.link_lanes.items() for lane in pair}
         self.vehicles: dict[int, Vehicle] = {}
-        self._offer_index: dict[int, RideshareVehicle] = {}  # see collect_offers
+        # the offer index, see collect_offers: the live drivers by id, their
+        # slots with the ids listed under each, the drivers marked since the
+        # last scan, and a heap of (latest arrival, id) of drivers that hold
+        # at a node past their latest arrival
+        self._offer_index: dict[int, RideshareVehicle] = {}
+        self._offers: dict[FreeSlot, list[int]] = {}
+        self._marked: dict[int, RideshareVehicle] = {}
+        self._deadlines: list[tuple[float, int]] = []
         self.rider_board_time: dict[int, float] = {}
         self.rider_alight_time: dict[int, float] = {}
         self.match_results: dict[int, MatchResult] = {}
@@ -391,9 +414,11 @@ class SimState:
 
         This is the one place that queues a hold: a driver's entry, its
         arrival at a node, a hold that comes due and an accepted commit all
-        hand the driver at its node here."""
+        hand the driver at its node here, and it marks a ridesharing
+        driver for the offer index (``_moved``)."""
         node = vehicle.node
         if vehicle.agent.role is RIDESHARE_DRIVER:
+            self._moved(vehicle)
             if vehicle.pins:
                 self._serve_pins(vehicle, node, now)
             pos, plan = vehicle.plan_pos, vehicle.plan
@@ -517,58 +542,108 @@ class SimState:
     def live_drivers(self) -> int:
         """Ridesharing drivers in the offer index. Right after
         ``collect_offers`` that is every driver live at the clock, the
-        match trace's ``offers``."""
+        match trace's ``offers``: the scan evicts a driver at the first
+        request at which ``_live_anchor_step`` refuses it."""
         return len(self._offer_index)
+
+    def _moved(self, vehicle: RideshareVehicle) -> None:
+        """Mark ``vehicle`` for ``collect_offers`` to re-list. Its node,
+        link, departure, pins and riders aboard change only in ``_advance``
+        and in ``commit_itinerary``'s phase two, and both mark it here."""
+        self._marked[vehicle.agent.id] = vehicle
 
     def collect_offers(self) -> dict[FreeSlot, list[int]]:
         """Every live ridesharing driver's free slots, grouped: each distinct
         slot (``matching.FreeSlot``) with the ids of the drivers that have
-        it, in index order, which ``build_time_expanded`` reads.
+        it, which ``build_time_expanded`` reads. The groups are the offer
+        index itself, kept from request to request; callers must not change
+        them. Neither the groups' order nor their ids' follows the drivers'
+        ids: they follow the order in which drivers were re-listed, and
+        nothing the build returns depends on it.
 
-        Only vehicles in the offer index are asked, in one pass in the
-        index's insertion order. That is id order: only generated agents
-        can be ridesharing drivers (an unmatched rider's fallback is a
-        regular driver), and they enter in (time, id) order, which is id
-        order. Every vehicle adds its first slot, from its anchor to its
-        ``next_stop``, by the chain's rule (``matching.free_slot``) from its
-        own values, then its ``later_slots``; no chain is built. The first
-        slot is missing when its seats are full (``demand.seats`` may be 0)
-        or its anchor step has reached the stop's step.
+        A driver's first slot runs from its anchor to its ``next_stop``, by
+        the chain's rule (``matching.free_slot``), then come its
+        ``later_slots``. On a link, the first slot starts at the link's end
+        at ``ceil_steps`` of its arrival time and holds until it arrives.
+        Standing at its node, the driver is listed under an open first
+        slot, (node, None, stop, step, its latest departure step, or INF
+        once underway), if it has a free seat: the build starts it at the
+        clock's step, so it holds while the driver stands.
 
-        A ridesharing vehicle enters the index when it is created and
-        leaves it, for good, the first time ``_live_anchor_step`` finds it
-        has nothing left to offer; so after the pass the index holds every
-        live vehicle (``live_drivers``), with a free seat or not.
+        Only the drivers marked since the last call (``_moved``) are asked,
+        and re-listed where their slots changed. One condition turns true
+        with no event: a driver standing at its node past its own
+        ``latest_arrival``. A driver stands at its node only while the hold
+        ``_advance`` queued for its plan's next entry step runs, so the scan
+        that lists a standing driver whose hold ends after its latest
+        arrival pushes (latest arrival, id) onto a heap; every scan pops
+        the entries the clock has passed and asks those drivers too. A
+        driver enters the index when it is created and leaves it, for good,
+        at the first scan at which ``_live_anchor_step`` finds it has
+        nothing left to offer: the scan at which a scan of every driver
+        would evict it, since nothing else changes its answer. So after the
+        scan the index holds every live vehicle (``live_drivers``), with a
+        free seat or not.
         ``commit_itinerary`` looks each leg's driver up here, so an evicted
         vehicle is never given a pin.
         """
-        clock_step = ceil_steps(self.clock, self.dt)
-        groups: dict[FreeSlot, list[int]] = {}
-        evicted = []
-        for agent_id, vehicle in self._offer_index.items():
-            anchor_step = self._live_anchor_step(vehicle, clock_step)
+        index, marked, deadlines, clock = (self._offer_index, self._marked, self._deadlines,
+                                           self.clock)
+        while deadlines and deadlines[0][0] < clock:
+            agent_id = heapq.heappop(deadlines)[1]
+            vehicle = index.get(agent_id)
+            if vehicle is not None:
+                marked[agent_id] = vehicle
+        if not marked:
+            return self._offers
+        offers, clock_step = self._offers, ceil_steps(clock, self.dt)
+        live = self._live_anchor_step
+        for agent_id, vehicle in marked.items():
+            if agent_id not in index:
+                continue  # evicted earlier; it may still drive on
+            anchor_step = live(vehicle, clock_step)
             if anchor_step is None:
-                evicted.append(agent_id)
-                continue
-            stop, step = vehicle.next_stop
-            slot = free_slot(vehicle.node, anchor_step, stop, step, len(vehicle.aboard),
-                             vehicle.agent.seats, vehicle.latest_departure_step
-                             if vehicle.departure_time is None else INF)
-            if slot is not None:
-                groups.setdefault(slot, []).append(agent_id)
-            if vehicle.later_slots:  # most have none: skip an empty loop's set-up
-                for slot in vehicle.later_slots:
-                    groups.setdefault(slot, []).append(agent_id)
-        for agent_id in evicted:
-            del self._offer_index[agent_id]
-        return groups
+                del index[agent_id]
+                first, later = None, ()
+            else:
+                stop, step = vehicle.next_stop
+                later = vehicle.later_slots
+                if vehicle.link_arrival_time is not None:
+                    first = free_slot(vehicle.node, anchor_step, stop, step,
+                                      len(vehicle.aboard), vehicle.agent.seats, INF)
+                else:  # standing at its node: an open first slot
+                    first = None
+                    if len(vehicle.aboard) < vehicle.agent.seats:
+                        first = (vehicle.node, None, stop, step, vehicle.latest_departure_step
+                                 if vehicle.departure_time is None else INF)
+                    # it holds until its plan's next entry step; a hold that
+                    # ends after its latest arrival needs the heap
+                    latest = vehicle.agent.window.latest_arrival
+                    if vehicle.plan[vehicle.plan_pos][1] * self.dt > latest:
+                        heapq.heappush(deadlines, (latest, agent_id))
+            listed = vehicle.listed_first
+            if first != listed:
+                if listed is not None:
+                    _unlist(offers, listed, agent_id)
+                if first is not None:
+                    _list(offers, first, agent_id)
+                vehicle.listed_first = first
+            if later is not vehicle.listed_later:
+                for slot in vehicle.listed_later:
+                    _unlist(offers, slot, agent_id)
+                for slot in later:
+                    _list(offers, slot, agent_id)
+                vehicle.listed_later = later
+        marked.clear()
+        return offers
 
     def _live_anchor_step(self, vehicle: RideshareVehicle, clock_step: int) -> Optional[int]:
         """The step from which the indexed vehicle is available at its
         anchor, or None when it has nothing left to offer: finished (arrived
         or stranded), past its own latest arrival, or at its destination
         with no pins. ``clock_step`` is the clock's step, the anchor step of
-        a vehicle at its node. The scan and the commit both ask here.
+        a vehicle at its node. The scan asks here for each driver it
+        re-lists, and the commit for each leg's driver.
 
         The anchor is where the vehicle is, or the end of the link it is on.
         None is final, so the vehicle can leave the offer index: a finished
@@ -576,7 +651,11 @@ class SimState:
         clock, or the end of the link the vehicle is on), so one past
         the driver's latest arrival stays past it; and a commit refuses a
         vehicle for which this is None, so one bound for its destination
-        with no pins left is never given a route past it.
+        with no pins left is never given a route past it. The answer
+        changes only where the vehicle moves or takes pins, which marks it
+        (``_moved``), or where the clock passes its latest arrival while it
+        stands at its node, which the scan's heap catches
+        (``collect_offers``).
         """
         if vehicle.arrival_time is not None or vehicle.stranded:
             return None
@@ -607,10 +686,10 @@ class SimState:
         stops the driver takes the path of ``step_matrix`` at ``tau``, the
         matrix that built the rider's network, read and not searched
         again. Phase two gives each vehicle the new pins with their chain
-        (``RideshareVehicle.set_pins``) and replaces its plan, and hands a
-        vehicle standing at its node to ``_advance`` at the clock, which
-        serves the pins due, then holds it or moves it on: the commit
-        queues no event of its own.
+        (``RideshareVehicle.set_pins``) and replaces its plan, marks it for
+        the offer index (``_moved``), and hands a vehicle standing at its
+        node to ``_advance`` at the clock, which serves the pins due, then
+        holds it or moves it on: the commit queues no event of its own.
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
@@ -660,6 +739,7 @@ class SimState:
         for vehicle, pins, chain, plan in updates:
             vehicle.set_pins(pins, chain)
             vehicle.plan, vehicle.plan_pos = plan, 0
+            self._moved(vehicle)
             if vehicle.link_arrival_time is None:
                 self._advance(vehicle, self.clock)
         return True
@@ -757,6 +837,25 @@ class SimState:
             stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )
+
+
+def _list(offers: dict[FreeSlot, list[int]], slot: FreeSlot, agent_id: int) -> None:
+    """List ``agent_id`` under ``slot`` in the offer index ``offers``."""
+    ids = offers.get(slot)
+    if ids is None:
+        offers[slot] = [agent_id]
+    else:
+        ids.append(agent_id)
+
+
+def _unlist(offers: dict[FreeSlot, list[int]], slot: FreeSlot, agent_id: int) -> None:
+    """Take ``agent_id`` off ``slot`` in ``offers``, and the slot with its
+    last id."""
+    ids = offers[slot]
+    if len(ids) == 1:
+        del offers[slot]
+    else:
+        ids.remove(agent_id)
 
 
 def init_simulation(config: ScenarioConfig, network: Network, seed: int) -> SimState:

@@ -24,7 +24,7 @@ def start_vertex(ten):
 
 def layout(ten):
     """Every vertex of ``ten``, in integer order, with its outgoing arcs:
-    the wait arc first (driver None, cost 0.0), then the travel arcs by
+    the wait arc first (driver None), then the travel arcs by
     (head, driver), the order ``preprocess`` gives its survivors."""
     n = len(ten.nodes)
     graph = {}
@@ -32,9 +32,9 @@ def layout(ten):
                          for step in range(ten.node_intervals[node][0],
                                            ten.node_intervals[node][1] + 1)):
         node, step = decode(vertex, ten.nodes)
-        graph[vertex] = [(vertex + n, None, 0.0)] if step < ten.node_intervals[node][1] else []
-    for tail, head, driver, cost in sorted(ten.travel_arcs):
-        graph[tail].append((head, driver, cost))
+        graph[vertex] = [(vertex + n, None)] if step < ten.node_intervals[node][1] else []
+    for tail, head, driver in sorted(ten.travel_arcs):
+        graph[tail].append((head, driver))
     return graph
 
 
@@ -63,7 +63,7 @@ def labelled_paths(ten, budget=200_000):
         vertex, last, used, arcs = stack.pop()
         if decode(vertex, ten.nodes)[0] == ten.destination:
             yield arcs
-        for head, driver, _ in graph[vertex]:
+        for head, driver in graph[vertex]:
             expansions += 1
             if expansions > budget:
                 raise EnumerationBudgetError(

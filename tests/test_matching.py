@@ -52,8 +52,8 @@ def code(ten, node, step):
 
 def decoded_arcs(ten):
     """``ten``'s travel arcs with (node, step) tail and head."""
-    return [(decode(tail, ten.nodes), decode(head, ten.nodes), driver, cost)
-            for tail, head, driver, cost in ten.travel_arcs]
+    return [(decode(tail, ten.nodes), decode(head, ten.nodes), driver)
+            for tail, head, driver in ten.travel_arcs]
 
 
 def assert_itinerary_invariants(itinerary, rider, offers_by_id, dt):
@@ -168,7 +168,7 @@ class TestBuildTimeExpanded:
                         anchor_step=0, latest_departure_step=4,
                         latest_arrival_step=20, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
-        for tail, head, _, _ in decoded_arcs(ten):
+        for tail, head, _ in decoded_arcs(ten):
             link = next(l for l in testbed.links
                         if (l.from_node, l.to_node) == (tail[0], head[0]))
             assert head[1] - tail[1] == ceil_steps(link.free_flow_time, 0.05)
@@ -191,7 +191,7 @@ class TestBuildTimeExpanded:
                         anchor_step=0, latest_departure_step=2,
                         latest_arrival_step=7, seats=2)
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
-        assert {(tail[0], head[0]) for tail, head, _, _ in decoded_arcs(ten)} == {(0, 1)}
+        assert {(tail[0], head[0]) for tail, head, _ in decoded_arcs(ten)} == {(0, 1)}
 
     def test_full_vehicle_offers_no_arcs(self, testbed, free_flow):
         rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.2, 0.72, 1.0), 0.0)
@@ -210,7 +210,7 @@ class TestBuildTimeExpanded:
                         aboard=1, pins=(Pin(1, 8, "alight", 55),))
         ten = build_time_expanded(rider, slot_groups([driver]), testbed, free_flow, 0.05)
         assert ten.travel_arcs  # the 1->2 leg after the dropoff is offerable
-        assert all(tail[1] >= 8 for tail, _, _, _ in decoded_arcs(ten))
+        assert all(tail[1] >= 8 for tail, _, _ in decoded_arcs(ten))
 
 
 def with_pins(rng, offer, net, dt):
@@ -246,7 +246,7 @@ def with_slack(rng, rider, dt):
 
 
 def reference_ten(rider, offers, net, tau, dt):
-    """(vertices, {(tail, head, driver, cost): slot}) of the rider's network,
+    """(vertices, {(tail, head, driver): slot}) of the rider's network,
     by testing every step against the rider's window and each driver's
     stops one at a time; ``full`` counts seat-full slots that would
     otherwise carry an arc."""
@@ -280,8 +280,7 @@ def reference_ten(rider, offers, net, tau, dt):
         occupancies = offer.chain()[1]
         for slot in range(len(stops) - 1):
             found = [
-                ((link.from_node, k), (link.to_node, k + tau[link.id]), offer.id,
-                 tau[link.id] * dt)
+                ((link.from_node, k), (link.to_node, k + tau[link.id]), offer.id)
                 for link in net.links for k in range(la + 1)
                 if (link.from_node, k) in vertices
                 and (link.to_node, k + tau[link.id]) in vertices
@@ -370,12 +369,12 @@ def reference_cost_to_go(graph, costs):
     def cost_to_go(vertex):
         if vertex not in least:
             values = [arc_units(graph, vertex, head, driver, costs) + cost_to_go(head)
-                      for head, driver, _ in graph.adjacency[vertex]]
+                      for head, driver in graph.adjacency[vertex]]
             least[vertex] = min(values + [0] if vertex in graph.dests else values,
                                 default=matching.INF)
-            drivers[vertex] = {driver for _, driver, _ in graph.adjacency[vertex]
+            drivers[vertex] = {driver for _, driver in graph.adjacency[vertex]
                                if driver is not None}.union(
-                *(drivers[head] for head, _, _ in graph.adjacency[vertex]))
+                *(drivers[head] for head, _ in graph.adjacency[vertex]))
         return least[vertex]
 
     return {vertex: cost_to_go(vertex) for vertex in graph.vertices}, drivers
@@ -387,7 +386,7 @@ def reference_incumbent(graph, togo, costs):
     on board), the first in arc order among equals."""
     vertex, cost, last, used = graph.start, 0, None, set()
     while vertex not in graph.dests:
-        ties = [(head, driver) for head, driver, _ in graph.adjacency[vertex]
+        ties = [(head, driver) for head, driver in graph.adjacency[vertex]
                 if arc_units(graph, vertex, head, driver, costs) + togo[head] == togo[vertex]]
         head, driver = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
         if driver is not None:
@@ -479,14 +478,14 @@ class TestCanonicalOrder:
     def test_exact_costs_break_float_ties(self):
         """One leg of 6 steps after a wait, and a transfer: 1 step, a wait,
         5 steps. At a penalty equal to the step cost both cost 7 steps'
-        worth, though float sums of their arc costs differ (the transfer's
+        worth, though float sums of their step costs differ (the transfer's
         is smaller); the one leg wins on legs, and its reported cost is 7
         times the step cost."""
         dt = 0.05
         ten = TimeExpandedNetwork(0, 2, {0: (0, 1), 1: (1, 2), 2: (7, 7)}, [])
-        ten.travel_arcs += [(code(ten, 0, 1), code(ten, 2, 7), 7, 6 * dt),
-                            (code(ten, 0, 0), code(ten, 1, 1), 8, 1 * dt),
-                            (code(ten, 1, 2), code(ten, 2, 7), 9, 5 * dt)]
+        ten.travel_arcs += [(code(ten, 0, 1), code(ten, 2, 7), 7),
+                            (code(ten, 0, 0), code(ten, 1, 1), 8),
+                            (code(ten, 1, 2), code(ten, 2, 7), 9)]
         assert 1 * dt + dt + 5 * dt < dt + 6 * dt
         costs = StepCosts(dt, dt)
         itinerary = solve_itinerary(preprocess(ten), costs)
@@ -500,9 +499,9 @@ class TestCanonicalOrder:
         itinerary spans 3 steps with one wait, two legs and the drivers
         (4, 5). The later boarding, which waits before it, wins."""
         ten = TimeExpandedNetwork(0, 2, {0: (0, 1), 1: (1, 2), 2: (3, 3)}, [])
-        ten.travel_arcs += [(code(ten, 0, 0), code(ten, 1, 1), 4, DT_EXACT),
-                            (code(ten, 0, 1), code(ten, 1, 2), 4, DT_EXACT),
-                            (code(ten, 1, 2), code(ten, 2, 3), 5, DT_EXACT)]
+        ten.travel_arcs += [(code(ten, 0, 0), code(ten, 1, 1), 4),
+                            (code(ten, 0, 1), code(ten, 1, 2), 4),
+                            (code(ten, 1, 2), code(ten, 2, 3), 5)]
         costs = StepCosts(DT_EXACT, DT_EXACT)
         itinerary = solve_itinerary(preprocess(ten), costs)
         assert itinerary.legs == (matching.ItineraryLeg(4, 0, 1, 1, 2),
@@ -574,8 +573,8 @@ class TestTwinnedTies:
         graph = preprocess(build_time_expanded(
             rider, slot_groups([free, pinned]), net, tau, DT_EXACT))
         head = code(graph, 3, 3)
-        assert [driver for _, driver, _ in graph.adjacency[code(graph, 1, 1)]] == [20]
-        assert [driver for _, driver, _ in graph.adjacency[code(graph, 2, 2)]] == [10, 20]
+        assert [driver for _, driver in graph.adjacency[code(graph, 1, 1)]] == [20]
+        assert [driver for _, driver in graph.adjacency[code(graph, 2, 2)]] == [10, 20]
         assert all(arc[0] == head for v in (code(graph, 1, 1), code(graph, 2, 2))
                    for arc in graph.adjacency[v])
         itinerary = solve_itinerary(graph, StepCosts(DT_EXACT, DT_EXACT))
@@ -583,11 +582,14 @@ class TestTwinnedTies:
 
 
 class TestBuildDigest:
-    # SHA-256 over sorted(ten.travel_arcs) and sorted(ten.node_intervals
+    # SHA-256 over the sorted travel arcs and sorted(ten.node_intervals
     # .items()) for each instance below, built from its offers and again
     # with every offer twinned under a new id, so that slots repeat. It was
     # recorded from the build that ran the arc rule once per slot of every
-    # offer; the build that runs it once per distinct slot must match it.
+    # offer, whose arcs were (tail, head, driver, cost) with the cost
+    # steps * dt; the build that runs it once per distinct slot, with arcs
+    # (tail, head, driver), must match it, each arc hashed with the cost
+    # its vertex codes give.
     DIGEST = "8c1e65163499b66cbc47178a51acb825f11c4daebff84a85f1886c1c378d3ba6"
 
     def test_networks_match_recorded_digest(self):
@@ -597,7 +599,10 @@ class TestBuildDigest:
             twins = [dataclasses.replace(o, id=o.id + 100) for o in offers]
             for drivers in (offers, offers + twins):
                 ten = build_time_expanded(rider, slot_groups(drivers), net, tau, DT_EXACT)
-                digest.update(repr(sorted(ten.travel_arcs)).encode())
+                n = len(ten.nodes)
+                digest.update(repr(sorted(
+                    (tail, head, driver, (head // n - tail // n) * DT_EXACT)
+                    for tail, head, driver in ten.travel_arcs)).encode())
                 digest.update(repr(sorted(ten.node_intervals.items())).encode())
         assert digest.hexdigest() == self.DIGEST
 
@@ -622,8 +627,8 @@ class TestSharedSlots:
         _, arcs, _ = reference_ten(rider, offers, testbed, free_flow, 0.05)
         assert sorted(decoded_arcs(ten)) == sorted(arcs)
         by_driver = {offer.id: set() for offer in offers}
-        for tail, head, driver, cost in decoded_arcs(ten):
-            by_driver[driver].add((tail, head, cost))
+        for tail, head, driver in decoded_arcs(ten):
+            by_driver[driver].add((tail, head))
         assert by_driver[3]
         assert by_driver[3] == by_driver[5] == by_driver[7] == by_driver[12]
         assert by_driver[3] < by_driver[9]
@@ -644,13 +649,13 @@ class TestNoReboarding:
         intervals[hops + 1] = (hops + 1, hops + 2)
         ten = TimeExpandedNetwork(0, hops + 1, intervals, [])
         ten.travel_arcs.extend(
-            (code(ten, k, k), code(ten, k + 1, k + 1), driver, DT_EXACT)
+            (code(ten, k, k), code(ten, k + 1, k + 1), driver)
             for k, driver in enumerate(self.DRIVERS))
         ten.travel_arcs.append((code(ten, hops, hops), code(ten, hops + 1, hops + 1),
-                                self.DRIVERS[0], DT_EXACT))
+                                self.DRIVERS[0]))
         if fresh:
             ten.travel_arcs.append((code(ten, hops, hops + 1),
-                                    code(ten, hops + 1, hops + 2), self.FRESH, DT_EXACT))
+                                    code(ten, hops + 1, hops + 2), self.FRESH))
         return ten
 
     def test_refuses_cheaper_reboarding(self):
@@ -866,19 +871,19 @@ class TestForward:
         ten = TimeExpandedNetwork(0, 2, {2: (1, 3), 0: (0, 1), 1: (1, 2)}, [])
         # travel arcs deliberately out of order: by driver, head and tail
         ten.travel_arcs.extend(
-            (code(ten, *tail), code(ten, *head), driver, cost)
-            for tail, head, driver, cost in [
-                ((1, 1), (2, 3), 4, 0.5),
-                ((0, 0), (2, 1), 3, 0.25),
-                ((0, 0), (1, 1), 9, 0.25),
-                ((0, 1), (1, 2), 5, 0.25),
-                ((0, 0), (1, 2), 1, 0.5),
-                ((0, 0), (1, 1), 3, 0.25),
+            (code(ten, *tail), code(ten, *head), driver)
+            for tail, head, driver in [
+                ((1, 1), (2, 3), 4),
+                ((0, 0), (2, 1), 3),
+                ((0, 0), (1, 1), 9),
+                ((0, 1), (1, 2), 5),
+                ((0, 0), (1, 2), 1),
+                ((0, 0), (1, 1), 3),
             ])
         return ten
 
     def decoded(self, ten, arcs):
-        return [(decode(head, ten.nodes), driver, cost) for head, driver, cost in arcs]
+        return [(decode(head, ten.nodes), driver) for head, driver in arcs]
 
     def test_codes_decode_to_node_and_step(self):
         ten = self.hand_built()
@@ -899,15 +904,15 @@ class TestForward:
         ten = self.hand_built()
         graph = layout(ten)
         assert self.decoded(ten, graph[code(ten, 0, 0)]) == [
-            ((0, 1), None, 0.0),
-            ((1, 1), 3, 0.25), ((1, 1), 9, 0.25),
-            ((2, 1), 3, 0.25),
-            ((1, 2), 1, 0.5),
+            ((0, 1), None),
+            ((1, 1), 3), ((1, 1), 9),
+            ((2, 1), 3),
+            ((1, 2), 1),
         ]
         # no wait past the interval
-        assert self.decoded(ten, graph[code(ten, 0, 1)]) == [((1, 2), 5, 0.25)]
+        assert self.decoded(ten, graph[code(ten, 0, 1)]) == [((1, 2), 5)]
         assert self.decoded(ten, graph[code(ten, 1, 1)]) == [
-            ((1, 2), None, 0.0), ((2, 3), 4, 0.5)]
+            ((1, 2), None), ((2, 3), 4)]
         assert graph[code(ten, 2, 3)] == []
 
     def test_preprocess_keeps_forward_order(self):
@@ -957,7 +962,7 @@ class TestPreprocess:
         graph = preprocess(ten)
         position = {v: i for i, v in enumerate(graph.vertices)}
         for tail, arcs in graph.adjacency.items():
-            for head, _, _ in arcs:
+            for head, _ in arcs:
                 assert position[tail] < position[head]
 
 
@@ -1006,7 +1011,7 @@ def reference_preprocess(ten):
     reached = {start}
     for vertex, arcs in graph.items():
         if vertex in reached:
-            reached.update(head for head, _, _ in arcs)
+            reached.update(head for head, _ in arcs)
     n = len(ten.nodes)
     target = ten.nodes.index(ten.destination) if graph else None
     adjacency, dests = {}, set()
@@ -1026,7 +1031,7 @@ def reference_preprocess(ten):
 def assert_arc_ends_in_intervals(ten):
     """Every travel arc raises the step, and both its ends lie in their
     nodes' intervals (``TimeExpandedNetwork``)."""
-    for tail, head, _, _ in ten.travel_arcs:
+    for tail, head, _ in ten.travel_arcs:
         (i, k), (j, step) = decode(tail, ten.nodes), decode(head, ten.nodes)
         assert k < step
         assert ten.node_intervals[i][0] <= k <= ten.node_intervals[i][1]
@@ -1075,8 +1080,8 @@ class TestSurvivorIntervals:
         assert self.assert_exact(origin_at_destination).feasible
         # a round trip that leaves the destination and comes back
         origin_at_destination.travel_arcs += [
-            (code(origin_at_destination, 0, 2), code(origin_at_destination, 1, 3), 1, 0.5),
-            (code(origin_at_destination, 1, 4), code(origin_at_destination, 0, 5), 2, 0.5)]
+            (code(origin_at_destination, 0, 2), code(origin_at_destination, 1, 3), 1),
+            (code(origin_at_destination, 1, 4), code(origin_at_destination, 0, 5), 2)]
         assert len(self.assert_exact(origin_at_destination).vertices) == 6
 
 

@@ -7,6 +7,7 @@ import math
 import re
 import statistics
 import weakref
+from pathlib import Path
 
 import pytest
 import yaml
@@ -778,15 +779,38 @@ def ten_key(ten):
     return sorted(ten.travel_arcs), ten.node_intervals
 
 
+def resolved(groups, clock_step):
+    """The offer index's ``groups`` as the slots they stand for at
+    ``clock_step``: an open slot (a, None, b, t, latest departure) by
+    ``free_slot``'s rule, none once t <= clock_step and else left by the
+    later of its latest departure and ``clock_step``; the ids of groups that
+    come to one slot merged, each slot's ids sorted."""
+    slots = {}
+    for (a, s, b, t, leave_by), ids in groups.items():
+        if s is None:
+            if t <= clock_step:
+                continue
+            s, leave_by = clock_step, max(leave_by, clock_step)
+        slots.setdefault((a, s, b, t, leave_by), []).extend(ids)
+    return {slot: sorted(ids) for slot, ids in slots.items()}
+
+
+DENSE_SCENARIO = (Path(__file__).resolve().parent.parent
+                  / "perfbench" / "scenarios" / "rideshare_dense.yaml")
+
+
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed, tmp_path, monkeypatch):
-        """At every request of the sweep, transfer and grid runs, the scan's
-        slot groups are those of fresh offers built from every live
-        driver's current pins, in index order, and build the same network;
-        every live vehicle's next stop and later slots are its fresh
-        offer's; the trace counts every live driver. Pins are served
-        mid-route, with pins left, and those vehicles are scanned."""
+        """At every request of the sweep, transfer and grid runs, the kept
+        index's slot groups, open slots resolved at the clock's step, are
+        those of fresh offers built from every live driver's current pins,
+        and build the same network; every live vehicle's next stop and
+        later slots are its fresh offer's; the trace counts every live
+        driver. Pins are served mid-route, with pins left, and those
+        vehicles are scanned; open slots that resolve to no slot are among
+        the groups."""
         requests = grouped = pinned = carrying = served_mid_route = evicted = 0
+        open_slots = closed_open_slots = 0
         riders = []
         match = simulation.match_rider
         serve = SimState._serve_pins
@@ -808,10 +832,9 @@ class TestOfferIndex:
             live = {}
 
             def checked(sim=sim, indexed=indexed, live=live):
-                nonlocal requests, grouped, pinned, carrying
-                # the scan's order is the index's insertion order
-                assert list(sim._offer_index) == sorted(sim._offer_index)
+                nonlocal requests, grouped, pinned, carrying, open_slots, closed_open_slots
                 groups = indexed()
+                clock_step = ceil_steps(sim.clock, sim.dt)
                 full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
@@ -826,15 +849,20 @@ class TestOfferIndex:
                         assert vehicle.later_slots == offer.chain()[2], offer
                         pinned += len(offer.pins) > 0
                         carrying += len(offer.pins) > 0 and offer.aboard > 0
-                # the groups, their order and each group's ids are the full
-                # scan's, ids in index order (id order); a driver is listed
-                # at most once per slot, since two equal slots of one chain
-                # would need a slot that ends at the step it starts
-                assert list(groups.items()) == list(slot_groups(full).items())
-                assert all(ids == sorted(set(ids)) for ids in groups.values())
+                # the groups, resolved at the clock's step, are the full
+                # scan's; a driver is listed at most once per slot, since
+                # two equal slots of one chain would need a slot that ends
+                # at the step it starts
+                concrete = resolved(groups, clock_step)
+                assert concrete == slot_groups(full)
+                assert all(ids == sorted(set(ids)) for ids in concrete.values())
+                for a, s, b, t, _ in groups:
+                    open_slots += s is None
+                    closed_open_slots += s is None and t <= clock_step
                 rider = riders[-1]
                 tau = sim.matching_steps()
-                assert ten_key(build_time_expanded(rider, groups, sim.network, tau, sim.dt)) \
+                assert ten_key(build_time_expanded(rider, groups, sim.network, tau, sim.dt,
+                                                   clock_step=clock_step)) \
                     == ten_key(build_time_expanded(rider, slot_groups(full), sim.network,
                                                    tau, sim.dt)), rider
                 live[rider.id] = len(full)
@@ -854,6 +882,67 @@ class TestOfferIndex:
         assert pinned > requests and carrying > requests
         assert served_mid_route > 100
         assert evicted > 0
+        assert open_slots > requests and closed_open_slots > 0
+
+    def test_scan_asks_only_marked_and_due_drivers(self, monkeypatch):
+        """Each scan asks ``_live_anchor_step`` no more often than there
+        are drivers marked since the last scan (``_moved``) and latest
+        arrivals it pops from its heap. Over a ``rideshare-dense`` run the
+        scans ask at most 30% as often as a walk of the whole index at
+        every request would visit a driver."""
+        config = load_config(DENSE_SCENARIO)
+        sim = init_simulation(config, config.make_network(), config.seed)
+        asked = scans = walked = total = 0
+        ask = SimState._live_anchor_step
+
+        def counting(sim, vehicle, clock_step):
+            nonlocal asked
+            asked += 1
+            return ask(sim, vehicle, clock_step)
+
+        monkeypatch.setattr(SimState, "_live_anchor_step", counting)
+        scan = sim.collect_offers
+
+        def bounded():
+            nonlocal asked, scans, walked, total
+            # the scan pops every entry whose latest arrival the clock passed
+            due = len(sim._marked) + sum(latest < sim.clock for latest, _ in sim._deadlines)
+            walked += len(sim._offer_index)
+            asked = 0
+            groups = scan()
+            assert asked <= due
+            scans += 1
+            total += asked
+            return groups
+
+        sim.collect_offers = bounded
+        sim.run()
+        assert scans == len(sim.match_trace) > 100
+        assert 0 < total <= 0.3 * walked
+
+    def test_driver_holding_past_latest_arrival_leaves_on_time(self):
+        """Driver 0's latest departure step, 7 (0.35 h), lies after its own
+        latest arrival, 0.32 h, so it holds at its origin past that with no
+        event between. The scan at its ``latest_arrival`` still counts it,
+        and, listing it standing with a hold that ends after its latest
+        arrival, puts it on the heap of latest arrivals; the scan 5e-13 h
+        later, with no event in between, pops it and counts it no more
+        (``collect_offers``)."""
+        from conftest import make_network
+        net = make_network([(0, 1, 0.01), (1, 0, 0.01)])
+        sim = SimState(scenario(2.0, {(0, 1): 0.0}), net, seed=1)
+        driver = rideshare(0, 0, 1, t=0.0, fft=0.01, flex=0.31)
+        latest_arrival = driver.window.latest_arrival
+        seed_agent(sim, driver)
+        seed_agent(sim, rider(1, 1, 0, t=latest_arrival, fft=0.01))
+        seed_agent(sim, rider(2, 1, 0, t=latest_arrival + 5e-13, fft=0.01))
+        sim.run()
+        vehicle = sim.vehicles[0]
+        assert vehicle.departure_time == 7 * sim.dt > latest_arrival + 5e-13
+        assert [row["request_time"] for row in sim.match_trace] == [
+            latest_arrival, latest_arrival + 5e-13]
+        assert [row["offers"] for row in sim.match_trace] == [1, 0]
+        assert sim.live_drivers == 0
 
     def test_commit_runs_no_search(self, testbed, tmp_path, monkeypatch):
         """A commit routes each driver along the step matrix's paths: no
@@ -965,9 +1054,11 @@ class TestOfferIndex:
 
     def test_pin_free_drivers_grouped_by_slot(self):
         """Drivers 0 and 1 wait at node 0 for node 2 with one window and
-        share a slot; driver 3, with the same window, has driven round the
-        0-1 loop, so its slot differs only in ``leave_by``; driver 2 has no
-        seat and no slot, but is live."""
+        share an open slot; driver 3, with the same window, has driven round
+        the 0-1 loop, so its slot differs only in ``leave_by``; driver 2 has
+        no seat and no slot, but is live. The open slots start at the
+        clock's step, and hold as the clock moves on with no driver
+        marked."""
         from conftest import make_network
         net = make_network([(0, 1, 0.01), (1, 0, 0.01), (0, 2, 0.5)])
         sim = SimState(scenario(2.0, {(0, 2): 0.0}), net, seed=1)
@@ -980,13 +1071,15 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None
         sim.enter_link(vehicle, 1, 0.01)
         vehicle.link_arrival_time = None  # back at node 0, now underway
+        sim._moved(vehicle)  # moved by hand, not by a handler
         sim.clock = 0.03
         groups = sim.collect_offers()
         waiting, departed = (free_slots(fresh_driver(sim, sim._offer_index[i]))
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
         assert departed[0][4] == float("inf") != waiting[0][4]
-        assert groups == {waiting[0]: [0, 1], departed[0]: [3]}
+        assert groups == {(0, None, 2, 16, 6): [0, 1], (0, None, 2, 16, float("inf")): [3]}
+        assert resolved(groups, 1) == {waiting[0]: [0, 1], departed[0]: [3]}
         assert free_slots(fresh_driver(sim, sim._offer_index[1])) == waiting
         assert free_slots(fresh_driver(sim, sim._offer_index[2])) == ()
         assert sim.live_drivers == 4
@@ -995,14 +1088,17 @@ class TestOfferIndex:
         sim.clock = 0.33
         waiting = free_slots(fresh_driver(sim, sim._offer_index[0]))
         assert waiting[0][1] == waiting[0][4] == 7
-        assert sim.collect_offers()[waiting[0]] == [0, 1]
+        listed = {slot: list(ids) for slot, ids in groups.items()}
+        groups = sim.collect_offers()  # no driver was marked: nothing re-listed
+        assert groups == listed
+        assert resolved(groups, 7)[waiting[0]] == [0, 1]
 
     def test_alight_at_destination_adds_no_empty_slot(self):
         """A vehicle at its destination whose one pin is an alight there at
-        the anchor step s has stops (2, s), (2, s), (2, t): the first slot
-        ends at the step it starts, so the vehicle is grouped once, under
-        its later slot; at its latest arrival step (t == s) it has no slot,
-        yet stays live in the index."""
+        the anchor step s has stops (2, s), (2, s), (2, t): its open first
+        slot resolves to none at the clock's step, so it is grouped once,
+        under its later slot; at its latest arrival step (t == s) it has no
+        slot, yet stays live in the index."""
         from conftest import make_network
         net = make_network([(0, 2, 0.5)])
         sim = SimState(scenario(2.0, {(0, 2): 0.0}), net, seed=1)
@@ -1022,6 +1118,7 @@ class TestOfferIndex:
             pins = (Pin(2, step, "alight", 9),)
             vehicle.set_pins(pins, pin_chain(agent.id, pins, len(vehicle.aboard), agent.seats,
                                              agent.destination, latest_arrival_step))
+            sim._moved(vehicle)  # pinned by hand, not by a commit
             return step
 
         s = alight_due(0.5)
@@ -1031,12 +1128,16 @@ class TestOfferIndex:
                                  (2, latest_arrival_step, False))
         assert free_slots(offer) == seat_free_slots(offer) == vehicle.later_slots \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
-        assert sim.collect_offers() == {vehicle.later_slots[0]: [0]}
+        groups = sim.collect_offers()
+        assert groups == {(2, None, 2, s, float("inf")): [0], vehicle.later_slots[0]: [0]}
+        assert resolved(groups, s) == {vehicle.later_slots[0]: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
         offer = fresh_driver(sim, vehicle)
         assert offer.stops() == ((2, latest_arrival_step, False),) * 3
         assert free_slots(offer) == seat_free_slots(offer) == ()
-        assert sim.collect_offers() == {}
+        groups = sim.collect_offers()
+        assert groups == {(2, None, 2, latest_arrival_step, float("inf")): [0]}
+        assert resolved(groups, latest_arrival_step) == {}
         assert sim.live_drivers == 1
 
     def test_offer_dropped_once_past_latest_arrival(self, testbed):
