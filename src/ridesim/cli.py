@@ -75,8 +75,8 @@ def cmd_run(args) -> int:
     report = run_single(config)[1]
     outdir = Path(config.output_dir)
     write_sim_report(report, outdir, config.fingerprint(), config.seed)
-    print(f"agents: {len(report.outcomes)}  riders: {report.riders_total}  "
-          f"match rate: {report.match_rate:.3f}")
+    print(f"agents: {len(report.outcomes)}  riders: {report.riders.riders}  "
+          f"match rate: {report.riders.match_rate:.3f}")
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ bundled validation scenario), so each pass would walk them again and find
 no garbage. A replication builds no reference cycle ("Memory" in
 ``ridesim.simulation``), so reference counting frees it once it is
 dropped, and no pass runs while one is alive. The experiments read only a
-summary (``validation_counts``, ``rider_totals``); ``build_report``, the
+summary (``validation_counts``, ``rider_summary``); ``build_report``, the
 per-agent table, is built only for a single run, whose replication
 ``run_single`` returns to its caller and so outlives the pause.
 
@@ -56,7 +56,7 @@ from .config import ScenarioConfig
 from .matching import MATCH_TRACE_COLUMNS
 from .network import ConfigError, Network, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
-from .simulation import SimReport, SimState, init_simulation, matched_share
+from .simulation import SimReport, SimState, init_simulation
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
@@ -301,14 +301,11 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     rows = []
     for level in config.levels:
         scenario = dataclasses.replace(config, unused_capacity=level)
-        rates = []
-        riders = 0
-        for rep_seed in seeds:
-            total, matched = _replicate(scenario, network, rep_seed,
-                                        SimState.rider_totals)
-            riders += total
-            rates.append(matched_share(total, matched))
-        mean = float(np.mean(rates)) if rates else 0.0
+        summaries = [_replicate(scenario, network, rep_seed, SimState.rider_summary)
+                     for rep_seed in seeds]
+        rates = [summary.match_rate for summary in summaries]
+        riders = sum(summary.riders for summary in summaries)
+        mean = float(np.mean(rates))
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"
         rows.append(SweepRow(level, config.replications, mean, std, riders, warning))
@@ -346,7 +343,7 @@ def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
     write_csv_atomic(
         outdir / "summary.csv",
         ("metric", "value"),
-        [("match_rate", report.match_rate),
+        [("match_rate", report.riders.match_rate),
          ("mean_travel_time", report.mean_travel_time())],
     )
     write_csv_atomic(
@@ -357,7 +354,7 @@ def write_sim_report(report: SimReport, outdir: Path, fingerprint: str,
     write_json_atomic(outdir / "run_meta.json", {
         "config_fingerprint": fingerprint,
         "seed": seed,
-        "riders_total": report.riders_total,
-        "riders_matched": report.riders_matched,
+        "riders_total": report.riders.riders,
+        "riders_matched": report.riders.committed,
         "stranded": report.stranded_count,
     })

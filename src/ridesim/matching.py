@@ -759,12 +759,13 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     attempt would replay the same inputs to the same rejection. A rejected
     commit is reported as ``reason="capacity"``.
     """
-    tau = sim.matching_steps()
-    ten = build_time_expanded(rider, sim.collect_offers(), sim.network, tau, sim.dt,
-                              clock_step=ceil_steps(sim.clock, sim.dt))
+    tau, clock_step = sim.matching_steps(), ceil_steps(sim.clock, sim.dt)
+    ten = build_time_expanded(rider, sim.collect_offers(clock_step), sim.network, tau, sim.dt,
+                              clock_step=clock_step)
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, sim.step_costs)
-    committed = itinerary is not None and sim.commit_itinerary(rider, itinerary, tau)
+    committed = (itinerary is not None
+                 and sim.commit_itinerary(rider, itinerary, tau, clock_step))
     sim.match_trace.append(dict(zip(MATCH_TRACE_COLUMNS, (
         rider.id, rider.request_time, sim.live_drivers, graph.ten_vertices,
         len(ten.travel_arcs), graph.ten_vertices - len(graph.vertices),

@@ -90,6 +90,9 @@ EV_BACKGROUND = 3
 GENERAL, CARPOOL = LaneClass.GENERAL, LaneClass.CARPOOL
 RIDER, RIDESHARE_DRIVER = Role.RIDER, Role.RIDESHARE_DRIVER
 
+# how late, in hours, a rider's drop-off may be and still count as on time
+ON_TIME_TOLERANCE = 1e-9
+
 
 class SimulationError(ValueError):
     pass
@@ -206,23 +209,31 @@ class AgentOutcome:
     stranded: bool = False
 
 
-def matched_share(riders: int, matched: int) -> float:
-    """The match rate: matched riders over riders, 0 with no rider."""
-    return matched / riders if riders else 0.0
+@dataclass(frozen=True)
+class RiderSummary:
+    """A run's riders so far, and how many of them were committed (matched),
+    delivered (dropped off) and on time (dropped off at or before their
+    ``latest_arrival`` + ``ON_TIME_TOLERANCE``): the counts behind every
+    rider rate (``SimState.rider_summary``)."""
+
+    riders: int
+    committed: int
+    delivered: int
+    on_time: int
+
+    @property
+    def match_rate(self) -> float:
+        """Committed riders over riders, 0 with no rider."""
+        return self.committed / self.riders if self.riders else 0.0
 
 
 @dataclass
 class SimReport:
     link_class_counts: dict[tuple[int, LaneClass], int]
     outcomes: list[AgentOutcome]
-    riders_total: int
-    riders_matched: int
+    riders: RiderSummary
     stranded_count: int = 0
     match_trace: list[dict] = field(default_factory=list)
-
-    @property
-    def match_rate(self) -> float:
-        return matched_share(self.riders_total, self.riders_matched)
 
     def mean_travel_time(self) -> float:
         times = [
@@ -415,7 +426,7 @@ class SimState:
         This is the one place that queues a hold: a driver's entry, its
         arrival at a node, a hold that comes due and an accepted commit all
         hand the driver at its node here, and it marks a ridesharing
-        driver for the offer index (``_moved``)."""
+        driver still in the offer index for re-listing (``_moved``)."""
         node = vehicle.node
         if vehicle.agent.role is RIDESHARE_DRIVER:
             self._moved(vehicle)
@@ -547,19 +558,25 @@ class SimState:
         return len(self._offer_index)
 
     def _moved(self, vehicle: RideshareVehicle) -> None:
-        """Mark ``vehicle`` for ``collect_offers`` to re-list. Its node,
-        link, departure, pins and riders aboard change only in ``_advance``
-        and in ``commit_itinerary``'s phase two, and both mark it here."""
-        self._marked[vehicle.agent.id] = vehicle
+        """Mark ``vehicle`` for ``collect_offers`` to re-list, while it is
+        in the offer index: one the scan evicted stays out for good. Its
+        node, link, departure, pins and riders aboard change only in
+        ``_advance`` and in ``commit_itinerary``'s phase two, and both mark
+        it here."""
+        agent_id = vehicle.agent.id
+        if agent_id in self._offer_index:
+            self._marked[agent_id] = vehicle
 
-    def collect_offers(self) -> dict[FreeSlot, list[int]]:
+    def collect_offers(self, clock_step: int) -> dict[FreeSlot, list[int]]:
         """Every live ridesharing driver's free slots, grouped: each distinct
         slot (``matching.FreeSlot``) with the ids of the drivers that have
         it, which ``build_time_expanded`` reads. The groups are the offer
         index itself, kept from request to request; callers must not change
         them. Neither the groups' order nor their ids' follows the drivers'
         ids: they follow the order in which drivers were re-listed, and
-        nothing the build returns depends on it.
+        nothing the build returns depends on it. ``clock_step`` is
+        ``ceil_steps`` of the clock, which ``match_rider`` takes once per
+        request.
 
         A driver's first slot runs from its anchor to its ``next_stop``, by
         the chain's rule (``matching.free_slot``), then come its
@@ -581,9 +598,10 @@ class SimState:
         driver enters the index when it is created and leaves it, for good,
         at the first scan at which ``_live_anchor_step`` finds it has
         nothing left to offer: the scan at which a scan of every driver
-        would evict it, since nothing else changes its answer. So after the
-        scan the index holds every live vehicle (``live_drivers``), with a
-        free seat or not.
+        would evict it, since nothing else changes its answer. Only the
+        scan evicts, and only indexed drivers are marked, so every driver
+        it asks is in the index. So after the scan the index holds every
+        live vehicle (``live_drivers``), with a free seat or not.
         ``commit_itinerary`` looks each leg's driver up here, so an evicted
         vehicle is never given a pin.
         """
@@ -596,11 +614,8 @@ class SimState:
                 marked[agent_id] = vehicle
         if not marked:
             return self._offers
-        offers, clock_step = self._offers, ceil_steps(clock, self.dt)
-        live = self._live_anchor_step
+        offers, live = self._offers, self._live_anchor_step
         for agent_id, vehicle in marked.items():
-            if agent_id not in index:
-                continue  # evicted earlier; it may still drive on
             anchor_step = live(vehicle, clock_step)
             if anchor_step is None:
                 del index[agent_id]
@@ -671,9 +686,8 @@ class SimState:
             return None
         return anchor_step
 
-    def commit_itinerary(
-        self, rider: RiderRequest, itinerary: Itinerary, tau: dict[int, int]
-    ) -> bool:
+    def commit_itinerary(self, rider: RiderRequest, itinerary: Itinerary,
+                         tau: dict[int, int], clock_step: int) -> bool:
         """Two-phase commit of a solved itinerary onto the drivers involved.
 
         Phase one takes, for each leg's driver, the ``pin_chain`` of its own
@@ -682,10 +696,11 @@ class SimState:
         chain's stops and walks them (ordering, travel feasibility, seat
         capacity, own window) at ``tau``, the link steps the itinerary was
         solved on, reading the latest departure step, the seats and whether
-        it is underway from the vehicle itself. Between two
-        stops the driver takes the path of ``step_matrix`` at ``tau``, the
-        matrix that built the rider's network, read and not searched
-        again. Phase two gives each vehicle the new pins with their chain
+        it is underway from the vehicle itself; ``clock_step`` is
+        ``ceil_steps`` of the clock. Between two stops the driver takes the
+        path of ``step_matrix`` at ``tau``, the matrix that built the
+        rider's network, read and not searched again. Phase two gives each
+        vehicle the new pins with their chain
         (``RideshareVehicle.set_pins``) and replaces its plan, marks it for
         the offer index (``_moved``), and hands a vehicle standing at its
         node to ``_advance`` at the clock, which serves the pins due, then
@@ -693,7 +708,6 @@ class SimState:
         Returns False when any driver cannot honor the plan or is not live
         in the offer index, leaving all drivers untouched.
         """
-        clock_step = ceil_steps(self.clock, self.dt)
         steps, paths = step_matrix(self.network, tau)
         updates: list[tuple[RideshareVehicle, tuple[Pin, ...], PinChain,
                             list[tuple[int, int]]]] = []
@@ -752,7 +766,7 @@ class SimState:
         its time is not after the heap's head, else the head ("Determinism"
         in the module docstring). A later call goes on from there. Only
         events are processed: ``build_report``, ``validation_counts`` and
-        ``rider_totals`` read the results."""
+        ``rider_summary`` read the results."""
         limit = (self.horizon if horizon is None else horizon) + 1e-12
         events, scheduled = self.events, self._scheduled
         i, n = self._next_scheduled, len(scheduled)
@@ -793,23 +807,31 @@ class SimState:
             counts[link_id] = counts.get(link_id, 0) + lane.total - lane.background
         return counts
 
-    def rider_totals(self) -> tuple[int, int]:
-        """(riders, matched riders) so far; the sweep's match rate is
-        ``matched_share`` of them."""
-        riders = matched = 0
-        results = self.match_results
+    def rider_summary(self) -> RiderSummary:
+        """The riders so far, in one walk over ``agents``: a rider is
+        committed when its match result is matched, delivered when it has
+        a drop-off time, and on time when that drop-off is at or before its
+        ``latest_arrival`` + ``ON_TIME_TOLERANCE``. An unmatched rider's
+        fallback driver is an agent of its own, not a rider."""
+        riders = committed = delivered = on_time = 0
+        results, alights = self.match_results, self.rider_alight_time
         for agent_id, agent in self.agents.items():
-            if agent.role is RIDER:
-                riders += 1
-                result = results.get(agent_id)
-                matched += result is not None and result.matched
-        return riders, matched
+            if agent.role is not RIDER:
+                continue
+            riders += 1
+            result = results.get(agent_id)
+            committed += result is not None and result.matched
+            alight = alights.get(agent_id)
+            if alight is not None:
+                delivered += 1
+                on_time += alight <= agent.window.latest_arrival + ON_TIME_TOLERANCE
+        return RiderSummary(riders, committed, delivered, on_time)
 
     def build_report(self) -> SimReport:
         """The run so far as a report: every agent's outcome in id order,
-        each lane class's entries per link, the rider totals and the match
-        trace. The CLI's ``run`` writes it; the experiments read only
-        ``validation_counts`` and ``rider_totals``."""
+        each lane class's entries per link, the ``rider_summary`` and the
+        match trace. The CLI's ``run`` writes it; the experiments read only
+        ``validation_counts`` and ``rider_summary``."""
         class_counts = {key: lane.total for key, lane in self.lanes.items()}
         outcomes = []
         for agent_id in sorted(self.agents):
@@ -828,12 +850,10 @@ class SimState:
                 stranded = vehicle.stranded if vehicle else False
                 outcomes.append(AgentOutcome(agent_id, agent.role, None,
                                              departure, arrival, stranded))
-        riders_total, riders_matched = self.rider_totals()
         return SimReport(
             link_class_counts=class_counts,
             outcomes=outcomes,
-            riders_total=riders_total,
-            riders_matched=riders_matched,
+            riders=self.rider_summary(),
             stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )

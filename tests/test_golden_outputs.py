@@ -114,6 +114,20 @@ def test_cli_runs_without_scipy(tmp_path):
     assert result["digests"] == GOLDEN
 
 
+
+# The printout of the time-step convergence tool on a short sweep run: its
+# rider rates are pooled from each replication's ``SimState.rider_summary``.
+DT_CONVERGENCE_GOLDEN = "df60fff38e63da1fe97396401639ced1bcdc1a5d30f50ca1c8cfe8a42d3c9ce6"
+
+
+def test_dt_convergence_printout_matches_golden_digest():
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, "tools/dt_convergence.py", "--config", "src/ridesim/data/sweep.yaml",
+            "--horizon", "1", "--replications", "2", "--halvings", "1"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DT_CONVERGENCE_GOLDEN
+
 # A run where riders transfer: only such a run shows how the matcher ranks
 # itineraries of equal cost, waits and legs, which differ in their transfer
 # points (``matching.solve_itinerary``'s canonical order).

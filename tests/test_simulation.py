@@ -19,7 +19,7 @@ import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import Pin, build_time_expanded, ceil_steps, pin_chain
+from ridesim.matching import MatchResult, Pin, build_time_expanded, ceil_steps, pin_chain
 from ridesim.network import LaneClass, Link, Network, volume_delay
 from ridesim.experiments import write_sim_report
 from ridesim.simulation import (
@@ -27,6 +27,8 @@ from ridesim.simulation import (
     EV_ARRIVE_NODE,
     EV_BACKGROUND,
     EV_DEPART_NODE,
+    ON_TIME_TOLERANCE,
+    RiderSummary,
     SimState,
     SimulationError,
     carpool_background_rates,
@@ -360,7 +362,7 @@ class TestDeterminism:
         assert a.link_class_counts == b.link_class_counts
         assert [(o.agent_id, o.departure, o.arrival) for o in a.outcomes] == \
                [(o.agent_id, o.departure, o.arrival) for o in b.outcomes]
-        assert a.riders_matched == b.riders_matched
+        assert a.riders == b.riders
 
 
 class TestRidesharing:
@@ -371,7 +373,7 @@ class TestRidesharing:
         sim.run()
         report = sim.build_report()
         assert sim.match_results[1].matched
-        assert report.riders_matched == 1
+        assert report.riders.committed == 1
         outcome = next(o for o in report.outcomes if o.agent_id == 1)
         assert outcome.matched is True
         assert outcome.departure is not None
@@ -427,7 +429,7 @@ class TestRidesharing:
         sim.run()
         report = sim.build_report()
         assert not sim.match_results[1].matched
-        assert report.riders_matched == 0
+        assert report.riders.committed == 0
         # the fallback drives the same trip like any regular driver
         assert sim.validation_counts() == {0: 0, 1: 1, 2: 1, 3: 0}
         [outcome] = [o for o in report.outcomes if o.agent_id != 1]
@@ -445,7 +447,7 @@ class TestRidesharing:
         seed_agent(sim, tight)
         sim.run()
         report = sim.build_report()
-        assert report.match_rate == 0.0
+        assert report.riders.match_rate == 0.0
         # driver's own trip plus the fallback's two links
         assert sim.validation_counts() == {0: 0, 1: 2, 2: 2, 3: 0}
 
@@ -491,6 +493,45 @@ class TestRidesharing:
         seed_agent(sim, rider(1, 0, 1, t=0.0, fft=0.22, flex=0.3))
         sim.run()
         assert not sim.match_results[1].matched
+
+
+class TestRiderSummary:
+    # (riders, committed, delivered, on time) of the three sweep
+    # replications, the transfer run and the grid run, counted from their
+    # match results and drop-off times apart from the summary
+    COUNTS = [(129, 65, 59, 53), (124, 55, 51, 46), (139, 62, 55, 52), (1, 1, 1, 1),
+              (104, 92, 71, 71)]
+
+    def test_counts_of_pinned_runs(self, testbed, tmp_path):
+        """The sweep, transfer and grid runs' summaries are their known
+        counts: unmatched riders' fallback drivers are no riders, some
+        committed riders are not yet dropped off at the horizon, and some
+        are dropped off late."""
+        summaries = []
+        for sim in sweep_and_transfer_sims(testbed) + [grid_sim(tmp_path)]:
+            sim.run()
+            summaries.append(sim.rider_summary())
+            assert sim.build_report().riders == summaries[-1]
+        assert summaries == [RiderSummary(*counts) for counts in self.COUNTS]
+
+    def test_on_time_within_tolerance(self, testbed):
+        """A drop-off 0.5e-9 h after the rider's latest arrival is on time,
+        one 2e-9 h after is late; a rider with no match result or no
+        drop-off is neither committed nor delivered."""
+        assert ON_TIME_TOLERANCE == 1e-9
+        sim = empty_sim(testbed)
+        for agent_id in range(4):
+            sim.agents[agent_id] = rider(agent_id, 0, 2, t=0.0, fft=0.72)
+        sim.agents[4] = regular(4, 0, 2, t=0.0)
+        latest = sim.agents[0].window.latest_arrival
+        for agent_id, late in ((0, 0.5e-9), (1, 2e-9)):
+            sim.match_results[agent_id] = MatchResult(True)
+            sim.rider_alight_time[agent_id] = latest + late
+        sim.match_results[2] = MatchResult(False, reason="infeasible")
+        summary = sim.rider_summary()
+        assert summary == RiderSummary(riders=4, committed=2, delivered=2, on_time=1)
+        assert summary.match_rate == 0.5
+        assert RiderSummary(0, 0, 0, 0).match_rate == 0.0
 
 
 class TestInitSimulation:
@@ -588,7 +629,7 @@ class TestMatchRetry:
 
         commits = []
         original = sim.commit_itinerary
-        sim.commit_itinerary = lambda req, it, tau: commits.append(1) or False
+        sim.commit_itinerary = lambda req, it, tau, clock_step: commits.append(1) or False
 
         agent = rider(1, 0, 2, t=0.0, fft=0.72)
         request = RiderRequest(1, 0, 2, agent.window, 0.0)
@@ -635,7 +676,7 @@ class TestCommitRejections:
         itinerary = Itinerary(tuple(ItineraryLeg(*leg) for leg in legs), 0.0, 0)
         tau = sim.matching_steps()
         assert (tau[1], tau[2]) == (5, 10)
-        return sim.commit_itinerary(request, itinerary, tau)
+        return sim.commit_itinerary(request, itinerary, tau, ceil_steps(sim.clock, sim.dt))
 
     def assert_refused(self, sim, rider_id, *legs):
         before = self.plans(sim)
@@ -831,10 +872,12 @@ class TestOfferIndex:
             indexed = sim.collect_offers
             live = {}
 
-            def checked(sim=sim, indexed=indexed, live=live):
+            def checked(clock_step, sim=sim, indexed=indexed, live=live):
                 nonlocal requests, grouped, pinned, carrying, open_slots, closed_open_slots
-                groups = indexed()
-                clock_step = ceil_steps(sim.clock, sim.dt)
+                assert clock_step == ceil_steps(sim.clock, sim.dt)
+                # only indexed drivers are marked: the scan asks no evicted one
+                assert sim._marked.keys() <= sim._offer_index.keys()
+                groups = indexed(clock_step)
                 full = []
                 for agent_id in sorted(sim.vehicles):
                     vehicle = sim.vehicles[agent_id]
@@ -903,13 +946,14 @@ class TestOfferIndex:
         monkeypatch.setattr(SimState, "_live_anchor_step", counting)
         scan = sim.collect_offers
 
-        def bounded():
+        def bounded(clock_step):
             nonlocal asked, scans, walked, total
             # the scan pops every entry whose latest arrival the clock passed
             due = len(sim._marked) + sum(latest < sim.clock for latest, _ in sim._deadlines)
             walked += len(sim._offer_index)
+            assert sim._marked.keys() <= sim._offer_index.keys()
             asked = 0
-            groups = scan()
+            groups = scan(clock_step)
             assert asked <= due
             scans += 1
             total += asked
@@ -957,11 +1001,11 @@ class TestOfferIndex:
             assert not committing, "a commit searched for a route"
             return search(*args)
 
-        def watched(sim, rider, itinerary, tau):
+        def watched(sim, rider, itinerary, tau, clock_step):
             nonlocal committing, commits, accepted
             committing = True
             try:
-                ok = commit(sim, rider, itinerary, tau)
+                ok = commit(sim, rider, itinerary, tau, clock_step)
             finally:
                 committing = False
             commits += 1
@@ -992,7 +1036,8 @@ class TestOfferIndex:
 
         monkeypatch.setattr(simulation, "pin_chain", recorded)
         for sim in (transfer_sim(testbed), grid_sim(tmp_path)):
-            def checked(rider, itinerary, tau, sim=sim, commit=sim.commit_itinerary):
+            def checked(rider, itinerary, tau, clock_step, sim=sim,
+                        commit=sim.commit_itinerary):
                 nonlocal commits, pin_free, multi_leg
                 drivers = [leg.driver for leg in itinerary.legs]
                 others = {agent_id: stored(vehicle)
@@ -1005,7 +1050,7 @@ class TestOfferIndex:
                 # the drivers as phase two leaves them, before any serves
                 # a pin or moves on (which builds chains of its own)
                 with advances_held(sim) as handed:
-                    assert commit(rider, itinerary, tau) is True
+                    assert commit(rider, itinerary, tau, clock_step) is True
                     assert [driver for driver, _, _ in chains] == drivers, itinerary
                     for driver, pins, (stops, _, later) in chains:
                         assert stored(sim.vehicles[driver]) == (pins, stops[0][:2], later)
@@ -1037,10 +1082,10 @@ class TestOfferIndex:
         live = []
         indexed = sim.collect_offers
 
-        def counted():
+        def counted(clock_step):
             live.append(sum(fresh_driver(sim, vehicle) is not None
                             for vehicle in sim._offer_index.values()))
-            return indexed()
+            return indexed(clock_step)
 
         sim.collect_offers = counted
         sim.run()
@@ -1073,7 +1118,7 @@ class TestOfferIndex:
         vehicle.link_arrival_time = None  # back at node 0, now underway
         sim._moved(vehicle)  # moved by hand, not by a handler
         sim.clock = 0.03
-        groups = sim.collect_offers()
+        groups = sim.collect_offers(1)
         waiting, departed = (free_slots(fresh_driver(sim, sim._offer_index[i]))
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
@@ -1089,7 +1134,7 @@ class TestOfferIndex:
         waiting = free_slots(fresh_driver(sim, sim._offer_index[0]))
         assert waiting[0][1] == waiting[0][4] == 7
         listed = {slot: list(ids) for slot, ids in groups.items()}
-        groups = sim.collect_offers()  # no driver was marked: nothing re-listed
+        groups = sim.collect_offers(7)  # no driver was marked: nothing re-listed
         assert groups == listed
         assert resolved(groups, 7)[waiting[0]] == [0, 1]
 
@@ -1128,14 +1173,14 @@ class TestOfferIndex:
                                  (2, latest_arrival_step, False))
         assert free_slots(offer) == seat_free_slots(offer) == vehicle.later_slots \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
-        groups = sim.collect_offers()
+        groups = sim.collect_offers(s)
         assert groups == {(2, None, 2, s, float("inf")): [0], vehicle.later_slots[0]: [0]}
         assert resolved(groups, s) == {vehicle.later_slots[0]: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
         offer = fresh_driver(sim, vehicle)
         assert offer.stops() == ((2, latest_arrival_step, False),) * 3
         assert free_slots(offer) == seat_free_slots(offer) == ()
-        groups = sim.collect_offers()
+        groups = sim.collect_offers(latest_arrival_step)
         assert groups == {(2, None, 2, latest_arrival_step, float("inf")): [0]}
         assert resolved(groups, latest_arrival_step) == {}
         assert sim.live_drivers == 1
@@ -1178,11 +1223,11 @@ class TestVehicleRoles:
             plan_initial_route(sim, vehicle, now)
             check_plan(sim, vehicle)
 
-        def committed(sim, rider, itinerary, tau):
+        def committed(sim, rider, itinerary, tau, clock_step):
             nonlocal commits
             # each plan as the commit sets it, before its driver moves on
             with advances_held(sim):
-                ok = commit(sim, rider, itinerary, tau)
+                ok = commit(sim, rider, itinerary, tau, clock_step)
                 if ok:
                     commits += 1
                     for leg in itinerary.legs:
@@ -1514,7 +1559,7 @@ class TestCollectorPause:
             def run(config):
                 result = experiments.run_single(config)
                 log.append("r")  # returned; the caller still holds the replication
-                assert result[1].riders_total
+                assert result[1].riders.riders
         # build, drop, pass: one replication at a time, no pass while one is
         # alive, nor before run_single has returned
         pattern, end = ("p*brp*dp*", "r") if experiment == "single" else ("p*(bdp*)+", "d")

@@ -1,4 +1,5 @@
-"""Count the code lines of each module of ``src/ridesim`` and their total.
+"""Count the code lines of each module of ``src/ridesim`` and ``tools``,
+each directory's total and the total of both.
 
 A code line holds a token other than a comment; a docstring (the string
 that opens a module, class or function body) counts as no code. Blank
@@ -16,7 +17,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ridesim"
+ROOT = Path(__file__).resolve().parent.parent
+DIRECTORIES = (ROOT / "src" / "ridesim", ROOT / "tools")
 
 NON_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -46,11 +48,15 @@ def code_lines(source: str) -> int:
 
 def main() -> int:
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name:<16} {count:>5}")
-    print(f"{'total':<16} {total:>5}")
+    for directory in DIRECTORIES:
+        counts = {path.name: code_lines(path.read_text())
+                  for path in sorted(directory.glob("*.py"))}
+        for name, count in counts.items():
+            print(f"{name:<18} {count:>5}")
+        subtotal = sum(counts.values())
+        print(f"{'total ' + directory.name:<18} {subtotal:>5}")
+        total += subtotal
+    print(f"{'total':<18} {total:>5}")
     return 0
 
 

@@ -5,12 +5,11 @@ time step ``dt`` and at ``dt``/2, ``dt``/4, ... for ``--halvings`` halvings
 (default 3), at every level of its ``levels``, each with the same
 replication seeds (``experiments.replication_seeds`` of the scenario's
 seed, as the sweep uses). For each step and level it prints three rider
-rates, each pooled over the replications' riders: committed (matched),
-delivered (dropped off) and on time (dropped off by the rider's
-``latest_arrival``, within 1e-9 h), and beside each the gap to the same
-rate at the finest step. It writes no file. It imports ridesim from the
-``src`` beside it and needs nothing but the standard library and
-ridesim's own dependencies::
+rates, each pooled over the replications' riders: committed, delivered and
+on time, as each replication's ``SimState.rider_summary`` counts them, and
+beside each the gap to the same rate at the finest step. It writes no
+file. It imports ridesim from the ``src`` beside it and needs nothing but
+the standard library and ridesim's own dependencies::
 
     python tools/dt_convergence.py --config src/ridesim/data/sweep.yaml --horizon 1 --replications 2 --halvings 2
 """
@@ -23,31 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ridesim.agents import Role  # noqa: E402
 from ridesim.config import load_config  # noqa: E402
 from ridesim.experiments import replication_seeds  # noqa: E402
 from ridesim.simulation import init_simulation  # noqa: E402
-
-# how late, in hours, a drop-off may be and still count as on time
-ON_TIME_TOLERANCE = 1e-9
-
-
-def rider_counts(config, network, seed: int) -> tuple[int, int, int, int]:
-    """(riders, committed, delivered, on time) of one replication."""
-    sim = init_simulation(config, network, seed)
-    sim.run()
-    riders = committed = delivered = on_time = 0
-    for agent_id, agent in sim.agents.items():
-        if agent.role is not Role.RIDER:
-            continue
-        riders += 1
-        result = sim.match_results.get(agent_id)
-        committed += result is not None and result.matched
-        alight = sim.rider_alight_time.get(agent_id)
-        if alight is not None:
-            delivered += 1
-            on_time += alight <= agent.window.latest_arrival + ON_TIME_TOLERANCE
-    return riders, committed, delivered, on_time
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,13 +48,14 @@ def main(argv: list[str] | None = None) -> int:
     rates = {}  # (dt, level) -> (riders, committed, delivered, on time rates)
     for dt in steps:
         for scenario, network in zip(levels, networks):
-            totals = [0, 0, 0, 0]
+            summaries = []
             for seed in seeds:
-                counts = rider_counts(dataclasses.replace(scenario, dt=dt), network, seed)
-                totals = [total + count for total, count in zip(totals, counts)]
-            riders = totals[0]
+                sim = init_simulation(dataclasses.replace(scenario, dt=dt), network, seed)
+                sim.run()
+                summaries.append(dataclasses.astuple(sim.rider_summary()))
+            riders, *counts = map(sum, zip(*summaries))
             rates[dt, scenario.unused_capacity] = (riders, *(
-                count / riders if riders else 0.0 for count in totals[1:]))
+                count / riders if riders else 0.0 for count in counts))
 
     print(f"scenario {args.config} seed {config.seed} horizon {config.horizon} "
           f"replications {config.replications}")
