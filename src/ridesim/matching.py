@@ -27,13 +27,17 @@ Pipeline for one rider request:
    slots grouped, each distinct slot with the ids of the drivers that have
    it, from the offer index the simulation keeps (``SimState
    .collect_offers``): it runs the slot test once per distinct slot, then
-   the per-link step ranges once per slot that passed, and writes the arcs
-   for every driver listed. A driver standing at its node is listed under
-   an open first slot, its start step None: the slot starts at the clock's
-   step, which the build fills in by ``free_slot``'s rule, so the listing
-   holds until the driver moves. Drivers waiting at one node for one
-   destination share their slot. When no slot passes, the network keeps
-   its node intervals and gets no travel arc, and no link is looked at.
+   the per-link step ranges, the slot's spans, once per slot that passed. A
+   driver's arcs are the spans of the slots it is listed under, so drivers
+   listed under equal spans have equal arcs: they are interchangeable for
+   the rider and form one class, whose arcs are written once, under its
+   lowest id (``TimeExpandedNetwork.twins``). A driver standing at its
+   node is listed under an open first slot, its start step None: the slot
+   starts at the clock's step, which the build fills in by ``free_slot``'s
+   rule, so the listing holds until the driver moves. Drivers waiting at
+   one node for one destination share their slot. When no slot passes, the
+   network keeps its node intervals and gets no travel arc, and no link is
+   looked at.
 2. ``preprocess`` prunes vertices not on any origin-to-destination path;
    the request is feasible exactly when the start vertex survives. The
    survivors at each node are one interval of steps, found for every node
@@ -48,10 +52,13 @@ Pipeline for one rider request:
    costs that are exact integers (``StepCosts``). A rider may transfer
    between vehicles but never re-board a driver it left, so each DP label,
    a tuple, carries the drivers it used and could still meet as a bitmask.
-   Labels at a (vertex, last driver) pair are kept when no other is below
-   them, which keeps the search exact. A driver-blind lower bound on each
-   vertex's cost to go, and the cost of one itinerary found along it, prune
-   labels that cannot reach the optimum.
+   An arc carries a driver class: a label rides on when its last driver is
+   of the class, and else boards the class's lowest member it has not
+   used, which loses no optimum. Labels at a (vertex, last driver) pair
+   are kept when no other is below them, which keeps the search exact. A
+   driver-blind lower bound on each vertex's cost to go, and the cost of
+   one itinerary found along it, prune labels that cannot reach the
+   optimum.
 
 The time grid: hours become steps of ``dt`` by three rules, each with one
 home beside ``ceil_steps``, which every caller uses. ``window_steps``
@@ -238,16 +245,34 @@ class TimeExpandedNetwork:
     and ``travel_arcs``, in no particular order, carry the drivers. Every
     travel arc raises the step, and both its ends lie in their nodes'
     intervals. ``preprocess`` lays out the part that survives pruning.
+
+    Drivers with the same travel arcs are interchangeable for the rider and
+    form one class, whose arcs are written once, under its lowest id, the
+    representative. ``twins`` maps each representative of a class of more
+    than one driver to its other members, ascending; every other driver is
+    a class of its own, as every driver of a hand-built network is.
     """
 
     origin: int
     destination: int
     node_intervals: dict[int, tuple[int, int]]
     travel_arcs: list[TravelArc]
+    twins: dict[int, tuple[int, ...]] = field(default_factory=dict)
     nodes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         self.nodes = tuple(sorted(self.node_intervals))
+
+    @property
+    def driver_arcs(self) -> int:
+        """The travel arcs counted once per driver, each class arc once per
+        member."""
+        twins = self.twins
+        if not twins:
+            return len(self.travel_arcs)
+        return len(self.travel_arcs) + sum(len(twins[driver])
+                                           for _, _, driver in self.travel_arcs
+                                           if driver in twins)
 
 
 @dataclass(frozen=True)
@@ -329,11 +354,13 @@ def build_time_expanded(
 
     ``slots`` maps each distinct free slot to the ids of the drivers that
     have it (``SimState.collect_offers``); a driver gets the arcs of each
-    slot it is listed under. An open slot, (a, None, b, t, latest
-    departure), starts at ``clock_step``, the clock's step: ``free_slot``'s
-    rule makes it no slot once t <= clock_step, and left from a by its
-    latest departure or by ``clock_step`` once that has passed; its seat
-    was tested where it was listed. ``tau`` holds every link's duration in
+    slot it is listed under, written once for each class of drivers with
+    equal arcs, under its lowest id (``TimeExpandedNetwork.twins``). An
+    open slot, (a, None, b, t, latest departure), starts at
+    ``clock_step``, the clock's step: ``free_slot``'s rule makes it no slot
+    once t <= clock_step, and left from a by its latest departure or by
+    ``clock_step`` once that has passed; its seat was tested where it was
+    listed. ``tau`` holds every link's duration in
     whole steps. Node intervals come from minimum-step sweeps from the
     rider's earliest departure and back from the latest arrival. An empty
     network encodes an infeasible request. The candidate links are listed
@@ -369,11 +396,11 @@ def build_time_expanded(
     # at j from a and at i to b never bind, by the triangle inequality on m
     # (module docstring, step 1). An INF empties the range; a link is never a
     # loop, so i and j are not both a. The rule reads the slot alone, so each
-    # distinct slot that passes the slot test has its (tail codes, shift)
-    # spans found once, written for every driver that has that slot.
-    arcs = ten.travel_arcs
+    # distinct slot that passes the slot test has its spans found once.
     candidates = None  # listed when the first slot passes the slot test
     to_dest, from_origin = rider.destination, matrix[rider.origin]
+    groups: dict[tuple, list[int]] = {}  # spans -> the drivers listed under them
+    listed = 0
     for (a, s, b, t, leave_by), ids in slots.items():
         if s is None:  # an open slot, by free_slot's rule at the clock's step
             s = clock_step
@@ -399,6 +426,7 @@ def build_time_expanded(
                         p = nodes.index(i)
                         candidates.append((i, j, lo, hi, steps, matrix[j], p,
                                            steps * n + nodes.index(j) - p))
+        spans = []  # (first tail, past the last tail, shift) per link with arcs
         for i, j, lo, hi, steps, from_j, p, shift in candidates:
             if s + from_a[i] > lo:
                 lo = s + from_a[i]
@@ -411,9 +439,32 @@ def build_time_expanded(
             # pins in step order keep slots' arcs apart: an arc of a
             # slot ends by its closing step, where the next one starts
             if lo <= hi:
-                tails = range(lo * n + p, hi * n + p + 1, n)
-                for driver in ids:
-                    arcs += [(tail, tail + shift, driver) for tail in tails]
+                spans.append((lo * n + p, hi * n + p + 1, shift))
+        if spans:
+            groups.setdefault(tuple(spans), []).extend(ids)
+            listed += len(ids)
+    # drivers with equal spans have equal arcs: one class, its arcs written
+    # once under its lowest id. A driver listed under two slots that passed
+    # has the spans of both, so then each driver is keyed by all its spans,
+    # sorted, so that the key does not depend on the order of ``slots``.
+    # The spans of one driver's slots differ, so that takes two groups.
+    if len(groups) > 1 and listed > len(set().union(*groups.values())):
+        keys: dict[int, tuple] = {}
+        for spans, ids in groups.items():
+            for driver in ids:
+                keys[driver] = keys.get(driver, ()) + spans
+        groups = {}
+        for driver, key in keys.items():
+            groups.setdefault(tuple(sorted(key)), []).append(driver)
+    arcs, twins = ten.travel_arcs, ten.twins
+    for spans, members in groups.items():
+        rep = members[0]
+        if len(members) > 1:
+            members.sort()
+            rep = members[0]
+            twins[rep] = tuple(members[1:])
+        arcs += [(tail, tail + shift, rep)
+                 for first, stop, shift in spans for tail in range(first, stop, n)]
     return ten
 
 
@@ -421,7 +472,8 @@ def build_time_expanded(
 class PrunedGraph:
     """The remainder of a TEN after reachability pruning, laid out by
     ``preprocess``, over its ``nodes``; ``ten_vertices`` counts the TEN's
-    vertices."""
+    vertices. A travel arc carries its driver class's representative, and
+    ``twins`` is the TEN's (``TimeExpandedNetwork``)."""
 
     nodes: tuple[int, ...]
     vertices: list[Vertex]
@@ -429,6 +481,7 @@ class PrunedGraph:
     start: Optional[Vertex]
     dests: set[Vertex]
     ten_vertices: int
+    twins: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -470,7 +523,7 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     intervals = ten.node_intervals
     ten_vertices = sum(hi - lo + 1 for lo, hi in intervals.values())
     if not ten.travel_arcs and ten.origin != ten.destination:
-        return PrunedGraph(ten.nodes, [], {}, None, set(), ten_vertices)
+        return PrunedGraph(ten.nodes, [], {}, None, set(), ten_vertices, ten.twins)
     nodes = ten.nodes
     n = len(nodes)
     # each position's first and last surviving vertex, one step past the far
@@ -499,7 +552,8 @@ def preprocess(ten: TimeExpandedNetwork) -> PrunedGraph:
     start = first[origin]
     return PrunedGraph(nodes, list(adjacency), adjacency,
                        start if start in adjacency else None,
-                       set(range(first[target], last[target] + 1, n)), ten_vertices)
+                       set(range(first[target], last[target] + 1, n)), ten_vertices,
+                       ten.twins)
 
 
 @dataclass(frozen=True)
@@ -579,16 +633,22 @@ def _cost_to_go(graph: PrunedGraph, costs: StepCosts
                 ) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[int, int]]:
     """Least cost, in ``costs.units``, from each vertex to a destination
     vertex, ignoring drivers (any arc may follow any other); the drivers
-    with an arc reachable from each vertex, as a bitmask; and each driver's
-    bit, given where this reverse pass first sees it. Every itinerary from a
+    with an arc reachable from each vertex, as a bitmask; and each driver
+    class's bits, keyed by its representative, given where this reverse
+    pass first sees it. A class gets one bit per member, consecutive and
+    ascending with the members' ids, so that the lowest bit of the class's
+    bits not in a used set is its lowest free member's; members share their
+    arcs, so a mask keeps or drops them together. Every itinerary from a
     vertex is such a path, so the cost is a lower bound on its cost; it is
     consistent, being a shortest path. A travel arc costs ``units[0]`` per
     step, read from its vertex codes, a wait ``units[1]``."""
     step, wait = costs.units
     n = len(graph.nodes)
+    twins = graph.twins
     togo: dict[Vertex, int] = {}
     reach: dict[Vertex, int] = {}
     bits: dict[int, int] = {}
+    given = 0  # the bits given so far
     for vertex in reversed(graph.vertices):
         best = 0 if vertex in graph.dests else INF
         drivers = 0
@@ -598,7 +658,9 @@ def _cost_to_go(graph: PrunedGraph, costs: StepCosts
             else:
                 bit = bits.get(driver)
                 if bit is None:
-                    bit = bits[driver] = 1 << len(bits)
+                    size = len(twins[driver]) + 1 if driver in twins else 1
+                    bit = bits[driver] = ((1 << size) - 1) << given
+                    given += size
                 drivers |= bit
                 value = step * (head // n - vertex // n) + togo[head]
             drivers |= reach[head]
@@ -614,29 +676,35 @@ def _incumbent(graph: PrunedGraph, togo: dict[Vertex, int], costs: StepCosts) ->
     at the start, or INF.
 
     The walk takes, at each vertex, an arc that attains ``togo`` there,
-    preferring a wait, then the driver on board, then another driver, the
-    first in ``preprocess``'s arc order among equals, and stops at the first
-    destination vertex. If the walk would re-board a driver it left, the
-    path is no itinerary and the result is INF, which turns pruning off.
+    preferring a wait, then an arc of the driver on board's class, ridden
+    on, then an arc of another class, boarded as the class's lowest member
+    the walk has not ridden, the first in ``preprocess``'s arc order among
+    equals; an arc whose class has no such member is not taken. It stops at
+    the first destination vertex. If no arc can be taken, the path is no
+    itinerary and the result is INF, which turns pruning off.
     """
     step, wait = costs.units
     n = len(graph.nodes)
-    vertex, cost, last, used = graph.start, 0, None, set()
+    twins = graph.twins
+    vertex, cost, riding, used = graph.start, 0, None, set()
     while vertex not in graph.dests:
-        bound, rank = togo[vertex], 3
+        bound, rank, chosen = togo[vertex], 3, None
         for head, driver in graph.adjacency[vertex]:
             value = wait if driver is None else step * (head // n - vertex // n)
             if value + togo[head] == bound:
-                # 0: a wait, 1: the driver on board, 2: another driver
-                here = 0 if driver is None else 1 if driver == last else 2
+                # 0: a wait, 1: the class on board, 2: another class
+                here = 0 if driver is None else 1 if driver == riding else 2
                 if here < rank:
+                    if here == 2 and driver in used and used.issuperset(twins.get(driver, ())):
+                        continue  # the walk left every member
                     rank, chosen = here, (head, driver, value)
+        if chosen is None:
+            return INF
         head, driver, value = chosen
-        if driver is not None:
-            if driver != last and driver in used:
-                return INF
-            last = driver
-            used.add(driver)
+        if driver is not None and driver != riding:
+            riding = driver
+            used.add(driver if driver not in used else
+                     next(member for member in twins[driver] if member not in used))
         cost += value
         vertex = head
     return cost
@@ -667,6 +735,24 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
     unless another is below it (``_insert_label``). It carries its tie key,
     from which the winner's legs are read.
 
+    An arc carries a driver class (``TimeExpandedNetwork``). A label whose
+    last driver is of the arc's class rides on with that driver; any other
+    label boards the class's lowest member not in its used set, and cannot
+    take the arc when there is none. This still lets a rider ride A, then
+    X, then A's twin A'. The result is the optimum over every driver: map
+    an itinerary so that its k-th boarding from each class takes the
+    class's k-th lowest id. The mapped itinerary is one the DP builds, with
+    the same cost, waits, legs, arrival and legs' vertices, and a driver
+    sequence no greater, since at the first leg where the two differ the
+    original boards a member above the lowest one left; so the least
+    itinerary over every driver is a mapped one. (Two consecutive legs never
+    share a class in an optimum: riding on instead saves a leg.) Dominance
+    stays sound: of two labels in one bucket, the one with the smaller used
+    set boards, from any class, a member no greater than the other's, and
+    when it is a different member it already lies in the other's used set,
+    so the used sets stay nested and the driver sequences ordered along
+    every extension.
+
     Labels are pruned by a bound: ``_cost_to_go`` gives a lower bound on
     the cost from every vertex to a destination, and ``_incumbent`` the cost
     of one itinerary. An extension whose cost plus the bound at its head
@@ -674,7 +760,7 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
     """
     if not graph.feasible:
         return None
-    nodes, dests, adjacency = graph.nodes, graph.dests, graph.adjacency
+    nodes, dests, adjacency, twins = graph.nodes, graph.dests, graph.adjacency, graph.twins
     n = len(nodes)
     step, wait = costs.units
     togo, reach, bits = _cost_to_go(graph, costs)
@@ -696,9 +782,9 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
                                label[5] + (label[6], label[7]))
                         if best is None or key < best:
                             best = key
-        # each arc's head buckets, the bit and cost units of its driver, the
-        # most a label here may cost to take it, and the drivers reachable
-        # from its head
+        # each arc's head buckets, its class and the class's bits and its
+        # representative's bit, its cost units, the most a label here may
+        # cost to take it, and the drivers reachable from its head
         arcs = []
         for head, driver in adjacency[vertex]:
             units = wait if driver is None else step * (head // n - vertex // n)
@@ -707,27 +793,41 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
                 heads = table.get(head)
                 if heads is None:
                     heads = table[head] = {}
-                arcs.append((heads, driver, bits.get(driver), units, room, head, reach[head]))
+                bit = bits.get(driver, 0)
+                arcs.append((heads, driver, bit, bit & -bit, units, room, head, reach[head]))
         for last, bucket in buckets.items():
+            # the class on board: bits are keyed by representative
+            riding = last if last is None or last in bits else next(
+                rep for rep, others in twins.items() if last in others)
             for label in bucket:
                 cost, waits, legs, used = label[0], label[1], label[2], label[3]
-                for heads, driver, bit, units, room, head, mask in arcs:
+                for heads, driver, bit, first, units, room, head, mask in arcs:
                     if cost > room:
                         continue
                     if driver is None:
                         _insert_label(heads, last, (cost + units, waits + 1, legs, used & mask,
                                                     label[4], label[5], label[6], label[7]))
-                    elif driver == last:
+                        continue
+                    if driver == riding:
                         _insert_label(heads, last, (cost + units, waits, legs, used & mask,
                                                     label[4], label[5], label[6], head))
-                    elif used & bit:
-                        continue  # the rider left this driver
-                    elif last is None:
-                        _insert_label(heads, driver, (cost + units, waits, 1, bit & mask,
+                        continue
+                    member = driver
+                    if used & bit:
+                        free = bit & ~used
+                        if not free:
+                            continue  # the rider left every member of the class
+                        # the class's lowest free member, by its bit's place
+                        low = free & -free
+                        if low != first:
+                            member = twins[driver][low.bit_length() - first.bit_length() - 1]
+                            first = low
+                    if last is None:
+                        _insert_label(heads, member, (cost + units, waits, 1, first & mask,
                                                       (), (), -vertex, head))
                     else:
-                        _insert_label(heads, driver, (
-                            cost + units, waits, legs + 1, (used | bit) & mask,
+                        _insert_label(heads, member, (
+                            cost + units, waits, legs + 1, (used | first) & mask,
                             label[4] + (last,), label[5] + (label[6], label[7]), -vertex, head))
 
     if best is None:
@@ -768,7 +868,7 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
                  and sim.commit_itinerary(rider, itinerary, tau, clock_step))
     sim.match_trace.append(dict(zip(MATCH_TRACE_COLUMNS, (
         rider.id, rider.request_time, sim.live_drivers, graph.ten_vertices,
-        len(ten.travel_arcs), graph.ten_vertices - len(graph.vertices),
+        ten.driver_arcs, graph.ten_vertices - len(graph.vertices),
         graph.feasible, itinerary.total_cost if itinerary else None, committed))))
     if itinerary is None:
         return MatchResult(False, reason="infeasible")

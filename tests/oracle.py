@@ -5,14 +5,24 @@ time-expanded network, enumerated one by one.
 ``vertices_on_feasible_paths`` checks ``preprocess``'s pruning; both read
 the one enumerator ``labelled_paths``. It walks the whole network as
 ``layout`` lays it out, from ``start_vertex``, and shares no layout code
-with the matcher it checks. The optimum is ranked with exact rational
-costs and shares only ``StepCosts.total``, the formula of its reported
-cost, with the DP.
+with the matcher it checks. ``layout`` reads the network's ``expanded``
+form, in which every driver has its own arcs, so the oracle shares no
+driver-class logic with the DP either. The optimum is ranked with exact
+rational costs and shares only ``StepCosts.total``, the formula of its
+reported cost, with the DP.
 """
 from fractions import Fraction
 from itertools import groupby
 
-from ridesim.matching import Itinerary, ItineraryLeg, decode
+from ridesim.matching import Itinerary, ItineraryLeg, TimeExpandedNetwork, decode
+
+
+def expanded(ten):
+    """``ten`` with every driver its own class: each travel arc of a class
+    written once per member, under the member's id, and no ``twins``."""
+    arcs = [(tail, head, member) for tail, head, driver in ten.travel_arcs
+            for member in (driver, *ten.twins.get(driver, ()))]
+    return TimeExpandedNetwork(ten.origin, ten.destination, ten.node_intervals, arcs)
 
 
 def start_vertex(ten):
@@ -23,9 +33,10 @@ def start_vertex(ten):
 
 
 def layout(ten):
-    """Every vertex of ``ten``, in integer order, with its outgoing arcs:
-    the wait arc first (driver None), then the travel arcs by
-    (head, driver), the order ``preprocess`` gives its survivors."""
+    """Every vertex of ``ten``, in integer order, with its outgoing arcs in
+    the ``expanded`` network: the wait arc first (driver None), then the
+    travel arcs by (head, driver), the order ``preprocess`` gives its
+    survivors."""
     n = len(ten.nodes)
     graph = {}
     for vertex in sorted(step * n + position for position, node in enumerate(ten.nodes)
@@ -33,7 +44,7 @@ def layout(ten):
                                            ten.node_intervals[node][1] + 1)):
         node, step = decode(vertex, ten.nodes)
         graph[vertex] = [(vertex + n, None)] if step < ten.node_intervals[node][1] else []
-    for tail, head, driver in sorted(ten.travel_arcs):
+    for tail, head, driver in sorted(expanded(ten).travel_arcs):
         graph[tail].append((head, driver))
     return graph
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ridesim.matching as matching
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
-from ridesim.experiments import replication_seeds
+from ridesim.experiments import replication_seeds, run_single
 from ridesim.matching import (
     Pin,
     PrunedGraph,
@@ -32,10 +32,12 @@ from ridesim.matching import (
 from ridesim.network import Network
 from ridesim.simulation import RideshareVehicle, init_simulation
 
-from conftest import (DT_EXACT, Driver, free_slots, random_instance, slot_groups,
-                      step_digraphs)
-from oracle import (EnumerationBudgetError, brute_force_itinerary, layout, start_vertex,
-                    vertices_on_feasible_paths)
+from conftest import (DT_EXACT, Driver, free_slots, make_network, random_instance,
+                      slot_groups, step_digraphs)
+from oracle import (EnumerationBudgetError, brute_force_itinerary, expanded, layout,
+                    start_vertex, vertices_on_feasible_paths)
+from test_golden_outputs import write_grid
+from test_simulation import DENSE_SCENARIO
 
 
 def pipeline(rider, offers, net, tau, dt=DT_EXACT, penalty=DT_EXACT):
@@ -51,9 +53,10 @@ def code(ten, node, step):
 
 
 def decoded_arcs(ten):
-    """``ten``'s travel arcs with (node, step) tail and head."""
+    """``ten``'s travel arcs, each driver's own (the oracle's ``expanded``),
+    with (node, step) tail and head."""
     return [(decode(tail, ten.nodes), decode(head, ten.nodes), driver)
-            for tail, head, driver in ten.travel_arcs]
+            for tail, head, driver in expanded(ten).travel_arcs]
 
 
 def assert_itinerary_invariants(itinerary, rider, offers_by_id, dt):
@@ -382,18 +385,25 @@ def reference_cost_to_go(graph, costs):
 
 def reference_incumbent(graph, togo, costs):
     """The walk ``_incumbent`` documents, spelled out: at each vertex the
-    arcs that attain ``togo``, then the least by (not a wait, not the driver
-    on board), the first in arc order among equals."""
-    vertex, cost, last, used = graph.start, 0, None, set()
+    arcs that attain ``togo`` and are a wait, of the class on board or of a
+    class with a member not yet ridden, then the least by (not a wait, not
+    the class on board), the first in arc order among equals; INF when
+    there is none."""
+    vertex, cost, riding, used = graph.start, 0, None, set()
+
+    def free(driver):
+        return {driver, *graph.twins.get(driver, ())} - used
+
     while vertex not in graph.dests:
         ties = [(head, driver) for head, driver in graph.adjacency[vertex]
-                if arc_units(graph, vertex, head, driver, costs) + togo[head] == togo[vertex]]
-        head, driver = min(ties, key=lambda t: (t[1] is not None, t[1] != last))
-        if driver is not None:
-            if driver != last and driver in used:
-                return matching.INF
-            last = driver
-            used.add(driver)
+                if arc_units(graph, vertex, head, driver, costs) + togo[head] == togo[vertex]
+                and (driver in (None, riding) or free(driver))]
+        if not ties:
+            return matching.INF
+        head, driver = min(ties, key=lambda t: (t[1] is not None, t[1] != riding))
+        if driver not in (None, riding):
+            riding = driver
+            used.add(min(free(driver)))
         cost += arc_units(graph, vertex, head, driver, costs)
         vertex = head
     return cost
@@ -435,28 +445,36 @@ class TestBoundPruning:
         assert inserted[True] < inserted[False]
 
     def test_cost_to_go_equals_recursion(self):
+        """Each class's bits are one run, a bit per member, disjoint from
+        every other class's; the offers as drawn and twinned."""
         checked = 0
-        for seed, graph in exactness_graphs():
-            for costs in self.COSTS:
-                togo, reach, bits = matching._cost_to_go(graph, costs)
-                least, drivers = reference_cost_to_go(graph, costs)
-                assert togo == least, (seed, costs)
-                assert reach == {vertex: sum(bits[driver] for driver in drivers[vertex])
-                                 for vertex in graph.vertices}, (seed, costs)
-                checked += len(graph.vertices)
-        assert checked > 5000
+        for twinned in (False, True):
+            for seed, graph in exactness_graphs(twinned):
+                for costs in self.COSTS:
+                    togo, reach, bits = matching._cost_to_go(graph, costs)
+                    least, drivers = reference_cost_to_go(graph, costs)
+                    assert togo == least, (seed, costs)
+                    assert reach == {vertex: sum(bits[driver] for driver in drivers[vertex])
+                                     for vertex in graph.vertices}, (seed, costs)
+                    for driver, bit in bits.items():
+                        size = 1 + len(graph.twins.get(driver, ()))
+                        assert bit == ((1 << size) - 1) * (bit & -bit), (seed, driver)
+                    assert sum(bits.values()) == (1 << sum(map(int.bit_count, bits.values()))) - 1
+                    checked += len(graph.vertices)
+        assert checked > 10000
 
     def test_incumbent_equals_reference_walk(self):
         walks = 0
-        for seed, graph in exactness_graphs():
-            if not graph.feasible:
-                continue
-            for costs in self.COSTS:
-                togo = matching._cost_to_go(graph, costs)[0]
-                assert matching._incumbent(graph, togo, costs) == reference_incumbent(
-                    graph, togo, costs), (seed, costs)
-                walks += 1
-        assert walks > 500
+        for twinned in (False, True):
+            for seed, graph in exactness_graphs(twinned):
+                if not graph.feasible:
+                    continue
+                for costs in self.COSTS:
+                    togo = matching._cost_to_go(graph, costs)[0]
+                    assert matching._incumbent(graph, togo, costs) == reference_incumbent(
+                        graph, togo, costs), (seed, twinned, costs)
+                    walks += 1
+        assert walks > 1000
 
 
 class TestCanonicalOrder:
@@ -561,7 +579,6 @@ class TestTwinnedTies:
         2, only the one through node 2. At the destination vertex driver
         20's label arrives first, from the tail at node 1, yet the tie goes
         to the smaller driver sequence."""
-        from conftest import make_network
         net = make_network([(0, 1, DT_EXACT), (1, 3, 2 * DT_EXACT),
                             (0, 2, 2 * DT_EXACT), (2, 3, DT_EXACT)])
         tau = {link.id: round(link.free_flow_time / DT_EXACT) for link in net.links}
@@ -582,9 +599,10 @@ class TestTwinnedTies:
 
 
 class TestBuildDigest:
-    # SHA-256 over the sorted travel arcs and sorted(ten.node_intervals
-    # .items()) for each instance below, built from its offers and again
-    # with every offer twinned under a new id, so that slots repeat. It was
+    # SHA-256 over the sorted travel arcs, each driver's own (the oracle's
+    # ``expanded``), and sorted(ten.node_intervals.items()) for each
+    # instance below, built from its offers and again with every offer
+    # twinned under a new id, so that slots repeat. It was
     # recorded from the build that ran the arc rule once per slot of every
     # offer, whose arcs were (tail, head, driver, cost) with the cost
     # steps * dt; the build that runs it once per distinct slot, with arcs
@@ -602,7 +620,7 @@ class TestBuildDigest:
                 n = len(ten.nodes)
                 digest.update(repr(sorted(
                     (tail, head, driver, (head // n - tail // n) * DT_EXACT)
-                    for tail, head, driver in ten.travel_arcs)).encode())
+                    for tail, head, driver in expanded(ten).travel_arcs)).encode())
                 digest.update(repr(sorted(ten.node_intervals.items())).encode())
         assert digest.hexdigest() == self.DIGEST
 
@@ -675,6 +693,143 @@ class TestNoReboarding:
         costs = StepCosts(DT_EXACT, DT_EXACT)
         assert solve_itinerary(graph, costs) is None
         assert brute_force_itinerary(ten, costs) is None
+
+
+def copies(offers, count):
+    """``offers`` and ``count - 1`` copies of each, the k-th under id + 100 k."""
+    return [dataclasses.replace(offer, id=offer.id + 100 * k)
+            for k in range(count) for offer in offers]
+
+
+def recorded_networks(config):
+    """Every request's network from one run of ``config``, in request order,
+    and the run's step costs."""
+    kept = []
+    build = matching.build_time_expanded
+
+    def keeping(*args, **kwargs):
+        kept.append(build(*args, **kwargs))
+        return kept[-1]
+
+    matching.build_time_expanded = keeping
+    try:
+        sim, _ = run_single(config)
+    finally:
+        matching.build_time_expanded = build
+    return kept, sim.step_costs
+
+
+class TestInterchangeableDrivers:
+    """Drivers with the same travel arcs form one class, written once under
+    its lowest id; the DP boards a class's lowest free member and rides on
+    within it, and finds the optimum over every driver: the one the oracle
+    and the DP find on the ``expanded`` network, where every driver is its
+    own class."""
+
+    def test_copied_offers_form_classes_and_solve_exactly(self):
+        """Every ``exactness_instance`` with each offer twinned and then
+        tripled: each offer with an arc shares its class with its copies,
+        and the DP's itinerary is the oracle's at every penalty."""
+        checked = skipped = classes = 0
+        for seed in [*range(400), TestBoundPruning.CREATION_ORDER_SENSITIVE]:
+            rider, offers, net, tau = exactness_instance(seed)
+            for count in (2, 3):
+                ten = build_time_expanded(rider, slot_groups(copies(offers, count)), net, tau,
+                                          DT_EXACT)
+                class_of = {member: rep for rep, members in ten.twins.items()
+                            for member in (rep, *members)}
+                riding = {driver for _, _, driver in expanded(ten).travel_arcs}
+                for offer in offers:
+                    if offer.id in riding:
+                        assert {class_of[offer.id + 100 * k] for k in range(count)} == {
+                            class_of[offer.id]}, (seed, count, offer.id)
+                        classes += 1
+                graph = preprocess(ten)
+                for costs in TestBoundPruning.COSTS:
+                    try:
+                        oracle = brute_force_itinerary(ten, costs)
+                    except EnumerationBudgetError:
+                        skipped += 1
+                        continue
+                    assert solve_itinerary(graph, costs) == oracle, (seed, count, costs)
+                    checked += 1
+        assert classes > 700
+        assert checked > 4000 and skipped <= 10
+
+    def test_rides_a_twin_after_another_driver(self):
+        """A carries the rider from node 0 to 1, X from 1 to 2, and A's class
+        alone from 2 to 3: A cannot be boarded again, so the rider takes
+        A's lowest twin, A' (A -> X -> A'). Without twins there is no
+        itinerary."""
+        a, x = 40, 30
+        ten = TimeExpandedNetwork(0, 3, {k: (k, k) for k in range(4)}, [])
+        ten.travel_arcs += [(code(ten, 0, 0), code(ten, 1, 1), a),
+                            (code(ten, 1, 1), code(ten, 2, 2), x),
+                            (code(ten, 2, 2), code(ten, 3, 3), a)]
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        assert solve_itinerary(preprocess(ten), costs) is None
+        ten.twins[a] = (41, 55)
+        solved = solve_itinerary(preprocess(ten), costs)
+        assert [leg.driver for leg in solved.legs] == [a, x, 41]
+        assert solved == brute_force_itinerary(ten, costs)
+
+    def test_chain_of_twins_past_64_bits(self):
+        """``TestNoReboarding``'s chain with every tenth driver twinned, so
+        that the used set runs past 64 bits with twins in it: the cheapest
+        last hop, in the first driver's class, now boards that driver's
+        twin, with no wait."""
+        chain = TestNoReboarding()
+        ten = chain.chain()
+        ten.twins.update({driver: (driver + 1,) for driver in chain.DRIVERS[::10]})
+        graph = preprocess(ten)
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        bits = matching._cost_to_go(graph, costs)[2]
+        assert max(bits.values()).bit_length() > 64 + len(ten.twins)
+        solved = solve_itinerary(graph, costs)
+        assert [leg.driver for leg in solved.legs] == [*chain.DRIVERS, chain.DRIVERS[0] + 1]
+        assert solved.wait_steps == 0
+        assert solved.total_cost == (len(chain.DRIVERS) + 1) * DT_EXACT
+        assert solved == brute_force_itinerary(ten, costs)
+
+    def test_class_key_reads_later_slots(self):
+        """Drivers 3 and 5 share their first slot, 0 -> 1 by step 1, but 5
+        has a pin there and a later slot on to node 2: the two are not
+        interchangeable, and only 5 carries the rider on."""
+        net = make_network([(0, 1, DT_EXACT), (1, 2, DT_EXACT)])
+        tau = {link.id: 1 for link in net.links}
+        rider = RiderRequest(0, 0, 2, TimeWindow(0.0, 0.0, 2 * DT_EXACT, 2 * DT_EXACT), 0.0)
+        short = Driver(id=3, origin=0, destination=1, anchor_step=0,
+                       latest_departure_step=0, latest_arrival_step=1, seats=2)
+        pinned = dataclasses.replace(short, id=5, destination=2, latest_arrival_step=2,
+                                     pins=(Pin(1, 1, "board", 77),))
+        assert free_slots(short)[0] == free_slots(pinned)[0]
+        offers = [short, pinned]
+        ten = build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT)
+        assert ten.twins == {}
+        assert sorted(decoded_arcs(ten)) == sorted(reference_ten(rider, offers, net, tau,
+                                                                 DT_EXACT)[1])
+        solved = solve_itinerary(preprocess(ten), StepCosts(DT_EXACT, DT_EXACT))
+        assert [leg.driver for leg in solved.legs] == [5]
+
+    @pytest.mark.parametrize("scenario, seed", [("grid", 101), ("rideshare-dense", 7)])
+    def test_live_networks_equal_their_expansion(self, tmp_path, scenario, seed):
+        """Every request's network from a 4 h grid run and a ``rideshare
+        -dense`` run solves as its ``expanded`` network does, with every
+        driver its own class, with no enumeration budget; both runs form
+        classes of more than one driver."""
+        if scenario == "grid":
+            config = load_config(write_grid(tmp_path), {"seed": seed, "horizon": 4.0})
+        else:
+            config = load_config(DENSE_SCENARIO, {"seed": seed})
+        tens, costs = recorded_networks(config)
+        twinned = solved = 0
+        for ten in tens:
+            result = solve_itinerary(preprocess(ten), costs)
+            assert result == solve_itinerary(preprocess(expanded(ten)), costs), ten
+            assert ten.driver_arcs == len(expanded(ten).travel_arcs)
+            twinned += bool(ten.twins)
+            solved += result is not None
+        assert len(tens) > 250 and solved > 100 and twinned > 100
 
 
 class TestPinChain:
@@ -1043,9 +1198,16 @@ class TestSurvivorIntervals:
     the vertex-by-vertex pruning over the oracle's whole layout."""
 
     def assert_exact(self, ten):
+        """``preprocess`` keeps what the reference keeps of the oracle's
+        layout, each driver's own arcs, and lays out a class's arcs once,
+        under its representative."""
         assert_arc_ends_in_intervals(ten)
         graph = preprocess(ten)
-        assert graph == reference_preprocess(ten)
+        reference = reference_preprocess(ten)
+        others = {member for members in ten.twins.values() for member in members}
+        assert graph == dataclasses.replace(reference, twins=ten.twins, adjacency={
+            vertex: [arc for arc in arcs if arc[1] not in others]
+            for vertex, arcs in reference.adjacency.items()})
         return graph
 
     def test_exactness_instances_plain_and_twinned(self):

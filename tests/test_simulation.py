@@ -817,7 +817,7 @@ def grid_sim(tmp_path, seats=None) -> SimState:
 
 
 def ten_key(ten):
-    return sorted(ten.travel_arcs), ten.node_intervals
+    return sorted(ten.travel_arcs), ten.twins, ten.node_intervals
 
 
 def resolved(groups, clock_step):

@@ -1,18 +1,22 @@
 """Time the matcher's kernel over every rider request of one run.
 
 Runs one scenario (``--config``, ``--seed``, ``--horizon``) through
-``experiments.run_single`` and keeps every request's time-expanded network,
-by wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
-up. It then times ``preprocess`` and ``solve_itinerary`` over the kept
-networks, in request order, at the scenario's step costs and with the
+``experiments.run_single`` and keeps every request's build inputs, by
+wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
+up; the slot groups are copied, since they are the simulation's live offer
+index, which changes from request to request. It then times
+``build_time_expanded``, ``preprocess`` and ``solve_itinerary`` over the
+kept requests, in request order, at the scenario's step costs and with the
 collector paused. It prints the best of ``--rounds`` of each in µs per
-request, ``preprocess`` timed over all requests at once and
+request, the build and ``preprocess`` timed over all requests at once and
 ``solve_itinerary`` request by request, with the 50th and 99th
-nearest-rank percentiles of the requests' best solve times; the networks
-with no travel arc (which ``preprocess`` answers as infeasible at once,
-with no pass over the graph) as a count and a share; and a SHA-256 over the
-``repr`` of every result. Run on two checkouts, it shows a change to the
-kernel without the event loop's noise, and equal digests show equal
+nearest-rank percentiles of the requests' best solve times; the mean per
+request of the travel arcs counted once per driver, of the drivers with an
+arc and of the driver classes they form (``TimeExpandedNetwork``); the
+networks with no travel arc (which ``preprocess`` answers as infeasible at
+once, with no pass over the graph) as a count and a share; and a SHA-256
+over the ``repr`` of every result. Run on two checkouts, it shows a change
+to the kernel without the event loop's noise, and equal digests show equal
 results. It imports ridesim from the ``src`` beside it and needs nothing
 but the standard library and ridesim's own dependencies::
 
@@ -34,16 +38,16 @@ from ridesim import experiments, matching  # noqa: E402
 from ridesim.config import load_config  # noqa: E402
 
 
-def kept_networks(config) -> tuple[list, matching.StepCosts]:
-    """Every request's network from one run of ``config``, in request
-    order, and the run's step costs."""
+def kept_requests(config) -> tuple[list, matching.StepCosts]:
+    """Every request's ``build_time_expanded`` arguments from one run of
+    ``config``, (args, kwargs) in request order, the slot groups copied, and
+    the run's step costs."""
     kept = []
     build = matching.build_time_expanded
 
-    def keeping(*args, **kwargs):
-        ten = build(*args, **kwargs)
-        kept.append(ten)
-        return ten
+    def keeping(rider, slots, *args, **kwargs):
+        kept.append(((rider, {slot: list(ids) for slot, ids in slots.items()}, *args), kwargs))
+        return build(rider, slots, *args, **kwargs)
 
     matching.build_time_expanded = keeping
     try:
@@ -53,14 +57,18 @@ def kept_networks(config) -> tuple[list, matching.StepCosts]:
     return kept, sim.step_costs
 
 
-def best_times(tens: list, costs: matching.StepCosts,
-               rounds: int) -> tuple[float, list[float], list]:
-    """The least seconds, over ``rounds``, that ``preprocess`` took over all
-    of ``tens``; the least seconds ``solve_itinerary`` took on each; and
-    every request's result."""
-    prep = math.inf
-    solve = [math.inf] * len(tens)
+def best_times(requests: list, costs: matching.StepCosts,
+               rounds: int) -> tuple[float, float, list[float], list, list]:
+    """The least seconds, over ``rounds``, that ``build_time_expanded`` and
+    ``preprocess`` each took over all of ``requests``; the least seconds
+    ``solve_itinerary`` took on each; every request's network; and every
+    request's result."""
+    build = prep = math.inf
+    solve = [math.inf] * len(requests)
     for _ in range(rounds):
+        start = time.perf_counter()
+        tens = [matching.build_time_expanded(*args, **kwargs) for args, kwargs in requests]
+        build = min(build, time.perf_counter() - start)
         start = time.perf_counter()
         graphs = [matching.preprocess(ten) for ten in tens]
         prep = min(prep, time.perf_counter() - start)
@@ -69,7 +77,7 @@ def best_times(tens: list, costs: matching.StepCosts,
             start = time.perf_counter()
             results.append(matching.solve_itinerary(graph, costs))
             solve[k] = min(solve[k], time.perf_counter() - start)
-    return prep, solve, results
+    return build, prep, solve, tens, results
 
 
 def percentile(values: list[float], share: float) -> float:
@@ -89,11 +97,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
-    tens, costs = kept_networks(config)
+    kept, costs = kept_requests(config)
     gc.collect()
     gc.disable()
     try:
-        prep, solve, results = best_times(tens, costs, args.rounds)
+        build, prep, solve, tens, results = best_times(kept, costs, args.rounds)
     finally:
         gc.enable()
     digest = hashlib.sha256()
@@ -101,14 +109,20 @@ def main(argv: list[str] | None = None) -> int:
         digest.update(repr(result).encode())
     requests = len(tens)
     per = 1e6 / requests if requests else 0.0
+    classes = [len({driver for _, _, driver in ten.travel_arcs}) for ten in tens]
+    drivers = sum(classes) + sum(len(members) for ten in tens for members in ten.twins.values())
     no_arc = sum(not ten.travel_arcs for ten in tens)
     print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
     print(f"requests        {requests}")
+    print(f"build_us        {build * per:.1f}")
     print(f"preprocess_us   {prep * per:.1f}")
     print(f"solve_us        {sum(solve) * per:.1f}")
     print(f"kernel_us       {(prep + sum(solve)) * per:.1f}")
     print(f"solve_us_p50    {1e6 * percentile(solve, 0.5):.1f}")
     print(f"solve_us_p99    {1e6 * percentile(solve, 0.99):.1f}")
+    print(f"driver_arcs     {sum(ten.driver_arcs for ten in tens) * per / 1e6:.1f}")
+    print(f"drivers         {drivers * per / 1e6:.1f}")
+    print(f"classes         {sum(classes) * per / 1e6:.1f}")
     print(f"no_arc_requests {no_arc} {no_arc / requests if requests else 0.0:.3f}")
     print(f"digest          {digest.hexdigest()}")
     return 0
