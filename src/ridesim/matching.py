@@ -49,16 +49,23 @@ Pipeline for one rider request:
    than a third of the bundled sweep's requests get such a network.
 3. ``solve_itinerary`` runs a dynamic program over the pruned graph and
    returns the one least itinerary under the total order it states, in
-   costs that are exact integers (``StepCosts``). A rider may transfer
-   between vehicles but never re-board a driver it left, so each DP label,
-   a tuple, carries the drivers it used and could still meet as a bitmask.
-   An arc carries a driver class: a label rides on when its last driver is
-   of the class, and else boards the class's lowest member it has not
-   used, which loses no optimum. Labels at a (vertex, last driver) pair
-   are kept when no other is below them, which keeps the search exact. A
-   driver-blind lower bound on each vertex's cost to go, and the cost of
-   one itinerary found along it, prune labels that cannot reach the
-   optimum.
+   costs that are exact integers (``StepCosts``). The order's first three
+   keys, cost, waits and legs, are packed into one integer per label
+   (``_key_units``), so that each comparison of them is one integer
+   comparison. A rider may transfer between vehicles but never re-board a
+   driver it left, so each DP label, a tuple, carries the drivers it used
+   and could still meet as a bitmask. An arc carries a driver class: a
+   label rides on when its last driver is of the class, and else boards
+   the class's lowest member it has not used, which loses no optimum.
+   Labels at a (vertex, last driver) pair are kept when no other is below
+   them, which keeps the search exact. One reverse pass gives a
+   driver-blind lower bound on each vertex's (cost, waits) to go, packed
+   the same way, and the classes that carry the rider from each vertex
+   along the bound with no transfer (``_cost_to_go``). One itinerary
+   found along the bound, which rides a class that carries it as soon as
+   one can, gives an incumbent key (``_incumbent``). A label whose key
+   plus the bound exceeds the incumbent's cannot reach the optimum and is
+   pruned, so ties in cost are pruned by waits and legs too.
 
 The time grid: hours become steps of ``dt`` by three rules, each with one
 home beside ``ceil_steps``, which every caller uses. ``window_steps``
@@ -584,12 +591,24 @@ class StepCosts:
         return self.travel * steps + (self.wait - self.travel) * waits
 
 
-# (cost, waits, legs, used, drivers, spans, board, alight): a path's cost in
-# ``StepCosts.units``, its waits and legs, the bitmask of the drivers it rode
-# that an arc ahead still carries, and its tie key: the drivers of its legs
-# before the last, those legs' (-board, alight) vertex pairs, flattened, and
-# its last leg's board vertex, negated, and alight vertex so far (None and
-# None before the first leg). Its vertex and last driver are its bucket's.
+def _key_units(graph: PrunedGraph, costs: StepCosts) -> tuple[int, int, int]:
+    """The radix R of ``graph``'s packed keys, ``len(graph.vertices)``, and
+    the key of one travel step and of one wait: a path's key is (cost * R +
+    waits) * R + legs, its cost in ``costs.units``. A path has fewer arcs
+    than the graph has vertices, so its waits and its legs are each below R,
+    and integer order on keys is lexicographic order on (cost, waits, legs).
+    """
+    radix = len(graph.vertices)
+    step, wait = costs.units
+    return radix, step * radix * radix, (wait * radix + 1) * radix
+
+
+# (key, used, drivers, spans, board, alight): a path's packed (cost, waits,
+# legs) key (``_key_units``), the bitmask of the drivers it rode that an
+# arc ahead still carries, and its tie key: the drivers of its legs before
+# the last, those legs' (-board, alight) vertex pairs, flattened, and its
+# last leg's board vertex, negated, and alight vertex so far (None and None
+# before the first leg). Its vertex and last driver are its bucket's.
 Label = tuple
 
 
@@ -598,63 +617,84 @@ def _insert_label(buckets: dict[Optional[int], list[Label]], last: Optional[int]
     """Add ``label`` to the bucket of ``last`` in ``buckets``, creating it,
     unless a label there is below it, and drop the labels there below it.
 
-    A label is below another in one bucket when its cost, waits and legs are
-    each no greater, its used set lies within the other's, and, if the three
-    are all equal, its tie key is no greater. Then whatever extends the
-    other extends it too, to an itinerary that comes no later in
-    ``solve_itinerary``'s order: the two end at one vertex with one driver,
-    so an extension adds the same to both; their legs, equal in number, are
-    compared leg by leg; and the last leg's alight vertex counts only when
-    no extension rides on."""
+    A label is below another in one bucket when its key is no greater, its
+    used set lies within the other's, and, if the keys are equal, its tie
+    key is no greater. Then whatever extends the other extends it too, to
+    an itinerary that comes no later in ``solve_itinerary``'s order: the two
+    end at one vertex with one driver, so an extension adds the same key to
+    both, and a key is the itinerary's (cost, waits, legs) in lexicographic
+    order; their legs, equal in number when the keys are, are compared leg
+    by leg; and the last leg's alight vertex counts only when no extension
+    rides on."""
     bucket = buckets.get(last)
     if bucket is None:
         buckets[last] = [label]
         return
-    cost, waits, legs, used = label[0], label[1], label[2], label[3]
+    key, used = label[0], label[1]
     dominated = []
     for k, other in enumerate(bucket):
-        c, w, m, u = other[0], other[1], other[2], other[3]  # its cost, waits, legs, used
-        if c == cost and w == waits and m == legs:
-            if u | used == used and other[4:] <= label[4:]:
-                return
-            if used | u == u and label[4:] <= other[4:]:
-                dominated.append(k)
-        elif c <= cost and w <= waits and m <= legs:
+        theirs, u = other[0], other[1]  # its key and used set
+        if theirs < key:
             if u | used == used:
                 return
-        elif cost <= c and waits <= w and legs <= m and used | u == u:
-            dominated.append(k)
+        elif theirs > key:
+            if used | u == u:
+                dominated.append(k)
+        else:
+            if u | used == used and other[2:] <= label[2:]:
+                return
+            if used | u == u and label[2:] <= other[2:]:
+                dominated.append(k)
     for k in reversed(dominated):
         del bucket[k]
     bucket.append(label)
 
 
 def _cost_to_go(graph: PrunedGraph, costs: StepCosts
-                ) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[int, int]]:
-    """Least cost, in ``costs.units``, from each vertex to a destination
-    vertex, ignoring drivers (any arc may follow any other); the drivers
-    with an arc reachable from each vertex, as a bitmask; and each driver
-    class's bits, keyed by its representative, given where this reverse
-    pass first sees it. A class gets one bit per member, consecutive and
-    ascending with the members' ids, so that the lowest bit of the class's
-    bits not in a used set is its lowest free member's; members share their
-    arcs, so a mask keeps or drops them together. Every itinerary from a
-    vertex is such a path, so the cost is a lower bound on its cost; it is
-    consistent, being a shortest path. A travel arc costs ``units[0]`` per
-    step, read from its vertex codes, a wait ``units[1]``."""
-    step, wait = costs.units
+                ) -> tuple[dict[Vertex, int], dict[Vertex, int], dict[int, int],
+                           dict[Vertex, int]]:
+    """In one reverse pass over ``graph``: the bound, the reach and the
+    carriers of each vertex, and each driver class's bits.
+
+    The bound is the least (cost, waits) from the vertex to a destination
+    vertex in lexicographic order, ignoring drivers (any arc may follow any
+    other), packed as a key with no legs (``_key_units``). Every itinerary
+    from the vertex is such a path, so its key is at least the bound plus
+    its legs; the bound is consistent, being a shortest path. A travel arc
+    costs ``units[0]`` per step, read from its vertex codes, and no wait; a
+    wait ``units[1]`` and one wait.
+
+    The reach is the drivers with an arc reachable from the vertex, as a
+    bitmask. A class gets one bit per member, consecutive and ascending with
+    the members' ids, given where the pass first sees the class and keyed
+    by its representative, so that the lowest bit of the class's bits not
+    in a used set is its lowest free member's; members share their arcs, so
+    a mask keeps or drops them together.
+
+    The carriers are the bits of the classes that take the rider from the
+    vertex to a destination vertex with no transfer along tight arcs, those
+    whose key plus the bound at their head is the bound at their tail: the
+    head carries the class and the arc is a wait or of that class. A
+    destination vertex carries every class (all bits set, -1)."""
+    _, step, wait = _key_units(graph, costs)
     n = len(graph.nodes)
-    twins = graph.twins
+    twins, dests = graph.twins, graph.dests
     togo: dict[Vertex, int] = {}
     reach: dict[Vertex, int] = {}
+    carry: dict[Vertex, int] = {}
     bits: dict[int, int] = {}
     given = 0  # the bits given so far
     for vertex in reversed(graph.vertices):
-        best = 0 if vertex in graph.dests else INF
+        if vertex in dests:
+            best, carried = 0, -1
+        else:
+            best, carried = INF, 0
         drivers = 0
+        at = vertex // n  # its step
         for head, driver in graph.adjacency[vertex]:
             if driver is None:
                 value = wait + togo[head]
+                bit = -1  # a wait keeps every class the head carries
             else:
                 bit = bits.get(driver)
                 if bit is None:
@@ -662,52 +702,72 @@ def _cost_to_go(graph: PrunedGraph, costs: StepCosts
                     bit = bits[driver] = ((1 << size) - 1) << given
                     given += size
                 drivers |= bit
-                value = step * (head // n - vertex // n) + togo[head]
+                value = step * (head // n - at) + togo[head]
             drivers |= reach[head]
-            if value < best:
-                best = value
+            if value <= best:
+                if value < best:
+                    best, carried = value, bit & carry[head]
+                else:
+                    carried |= bit & carry[head]
         togo[vertex] = best
         reach[vertex] = drivers
-    return togo, reach, bits
+        carry[vertex] = carried
+    return togo, reach, bits, carry
 
 
-def _incumbent(graph: PrunedGraph, togo: dict[Vertex, int], costs: StepCosts) -> float:
-    """The cost, in ``costs.units``, of one itinerary as cheap as ``togo``
-    at the start, or INF.
+def _incumbent(graph: PrunedGraph, togo: dict[Vertex, int], bits: dict[int, int],
+               carry: dict[Vertex, int], costs: StepCosts) -> float:
+    """The packed key (``_key_units``) of one itinerary whose (cost, waits)
+    is the bound at the start (``_cost_to_go``), or INF.
 
-    The walk takes, at each vertex, an arc that attains ``togo`` there,
-    preferring a wait, then an arc of the driver on board's class, ridden
-    on, then an arc of another class, boarded as the class's lowest member
-    the walk has not ridden, the first in ``preprocess``'s arc order among
-    equals; an arc whose class has no such member is not taken. It stops at
-    the first destination vertex. If no arc can be taken, the path is no
-    itinerary and the result is INF, which turns pruning off.
+    The walk follows tight arcs from the start. Once the class on board
+    carries the rider from its vertex, the rest of the itinerary rides on
+    with it and adds the bound there, and no leg. Before that it boards, at
+    the first tight arc in ``preprocess``'s arc order whose class carries
+    from the arc's head and has a member the walk has not ridden, that
+    class's lowest such member, which carries it on; else it takes a tight
+    wait, then a tight arc of the class on board, ridden on, then a tight
+    arc of another class with such a member, boarded, the first in arc
+    order among equals. So a walk whose start some class carries from has
+    one leg, as has every optimum that rides one leg. If no arc can be
+    taken, or the start is a destination vertex, the walk is no itinerary
+    and the result is INF, which turns pruning off.
     """
-    step, wait = costs.units
+    _, step, wait = _key_units(graph, costs)
     n = len(graph.nodes)
-    twins = graph.twins
-    vertex, cost, riding, used = graph.start, 0, None, set()
-    while vertex not in graph.dests:
-        bound, rank, chosen = togo[vertex], 3, None
-        for head, driver in graph.adjacency[vertex]:
-            value = wait if driver is None else step * (head // n - vertex // n)
-            if value + togo[head] == bound:
-                # 0: a wait, 1: the class on board, 2: another class
-                here = 0 if driver is None else 1 if driver == riding else 2
-                if here < rank:
-                    if here == 2 and driver in used and used.issuperset(twins.get(driver, ())):
-                        continue  # the walk left every member
-                    rank, chosen = here, (head, driver, value)
+    adjacency, dests = graph.adjacency, graph.dests
+    vertex, key, riding, used = graph.start, 0, 0, 0
+    while not riding & carry[vertex]:
+        if vertex in dests:
+            return INF  # the start, before any leg
+        bound, rank, chosen, at = togo[vertex], 3, None, vertex // n
+        for head, driver in adjacency[vertex]:
+            if driver is None:
+                if rank and wait + togo[head] == bound:
+                    rank, chosen = 0, (head, wait, riding)
+                continue
+            value = step * (head // n - at)
+            if value + togo[head] != bound:
+                continue
+            bit = bits[driver]
+            if bit == riding:
+                if rank > 1:
+                    rank, chosen = 1, (head, value, bit)
+            elif bit & ~used:
+                if bit & carry[head]:
+                    return key + value + 1 + togo[head]
+                if rank > 2:
+                    rank, chosen = 2, (head, value, bit)
         if chosen is None:
             return INF
-        head, driver, value = chosen
-        if driver is not None and driver != riding:
-            riding = driver
-            used.add(driver if driver not in used else
-                     next(member for member in twins[driver] if member not in used))
-        cost += value
-        vertex = head
-    return cost
+        vertex, value, bit = chosen
+        if bit != riding:
+            free = bit & ~used
+            used |= free & -free
+            riding = bit
+            key += 1
+        key += value
+    return key + togo[vertex]
 
 
 def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]:
@@ -722,8 +782,11 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
 
     Costs are exact: a travel arc costs ``costs.units[0]`` per step, read
     from its vertex codes, and a wait ``costs.units[1]``, so every cost is
-    an integer. Every path to a vertex spans the same steps, so the
-    itinerary's ``total_cost`` is ``costs.total`` of its steps and waits.
+    an integer. A label packs its cost, waits and legs into one integer key
+    (``_key_units``), whose integer order is their lexicographic order, so
+    every comparison of the three is one integer comparison. Every path to
+    a vertex spans the same steps, so the itinerary's ``total_cost`` is
+    ``costs.total`` of its steps and waits.
 
     A rider may transfer between vehicles but never re-board a driver it
     left, so each label carries the drivers it used as a bitmask, masked by
@@ -754,21 +817,23 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
     every extension.
 
     Labels are pruned by a bound: ``_cost_to_go`` gives a lower bound on
-    the cost from every vertex to a destination, and ``_incumbent`` the cost
-    of one itinerary. An extension whose cost plus the bound at its head
-    exceeds that cost cannot lead to the optimum, and is skipped.
+    the (cost, waits) from every vertex to a destination, and
+    ``_incumbent`` the key of one itinerary. An extension whose key, with
+    the arc's key and a leg if it boards, plus the bound at its head
+    exceeds the incumbent's key cannot lead to the optimum, and is skipped:
+    the bound prunes ties in cost by waits and legs too.
     """
     if not graph.feasible:
         return None
     nodes, dests, adjacency, twins = graph.nodes, graph.dests, graph.adjacency, graph.twins
     n = len(nodes)
-    step, wait = costs.units
-    togo, reach, bits = _cost_to_go(graph, costs)
-    limit = _incumbent(graph, togo, costs)
+    radix, step, wait = _key_units(graph, costs)
+    togo, reach, bits, carry = _cost_to_go(graph, costs)
+    limit = _incumbent(graph, togo, bits, carry, costs)
     # vertex -> last driver -> labels, holding only the buckets a label reached
     table: dict[Vertex, dict[Optional[int], list[Label]]] = {
-        graph.start: {None: [(0, 0, 0, 0, (), (), None, None)]}}
-    best = None  # the least (cost, waits, legs, arrival, drivers, spans)
+        graph.start: {None: [(0, 0, (), (), None, None)]}}
+    best = None  # the least (key, arrival, drivers, spans)
 
     for vertex in graph.vertices:
         buckets = table.get(vertex)
@@ -777,18 +842,20 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
         if vertex in dests:
             for last, bucket in buckets.items():
                 for label in bucket:
-                    if label[2]:
-                        key = (label[0], label[1], label[2], vertex, label[4] + (last,),
-                               label[5] + (label[6], label[7]))
+                    if label[0] % radix:  # it rode a leg
+                        key = (label[0], vertex, label[2] + (last,),
+                               label[3] + (label[4], label[5]))
                         if best is None or key < best:
                             best = key
-        # each arc's head buckets, its class and the class's bits and its
-        # representative's bit, its cost units, the most a label here may
-        # cost to take it, and the drivers reachable from its head
+        # each arc's head buckets, its class's bits (0 for a wait) and its
+        # representative's bit, its key, the most a label's key here may be
+        # to ride on or wait along it, and the drivers reachable from its head
         arcs = []
+        at = vertex // n  # its step
         for head, driver in adjacency[vertex]:
-            units = wait if driver is None else step * (head // n - vertex // n)
-            room = limit - togo[head] - units
+            units = wait if driver is None else step * (head // n - at)
+            # keys may pass a float's range, so INF takes no arithmetic
+            room = limit - togo[head] - units if limit != INF else INF
             if room >= 0:
                 heads = table.get(head)
                 if heads is None:
@@ -796,22 +863,24 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
                 bit = bits.get(driver, 0)
                 arcs.append((heads, driver, bit, bit & -bit, units, room, head, reach[head]))
         for last, bucket in buckets.items():
-            # the class on board: bits are keyed by representative
-            riding = last if last is None or last in bits else next(
-                rep for rep, others in twins.items() if last in others)
+            # the class on board's bits, None before a leg: keyed by its
+            # representative, or by the member where a label boarded it
+            riding = bits.get(last)
             for label in bucket:
-                cost, waits, legs, used = label[0], label[1], label[2], label[3]
+                key, used = label[0], label[1]
                 for heads, driver, bit, first, units, room, head, mask in arcs:
-                    if cost > room:
+                    if key > room:
                         continue
                     if driver is None:
-                        _insert_label(heads, last, (cost + units, waits + 1, legs, used & mask,
-                                                    label[4], label[5], label[6], label[7]))
+                        _insert_label(heads, last, (key + units, used & mask,
+                                                    label[2], label[3], label[4], label[5]))
                         continue
-                    if driver == riding:
-                        _insert_label(heads, last, (cost + units, waits, legs, used & mask,
-                                                    label[4], label[5], label[6], head))
+                    if bit == riding:
+                        _insert_label(heads, last, (key + units, used & mask,
+                                                    label[2], label[3], label[4], head))
                         continue
+                    if key == room:
+                        continue  # boarding adds a leg to the key
                     member = driver
                     if used & bit:
                         free = bit & ~used
@@ -821,18 +890,20 @@ def solve_itinerary(graph: PrunedGraph, costs: StepCosts) -> Optional[Itinerary]
                         low = free & -free
                         if low != first:
                             member = twins[driver][low.bit_length() - first.bit_length() - 1]
+                            bits[member] = bit
                             first = low
                     if last is None:
-                        _insert_label(heads, member, (cost + units, waits, 1, first & mask,
+                        _insert_label(heads, member, (key + units + 1, first & mask,
                                                       (), (), -vertex, head))
                     else:
                         _insert_label(heads, member, (
-                            cost + units, waits, legs + 1, (used | first) & mask,
-                            label[4] + (last,), label[5] + (label[6], label[7]), -vertex, head))
+                            key + units + 1, (used | first) & mask,
+                            label[2] + (last,), label[3] + (label[4], label[5]), -vertex, head))
 
     if best is None:
         return None
-    _, waits, _, arrival, drivers, spans = best
+    key, arrival, drivers, spans = best
+    waits = key // radix % radix
     legs = tuple(ItineraryLeg(driver, *decode(-spans[2 * k], nodes),
                               *decode(spans[2 * k + 1], nodes))
                  for k, driver in enumerate(drivers))

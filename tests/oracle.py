@@ -9,8 +9,11 @@ with the matcher it checks. ``layout`` reads the network's ``expanded``
 form, in which every driver has its own arcs, so the oracle shares no
 driver-class logic with the DP either. The optimum is ranked with exact
 rational costs and shares only ``StepCosts.total``, the formula of its
-reported cost, with the DP.
+reported cost, with the DP. ``cost_bound`` certifies an optimum's (cost,
+waits) with no enumeration: a driver-blind backward pass over the same
+``layout``, which no itinerary's (cost, waits) is below.
 """
+import math
 from fractions import Fraction
 from itertools import groupby
 
@@ -130,6 +133,44 @@ def brute_force_itinerary(ten, costs, budget=200_000):
         return None
     legs, steps = best
     return Itinerary(legs, costs.total(steps, best_key[1]), best_key[1])
+
+
+def cost_bound(ten, costs):
+    """The least (cost, waits), in lexicographic order, of a path from the
+    start vertex to a destination vertex of ``ten`` that may take any arc
+    after any other, ignoring drivers: one backward pass over ``layout``,
+    in reverse integer order. The cost is exact, a ``Fraction``, a travel
+    step costing ``costs.travel`` and a wait ``costs.wait``; None when no
+    such path leads from the start, or there is no start.
+
+    Every itinerary is such a path, so its (cost, waits) is at least the
+    bound; an itinerary at the bound is optimal in cost and waits whatever
+    found it. The pass adds integers: both costs times the least common
+    multiple of their denominators."""
+    start = start_vertex(ten)
+    if start is None:
+        return None
+    travel, wait = Fraction(costs.travel), Fraction(costs.wait)
+    scale = math.lcm(travel.denominator, wait.denominator)
+    travel, wait = int(travel * scale), int(wait * scale)
+    graph = layout(ten)
+    least = {}
+    for vertex in sorted(graph, reverse=True):
+        node, step = decode(vertex, ten.nodes)
+        options = [(0, 0)] if node == ten.destination else []
+        for head, driver in graph[vertex]:
+            if head in least:
+                cost, waits = least[head]
+                if driver is None:
+                    options.append((cost + wait, waits + 1))
+                else:
+                    options.append((cost + travel * (decode(head, ten.nodes)[1] - step), waits))
+        if options:
+            least[vertex] = min(options)
+    if start not in least:
+        return None
+    cost, waits = least[start]
+    return Fraction(cost, scale), waits
 
 
 def vertices_on_feasible_paths(ten, budget=200_000):

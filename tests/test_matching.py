@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import weakref
+from unittest import mock
 from fractions import Fraction
 from itertools import accumulate
 
@@ -34,8 +35,8 @@ from ridesim.simulation import RideshareVehicle, init_simulation
 
 from conftest import (DT_EXACT, Driver, free_slots, make_network, random_instance,
                       slot_groups, step_digraphs)
-from oracle import (EnumerationBudgetError, brute_force_itinerary, expanded, layout,
-                    start_vertex, vertices_on_feasible_paths)
+from oracle import (EnumerationBudgetError, brute_force_itinerary, cost_bound, expanded,
+                    layout, start_vertex, vertices_on_feasible_paths)
 from test_golden_outputs import write_grid
 from test_simulation import DENSE_SCENARIO
 
@@ -364,49 +365,88 @@ def arc_units(graph, vertex, head, driver, costs):
 
 
 def reference_cost_to_go(graph, costs):
-    """The least cost from each vertex of ``graph`` to a destination vertex,
-    in ``costs.units``, and the drivers of the arcs reachable from it, by
-    plain recursion over its arcs."""
-    least, drivers = {}, {}
+    """By plain recursion over the arcs of ``graph``: the least (cost,
+    waits) from each vertex to a destination vertex in lexicographic order,
+    the cost in ``costs.units``; the drivers of the arcs reachable from it;
+    and the classes (by representative) that carry the rider from it to a
+    destination vertex with no transfer along arcs that attain the least
+    (cost, waits), every class of the graph at a destination vertex."""
+    least, drivers, carriers = {}, {}, {}
+    classes = {driver for arcs in graph.adjacency.values() for _, driver in arcs} - {None}
 
     def cost_to_go(vertex):
         if vertex not in least:
-            values = [arc_units(graph, vertex, head, driver, costs) + cost_to_go(head)
-                      for head, driver in graph.adjacency[vertex]]
-            least[vertex] = min(values + [0] if vertex in graph.dests else values,
-                                default=matching.INF)
+            values = {}  # (head, driver) -> the least (cost, waits) along the arc
+            for head, driver in graph.adjacency[vertex]:
+                cost, waits = cost_to_go(head)
+                values[head, driver] = (cost + arc_units(graph, vertex, head, driver, costs),
+                                        waits + (driver is None))
+            ends = [(0, 0)] if vertex in graph.dests else []
+            least[vertex] = min([*values.values(), *ends], default=(matching.INF, 0))
             drivers[vertex] = {driver for _, driver in graph.adjacency[vertex]
                                if driver is not None}.union(
                 *(drivers[head] for head, _ in graph.adjacency[vertex]))
+            carriers[vertex] = set(classes) if vertex in graph.dests else {
+                rep for (head, driver), value in values.items() if value == least[vertex]
+                for rep in carriers[head] if driver in (None, rep)}
         return least[vertex]
 
-    return {vertex: cost_to_go(vertex) for vertex in graph.vertices}, drivers
+    for vertex in graph.vertices:
+        cost_to_go(vertex)
+    return least, drivers, carriers
 
 
-def reference_incumbent(graph, togo, costs):
-    """The walk ``_incumbent`` documents, spelled out: at each vertex the
-    arcs that attain ``togo`` and are a wait, of the class on board or of a
-    class with a member not yet ridden, then the least by (not a wait, not
-    the class on board), the first in arc order among equals; INF when
-    there is none."""
-    vertex, cost, riding, used = graph.start, 0, None, set()
+def packed(graph, cost, waits, legs=0):
+    """(cost, waits, legs) as one key of ``graph``, by the documented rule."""
+    radix = len(graph.vertices)
+    return (cost * radix + waits) * radix + legs
+
+
+def reference_incumbent(graph, costs):
+    """The walk ``_incumbent`` documents, spelled out over
+    ``reference_cost_to_go``, as a packed key: once the class on board
+    carries the rider, the rest at the least (cost, waits) and no further
+    leg; before that, the first arc that attains the least (cost, waits)
+    and boards a class that carries from its head and has a member not yet
+    ridden, or else, among such arcs that are a wait, of the class on board
+    or of a class with a member not yet ridden, the least by (not a wait,
+    not the class on board), the first in arc order among equals; INF when
+    there is none, or when the start is a destination vertex."""
+    least, _, carriers = reference_cost_to_go(graph, costs)
+    vertex, cost, waits, legs, riding, used = graph.start, 0, 0, 0, None, set()
 
     def free(driver):
         return {driver, *graph.twins.get(driver, ())} - used
 
-    while vertex not in graph.dests:
+    while riding is None or riding not in carriers[vertex]:
+        if vertex in graph.dests:
+            return matching.INF
         ties = [(head, driver) for head, driver in graph.adjacency[vertex]
-                if arc_units(graph, vertex, head, driver, costs) + togo[head] == togo[vertex]
+                if (arc_units(graph, vertex, head, driver, costs) + least[head][0],
+                    (driver is None) + least[head][1]) == least[vertex]
                 and (driver in (None, riding) or free(driver))]
+        boards = [(head, driver) for head, driver in ties
+                  if driver not in (None, riding) and driver in carriers[head]]
         if not ties:
             return matching.INF
-        head, driver = min(ties, key=lambda t: (t[1] is not None, t[1] != riding))
+        head, driver = boards[0] if boards else min(
+            ties, key=lambda t: (t[1] is not None, t[1] != riding))
         if driver not in (None, riding):
             riding = driver
             used.add(min(free(driver)))
+            legs += 1
         cost += arc_units(graph, vertex, head, driver, costs)
+        waits += driver is None
         vertex = head
-    return cost
+    return packed(graph, cost + least[vertex][0], waits + least[vertex][1], legs)
+
+
+def itinerary_key(graph, itinerary, costs):
+    """The packed key of ``itinerary``, found over ``graph``."""
+    travel, wait = costs.units
+    steps = itinerary.legs[-1].alight_step - decode(graph.start, graph.nodes)[1]
+    waits = itinerary.wait_steps
+    return packed(graph, travel * (steps - waits) + wait * waits, waits, len(itinerary.legs))
 
 
 def reversed_arcs(graph):
@@ -444,37 +484,93 @@ class TestBoundPruning:
         assert solved > 500
         assert inserted[True] < inserted[False]
 
+    @given(rng=st.randoms(use_true_random=False),
+           penalty=st.floats(0.0, 10 * DT_EXACT, allow_subnormal=False),
+           twinned=st.booleans(), pinned=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_equals_unpruned_and_oracle_on_drawn_instances(self, rng, penalty, twinned,
+                                                                   pinned):
+        """A ``random_instance`` at a penalty drawn from [0, 10 dt], its
+        offers maybe twinned under new ids, maybe with slack and pins as
+        ``exactness_instance`` gives them: the pruned solve equals the solve
+        with the incumbent at INF, which prunes nothing, and the oracle's
+        itinerary wherever the oracle's enumeration fits its budget."""
+        instance = None
+        while instance is None:
+            instance = random_instance(rng)
+        rider, offers, net, tau = instance
+        if pinned:
+            rider = with_slack(rng, rider, DT_EXACT)
+            offers = [with_pins(rng, o, net, DT_EXACT) for o in offers]
+        if twinned:
+            offers = offers + [dataclasses.replace(o, id=o.id + 100) for o in offers]
+        ten = build_time_expanded(rider, slot_groups(offers), net, tau, DT_EXACT)
+        graph = preprocess(ten)
+        costs = StepCosts(DT_EXACT, penalty)
+        pruned = solve_itinerary(graph, costs)
+        with mock.patch.object(matching, "_incumbent", lambda *args: matching.INF):
+            assert solve_itinerary(graph, costs) == pruned
+        try:
+            oracle = brute_force_itinerary(ten, costs)
+        except EnumerationBudgetError:
+            return
+        assert pruned == oracle
+
     def test_cost_to_go_equals_recursion(self):
-        """Each class's bits are one run, a bit per member, disjoint from
-        every other class's; the offers as drawn and twinned."""
+        """The bound, reach and carriers are the recursion's; each class's
+        bits are one run, a bit per member, disjoint from every other
+        class's, and keyed by its representative; the offers as drawn and
+        twinned."""
         checked = 0
         for twinned in (False, True):
             for seed, graph in exactness_graphs(twinned):
                 for costs in self.COSTS:
-                    togo, reach, bits = matching._cost_to_go(graph, costs)
-                    least, drivers = reference_cost_to_go(graph, costs)
-                    assert togo == least, (seed, costs)
+                    togo, reach, bits, carry = matching._cost_to_go(graph, costs)
+                    least, drivers, carriers = reference_cost_to_go(graph, costs)
+                    assert togo == {vertex: packed(graph, *least[vertex])
+                                    for vertex in graph.vertices}, (seed, costs)
                     assert reach == {vertex: sum(bits[driver] for driver in drivers[vertex])
                                      for vertex in graph.vertices}, (seed, costs)
-                    for driver, bit in bits.items():
-                        size = 1 + len(graph.twins.get(driver, ()))
-                        assert bit == ((1 << size) - 1) * (bit & -bit), (seed, driver)
+                    assert carry == {vertex: -1 if vertex in graph.dests else
+                                     sum(bits[rep] for rep in carriers[vertex])
+                                     for vertex in graph.vertices}, (seed, costs)
+                    reps = {driver for arcs in graph.adjacency.values()
+                            for _, driver in arcs} - {None}
+                    assert set(bits) == reps, (seed, costs)
+                    for rep, bit in bits.items():
+                        size = 1 + len(graph.twins.get(rep, ()))
+                        assert bit == ((1 << size) - 1) * (bit & -bit), (seed, rep)
                     assert sum(bits.values()) == (1 << sum(map(int.bit_count, bits.values()))) - 1
                     checked += len(graph.vertices)
         assert checked > 10000
 
     def test_incumbent_equals_reference_walk(self):
-        walks = 0
+        """The incumbent is the reference walk's key, no less than the
+        optimum's, and equal to it when a class carries the rider from the
+        start, as on every request whose optimum rides one leg at the
+        bound."""
+        walks = single = 0
         for twinned in (False, True):
             for seed, graph in exactness_graphs(twinned):
                 if not graph.feasible:
                     continue
                 for costs in self.COSTS:
-                    togo = matching._cost_to_go(graph, costs)[0]
-                    assert matching._incumbent(graph, togo, costs) == reference_incumbent(
-                        graph, togo, costs), (seed, twinned, costs)
+                    togo, _, bits, carry = matching._cost_to_go(graph, costs)
+                    limit = matching._incumbent(graph, togo, bits, carry, costs)
+                    assert limit == reference_incumbent(graph, costs), (seed, twinned, costs)
+                    optimum = solve_itinerary(graph, costs)
+                    if optimum is None:
+                        assert limit == matching.INF
+                        continue
+                    key = itinerary_key(graph, optimum, costs)
+                    assert key <= limit, (seed, twinned, costs)
+                    if carry[graph.start]:
+                        assert limit == togo[graph.start] + 1, (seed, twinned, costs)
+                    if len(optimum.legs) == 1 and key == togo[graph.start] + 1:
+                        assert limit == key, (seed, twinned, costs)
+                        single += 1
                     walks += 1
-        assert walks > 1000
+        assert walks > 1000 and single > 500
 
 
 class TestCanonicalOrder:
@@ -719,6 +815,24 @@ def recorded_networks(config):
     return kept, sim.step_costs
 
 
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """``recorded_networks`` of the run of one scenario, "grid" (``write_grid``)
+    or "rideshare-dense", at a seed and, when given, a horizon, made once
+    per module."""
+    runs = {}
+
+    def recorded(scenario, seed, horizon=None):
+        key = scenario, seed, horizon
+        if key not in runs:
+            path = (write_grid(tmp_path_factory.mktemp("grid")) if scenario == "grid"
+                    else DENSE_SCENARIO)
+            runs[key] = recorded_networks(load_config(path, {"seed": seed, "horizon": horizon}))
+        return runs[key]
+
+    return recorded
+
+
 class TestInterchangeableDrivers:
     """Drivers with the same travel arcs form one class, written once under
     its lowest id; the DP boards a class's lowest free member and rides on
@@ -773,6 +887,22 @@ class TestInterchangeableDrivers:
         assert [leg.driver for leg in solved.legs] == [a, x, 41]
         assert solved == brute_force_itinerary(ten, costs)
 
+    def test_rides_on_with_a_twin_it_boarded(self):
+        """As above, but A's class carries the rider on for two hops, 2 -> 3
+        -> 4: the rider boards A' at node 2 and rides on with it, one leg,
+        rather than boarding A's next twin at node 3."""
+        a, x = 40, 30
+        ten = TimeExpandedNetwork(0, 4, {k: (k, k) for k in range(5)}, [], {a: (41, 55)})
+        ten.travel_arcs += [(code(ten, 0, 0), code(ten, 1, 1), a),
+                            (code(ten, 1, 1), code(ten, 2, 2), x),
+                            (code(ten, 2, 2), code(ten, 3, 3), a),
+                            (code(ten, 3, 3), code(ten, 4, 4), a)]
+        costs = StepCosts(DT_EXACT, DT_EXACT)
+        solved = solve_itinerary(preprocess(ten), costs)
+        assert solved.legs[-1] == matching.ItineraryLeg(41, 2, 2, 4, 4)
+        assert [leg.driver for leg in solved.legs] == [a, x, 41]
+        assert solved == brute_force_itinerary(ten, costs)
+
     def test_chain_of_twins_past_64_bits(self):
         """``TestNoReboarding``'s chain with every tenth driver twinned, so
         that the used set runs past 64 bits with twins in it: the cheapest
@@ -812,16 +942,12 @@ class TestInterchangeableDrivers:
         assert [leg.driver for leg in solved.legs] == [5]
 
     @pytest.mark.parametrize("scenario, seed", [("grid", 101), ("rideshare-dense", 7)])
-    def test_live_networks_equal_their_expansion(self, tmp_path, scenario, seed):
+    def test_live_networks_equal_their_expansion(self, recorded_run, scenario, seed):
         """Every request's network from a 4 h grid run and a ``rideshare
         -dense`` run solves as its ``expanded`` network does, with every
         driver its own class, with no enumeration budget; both runs form
         classes of more than one driver."""
-        if scenario == "grid":
-            config = load_config(write_grid(tmp_path), {"seed": seed, "horizon": 4.0})
-        else:
-            config = load_config(DENSE_SCENARIO, {"seed": seed})
-        tens, costs = recorded_networks(config)
+        tens, costs = recorded_run(scenario, seed, 4.0 if scenario == "grid" else None)
         twinned = solved = 0
         for ten in tens:
             result = solve_itinerary(preprocess(ten), costs)
@@ -830,6 +956,46 @@ class TestInterchangeableDrivers:
             twinned += bool(ten.twins)
             solved += result is not None
         assert len(tens) > 250 and solved > 100 and twinned > 100
+
+
+class TestCostCertificate:
+    """The oracle's driver-blind bound (``oracle.cost_bound``), a backward
+    pass over its own layout, certifies the DP's (cost, waits) on every
+    request of a live run, with no enumeration budget."""
+
+    @pytest.mark.parametrize("scenario, seed, horizon", [("grid", 5, None), ("grid", 101, 4.0)])
+    def test_optimum_is_at_the_bound(self, recorded_run, scenario, seed, horizon):
+        """The multi-leg golden run (the grid at seed 5) and the 4 h grid at
+        seed 101: a request is feasible exactly when the bound exists, and
+        the DP's (cost, waits) is never below it. A request where it is
+        above, or where the DP finds no itinerary, is one where the rule
+        against re-boarding binds; it is listed, and none is expected.
+        Prints how many requests were certified."""
+        tens, costs = recorded_run(scenario, seed, horizon)
+        travel, wait = Fraction(costs.travel), Fraction(costs.wait)
+        certified, binding = 0, []
+        for k, ten in enumerate(tens):
+            graph = preprocess(ten)
+            bound = cost_bound(ten, costs)
+            assert (bound is not None) == graph.feasible, k
+            if bound is None:
+                continue
+            itinerary = solve_itinerary(graph, costs)
+            if itinerary is None:
+                binding.append((k, bound, None))
+                continue
+            waits = itinerary.wait_steps
+            steps = itinerary.legs[-1].alight_step - ten.node_intervals[ten.origin][0]
+            found = travel * (steps - waits) + wait * waits, waits
+            assert found >= bound, (k, found, bound)
+            if found == bound:
+                certified += 1
+            else:
+                binding.append((k, bound, found))
+        print(f"{scenario} seed {seed}: {certified} of {len(tens)} requests certified, "
+              f"re-boarding binds on {binding}")
+        assert binding == []
+        assert certified > 50
 
 
 class TestPinChain:

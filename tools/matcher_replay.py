@@ -10,15 +10,26 @@ kept requests, in request order, at the scenario's step costs and with the
 collector paused. It prints the best of ``--rounds`` of each in µs per
 request, the build and ``preprocess`` timed over all requests at once and
 ``solve_itinerary`` request by request, with the 50th and 99th
-nearest-rank percentiles of the requests' best solve times; the mean per
-request of the travel arcs counted once per driver, of the drivers with an
-arc and of the driver classes they form (``TimeExpandedNetwork``); the
-networks with no travel arc (which ``preprocess`` answers as infeasible at
-once, with no pass over the graph) as a count and a share; and a SHA-256
-over the ``repr`` of every result. Run on two checkouts, it shows a change
-to the kernel without the event loop's noise, and equal digests show equal
-results. It imports ridesim from the ``src`` beside it and needs nothing
-but the standard library and ridesim's own dependencies::
+nearest-rank percentiles of the requests' best solve times; the DP's
+label insertion attempts per request (calls of ``matching._insert_label``),
+as a mean and a nearest-rank 99th percentile, counted over one further
+solve round that is not timed; the mean per request of the travel arcs
+counted once per driver, of the drivers with an arc and of the driver
+classes they form (``TimeExpandedNetwork``); the networks with no travel
+arc (which ``preprocess`` answers as infeasible at once, with no pass over
+the graph) as a count and a share; and a SHA-256 over the ``repr`` of
+every result. Run on two checkouts, it shows a change to the kernel
+without the event loop's noise, and equal digests show equal results.
+
+Its times are warm-cache kernel times: each stage runs again and again
+over the same requests, with the collector off. Inside a live run the same
+stage costs about twice as much (measured on ``rideshare-dense``, seed 7:
+the build 27-33 µs per request here against 47-57 µs timed inside
+``experiments.run_single``, ``solve_itinerary`` 28-41 µs against 55-88
+µs), so a gain read here is a kernel gain, not yet a ``match_ms`` gain.
+The attempts do not depend on the host. It imports ridesim from the
+``src`` beside it and needs nothing but the standard library and
+ridesim's own dependencies::
 
     python tools/matcher_replay.py --config src/ridesim/data/sweep.yaml --horizon 1.5
 """
@@ -80,6 +91,27 @@ def best_times(requests: list, costs: matching.StepCosts,
     return build, prep, solve, tens, results
 
 
+def insertion_attempts(graphs: list, costs: matching.StepCosts) -> list[int]:
+    """The calls of ``matching._insert_label`` that ``solve_itinerary``
+    makes on each of ``graphs``, counted by wrapping it where the DP looks
+    it up."""
+    counts = []
+    insert = matching._insert_label
+
+    def counting(*args):
+        counts[-1] += 1
+        return insert(*args)
+
+    matching._insert_label = counting
+    try:
+        for graph in graphs:
+            counts.append(0)
+            matching.solve_itinerary(graph, costs)
+    finally:
+        matching._insert_label = insert
+    return counts
+
+
 def percentile(values: list[float], share: float) -> float:
     """The nearest-rank ``share`` percentile of ``values``, 0.0 if empty."""
     ranked = sorted(values)
@@ -104,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         build, prep, solve, tens, results = best_times(kept, costs, args.rounds)
     finally:
         gc.enable()
+    attempts = insertion_attempts([matching.preprocess(ten) for ten in tens], costs)
     digest = hashlib.sha256()
     for result in results:
         digest.update(repr(result).encode())
@@ -120,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"kernel_us       {(prep + sum(solve)) * per:.1f}")
     print(f"solve_us_p50    {1e6 * percentile(solve, 0.5):.1f}")
     print(f"solve_us_p99    {1e6 * percentile(solve, 0.99):.1f}")
+    print(f"attempts        {sum(attempts) / requests if requests else 0.0:.1f}")
+    print(f"attempts_p99    {percentile(attempts, 0.99)}")
     print(f"driver_arcs     {sum(ten.driver_arcs for ten in tens) * per / 1e6:.1f}")
     print(f"drivers         {drivers * per / 1e6:.1f}")
     print(f"classes         {sum(classes) * per / 1e6:.1f}")
