@@ -217,7 +217,7 @@ class Network:
         object.__setattr__(self, "_node_ids", tuple(sorted(self.nodes)))
         object.__setattr__(self, "_next_hops", {})
         object.__setattr__(self, "_route_choices", {})
-        # the matcher's step matrices, kept by ``matching.step_matrix`` alone
+        # the matcher's step matrices, kept by ``ten.step_matrix`` alone
         object.__setattr__(self, "_step_matrices", {})
 
     @property

@@ -10,7 +10,7 @@ costs (toll + congested travel time, each weighted; see
 routes. It searches only where the network leaves a choice open
 (``Network.route_choices``) and elsewhere returns, without a search, the
 route the search would find. The matcher's step matrix holds one tree per
-node under the links' whole-step durations (``matching.step_matrix``,
+node under the links' whole-step durations (``ten.step_matrix``,
 built once per set of step counts and kept on the network), and a
 committed driver's route is read from there.
 """

@@ -13,7 +13,7 @@ needs a search. A link entry reads its lanes' delays through
 ``SimState.lane_delay``, the one place a lane's flow window is trimmed and
 its BPR memo read or filled. Each arriving rider triggers the matcher
 exactly once. Only ``_advance`` queues a hold, and it decides whether a
-step has come by the time grid's one rule (``matching.step_due``).
+step has come by the time grid's one rule (``timegrid.step_due``).
 
 The matcher reads the ridesharing drivers' free slots from one offer index,
 kept across requests: each distinct slot with the ids of the live drivers
@@ -22,7 +22,7 @@ or takes a commit, in ``commit_itinerary``'s phase two; both mark it
 (``_moved``), and ``collect_offers`` re-lists only the drivers marked since
 the last request. A driver standing at its node is listed under an open
 first slot, which starts at whatever step the clock has reached
-(``matching.build_time_expanded``), so standing still needs no re-listing.
+(``ten.build_time_expanded``), so standing still needs no re-listing.
 
 Determinism: events are handled in (time, insertion sequence) order, all
 randomness drawn from generators seeded per replication. The generated
@@ -39,7 +39,7 @@ lane or plan, and nothing points back.
 Reference counting therefore frees every object a replication made, at
 the latest when its ``SimState`` is dropped, but for the matcher's step
 matrices: the network keeps them for later replications on it
-(``matching.step_matrix``) and frees them with itself. The cyclic
+(``ten.step_matrix``) and frees them with itself. The cyclic
 garbage collector finds nothing to free in a run; ``ridesim.experiments``
 pauses the collector while a replication is alive. ``TestCollectorPause``
 in ``tests/test_simulation.py`` guards the premise: building, running and
@@ -58,26 +58,13 @@ import numpy as np
 from .agents import Role, VehicleAgent
 from .config import ScenarioConfig
 from .demand import fallback_to_driver, free_flow_paths, generate_agents
-from .matching import (
-    INF,
-    FreeSlot,
-    Itinerary,
-    MatchResult,
-    Pin,
-    PinChain,
-    RiderRequest,
-    StepCosts,
-    ceil_steps,
-    free_slot,
-    link_steps,
-    match_rider,
-    pin_chain,
-    step_due,
-    step_matrix,
-    window_steps,
-)
+from .dp import Itinerary, StepCosts
+from .matching import MatchResult, RiderRequest, match_rider
 from .network import LaneClass, Link, Network, volume_delay
 from .routing import dijkstra_route
+from .schedule import FreeSlot, Pin, PinChain, free_slot, pin_chain
+from .ten import step_matrix
+from .timegrid import INF, ceil_steps, link_steps, step_due, window_steps
 
 # event kinds, ordered only for readability; queue order is (time, seq)
 EV_AGENT_ENTER = 0
@@ -158,11 +145,12 @@ class RideshareVehicle(Vehicle):
     adds the driver's own latest departure and arrival in steps, fixed when
     it enters; its ``pins``, in service order, and the ids of the riders
     ``aboard``; and the part of its schedule that only these two move, of
-    the chain ``matching.pin_chain`` derives from them: its ``next_stop``,
+    the chain ``schedule.pin_chain`` derives from them: its ``next_stop``,
     (node, step), the first pin or else its destination by its latest
     arrival step, and its ``later_slots``, the free slots after that stop.
     A commit and a pin's service are the only places where pins or riders
-    aboard change, and both set the three together (``set_pins``).
+    aboard change, and both set the three together (``set_pins``) from the
+    vehicle's ``chain``.
 
     Its ``plan`` is the route it drives, one (link id, entry step) pair per
     link, which it follows from ``plan_pos`` on, holding at a node until the
@@ -191,9 +179,16 @@ class RideshareVehicle(Vehicle):
         self.listed_first: Optional[FreeSlot] = None
         self.listed_later: tuple[FreeSlot, ...] = ()
 
+    def chain(self, pins: tuple[Pin, ...]) -> PinChain:
+        """The ``pin_chain`` of ``pins`` for this vehicle, with its riders
+        aboard as they are."""
+        agent = self.agent
+        return pin_chain(agent.id, pins, len(self.aboard), agent.seats, agent.destination,
+                         self.latest_arrival_step)
+
     def set_pins(self, pins: tuple[Pin, ...], chain: PinChain) -> None:
         """Take ``pins``, and the next stop and later slots of ``chain``,
-        their ``pin_chain`` with the riders aboard as they are."""
+        which is ``self.chain(pins)``."""
         self.pins = pins
         self.next_stop = chain[0][0][:2]
         self.later_slots = chain[2]
@@ -418,7 +413,7 @@ class SimState:
     def _advance(self, vehicle: Vehicle, now: float) -> None:
         """Move a vehicle standing at its node. A ridesharing driver serves
         the pins due there, then holds until its plan's next entry step is
-        due (``matching.step_due``), enters that link, or ends the trip where
+        due (``timegrid.step_due``), enters that link, or ends the trip where
         its plan ends (stranded unless that is its destination); a regular
         driver enters the link ``vehicle_at_node`` picks or ends the trip. A
         stranded vehicle ends without an arrival time.
@@ -452,7 +447,7 @@ class SimState:
 
     def _serve_pins(self, vehicle: RideshareVehicle, node: int, now: float) -> None:
         """Serve the vehicle's pins due at ``node``, in order, up to a
-        boarding whose step is not yet due (``matching.step_due``). Serving
+        boarding whose step is not yet due (``timegrid.step_due``). Serving
         changes its pins and riders aboard, so its next stop and later slots
         are then taken from the ``pin_chain`` of the pins left
         (``set_pins``); where the vehicle is, and from which step, never
@@ -472,10 +467,8 @@ class SimState:
                 self.rider_alight_time[pin.rider_id] = now
             served += 1
         if served:
-            agent, pins = vehicle.agent, pins[served:]
-            vehicle.set_pins(pins, pin_chain(
-                agent.id, pins, len(vehicle.aboard), agent.seats, agent.destination,
-                vehicle.latest_arrival_step))
+            pins = pins[served:]
+            vehicle.set_pins(pins, vehicle.chain(pins))
 
     # ------------------------------------------------------------ event logic
 
@@ -569,7 +562,7 @@ class SimState:
 
     def collect_offers(self, clock_step: int) -> dict[FreeSlot, list[int]]:
         """Every live ridesharing driver's free slots, grouped: each distinct
-        slot (``matching.FreeSlot``) with the ids of the drivers that have
+        slot (``schedule.FreeSlot``) with the ids of the drivers that have
         it, which ``build_time_expanded`` reads. The groups are the offer
         index itself, kept from request to request; callers must not change
         them. Neither the groups' order nor their ids' follows the drivers'
@@ -579,7 +572,7 @@ class SimState:
         request.
 
         A driver's first slot runs from its anchor to its ``next_stop``, by
-        the chain's rule (``matching.free_slot``), then come its
+        the chain's rule (``schedule.free_slot``), then come its
         ``later_slots``. On a link, the first slot starts at the link's end
         at ``ceil_steps`` of its arrival time and holds until it arrives.
         Standing at its node, the driver is listed under an open first
@@ -623,14 +616,12 @@ class SimState:
             else:
                 stop, step = vehicle.next_stop
                 later = vehicle.later_slots
-                if vehicle.link_arrival_time is not None:
-                    first = free_slot(vehicle.node, anchor_step, stop, step,
-                                      len(vehicle.aboard), vehicle.agent.seats, INF)
-                else:  # standing at its node: an open first slot
-                    first = None
-                    if len(vehicle.aboard) < vehicle.agent.seats:
-                        first = (vehicle.node, None, stop, step, vehicle.latest_departure_step
-                                 if vehicle.departure_time is None else INF)
+                standing = vehicle.link_arrival_time is None  # its first slot is open
+                first = free_slot(vehicle.node, None if standing else anchor_step, stop, step,
+                                  len(vehicle.aboard), vehicle.agent.seats,
+                                  vehicle.latest_departure_step
+                                  if vehicle.departure_time is None else INF)
+                if standing:
                     # it holds until its plan's next entry step; a hold that
                     # ends after its latest arrival needs the heap
                     latest = vehicle.agent.window.latest_arrival
@@ -641,13 +632,13 @@ class SimState:
                 if listed is not None:
                     _unlist(offers, listed, agent_id)
                 if first is not None:
-                    _list(offers, first, agent_id)
+                    offers.setdefault(first, []).append(agent_id)
                 vehicle.listed_first = first
             if later is not vehicle.listed_later:
                 for slot in vehicle.listed_later:
                     _unlist(offers, slot, agent_id)
                 for slot in later:
-                    _list(offers, slot, agent_id)
+                    offers.setdefault(slot, []).append(agent_id)
                 vehicle.listed_later = later
         marked.clear()
         return offers
@@ -723,10 +714,8 @@ class SimState:
                    Pin(leg.alight_node, leg.alight_step, "alight", rider.id)),
                 key=lambda p: (p.step, 0 if p.action == "alight" else 1, p.rider_id),
             ))
-            agent = vehicle.agent
-            chain = pin_chain(agent.id, pins, len(vehicle.aboard), agent.seats,
-                              agent.destination, vehicle.latest_arrival_step)
-            if max(chain[1]) > agent.seats:
+            chain = vehicle.chain(pins)
+            if max(chain[1]) > vehicle.agent.seats:
                 return False
             stops = ((vehicle.node, anchor_step, False), *chain[0])
             underway = vehicle.departure_time is not None
@@ -857,15 +846,6 @@ class SimState:
             stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )
-
-
-def _list(offers: dict[FreeSlot, list[int]], slot: FreeSlot, agent_id: int) -> None:
-    """List ``agent_id`` under ``slot`` in the offer index ``offers``."""
-    ids = offers.get(slot)
-    if ids is None:
-        offers[slot] = [agent_id]
-    else:
-        ids.append(agent_id)
 
 
 def _unlist(offers: dict[FreeSlot, list[int]], slot: FreeSlot, agent_id: int) -> None:

@@ -4,12 +4,15 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
+import ridesim.matching as matching
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.matching import (INF, Pin, RiderRequest, ceil_steps, free_slot, link_steps,
-                              pin_chain)
+from ridesim.experiments import run_single
+from ridesim.matching import RiderRequest
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
+from ridesim.schedule import Pin, free_slot, pin_chain
+from ridesim.timegrid import INF, ceil_steps, link_steps
 
 # dyadic step size so itinerary costs are exactly representable floats;
 # exact-equality oracle assertions then never trip over summation order
@@ -73,6 +76,25 @@ def slot_groups(drivers) -> dict:
         for slot in free_slots(driver):
             groups.setdefault(slot, []).append(driver.id)
     return groups
+
+
+def recorded_networks(config):
+    """One run of ``config`` (``run_single``): every request's network, in
+    request order, kept by wrapping ``build_time_expanded`` where
+    ``match_rider`` looks it up, and the run's ``SimState``."""
+    kept = []
+    build = matching.build_time_expanded
+
+    def keeping(*args, **kwargs):
+        kept.append(build(*args, **kwargs))
+        return kept[-1]
+
+    matching.build_time_expanded = keeping
+    try:
+        sim, _ = run_single(config)
+    finally:
+        matching.build_time_expanded = build
+    return kept, sim
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ import math
 from fractions import Fraction
 from itertools import groupby
 
-from ridesim.matching import Itinerary, ItineraryLeg, TimeExpandedNetwork, decode
+from ridesim.dp import Itinerary, ItineraryLeg
+from ridesim.ten import TimeExpandedNetwork, decode
 
 
 def expanded(ten):

@@ -13,15 +13,16 @@ import pytest
 
 from ridesim.cli import EXIT_OK, main
 from ridesim.config import bundled_data_path, load_config
+from ridesim.dp import StepCosts, solve_itinerary
 from ridesim.experiments import (
     replication_seeds,
     run_capacity_sweep,
     run_validation,
 )
-from ridesim.matching import StepCosts, build_time_expanded, preprocess, solve_itinerary
 from ridesim.network import LaneClass
 from ridesim.routing import dijkstra_route
 from ridesim.simulation import init_simulation
+from ridesim.ten import build_time_expanded, preprocess
 
 from conftest import DT_EXACT, make_network, random_instance, slot_groups
 from oracle import (EnumerationBudgetError, brute_force_itinerary, layout,

@@ -16,11 +16,14 @@ from pathlib import Path
 import yaml
 
 import ridesim
-from ridesim import cli, matching
+from ridesim import cli
 from ridesim.cli import EXIT_OK, main
 from ridesim.config import bundled_data_path, load_config
+from ridesim.dp import solve_itinerary
 from ridesim.experiments import run_single
+from ridesim.ten import preprocess
 
+from conftest import recorded_networks
 from oracle import EnumerationBudgetError, brute_force_itinerary
 
 GOLDEN = {
@@ -130,7 +133,7 @@ def test_dt_convergence_printout_matches_golden_digest():
 
 # A run where riders transfer: only such a run shows how the matcher ranks
 # itineraries of equal cost, waits and legs, which differ in their transfer
-# points (``matching.solve_itinerary``'s canonical order).
+# points (``dp.solve_itinerary``'s canonical order).
 MULTI_LEG_GOLDEN = {
     "agents.csv":
         "e6231afd22bfa22811f110e52d6d522d6eebc23919c7e1442f8af028c3b5ab32",
@@ -193,20 +196,11 @@ def test_multi_leg_run_matches_golden_digests(tmp_path, monkeypatch):
             for name in MULTI_LEG_GOLDEN} == MULTI_LEG_GOLDEN
 
 
-def test_multi_leg_run_requests_match_oracle(tmp_path, monkeypatch):
+def test_multi_leg_run_requests_match_oracle(tmp_path):
     """Every request of the run above gets the oracle's itinerary, wherever
     the oracle's enumeration fits its budget; prints how many requests were
     checked and how many went over the budget."""
-    kept = []
-    build = matching.build_time_expanded
-
-    def keeping(*args, **kwargs):
-        ten = build(*args, **kwargs)
-        kept.append(ten)
-        return ten
-
-    monkeypatch.setattr(matching, "build_time_expanded", keeping)
-    sim, _ = run_single(load_config(write_grid(tmp_path), {"seed": 5}))
+    kept, sim = recorded_networks(load_config(write_grid(tmp_path), {"seed": 5}))
     checked = skipped = 0
     for ten in kept:
         try:
@@ -214,7 +208,7 @@ def test_multi_leg_run_requests_match_oracle(tmp_path, monkeypatch):
         except EnumerationBudgetError:
             skipped += 1
             continue
-        assert matching.solve_itinerary(matching.preprocess(ten), sim.step_costs) == oracle
+        assert solve_itinerary(preprocess(ten), sim.step_costs) == oracle
         checked += 1
     print(f"grid requests: {checked} equal the oracle's, {skipped} over its budget")
     assert checked >= 100 and skipped <= 2

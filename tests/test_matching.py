@@ -10,31 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ridesim.dp as dp
 import ridesim.matching as matching
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
-from ridesim.experiments import replication_seeds, run_single
-from ridesim.matching import (
-    Pin,
-    PrunedGraph,
-    RiderRequest,
-    StepCosts,
-    TimeExpandedNetwork,
-    build_time_expanded,
-    ceil_steps,
-    decode,
-    link_steps,
-    pin_chain,
-    preprocess,
-    solve_itinerary,
-    step_due,
-    window_steps,
-)
+from ridesim.dp import ItineraryLeg, StepCosts, solve_itinerary
+from ridesim.experiments import replication_seeds
+from ridesim.matching import RiderRequest
 from ridesim.network import Network
+from ridesim.schedule import Pin, pin_chain
 from ridesim.simulation import RideshareVehicle, init_simulation
+from ridesim.ten import (STEP_MATRICES_KEPT, PrunedGraph, TimeExpandedNetwork,
+                         _min_step_matrix, build_time_expanded, decode, preprocess,
+                         step_matrix)
+from ridesim.timegrid import INF, STEP_TOLERANCE, ceil_steps, link_steps, step_due, window_steps
 
 from conftest import (DT_EXACT, Driver, free_slots, make_network, random_instance,
-                      slot_groups, step_digraphs)
+                      recorded_networks, slot_groups, step_digraphs)
 from oracle import (EnumerationBudgetError, brute_force_itinerary, cost_bound, expanded,
                     layout, start_vertex, vertices_on_feasible_paths)
 from test_golden_outputs import write_grid
@@ -112,8 +104,8 @@ step_sizes = st.floats(0.005, 0.1)
 
 
 class TestTimeGrid:
-    """The three rules by which hours become steps (``matching``'s module
-    docstring, "The time grid"), and the callers that must agree with them."""
+    """The three rules by which hours become steps (``timegrid``'s module
+    docstring), and the callers that must agree with them."""
 
     @settings(max_examples=300, deadline=None)
     @given(window=trip_windows(), dt=step_sizes)
@@ -124,7 +116,7 @@ class TestTimeGrid:
         assert steps == tuple(ceil_steps(hours, dt) for hours in bounds)
         for step, hours in zip(steps, bounds):
             # never earlier than the hours it rounds, within the tolerance
-            assert step >= hours / dt - matching.STEP_TOLERANCE
+            assert step >= hours / dt - STEP_TOLERANCE
 
     @settings(max_examples=300, deadline=None)
     @given(delay=st.floats(0.0, 10.0), dt=step_sizes)
@@ -254,7 +246,7 @@ def reference_ten(rider, offers, net, tau, dt):
     by testing every step against the rider's window and each driver's
     stops one at a time; ``full`` counts seat-full slots that would
     otherwise carry an arc."""
-    m = matching._min_step_matrix(net, tau)[0]
+    m = _min_step_matrix(net, tau)[0]
     w = rider.window
     # a reference keeps its own copy of ``window_steps``'s rule
     ed, ld, ea, la = (ceil_steps(t, dt) for t in (
@@ -382,7 +374,7 @@ def reference_cost_to_go(graph, costs):
                 values[head, driver] = (cost + arc_units(graph, vertex, head, driver, costs),
                                         waits + (driver is None))
             ends = [(0, 0)] if vertex in graph.dests else []
-            least[vertex] = min([*values.values(), *ends], default=(matching.INF, 0))
+            least[vertex] = min([*values.values(), *ends], default=(INF, 0))
             drivers[vertex] = {driver for _, driver in graph.adjacency[vertex]
                                if driver is not None}.union(
                 *(drivers[head] for head, _ in graph.adjacency[vertex]))
@@ -420,7 +412,7 @@ def reference_incumbent(graph, costs):
 
     while riding is None or riding not in carriers[vertex]:
         if vertex in graph.dests:
-            return matching.INF
+            return INF
         ties = [(head, driver) for head, driver in graph.adjacency[vertex]
                 if (arc_units(graph, vertex, head, driver, costs) + least[head][0],
                     (driver is None) + least[head][1]) == least[vertex]
@@ -428,7 +420,7 @@ def reference_incumbent(graph, costs):
         boards = [(head, driver) for head, driver in ties
                   if driver not in (None, riding) and driver in carriers[head]]
         if not ties:
-            return matching.INF
+            return INF
         head, driver = boards[0] if boards else min(
             ties, key=lambda t: (t[1] is not None, t[1] != riding))
         if driver not in (None, riding):
@@ -461,8 +453,8 @@ class TestBoundPruning:
     CREATION_ORDER_SENSITIVE = 29760
 
     def test_pruned_equals_unpruned(self, monkeypatch):
-        incumbent = matching._incumbent
-        insert = matching._insert_label
+        incumbent = dp._incumbent
+        insert = dp._insert_label
         pruning = True
         inserted = {True: 0, False: 0}
 
@@ -470,9 +462,9 @@ class TestBoundPruning:
             inserted[pruning] += 1
             return insert(*args)
 
-        monkeypatch.setattr(matching, "_insert_label", counting_insert)
-        monkeypatch.setattr(matching, "_incumbent",
-                            lambda *args: incumbent(*args) if pruning else matching.INF)
+        monkeypatch.setattr(dp, "_insert_label", counting_insert)
+        monkeypatch.setattr(dp, "_incumbent",
+                            lambda *args: incumbent(*args) if pruning else INF)
         solved = 0
         for seed, graph in exactness_graphs():
             for costs in self.COSTS:
@@ -508,7 +500,7 @@ class TestBoundPruning:
         graph = preprocess(ten)
         costs = StepCosts(DT_EXACT, penalty)
         pruned = solve_itinerary(graph, costs)
-        with mock.patch.object(matching, "_incumbent", lambda *args: matching.INF):
+        with mock.patch.object(dp, "_incumbent", lambda *args: INF):
             assert solve_itinerary(graph, costs) == pruned
         try:
             oracle = brute_force_itinerary(ten, costs)
@@ -525,7 +517,7 @@ class TestBoundPruning:
         for twinned in (False, True):
             for seed, graph in exactness_graphs(twinned):
                 for costs in self.COSTS:
-                    togo, reach, bits, carry = matching._cost_to_go(graph, costs)
+                    togo, reach, bits, carry = dp._cost_to_go(graph, costs)
                     least, drivers, carriers = reference_cost_to_go(graph, costs)
                     assert togo == {vertex: packed(graph, *least[vertex])
                                     for vertex in graph.vertices}, (seed, costs)
@@ -555,12 +547,12 @@ class TestBoundPruning:
                 if not graph.feasible:
                     continue
                 for costs in self.COSTS:
-                    togo, _, bits, carry = matching._cost_to_go(graph, costs)
-                    limit = matching._incumbent(graph, togo, bits, carry, costs)
+                    togo, _, bits, carry = dp._cost_to_go(graph, costs)
+                    limit = dp._incumbent(graph, togo, bits, carry, costs)
                     assert limit == reference_incumbent(graph, costs), (seed, twinned, costs)
                     optimum = solve_itinerary(graph, costs)
                     if optimum is None:
-                        assert limit == matching.INF
+                        assert limit == INF
                         continue
                     key = itinerary_key(graph, optimum, costs)
                     assert key <= limit, (seed, twinned, costs)
@@ -618,8 +610,8 @@ class TestCanonicalOrder:
                             (code(ten, 1, 2), code(ten, 2, 3), 5)]
         costs = StepCosts(DT_EXACT, DT_EXACT)
         itinerary = solve_itinerary(preprocess(ten), costs)
-        assert itinerary.legs == (matching.ItineraryLeg(4, 0, 1, 1, 2),
-                                  matching.ItineraryLeg(5, 1, 2, 2, 3))
+        assert itinerary.legs == (ItineraryLeg(4, 0, 1, 1, 2),
+                                  ItineraryLeg(5, 1, 2, 2, 3))
         assert itinerary == brute_force_itinerary(ten, costs)
         assert solve_itinerary(reversed_arcs(preprocess(ten)), costs) == itinerary
 
@@ -797,29 +789,11 @@ def copies(offers, count):
             for k in range(count) for offer in offers]
 
 
-def recorded_networks(config):
-    """Every request's network from one run of ``config``, in request order,
-    and the run's step costs."""
-    kept = []
-    build = matching.build_time_expanded
-
-    def keeping(*args, **kwargs):
-        kept.append(build(*args, **kwargs))
-        return kept[-1]
-
-    matching.build_time_expanded = keeping
-    try:
-        sim, _ = run_single(config)
-    finally:
-        matching.build_time_expanded = build
-    return kept, sim.step_costs
-
-
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory):
     """``recorded_networks`` of the run of one scenario, "grid" (``write_grid``)
-    or "rideshare-dense", at a seed and, when given, a horizon, made once
-    per module."""
+    or "rideshare-dense", at a seed and, when given, a horizon, with the
+    run's step costs, made once per module."""
     runs = {}
 
     def recorded(scenario, seed, horizon=None):
@@ -827,7 +801,8 @@ def recorded_run(tmp_path_factory):
         if key not in runs:
             path = (write_grid(tmp_path_factory.mktemp("grid")) if scenario == "grid"
                     else DENSE_SCENARIO)
-            runs[key] = recorded_networks(load_config(path, {"seed": seed, "horizon": horizon}))
+            kept, sim = recorded_networks(load_config(path, {"seed": seed, "horizon": horizon}))
+            runs[key] = kept, sim.step_costs
         return runs[key]
 
     return recorded
@@ -899,7 +874,7 @@ class TestInterchangeableDrivers:
                             (code(ten, 3, 3), code(ten, 4, 4), a)]
         costs = StepCosts(DT_EXACT, DT_EXACT)
         solved = solve_itinerary(preprocess(ten), costs)
-        assert solved.legs[-1] == matching.ItineraryLeg(41, 2, 2, 4, 4)
+        assert solved.legs[-1] == ItineraryLeg(41, 2, 2, 4, 4)
         assert [leg.driver for leg in solved.legs] == [a, x, 41]
         assert solved == brute_force_itinerary(ten, costs)
 
@@ -913,7 +888,7 @@ class TestInterchangeableDrivers:
         ten.twins.update({driver: (driver + 1,) for driver in chain.DRIVERS[::10]})
         graph = preprocess(ten)
         costs = StepCosts(DT_EXACT, DT_EXACT)
-        bits = matching._cost_to_go(graph, costs)[2]
+        bits = dp._cost_to_go(graph, costs)[2]
         assert max(bits.values()).bit_length() > 64 + len(ten.twins)
         solved = solve_itinerary(graph, costs)
         assert [leg.driver for leg in solved.legs] == [*chain.DRIVERS, chain.DRIVERS[0] + 1]
@@ -1016,8 +991,8 @@ class TestPinChain:
                         latest_departure_step=0, latest_arrival_step=20, seats=2,
                         pins=pins, aboard=1)
         assert served.chain() == (((1, 9, False), (2, 20, False)), (1, 0),
-                                  ((1, 9, 2, 20, matching.INF),))
-        assert free_slots(served) == ((0, 0, 1, 9, 0), (1, 9, 2, 20, matching.INF))
+                                  ((1, 9, 2, 20, INF),))
+        assert free_slots(served) == ((0, 0, 1, 9, 0), (1, 9, 2, 20, INF))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1059,7 +1034,7 @@ class TestPinChain:
             assert stops == (*((p.node, p.step, p.action == "board") for p in pins),
                              (destination, latest_arrival_step, False))
             assert later == tuple(
-                (a, s, b, t, matching.INF)
+                (a, s, b, t, INF)
                 for slot, ((a, s, _), (b, t, _)) in enumerate(zip(stops, stops[1:]), 1)
                 if running[slot] < seats and s < t)
 
@@ -1072,11 +1047,11 @@ class TestStepMatrix:
         node and its steps sum to the matrix entry; an entry is INF, and has
         no path, exactly where no path leads."""
         net, tau = graph
-        steps, paths = matching._min_step_matrix(net, tau)
+        steps, paths = _min_step_matrix(net, tau)
         for a in net.node_ids():
             for b in net.node_ids():
                 if not (a == b or net.next_hops(a, b)):
-                    assert steps[a][b] == matching.INF and b not in paths[a]
+                    assert steps[a][b] == INF and b not in paths[a]
                     continue
                 node = a
                 for lid in paths[a][b]:
@@ -1089,11 +1064,11 @@ class TestStepMatrix:
 class TestMinStepMemo:
     def test_memo_follows_step_durations(self, testbed):
         tau = {link.id: 3 for link in testbed.links}
-        first = matching.step_matrix(testbed, tau)
-        assert matching.step_matrix(testbed, dict(tau)) is first
+        first = step_matrix(testbed, tau)
+        assert step_matrix(testbed, dict(tau)) is first
         slower = {**tau, testbed.links[0].id: 40}
-        memo = matching.step_matrix(testbed, slower)
-        assert memo == matching._min_step_matrix(testbed, slower)
+        memo = step_matrix(testbed, slower)
+        assert memo == _min_step_matrix(testbed, slower)
         assert memo != first
 
     def test_rebuilds_only_when_step_durations_change(self, monkeypatch):
@@ -1103,7 +1078,7 @@ class TestMinStepMemo:
                               replication_seeds(config.seed, 1)[0])
         keys, builds = [], []
         build_ten = matching.build_time_expanded
-        fresh_matrix = matching._min_step_matrix
+        fresh_matrix = _min_step_matrix
 
         def recording_build(rider, drivers, network, tau, dt, **kwargs):
             keys.append(tuple(tau[link.id] for link in network.links))
@@ -1114,7 +1089,7 @@ class TestMinStepMemo:
             return fresh_matrix(network, tau)
 
         monkeypatch.setattr(matching, "build_time_expanded", recording_build)
-        monkeypatch.setattr(matching, "_min_step_matrix", counting_matrix)
+        monkeypatch.setattr("ridesim.ten._min_step_matrix", counting_matrix)
         sim.run()
         changes = sum(key != prev for prev, key in zip([None] + keys, keys))
         assert len(builds) == len(set(keys))  # one build per step state
@@ -1122,13 +1097,13 @@ class TestMinStepMemo:
 
     def counted_builds(self, monkeypatch) -> list:
         builds = []
-        fresh_matrix = matching._min_step_matrix
+        fresh_matrix = _min_step_matrix
 
         def counting_matrix(network, tau):
             builds.append(dict(tau))
             return fresh_matrix(network, tau)
 
-        monkeypatch.setattr(matching, "_min_step_matrix", counting_matrix)
+        monkeypatch.setattr("ridesim.ten._min_step_matrix", counting_matrix)
         return builds
 
     @staticmethod
@@ -1141,10 +1116,10 @@ class TestMinStepMemo:
         net = self.fresh_copy(testbed)
         tau = {link.id: 3 for link in net.links}
         slower = {**tau, net.links[0].id: 40}
-        first = matching.step_matrix(net, tau)
-        other = matching.step_matrix(net, slower)
-        assert matching.step_matrix(net, dict(tau)) is first
-        assert matching.step_matrix(net, dict(slower)) is other
+        first = step_matrix(net, tau)
+        other = step_matrix(net, slower)
+        assert step_matrix(net, dict(tau)) is first
+        assert step_matrix(net, dict(slower)) is other
         assert builds == [tau, slower]
 
     def test_each_network_keeps_its_own_memo(self, testbed, monkeypatch):
@@ -1152,15 +1127,15 @@ class TestMinStepMemo:
         net, twin = self.fresh_copy(testbed), self.fresh_copy(testbed)
         tau = {link.id: 3 for link in net.links}
         slower = {**tau, net.links[0].id: 40}
-        first = matching.step_matrix(net, tau)
-        matching.step_matrix(net, slower)
-        assert matching.step_matrix(twin, tau) == first
-        assert matching.step_matrix(net, tau) is first
+        first = step_matrix(net, tau)
+        step_matrix(net, slower)
+        assert step_matrix(twin, tau) == first
+        assert step_matrix(net, tau) is first
         assert len(builds) == 3
 
     def test_dropped_network_frees_its_matrices(self, testbed):
         net = self.fresh_copy(testbed)
-        matching.step_matrix(net, {link.id: 3 for link in net.links})
+        step_matrix(net, {link.id: 3 for link in net.links})
         ref = weakref.ref(net)
         del net
         assert ref() is None
@@ -1168,17 +1143,17 @@ class TestMinStepMemo:
     def test_evicts_least_recently_used(self, testbed, monkeypatch):
         builds = self.counted_builds(monkeypatch)
         net = self.fresh_copy(testbed)
-        kept = matching.STEP_MATRICES_KEPT
+        kept = STEP_MATRICES_KEPT
         states = [{**{link.id: 3 for link in net.links}, net.links[0].id: k}
                   for k in range(1, kept + 2)]
-        matrices = [matching.step_matrix(net, tau) for tau in states[:kept]]
-        assert matching.step_matrix(net, states[0]) is matrices[0]
-        matching.step_matrix(net, states[kept])  # evicts states[1]
+        matrices = [step_matrix(net, tau) for tau in states[:kept]]
+        assert step_matrix(net, states[0]) is matrices[0]
+        step_matrix(net, states[kept])  # evicts states[1]
         assert len(builds) == kept + 1
         for i in (0, *range(2, kept)):
-            assert matching.step_matrix(net, states[i]) is matrices[i]
+            assert step_matrix(net, states[i]) is matrices[i]
         assert len(builds) == kept + 1
-        rebuilt = matching.step_matrix(net, states[1])
+        rebuilt = step_matrix(net, states[1])
         assert rebuilt is not matrices[1] and rebuilt == matrices[1]
         assert len(builds) == kept + 2
 
@@ -1297,7 +1272,7 @@ class TestNoArcShortcut:
             rider, offers, net, tau = exactness_instance(seed)
             ed = window_steps(rider.window, DT_EXACT)[0]
             # a slot that ends before the rider's earliest departure step
-            failing = {(rider.origin, ed - 2, rider.destination, ed - 1, matching.INF):
+            failing = {(rider.origin, ed - 2, rider.destination, ed - 1, INF):
                        [offer.id for offer in offers]}
             ten = build_time_expanded(rider, {}, net, tau, DT_EXACT)
             assert build_time_expanded(rider, failing, net, tau, DT_EXACT) == ten, seed
@@ -1415,7 +1390,7 @@ class TestSurvivorIntervals:
 
 def offer_cost(itinerary):
     """An optimum's cost, INF where there is none."""
-    return matching.INF if itinerary is None else itinerary.total_cost
+    return INF if itinerary is None else itinerary.total_cost
 
 
 class TestOfferRemoval:

@@ -19,9 +19,11 @@ import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.demand import DemandSpec, Shares
-from ridesim.matching import MatchResult, Pin, build_time_expanded, ceil_steps, pin_chain
+from ridesim.dp import Itinerary, ItineraryLeg
+from ridesim.matching import MatchResult, RiderRequest, match_rider
 from ridesim.network import LaneClass, Link, Network, volume_delay
 from ridesim.experiments import write_sim_report
+from ridesim.schedule import Pin, pin_chain
 from ridesim.simulation import (
     EV_AGENT_ENTER,
     EV_ARRIVE_NODE,
@@ -34,6 +36,8 @@ from ridesim.simulation import (
     carpool_background_rates,
     init_simulation,
 )
+from ridesim.ten import build_time_expanded
+from ridesim.timegrid import ceil_steps
 
 from conftest import Driver, free_slots, scenario, slot_groups, step_durations
 from test_golden_outputs import write_grid
@@ -473,8 +477,6 @@ class TestRidesharing:
         assert outcome.arrival is not None
 
     def test_matched_itinerary_honors_rider_window(self, testbed):
-        from ridesim.matching import ceil_steps
-
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         seed_agent(sim, rider(1, 0, 2, t=0.0, fft=0.72))
@@ -621,8 +623,6 @@ class TestInitSimulation:
 
 class TestMatchRetry:
     def test_commit_failure_reports_capacity(self, testbed):
-        from ridesim.matching import RiderRequest, match_rider
-
         sim = empty_sim(testbed, horizon=6.0)
         seed_agent(sim, rideshare(0, 0, 2, t=0.0, fft=0.72))
         sim.run(horizon=0.0)  # process the driver's entry only
@@ -668,8 +668,6 @@ class TestCommitRejections:
 
     @staticmethod
     def commit(sim, rider_id, *legs):
-        from ridesim.matching import Itinerary, ItineraryLeg, RiderRequest
-
         agent = rider(rider_id, legs[0][1], legs[-1][3], t=sim.clock, fft=0.72)
         request = RiderRequest(rider_id, agent.origin, agent.destination,
                                agent.window, agent.request_time)
@@ -818,6 +816,28 @@ def grid_sim(tmp_path, seats=None) -> SimState:
 
 def ten_key(ten):
     return sorted(ten.travel_arcs), ten.twins, ten.node_intervals
+
+
+def test_patch_points_called_once_per_request(tmp_path, monkeypatch):
+    """A wrapper set on ``simulation.match_rider``, or on one of the three
+    stages ``match_rider`` looks up in ``matching``, sees every request of
+    a run: each is called once per row of the match trace."""
+    calls = collections.Counter()
+
+    def counted(name, original):
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counting
+
+    points = [(matching, "build_time_expanded"), (matching, "preprocess"),
+              (matching, "solve_itinerary"), (simulation, "match_rider")]
+    for owner, name in points:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    sim = grid_sim(tmp_path)
+    sim.run(horizon=1.0)
+    assert len(sim.match_trace) > 10
+    assert calls == {name: len(sim.match_trace) for _, name in points}
 
 
 def resolved(groups, clock_step):

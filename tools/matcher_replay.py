@@ -11,7 +11,7 @@ collector paused. It prints the best of ``--rounds`` of each in µs per
 request, the build and ``preprocess`` timed over all requests at once and
 ``solve_itinerary`` request by request, with the 50th and 99th
 nearest-rank percentiles of the requests' best solve times; the DP's
-label insertion attempts per request (calls of ``matching._insert_label``),
+label insertion attempts per request (calls of ``dp._insert_label``),
 as a mean and a nearest-rank 99th percentile, counted over one further
 solve round that is not timed; the mean per request of the travel arcs
 counted once per driver, of the drivers with an arc and of the driver
@@ -45,11 +45,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ridesim import experiments, matching  # noqa: E402
+from ridesim import dp, experiments, matching, ten  # noqa: E402
 from ridesim.config import load_config  # noqa: E402
 
 
-def kept_requests(config) -> tuple[list, matching.StepCosts]:
+def kept_requests(config) -> tuple[list, dp.StepCosts]:
     """Every request's ``build_time_expanded`` arguments from one run of
     ``config``, (args, kwargs) in request order, the slot groups copied, and
     the run's step costs."""
@@ -68,7 +68,7 @@ def kept_requests(config) -> tuple[list, matching.StepCosts]:
     return kept, sim.step_costs
 
 
-def best_times(requests: list, costs: matching.StepCosts,
+def best_times(requests: list, costs: dp.StepCosts,
                rounds: int) -> tuple[float, float, list[float], list, list]:
     """The least seconds, over ``rounds``, that ``build_time_expanded`` and
     ``preprocess`` each took over all of ``requests``; the least seconds
@@ -78,37 +78,37 @@ def best_times(requests: list, costs: matching.StepCosts,
     solve = [math.inf] * len(requests)
     for _ in range(rounds):
         start = time.perf_counter()
-        tens = [matching.build_time_expanded(*args, **kwargs) for args, kwargs in requests]
+        tens = [ten.build_time_expanded(*args, **kwargs) for args, kwargs in requests]
         build = min(build, time.perf_counter() - start)
         start = time.perf_counter()
-        graphs = [matching.preprocess(ten) for ten in tens]
+        graphs = [ten.preprocess(network) for network in tens]
         prep = min(prep, time.perf_counter() - start)
         results = []
         for k, graph in enumerate(graphs):
             start = time.perf_counter()
-            results.append(matching.solve_itinerary(graph, costs))
+            results.append(dp.solve_itinerary(graph, costs))
             solve[k] = min(solve[k], time.perf_counter() - start)
     return build, prep, solve, tens, results
 
 
-def insertion_attempts(graphs: list, costs: matching.StepCosts) -> list[int]:
-    """The calls of ``matching._insert_label`` that ``solve_itinerary``
+def insertion_attempts(graphs: list, costs: dp.StepCosts) -> list[int]:
+    """The calls of ``dp._insert_label`` that ``solve_itinerary``
     makes on each of ``graphs``, counted by wrapping it where the DP looks
     it up."""
     counts = []
-    insert = matching._insert_label
+    insert = dp._insert_label
 
     def counting(*args):
         counts[-1] += 1
         return insert(*args)
 
-    matching._insert_label = counting
+    dp._insert_label = counting
     try:
         for graph in graphs:
             counts.append(0)
-            matching.solve_itinerary(graph, costs)
+            dp.solve_itinerary(graph, costs)
     finally:
-        matching._insert_label = insert
+        dp._insert_label = insert
     return counts
 
 
@@ -136,15 +136,16 @@ def main(argv: list[str] | None = None) -> int:
         build, prep, solve, tens, results = best_times(kept, costs, args.rounds)
     finally:
         gc.enable()
-    attempts = insertion_attempts([matching.preprocess(ten) for ten in tens], costs)
+    attempts = insertion_attempts([ten.preprocess(network) for network in tens], costs)
     digest = hashlib.sha256()
     for result in results:
         digest.update(repr(result).encode())
     requests = len(tens)
     per = 1e6 / requests if requests else 0.0
-    classes = [len({driver for _, _, driver in ten.travel_arcs}) for ten in tens]
-    drivers = sum(classes) + sum(len(members) for ten in tens for members in ten.twins.values())
-    no_arc = sum(not ten.travel_arcs for ten in tens)
+    classes = [len({driver for _, _, driver in network.travel_arcs}) for network in tens]
+    drivers = sum(classes) + sum(len(members) for network in tens
+                                 for members in network.twins.values())
+    no_arc = sum(not network.travel_arcs for network in tens)
     print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
     print(f"requests        {requests}")
     print(f"build_us        {build * per:.1f}")
@@ -155,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"solve_us_p99    {1e6 * percentile(solve, 0.99):.1f}")
     print(f"attempts        {sum(attempts) / requests if requests else 0.0:.1f}")
     print(f"attempts_p99    {percentile(attempts, 0.99)}")
-    print(f"driver_arcs     {sum(ten.driver_arcs for ten in tens) * per / 1e6:.1f}")
+    print(f"driver_arcs     {sum(network.driver_arcs for network in tens) * per / 1e6:.1f}")
     print(f"drivers         {drivers * per / 1e6:.1f}")
     print(f"classes         {sum(classes) * per / 1e6:.1f}")
     print(f"no_arc_requests {no_arc} {no_arc / requests if requests else 0.0:.3f}")
