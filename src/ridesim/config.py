@@ -5,9 +5,12 @@ of the simulator. The dataclasses below are its schema: a YAML key is its
 field's name, an absent key takes the field's default, and the field's
 declared type picks the reader (see ``network.read_section``, which reads
 network files too). Unknown keys are rejected everywhere, and every error
-names the offending key. The fingerprint hashes the resolved configuration
-together with the network file contents, so a report can state exactly what
-produced it.
+names the offending key. A number's range is declared at its field
+(``network.bounded``) and checked by ``network.check_bounds``, which each
+section's ``__post_init__`` calls, so a section built in code is checked
+too; a ``__post_init__`` adds only the rules that relate values. The
+fingerprint hashes the resolved configuration together with the network
+file contents, so a report can state exactly what produced it.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -25,7 +28,9 @@ import yaml
 
 from .demand import (DemandSpec, Shares, calibrate_od_rates,
                      default_od_pairs)
-from .network import ConfigError, Network, load_network, number, read_section, read_yaml
+from .network import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, UNIT, ConfigError, Interval,
+                      Network, bounded, check_bounds, load_network, number,
+                      read_section, read_yaml)
 from .routing import CostWeights
 
 
@@ -69,83 +74,56 @@ def _od_keys(od_map: dict[tuple[int, int], float]) -> dict[str, float]:
 class Bpr:
     """Parameters of the BPR volume-delay curve (``network.volume_delay``)."""
 
-    alpha: float = 0.15
-    beta: float = 4.0
+    alpha: float = bounded(NON_NEGATIVE, 0.15)
+    beta: float = bounded(NON_NEGATIVE, 4.0)
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"bpr.{name} must be non-negative and finite")
+        check_bounds(self, "bpr")
 
 
 @dataclass(frozen=True)
 class DemandConfig:
     shares: Shares = Shares()
-    window_flexibility: float = 0.25  # hours
-    scale: float = 0.1
-    seats: int = 4
+    window_flexibility: float = bounded(NON_NEGATIVE, 0.25)  # hours
+    scale: float = bounded(NON_NEGATIVE, 0.1)
+    seats: int = bounded(NON_NEGATIVE, 4)
     # hourly; None: calibrated from the network's observed flows
-    od_rates: Optional[dict[tuple[int, int], float]] = field(
-        default=None, metadata={"read": _od_rates})
+    od_rates: Optional[dict[tuple[int, int], float]] = bounded(
+        NON_NEGATIVE, None, read=_od_rates)
     # daily; None: _DEFAULT_PINS
-    calibration_fixed_daily: Optional[dict[tuple[int, int], float]] = field(
-        default=None, metadata={"read": _od_map})
+    calibration_fixed_daily: Optional[dict[tuple[int, int], float]] = bounded(
+        NON_NEGATIVE, None, read=_od_map)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.window_flexibility < math.inf:
-            raise ConfigError("demand.window_flexibility must be finite and >= 0")
-        if not 0 <= self.scale < math.inf:
-            raise ConfigError("demand.scale must be finite and >= 0")
-        if self.seats < 0:
-            raise ConfigError("demand.seats must be >= 0")
-        for field_name in ("od_rates", "calibration_fixed_daily"):
-            for (origin, dest), value in (getattr(self, field_name) or {}).items():
-                name = f"demand.{field_name}.{origin}-{dest}"
+        check_bounds(self, "demand")
+        for name in ("od_rates", "calibration_fixed_daily"):
+            for origin, dest in getattr(self, name) or ():
                 if origin == dest:
-                    raise ConfigError(f"{name}: origin equals destination")
-                if not 0 <= value < math.inf:
-                    raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+                    raise ConfigError(f"demand.{name}.{origin}-{dest}: origin equals destination")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     network: Path = Path("la_testbed.yaml")  # load_config resolves it
-    horizon: float = 24.0
-    seed: int = 0
-    replications: int = 20
+    horizon: float = bounded(POSITIVE, 24.0)
+    seed: int = bounded(NON_NEGATIVE, 0)
+    replications: int = bounded(AT_LEAST_ONE, 20)
     weights: CostWeights = CostWeights()
     bpr: Bpr = Bpr()
-    dt: float = 0.05
-    penalty: Optional[float] = None
-    flow_window: float = 0.25
-    unused_capacity: float = 1.0
-    validation_error_threshold: float = 0.01
+    dt: float = bounded(POSITIVE, 0.05)
+    penalty: Optional[float] = bounded(NON_NEGATIVE, None)
+    flow_window: float = bounded(POSITIVE, 0.25)
+    unused_capacity: float = bounded(UNIT, 1.0)
+    # closed at infinity: .inf accepts any validation error
+    validation_error_threshold: float = bounded(Interval(0, math.inf, high_closed=True), 0.01)
     output_dir: Path = Path("out")
     demand: DemandConfig = DemandConfig()
-    levels: tuple[float, ...] = (1.0, 0.75, 0.5, 0.25)
+    levels: tuple[float, ...] = bounded(UNIT, (1.0, 0.75, 0.5, 0.25))
 
     def __post_init__(self) -> None:
-        if not 0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
-        if not 0 < self.dt < math.inf:
-            raise ConfigError("dt must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if not 0.0 <= self.unused_capacity <= 1.0:
-            raise ConfigError("unused_capacity must lie in [0, 1]")
-        if not 0 < self.flow_window < math.inf:
-            raise ConfigError("flow_window must be positive and finite")
-        if not self.validation_error_threshold >= 0:
-            raise ConfigError("validation_error_threshold must be >= 0")
-        if self.penalty is not None and not 0 <= self.penalty < math.inf:
-            raise ConfigError("penalty must be non-negative and finite")
+        check_bounds(self, "")
         if not self.levels:
             raise ConfigError("levels must name at least one level")
-        for level in self.levels:
-            if not 0.0 <= level <= 1.0:
-                raise ConfigError(f"sweep level {level} outside [0, 1]")
 
     # ------------------------------------------------------------ resolution
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .agents import Role, TimeWindow, VehicleAgent
-from .network import ConfigError, Network
+from .network import UNIT, ConfigError, Network, bounded, check_bounds
 from .routing import dijkstra_route
 
 CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
@@ -22,15 +22,12 @@ CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
 
 @dataclass(frozen=True)
 class Shares:
-    rider: float = 0.0
-    rideshare_driver: float = 0.0
-    regular_driver: float = 1.0
+    rider: float = bounded(UNIT, 0.0)
+    rideshare_driver: float = bounded(UNIT, 0.0)
+    regular_driver: float = bounded(UNIT, 1.0)
 
     def __post_init__(self) -> None:
-        for name in ("rider", "rideshare_driver", "regular_driver"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:  # NaN fails too
-                raise ConfigError(f"demand.shares.{name}={value} outside [0, 1]")
+        check_bounds(self, "demand.shares")
         if abs(self.rider + self.rideshare_driver + self.regular_driver - 1.0) > 1e-9:
             raise ConfigError("demand.shares must sum to 1")
 

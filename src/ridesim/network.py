@@ -5,6 +5,12 @@ Both input files, the scenario and the network, are read by ``read_section``
 from schema dataclasses. The network file is YAML with a ``nodes`` list and
 a ``links`` list (the schema is ``Network`` and ``Link``); see
 ``data/la_testbed.yaml`` for the bundled four-link testbed.
+
+A number's range is declared once, at its schema field (``bounded``), and
+checked by ``check_bounds`` alone, which a section's ``__post_init__`` calls
+(a link's by ``Network.__post_init__``), so a section built in code is
+checked as a file's is. Every range error reads ``<name> <value> outside
+<interval>``; a ``__post_init__`` adds only the rules that relate values.
 """
 from __future__ import annotations
 
@@ -52,6 +58,8 @@ def number(value: object, name: str) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
+    except OverflowError as exc:  # an int beyond the largest float
+        raise ConfigError(f"{name} is too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number, got {value!r}") from exc
 
@@ -133,49 +141,72 @@ def read_section(cls: type, mapping: object, where: str):
 
 
 @dataclass(frozen=True)
+class Interval:
+    """The numbers from ``low`` to ``high``, each end in it where it is
+    closed; NaN lies in none. Written as in math: ``(0, inf)``, ``[0, 1]``."""
+
+    low: float
+    high: float
+    low_closed: bool = True
+    high_closed: bool = False
+
+    def __contains__(self, value: float) -> bool:
+        return ((self.low <= value if self.low_closed else self.low < value)
+                and (value <= self.high if self.high_closed else value < self.high))
+
+    def __str__(self) -> str:
+        return (f"{'[' if self.low_closed else '('}{self.low:g}, "
+                f"{self.high:g}{']' if self.high_closed else ')'}")
+
+
+POSITIVE = Interval(0, math.inf, low_closed=False)
+NON_NEGATIVE = Interval(0, math.inf)
+AT_LEAST_ONE = Interval(1, math.inf)
+UNIT = Interval(0, 1, high_closed=True)
+
+
+def bounded(interval: Interval, default=dataclasses.MISSING, **metadata):
+    """A schema field whose value ``check_bounds`` keeps in ``interval``:
+    a number, each item of a tuple or each value of a mapping; None, the
+    value of an absent optional number, is not checked."""
+    return field(default=default, metadata={"bound": interval, **metadata})
+
+
+def check_bounds(section: object, where: str, label: str = "") -> None:
+    """Raise ConfigError at the first bounded field of the schema dataclass
+    ``section`` that lies outside its interval: ``<name> <value> outside
+    <interval>``, where the name is ``where.key`` (``key`` where ``where``
+    is ""), then ``[i]`` for a tuple's item or ``.o-d`` for an O-D map's
+    value, then ``label``."""
+    prefix = f"{where}." if where else ""
+    for f in dataclasses.fields(section):
+        interval, value = f.metadata.get("bound"), getattr(section, f.name)
+        if interval is None or value is None:
+            continue
+        if isinstance(value, tuple):
+            items = {f"[{i}]": item for i, item in enumerate(value)}
+        elif isinstance(value, dict):
+            items = {f".{origin}-{dest}": item for (origin, dest), item in value.items()}
+        else:
+            items = {"": value}
+        for suffix, item in items.items():
+            if item not in interval:
+                name = f"{prefix}{f.metadata.get('key', f.name)}{suffix}{label}"
+                raise ConfigError(f"{name} {item} outside {interval}")
+
+
+@dataclass(frozen=True)
 class Link:
     id: int
     from_node: int = field(metadata={"key": "from"})
     to_node: int = field(metadata={"key": "to"})
-    length: float               # miles
-    free_flow_time: float       # hours
+    length: float = bounded(POSITIVE)           # miles
+    free_flow_time: float = bounded(POSITIVE)   # hours
     has_carpool_lane: bool
-    general_lanes: int = 4
-    lane_capacity: float = 2000.0   # vehicles/hour per lane
-    toll: float = 0.0
-    observed_daily_flow: float = 0.0
-
-    def validate(self, index: int) -> None:
-        """Raise ConfigError naming ``links[index].<field>`` and
-        the link id; ``index`` is the link's place in ``Network.links``,
-        which is its place in the network file."""
-        def fail(field: str, problem: str) -> None:
-            raise ConfigError(
-                f"links[{index}].{field} (link {self.id}): {problem}")
-
-        for field in ("length", "free_flow_time", "lane_capacity", "toll",
-                      "observed_daily_flow"):
-            value = getattr(self, field)
-            if not math.isfinite(value):
-                fail(field, f"must be finite, got {value}")
-        if self.length <= 0:
-            fail("length", "must be > 0")
-        if self.free_flow_time <= 0:
-            fail("free_flow_time", "must be > 0")
-        speed = self.length / self.free_flow_time
-        if speed > MAX_FREE_FLOW_SPEED_MPH:
-            fail("free_flow_time",
-                 f"implied free-flow speed {speed:.1f} mph is not plausible")
-        if self.from_node == self.to_node:
-            fail("to", "self-loop")
-        if self.general_lanes < 1:
-            fail("general_lanes", "must be >= 1")
-        if self.lane_capacity <= 0:
-            fail("lane_capacity", "must be > 0")
-        if self.toll < 0:
-            fail("toll", "must not be negative")
-        if self.observed_daily_flow < 0:
-            fail("observed_daily_flow", "must not be negative")
+    general_lanes: int = bounded(AT_LEAST_ONE, 4)
+    lane_capacity: float = bounded(POSITIVE, 2000.0)   # vehicles/hour per lane
+    toll: float = bounded(NON_NEGATIVE, 0.0)
+    observed_daily_flow: float = bounded(NON_NEGATIVE, 0.0)
 
     def lanes(self, lane_class: LaneClass) -> int:
         return 1 if lane_class is LaneClass.CARPOOL else self.general_lanes
@@ -204,11 +235,17 @@ class Network:
         known = _unique(self.nodes, "nodes")
         _unique((l.id for l in self.links), "links")
         for index, link in enumerate(self.links):
-            link.validate(index)
+            # a link is named by its place in the file and by its id
+            where, label = f"links[{index}]", f" (link {link.id})"
+            check_bounds(link, where, label)
+            if (speed := link.length / link.free_flow_time) > MAX_FREE_FLOW_SPEED_MPH:
+                raise ConfigError(f"{where}.free_flow_time{label}: implied free-flow "
+                                  f"speed {speed:.1f} mph is not plausible")
+            if link.from_node == link.to_node:
+                raise ConfigError(f"{where}.to{label}: self-loop")
             for key, end in (("from", link.from_node), ("to", link.to_node)):
                 if end not in known:
-                    raise ConfigError(f"links[{index}].{key} (link {link.id}): "
-                                      f"node {end} not declared")
+                    raise ConfigError(f"{where}.{key}{label}: node {end} not declared")
         adjacency: dict[int, list[int]] = {n: [] for n in self.nodes}
         for link in sorted(self.links, key=lambda l: l.id):
             adjacency[link.from_node].append(link.id)

@@ -17,24 +17,21 @@ committed driver's route is read from there.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .network import ConfigError, Link, Network
+from .network import NON_NEGATIVE, ConfigError, Link, Network, bounded, check_bounds
 
 
 @dataclass(frozen=True)
 class CostWeights:
     """Weights of the toll and travel-time terms of the link cost."""
 
-    toll: float = 1.0
-    time: float = 1.0
+    toll: float = bounded(NON_NEGATIVE, 1.0)
+    time: float = bounded(NON_NEGATIVE, 1.0)
 
     def __post_init__(self) -> None:
-        for name in ("toll", "time"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ConfigError(f"weights.{name} must be non-negative and finite")
+        check_bounds(self, "weights")
         if self.toll == 0 and self.time == 0:
             raise ConfigError("weights.toll and weights.time must not both be 0")
 

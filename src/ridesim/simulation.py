@@ -62,7 +62,7 @@ from .dp import Itinerary, StepCosts
 from .matching import MatchResult, RiderRequest, match_rider
 from .network import LaneClass, Link, Network, volume_delay
 from .routing import dijkstra_route
-from .schedule import FreeSlot, Pin, PinChain, free_slot, pin_chain
+from .schedule import FreeSlot, Pin, PinChain, free_slot, leave_by_step, pin_chain
 from .ten import step_matrix
 from .timegrid import INF, ceil_steps, link_steps, step_due, window_steps
 
@@ -725,13 +725,13 @@ class SimState:
                 travel = steps[from_node][to_node]
                 if cursor + travel > to_step:  # INF, no path, fails too
                     return False
-                step = cursor
-                if not underway:
-                    # the first slot, not yet underway: leave just in time,
-                    # within the window, or at the anchor step (cursor) once
-                    # its latest departure step has passed
-                    step = max(cursor, min(to_step - travel, vehicle.latest_departure_step))
-                    underway = True
+                # the first slot, not yet underway, is left just in time,
+                # by its leave-by step; a later slot, or a first of no
+                # length (a pin at the anchor at the anchor step), at once
+                leave_by = (None if underway else
+                            leave_by_step(cursor, to_step, vehicle.latest_departure_step))
+                step = cursor if leave_by is None else min(to_step - travel, leave_by)
+                underway = True
                 for lid in paths[from_node][to_node]:
                     plan.append((lid, step))
                     step += tau[lid]

@@ -350,6 +350,24 @@ BAD_INPUTS = {
     "calibration-without-observed-flows": (
         {}, lambda net: [link.pop("observed_daily_flow") for link in net["links"]],
         [], "demand.od_rates: calibration needs observed flows"),
+    "zero-replications": ({"replications": 0}, None, [], "replications"),
+    "zero-flow-window": ({"flow_window": 0}, None, [], "flow_window"),
+    "empty-levels": ({"levels": []}, None, [], "levels"),
+    "zero-link-length": ({}, lambda net: net["links"][0].update(length=0.0),
+                         [], "links[0].length"),
+    "zero-general-lanes": ({}, lambda net: net["links"][0].update(general_lanes=0),
+                           [], "links[0].general_lanes"),
+    "zero-lane-capacity": ({}, lambda net: net["links"][0].update(lane_capacity=0.0),
+                           [], "links[0].lane_capacity"),
+    "negative-toll": ({}, lambda net: net["links"][0].update(toll=-1.0),
+                      [], "links[0].toll"),
+    # integers too large for a float
+    "overflowing-horizon": ({"horizon": 10**400}, None, [], "horizon"),
+    "overflowing-level": ({"levels": [10**400]}, None, [], "levels[0]"),
+    "overflowing-od-rate": ({"demand": {"od_rates": {"0-2": 10**400}}}, None, [],
+                            "demand.od_rates.0-2"),
+    "overflowing-link-length": ({}, lambda net: net["links"][0].update(length=10**400),
+                                [], "links[0].length"),
 }
 
 

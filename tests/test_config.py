@@ -1,11 +1,16 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from ridesim.config import ConfigError, ScenarioConfig, bundled_data_path, load_config
+from ridesim.config import (ConfigError, DemandConfig, ScenarioConfig, bundled_data_path,
+                            load_config)
+from ridesim.demand import Shares
+from ridesim.network import Link, Network, load_network
+from ridesim.routing import CostWeights
 
 
 @pytest.fixture()
@@ -189,3 +194,153 @@ def test_readme_table_matches_schema():
         if default is not None:  # the table explains a None default in words
             shown = list(default) if isinstance(default, tuple) else default
             assert rows[where] == f"`{shown}`", where
+
+
+def declared_bounds(cls, section):
+    """((section, key), interval or None) of every field of the schema
+    dataclass ``cls`` that is not itself a section."""
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.default):
+            inner = field.name if section == "top" else f"{section}.{field.name}"
+            yield from declared_bounds(type(field.default), inner)
+        else:
+            yield (section, field.metadata.get("key", field.name)), field.metadata.get("bound")
+
+
+def test_readme_bounds_match_schema():
+    """The Bound column of the README's scenario and network key tables is
+    the interval each field declares, "—" where it declares none."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {}
+    for heading in ("Scenario files", "Network files"):
+        part = readme.split(f"## {heading}\n")[1].split("\n## ")[0]
+        rows.update({(m[2], m[1]): m[3] for m in re.finditer(
+            r"^\| `(\w+)` \| `?([\w.\[\]]+)`? \| .+? \| (.+?) \|", part, re.M)})
+    schema = {**dict(declared_bounds(ScenarioConfig, "top")),
+              **dict(declared_bounds(Link, "links[i]"))}
+    assert rows == {where: "—" if bound is None else f"`{bound}`"
+                    for where, bound in schema.items()}
+
+
+# Every bounded key of both input files, with its interval in the notation
+# the README's tables use; a whole-number key is marked int.
+BOUNDED_KEYS = [
+    ("horizon", "(0, inf)", float),
+    ("seed", "[0, inf)", int),
+    ("replications", "[1, inf)", int),
+    ("dt", "(0, inf)", float),
+    ("penalty", "[0, inf)", float),
+    ("flow_window", "(0, inf)", float),
+    ("unused_capacity", "[0, 1]", float),
+    ("validation_error_threshold", "[0, inf]", float),
+    ("levels", "[0, 1]", float),
+    ("weights.toll", "[0, inf)", float),
+    ("weights.time", "[0, inf)", float),
+    ("bpr.alpha", "[0, inf)", float),
+    ("bpr.beta", "[0, inf)", float),
+    ("demand.window_flexibility", "[0, inf)", float),
+    ("demand.scale", "[0, inf)", float),
+    ("demand.seats", "[0, inf)", int),
+    ("demand.od_rates.0-2", "[0, inf)", float),
+    ("demand.calibration_fixed_daily.0-2", "[0, inf)", float),
+    ("demand.shares.rider", "[0, 1]", float),
+    ("demand.shares.rideshare_driver", "[0, 1]", float),
+    ("demand.shares.regular_driver", "[0, 1]", float),
+    ("links[0].length", "(0, inf)", float),
+    ("links[0].free_flow_time", "(0, inf)", float),
+    ("links[0].general_lanes", "[1, inf)", int),
+    ("links[0].lane_capacity", "(0, inf)", float),
+    ("links[0].toll", "[0, inf)", float),
+    ("links[0].observed_daily_flow", "[0, inf)", float),
+]
+
+
+def edge_cases():
+    """(key, value, loads) at the ends of each bounded key: a closed end
+    loads and the number just outside it does not, an open end (infinity
+    too) does not load, and NaN never does."""
+    for key, interval, kind in BOUNDED_KEYS:
+        low, high = (float(end) for end in interval[1:-1].split(", "))
+        for end, closed, outward in ((low, interval[0] == "[", -1),
+                                     (high, interval[-1] == "]", 1)):
+            if closed:
+                yield key, kind(end), True
+                if math.isfinite(end):
+                    yield key, (int(end) + outward if kind is int
+                                else math.nextafter(end, outward * math.inf)), False
+            else:
+                yield key, end if math.isinf(end) else kind(end), False
+        yield key, math.nan, False
+
+
+def load_with(tmp_path, key, value):
+    """Load a scenario, or for a ``links[0]`` key the bundled network, with
+    ``key`` set to ``value`` and every other key as bundled."""
+    if key.startswith("links[0]."):
+        net = yaml.safe_load(bundled_data_path("la_testbed.yaml").read_text())
+        net["links"][0][key.split(".")[1]] = value
+        path = tmp_path / "net.yaml"
+        path.write_text(yaml.safe_dump(net))
+        return load_network(path)
+    section, _, leaf = key.rpartition(".")
+    if key == "levels":
+        value = [value]
+    elif section == "demand.shares":  # another share makes the sum 1
+        other = "rider" if leaf == "regular_driver" else "regular_driver"
+        value = {other: 1 - value if 0 <= value <= 1 else 0.5, leaf: value}
+        section, leaf = "demand", "shares"
+    elif section.startswith("demand."):  # an O-D map, keyed "0-2"
+        section, leaf, value = "demand", section.split(".")[1], {leaf: value}
+    raw = {leaf: value}
+    for name in reversed(section.split(".") if section else []):
+        raw = {name: raw}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return load_config(path)
+
+
+@pytest.mark.parametrize("key, value, loads", [
+    pytest.param(key, value, loads, id=f"{key}={value}") for key, value, loads in edge_cases()])
+def test_bound_edges(tmp_path, key, value, loads):
+    if loads:
+        load_with(tmp_path, key, value)
+        return
+    with pytest.raises(ConfigError) as error:
+        load_with(tmp_path, key, value)
+    # a level is named as the list's item, "levels[0]"; "level" covers both
+    assert (key if key != "levels" else "level") in str(error.value)
+
+
+def test_edge_table_covers_every_bound():
+    """BOUNDED_KEYS lists every field that declares a bound, with its
+    interval."""
+    def where(key):
+        if key.startswith("links[0]."):
+            return "links[i]", key.split(".")[1]
+        parts = key.split(".")
+        if parts[0] == "demand" and parts[1] in ("od_rates", "calibration_fixed_daily"):
+            parts = parts[:2]
+        return (".".join(parts[:-1]) or "top"), parts[-1]
+
+    declared = {**dict(declared_bounds(ScenarioConfig, "top")),
+                **dict(declared_bounds(Link, "links[i]"))}
+    assert {where(key): interval for key, interval, _ in BOUNDED_KEYS} == {
+        at: str(bound) for at, bound in declared.items() if bound is not None}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: dataclasses.replace(ScenarioConfig(), levels=(0.5, 1.5)),
+     "levels[1] 1.5 outside [0, 1]"),
+    (lambda: dataclasses.replace(ScenarioConfig(), validation_error_threshold=-1.0),
+     "validation_error_threshold -1.0 outside [0, inf]"),
+    (lambda: DemandConfig(od_rates={(0, 2): -1.0}), "demand.od_rates.0-2 -1.0 outside [0, inf)"),
+    (lambda: Shares(rider=-0.5, regular_driver=1.5), "demand.shares.rider -0.5 outside [0, 1]"),
+    (lambda: CostWeights(time=math.inf), "weights.time inf outside [0, inf)"),
+    (lambda: Network((0, 1), (Link(7, 0, 1, -1.0, 0.1, False),)),
+     "links[0].length (link 7) -1.0 outside (0, inf)"),
+], ids=["level", "threshold", "od-rate", "share", "weight", "link"])
+def test_range_error_form(build, message):
+    """One form, ``<name> <value> outside <interval>``, for every bounded
+    field, also of a section built in code."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
