@@ -21,13 +21,9 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
 from typing import Optional
 
-import yaml
-
-from .demand import (DemandSpec, Shares, calibrate_od_rates,
-                     default_od_pairs)
+from .demand import _DEFAULT_PINS, Shares, calibrate_od_rates
 from .network import (AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, UNIT, ConfigError, Interval,
                       Network, bounded, check_bounds, load_network, number,
                       read_section, read_yaml)
@@ -61,11 +57,6 @@ def _od_rates(value: object, key: str) -> Optional[dict[tuple[int, int], float]]
     return _od_map(value, key)
 
 
-# pinned when the file names no pins: the free split of the shared-corridor
-# demand, applied where the network has the pair
-_DEFAULT_PINS = MappingProxyType({(0, 2): 26660.0})
-
-
 def _od_keys(od_map: dict[tuple[int, int], float]) -> dict[str, float]:
     return {f"{origin}-{dest}": value for (origin, dest), value in od_map.items()}
 
@@ -90,7 +81,7 @@ class DemandConfig:
     # hourly; None: calibrated from the network's observed flows
     od_rates: Optional[dict[tuple[int, int], float]] = bounded(
         NON_NEGATIVE, None, read=_od_rates)
-    # daily; None: _DEFAULT_PINS
+    # daily; None: demand._DEFAULT_PINS
     calibration_fixed_daily: Optional[dict[tuple[int, int], float]] = bounded(
         NON_NEGATIVE, None, read=_od_map)
 
@@ -136,25 +127,14 @@ class ScenarioConfig:
                               f"carpool-lane link, and {self.network} has none")
         return network
 
-    def demand_spec(self, network: Network) -> DemandSpec:
+    def demand_spec(self, network: Network) -> DemandConfig:
+        """The scenario's demand with its ``od_rates`` resolved: ``self.demand``
+        itself when the file gives rates, else a copy of it whose rates
+        ``calibrate_od_rates`` fits to ``network``'s observed flows."""
         if self.demand.od_rates is not None:
-            rates = dict(self.demand.od_rates)
-        else:
-            targets = {l.id: l.observed_daily_flow for l in network.links}
-            pairs = default_od_pairs(network)
-            fixed = self.demand.calibration_fixed_daily
-            if fixed is None:  # the built-in pin, where its pair exists
-                fixed = {od: daily for od, daily in _DEFAULT_PINS.items() if od in pairs}
-            rates = calibrate_od_rates(network, targets, od_pairs=pairs,
-                                       fixed_daily=fixed)
-        return DemandSpec(
-            od_rates=rates,
-            shares=self.demand.shares,
-            window_flexibility=self.demand.window_flexibility,
-            horizon=self.horizon,
-            scale=self.demand.scale,
-            seats=self.demand.seats,
-        )
+            return self.demand
+        return dataclasses.replace(self.demand, od_rates=calibrate_od_rates(
+            network, self.demand.calibration_fixed_daily))
 
     def with_shares(self, rider: float, rideshare: float, regular: float) -> "ScenarioConfig":
         new_demand = dataclasses.replace(
@@ -207,12 +187,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> ScenarioC
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = read_yaml(path)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+    raw = read_yaml(path)
     given = {key: value for key, value in (overrides or {}).items() if value is not None}
     config = read_section(ScenarioConfig, {**raw, **given}, "")
     return dataclasses.replace(

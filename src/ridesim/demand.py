@@ -2,14 +2,19 @@
 
 O-D hourly rates are either given explicitly or calibrated so that a
 free-flow all-or-nothing assignment reproduces the network's observed daily
-link flows. Agents arrive as independent Poisson streams per O-D pair;
-roles are drawn from the configured participation shares; every rider's
-and ridesharing driver's window admits at least the free-flow solo trip by
-construction, and a regular driver has none.
+link flows (``calibrate_od_rates``). A scenario's demand is its ``demand``
+section, a ``config.DemandConfig``; ``ScenarioConfig.demand_spec`` returns
+it with its rates resolved, and ``generate_agents`` draws from that. Agents
+arrive as independent Poisson streams per O-D pair; roles are drawn from
+the configured participation shares; every rider's and ridesharing
+driver's window admits at least the free-flow solo trip by construction,
+and a regular driver has none.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,7 +22,14 @@ from .agents import Role, TimeWindow, VehicleAgent
 from .network import UNIT, ConfigError, Network, bounded, check_bounds
 from .routing import dijkstra_route
 
+if TYPE_CHECKING:  # for the annotation only: ``config`` imports this module
+    from .config import DemandConfig
+
 CALIBRATION_TOLERANCE = 1e-6  # largest residual or negative rate accepted
+
+# pinned when the file names no pins: the free split of the shared-corridor
+# demand, applied where the network has the pair
+_DEFAULT_PINS = MappingProxyType({(0, 2): 26660.0})
 
 
 @dataclass(frozen=True)
@@ -30,16 +42,6 @@ class Shares:
         check_bounds(self, "demand.shares")
         if abs(self.rider + self.rideshare_driver + self.regular_driver - 1.0) > 1e-9:
             raise ConfigError("demand.shares must sum to 1")
-
-
-@dataclass(frozen=True)
-class DemandSpec:
-    od_rates: dict[tuple[int, int], float]  # vehicles/hour before scaling
-    shares: Shares
-    window_flexibility: float  # hours
-    horizon: float             # hours
-    scale: float
-    seats: int
 
 
 def free_flow_paths(
@@ -59,30 +61,29 @@ def free_flow_paths(
 
 
 def calibrate_od_rates(
-    network: Network,
-    target_daily_flows: dict[int, float],
-    od_pairs: list[tuple[int, int]] | None = None,
-    fixed_daily: dict[tuple[int, int], float] | None = None,
+    network: Network, fixed_daily: dict[tuple[int, int], float] | None
 ) -> dict[tuple[int, int], float]:
-    """Invert observed daily link flows into hourly O-D rates.
+    """Invert the network's observed daily link flows into hourly O-D rates.
 
-    Rates are chosen so that assigning each pair's demand to its free-flow
-    route reproduces the targets exactly. Under-determined systems are
-    closed with ``fixed_daily`` pins (the bundled testbed pins the
-    origin-to-far-end split); a pin outside ``od_pairs`` raises ConfigError
-    naming ``demand.calibration_fixed_daily.<o-d>``, all-zero targets raise
-    ConfigError naming ``demand.od_rates``, and unsatisfiable targets raise
-    ConfigError with the residual per link.
+    The pairs are every ordered node pair joined by a path
+    (``default_od_pairs``); their rates are chosen so that assigning each
+    pair's demand to its free-flow route reproduces every link's
+    ``observed_daily_flow`` exactly. Under-determined systems are closed
+    with ``fixed_daily`` pins, daily; None pins ``_DEFAULT_PINS`` where the
+    network has the pair (the bundled testbed's origin-to-far-end split).
+    A pin that is not a pair raises ConfigError naming
+    ``demand.calibration_fixed_daily.<o-d>``, all-zero observed flows raise
+    ConfigError naming ``demand.od_rates``, and unsatisfiable flows raise
+    ConfigError with the residual per link or the negative rates.
     """
-    missing = [l.id for l in network.links if l.id not in target_daily_flows]
-    if missing:
-        raise ConfigError(f"targets missing for link(s) {missing}")
-    pairs = od_pairs or default_od_pairs(network)
-    fixed_daily = dict(fixed_daily or {})
+    pairs = default_od_pairs(network)
+    if fixed_daily is None:
+        fixed_daily = {od: daily for od, daily in _DEFAULT_PINS.items() if od in pairs}
     for origin, dest in fixed_daily:
         if (origin, dest) not in pairs:
             raise ConfigError(f"demand.calibration_fixed_daily.{origin}-{dest} is not "
                               f"a calibration pair (those are joined by a path)")
+    target_daily_flows = {l.id: l.observed_daily_flow for l in network.links}
     if all(abs(v) < 1e-12 for v in target_daily_flows.values()):
         raise ConfigError("demand.od_rates: calibration needs observed flows, and "
                           "every link's observed_daily_flow is 0")
@@ -133,18 +134,20 @@ def default_od_pairs(network: Network) -> list[tuple[int, int]]:
 
 
 def generate_agents(
-    spec: DemandSpec, network: Network, seed: "int | np.random.SeedSequence"
+    demand: DemandConfig, horizon: float, network: Network,
+    seed: "int | np.random.SeedSequence",
 ) -> tuple[VehicleAgent, ...]:
-    """Materialize the arrival schedule for one replication, ordered by
-    arrival time with ids 0..n-1.
+    """Materialize the arrival schedule of ``horizon`` hours for one
+    replication, ordered by arrival time with ids 0..n-1.
 
+    ``demand``'s ``od_rates`` must be resolved (``ScenarioConfig.demand_spec``).
     Arrivals are Poisson per O-D pair at ``scale * rate``; roles follow the
     participation shares; every rider's and ridesharing driver's window
     gives ``window_flexibility`` hours of slack beyond the free-flow trip,
-    and a regular driver's window is None. Identical (spec, seed) pairs
-    produce identical schedules.
+    and a regular driver's window is None. Identical (demand, horizon,
+    seed) triples produce identical schedules.
     """
-    od_pairs = sorted(spec.od_rates)
+    od_pairs = sorted(demand.od_rates)
     routes = free_flow_paths(network, od_pairs)
     rng = np.random.default_rng(seed)
 
@@ -153,11 +156,11 @@ def generate_agents(
     time_blocks = [np.empty(0)]
     pair_blocks = [np.empty(0, dtype=np.intp)]
     for index, od in enumerate(od_pairs):
-        rate = spec.od_rates[od] * spec.scale
+        rate = demand.od_rates[od] * demand.scale
         if rate <= 0:
             continue
-        count = rng.poisson(rate * spec.horizon)
-        time_blocks.append(np.sort(rng.uniform(0.0, spec.horizon, size=count)))
+        count = rng.poisson(rate * horizon)
+        time_blocks.append(np.sort(rng.uniform(0.0, horizon, size=count)))
         pair_blocks.append(np.full(count, index, dtype=np.intp))
     times = np.concatenate(time_blocks)
     pairs = np.concatenate(pair_blocks)
@@ -166,19 +169,19 @@ def generate_agents(
     times, pairs = times[order], pairs[order]
 
     draws = rng.random(len(times))
-    cut_rider = spec.shares.rider
-    cut_driver = cut_rider + spec.shares.rideshare_driver
+    cut_rider = demand.shares.rider
+    cut_driver = cut_rider + demand.shares.rideshare_driver
     roles = np.where(draws < cut_rider, 0, np.where(draws < cut_driver, 1, 2))
 
     fft = np.array([routes[od][1] for od in od_pairs])[pairs]
-    flex = spec.window_flexibility
+    flex = demand.window_flexibility
     earliest_arrival = times + fft
     role_order = (Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER)
     return tuple(
         VehicleAgent(
             idx, role_order[role], od_pairs[pair][0], od_pairs[pair][1], time,
             None if role == 2 else TimeWindow(time, late_dep, early_arr, late_arr),
-            spec.seats if role == 1 else 0,
+            demand.seats if role == 1 else 0,
         )
         for idx, (time, pair, role, late_dep, early_arr, late_arr) in enumerate(zip(
             times.tolist(), pairs.tolist(), roles.tolist(),

@@ -9,7 +9,7 @@ match rate.
 
 Memory: every replication is built, run, read and dropped by one function,
 ``_replicate``, inside one pause of CPython's cyclic garbage collector
-(``_collector_paused``). The collector's passes start on allocation counts,
+(its ``try``/``finally``). The collector's passes start on allocation counts,
 and most of what a replication allocates stays alive until it ends (agents,
 vehicles, events: about 144,000 tracked objects after one day of the
 bundled validation scenario), so each pass would walk them again and find
@@ -56,38 +56,30 @@ from .config import ScenarioConfig
 from .matching import MATCH_TRACE_COLUMNS
 from .network import ConfigError, Network, flow_distribution
 from .reports import write_csv_atomic, write_json_atomic
-from .simulation import SimReport, SimState, init_simulation
+from .simulation import RiderSummary, SimReport, SimState, init_simulation
 
 
 ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
-
-
-class _collector_paused:
-    """Turn the cyclic garbage collector off for the block, and back on
-    when the block ends, also by an exception, unless it was already off.
-    A class, not a generator: once the collector is back on, leaving the
-    block allocates nothing, so no pass starts before the code after the
-    block runs."""
-
-    def __enter__(self) -> None:
-        self.enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.enabled:
-            gc.enable()
 
 
 def _replicate(config: ScenarioConfig, network: Network, seed: int,
                read: Callable[[SimState], object]):
     """Build and run one replication and return ``read`` of it, inside one
     collector pause that ends after the replication is dropped, unless
-    ``read`` returned it ("Memory" in the module docstring)."""
-    with _collector_paused():
+    ``read`` returned it ("Memory" in the module docstring). The pause
+    ends also by an exception, and leaves the collector off if it was
+    off; once it is back on, nothing is allocated before the return, so
+    no pass starts before the caller's code runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         sim = init_simulation(config, network, seed)
         sim.run()
         result = read(sim)
         del sim  # free this replication before the collector is back on
+    finally:
+        if enabled:
+            gc.enable()
     return result
 
 
@@ -251,7 +243,8 @@ class SweepRow:
     mean_match_rate: float
     std_match_rate: float
     riders: int
-    warning: str = ""
+    warning: str
+    summaries: tuple[RiderSummary, ...]  # one per replication, in seed order; not written
 
 
 @dataclass(frozen=True)
@@ -308,7 +301,8 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
         mean = float(np.mean(rates))
         std = float(np.std(rates, ddof=1)) if len(rates) > 1 else 0.0
         warning = "" if riders else "no riders generated"
-        rows.append(SweepRow(level, config.replications, mean, std, riders, warning))
+        rows.append(SweepRow(level, config.replications, mean, std, riders, warning,
+                             tuple(summaries)))
     return SweepReport(
         rows=tuple(rows),
         seeds=tuple(seeds),

@@ -355,10 +355,19 @@ class Network:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def read_yaml(path: Path) -> object:
-    """Parse one YAML file as ``yaml.safe_load`` would; raises ``yaml.YAMLError``,
-    also for bytes that are not text in YAML's encodings (UTF-8, UTF-16)."""
-    return yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
+def read_yaml(path: Path) -> dict:
+    """Parse one YAML file as ``yaml.safe_load`` would, into its top-level
+    mapping. Raises ConfigError naming the file for a YAML error (also for
+    bytes that are not text in YAML's encodings, UTF-8 and UTF-16), for a
+    number the constructor refuses (an integer of more digits than Python
+    converts) and for a top level that is not a mapping."""
+    try:
+        raw = yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a mapping")
+    return raw
 
 
 def load_network(path: str | Path) -> Network:
@@ -368,12 +377,10 @@ def load_network(path: str | Path) -> Network:
     the file and the offending field (and, for a link, its id).
     """
     path = Path(path)
+    raw = read_yaml(path)
     try:
-        raw = read_yaml(path)
-        if not isinstance(raw, dict):
-            raise ConfigError("top level must be a mapping")
         return read_section(Network, raw, "")
-    except (yaml.YAMLError, ConfigError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

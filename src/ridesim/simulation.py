@@ -242,10 +242,12 @@ class SimReport:
 class SimState:
     """One replication's full mutable state. Every setting comes from a
     ``ScenarioConfig`` that ``load_config`` has validated; none is checked
-    again here. Construction draws the agents of ``config.demand_spec`` and,
-    below full unused carpool capacity, schedules the background carpool
-    load, each from its own stream of ``seed``. A replication builds no
-    reference cycle ("Memory" in the module docstring)."""
+    again here. Construction keeps the scenario's demand with its O-D rates
+    resolved (``ScenarioConfig.demand_spec``) as ``demand``, draws its
+    agents over the horizon and, below full unused carpool capacity,
+    schedules the background carpool load, each from its own stream of
+    ``seed``. A replication builds no reference cycle ("Memory" in the
+    module docstring)."""
 
     def __init__(self, config: ScenarioConfig, network: Network, seed: int):
         self.network = network
@@ -282,7 +284,7 @@ class SimState:
         self.match_trace: list[dict] = []
 
         demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
-        agents = generate_agents(self.demand, network, demand_seed)
+        agents = generate_agents(self.demand, self.horizon, network, demand_seed)
 
         # agents come sorted by time with ids 0..n-1: their entries are
         # scheduled in (time, seq) order with seq = id, and every pushed

@@ -223,6 +223,28 @@ class TestRunCommand:
 
 RIDESHARE_SHARES = {"rider": 0.2, "rideshare_driver": 0.3, "regular_driver": 0.5}
 
+
+class Digits(str):
+    """A decimal integer that ``dump`` writes unquoted from its digits, so
+    it may have more than Python converts to an int
+    (``sys.get_int_max_str_digits``)."""
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+_Dumper.add_representer(
+    Digits, lambda dumper, digits: dumper.represent_scalar("tag:yaml.org,2002:int", digits))
+
+
+def dump(data) -> str:
+    """``yaml.safe_dump``, also of a ``Digits``."""
+    return yaml.dump(data, Dumper=_Dumper)
+
+
+HUGE_INTEGER = Digits("1" + "0" * 5000)
+
 # (config edits, network-file edit, extra argv, text stderr must contain)
 BAD_INPUTS = {
     "negative-length": ({}, lambda net: net["links"][0].update(length=-1.0),
@@ -368,6 +390,11 @@ BAD_INPUTS = {
                             "demand.od_rates.0-2"),
     "overflowing-link-length": ({}, lambda net: net["links"][0].update(length=10**400),
                                 [], "links[0].length"),
+    # integers the YAML constructor refuses to convert: the file is named
+    "huge-integer-horizon": ({"horizon": HUGE_INTEGER}, None, [],
+                             "bad.yaml: Exceeds the limit (4300 digits)"),
+    "huge-integer-link-length": ({}, lambda net: net["links"][0].update(length=HUGE_INTEGER),
+                                 [], "net.yaml: Exceeds the limit (4300 digits)"),
 }
 
 
@@ -384,9 +411,9 @@ def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys)
         net = yaml.safe_load(bundled_data_path("la_testbed.yaml").read_text())
         network_edit(net)
         raw["network"] = str(tmp_path / "net.yaml")
-        Path(raw["network"]).write_text(yaml.safe_dump(net))
+        Path(raw["network"]).write_text(dump(net))
     bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(raw))
+    bad.write_text(dump(raw))
     assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert named in err

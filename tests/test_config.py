@@ -11,6 +11,7 @@ from ridesim.config import (ConfigError, DemandConfig, ScenarioConfig, bundled_d
 from ridesim.demand import Shares
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import CostWeights
+from ridesim.simulation import SimState
 
 
 @pytest.fixture()
@@ -157,9 +158,12 @@ class TestDemandResolution:
     def test_calibrated_rates_from_network(self, minimal):
         cfg = load_config(minimal)
         net = cfg.make_network()
-        spec = cfg.demand_spec(net)
-        assert spec.od_rates[(0, 3)] == pytest.approx(12948 / 24)
-        assert spec.od_rates[(0, 2)] == pytest.approx(26660 / 24)
+        demand = cfg.demand_spec(net)
+        assert demand.od_rates[(0, 3)] == pytest.approx(12948 / 24)
+        assert demand.od_rates[(0, 2)] == pytest.approx(26660 / 24)
+        # every other field is the scenario's own
+        assert cfg.demand.od_rates is None
+        assert dataclasses.replace(demand, od_rates=None) == cfg.demand
 
     def test_explicit_rates(self, tmp_path):
         path = tmp_path / "explicit.yaml"
@@ -168,8 +172,16 @@ class TestDemandResolution:
             "demand": {"od_rates": {"0-2": 120.0, "1-3": 60.0}},
         }))
         cfg = load_config(path)
-        spec = cfg.demand_spec(cfg.make_network())
-        assert spec.od_rates == {(0, 2): 120.0, (1, 3): 60.0}
+        demand = cfg.demand_spec(cfg.make_network())
+        assert demand is cfg.demand
+        assert demand.od_rates == {(0, 2): 120.0, (1, 3): 60.0}
+
+    def test_replication_holds_the_resolved_rates(self, minimal):
+        cfg = load_config(minimal)
+        net = cfg.make_network()
+        sim = SimState(cfg, net, seed=1)
+        assert sim.demand == cfg.demand_spec(net)
+        assert sim.demand.od_rates[(0, 2)] == pytest.approx(26660 / 24)
 
 
 def schema_keys(cls=ScenarioConfig, section="top"):

@@ -17,8 +17,8 @@ import ridesim.matching as matching
 import ridesim.routing as routing
 import ridesim.simulation as simulation
 from ridesim.agents import Role, TimeWindow, VehicleAgent
-from ridesim.config import bundled_data_path, load_config
-from ridesim.demand import DemandSpec, Shares
+from ridesim.config import DemandConfig, bundled_data_path, load_config
+from ridesim.demand import Shares
 from ridesim.dp import Itinerary, ItineraryLeg
 from ridesim.matching import MatchResult, RiderRequest, match_rider
 from ridesim.network import LaneClass, Link, Network, volume_delay
@@ -192,9 +192,9 @@ class TestBasicRuns:
 
     def test_invalid_shares_rejected(self, testbed):
         with pytest.raises(ValueError):
-            DemandSpec(od_rates={(0, 2): 1.0},
-                       shares=Shares(0.2, 0.4, 0.5), window_flexibility=0.25,
-                       horizon=24.0, scale=1.0, seats=4)
+            DemandConfig(od_rates={(0, 2): 1.0},
+                         shares=Shares(0.2, 0.4, 0.5), window_flexibility=0.25,
+                         scale=1.0, seats=4)
 
     def test_events_do_not_precede_clock(self, testbed):
         sim = empty_sim(testbed)

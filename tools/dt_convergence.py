@@ -1,15 +1,15 @@
 """Show how far a scenario's rider rates are from their limit as ``dt`` shrinks.
 
-Runs one scenario (``--config``, ``--horizon``, ``--replications``) at its
-time step ``dt`` and at ``dt``/2, ``dt``/4, ... for ``--halvings`` halvings
-(default 3), at every level of its ``levels``, each with the same
-replication seeds (``experiments.replication_seeds`` of the scenario's
-seed, as the sweep uses). For each step and level it prints three rider
-rates, each pooled over the replications' riders: committed, delivered and
-on time, as each replication's ``SimState.rider_summary`` counts them, and
-beside each the gap to the same rate at the finest step. It writes no
-file. It imports ridesim from the ``src`` beside it and needs nothing but
-the standard library and ridesim's own dependencies::
+Runs the sweep of one scenario (``--config``, ``--horizon``,
+``--replications``; ``experiments.run_capacity_sweep``, every level of its
+``levels`` with the same replication seeds) at its time step ``dt`` and at
+``dt``/2, ``dt``/4, ... for ``--halvings`` halvings (default 3). For each
+step and level it prints three rider rates, each pooled over the sweep
+row's replications: committed, delivered and on time, as each
+replication's ``SimState.rider_summary`` counts them, and beside each the
+gap to the same rate at the finest step. It writes no file. It imports
+ridesim from the ``src`` beside it and needs nothing but the standard
+library and ridesim's own dependencies::
 
     python tools/dt_convergence.py --config src/ridesim/data/sweep.yaml --horizon 1 --replications 2 --halvings 2
 """
@@ -23,8 +23,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ridesim.config import load_config  # noqa: E402
-from ridesim.experiments import replication_seeds  # noqa: E402
-from ridesim.simulation import init_simulation  # noqa: E402
+from ridesim.experiments import run_capacity_sweep  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,20 +40,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--halvings must be at least 0")
     config = load_config(args.config, {"replications": args.replications,
                                        "horizon": args.horizon})
-    seeds = replication_seeds(config.seed, config.replications)
-    levels = [dataclasses.replace(config, unused_capacity=level) for level in config.levels]
-    networks = [scenario.make_network() for scenario in levels]
     steps = [config.dt / 2**k for k in range(args.halvings + 1)]
     rates = {}  # (dt, level) -> (riders, committed, delivered, on time rates)
     for dt in steps:
-        for scenario, network in zip(levels, networks):
-            summaries = []
-            for seed in seeds:
-                sim = init_simulation(dataclasses.replace(scenario, dt=dt), network, seed)
-                sim.run()
-                summaries.append(dataclasses.astuple(sim.rider_summary()))
-            riders, *counts = map(sum, zip(*summaries))
-            rates[dt, scenario.unused_capacity] = (riders, *(
+        for row in run_capacity_sweep(dataclasses.replace(config, dt=dt)).rows:
+            riders, *counts = map(sum, zip(*map(dataclasses.astuple, row.summaries)))
+            rates[dt, row.unused_fraction] = (riders, *(
                 count / riders if riders else 0.0 for count in counts))
 
     print(f"scenario {args.config} seed {config.seed} horizon {config.horizon} "
