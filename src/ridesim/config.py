@@ -115,6 +115,8 @@ class ScenarioConfig:
         check_bounds(self, "")
         if not self.levels:
             raise ConfigError("levels must name at least one level")
+        if self.weights.time * self.dt == math.inf:  # a step's cost on board
+            raise ConfigError(f"weights.time * dt overflows: {self.weights.time} * {self.dt}")
 
     # ------------------------------------------------------------ resolution
 

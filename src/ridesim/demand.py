@@ -133,6 +133,16 @@ def default_od_pairs(network: Network) -> list[tuple[int, int]]:
     return pairs
 
 
+def arrival_count(rng: np.random.Generator, mean: float, what: str) -> int:
+    """A Poisson draw of ``mean`` arrivals. A mean numpy refuses to draw
+    from, about 1e19 or more and so far past any run's memory, raises
+    ConfigError naming ``what``, the keys the mean comes from."""
+    try:
+        return rng.poisson(mean)
+    except ValueError as exc:
+        raise ConfigError(f"{what} = {mean:g} arrivals, too many to draw") from exc
+
+
 def generate_agents(
     demand: DemandConfig, horizon: float, network: Network,
     seed: "int | np.random.SeedSequence",
@@ -159,7 +169,8 @@ def generate_agents(
         rate = demand.od_rates[od] * demand.scale
         if rate <= 0:
             continue
-        count = rng.poisson(rate * horizon)
+        count = arrival_count(rng, rate * horizon,
+                              f"demand.od_rates.{od[0]}-{od[1]} * demand.scale * horizon")
         time_blocks.append(np.sort(rng.uniform(0.0, horizon, size=count)))
         pair_blocks.append(np.full(count, index, dtype=np.intp))
     times = np.concatenate(time_blocks)

@@ -66,8 +66,9 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     result, appending one diagnostic row to ``sim.match_trace``.
 
     The offer index hands the build every live driver's free slots, grouped
-    by distinct slot (``SimState.collect_offers``), and the build tests each
-    slot once, an open slot started at the clock's step. The trace's
+    by distinct free schedule, each driver listed once
+    (``SimState.collect_offers``), and the build tests each schedule's
+    slots once, an open slot started at the clock's step. The trace's
     ``offers`` counts every live driver (``SimState.live_drivers``), whether
     or not one of its slots passed.
 

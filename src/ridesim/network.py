@@ -352,18 +352,30 @@ class Network:
 
 # libyaml's parser where PyYAML was built with it; the resolver and the
 # constructor are PyYAML's either way, so the values equal ``yaml.safe_load``'s
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[misc]
+    """The safe loader, but a value its constructor refuses, such as an
+    integer of more digits than Python converts, a date that is no date or
+    a ``!!bool`` tag on a word that is no boolean, is a YAML error at the
+    value's line and column; PyYAML raises a bare ValueError, KeyError or
+    IndexError for these, with no place."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, LookupError) as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc),
+                                                    node.start_mark) from exc
 
 
 def read_yaml(path: Path) -> dict:
     """Parse one YAML file as ``yaml.safe_load`` would, into its top-level
     mapping. Raises ConfigError naming the file for a YAML error (also for
-    bytes that are not text in YAML's encodings, UTF-8 and UTF-16), for a
-    number the constructor refuses (an integer of more digits than Python
-    converts) and for a top level that is not a mapping."""
+    bytes that are not text in YAML's encodings, UTF-8 and UTF-16, and, with
+    its line, for a value the constructor refuses: ``_Loader``) and
+    for a top level that is not a mapping."""
     try:
-        raw = yaml.load(path.read_bytes(), Loader=_YAML_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:
+        raw = yaml.load(path.read_bytes(), Loader=_Loader)
+    except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")

@@ -37,6 +37,9 @@ Stop = tuple[int, int, bool]  # (node, deadline step, holds)
 # seat, left from a by step leave_by (INF unless the driver is not underway);
 # s is None in an open slot, one that starts at the clock's step
 FreeSlot = tuple[int, Optional[int], int, int, float]
+# a driver's free slots in chain order: its first, if that is free, then the
+# slots after its first stop; the offer index lists each driver under it
+FreeSchedule = tuple[FreeSlot, ...]
 
 
 def free_slot(a: int, s: Optional[int], b: int, t: int, occupancy: int, seats: int,

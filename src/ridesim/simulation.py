@@ -16,11 +16,12 @@ exactly once. Only ``_advance`` queues a hold, and it decides whether a
 step has come by the time grid's one rule (``timegrid.step_due``).
 
 The matcher reads the ridesharing drivers' free slots from one offer index,
-kept across requests: each distinct slot with the ids of the live drivers
-that have it. A driver's slots change only where it moves, in ``_advance``,
-or takes a commit, in ``commit_itinerary``'s phase two; both mark it
-(``_moved``), and ``collect_offers`` re-lists only the drivers marked since
-the last request. A driver standing at its node is listed under an open
+kept across requests: each distinct free schedule, a driver's free slots in
+chain order, with the ids of the live drivers that have it, so that each
+driver is listed once. A driver's slots change only where it moves, in
+``_advance``, or takes a commit, in ``commit_itinerary``'s phase two; both
+mark it (``_moved``), and ``collect_offers`` re-lists only the drivers
+marked since the last request. A driver standing at its node has an open
 first slot, which starts at whatever step the clock has reached
 (``ten.build_time_expanded``), so standing still needs no re-listing.
 
@@ -57,12 +58,12 @@ import numpy as np
 
 from .agents import Role, VehicleAgent
 from .config import ScenarioConfig
-from .demand import fallback_to_driver, free_flow_paths, generate_agents
+from .demand import arrival_count, fallback_to_driver, free_flow_paths, generate_agents
 from .dp import Itinerary, StepCosts
 from .matching import MatchResult, RiderRequest, match_rider
 from .network import LaneClass, Link, Network, volume_delay
 from .routing import dijkstra_route
-from .schedule import FreeSlot, Pin, PinChain, free_slot, leave_by_step, pin_chain
+from .schedule import FreeSchedule, FreeSlot, Pin, PinChain, free_slot, leave_by_step, pin_chain
 from .ten import step_matrix
 from .timegrid import INF, ceil_steps, link_steps, step_due, window_steps
 
@@ -159,13 +160,11 @@ class RideshareVehicle(Vehicle):
     ``SimState._advance``; a queued hold names the plan it was made for, and
     is stale once ``plan`` is another list.
 
-    ``listed_first`` and ``listed_later`` are the first slot, or None, and
-    the later slots the offer index lists it under (``SimState
-    .collect_offers``)."""
+    ``listed`` is the free schedule the offer index lists it under, () when
+    it is not listed (``SimState.collect_offers``)."""
 
     __slots__ = ("latest_departure_step", "latest_arrival_step", "pins", "aboard",
-                 "next_stop", "later_slots", "plan", "plan_pos",
-                 "listed_first", "listed_later")
+                 "next_stop", "later_slots", "plan", "plan_pos", "listed")
 
     def __init__(self, agent: VehicleAgent, dt: float):
         super().__init__(agent)
@@ -176,8 +175,7 @@ class RideshareVehicle(Vehicle):
         self.later_slots: tuple[FreeSlot, ...] = ()
         self.plan: list[tuple[int, int]] = []
         self.plan_pos = 0
-        self.listed_first: Optional[FreeSlot] = None
-        self.listed_later: tuple[FreeSlot, ...] = ()
+        self.listed: FreeSchedule = ()
 
     def chain(self, pins: tuple[Pin, ...]) -> PinChain:
         """The ``pin_chain`` of ``pins`` for this vehicle, with its riders
@@ -271,11 +269,11 @@ class SimState:
                       for link_id, pair in self.link_lanes.items() for lane in pair}
         self.vehicles: dict[int, Vehicle] = {}
         # the offer index, see collect_offers: the live drivers by id, their
-        # slots with the ids listed under each, the drivers marked since the
-        # last scan, and a heap of (latest arrival, id) of drivers that hold
-        # at a node past their latest arrival
+        # free schedules with the ids listed under each, the drivers marked
+        # since the last scan, and a heap of (latest arrival, id) of drivers
+        # that hold at a node past their latest arrival
         self._offer_index: dict[int, RideshareVehicle] = {}
-        self._offers: dict[FreeSlot, list[int]] = {}
+        self._offers: dict[FreeSchedule, list[int]] = {}
         self._marked: dict[int, RideshareVehicle] = {}
         self._deadlines: list[tuple[float, int]] = []
         self.rider_board_time: dict[int, float] = {}
@@ -309,7 +307,8 @@ class SimState:
             rate = rates[link_id]
             if rate <= 0:
                 continue
-            count = rng.poisson(rate * self.horizon)
+            count = arrival_count(rng, rate * self.horizon,
+                                  f"link {link_id}'s background from unused_capacity * horizon")
             for t in np.sort(rng.uniform(0.0, self.horizon, size=count)):
                 self.push_event(float(t), EV_BACKGROUND, link_id)
 
@@ -562,29 +561,30 @@ class SimState:
         if agent_id in self._offer_index:
             self._marked[agent_id] = vehicle
 
-    def collect_offers(self, clock_step: int) -> dict[FreeSlot, list[int]]:
+    def collect_offers(self, clock_step: int) -> dict[FreeSchedule, list[int]]:
         """Every live ridesharing driver's free slots, grouped: each distinct
-        slot (``schedule.FreeSlot``) with the ids of the drivers that have
-        it, which ``build_time_expanded`` reads. The groups are the offer
-        index itself, kept from request to request; callers must not change
-        them. Neither the groups' order nor their ids' follows the drivers'
-        ids: they follow the order in which drivers were re-listed, and
-        nothing the build returns depends on it. ``clock_step`` is
-        ``ceil_steps`` of the clock, which ``match_rider`` takes once per
-        request.
+        free schedule (``schedule.FreeSchedule``) with the ids of the drivers
+        that have it, which ``build_time_expanded`` reads, so a driver with a
+        free slot is listed once and one with none is not listed. The groups
+        are the offer index itself, kept from request to request; callers
+        must not change them. Neither the groups' order nor their ids'
+        follows the drivers' ids: they follow the order in which drivers
+        were re-listed, and nothing the build returns depends on it.
+        ``clock_step`` is ``ceil_steps`` of the clock, which ``match_rider``
+        takes once per request.
 
-        A driver's first slot runs from its anchor to its ``next_stop``, by
-        the chain's rule (``schedule.free_slot``), then come its
-        ``later_slots``. On a link, the first slot starts at the link's end
-        at ``ceil_steps`` of its arrival time and holds until it arrives.
-        Standing at its node, the driver is listed under an open first
-        slot, (node, None, stop, step, its latest departure step, or INF
-        once underway), if it has a free seat: the build starts it at the
-        clock's step, so it holds while the driver stands.
+        A driver's free schedule is its first slot, if that is free, then its
+        ``later_slots``. The first slot runs from its anchor to its
+        ``next_stop``, by the chain's rule (``schedule.free_slot``). On a
+        link, it starts at the link's end at ``ceil_steps`` of its arrival
+        time and holds until it arrives. Standing at its node, the driver has
+        an open first slot, (node, None, stop, step, its latest departure
+        step, or INF once underway), if it has a free seat: the build starts
+        it at the clock's step, so it holds while the driver stands.
 
         Only the drivers marked since the last call (``_moved``) are asked,
-        and re-listed where their slots changed. One condition turns true
-        with no event: a driver standing at its node past its own
+        and re-listed where their free schedules changed. One condition
+        turns true with no event: a driver standing at its node past its own
         ``latest_arrival``. A driver stands at its node only while the hold
         ``_advance`` queued for its plan's next entry step runs, so the scan
         that lists a standing driver whose hold ends after its latest
@@ -614,34 +614,32 @@ class SimState:
             anchor_step = live(vehicle, clock_step)
             if anchor_step is None:
                 del index[agent_id]
-                first, later = None, ()
+                schedule = ()
             else:
                 stop, step = vehicle.next_stop
-                later = vehicle.later_slots
                 standing = vehicle.link_arrival_time is None  # its first slot is open
                 first = free_slot(vehicle.node, None if standing else anchor_step, stop, step,
                                   len(vehicle.aboard), vehicle.agent.seats,
                                   vehicle.latest_departure_step
                                   if vehicle.departure_time is None else INF)
+                schedule = vehicle.later_slots if first is None \
+                    else (first,) + vehicle.later_slots
                 if standing:
                     # it holds until its plan's next entry step; a hold that
                     # ends after its latest arrival needs the heap
                     latest = vehicle.agent.window.latest_arrival
                     if vehicle.plan[vehicle.plan_pos][1] * self.dt > latest:
                         heapq.heappush(deadlines, (latest, agent_id))
-            listed = vehicle.listed_first
-            if first != listed:
-                if listed is not None:
-                    _unlist(offers, listed, agent_id)
-                if first is not None:
-                    offers.setdefault(first, []).append(agent_id)
-                vehicle.listed_first = first
-            if later is not vehicle.listed_later:
-                for slot in vehicle.listed_later:
-                    _unlist(offers, slot, agent_id)
-                for slot in later:
-                    offers.setdefault(slot, []).append(agent_id)
-                vehicle.listed_later = later
+            listed = vehicle.listed
+            if schedule != listed:
+                if listed:
+                    ids = offers[listed]
+                    ids.remove(agent_id)
+                    if not ids:
+                        del offers[listed]
+                if schedule:
+                    offers.setdefault(schedule, []).append(agent_id)
+                vehicle.listed = schedule
         marked.clear()
         return offers
 
@@ -848,16 +846,6 @@ class SimState:
             stranded_count=sum(o.stranded for o in outcomes),
             match_trace=list(self.match_trace),
         )
-
-
-def _unlist(offers: dict[FreeSlot, list[int]], slot: FreeSlot, agent_id: int) -> None:
-    """Take ``agent_id`` off ``slot`` in ``offers``, and the slot with its
-    last id."""
-    ids = offers[slot]
-    if len(ids) == 1:
-        del offers[slot]
-    else:
-        ids.remove(agent_id)
 
 
 def init_simulation(config: ScenarioConfig, network: Network, seed: int) -> SimState:

@@ -17,15 +17,18 @@ the same ``tau``, so m[a][j] <= m[a][i] + steps and m[i][b] <= steps +
 m[j][b]. By the same triangle inequality a slot gets no arc unless it
 passes the slot test: the rider's destination reachable from a by the
 latest arrival and b from the rider's origin by t. The rule reads nothing
-of a driver but the slot, so the build takes the slots grouped, each
-distinct slot with the ids of the drivers that have it, from the offer
-index (``SimState.collect_offers``): it runs the slot test once per
-distinct slot, then the per-link step ranges, the slot's spans, once per
-slot that passed. Drivers listed under equal spans have equal arcs: they
-are interchangeable for the rider and form one class, whose arcs are
-written once, under its lowest id (``TimeExpandedNetwork.twins``). When no
-slot passes, the network keeps its node intervals and gets no travel arc,
-and no link is looked at.
+of a driver but its slots, so the build takes the drivers grouped, each
+distinct free schedule, a driver's free slots in chain order, with the ids
+of the drivers that have it, from the offer index
+(``SimState.collect_offers``), which lists each driver once. For each
+schedule it walks the slots in order, runs the slot test on each, and
+finds the per-link step ranges, the slot's spans, of each slot that
+passed; a schedule's drivers are keyed by those spans, concatenated in
+chain order. Drivers with equal keys have equal arcs: they are
+interchangeable for the rider and form one class, whose arcs are written
+once, under its lowest id (``TimeExpandedNetwork.twins``). When no slot
+passes, the network keeps its node intervals and gets no travel arc, and
+no link is looked at.
 
 ``preprocess`` prunes vertices not on any origin-to-destination path; the
 request is feasible exactly when the start vertex survives. The survivors
@@ -44,7 +47,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .network import Network
 from .routing import shortest_paths
-from .schedule import FreeSlot, leave_by_step
+from .schedule import FreeSchedule, leave_by_step
 from .timegrid import INF, window_steps
 
 if TYPE_CHECKING:  # for the annotation only: ``matching`` imports this module
@@ -150,7 +153,7 @@ def step_matrix(network: Network, tau: dict[int, int]) -> StepMatrix:
 
 def build_time_expanded(
     rider: RiderRequest,
-    slots: dict[FreeSlot, list[int]],
+    slots: dict[FreeSchedule, list[int]],
     network: Network,
     tau: dict[int, int],
     dt: float,
@@ -158,18 +161,18 @@ def build_time_expanded(
 ) -> TimeExpandedNetwork:
     """Construct the rider's time-expanded network (module docstring).
 
-    ``slots`` maps each distinct free slot to the ids of the drivers that
-    have it (``SimState.collect_offers``); a driver gets the arcs of each
-    slot it is listed under, written once for each class of drivers with
+    ``slots`` maps each distinct free schedule to the ids of the drivers
+    that have it (``SimState.collect_offers``); a driver gets the arcs of
+    each slot of its schedule, written once for each class of drivers with
     equal arcs, under its lowest id (``TimeExpandedNetwork.twins``). An
-    open slot starts at ``clock_step``, the clock's step (``leave_by_step``);
-    its seat was tested where it was listed. ``tau`` holds every link's
-    duration in whole steps. Node intervals come from minimum-step sweeps
-    from the rider's earliest departure and back from the latest arrival.
-    An empty network encodes an infeasible request. The candidate links are
-    listed only once a slot passes the slot test: when none passes, the
-    network has its node intervals and no travel arc, and no link is looked
-    at.
+    open slot, which only a schedule's first slot can be, starts at
+    ``clock_step``, the clock's step (``leave_by_step``); its seat was
+    tested where it was listed. ``tau`` holds every link's duration in
+    whole steps. Node intervals come from minimum-step sweeps from the
+    rider's earliest departure and back from the latest arrival. An empty
+    network encodes an infeasible request. The candidate links are listed
+    only once a slot passes the slot test: when none passes, the network
+    has its node intervals and no travel arc, and no link is looked at.
     """
     matrix = step_matrix(network, tau)[0]
 
@@ -199,65 +202,53 @@ def build_time_expanded(
     # k + steps <= t - m[j][b], capped at a by the slot's leave_by; the bounds
     # at j from a and at i to b never bind, by the triangle inequality on m
     # (module docstring). An INF empties the range; a link is never a loop,
-    # so i and j are not both a. The rule reads the slot alone, so each
-    # distinct slot that passes the slot test has its spans found once.
+    # so i and j are not both a. The rule reads the slot alone, so the
+    # drivers of one free schedule have their spans found once.
     candidates = None  # listed when the first slot passes the slot test
     to_dest, from_origin = rider.destination, matrix[rider.origin]
     groups: dict[tuple, list[int]] = {}  # spans -> the drivers listed under them
-    listed = 0
-    for (a, s, b, t, leave_by), ids in slots.items():
-        if s is None:  # an open slot starts at the clock's step
-            s, leave_by = clock_step, leave_by_step(clock_step, t, leave_by)
-            if leave_by is None:
-                continue
-        from_a = matrix[a]
-        if s + from_a[to_dest] > la or ed + from_origin[b] > t:
-            continue  # the slot test
-        if candidates is None:
-            # links with both ends inside the rider's windows, with the tail
-            # steps whose arrival also falls in the head's window and the
-            # code distance from tail to head
-            candidates = []
-            for link in network.links:
-                i, j = link.from_node, link.to_node
-                if i in intervals and j in intervals:
-                    steps = tau[link.id]
-                    lo = max(intervals[i][0], intervals[j][0] - steps)
-                    hi = min(intervals[i][1], intervals[j][1] - steps)
-                    if lo <= hi:
-                        p = nodes.index(i)
-                        candidates.append((i, j, lo, hi, steps, matrix[j], p,
-                                           steps * n + nodes.index(j) - p))
-        spans = []  # (first tail, past the last tail, shift) per link with arcs
-        for i, j, lo, hi, steps, from_j, p, shift in candidates:
-            if s + from_a[i] > lo:
-                lo = s + from_a[i]
-            if t - from_j[b] - steps < hi:
-                hi = t - from_j[b] - steps
-            if i == a and leave_by < hi:
-                hi = leave_by
-            elif j == a and leave_by - steps < hi:
-                hi = leave_by - steps
-            # pins in step order keep slots' arcs apart: an arc of a
-            # slot ends by its closing step, where the next one starts
-            if lo <= hi:
-                spans.append((lo * n + p, hi * n + p + 1, shift))
+    for schedule, ids in slots.items():
+        spans = []  # (first tail, past the last tail, shift) per slot and link with arcs
+        for a, s, b, t, leave_by in schedule:
+            if s is None:  # an open slot starts at the clock's step
+                s, leave_by = clock_step, leave_by_step(clock_step, t, leave_by)
+                if leave_by is None:
+                    continue
+            from_a = matrix[a]
+            if s + from_a[to_dest] > la or ed + from_origin[b] > t:
+                continue  # the slot test
+            if candidates is None:
+                # links with both ends inside the rider's windows, with the
+                # tail steps whose arrival also falls in the head's window
+                # and the code distance from tail to head
+                candidates = []
+                for link in network.links:
+                    i, j = link.from_node, link.to_node
+                    if i in intervals and j in intervals:
+                        steps = tau[link.id]
+                        lo = max(intervals[i][0], intervals[j][0] - steps)
+                        hi = min(intervals[i][1], intervals[j][1] - steps)
+                        if lo <= hi:
+                            p = nodes.index(i)
+                            candidates.append((i, j, lo, hi, steps, matrix[j], p,
+                                               steps * n + nodes.index(j) - p))
+            for i, j, lo, hi, steps, from_j, p, shift in candidates:
+                if s + from_a[i] > lo:
+                    lo = s + from_a[i]
+                if t - from_j[b] - steps < hi:
+                    hi = t - from_j[b] - steps
+                if i == a and leave_by < hi:
+                    hi = leave_by
+                elif j == a and leave_by - steps < hi:
+                    hi = leave_by - steps
+                # pins in step order keep slots' arcs apart: an arc of a
+                # slot ends by its closing step, where the next one starts
+                if lo <= hi:
+                    spans.append((lo * n + p, hi * n + p + 1, shift))
+        # drivers with equal spans have equal arcs: one class, its arcs
+        # written once under its lowest id
         if spans:
             groups.setdefault(tuple(spans), []).extend(ids)
-            listed += len(ids)
-    # drivers with equal spans have equal arcs: one class, its arcs written
-    # once under its lowest id. A driver listed under two slots that passed
-    # has the spans of both, so then each driver is keyed by all its spans,
-    # sorted, so that the key does not depend on the order of ``slots``.
-    # The spans of one driver's slots differ, so that takes two groups.
-    if len(groups) > 1 and listed > len(set().union(*groups.values())):
-        keys: dict[int, tuple] = {}
-        for spans, ids in groups.items():
-            for driver in ids:
-                keys[driver] = keys.get(driver, ()) + spans
-        groups = {}
-        for driver, key in keys.items():
-            groups.setdefault(tuple(sorted(key)), []).append(driver)
     arcs, twins = ten.travel_arcs, ten.twins
     for spans, members in groups.items():
         members.sort()

@@ -69,12 +69,14 @@ def free_slots(driver: Driver) -> tuple:
 
 def slot_groups(drivers) -> dict:
     """The drivers' free slots as ``SimState.collect_offers`` hands them to
-    ``build_time_expanded``: each distinct slot with the ids of the drivers
-    that have it, in driver order."""
+    ``build_time_expanded``: each distinct free schedule (``free_slots``)
+    with the ids of the drivers that have it, in driver order; a driver
+    with no free slot is not listed."""
     groups: dict = {}
     for driver in drivers:
-        for slot in free_slots(driver):
-            groups.setdefault(slot, []).append(driver.id)
+        schedule = free_slots(driver)
+        if schedule:
+            groups.setdefault(schedule, []).append(driver.id)
     return groups
 
 

@@ -390,11 +390,20 @@ BAD_INPUTS = {
                             "demand.od_rates.0-2"),
     "overflowing-link-length": ({}, lambda net: net["links"][0].update(length=10**400),
                                 [], "links[0].length"),
-    # integers the YAML constructor refuses to convert: the file is named
-    "huge-integer-horizon": ({"horizon": HUGE_INTEGER}, None, [],
-                             "bad.yaml: Exceeds the limit (4300 digits)"),
+    # integers the YAML constructor refuses to convert: the line and column
+    # are named, after the file (the dump sorts the keys, so horizon is on
+    # line 16 and the first link's length on line 6)
+    "huge-integer-horizon": ({"horizon": HUGE_INTEGER}, None, [], "line 16, column 10"),
     "huge-integer-link-length": ({}, lambda net: net["links"][0].update(length=HUGE_INTEGER),
-                                 [], "net.yaml: Exceeds the limit (4300 digits)"),
+                                 [], "line 6, column 11"),
+    # values in bounds whose product overflows: a step's cost on board, and
+    # a Poisson mean numpy refuses to draw from (it refuses before drawing)
+    "overflowing-step-cost": ({"weights": {"time": 1.0e308}, "dt": 10.0}, None, [],
+                              "weights.time * dt overflows"),
+    "overflowing-arrival-mean-horizon": ({"horizon": 1.0e300}, None, [],
+                                         "* demand.scale * horizon = "),
+    "overflowing-arrival-mean-scale": ({"demand": {"scale": 1.0e300}}, None, [],
+                                       "* demand.scale * horizon = "),
 }
 
 

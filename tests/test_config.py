@@ -118,6 +118,18 @@ def test_demand_values_rejected_at_load(tmp_path, demand, named):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["2020-13-01", "!!bool maybe", "!!int ''"],
+                         ids=["no-date", "no-boolean", "empty-integer"])
+def test_value_the_yaml_constructor_refuses_named_at_its_line(tmp_path, value):
+    """PyYAML's constructor refuses these with a bare ValueError, KeyError
+    or IndexError; the error names the file and the value's line and
+    column."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"seed: 1\nhorizon: {value}\n")
+    with pytest.raises(ConfigError, match=r"(?s)^\S*bad\.yaml: .*line 2, column 10"):
+        load_config(path)
+
+
 # The fingerprint is written to every report's meta file; these pin its bytes.
 PINNED_FINGERPRINTS = {
     "defaults": "390fc25434ebe27e490f5ecc412a0a497d8ba263602f414913d9b6fef8d3e391",

@@ -690,12 +690,12 @@ class TestBuildDigest:
     # SHA-256 over the sorted travel arcs, each driver's own (the oracle's
     # ``expanded``), and sorted(ten.node_intervals.items()) for each
     # instance below, built from its offers and again with every offer
-    # twinned under a new id, so that slots repeat. It was
-    # recorded from the build that ran the arc rule once per slot of every
-    # offer, whose arcs were (tail, head, driver, cost) with the cost
-    # steps * dt; the build that runs it once per distinct slot, with arcs
-    # (tail, head, driver), must match it, each arc hashed with the cost
-    # its vertex codes give.
+    # twinned under a new id, so that slots repeat. It was recorded from
+    # the build that ran the arc rule once per slot of every offer, whose
+    # arcs were (tail, head, driver, cost) with the cost steps * dt; the
+    # build that runs it once per slot of each distinct free schedule, with
+    # arcs (tail, head, driver), must match it, each arc hashed with the
+    # cost its vertex codes give.
     DIGEST = "8c1e65163499b66cbc47178a51acb825f11c4daebff84a85f1886c1c378d3ba6"
 
     def test_networks_match_recorded_digest(self):
@@ -1272,7 +1272,7 @@ class TestNoArcShortcut:
             rider, offers, net, tau = exactness_instance(seed)
             ed = window_steps(rider.window, DT_EXACT)[0]
             # a slot that ends before the rider's earliest departure step
-            failing = {(rider.origin, ed - 2, rider.destination, ed - 1, INF):
+            failing = {((rider.origin, ed - 2, rider.destination, ed - 1, INF),):
                        [offer.id for offer in offers]}
             ten = build_time_expanded(rider, {}, net, tau, DT_EXACT)
             assert build_time_expanded(rider, failing, net, tau, DT_EXACT) == ten, seed

@@ -842,18 +842,23 @@ def test_patch_points_called_once_per_request(tmp_path, monkeypatch):
 
 def resolved(groups, clock_step):
     """The offer index's ``groups`` as the slots they stand for at
-    ``clock_step``: an open slot (a, None, b, t, latest departure) by
-    ``free_slot``'s rule, none once t <= clock_step and else left by the
-    later of its latest departure and ``clock_step``; the ids of groups that
-    come to one slot merged, each slot's ids sorted."""
-    slots = {}
-    for (a, s, b, t, leave_by), ids in groups.items():
-        if s is None:
-            if t <= clock_step:
-                continue
-            s, leave_by = clock_step, max(leave_by, clock_step)
-        slots.setdefault((a, s, b, t, leave_by), []).extend(ids)
-    return {slot: sorted(ids) for slot, ids in slots.items()}
+    ``clock_step``: each free schedule's open slot (a, None, b, t, latest
+    departure) by ``free_slot``'s rule, none once t <= clock_step and else
+    left by the later of its latest departure and ``clock_step``; a schedule
+    left with no slot dropped, the ids of groups that come to one schedule
+    merged, each schedule's ids sorted."""
+    schedules = {}
+    for schedule, ids in groups.items():
+        slots = []
+        for a, s, b, t, leave_by in schedule:
+            if s is None:
+                if t <= clock_step:
+                    continue
+                s, leave_by = clock_step, max(leave_by, clock_step)
+            slots.append((a, s, b, t, leave_by))
+        if slots:
+            schedules.setdefault(tuple(slots), []).extend(ids)
+    return {schedule: sorted(ids) for schedule, ids in schedules.items()}
 
 
 DENSE_SCENARIO = (Path(__file__).resolve().parent.parent
@@ -863,14 +868,15 @@ DENSE_SCENARIO = (Path(__file__).resolve().parent.parent
 class TestOfferIndex:
     def test_index_equals_full_scan(self, testbed, tmp_path, monkeypatch):
         """At every request of the sweep, transfer and grid runs, the kept
-        index's slot groups, open slots resolved at the clock's step, are
-        those of fresh offers built from every live driver's current pins,
-        and build the same network; every live vehicle's next stop and
-        later slots are its fresh offer's; the trace counts every live
-        driver. Pins are served mid-route, with pins left, and those
-        vehicles are scanned; open slots that resolve to no slot are among
-        the groups."""
-        requests = grouped = pinned = carrying = served_mid_route = evicted = 0
+        index's groups, open slots resolved at the clock's step, are those
+        of fresh offers built from every live driver's current pins, and
+        build the same network; each live driver is listed under one free
+        schedule, and some requests list a schedule of two or more slots;
+        every live vehicle's next stop and later slots are its fresh
+        offer's; the trace counts every live driver. Pins are served
+        mid-route, with pins left, and those vehicles are scanned; open
+        slots that resolve to no slot are among the groups."""
+        requests = grouped = multi_slot = pinned = carrying = served_mid_route = evicted = 0
         open_slots = closed_open_slots = 0
         riders = []
         match = simulation.match_rider
@@ -893,7 +899,8 @@ class TestOfferIndex:
             live = {}
 
             def checked(clock_step, sim=sim, indexed=indexed, live=live):
-                nonlocal requests, grouped, pinned, carrying, open_slots, closed_open_slots
+                nonlocal requests, grouped, multi_slot, pinned, carrying, open_slots, \
+                    closed_open_slots
                 assert clock_step == ceil_steps(sim.clock, sim.dt)
                 # only indexed drivers are marked: the scan asks no evicted one
                 assert sim._marked.keys() <= sim._offer_index.keys()
@@ -912,14 +919,16 @@ class TestOfferIndex:
                         assert vehicle.later_slots == offer.chain()[2], offer
                         pinned += len(offer.pins) > 0
                         carrying += len(offer.pins) > 0 and offer.aboard > 0
-                # the groups, resolved at the clock's step, are the full
-                # scan's; a driver is listed at most once per slot, since
-                # two equal slots of one chain would need a slot that ends
-                # at the step it starts
-                concrete = resolved(groups, clock_step)
-                assert concrete == slot_groups(full)
-                assert all(ids == sorted(set(ids)) for ids in concrete.values())
-                for a, s, b, t, _ in groups:
+                # each indexed driver is listed under one key, and each
+                # driver with a free slot is listed; the groups, resolved at
+                # the clock's step, are the full scan's
+                listed = collections.Counter(i for ids in groups.values() for i in ids)
+                assert set(listed.values()) <= {1}
+                assert listed.keys() <= sim._offer_index.keys()
+                assert {offer.id for offer in full if free_slots(offer)} <= listed.keys()
+                assert resolved(groups, clock_step) == slot_groups(full)
+                multi_slot += any(len(schedule) > 1 for schedule in groups)
+                for a, s, b, t, _ in (slot for schedule in groups for slot in schedule):
                     open_slots += s is None
                     closed_open_slots += s is None and t <= clock_step
                 rider = riders[-1]
@@ -941,7 +950,7 @@ class TestOfferIndex:
                             for v in sim.vehicles.values())
             evicted += rideshare - len(sim._offer_index)
         assert requests > 50
-        assert grouped > requests
+        assert grouped > requests and multi_slot > 0
         assert pinned > requests and carrying > requests
         assert served_mid_route > 100
         assert evicted > 0
@@ -1143,8 +1152,9 @@ class TestOfferIndex:
                              for i in (0, 3))
         assert waiting[0][:4] == departed[0][:4] == (0, 1, 2, 16)
         assert departed[0][4] == float("inf") != waiting[0][4]
-        assert groups == {(0, None, 2, 16, 6): [0, 1], (0, None, 2, 16, float("inf")): [3]}
-        assert resolved(groups, 1) == {waiting[0]: [0, 1], departed[0]: [3]}
+        assert groups == {((0, None, 2, 16, 6),): [0, 1],
+                          ((0, None, 2, 16, float("inf")),): [3]}
+        assert resolved(groups, 1) == {waiting: [0, 1], departed: [3]}
         assert free_slots(fresh_driver(sim, sim._offer_index[1])) == waiting
         assert free_slots(fresh_driver(sim, sim._offer_index[2])) == ()
         assert sim.live_drivers == 4
@@ -1156,14 +1166,15 @@ class TestOfferIndex:
         listed = {slot: list(ids) for slot, ids in groups.items()}
         groups = sim.collect_offers(7)  # no driver was marked: nothing re-listed
         assert groups == listed
-        assert resolved(groups, 7)[waiting[0]] == [0, 1]
+        assert resolved(groups, 7)[waiting] == [0, 1]
 
     def test_alight_at_destination_adds_no_empty_slot(self):
         """A vehicle at its destination whose one pin is an alight there at
         the anchor step s has stops (2, s), (2, s), (2, t): its open first
-        slot resolves to none at the clock's step, so it is grouped once,
-        under its later slot; at its latest arrival step (t == s) it has no
-        slot, yet stays live in the index."""
+        slot resolves to none at the clock's step, so its one schedule, the
+        open slot then the later slot, resolves to the later slot alone; at
+        its latest arrival step (t == s) it has no slot, yet stays live in
+        the index."""
         from conftest import make_network
         net = make_network([(0, 2, 0.5)])
         sim = SimState(scenario(2.0, {(0, 2): 0.0}), net, seed=1)
@@ -1194,14 +1205,14 @@ class TestOfferIndex:
         assert free_slots(offer) == seat_free_slots(offer) == vehicle.later_slots \
             == ((2, s, 2, latest_arrival_step, float("inf")),)
         groups = sim.collect_offers(s)
-        assert groups == {(2, None, 2, s, float("inf")): [0], vehicle.later_slots[0]: [0]}
-        assert resolved(groups, s) == {vehicle.later_slots[0]: [0]}
+        assert groups == {((2, None, 2, s, float("inf")), *vehicle.later_slots): [0]}
+        assert resolved(groups, s) == {vehicle.later_slots: [0]}
         assert alight_due(agent.window.latest_arrival) == latest_arrival_step
         offer = fresh_driver(sim, vehicle)
         assert offer.stops() == ((2, latest_arrival_step, False),) * 3
         assert free_slots(offer) == seat_free_slots(offer) == ()
         groups = sim.collect_offers(latest_arrival_step)
-        assert groups == {(2, None, 2, latest_arrival_step, float("inf")): [0]}
+        assert groups == {((2, None, 2, latest_arrival_step, float("inf")),): [0]}
         assert resolved(groups, latest_arrival_step) == {}
         assert sim.live_drivers == 1
 

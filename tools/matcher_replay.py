@@ -3,8 +3,8 @@
 Runs one scenario (``--config``, ``--seed``, ``--horizon``) through
 ``experiments.run_single`` and keeps every request's build inputs, by
 wrapping ``matching.build_time_expanded`` where ``match_rider`` looks it
-up; the slot groups are copied, since they are the simulation's live offer
-index, which changes from request to request. It then times
+up; the driver groups, by free schedule, are copied, since they are the
+simulation's live offer index, which changes from request to request. It then times
 ``build_time_expanded``, ``preprocess`` and ``solve_itinerary`` over the
 kept requests, in request order, at the scenario's step costs and with the
 collector paused. It prints the best of ``--rounds`` of each in µs per
@@ -51,13 +51,13 @@ from ridesim.config import load_config  # noqa: E402
 
 def kept_requests(config) -> tuple[list, dp.StepCosts]:
     """Every request's ``build_time_expanded`` arguments from one run of
-    ``config``, (args, kwargs) in request order, the slot groups copied, and
-    the run's step costs."""
+    ``config``, (args, kwargs) in request order, the groups by free schedule
+    copied, and the run's step costs."""
     kept = []
     build = matching.build_time_expanded
 
     def keeping(rider, slots, *args, **kwargs):
-        kept.append(((rider, {slot: list(ids) for slot, ids in slots.items()}, *args), kwargs))
+        kept.append(((rider, {key: list(ids) for key, ids in slots.items()}, *args), kwargs))
         return build(rider, slots, *args, **kwargs)
 
     matching.build_time_expanded = keeping
