@@ -36,7 +36,7 @@ whose key, with the arc's key and a leg if it boards, plus the bound at
 its head exceeds the incumbent's cannot lead to the optimum and is
 skipped, so the bound prunes ties in cost by waits and legs too. The
 bound, the carriers and the reach mask each cut the label insertions the
-DP attempts, which ``tools/matcher_replay.py`` counts as ``attempts``.
+DP attempts, which ``tools/replay.py`` counts as ``attempts``.
 """
 from __future__ import annotations
 

@@ -238,6 +238,7 @@ class Network:
             # a link is named by its place in the file and by its id
             where, label = f"links[{index}]", f" (link {link.id})"
             check_bounds(link, where, label)
+            number(link.general_lanes, f"{where}.general_lanes{label}")  # capacity is a float
             if (speed := link.length / link.free_flow_time) > MAX_FREE_FLOW_SPEED_MPH:
                 raise ConfigError(f"{where}.free_flow_time{label}: implied free-flow "
                                   f"speed {speed:.1f} mph is not plausible")
@@ -357,13 +358,15 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):  # type: ignore[mi
     integer of more digits than Python converts, a date that is no date or
     a ``!!bool`` tag on a word that is no boolean, is a YAML error at the
     value's line and column; PyYAML raises a bare ValueError, KeyError or
-    IndexError for these, with no place."""
+    IndexError for these, with no place. Python's advice to raise its
+    integer-digit limit is dropped: a file's author cannot act on it."""
 
     def construct_object(self, node, deep=False):
         try:
             return super().construct_object(node, deep)
         except (ValueError, LookupError) as exc:
-            raise yaml.constructor.ConstructorError(None, None, str(exc),
+            problem = str(exc).partition("; use sys.set_int_max_str_digits")[0]
+            raise yaml.constructor.ConstructorError(None, None, problem,
                                                     node.start_mark) from exc
 
 
@@ -372,11 +375,14 @@ def read_yaml(path: Path) -> dict:
     mapping. Raises ConfigError naming the file for a YAML error (also for
     bytes that are not text in YAML's encodings, UTF-8 and UTF-16, and, with
     its line, for a value the constructor refuses: ``_Loader``) and
-    for a top level that is not a mapping."""
+    for a top level that is not a mapping. The file is named once, in
+    front: each of PyYAML's marks names the parsed bytes ``"<byte
+    string>"``, which is dropped, leaving its line and column."""
     try:
         raw = yaml.load(path.read_bytes(), Loader=_Loader)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        message = str(exc).replace('in "<byte string>", ', "")
+        raise ConfigError(f"{path}: {message}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return raw

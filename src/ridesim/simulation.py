@@ -50,6 +50,7 @@ multi-leg grid leaves no cyclic garbage.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -57,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .agents import Role, VehicleAgent
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .demand import arrival_count, fallback_to_driver, free_flow_paths, generate_agents
 from .dp import Itinerary, StepCosts
 from .matching import MatchResult, RiderRequest, match_rider
@@ -329,7 +330,9 @@ class SimState:
         ``now``. Entries older than the window are dropped for good, as the
         clock never goes back. Each lane memoises its delays on the entries
         left in its window: the BPR settings and the window are fixed for
-        the run, so the count alone sets the flow."""
+        the run, so the count alone sets the flow. A delay that overflows a
+        float, in hours or in steps of ``dt``, with each setting in its
+        bounds, raises ConfigError; it is checked on a memo miss alone."""
         entries = lane.entries
         cutoff = now - self.flow_window
         while entries and entries[0] < cutoff:
@@ -338,9 +341,17 @@ class SimState:
         try:
             return lane.delays[count]
         except KeyError:
-            delay = lane.delays[count] = volume_delay(
-                lane.link, lane.lane_class, count / self.flow_window,
-                self.bpr_alpha, self.bpr_beta)
+            flow = count / self.flow_window
+            try:
+                delay = volume_delay(lane.link, lane.lane_class, flow,
+                                     self.bpr_alpha, self.bpr_beta)
+            except OverflowError:
+                delay = INF
+            if not math.isfinite(delay / self.dt):
+                raise ConfigError(f"bpr.alpha, bpr.beta and flow_window: the delay of the "
+                                  f"{lane.lane_class.value} lane of link {lane.link.id} at "
+                                  f"{flow:g} vehicles/hour is too large for a float") from None
+            lane.delays[count] = delay
             return delay
 
     def link_delay(self, link_id: int, lane_class: LaneClass, now: float) -> float:

@@ -390,6 +390,8 @@ BAD_INPUTS = {
                             "demand.od_rates.0-2"),
     "overflowing-link-length": ({}, lambda net: net["links"][0].update(length=10**400),
                                 [], "links[0].length"),
+    "overflowing-general-lanes": ({}, lambda net: net["links"][0].update(general_lanes=10**400),
+                                  [], "links[0].general_lanes (link 0) is too large for a float"),
     # integers the YAML constructor refuses to convert: the line and column
     # are named, after the file (the dump sorts the keys, so horizon is on
     # line 16 and the first link's length on line 6)
@@ -404,6 +406,20 @@ BAD_INPUTS = {
                                          "* demand.scale * horizon = "),
     "overflowing-arrival-mean-scale": ({"demand": {"scale": 1.0e300}}, None, [],
                                        "* demand.scale * horizon = "),
+    # values in bounds whose lane delay overflows a float, in hours or in
+    # steps of dt; the rows need ridesharing drivers (with regular drivers
+    # alone, each run exits 0), and the BPR rows a flow above capacity
+    "overflowing-delay-flow-window": ({"flow_window": 1.0e-300,
+                                       "demand": {"shares": RIDESHARE_SHARES}}, None, [],
+                                      "bpr.alpha, bpr.beta and flow_window: the delay of the"),
+    "overflowing-delay-bpr-beta": ({"bpr": {"beta": 1.0e10},
+                                    "demand": {"scale": 4.0, "shares": RIDESHARE_SHARES}},
+                                   None, [],
+                                   "bpr.alpha, bpr.beta and flow_window: the delay of the"),
+    "overflowing-delay-bpr-alpha": ({"bpr": {"alpha": 1.0e308},
+                                     "demand": {"scale": 4.0, "shares": RIDESHARE_SHARES}},
+                                    None, [],
+                                    "bpr.alpha, bpr.beta and flow_window: the delay of the"),
 }
 
 
@@ -426,6 +442,8 @@ def test_bad_input_usage_error_names_field(case, quick_config, tmp_path, capsys)
     assert main(["run", "--config", str(bad)] + argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert named in err
+    # a YAML error names the file once, and gives no advice a user cannot take
+    assert "<byte string>" not in err and "set_int_max_str_digits" not in err
     if network_edit is not None and not named.startswith("demand."):
         assert raw["network"] in err  # an error in the network file names it
 

@@ -118,16 +118,18 @@ def test_demand_values_rejected_at_load(tmp_path, demand, named):
         load_config(path)
 
 
-@pytest.mark.parametrize("value", ["2020-13-01", "!!bool maybe", "!!int ''"],
-                         ids=["no-date", "no-boolean", "empty-integer"])
+@pytest.mark.parametrize("value", ["2020-13-01", "!!bool maybe", "!!int ''", "[1"],
+                         ids=["no-date", "no-boolean", "empty-integer", "unclosed-list"])
 def test_value_the_yaml_constructor_refuses_named_at_its_line(tmp_path, value):
-    """PyYAML's constructor refuses these with a bare ValueError, KeyError
-    or IndexError; the error names the file and the value's line and
-    column."""
+    """PyYAML's constructor refuses the first three with a bare ValueError,
+    KeyError or IndexError, and its parser the last; the error names the
+    file once, in front, and the value's line and column."""
     path = tmp_path / "bad.yaml"
     path.write_text(f"seed: 1\nhorizon: {value}\n")
-    with pytest.raises(ConfigError, match=r"(?s)^\S*bad\.yaml: .*line 2, column 10"):
+    with pytest.raises(ConfigError, match=r"(?s)^\S*bad\.yaml: .*line 2, column 10") as caught:
         load_config(path)
+    assert "<byte string>" not in str(caught.value)
+    assert "set_int_max_str_digits" not in str(caught.value)
 
 
 # The fingerprint is written to every report's meta file; these pin its bytes.

@@ -131,6 +131,33 @@ def test_dt_convergence_printout_matches_golden_digest():
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == DT_CONVERGENCE_GOLDEN
 
+
+# The printout of the replay tool on the multi-leg grid run (``write_grid``,
+# seed 0): every line but those that depend on the host, the scenario's path
+# and the times.
+REPLAY_GOLDEN = {
+    "agent_enter": "408", "arrive_node": "491", "depart_node": "426", "background": "0",
+    "searches": "109", "unsearched": "314",
+    "event_digest": "bce1b9e691612df060d265d0c82ffa93e3a06dbed42bd4e50b3c1c5ad0021daa",
+    "requests": "96", "attempts": "11.2", "attempts_p99": "171", "driver_arcs": "43.7",
+    "drivers": "8.5", "classes": "7.1", "no_arc_requests": "2 0.021",
+    "matcher_digest": "ce9c141f4d0efdc395c1f459e9c7e4a6e6d4129122889f0fab5dc4e83946b05b",
+}
+REPLAY_HOST_LINES = {"scenario", "run_ms", "build_us", "preprocess_us", "solve_us",
+                     "kernel_us", "solve_us_p50", "solve_us_p99"}
+
+
+def test_replay_printout_matches_golden_lines(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, "tools/replay.py", "--config", str(write_grid(tmp_path)),
+            "--rounds", "1"]
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    printed = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
+    assert {key: value for key, value in printed.items()
+            if key not in REPLAY_HOST_LINES} == REPLAY_GOLDEN
+
+
 # A run where riders transfer: only such a run shows how the matcher ranks
 # itineraries of equal cost, waits and legs, which differ in their transfer
 # points (``dp.solve_itinerary``'s canonical order).
