@@ -156,6 +156,11 @@ def generate_agents(
     gives ``window_flexibility`` hours of slack beyond the free-flow trip,
     and a regular driver's window is None. Identical (demand, horizon,
     seed) triples produce identical schedules.
+
+    The population is drawn in columns: each field is one list, made by
+    numpy indexing, a window is built only for a rider or a ridesharing
+    driver, and every agent is constructed through ``VehicleAgent``, so
+    each of its checks runs.
     """
     od_pairs = sorted(demand.od_rates)
     routes = free_flow_paths(network, od_pairs)
@@ -184,22 +189,27 @@ def generate_agents(
     cut_driver = cut_rider + demand.shares.rideshare_driver
     roles = np.where(draws < cut_rider, 0, np.where(draws < cut_driver, 1, 2))
 
-    fft = np.array([routes[od][1] for od in od_pairs])[pairs]
+    # the population in columns, one list per field; indexing object arrays
+    # hands back the pairs' own node ids and the configured seat count
+    origins = np.array([od[0] for od in od_pairs], dtype=object)
+    destinations = np.array([od[1] for od in od_pairs], dtype=object)
+    role_order = np.array([Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER],
+                          dtype=object)
+    role_seats = np.array([0, demand.seats, 0], dtype=object)
+    windows: list[TimeWindow | None] = [None] * len(times)
+    windowed = np.flatnonzero(roles != 2)
+    start = times[windowed]
+    earliest_arrival = start + np.array([routes[od][1] for od in od_pairs])[pairs[windowed]]
     flex = demand.window_flexibility
-    earliest_arrival = times + fft
-    role_order = (Role.RIDER, Role.RIDESHARE_DRIVER, Role.REGULAR_DRIVER)
-    return tuple(
-        VehicleAgent(
-            idx, role_order[role], od_pairs[pair][0], od_pairs[pair][1], time,
-            None if role == 2 else TimeWindow(time, late_dep, early_arr, late_arr),
-            demand.seats if role == 1 else 0,
-        )
-        for idx, (time, pair, role, late_dep, early_arr, late_arr) in enumerate(zip(
-            times.tolist(), pairs.tolist(), roles.tolist(),
-            (times + flex).tolist(), earliest_arrival.tolist(),
-            (earliest_arrival + flex).tolist(),
-        ))
-    )
+    for index, window in zip(windowed.tolist(), map(
+            TimeWindow, start.tolist(), (start + flex).tolist(),
+            earliest_arrival.tolist(), (earliest_arrival + flex).tolist())):
+        windows[index] = window
+    return tuple(map(
+        VehicleAgent, range(len(times)), role_order[roles].tolist(),
+        origins[pairs].tolist(), destinations[pairs].tolist(), times.tolist(), windows,
+        role_seats[roles].tolist(),
+    ))
 
 
 def fallback_to_driver(rider: VehicleAgent, next_id: int) -> VehicleAgent:

@@ -2,18 +2,22 @@
 
 Vehicles advance link by link; a vehicle entering a link exits after the
 volume-delay time implied by the link's instantaneous hourly flow, estimated
-from a sliding entry window. Every vehicle passes each node through one
-handler, ``SimState._advance``, which tells the roles apart once. A
-ridesharing driver serves the pickups and dropoffs due there, then holds,
-enters the next link of its plan or ends the trip; the plan is the route
-with its entry steps, which the matcher may rewrite. A regular driver asks
-``vehicle_at_node``, which replans from the current cost snapshot through
-``routing.dijkstra_route``, the one place that decides whether a choice
-needs a search. A link entry reads its lanes' delays through
-``SimState.lane_delay``, the one place a lane's flow window is trimmed and
-its BPR memo read or filled. Each arriving rider triggers the matcher
-exactly once. Only ``_advance`` queues a hold, and it decides whether a
-step has come by the time grid's one rule (``timegrid.step_due``).
+from a sliding entry window. Each role has its own path through a node,
+chosen where the vehicle enters and where it arrives. A regular driver's is
+``SimState._drive``: it asks ``vehicle_at_node``, which replans from the
+current cost snapshot through ``routing.dijkstra_route``, the one place
+that decides whether a choice needs a search, then enters that link or
+ends the trip. A ridesharing driver's is ``SimState._advance``: it serves
+the pickups and dropoffs due there, then holds, enters the next link of
+its plan or ends the trip; the plan is the route with its entry steps,
+which the matcher may rewrite. A lane's delay is its BPR delay at the
+count of entries in its flow window, memoised by that count.
+``SimState.lane_delay`` trims the window and reads the memo, and it is the
+one place that fills it; ``enter_link``, one call per lane entry, trims
+and reads in place and leaves a miss to ``lane_delay``. Each arriving
+rider triggers the matcher exactly once. Only ``_advance`` queues a hold,
+and it decides whether a step has come by the time grid's one rule
+(``timegrid.step_due``).
 
 The matcher reads the ridesharing drivers' free slots from one offer index,
 kept across requests: each distinct free schedule, a driver's free slots in
@@ -92,7 +96,10 @@ class Lane:
     """The flow bookkeeping of the ``lane_class`` lanes of one ``link``:
     the times of its recent ``entries``, the vehicles ``in_flight`` on it,
     its entry ``total`` and the ``background`` share of that total, and its
-    BPR delays memoised by window count (``SimState.lane_delay``)."""
+    BPR delays memoised by window count (``SimState.lane_delay``). The
+    background load is counted through ``record_entry``; a vehicle's entry
+    is written in place by ``SimState.enter_link``, as ``record_entry``
+    would write it."""
 
     link: Link
     lane_class: LaneClass
@@ -122,7 +129,8 @@ class Vehicle:
     it is, and when it left and arrived or whether it was stranded. A
     regular driver's vehicle has nothing more: it picks each link as it
     reaches a node (``vehicle_at_node``) and carries no one (``aboard`` is
-    empty).
+    empty). Its exact type tells the event handlers that it is a regular
+    driver's, which moves on through ``SimState._drive``.
 
     Position: ``node`` is the node the vehicle is at or, while it is on a
     link, the end of that link; ``link_arrival_time`` is when it gets there,
@@ -332,7 +340,9 @@ class SimState:
         left in its window: the BPR settings and the window are fixed for
         the run, so the count alone sets the flow. A delay that overflows a
         float, in hours or in steps of ``dt``, with each setting in its
-        bounds, raises ConfigError; it is checked on a memo miss alone."""
+        bounds, raises ConfigError; it is checked on a memo miss alone.
+        ``enter_link`` trims and reads the memo itself, by the same rule, and
+        comes here on a miss."""
         entries = lane.entries
         cutoff = now - self.flow_window
         while entries and entries[0] < cutoff:
@@ -384,15 +394,29 @@ class SimState:
     # ------------------------------------------------------------ vehicle flow
 
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
+        """Put ``vehicle`` on the link: on its general lane or, carrying a
+        rider, on its carpool lane where that one is faster, and queue its
+        arrival at the link's end after that lane's delay. The general
+        lane's window is trimmed and its memo read here, as ``lane_delay``
+        does; a miss goes through ``lane_delay``. The entry's bookkeeping,
+        ``Lane.record_entry``'s for a vehicle, is written in place."""
         lane, carpool = self.link_lanes[link_id]
         link = lane.link
-        delay = self.lane_delay(lane, now)
+        entries = lane.entries
+        cutoff = now - self.flow_window
+        while entries and entries[0] < cutoff:
+            entries.popleft()
+        delay = lane.delays.get(len(entries))
+        if delay is None:
+            delay = self.lane_delay(lane, now)
         if link.has_carpool_lane and vehicle.aboard:
             # driver plus a rider: the carpool lane when it is faster
             carpool_delay = self.lane_delay(carpool, now)
             if carpool_delay < delay:
                 lane, delay = carpool, carpool_delay
-        lane.record_entry(now, False)  # positional: a keyword costs on this path
+        lane.entries.append(now)
+        lane.total += 1
+        lane.in_flight += 1
         if vehicle.departure_time is None:
             vehicle.departure_time = now
         vehicle.node = link.to_node
@@ -422,40 +446,44 @@ class SimState:
             return None
         return route[0]
 
-    def _advance(self, vehicle: Vehicle, now: float) -> None:
-        """Move a vehicle standing at its node. A ridesharing driver serves
-        the pins due there, then holds until its plan's next entry step is
-        due (``timegrid.step_due``), enters that link, or ends the trip where
-        its plan ends (stranded unless that is its destination); a regular
-        driver enters the link ``vehicle_at_node`` picks or ends the trip. A
-        stranded vehicle ends without an arrival time.
+    def _drive(self, vehicle: Vehicle, now: float) -> None:
+        """Move a regular driver standing at its node: it enters the link
+        ``vehicle_at_node`` picks, or ends the trip there, with an arrival
+        time unless it is stranded. Its entry and each arrival at a node
+        hand it here."""
+        next_link = self.vehicle_at_node(vehicle, vehicle.node, now)
+        if next_link is not None:
+            self.enter_link(vehicle, next_link, now)
+        elif not vehicle.stranded:
+            vehicle.arrival_time = now
 
-        This is the one place that queues a hold: a driver's entry, its
+    def _advance(self, vehicle: RideshareVehicle, now: float) -> None:
+        """Move a ridesharing driver standing at its node. It serves the
+        pins due there, then holds until its plan's next entry step is due
+        (``timegrid.step_due``), enters that link, or ends the trip where
+        its plan ends, stranded without an arrival time unless that is its
+        destination.
+
+        This is the one place that queues a hold: the driver's entry, its
         arrival at a node, a hold that comes due and an accepted commit all
-        hand the driver at its node here, and it marks a ridesharing
-        driver still in the offer index for re-listing (``_moved``)."""
+        hand the driver at its node here, and it marks the driver, while it
+        is in the offer index, for re-listing (``_moved``)."""
         node = vehicle.node
-        if vehicle.agent.role is RIDESHARE_DRIVER:
-            self._moved(vehicle)
-            if vehicle.pins:
-                self._serve_pins(vehicle, node, now)
-            pos, plan = vehicle.plan_pos, vehicle.plan
-            if pos < len(plan):
-                next_link, entry_step = plan[pos]
-                if not step_due(entry_step, now, self.dt):
-                    self.push_event(entry_step * self.dt, EV_DEPART_NODE, (vehicle, plan))
-                    return
-                vehicle.plan_pos = pos + 1
-            else:
-                next_link = None
-                vehicle.stranded = node != vehicle.agent.destination
+        self._moved(vehicle)
+        if vehicle.pins:
+            self._serve_pins(vehicle, node, now)
+        pos, plan = vehicle.plan_pos, vehicle.plan
+        if pos < len(plan):
+            next_link, entry_step = plan[pos]
+            if not step_due(entry_step, now, self.dt):
+                self.push_event(entry_step * self.dt, EV_DEPART_NODE, (vehicle, plan))
+                return
+            vehicle.plan_pos = pos + 1
+            self.enter_link(vehicle, next_link, now)
+        elif node == vehicle.agent.destination:
+            vehicle.arrival_time = now
         else:
-            next_link = self.vehicle_at_node(vehicle, node, now)
-        if next_link is None:
-            if not vehicle.stranded:
-                vehicle.arrival_time = now
-            return
-        self.enter_link(vehicle, next_link, now)
+            vehicle.stranded = True
 
     def _serve_pins(self, vehicle: RideshareVehicle, node: int, now: float) -> None:
         """Serve the vehicle's pins due at ``node``, in order, up to a
@@ -490,12 +518,13 @@ class SimState:
             self._handle_rider_request(agent, now)
             return
         if role is RIDESHARE_DRIVER:
-            vehicle = self._offer_index[agent.id] = RideshareVehicle(agent, self.dt)
+            vehicle = RideshareVehicle(agent, self.dt)
+            self._offer_index[agent.id] = self.vehicles[agent.id] = vehicle
             self._plan_initial_route(vehicle, now)
+            self._advance(vehicle, now)
         else:
-            vehicle = Vehicle(agent)
-        self.vehicles[agent.id] = vehicle
-        self._advance(vehicle, now)
+            vehicle = self.vehicles[agent.id] = Vehicle(agent)
+            self._drive(vehicle, now)
 
     def _plan_initial_route(self, vehicle: RideshareVehicle, now: float) -> None:
         """Unmatched ridesharing drivers stay available at their origin until
@@ -535,7 +564,10 @@ class SimState:
         vehicle, lane = payload
         lane.record_exit()
         vehicle.link_arrival_time = None
-        self._advance(vehicle, now)
+        if type(vehicle) is Vehicle:
+            self._drive(vehicle, now)
+        else:
+            self._advance(vehicle, now)
 
     def _handle_depart(self, payload: tuple, now: float) -> None:
         vehicle, plan = payload

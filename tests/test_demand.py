@@ -201,10 +201,18 @@ class TestGenerateAgents:
 
     @pytest.mark.parametrize("case", [
         "grid", "calibrated", "zero-rate-pair", "all-zero", "scale-0", "all-riders",
+        "validation.yaml", "sweep.yaml",
     ])
     def test_equals_per_arrival_reference(self, testbed, case):
         network, horizon = testbed, 4.0
-        if case == "grid":
+        if case.endswith(".yaml"):
+            # a bundled scenario's demand over its horizon, the size a
+            # replication draws: the validation's about 20k regular drivers
+            from ridesim.config import bundled_data_path, load_config
+            config = load_config(bundled_data_path(case))
+            network, horizon = config.make_network(), config.horizon
+            demand = config.demand_spec(network)
+        elif case == "grid":
             network = grid_network()
             demand = DemandConfig(Shares(0.25, 0.5, 0.25), window_flexibility=0.3,
                                   scale=1.0, seats=3,

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import ridesim
@@ -147,15 +148,50 @@ REPLAY_HOST_LINES = {"scenario", "run_ms", "build_us", "preprocess_us", "solve_u
                      "kernel_us", "solve_us_p50", "solve_us_p99"}
 
 
-def test_replay_printout_matches_golden_lines(tmp_path):
+def replay_printout(*args: str) -> dict[str, str]:
+    """The lines ``tools/replay.py`` prints for ``args`` at ``--rounds 1``,
+    by key, less those that depend on the host, the scenario's path and the
+    times."""
     root = Path(__file__).resolve().parent.parent
-    argv = [sys.executable, "tools/replay.py", "--config", str(write_grid(tmp_path)),
-            "--rounds", "1"]
+    argv = [sys.executable, "tools/replay.py", *args, "--rounds", "1"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     printed = dict(line.split(maxsplit=1) for line in proc.stdout.splitlines())
-    assert {key: value for key, value in printed.items()
-            if key not in REPLAY_HOST_LINES} == REPLAY_GOLDEN
+    return {key: value for key, value in printed.items() if key not in REPLAY_HOST_LINES}
+
+
+def test_replay_printout_matches_golden_lines(tmp_path):
+    assert replay_printout("--config", str(write_grid(tmp_path))) == REPLAY_GOLDEN
+
+
+# The same printout on the two bundled runs the CI's replay step makes: a
+# 2 h validation run, regular drivers alone, whose event digest pins every
+# link entry and arrival of a commuter's trip, and a 1.5 h sweep run, whose
+# ridesharing drivers hold and take riders.
+REPLAY_BUNDLED_GOLDEN = {
+    "validation.yaml": {
+        "agent_enter": "1740", "arrive_node": "1509", "depart_node": "0", "background": "0",
+        "searches": "0", "unsearched": "1956",
+        "event_digest": "df56cae7bb5a3f8ac5238217f3ef0c60785c4b93d7924b3914a4441c81aac3f0",
+        "requests": "0", "attempts": "0.0", "attempts_p99": "0.0", "driver_arcs": "0.0",
+        "drivers": "0.0", "classes": "0.0", "no_arc_requests": "0 0.000",
+        "matcher_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "sweep.yaml": {
+        "agent_enter": "254", "arrive_node": "148", "depart_node": "112", "background": "0",
+        "searches": "0", "unsearched": "241",
+        "event_digest": "4e2421ed92c2fb824a620b270613c8b01b2889e1e261e4ba2902342e4bf87312",
+        "requests": "28", "attempts": "0.9", "attempts_p99": "2", "driver_arcs": "1.9",
+        "drivers": "1.4", "classes": "1.0", "no_arc_requests": "7 0.250",
+        "matcher_digest": "7b64be5ad2ba33ca5e01c1b3bd5341ae2a1b544b6bfc5a734cb65346ebac2052",
+    },
+}
+
+
+@pytest.mark.parametrize("name, horizon", [("validation.yaml", "2"), ("sweep.yaml", "1.5")])
+def test_replay_printout_of_bundled_runs_matches_golden_lines(name, horizon):
+    printed = replay_printout("--config", f"src/ridesim/data/{name}", "--horizon", horizon)
+    assert printed == REPLAY_BUNDLED_GOLDEN[name]
 
 
 # A run where riders transfer: only such a run shows how the matcher ranks

@@ -1400,44 +1400,54 @@ class TestKnownAnswerLaneWindow:
 
 class TestLinkDelayMemo:
     def test_memoised_delays_equal_fresh(self, testbed, monkeypatch):
-        """On a congested sweep replication every delay ``lane_delay``
-        returns, for a link entry, a route cost, a plan or the matcher's
-        steps, is the BPR delay at its window's trimmed count, the lane
-        classes stay apart at equal counts, and every ``matching_steps``
+        """On a congested sweep replication every delay a lane gives, to a
+        vehicle's entry, which reads its lane's memo in place, or through
+        ``lane_delay`` to a route cost, a plan, the matcher's steps or an
+        entry's memo miss, is the BPR delay at its window's count; each
+        entry's delay is read before the entry itself is counted; the lane
+        classes stay apart at equal counts; and every ``matching_steps``
         equals the steps of those delays."""
         sim = sweep_and_transfer_sims(testbed)[0]
         network = sim.network
         calls = 0
 
-        def fresh(link, lane_class):
-            count = len(sim.lanes[link.id, lane_class].entries)
-            return volume_delay(link, lane_class, count / sim.flow_window,
+        def fresh(lane, now):
+            """The BPR delay at the count of the lane's entries in the flow
+            window ending ``now``, counted from their times."""
+            count = sum(t >= now - sim.flow_window for t in lane.entries)
+            return volume_delay(lane.link, lane.lane_class, count / sim.flow_window,
                                 sim.bpr_alpha, sim.bpr_beta)
 
         memoised = SimState.lane_delay
-        record_entry = simulation.Lane.record_entry
-        checked = set()  # (lane's id, time) of every delay checked
-        entries = 0
+        enter_link = SimState.enter_link
+        entries = carpool_entries = 0
 
         def delay_checked(self, lane, now):
             nonlocal calls
             delay = memoised(self, lane, now)
-            assert delay == fresh(lane.link, lane.lane_class), (lane.link.id, lane.lane_class)
-            checked.add((id(lane), now))
+            assert delay == fresh(lane, now), (lane.link.id, lane.lane_class)
             calls += 1
             return delay
 
-        def entry_checked(lane, now, background):
-            nonlocal entries
-            if not background:  # a vehicle's entry reads its lane's delay first
-                assert (id(lane), now) in checked
-                entries += 1
-            record_entry(lane, now, background)
+        def entry_checked(self, vehicle, link_id, now):
+            nonlocal calls, entries, carpool_entries
+            lanes = self.link_lanes[link_id]
+            before = [(lane.total, fresh(lane, now)) for lane in lanes]
+            enter_link(self, vehicle, link_id, now)
+            entered = [lane for lane, (total, _) in zip(lanes, before)
+                       if lane.total == total + 1]
+            assert len(entered) == 1 and entered[0].entries[-1] == now, link_id
+            # the delay at the count without this entry: read before it
+            delay = before[lanes.index(entered[0])][1]
+            assert vehicle.link_arrival_time == now + delay, (link_id, now)
+            calls += 1
+            entries += 1
+            carpool_entries += entered[0] is lanes[1]
 
         def min_delay(link):
-            delay = fresh(link, LaneClass.GENERAL)
+            delay = fresh(sim.lanes[link.id, LaneClass.GENERAL], sim.clock)
             if link.has_carpool_lane:
-                delay = min(delay, fresh(link, LaneClass.CARPOOL))
+                delay = min(delay, fresh(sim.lanes[link.id, LaneClass.CARPOOL], sim.clock))
             return delay
 
         steps_memoised = SimState.matching_steps
@@ -1448,10 +1458,11 @@ class TestLinkDelayMemo:
             return steps
 
         monkeypatch.setattr(SimState, "lane_delay", delay_checked)
+        monkeypatch.setattr(SimState, "enter_link", entry_checked)
         monkeypatch.setattr(SimState, "matching_steps", steps_checked)
-        monkeypatch.setattr(simulation.Lane, "record_entry", entry_checked)
         sim.run()
         assert entries > 1000
+        assert carpool_entries > 0
         # every lane's memo, keyed as one table: (link id, lane class, count)
         delays = {(link_id, lane_class, count): delay
                   for (link_id, lane_class), lane in sim.lanes.items()
