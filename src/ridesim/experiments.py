@@ -83,6 +83,14 @@ def _replicate(config: ScenarioConfig, network: Network, seed: int,
     return result
 
 
+def resolve_demand(config: ScenarioConfig, network: Network) -> ScenarioConfig:
+    """``config`` with its demand's O-D rates resolved on ``network``
+    (``ScenarioConfig.demand_spec``), so that its replications calibrate
+    none. Its fingerprint is not the scenario's: take that from
+    ``config``."""
+    return dataclasses.replace(config, demand=config.demand_spec(network))
+
+
 def replication_seeds(base_seed: int, count: int) -> list[int]:
     """Stable per-replication seeds derived from one base seed."""
     seq = np.random.SeedSequence(base_seed)
@@ -204,6 +212,7 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
         raise ConfigError(f"{config.network}: links must name at least two "
                           "links for the validation's goodness-of-fit test")
     base = config.with_shares(0.0, 0.0, 1.0)
+    resolved = resolve_demand(base, network)
     seeds = replication_seeds(config.seed, config.replications)
 
     real = flow_distribution(
@@ -211,7 +220,7 @@ def run_validation(config: ScenarioConfig) -> ValidationReport:
     )
     totals = {l.id: 0.0 for l in network.links}
     for rep_seed in seeds:
-        counts = _replicate(base, network, rep_seed, SimState.validation_counts)
+        counts = _replicate(resolved, network, rep_seed, SimState.validation_counts)
         for link_id, count in counts.items():
             totals[link_id] += count
     grand_total = sum(totals.values())
@@ -290,10 +299,11 @@ def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     if not network.carpool_links():
         raise ConfigError("capacity sweep needs a carpool-lane link")
     seeds = replication_seeds(config.seed, config.replications)
+    resolved = resolve_demand(config, network)
 
     rows = []
     for level in config.levels:
-        scenario = dataclasses.replace(config, unused_capacity=level)
+        scenario = dataclasses.replace(resolved, unused_capacity=level)
         summaries = [_replicate(scenario, network, rep_seed, SimState.rider_summary)
                      for rep_seed in seeds]
         rates = [summary.match_rate for summary in summaries]

@@ -6,11 +6,16 @@ from a sliding entry window. Each role has its own path through a node,
 chosen where the vehicle enters and where it arrives. A regular driver's is
 ``SimState._drive``: it asks ``vehicle_at_node``, which replans from the
 current cost snapshot through ``routing.dijkstra_route``, the one place
-that decides whether a choice needs a search, then enters that link or
-ends the trip. A ridesharing driver's is ``SimState._advance``: it serves
-the pickups and dropoffs due there, then holds, enters the next link of
-its plan or ends the trip; the plan is the route with its entry steps,
-which the matcher may rewrite. A lane's delay is its BPR delay at the
+that decides whether a choice needs a search, then enters that link, or
+is stranded where there is none. A regular driver's trip ends when it
+enters the link into its destination: the exit time is fixed at entry,
+and nothing the driver would do there changes any state, so
+``enter_link`` sets its arrival time and queues no arrival, and
+``build_report`` reads that time only once a run has reached it
+(``SimState.run_limit``). A ridesharing driver's path is
+``SimState._advance``: it serves the pickups and dropoffs due there, then
+holds, enters the next link of its plan or ends the trip; the plan is the
+route with its entry steps, which the matcher may rewrite. A lane's delay is its BPR delay at the
 count of entries in its flow window, memoised by that count.
 ``SimState.lane_delay`` trims the window and reads the memo, and it is the
 one place that fills it; ``enter_link``, one call per lane entry, trims
@@ -95,8 +100,9 @@ class SimulationError(ValueError):
 class Lane:
     """The flow bookkeeping of the ``lane_class`` lanes of one ``link``:
     the times of its recent ``entries``, the vehicles ``in_flight`` on it,
-    its entry ``total`` and the ``background`` share of that total, and its
-    BPR delays memoised by window count (``SimState.lane_delay``). The
+    those whose exit is still queued (a regular driver on its last link has
+    none), its entry ``total`` and the ``background`` share of that total,
+    and its BPR delays memoised by window count (``SimState.lane_delay``). The
     background load is counted through ``record_entry``; a vehicle's entry
     is written in place by ``SimState.enter_link``, as ``record_entry``
     would write it."""
@@ -135,6 +141,12 @@ class Vehicle:
     Position: ``node`` is the node the vehicle is at or, while it is on a
     link, the end of that link; ``link_arrival_time`` is when it gets there,
     and None while it is at the node.
+
+    A regular driver's ``arrival_time`` is set when it enters its last
+    link, to the time it will reach its destination, which its
+    ``link_arrival_time`` keeps too; it may lie past the run so far, so it
+    is read through ``build_report``'s horizon rule. A ridesharing
+    driver's is set when it arrives.
     """
 
     __slots__ = ("agent", "node", "link_arrival_time",
@@ -269,6 +281,9 @@ class SimState:
         self.horizon = config.horizon
 
         self.clock = 0.0
+        # the latest time any run reached: an arrival fixed at entry is read
+        # only once a run has come that far (build_report)
+        self.run_limit = -INF
         # each link's (general, carpool) lanes by id, for ``enter_link``;
         # ``lanes`` keys them by (link id, lane class) in link id order,
         # general before carpool: the order of build_report
@@ -396,10 +411,13 @@ class SimState:
     def enter_link(self, vehicle: Vehicle, link_id: int, now: float) -> None:
         """Put ``vehicle`` on the link: on its general lane or, carrying a
         rider, on its carpool lane where that one is faster, and queue its
-        arrival at the link's end after that lane's delay. The general
-        lane's window is trimmed and its memo read here, as ``lane_delay``
-        does; a miss goes through ``lane_delay``. The entry's bookkeeping,
-        ``Lane.record_entry``'s for a vehicle, is written in place."""
+        arrival at the link's end after that lane's delay, with the vehicle
+        in flight on the lane. A regular driver's last link ends its trip:
+        its arrival time is set here, and nothing is queued or in flight
+        (``Vehicle``). The general lane's window is trimmed and its memo
+        read here, as ``lane_delay`` does; a miss goes through
+        ``lane_delay``. The entry's bookkeeping, ``Lane.record_entry``'s for
+        a vehicle, is written in place."""
         lane, carpool = self.link_lanes[link_id]
         link = lane.link
         entries = lane.entries
@@ -416,11 +434,16 @@ class SimState:
                 lane, delay = carpool, carpool_delay
         lane.entries.append(now)
         lane.total += 1
-        lane.in_flight += 1
         if vehicle.departure_time is None:
             vehicle.departure_time = now
-        vehicle.node = link.to_node
+        node = vehicle.node = link.to_node
         arrival = vehicle.link_arrival_time = now + delay
+        if node == vehicle.agent.destination and type(vehicle) is Vehicle:
+            # a regular driver's trip ends at this link's end, where it
+            # would change nothing but its own arrival time
+            vehicle.arrival_time = arrival
+            return
+        lane.in_flight += 1
         # the arrival carries the lane it leaves, so its exit needs no lookup
         self.push_event(arrival, EV_ARRIVE_NODE, (vehicle, lane))
 
@@ -447,15 +470,15 @@ class SimState:
         return route[0]
 
     def _drive(self, vehicle: Vehicle, now: float) -> None:
-        """Move a regular driver standing at its node: it enters the link
-        ``vehicle_at_node`` picks, or ends the trip there, with an arrival
-        time unless it is stranded. Its entry and each arrival at a node
-        hand it here."""
+        """Move a regular driver standing at a node short of its
+        destination: it enters the link ``vehicle_at_node`` picks, or, with
+        none, is stranded there. Its entry and each arrival at a node hand
+        it here; it never arrives at its destination by an event, as its
+        trip ends when it enters its last link (``enter_link``), and its
+        origin is never its destination (``DemandConfig``)."""
         next_link = self.vehicle_at_node(vehicle, vehicle.node, now)
         if next_link is not None:
             self.enter_link(vehicle, next_link, now)
-        elif not vehicle.stranded:
-            vehicle.arrival_time = now
 
     def _advance(self, vehicle: RideshareVehicle, now: float) -> None:
         """Move a ridesharing driver standing at its node. It serves the
@@ -798,8 +821,12 @@ class SimState:
         its time is not after the heap's head, else the head ("Determinism"
         in the module docstring). A later call goes on from there. Only
         events are processed: ``build_report``, ``validation_counts`` and
-        ``rider_summary`` read the results."""
+        ``rider_summary`` read the results. ``run_limit`` keeps the latest
+        limit any call ran to, the horizon plus 1e-12, by which an event is
+        processed; ``build_report`` reports an arrival fixed at entry by the
+        same rule."""
         limit = (self.horizon if horizon is None else horizon) + 1e-12
+        self.run_limit = max(self.run_limit, limit)
         events, scheduled = self.events, self._scheduled
         i, n = self._next_scheduled, len(scheduled)
         heappop = heapq.heappop
@@ -862,9 +889,14 @@ class SimState:
     def build_report(self) -> SimReport:
         """The run so far as a report: every agent's outcome in id order,
         each lane class's entries per link, the ``rider_summary`` and the
-        match trace. The CLI's ``run`` writes it; the experiments read only
-        ``validation_counts`` and ``rider_summary``."""
+        match trace. A vehicle's arrival is reported only where it is not
+        past ``run_limit``: a regular driver's is set when it enters its
+        last link, and is reported exactly where its arrival event, had it
+        been queued, would have been processed. The CLI's ``run`` writes
+        it; the experiments read only ``validation_counts`` and
+        ``rider_summary``."""
         class_counts = {key: lane.total for key, lane in self.lanes.items()}
+        limit = self.run_limit
         outcomes = []
         for agent_id in sorted(self.agents):
             agent = self.agents[agent_id]
@@ -879,6 +911,8 @@ class SimState:
                 vehicle = self.vehicles.get(agent_id)
                 departure = vehicle.departure_time if vehicle else None
                 arrival = vehicle.arrival_time if vehicle else None
+                if arrival is not None and arrival > limit:
+                    arrival = None  # a regular driver's, fixed past the run
                 stranded = vehicle.stranded if vehicle else False
                 outcomes.append(AgentOutcome(agent_id, agent.role, None,
                                              departure, arrival, stranded))

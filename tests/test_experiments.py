@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ridesim.config as config_module
+import ridesim.experiments as experiments
 from ridesim.config import ConfigError, bundled_data_path, load_config
 from ridesim.experiments import (
     chi2_isf,
@@ -107,6 +109,41 @@ class TestReplicationSeeds:
     def test_distinct(self):
         seeds = replication_seeds(7, 10)
         assert len(set(seeds)) == 10
+
+
+def counted_calibrations(monkeypatch) -> list:
+    """A list that every call of ``calibrate_od_rates`` from now on is
+    appended to."""
+    calls = []
+    calibrate = config_module.calibrate_od_rates
+
+    def counted(*args):
+        calls.append(args)
+        return calibrate(*args)
+    monkeypatch.setattr(config_module, "calibrate_od_rates", counted)
+    return calls
+
+
+class TestCalibrateOnce:
+    """An experiment fits the calibrated O-D rates once, not once per
+    replication, and reports as if each replication fitted its own."""
+
+    def test_validation(self, quick_validation_config, monkeypatch):
+        calls = counted_calibrations(monkeypatch)
+        report = run_validation(quick_validation_config)
+        assert quick_validation_config.replications == 3 and len(calls) == 1
+        monkeypatch.setattr(experiments, "resolve_demand", lambda config, network: config)
+        assert run_validation(quick_validation_config) == report
+        assert len(calls) == 1 + 3
+
+    def test_sweep(self, quick_sweep_config, monkeypatch):
+        config = dataclasses.replace(quick_sweep_config, horizon=0.5, levels=(1.0, 0.25))
+        calls = counted_calibrations(monkeypatch)
+        report = run_capacity_sweep(config)
+        assert len(calls) == 1
+        monkeypatch.setattr(experiments, "resolve_demand", lambda config, network: config)
+        assert run_capacity_sweep(config) == report
+        assert len(calls) == 1 + 2 * 2
 
 
 class TestValidation:

@@ -137,9 +137,10 @@ def test_dt_convergence_printout_matches_golden_digest():
 # seed 0): every line but those that depend on the host, the scenario's path
 # and the times.
 REPLAY_GOLDEN = {
-    "agent_enter": "408", "arrive_node": "491", "depart_node": "426", "background": "0",
+    "agent_enter": "408", "arrive_node": "407", "depart_node": "426", "background": "0",
     "searches": "109", "unsearched": "314",
-    "event_digest": "bce1b9e691612df060d265d0c82ffa93e3a06dbed42bd4e50b3c1c5ad0021daa",
+    "event_digest": "a64867ab73ef93a1aaa17a62390b229cb37ed69e0d7c6bdb91825c6d435e4600",
+    "trip_digest": "d3c9731efc4351e67f6471bad5d07512c098b7dfdda8550b2c444c3f63014ab1",
     "requests": "96", "attempts": "11.2", "attempts_p99": "171", "driver_arcs": "43.7",
     "drivers": "8.5", "classes": "7.1", "no_arc_requests": "2 0.021",
     "matcher_digest": "ce9c141f4d0efdc395c1f459e9c7e4a6e6d4129122889f0fab5dc4e83946b05b",
@@ -166,21 +167,24 @@ def test_replay_printout_matches_golden_lines(tmp_path):
 
 # The same printout on the two bundled runs the CI's replay step makes: a
 # 2 h validation run, regular drivers alone, whose event digest pins every
-# link entry and arrival of a commuter's trip, and a 1.5 h sweep run, whose
-# ridesharing drivers hold and take riders.
+# commuter's entry and every arrival short of its destination, and whose
+# trip digest pins when each commuter left and arrived, and a 1.5 h sweep
+# run, whose ridesharing drivers hold and take riders.
 REPLAY_BUNDLED_GOLDEN = {
     "validation.yaml": {
-        "agent_enter": "1740", "arrive_node": "1509", "depart_node": "0", "background": "0",
+        "agent_enter": "1740", "arrive_node": "216", "depart_node": "0", "background": "0",
         "searches": "0", "unsearched": "1956",
-        "event_digest": "df56cae7bb5a3f8ac5238217f3ef0c60785c4b93d7924b3914a4441c81aac3f0",
+        "event_digest": "b485559792253d11686518d2bbf646dcb73e504b5281dbf8696de0437040a3a4",
+        "trip_digest": "58d84eafce8df1831adfb94ef6c68ab535a043f796bca37f8ada788346baead2",
         "requests": "0", "attempts": "0.0", "attempts_p99": "0.0", "driver_arcs": "0.0",
         "drivers": "0.0", "classes": "0.0", "no_arc_requests": "0 0.000",
         "matcher_digest": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "sweep.yaml": {
-        "agent_enter": "254", "arrive_node": "148", "depart_node": "112", "background": "0",
+        "agent_enter": "254", "arrive_node": "63", "depart_node": "112", "background": "0",
         "searches": "0", "unsearched": "241",
-        "event_digest": "4e2421ed92c2fb824a620b270613c8b01b2889e1e261e4ba2902342e4bf87312",
+        "event_digest": "e751a222b0a90cc267fb131597db08d181412b324e7d49700c32ca9f5e0e92de",
+        "trip_digest": "48fbe37a92ed93d058b84b3ef2ed0a599c61419fc8667dfbebbbc8c41b3906a4",
         "requests": "28", "attempts": "0.9", "attempts_p99": "2", "driver_arcs": "1.9",
         "drivers": "1.4", "classes": "1.0", "no_arc_requests": "7 0.250",
         "matcher_digest": "7b64be5ad2ba33ca5e01c1b3bd5341ae2a1b544b6bfc5a734cb65346ebac2052",

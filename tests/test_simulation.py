@@ -351,6 +351,120 @@ class TestConservation:
             sim._handle_arrive((vehicle, sim.lanes[3, LaneClass.GENERAL]), 0.0)
 
 
+class QueuedArrivals(SimState):
+    """A reference event loop that queues every arrival: a regular driver's
+    trip ends when its arrival at its destination is handled, as a
+    ridesharing driver's does, and every vehicle on a link is in flight.
+    Its entries go through ``lane_delay`` and ``Lane.record_entry``."""
+
+    def enter_link(self, vehicle, link_id, now):
+        lane, carpool = self.link_lanes[link_id]
+        delay = self.lane_delay(lane, now)
+        if lane.link.has_carpool_lane and vehicle.aboard:
+            carpool_delay = self.lane_delay(carpool, now)
+            if carpool_delay < delay:
+                lane, delay = carpool, carpool_delay
+        lane.record_entry(now, background=False)
+        if vehicle.departure_time is None:
+            vehicle.departure_time = now
+        vehicle.node = lane.link.to_node
+        vehicle.link_arrival_time = now + delay
+        self.push_event(now + delay, EV_ARRIVE_NODE, (vehicle, lane))
+
+    def _drive(self, vehicle, now):
+        next_link = self.vehicle_at_node(vehicle, vehicle.node, now)
+        if next_link is not None:
+            self.enter_link(vehicle, next_link, now)
+        elif not vehicle.stranded:
+            vehicle.arrival_time = now
+
+
+def differential_configs(tmp_path) -> dict:
+    """The bundled validation at 2 h, the sweep at 1.5 h at full and at 25%
+    unused carpool capacity, and the CI grid (1.5 h), by name."""
+    validation = load_config(bundled_data_path("validation.yaml"), {"horizon": 2.0})
+    sweep = load_config(bundled_data_path("sweep.yaml"), {"horizon": 1.5})
+    return {"validation": validation, "sweep-1.0": sweep,
+            "sweep-0.25": dataclasses.replace(sweep, unused_capacity=0.25),
+            "grid": load_config(write_grid(tmp_path), {"seed": 5})}
+
+
+class TestUnqueuedLastArrival:
+    """A regular driver's trip ends when it enters its last link: no
+    arrival is queued at its destination (``SimState.enter_link``), and
+    ``build_report`` reads the arrival only once a run has reached it."""
+
+    @staticmethod
+    def assert_alike(sim: SimState, reference: QueuedArrivals) -> None:
+        assert sim.build_report() == reference.build_report()
+        assert sim.validation_counts() == reference.validation_counts()
+        assert sim.rider_summary() == reference.rider_summary()
+        assert sim.match_trace == reference.match_trace
+        for key, lane in sim.lanes.items():
+            other = reference.lanes[key]
+            assert (lane.total, lane.background, lane.entries) == \
+                   (other.total, other.background, other.entries), key
+        assert sim.vehicles.keys() == reference.vehicles.keys()
+        limit = sim.run_limit
+        for agent_id, vehicle in sim.vehicles.items():
+            other = reference.vehicles[agent_id]
+            arrival = vehicle.arrival_time
+            censored = arrival if arrival is not None and arrival <= limit else None
+            assert (vehicle.departure_time, vehicle.stranded, censored) == \
+                   (other.departure_time, other.stranded, other.arrival_time), agent_id
+
+    @pytest.mark.parametrize("name", ["validation", "sweep-1.0", "sweep-0.25", "grid"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_queued_arrivals(self, tmp_path, name, split):
+        """To the full horizon, or to mid-run and then on with a second
+        ``run()``, the run reports, counts, matches and times every trip as
+        the reference that queues every arrival does, with fewer pushes."""
+        config = differential_configs(tmp_path)[name]
+        network = config.make_network()
+        sim = SimState(config, network, config.seed)
+        reference = QueuedArrivals(config, network, config.seed)
+        if split:
+            for state in (sim, reference):
+                state.run(config.horizon / 2)
+            self.assert_alike(sim, reference)
+        for state in (sim, reference):
+            state.run()
+        self.assert_alike(sim, reference)
+        assert any(v.arrival_time is not None for v in reference.vehicles.values())
+        assert sim._seq < reference._seq
+        if name == "validation":
+            # nearly every validation trip is one link: its only arrival went
+            assert sim._seq - len(sim._scheduled) < (reference._seq - len(sim._scheduled)) / 4
+
+    def test_arrival_after_the_horizon_is_censored(self, testbed):
+        """A regular driver whose last link ends after the horizon has no
+        arrival in the report and stays out of the mean travel time; a
+        later run past its arrival reports exactly its entry plus the
+        link's delay, and one to exactly that time reports it too, as the
+        popped arrival was."""
+        runs = {}
+        for cls in (SimState, QueuedArrivals):
+            sim = cls(scenario(4.0, {(0, 2): 0.0}), testbed, seed=1)
+            delay = volume_delay(testbed.link(0), LaneClass.GENERAL, 0.0,
+                                 sim.bpr_alpha, sim.bpr_beta)
+            seed_agent(sim, regular(0, 0, 3, t=0.0))
+            seed_agent(sim, regular(1, 0, 3, t=3.7))  # link 0 ends at 3.7 + delay > 4
+            sim.run()
+            report = sim.build_report()
+            assert [o.arrival for o in report.outcomes] == [delay, None]
+            assert report.outcomes[1].departure == 3.7
+            assert report.mean_travel_time() == delay
+            sim.run(3.7 + delay - 1e-9)
+            assert sim.build_report().outcomes[1].arrival is None
+            sim.run(3.7 + delay)
+            runs[cls] = sim.build_report()
+            assert runs[cls].outcomes[1].arrival == 3.7 + delay
+            sim.run(4.0)  # an earlier horizon takes back no arrival
+            assert sim.build_report() == runs[cls]
+        assert runs[SimState] == runs[QueuedArrivals]
+        assert runs[SimState].mean_travel_time() == pytest.approx(delay)
+
+
 class TestDeterminism:
     def test_identical_runs(self, testbed):
         config = scenario(3.0, {(0, 2): 80.0, (1, 3): 60.0}, (0.1, 0.4, 0.5))

@@ -11,12 +11,17 @@ The event loop: the least CPU time of ``SimState.run`` over ``--rounds``
 more runs, each on a fresh network and replication with the collector
 paused; the events handled per kind; the searches made while the run
 lasts; the routes chosen without one (a regular driver's next link at a
-node and a ridesharing driver's initial plan, less the searches); and
+node and a ridesharing driver's initial plan, less the searches);
 ``event_digest``, a SHA-256 over the log of handled events, one ``repr``
 of (time, kind, key) each: an entry's key is its agent id, an arrival's
 its vehicle's agent id with the link id and lane class of the lane it
 leaves, a hold's its vehicle's agent id with the plan it was made for,
-and a background entry's its link id. A search is a call of
+and a background entry's its link id; and ``trip_digest`` (``trip_digest``
+below), which pins when each vehicle left and arrived. ``arrive_node``
+counts a ridesharing driver's every arrival at a node and a regular
+driver's arrivals short of its destination: a regular driver's trip ends
+when it enters its last link, with no event (``SimState.enter_link``), so
+only ``trip_digest`` sees that arrival. A search is a call of
 ``shortest_paths`` where ``routing.dijkstra_route`` looks it up; the
 matcher's step matrices import their own name for it, so their builds are
 not counted.
@@ -40,9 +45,9 @@ form (``TimeExpandedNetwork``); the networks with no travel arc (which
 as a count and a share; and ``matcher_digest``, a SHA-256 over the
 ``repr`` of every result.
 
-Run on two checkouts, equal digests show the same event sequence and
-equal matcher results. The counts and digests do not depend on the host.
-The kernel times are warm-cache times: each stage runs again and again
+Run on two checkouts, equal digests show the same event sequence, equal
+trips and equal matcher results. The counts and digests do not depend on
+the host. The kernel times are warm-cache times: each stage runs again and again
 over the same requests, with the collector off. Inside a live run the
 same stage costs about twice as much (measured on ``rideshare-dense``,
 seed 7: the build 27-33 µs per request here against 47-57 µs timed inside
@@ -86,12 +91,21 @@ def event_key(kind: str, payload) -> object:
     return payload
 
 
-def recorded_run(config) -> tuple[Counter, str, list, dp.StepCosts]:
+def trip_digest(sim: SimState) -> str:
+    """The hex SHA-256 over the ``repr`` of every vehicle's (agent id,
+    departure, arrival, stranded), in id order, as ``build_report``
+    reports them."""
+    trips = [(o.agent_id, o.departure, o.arrival, o.stranded)
+             for o in sim.build_report().outcomes if o.agent_id in sim.vehicles]
+    return hashlib.sha256(repr(trips).encode()).hexdigest()
+
+
+def recorded_run(config) -> tuple[Counter, str, str, list, dp.StepCosts]:
     """From one run of ``config``: the counts per event kind and of
-    searches and route choices; the hex digest of the handled events;
-    every request's ``build_time_expanded`` arguments, (args, kwargs) in
-    request order, the groups by free schedule copied; and the run's step
-    costs."""
+    searches and route choices; the hex digests of the handled events and
+    of the trips (``trip_digest``); every request's
+    ``build_time_expanded`` arguments, (args, kwargs) in request order, the
+    groups by free schedule copied; and the run's step costs."""
     sim = init_simulation(config, config.make_network(), config.seed)
     counts: Counter = Counter()
     digest = hashlib.sha256()
@@ -137,7 +151,7 @@ def recorded_run(config) -> tuple[Counter, str, list, dp.StepCosts]:
         routing.shortest_paths, matching.build_time_expanded = search, build
         for name, original in originals.items():
             setattr(SimState, name, original)
-    return counts, digest.hexdigest(), kept, sim.step_costs
+    return counts, digest.hexdigest(), trip_digest(sim), kept, sim.step_costs
 
 
 def best_run_time(config, rounds: int) -> float:
@@ -219,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
-    counts, event_digest, kept, costs = recorded_run(config)
+    counts, event_digest, trips, kept, costs = recorded_run(config)
     run_s = best_run_time(config, args.rounds)
     gc.collect()
     gc.disable()
@@ -244,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"unsearched      {counts['choices'] - counts['searches']}")
     print(f"run_ms          {run_s * 1e3:.1f}")
     print(f"event_digest    {event_digest}")
+    print(f"trip_digest     {trips}")
     print(f"requests        {requests}")
     print(f"build_us        {build * per:.1f}")
     print(f"preprocess_us   {prep * per:.1f}")
