@@ -18,7 +18,12 @@ no garbage. A replication builds no reference cycle ("Memory" in
 dropped, and no pass runs while one is alive. The experiments read only a
 summary (``validation_counts``, ``rider_summary``); ``build_report``, the
 per-agent table, is built only for a single run, whose replication
-``run_single`` returns to its caller and so outlives the pause.
+``run_single`` returns to its caller and so outlives the pause. The sweep
+also keeps one replication's ``population``, its generated agents, and
+hands it to the same replication index at every later level, so that
+population outlives its replication across the levels of one index; it is
+dropped before the next index draws its own, so one population is alive
+at a time beside one replication.
 
 Critical value: the test's critical value is the upper ``ALPHA`` quantile
 of the chi-squared distribution with df = links - 1, computed here with
@@ -52,6 +57,7 @@ from typing import Callable
 
 import numpy as np
 
+from .agents import VehicleAgent
 from .config import ScenarioConfig
 from .matching import MATCH_TRACE_COLUMNS
 from .network import ConfigError, Network, flow_distribution
@@ -63,8 +69,10 @@ ALPHA = 0.05  # significance level of the validation's goodness-of-fit test
 
 
 def _replicate(config: ScenarioConfig, network: Network, seed: int,
-               read: Callable[[SimState], object]):
-    """Build and run one replication and return ``read`` of it, inside one
+               read: Callable[[SimState], object],
+               population: tuple[VehicleAgent, ...] | None = None):
+    """Build and run one replication, drawing its population unless one is
+    handed in (``SimState``), and return ``read`` of it, inside one
     collector pause that ends after the replication is dropped, unless
     ``read`` returned it ("Memory" in the module docstring). The pause
     ends also by an exception, and leaves the collector off if it was
@@ -73,7 +81,7 @@ def _replicate(config: ScenarioConfig, network: Network, seed: int,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sim = init_simulation(config, network, seed)
+        sim = init_simulation(config, network, seed, population)
         sim.run()
         result = read(sim)
         del sim  # free this replication before the collector is back on
@@ -291,21 +299,37 @@ class SweepReport:
 def run_capacity_sweep(config: ScenarioConfig) -> SweepReport:
     """Match-rate response to carpool-lane background load.
 
-    Participation follows the scenario's ``demand.shares`` at every level;
-    each replication index reuses the same seed across levels so level
-    differences are paired. Rows keep ``config.levels`` order.
+    Participation follows the scenario's ``demand.shares`` at every level.
+    The sweep runs replication index by replication index, each over every
+    level in ``config.levels`` order. Common random numbers pair the
+    levels by construction: an index runs every level with one seed, and
+    its first level draws the population that every later level takes, as
+    a level changes only ``unused_capacity``, which the draw does not read
+    (``SimState``). Each level's background load comes from that seed's
+    own stream. So a level's row is the one a sweep of that level alone
+    gives. Rows keep ``config.levels`` order, and each row's summaries
+    seed order.
     """
     network = config.make_network()
     if not network.carpool_links():
         raise ConfigError("capacity sweep needs a carpool-lane link")
     seeds = replication_seeds(config.seed, config.replications)
     resolved = resolve_demand(config, network)
+    scenarios = [dataclasses.replace(resolved, unused_capacity=level)
+                 for level in config.levels]
+
+    def read(sim: SimState):
+        return sim.rider_summary(), sim.population
+
+    level_summaries: list[list[RiderSummary]] = [[] for _ in scenarios]
+    for rep_seed in seeds:
+        population = None  # dropped before this index draws its own
+        for summaries, scenario in zip(level_summaries, scenarios):
+            summary, population = _replicate(scenario, network, rep_seed, read, population)
+            summaries.append(summary)
 
     rows = []
-    for level in config.levels:
-        scenario = dataclasses.replace(resolved, unused_capacity=level)
-        summaries = [_replicate(scenario, network, rep_seed, SimState.rider_summary)
-                     for rep_seed in seeds]
+    for level, summaries in zip(config.levels, level_summaries):
         rates = [summary.match_rate for summary in summaries]
         riders = sum(summary.riders for summary in summaries)
         mean = float(np.mean(rates))

@@ -35,9 +35,14 @@ first slot, which starts at whatever step the clock has reached
 (``ten.build_time_expanded``), so standing still needs no re-listing.
 
 Determinism: events are handled in (time, insertion sequence) order, all
-randomness drawn from generators seeded per replication. The generated
-agents' entries are not queued: they stay in the generated tuple, which is
-in (time, id) order, and an index walks it beside a heap that holds every
+randomness drawn from generators seeded per replication. A replication's
+generated agents are its ``population``: the tuple, in (time, id) order,
+that ``generate_agents`` draws from its seed's demand stream. The draw
+depends on the demand, the horizon, the network and the seed alone, and no
+run writes to an agent, so replications that share those four can share
+one population, as the sweep's levels of one replication index do
+(``experiments.run_capacity_sweep``). The entries are not queued: they stay
+in the population, and an index walks it beside a heap that holds every
 other event. An entry's sequence number is its agent id, and every pushed
 event's is larger, so an entry is handled before the heap's head exactly
 when its time is not later: the order one heap of every event would give.
@@ -48,8 +53,9 @@ agent or link id or, for an arrival or a departure, its vehicle with its
 lane or plan, and nothing points back.
 Reference counting therefore frees every object a replication made, at
 the latest when its ``SimState`` is dropped, but for the matcher's step
-matrices: the network keeps them for later replications on it
-(``ten.step_matrix``) and frees them with itself. The cyclic
+matrices, which the network keeps for later replications on it
+(``ten.step_matrix``) and frees with itself, and for a population handed
+in, which lives as long as its caller holds it. The cyclic
 garbage collector finds nothing to free in a run; ``ridesim.experiments``
 pauses the collector while a replication is alive. ``TestCollectorPause``
 in ``tests/test_simulation.py`` guards the premise: building, running and
@@ -262,13 +268,17 @@ class SimState:
     """One replication's full mutable state. Every setting comes from a
     ``ScenarioConfig`` that ``load_config`` has validated; none is checked
     again here. Construction keeps the scenario's demand with its O-D rates
-    resolved (``ScenarioConfig.demand_spec``) as ``demand``, draws its
-    agents over the horizon and, below full unused carpool capacity,
-    schedules the background carpool load, each from its own stream of
-    ``seed``. A replication builds no reference cycle ("Memory" in the
-    module docstring)."""
+    resolved (``ScenarioConfig.demand_spec``) as ``demand``, takes its
+    ``population`` and, below full unused carpool capacity, schedules the
+    background carpool load, each from its own stream of ``seed``. With
+    ``population`` None it draws the agents over the horizon
+    (``generate_agents``); a population handed in must be that draw, for
+    this demand, horizon, network and seed, and is kept as it is, the same
+    object ("Determinism" in the module docstring). A replication builds no
+    reference cycle ("Memory" in the module docstring)."""
 
-    def __init__(self, config: ScenarioConfig, network: Network, seed: int):
+    def __init__(self, config: ScenarioConfig, network: Network, seed: int,
+                 population: Optional[tuple[VehicleAgent, ...]] = None):
         self.network = network
         self.demand = config.demand_spec(network)
         self.weights = config.weights
@@ -306,16 +316,18 @@ class SimState:
         self.match_trace: list[dict] = []
 
         demand_seed, background_seed = np.random.SeedSequence(seed).spawn(2)
-        agents = generate_agents(self.demand, self.horizon, network, demand_seed)
+        if population is None:
+            population = generate_agents(self.demand, self.horizon, network, demand_seed)
 
         # agents come sorted by time with ids 0..n-1: their entries are
         # scheduled in (time, seq) order with seq = id, and every pushed
-        # event's seq is larger ("Determinism" in the module docstring)
-        self.agents: dict[int, VehicleAgent] = {agent.id: agent for agent in agents}
-        self._scheduled: tuple[VehicleAgent, ...] = agents
+        # event's seq is larger ("Determinism" in the module docstring);
+        # fallback drivers join ``agents`` alone, never the population
+        self.agents: dict[int, VehicleAgent] = {agent.id: agent for agent in population}
+        self.population: tuple[VehicleAgent, ...] = population
         self._next_scheduled = 0
         self.events: list[tuple[float, int, int, object]] = []
-        self._seq = self._next_agent_id = len(agents)
+        self._seq = self._next_agent_id = len(population)
 
         if config.unused_capacity < 1.0:
             self._schedule_background(config.unused_capacity,
@@ -827,7 +839,7 @@ class SimState:
         same rule."""
         limit = (self.horizon if horizon is None else horizon) + 1e-12
         self.run_limit = max(self.run_limit, limit)
-        events, scheduled = self.events, self._scheduled
+        events, scheduled = self.events, self.population
         i, n = self._next_scheduled, len(scheduled)
         heappop = heapq.heappop
         try:
@@ -925,13 +937,15 @@ class SimState:
         )
 
 
-def init_simulation(config: ScenarioConfig, network: Network, seed: int) -> SimState:
-    """One replication of a validated scenario, ready to run.
+def init_simulation(config: ScenarioConfig, network: Network, seed: int,
+                    population: Optional[tuple[VehicleAgent, ...]] = None) -> SimState:
+    """One replication of a validated scenario, ready to run, drawing its
+    population unless one is handed in (``SimState``).
 
     The experiments build every replication here, and the benchmark times
     set-up by wrapping this function, so it stays the one entry point.
     """
-    return SimState(config, network, seed)
+    return SimState(config, network, seed, population)
 
 
 def assigned_link_rates(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import ridesim.config as config_module
 import ridesim.experiments as experiments
+import ridesim.simulation as simulation
 from ridesim.config import ConfigError, bundled_data_path, load_config
 from ridesim.experiments import (
     chi2_isf,
@@ -111,16 +112,16 @@ class TestReplicationSeeds:
         assert len(set(seeds)) == 10
 
 
-def counted_calibrations(monkeypatch) -> list:
-    """A list that every call of ``calibrate_od_rates`` from now on is
-    appended to."""
+def counted_calls(monkeypatch, module, name: str) -> list:
+    """A list that every call of ``module.name`` from now on is appended
+    to."""
     calls = []
-    calibrate = config_module.calibrate_od_rates
+    original = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return calibrate(*args)
-    monkeypatch.setattr(config_module, "calibrate_od_rates", counted)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -129,7 +130,7 @@ class TestCalibrateOnce:
     replication, and reports as if each replication fitted its own."""
 
     def test_validation(self, quick_validation_config, monkeypatch):
-        calls = counted_calibrations(monkeypatch)
+        calls = counted_calls(monkeypatch, config_module, "calibrate_od_rates")
         report = run_validation(quick_validation_config)
         assert quick_validation_config.replications == 3 and len(calls) == 1
         monkeypatch.setattr(experiments, "resolve_demand", lambda config, network: config)
@@ -138,12 +139,31 @@ class TestCalibrateOnce:
 
     def test_sweep(self, quick_sweep_config, monkeypatch):
         config = dataclasses.replace(quick_sweep_config, horizon=0.5, levels=(1.0, 0.25))
-        calls = counted_calibrations(monkeypatch)
+        calls = counted_calls(monkeypatch, config_module, "calibrate_od_rates")
         report = run_capacity_sweep(config)
         assert len(calls) == 1
         monkeypatch.setattr(experiments, "resolve_demand", lambda config, network: config)
         assert run_capacity_sweep(config) == report
         assert len(calls) == 1 + 2 * 2
+
+
+class TestDrawOnce:
+    """The sweep draws each replication index's population once, at its
+    first level, and every later level of that index takes it: a level's
+    row is the one a sweep of that level alone gives."""
+
+    def test_sweep(self, quick_sweep_config, monkeypatch):
+        config = dataclasses.replace(quick_sweep_config, horizon=1.0, levels=(1.0, 0.25))
+        calls = counted_calls(monkeypatch, simulation, "generate_agents")
+        report = run_capacity_sweep(config)
+        assert config.replications == 2 and len(calls) == 2
+        for row in report.rows:
+            # a one-level sweep draws its own population
+            alone = run_capacity_sweep(dataclasses.replace(config, levels=(row.unused_fraction,)))
+            assert alone.rows == (row,)
+        riders = [[summary.riders for summary in row.summaries] for row in report.rows]
+        assert riders[0] == riders[1] and min(riders[0]) > 0
+        assert report.rows[0].summaries != report.rows[1].summaries
 
 
 class TestValidation:

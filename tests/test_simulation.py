@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import copy
 import dataclasses
 import gc
 import heapq
@@ -107,9 +108,9 @@ def handled_as_one_heap(sim: SimState, reference: SimState, monkeypatch,
     the same events in the same order and report alike, and return the
     events handled."""
     reference.events.extend((agent.request_time, agent.id, EV_AGENT_ENTER, agent.id)
-                            for agent in reference._scheduled)
+                            for agent in reference.population)
     heapq.heapify(reference.events)
-    reference._scheduled = ()
+    reference.population = ()
     log = record_handled(monkeypatch)
     sim.run(horizon)
     handled = log[:]
@@ -434,7 +435,7 @@ class TestUnqueuedLastArrival:
         assert sim._seq < reference._seq
         if name == "validation":
             # nearly every validation trip is one link: its only arrival went
-            assert sim._seq - len(sim._scheduled) < (reference._seq - len(sim._scheduled)) / 4
+            assert sim._seq - len(sim.population) < (reference._seq - len(sim.population)) / 4
 
     def test_arrival_after_the_horizon_is_censored(self, testbed):
         """A regular driver whose last link ends after the horizon has no
@@ -657,11 +658,11 @@ class TestInitSimulation:
         assert sim.clock == 0.0
         # every generated agent's entry is scheduled, in (time, id) order,
         # and the heap is empty: the validation has no background load
-        scheduled = sim._scheduled
-        assert len(scheduled) == len(sim.agents) > 1000
-        assert [agent.id for agent in scheduled] == list(range(len(scheduled)))
-        assert [a.request_time for a in scheduled] == sorted(a.request_time for a in scheduled)
-        assert sim.events == [] and sim._seq == len(scheduled)
+        population = sim.population
+        assert len(population) == len(sim.agents) > 1000
+        assert [agent.id for agent in population] == list(range(len(population)))
+        assert [a.request_time for a in population] == sorted(a.request_time for a in population)
+        assert sim.events == [] and sim._seq == len(population)
         handled = handled_as_one_heap(sim, init_simulation(config, testbed, seed=7),
                                       monkeypatch, horizon=2.0)
         assert {kind for _, kind, _ in handled} == {EV_AGENT_ENTER, EV_ARRIVE_NODE}
@@ -674,7 +675,7 @@ class TestInitSimulation:
         config = scenario(4.0, {(0, 2): 100.0, (1, 2): 200.0}, (0.1, 0.4, 0.5),
                           unused_capacity=unused)
         sim = SimState(config, testbed, seed=2)
-        assert len(sim._scheduled) == len(sim.agents) > 100
+        assert len(sim.population) == len(sim.agents) > 100
         # only the background load is queued, after every entry's seq
         assert all(kind == EV_BACKGROUND and seq >= len(sim.agents)
                    for _, seq, kind, _ in sim.events)
@@ -710,7 +711,7 @@ class TestInitSimulation:
         whole.run()
         split = SimState(config, testbed, seed=2)
         split.run(horizon=1.3)
-        assert 0 < split._next_scheduled < len(split._scheduled)
+        assert 0 < split._next_scheduled < len(split.population)
         split.run()
         assert split.build_report() == whole.build_report()
         for name, sim in (("whole", whole), ("split", split)):
@@ -733,6 +734,45 @@ class TestInitSimulation:
         assert row["rider_id"] == 1
         assert row["matched"] is True
         assert row["travel_arcs"] > 0
+
+
+class TestPopulation:
+    """A population handed to a replication is shared, not copied, so the
+    sweep may hand one to every level of a replication index only because
+    no run writes to an agent ("Determinism" in ``ridesim.simulation``)."""
+
+    @staticmethod
+    def run_keeps_population(sim: SimState) -> None:
+        drawn = copy.deepcopy(sim.population)
+        sim.run()
+        assert sim.population == drawn
+
+    @pytest.mark.parametrize("unused", [1.0, 0.25])
+    def test_sweep_run_writes_no_agent(self, unused):
+        config = load_config(bundled_data_path("sweep.yaml"),
+                             {"horizon": 1.5, "unused_capacity": unused})
+        sim = SimState(config, config.make_network(), config.seed)
+        self.run_keeps_population(sim)
+        assert any(result.matched for result in sim.match_results.values())
+        assert len(sim.agents) > len(sim.population)  # unmatched riders' fallbacks
+
+    def test_grid_run_writes_no_agent(self, tmp_path):
+        sim = grid_sim(tmp_path)
+        self.run_keeps_population(sim)
+        assert any(len(result.itinerary.legs) > 1
+                   for result in sim.match_results.values() if result.matched)
+
+    def test_handed_population_is_held_and_runs_as_drawn(self):
+        config = load_config(bundled_data_path("sweep.yaml"),
+                             {"horizon": 1.0, "unused_capacity": 0.25})
+        network = config.make_network()
+        drawn = SimState(config, network, config.seed)
+        given = SimState(config, network, config.seed, drawn.population)
+        assert given.population is drawn.population
+        assert given.events == drawn.events  # the background load, from the seed
+        drawn.run()
+        given.run()
+        assert given.build_report() == drawn.build_report()
 
 
 class TestMatchRetry:
@@ -1390,7 +1430,7 @@ class TestVehicleRoles:
                     continue
                 assert type(vehicle) is simulation.Vehicle
                 assert agent.window is None
-                if agent.id < len(sim._scheduled):
+                if agent.id < len(sim.population):
                     generated += 1
                 else:
                     fallbacks += 1
