@@ -28,7 +28,8 @@ from typing import Optional
 
 from .agents import TimeWindow
 # ``match_rider`` looks the three stages up in this module at each call, so
-# that a wrapper set here sees every request
+# that a wrapper set here sees every request: ``perfbench/tracer.py`` times
+# them so until the benchmark reads the run record (ROADMAP item 8)
 from .dp import Itinerary, solve_itinerary
 from .ten import build_time_expanded, preprocess
 from .timegrid import ceil_steps
@@ -75,11 +76,15 @@ def match_rider(sim, rider: RiderRequest) -> MatchResult:
     There is no retry: offers, network and commit all read the same
     simulation instant and a rejected commit changes no state, so a second
     attempt would replay the same inputs to the same rejection. A rejected
-    commit is reported as ``reason="capacity"``.
+    commit is reported as ``reason="capacity"``. A run record, if the
+    simulation has one, gets the request's row (``RunRecord``).
     """
     tau, clock_step = sim.matching_steps(), ceil_steps(sim.clock, sim.dt)
-    ten = build_time_expanded(rider, sim.collect_offers(clock_step), sim.network, tau, sim.dt,
-                              clock_step=clock_step)
+    offers = sim.collect_offers(clock_step)
+    ten = build_time_expanded(rider, offers, sim.network, tau, sim.dt, clock_step=clock_step)
+    if sim.record is not None:
+        groups = {schedule: list(ids) for schedule, ids in offers.items()}
+        sim.record.requests.append((rider, groups, tau, clock_step, ten))
     graph = preprocess(ten)
     itinerary = solve_itinerary(graph, sim.step_costs)
     committed = (itinerary is not None

@@ -55,7 +55,11 @@ Reference counting therefore frees every object a replication made, at
 the latest when its ``SimState`` is dropped, but for the matcher's step
 matrices, which the network keeps for later replications on it
 (``ten.step_matrix``) and frees with itself, and for a population handed
-in, which lives as long as its caller holds it. The cyclic
+in, which lives as long as its caller holds it. A ``RunRecord`` handed
+in keeps what it holds, the agents, vehicles, lanes and plans of its
+events and each request's inputs and network, alive while its caller
+holds it, and adds no cycle: the simulation points to the record and
+nothing in it points back. The cyclic
 garbage collector finds nothing to free in a run; ``ridesim.experiments``
 pauses the collector while a replication is alive. ``TestCollectorPause``
 in ``tests/test_simulation.py`` guards the premise: building, running and
@@ -248,6 +252,23 @@ class RiderSummary:
 
 
 @dataclass
+class RunRecord:
+    """What one run did, in order, for readers that check a run after
+    it: ``SimState`` appends to a record it was given, and to nothing with
+    none. ``events`` holds every event ``SimState.run`` handles, as (time,
+    kind, payload), in handling order; an entry's payload is its agent,
+    whichever path queued it. A payload's vehicle is the live object, so
+    a reader after the run finds it as the run left it: where it was at
+    the event is its lane's link end, not its ``node``. ``requests`` holds one row per
+    ``match_rider`` call, (rider, offer groups, tau, clock step, network):
+    a copy of the offer groups as ``build_time_expanded`` received them,
+    the link steps and clock step it built at, and the network it built."""
+
+    events: list[tuple[float, int, object]] = field(default_factory=list)
+    requests: list[tuple] = field(default_factory=list)
+
+
+@dataclass
 class SimReport:
     link_class_counts: dict[tuple[int, LaneClass], int]
     outcomes: list[AgentOutcome]
@@ -274,12 +295,15 @@ class SimState:
     ``population`` None it draws the agents over the horizon
     (``generate_agents``); a population handed in must be that draw, for
     this demand, horizon, network and seed, and is kept as it is, the same
-    object ("Determinism" in the module docstring). A replication builds no
+    object ("Determinism" in the module docstring). Given a ``record``, the
+    run appends what it does to it (``RunRecord``). A replication builds no
     reference cycle ("Memory" in the module docstring)."""
 
     def __init__(self, config: ScenarioConfig, network: Network, seed: int,
-                 population: Optional[tuple[VehicleAgent, ...]] = None):
+                 population: Optional[tuple[VehicleAgent, ...]] = None,
+                 record: Optional[RunRecord] = None):
         self.network = network
+        self.record = record
         self.demand = config.demand_spec(network)
         self.weights = config.weights
         self.bpr_alpha = config.bpr.alpha
@@ -460,7 +484,7 @@ class SimState:
         self.push_event(arrival, EV_ARRIVE_NODE, (vehicle, lane))
 
     def vehicle_at_node(self, vehicle: Vehicle, node: int, now: float) -> Optional[int]:
-        """A regular driver's next link at ``node``; None means the trip ends.
+        """A regular driver's next link at ``node``; None means stranded.
 
         The driver takes the first link of ``dijkstra_route`` at the
         current cost snapshot. Where only one outgoing link still reaches
@@ -470,8 +494,6 @@ class SimState:
         crash.
         """
         destination = vehicle.agent.destination
-        if node == destination:
-            return None
         hops = self.network.next_hops(node, destination)
         if len(hops) == 1:
             return hops[0]
@@ -593,7 +615,7 @@ class SimState:
             fallback = fallback_to_driver(agent, next_id=self._next_agent_id)
             self._next_agent_id += 1
             self.agents[fallback.id] = fallback
-            self.push_event(now, EV_AGENT_ENTER, fallback.id)
+            self.push_event(now, EV_AGENT_ENTER, fallback)
 
     def _handle_arrive(self, payload: tuple, now: float) -> None:
         vehicle, lane = payload
@@ -836,36 +858,37 @@ class SimState:
         ``rider_summary`` read the results. ``run_limit`` keeps the latest
         limit any call ran to, the horizon plus 1e-12, by which an event is
         processed; ``build_report`` reports an arrival fixed at entry by the
-        same rule."""
+        same rule. Each event handled is appended to ``record``'s events,
+        if there is a record."""
         limit = (self.horizon if horizon is None else horizon) + 1e-12
         self.run_limit = max(self.run_limit, limit)
+        log = None if self.record is None else self.record.events
         events, scheduled = self.events, self.population
         i, n = self._next_scheduled, len(scheduled)
         heappop = heapq.heappop
         try:
             while True:
-                if i < n:
-                    agent = scheduled[i]
-                    time = agent.request_time
-                    if not events or time <= events[0][0]:
-                        if time > limit:
-                            break
-                        i += 1
-                        self.clock = time
-                        self._handle_agent_enter(agent, time)
-                        continue
-                if not events or events[0][0] > limit:
+                if i < n and (not events or scheduled[i].request_time <= events[0][0]):
+                    payload = scheduled[i]
+                    time, kind = payload.request_time, EV_AGENT_ENTER
+                    if time > limit:
+                        break
+                    i += 1
+                elif not events or events[0][0] > limit:
                     break
-                time, _, kind, payload = heappop(events)
+                else:
+                    time, _, kind, payload = heappop(events)
                 self.clock = time
-                if kind == EV_ARRIVE_NODE:
+                if log is not None:
+                    log.append((time, kind, payload))
+                if kind == EV_AGENT_ENTER:
+                    self._handle_agent_enter(payload, time)
+                elif kind == EV_ARRIVE_NODE:
                     self._handle_arrive(payload, time)
                 elif kind == EV_DEPART_NODE:
                     self._handle_depart(payload, time)
-                elif kind == EV_BACKGROUND:
+                else:
                     self._handle_background(payload, time)
-                else:  # EV_AGENT_ENTER, an unmatched rider's fallback
-                    self._handle_agent_enter(self.agents[payload], time)
         finally:
             self._next_scheduled = i
 

@@ -4,14 +4,13 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import strategies as st
 
-import ridesim.matching as matching
 from ridesim.agents import TimeWindow
 from ridesim.config import ScenarioConfig, bundled_data_path, load_config
-from ridesim.experiments import run_single
 from ridesim.matching import RiderRequest
 from ridesim.network import Link, Network, load_network
 from ridesim.routing import dijkstra_route
 from ridesim.schedule import Pin, free_slot, pin_chain
+from ridesim.simulation import RunRecord, SimState
 from ridesim.timegrid import INF, ceil_steps, link_steps
 
 # dyadic step size so itinerary costs are exactly representable floats;
@@ -81,22 +80,13 @@ def slot_groups(drivers) -> dict:
 
 
 def recorded_networks(config):
-    """One run of ``config`` (``run_single``): every request's network, in
-    request order, kept by wrapping ``build_time_expanded`` where
-    ``match_rider`` looks it up, and the run's ``SimState``."""
-    kept = []
-    build = matching.build_time_expanded
-
-    def keeping(*args, **kwargs):
-        kept.append(build(*args, **kwargs))
-        return kept[-1]
-
-    matching.build_time_expanded = keeping
-    try:
-        sim, _ = run_single(config)
-    finally:
-        matching.build_time_expanded = build
-    return kept, sim
+    """One run of ``config``, built as ``run_single`` builds it: every
+    request's network, in request order, read from its run record, and the
+    run's ``SimState``."""
+    record = RunRecord()
+    sim = SimState(config, config.make_network(), config.seed, record=record)
+    sim.run()
+    return [network for *_, network in record.requests], sim
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ridesim.dp as dp
-import ridesim.matching as matching
 from ridesim.agents import Role, TimeWindow, VehicleAgent
 from ridesim.config import bundled_data_path, load_config
 from ridesim.dp import ItineraryLeg, StepCosts, solve_itinerary
@@ -19,7 +18,7 @@ from ridesim.experiments import replication_seeds
 from ridesim.matching import RiderRequest
 from ridesim.network import Network
 from ridesim.schedule import Pin, pin_chain
-from ridesim.simulation import RideshareVehicle, init_simulation
+from ridesim.simulation import RideshareVehicle, RunRecord, SimState
 from ridesim.ten import (STEP_MATRICES_KEPT, PrunedGraph, TimeExpandedNetwork,
                          _min_step_matrix, build_time_expanded, decode, preprocess,
                          step_matrix)
@@ -1074,23 +1073,20 @@ class TestMinStepMemo:
     def test_rebuilds_only_when_step_durations_change(self, monkeypatch):
         config = load_config(bundled_data_path("sweep.yaml"),
                              {"unused_capacity": 0.25})
-        sim = init_simulation(config, config.make_network(),
-                              replication_seeds(config.seed, 1)[0])
-        keys, builds = [], []
-        build_ten = matching.build_time_expanded
+        network = config.make_network()
+        sim = SimState(config, network, replication_seeds(config.seed, 1)[0],
+                       record=RunRecord())
+        builds = []
         fresh_matrix = _min_step_matrix
-
-        def recording_build(rider, drivers, network, tau, dt, **kwargs):
-            keys.append(tuple(tau[link.id] for link in network.links))
-            return build_ten(rider, drivers, network, tau, dt, **kwargs)
 
         def counting_matrix(network, tau):
             builds.append(tau)
             return fresh_matrix(network, tau)
 
-        monkeypatch.setattr(matching, "build_time_expanded", recording_build)
         monkeypatch.setattr("ridesim.ten._min_step_matrix", counting_matrix)
         sim.run()
+        keys = [tuple(tau[link.id] for link in network.links)
+                for _, _, tau, _, _ in sim.record.requests]
         changes = sum(key != prev for prev, key in zip([None] + keys, keys))
         assert len(builds) == len(set(keys))  # one build per step state
         assert 1 < len(builds) < changes < len(keys)

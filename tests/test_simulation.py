@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import heapq
+import importlib.util
 import math
 import re
 import statistics
@@ -32,6 +33,7 @@ from ridesim.simulation import (
     EV_DEPART_NODE,
     ON_TIME_TOLERANCE,
     RiderSummary,
+    RunRecord,
     SimState,
     SimulationError,
     carpool_background_rates,
@@ -44,13 +46,13 @@ from conftest import Driver, free_slots, scenario, slot_groups, step_durations
 from test_golden_outputs import write_grid
 
 
-def empty_sim(testbed, horizon=4.0) -> SimState:
-    return SimState(scenario(horizon, {(0, 2): 0.0}), testbed, seed=1)
+def empty_sim(testbed, horizon=4.0, record=None) -> SimState:
+    return SimState(scenario(horizon, {(0, 2): 0.0}), testbed, seed=1, record=record)
 
 
 def seed_agent(sim: SimState, agent: VehicleAgent) -> None:
     sim.agents[agent.id] = agent
-    sim.push_event(agent.request_time, EV_AGENT_ENTER, agent.id)
+    sim.push_event(agent.request_time, EV_AGENT_ENTER, agent)
     sim._next_agent_id = max(sim._next_agent_id, agent.id + 1)
 
 
@@ -76,50 +78,40 @@ def rider(agent_id, origin, dest, t, fft, flex=0.3):
     )
 
 
-def record_handled(monkeypatch) -> list:
-    """A list that every event any ``SimState`` handles from now on is
-    appended to, as (clock, kind, key); an arrival's key names its vehicle,
-    link and lane class, a departure's its vehicle and plan."""
-    log = []
+def record_handled(record: RunRecord) -> list:
+    """The events ``record`` logged, as (clock, kind, key); an arrival's key
+    names its vehicle, link and lane class, a departure's its vehicle and
+    plan."""
     keys = {
-        "_handle_agent_enter": (EV_AGENT_ENTER, lambda sim, agent: agent.id),
-        "_handle_arrive": (EV_ARRIVE_NODE, lambda sim, payload: (
-            payload[0].agent.id, payload[1].link.id,
-            payload[1].lane_class is LaneClass.CARPOOL)),
-        "_handle_depart": (EV_DEPART_NODE, lambda sim, payload: (
-            payload[0].agent.id, payload[1])),
-        "_handle_background": (EV_BACKGROUND, lambda sim, link_id: link_id),
+        EV_AGENT_ENTER: lambda agent: agent.id,
+        EV_ARRIVE_NODE: lambda payload: (payload[0].agent.id, payload[1].link.id,
+                                         payload[1].lane_class is LaneClass.CARPOOL),
+        EV_DEPART_NODE: lambda payload: (payload[0].agent.id, payload[1]),
+        EV_BACKGROUND: lambda link_id: link_id,
     }
-    for name, (kind, key) in keys.items():
-        def recording(sim, payload, now, original=getattr(SimState, name),
-                      kind=kind, key=key):
-            log.append((now, kind, key(sim, payload)))
-            return original(sim, payload, now)
-        monkeypatch.setattr(SimState, name, recording)
-    return log
+    return [(now, kind, keys[kind](payload)) for now, kind, payload in record.events]
 
 
-def handled_as_one_heap(sim: SimState, reference: SimState, monkeypatch,
-                        horizon=None) -> list:
-    """Run ``sim`` and ``reference``, built alike, to ``horizon``, with
-    ``reference``'s scheduled agent entries moved onto its event heap, each
-    as a push would have put it there with seq = agent id: the one queue of
+def handled_as_one_heap(build, horizon=None) -> tuple[SimState, list]:
+    """Build two replications alike, each with a run record, as ``build``
+    of the record builds them, and run both to ``horizon``, with the
+    second's scheduled agent entries moved onto its event heap, each as a
+    push would have put it there with seq = agent id: the one queue of
     every event whose order the entry stream must give. Assert they handle
     the same events in the same order and report alike, and return the
-    events handled."""
-    reference.events.extend((agent.request_time, agent.id, EV_AGENT_ENTER, agent.id)
+    first replication with the events it handled."""
+    sim, reference = build(RunRecord()), build(RunRecord())
+    reference.events.extend((agent.request_time, agent.id, EV_AGENT_ENTER, agent)
                             for agent in reference.population)
     heapq.heapify(reference.events)
     reference.population = ()
-    log = record_handled(monkeypatch)
     sim.run(horizon)
-    handled = log[:]
-    log.clear()
     reference.run(horizon)
-    assert handled == log
+    handled = record_handled(sim.record)
+    assert handled == record_handled(reference.record)
     assert sim.build_report() == reference.build_report()
     assert sim._seq == reference._seq
-    return handled
+    return sim, handled
 
 
 @contextlib.contextmanager
@@ -201,7 +193,7 @@ class TestBasicRuns:
         sim = empty_sim(testbed)
         sim.clock = 2.0
         with pytest.raises(SimulationError):
-            sim.push_event(1.0, EV_AGENT_ENTER, 0)
+            sim.push_event(1.0, EV_AGENT_ENTER, regular(0, 0, 3, t=1.0))
 
 
 class TestVehicleAtNode:
@@ -210,14 +202,6 @@ class TestVehicleAtNode:
         agent = regular(0, 1, 2, t=0.0)
         vehicle = simulation.Vehicle(agent)
         assert sim.vehicle_at_node(vehicle, 1, 0.0) == 2
-
-    def test_at_destination_returns_none(self, testbed):
-        sim = empty_sim(testbed)
-        agent = regular(0, 0, 3, t=0.0)
-        vehicle = simulation.Vehicle(agent)
-        vehicle.node = 3
-        assert sim.vehicle_at_node(vehicle, 3, 0.0) is None
-        assert not vehicle.stranded
 
     def test_congested_direct_link_diverts(self, testbed):
         sim = empty_sim(testbed)
@@ -373,11 +357,12 @@ class QueuedArrivals(SimState):
         self.push_event(now + delay, EV_ARRIVE_NODE, (vehicle, lane))
 
     def _drive(self, vehicle, now):
+        if vehicle.node == vehicle.agent.destination:
+            vehicle.arrival_time = now
+            return
         next_link = self.vehicle_at_node(vehicle, vehicle.node, now)
         if next_link is not None:
             self.enter_link(vehicle, next_link, now)
-        elif not vehicle.stranded:
-            vehicle.arrival_time = now
 
 
 def differential_configs(tmp_path) -> dict:
@@ -464,6 +449,105 @@ class TestUnqueuedLastArrival:
             assert sim.build_report() == runs[cls]
         assert runs[SimState] == runs[QueuedArrivals]
         assert runs[SimState].mean_travel_time() == pytest.approx(delay)
+
+
+def replay_tool():
+    """``tools/replay.py``, imported as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "replay.py"
+    spec = importlib.util.spec_from_file_location("replay", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunRecord:
+    """A run record (``RunRecord``) logs what a run did and changes
+    nothing the run does."""
+
+    @pytest.mark.parametrize("name", ["sweep-1.0", "sweep-0.25", "grid"])
+    def test_record_changes_no_result(self, tmp_path, name):
+        """A recorded run reports, matches and counts as the unrecorded run
+        of the same replication; it logs every event, one request row per
+        row of the match trace, and each row's inputs rebuild its network."""
+        config = differential_configs(tmp_path)[name]
+        network = config.make_network()
+        sim = SimState(config, network, config.seed, record=RunRecord())
+        plain = SimState(config, network, config.seed)
+        for state in (sim, plain):
+            state.run()
+        assert sim.build_report() == plain.build_report()
+        assert sim.match_trace == plain.match_trace
+        assert sim.rider_summary() == plain.rider_summary()
+        assert {key: (lane.total, lane.background) for key, lane in sim.lanes.items()} == \
+               {key: (lane.total, lane.background) for key, lane in plain.lanes.items()}
+        requests = sim.record.requests
+        assert len(requests) == len(sim.match_trace) > 10
+        assert [rider.id for rider, *_ in requests] == \
+               [row["rider_id"] for row in sim.match_trace]
+        assert any(groups for _, groups, *_ in requests)
+        for rider, groups, tau, clock_step, ten in requests:
+            assert ten_key(build_time_expanded(rider, groups, network, tau, sim.dt,
+                                               clock_step=clock_step)) == ten_key(ten)
+        kinds = collections.Counter(kind for _, kind, _ in sim.record.events)
+        assert kinds[EV_AGENT_ENTER] == len(sim.agents)
+        assert kinds[EV_BACKGROUND] == sum(lane.background for lane in sim.lanes.values())
+        assert (kinds[EV_BACKGROUND] > 0) == (name == "sweep-0.25")
+
+    @staticmethod
+    def stranding_sim() -> SimState:
+        """A regular and a ridesharing driver from each of: a fork that
+        needs a search (0 -> 3), one whose branches are forced (1 -> 3), a
+        lone next hop into that fork (4 -> 3), and an origin with no path
+        (3 -> 0, where node 3 has no outgoing link), at which both are
+        stranded; a run record is kept."""
+        from conftest import make_network
+        net = make_network([(0, 1, 0.1), (0, 2, 0.1), (1, 3, 0.1), (2, 3, 0.1), (1, 2, 0.1),
+                            (4, 0, 0.1)])
+        sim = SimState(scenario(2.0, {(0, 3): 0.0}), net, seed=1, record=RunRecord())
+        for agent in (regular(0, 0, 3, t=0.0), regular(1, 1, 3, t=0.1),
+                      regular(2, 3, 0, t=0.2), rideshare(3, 0, 3, t=0.0, fft=0.2),
+                      rideshare(4, 1, 3, t=0.1, fft=0.1), rideshare(5, 3, 0, t=0.2, fft=0.1),
+                      regular(6, 4, 3, t=0.3), rideshare(7, 4, 3, t=0.3, fft=0.3)):
+            seed_agent(sim, agent)
+        return sim
+
+    def test_route_counts_equal_wrapped_counts(self, tmp_path, monkeypatch):
+        """The replay tool's searches and route choices, derived from the
+        record and the network's rules, are those counted by wrapping the
+        route search (where ``dijkstra_route`` looks it up), the regular
+        driver's choice and the ridesharing driver's initial plan, on a run
+        that strands a driver of each role and on the grid run."""
+        counts = collections.Counter()
+        search, visit = routing.shortest_paths, SimState.vehicle_at_node
+        plan = SimState._plan_initial_route
+
+        def counted_search(*args):
+            counts["searches"] += 1
+            return search(*args)
+
+        def counted_visit(sim, vehicle, node, now):
+            link_id = visit(sim, vehicle, node, now)
+            counts["choices"] += link_id is not None
+            return link_id
+
+        def counted_plan(sim, vehicle, now):
+            plan(sim, vehicle, now)
+            counts["choices"] += bool(vehicle.plan)
+
+        monkeypatch.setattr(routing, "shortest_paths", counted_search)
+        monkeypatch.setattr(SimState, "vehicle_at_node", counted_visit)
+        monkeypatch.setattr(SimState, "_plan_initial_route", counted_plan)
+        route_counts = replay_tool().route_counts
+        stranding = self.stranding_sim()
+        for sim in (stranding, grid_sim(tmp_path, record=RunRecord())):
+            counts.clear()
+            sim.run()
+            assert route_counts(sim.record, sim.network) == \
+                   (counts["searches"], counts["choices"])
+            assert counts["searches"] > 0
+            assert counts["choices"] > counts["searches"]
+        assert stranding.vehicles[2].stranded and stranding.vehicles[5].stranded
+        assert stranding.build_report().stranded_count == 2
 
 
 class TestDeterminism:
@@ -652,7 +736,7 @@ class TestRiderSummary:
 
 
 class TestInitSimulation:
-    def test_default_config_ready_to_run(self, testbed, monkeypatch):
+    def test_default_config_ready_to_run(self, testbed):
         config = load_config(bundled_data_path("validation.yaml"))
         sim = init_simulation(config, testbed, seed=7)
         assert sim.clock == 0.0
@@ -663,12 +747,12 @@ class TestInitSimulation:
         assert [agent.id for agent in population] == list(range(len(population)))
         assert [a.request_time for a in population] == sorted(a.request_time for a in population)
         assert sim.events == [] and sim._seq == len(population)
-        handled = handled_as_one_heap(sim, init_simulation(config, testbed, seed=7),
-                                      monkeypatch, horizon=2.0)
+        _, handled = handled_as_one_heap(
+            lambda record: SimState(config, testbed, 7, record=record), horizon=2.0)
         assert {kind for _, kind, _ in handled} == {EV_AGENT_ENTER, EV_ARRIVE_NODE}
 
     @pytest.mark.parametrize("unused", [1.0, 0.25])
-    def test_initial_events_pop_as_pushed(self, testbed, monkeypatch, unused):
+    def test_initial_events_pop_as_pushed(self, testbed, unused):
         """Scheduled entries beside the heap are handled in the order one
         heap of every push gives, with riders, drivers, holds and background
         load."""
@@ -680,7 +764,8 @@ class TestInitSimulation:
         assert all(kind == EV_BACKGROUND and seq >= len(sim.agents)
                    for _, seq, kind, _ in sim.events)
         assert bool(sim.events) == (unused < 1.0)
-        handled = handled_as_one_heap(sim, SimState(config, testbed, seed=2), monkeypatch)
+        sim, handled = handled_as_one_heap(
+            lambda record: SimState(config, testbed, 2, record=record))
         kinds = {kind for _, kind, _ in handled}
         assert kinds == {EV_AGENT_ENTER, EV_ARRIVE_NODE, EV_DEPART_NODE} | (
             {EV_BACKGROUND} if unused < 1.0 else set())
@@ -694,12 +779,12 @@ class TestInitSimulation:
                   regular(2, 1, 2, t=0.7))
         monkeypatch.setattr(simulation, "generate_agents", lambda *args: agents)
 
-        def tied():
-            sim = empty_sim(testbed)
+        def tied(record):
+            sim = empty_sim(testbed, record=record)
             sim.push_event(0.5, EV_BACKGROUND, 2)
             return sim
 
-        handled = handled_as_one_heap(tied(), tied(), monkeypatch)
+        _, handled = handled_as_one_heap(tied)
         assert handled[:4] == [(0.5, EV_AGENT_ENTER, 0), (0.5, EV_AGENT_ENTER, 1),
                                (0.5, EV_BACKGROUND, 2), (0.5, EV_AGENT_ENTER, 3)]
         assert (0.7, EV_AGENT_ENTER, 2) in handled
@@ -956,16 +1041,17 @@ def fresh_driver(sim, vehicle):
                   vehicle.departure_time is not None)
 
 
-def grid_sim(tmp_path, seats=None) -> SimState:
+def grid_sim(tmp_path, seats=None, record=None) -> SimState:
     """The 4x4 grid run of the multi-leg golden test (seed 5), with
-    ``demand.seats`` set to ``seats`` if given; it has not run yet."""
+    ``demand.seats`` set to ``seats`` if given and the run ``record`` if
+    given; it has not run yet."""
     path = write_grid(tmp_path)
     if seats is not None:
         raw = yaml.safe_load(path.read_text())
         raw["demand"]["seats"] = seats
         path.write_text(yaml.safe_dump(raw))
     config = load_config(path, {"seed": 5})
-    return init_simulation(config, config.make_network(), config.seed)
+    return SimState(config, config.make_network(), config.seed, record=record)
 
 
 def ten_key(ten):
@@ -1249,19 +1335,11 @@ class TestOfferIndex:
             sim.run()
         assert commits > 10 and pin_free > 0 and multi_leg > 0
 
-    def test_zero_seat_drivers_counted_never_built(self, tmp_path, monkeypatch):
+    def test_zero_seat_drivers_counted_never_built(self, tmp_path):
         """``demand.seats: 0`` drivers have no free slot: every live one is
         in the trace's offers, none reaches the network build, and every
         rider is infeasible."""
-        sim = grid_sim(tmp_path, seats=0)
-        built = []
-        build = matching.build_time_expanded
-
-        def recording(rider, slots, *args, **kwargs):
-            built.extend(slots)
-            return build(rider, slots, *args, **kwargs)
-
-        monkeypatch.setattr(matching, "build_time_expanded", recording)
+        sim = grid_sim(tmp_path, seats=0, record=RunRecord())
         live = []
         indexed = sim.collect_offers
 
@@ -1272,7 +1350,8 @@ class TestOfferIndex:
 
         sim.collect_offers = counted
         sim.run()
-        assert built == []
+        assert len(sim.record.requests) == len(live)
+        assert all(groups == {} for _, groups, *_ in sim.record.requests)
         assert [row["offers"] for row in sim.match_trace] == live
         assert sum(live) > len(live) > 10
         riders = [agent_id for agent_id, agent in sim.agents.items()

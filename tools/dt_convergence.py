@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ridesim.config import load_config  # noqa: E402
+from ridesim.config import ConfigError, load_config  # noqa: E402
 from ridesim.experiments import run_capacity_sweep  # noqa: E402
 
 
@@ -38,15 +38,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.halvings < 0:
         parser.error("--halvings must be at least 0")
-    config = load_config(args.config, {"replications": args.replications,
-                                       "horizon": args.horizon})
-    steps = [config.dt / 2**k for k in range(args.halvings + 1)]
-    rates = {}  # (dt, level) -> (riders, committed, delivered, on time rates)
-    for dt in steps:
-        for row in run_capacity_sweep(dataclasses.replace(config, dt=dt)).rows:
-            riders, *counts = map(sum, zip(*map(dataclasses.astuple, row.summaries)))
-            rates[dt, row.unused_fraction] = (riders, *(
-                count / riders if riders else 0.0 for count in counts))
+    try:
+        config = load_config(args.config, {"replications": args.replications,
+                                           "horizon": args.horizon})
+        steps = [config.dt / 2**k for k in range(args.halvings + 1)]
+        rates = {}  # (dt, level) -> (riders, committed, delivered, on time rates)
+        for dt in steps:
+            for row in run_capacity_sweep(dataclasses.replace(config, dt=dt)).rows:
+                riders, *counts = map(sum, zip(*map(dataclasses.astuple, row.summaries)))
+                rates[dt, row.unused_fraction] = (riders, *(
+                    count / riders if riders else 0.0 for count in counts))
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     print(f"scenario {args.config} seed {config.seed} horizon {config.horizon} "
           f"replications {config.replications}")

@@ -2,16 +2,19 @@
 and fingerprint what each did.
 
 Builds one replication of a scenario (``--config``, ``--seed``,
-``--horizon``) as ``experiments.run_single`` does and runs it once, with
-these wrapped: the four event handlers, the route search, the two route
-choosers and ``matching.build_time_expanded``. That one record gives both
-reports, the event loop's first and the matcher's after it.
+``--horizon``) as ``experiments.run_single`` does and runs it once with a
+run record (``simulation.RunRecord``): the events it handled and every
+request's inputs. That one record gives both reports, the event loop's
+first and the matcher's after it; the tool changes nothing in ridesim
+while the run lasts. A scenario that ``load_config`` refuses is a usage
+error (exit 2), as in ``ridesim``.
 
 The event loop: the least CPU time of ``SimState.run`` over ``--rounds``
 more runs, each on a fresh network and replication with the collector
-paused; the events handled per kind; the searches made while the run
-lasts; the routes chosen without one (a regular driver's next link at a
-node and a ridesharing driver's initial plan, less the searches);
+paused; the events handled per kind; the searches the run made and the
+routes it chose without one (a regular driver's next link at a node and
+a ridesharing driver's initial plan, less the searches), both read from
+the record by the network's rules (``route_counts``);
 ``event_digest``, a SHA-256 over the log of handled events, one ``repr``
 of (time, kind, key) each: an entry's key is its agent id, an arrival's
 its vehicle's agent id with the link id and lane class of the lane it
@@ -22,14 +25,12 @@ counts a ridesharing driver's every arrival at a node and a regular
 driver's arrivals short of its destination: a regular driver's trip ends
 when it enters its last link, with no event (``SimState.enter_link``), so
 only ``trip_digest`` sees that arrival. A search is a call of
-``shortest_paths`` where ``routing.dijkstra_route`` looks it up; the
-matcher's step matrices import their own name for it, so their builds are
-not counted.
+``shortest_paths`` by ``routing.dijkstra_route``; the matcher's step
+matrices are not counted.
 
-The matcher: every request's build inputs are kept, by wrapping
-``build_time_expanded`` where ``match_rider`` looks it up; the driver
-groups, by free schedule, are copied, since they are the simulation's
-live offer index, which changes from request to request. The tool then
+The matcher: every request's build inputs are the record's request rows;
+the driver groups, by free schedule, are a copy, since the simulation's
+live offer index changes from request to request. The tool then
 times ``build_time_expanded``, ``preprocess`` and ``solve_itinerary`` over
 the kept requests, in request order, at the run's step costs and with the
 collector paused. It prints the best of ``--rounds`` of each in µs per
@@ -71,21 +72,24 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ridesim import dp, matching, routing, ten  # noqa: E402
-from ridesim.config import load_config  # noqa: E402
-from ridesim.simulation import SimState, init_simulation  # noqa: E402
+from ridesim import dp, ten  # noqa: E402
+from ridesim.agents import Role  # noqa: E402
+from ridesim.config import ConfigError, load_config  # noqa: E402
+from ridesim.simulation import (EV_AGENT_ENTER, EV_ARRIVE_NODE, EV_BACKGROUND,  # noqa: E402
+                                EV_DEPART_NODE, RunRecord, SimState, Vehicle,
+                                init_simulation)
 
-KINDS = {"_handle_agent_enter": "agent_enter", "_handle_arrive": "arrive_node",
-         "_handle_depart": "depart_node", "_handle_background": "background"}
+KINDS = {EV_AGENT_ENTER: "agent_enter", EV_ARRIVE_NODE: "arrive_node",
+         EV_DEPART_NODE: "depart_node", EV_BACKGROUND: "background"}
 
 
-def event_key(kind: str, payload) -> object:
-    if kind == "agent_enter":
+def event_key(kind: int, payload) -> object:
+    if kind == EV_AGENT_ENTER:
         return payload.id
-    if kind == "arrive_node":
+    if kind == EV_ARRIVE_NODE:
         vehicle, lane = payload
         return vehicle.agent.id, (lane.link.id, lane.lane_class.value)
-    if kind == "depart_node":
+    if kind == EV_DEPART_NODE:
         vehicle, plan = payload
         return vehicle.agent.id, tuple(plan)
     return payload
@@ -100,58 +104,27 @@ def trip_digest(sim: SimState) -> str:
     return hashlib.sha256(repr(trips).encode()).hexdigest()
 
 
-def recorded_run(config) -> tuple[Counter, str, str, list, dp.StepCosts]:
-    """From one run of ``config``: the counts per event kind and of
-    searches and route choices; the hex digests of the handled events and
-    of the trips (``trip_digest``); every request's
-    ``build_time_expanded`` arguments, (args, kwargs) in request order, the
-    groups by free schedule copied; and the run's step costs."""
-    sim = init_simulation(config, config.make_network(), config.seed)
-    counts: Counter = Counter()
-    digest = hashlib.sha256()
-    kept = []
-    originals = {name: getattr(SimState, name)
-                 for name in (*KINDS, "vehicle_at_node", "_plan_initial_route")}
-    search, build = routing.shortest_paths, matching.build_time_expanded
-
-    def handler(name):
-        kind, original = KINDS[name], originals[name]
-
-        def handled(state, payload, now):
-            counts[kind] += 1
-            digest.update(repr((now, kind, event_key(kind, payload))).encode())
-            return original(state, payload, now)
-        return handled
-
-    def counted_search(*args):
-        counts["searches"] += 1
-        return search(*args)
-
-    def counted_visit(state, vehicle, node, now):
-        link_id = originals["vehicle_at_node"](state, vehicle, node, now)
-        counts["choices"] += link_id is not None
-        return link_id
-
-    def counted_plan(state, vehicle, now):
-        originals["_plan_initial_route"](state, vehicle, now)
-        counts["choices"] += bool(vehicle.plan)
-
-    def keeping(rider, slots, *args, **kwargs):
-        kept.append(((rider, {key: list(ids) for key, ids in slots.items()}, *args), kwargs))
-        return build(rider, slots, *args, **kwargs)
-
-    wrappers = {name: handler(name) for name in KINDS}
-    wrappers.update(vehicle_at_node=counted_visit, _plan_initial_route=counted_plan)
-    for name, wrapper in wrappers.items():
-        setattr(SimState, name, wrapper)
-    routing.shortest_paths, matching.build_time_expanded = counted_search, keeping
-    try:
-        sim.run()
-    finally:
-        routing.shortest_paths, matching.build_time_expanded = search, build
-        for name, original in originals.items():
-            setattr(SimState, name, original)
-    return counts, digest.hexdigest(), trip_digest(sim), kept, sim.step_costs
+def route_counts(record: RunRecord, network) -> tuple[int, int]:
+    """The searches and the routes chosen in the run ``record`` logged, by
+    the network's rules. A regular driver chooses at its entry and at each
+    arrival, a ridesharing driver once, its initial plan at its entry; each
+    chooses a route where its node reaches its destination
+    (``Network.next_hops``). The plan searches where
+    ``Network.route_choices`` is None, and so does a regular driver with
+    more than one next hop (``SimState.vehicle_at_node``)."""
+    searches = choices = 0
+    for _, kind, payload in record.events:
+        if kind == EV_AGENT_ENTER and payload.role is not Role.RIDER:
+            agent, node = payload, payload.origin
+        elif kind == EV_ARRIVE_NODE and type(payload[0]) is Vehicle:
+            agent, node = payload[0].agent, payload[1].link.to_node
+        else:
+            continue
+        hops = network.next_hops(node, agent.destination)
+        choices += bool(hops)
+        searches += ((len(hops) > 1 or agent.role is Role.RIDESHARE_DRIVER)
+                     and network.route_choices(node, agent.destination) is None)
+    return searches, choices
 
 
 def best_run_time(config, rounds: int) -> float:
@@ -172,17 +145,19 @@ def best_run_time(config, rounds: int) -> float:
     return best
 
 
-def best_times(requests: list, costs: dp.StepCosts,
+def best_times(sim: SimState, requests: list,
                rounds: int) -> tuple[float, float, list[float], list, list]:
     """The least seconds, over ``rounds``, that ``build_time_expanded`` and
-    ``preprocess`` each took over all of ``requests``; the least seconds
-    ``solve_itinerary`` took on each; every request's network; and every
-    request's result."""
+    ``preprocess`` each took over all of ``requests``, the rows of ``sim``'s
+    run record; the least seconds ``solve_itinerary`` took on each; every
+    request's network; and every request's result."""
     build = prep = math.inf
     solve = [math.inf] * len(requests)
+    network, dt, costs = sim.network, sim.dt, sim.step_costs
     for _ in range(rounds):
         start = time.perf_counter()
-        tens = [ten.build_time_expanded(*args, **kwargs) for args, kwargs in requests]
+        tens = [ten.build_time_expanded(rider, groups, network, tau, dt, clock_step=clock_step)
+                for rider, groups, tau, clock_step, _ in requests]
         build = min(build, time.perf_counter() - start)
         start = time.perf_counter()
         graphs = [ten.preprocess(network) for network in tens]
@@ -198,7 +173,9 @@ def best_times(requests: list, costs: dp.StepCosts,
 def insertion_attempts(graphs: list, costs: dp.StepCosts) -> list[int]:
     """The calls of ``dp._insert_label`` that ``solve_itinerary``
     makes on each of ``graphs``, counted by wrapping it where the DP looks
-    it up."""
+    it up, over requests replayed after the run: a counter in the DP's
+    inner loop would charge every live request for a number only this tool
+    reads."""
     counts = []
     insert = dp._insert_label
 
@@ -232,16 +209,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
-    counts, event_digest, trips, kept, costs = recorded_run(config)
-    run_s = best_run_time(config, args.rounds)
+    try:
+        config = load_config(args.config, {"seed": args.seed, "horizon": args.horizon})
+        sim = SimState(config, config.make_network(), config.seed, record=RunRecord())
+        sim.run()
+        run_s = best_run_time(config, args.rounds)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    record = sim.record
+    counts = Counter(KINDS[kind] for _, kind, _ in record.events)
+    event_digest = hashlib.sha256()
+    for now, kind, payload in record.events:
+        event_digest.update(repr((now, KINDS[kind], event_key(kind, payload))).encode())
+    searches, choices = route_counts(record, sim.network)
     gc.collect()
     gc.disable()
     try:
-        build, prep, solve, tens, results = best_times(kept, costs, args.rounds)
+        build, prep, solve, tens, results = best_times(sim, record.requests, args.rounds)
     finally:
         gc.enable()
-    attempts = insertion_attempts([ten.preprocess(network) for network in tens], costs)
+    attempts = insertion_attempts([ten.preprocess(network) for network in tens],
+                                  sim.step_costs)
     matcher_digest = hashlib.sha256()
     for result in results:
         matcher_digest.update(repr(result).encode())
@@ -254,11 +242,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scenario        {args.config} seed {config.seed} horizon {config.horizon}")
     for kind in KINDS.values():
         print(f"{kind:<16}{counts[kind]}")
-    print(f"searches        {counts['searches']}")
-    print(f"unsearched      {counts['choices'] - counts['searches']}")
+    print(f"searches        {searches}")
+    print(f"unsearched      {choices - searches}")
     print(f"run_ms          {run_s * 1e3:.1f}")
-    print(f"event_digest    {event_digest}")
-    print(f"trip_digest     {trips}")
+    print(f"event_digest    {event_digest.hexdigest()}")
+    print(f"trip_digest     {trip_digest(sim)}")
     print(f"requests        {requests}")
     print(f"build_us        {build * per:.1f}")
     print(f"preprocess_us   {prep * per:.1f}")
